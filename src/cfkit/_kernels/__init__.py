@@ -4,7 +4,9 @@ The nearest-codeword search dominates the Monte-Carlo decoding chains, so it
 is available as a compiled Cython extension with a numpy fallback.  The
 compiled kernel is used when present unless CFKIT_PURE_PYTHON=1 is set.
 Both backends implement the same deterministic tie-breaking, so results are
-identical either way.
+identical either way.  The batched search over a block of queries,
+nearest_codeword_points, is numpy only and bitwise equal to one
+single-query call per row.
 """
 
 import os
@@ -25,6 +27,7 @@ except ImportError:
 
 nearest_codeword_point = _impl
 nearest_codeword_point_py = _pyquant.nearest_codeword_point
+nearest_codeword_points = _pyquant.nearest_codeword_points
 
 
 def backend_name() -> str:

@@ -30,3 +30,35 @@ def nearest_codeword_point(shifts: np.ndarray, x: np.ndarray, gamma: float) -> n
     rows = cands[tied]
     order = np.lexsort(tuple(rows[:, k] for k in reversed(range(rows.shape[1]))))
     return rows[order[0]].copy()
+
+
+def nearest_codeword_points(shifts: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
+    """nearest_codeword_point for each row of the B x n query block X.
+
+    Same arithmetic, element for element, as the single-query search, so the
+    points are bitwise equal to B separate calls.  Temporaries are B x K x n
+    for a K-row table; lattice.nearest_points bounds their size.
+    """
+    shifts = np.ascontiguousarray(shifts, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    B, n = X.shape
+    # in place: cands = shifts + gamma * ceil((x - shifts) / gamma - 0.5),
+    # operand order aside the same operations, in one B x K x n buffer
+    cands = np.subtract(X[:, None, :], shifts)
+    cands /= gamma
+    cands -= 0.5
+    np.ceil(cands, out=cands)
+    cands *= gamma
+    cands += shifts
+    diffs = np.subtract(cands, X[:, None, :]).reshape(-1, n)
+    # one row per candidate, as in the single-query einsum, so every squared
+    # distance is summed in the same order
+    d2 = np.einsum("ij,ij->i", diffs, diffs).reshape(B, -1)
+    best = np.min(d2, axis=1)
+    tol = TIE_REL * max(1.0, gamma * gamma)
+    tied = d2 <= (best + tol)[:, None]
+    out = cands[np.arange(B), np.argmax(tied, axis=1)]
+    for b in np.flatnonzero(np.count_nonzero(tied, axis=1) > 1):
+        rows = cands[b, tied[b]]
+        out[b] = rows[np.lexsort(rows.T[::-1])[0]]
+    return out

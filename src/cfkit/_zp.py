@@ -98,6 +98,24 @@ def inv_mod_p(mat, p: int) -> list[list[int]]:
     return [row[n:] for row in rref[:n]]
 
 
+def right_inverse_mod_p(mat, p: int) -> list[list[int]]:
+    """R with mat R = I over Z_p, for a k x n matrix of full row rank k.
+
+    R is zero outside the pivot rows of mat's echelon form, where it holds
+    the inverse of mat's pivot columns.
+    """
+    a = reduce_mod(mat, p)
+    k, n = len(a), len(a[0])
+    _, pivots = rref_mod_p(a, p)
+    if len(pivots) != k:
+        raise ValueError("matrix does not have full row rank mod p")
+    inv = inv_mod_p([[row[c] for c in pivots] for row in a], p)
+    R = [[0] * k for _ in range(n)]
+    for i, c in enumerate(pivots):
+        R[c] = inv[i]
+    return R
+
+
 def matmul_mod_p(A, B, p: int) -> list[list[int]]:
     A = reduce_mod(A, p)
     B = reduce_mod(B, p)

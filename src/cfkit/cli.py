@@ -265,6 +265,15 @@ def _ensemble_from(doc: dict) -> lattice.NestedLatticeEnsemble:
         raise InputError(f"bad ensemble config: {exc}")
 
 
+def _count(value, name: str) -> int:
+    """A count from the command line or a config: an integer >= 1."""
+    integral = (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    if not integral or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
     out = _outdir(args)
@@ -280,11 +289,13 @@ def cmd_simulate(args) -> int:
         raise InputError("missing field 'noise_std'")
     noise_list = [float(v) for v in (noise if isinstance(noise, list) else [noise])]
     try:
-        trials = int(doc["trials"])
+        trials = _count(doc["trials"], "trials")
         master_seed = int(doc["master_seed"])
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r}")
-    workers = int(doc.get("workers", args.workers))
+    workers = _count(args.workers, "--workers")
+    if "workers" in doc:
+        workers = _count(doc["workers"], "workers")
     results = []
     csv_lines = ["noise_std,combination_index,errors,trials,rate_estimate,ci_low,ci_high"]
     for ns in noise_list:
@@ -535,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; trials run in one process "
+                        "and results do not depend on it")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="self-check identities and lattice algebra")

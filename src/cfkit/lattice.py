@@ -9,6 +9,7 @@ code, which caps the usable sizes (enforced below) but keeps everything exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _zp
-from ._kernels import nearest_codeword_point
+from ._kernels import nearest_codeword_point, nearest_codeword_points
 
 MAX_N = 10
 MAX_P = 13
@@ -111,6 +112,14 @@ class NestedLatticeEnsemble:
             table.setflags(write=False)
             self._tables[prefix] = table
         return self._tables[prefix]
+
+    @functools.cached_property
+    def G_right_inverse(self) -> np.ndarray:
+        """n x k_F right inverse R of G over Z_p: a codeword c = v G has
+        message vector v = c R (unique, since G has full row rank)."""
+        R = np.array(_zp.right_inverse_mod_p(self.G.tolist(), self.p), dtype=np.int64)
+        R.setflags(write=False)
+        return R
 
     def to_json(self) -> str:
         payload = {"n": self.n, "p": self.p, "gamma": self.gamma,
@@ -209,6 +218,25 @@ def nearest_point(ens: NestedLatticeEnsemble, which, x) -> np.ndarray:
     return nearest_codeword_point(table, x, float(ens.gamma))
 
 
+def nearest_points(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:
+    """nearest_point for each row of a B x n block, bitwise equal per row.
+
+    Queries go to the kernel in slices of at most MAX_CODEWORDS // (K n)
+    rows for a K-row table (at least one), so a slice's kernel buffers hold
+    at most MAX_CODEWORDS floats, or one query's worth on the largest tables.
+    Larger slices ran slower per query once the buffers left the cache.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != ens.n:
+        raise ValueError(f"points must be rows of dimension {ens.n}")
+    table = ens.codeword_shifts(ens.prefix_len(which))
+    step = max(1, MAX_CODEWORDS // table.size)
+    out = np.empty_like(X)
+    for i in range(0, X.shape[0], step):
+        out[i:i + step] = nearest_codeword_points(table, X[i:i + step], float(ens.gamma))
+    return out
+
+
 def mod_lattice(ens: NestedLatticeEnsemble, which, x) -> np.ndarray:
     """Quantization error x - Q(x); always lands in the Voronoi region."""
     x = np.asarray(x, dtype=float).ravel()
@@ -216,7 +244,7 @@ def mod_lattice(ens: NestedLatticeEnsemble, which, x) -> np.ndarray:
 
 
 def _field_coords(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).ravel()
+    lam = np.asarray(lam, dtype=float)
     scaled = lam * ens.p / ens.gamma
     rounded = np.rint(scaled)
     if np.max(np.abs(scaled - rounded)) > 1e-6:
@@ -227,11 +255,25 @@ def _field_coords(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
 def linear_label(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
     """Label in Z_p^k: the trailing k coordinates of the unique message vector
     whose codeword matches the point's mod-p reduction."""
-    c = _field_coords(ens, lam)
+    c = _field_coords(ens, np.ravel(lam))
     v = _zp.solve_mod_p(ens.G.T.tolist(), c.tolist(), ens.p)
     if v is None:
         raise ValueError("point is not in the finest lattice of the ensemble")
     return np.array(v[ens.k_C:], dtype=np.int64)
+
+
+def linear_labels(ens: NestedLatticeEnsemble, lams) -> np.ndarray:
+    """linear_label for each row of a B x n block of points (B x k out).
+
+    One integer product with the right inverse of G replaces a row reduction
+    per point; the product is checked to be a codeword, so a point off the
+    finest lattice raises the same error as linear_label.
+    """
+    c = _field_coords(ens, lams)
+    v = (c @ ens.G_right_inverse) % ens.p
+    if not np.array_equal((v @ ens.G) % ens.p, c):
+        raise ValueError("point is not in the finest lattice of the ensemble")
+    return v[:, ens.k_C:]
 
 
 def label_inverse(ens: NestedLatticeEnsemble, w) -> np.ndarray:

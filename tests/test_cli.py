@@ -173,6 +173,28 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
         assert "mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 0), ("trials", -5), ("trials", 2.5), ("trials", "7"),
+        ("trials", True), ("workers", 0), ("workers", -1)])
+    def test_counts_must_be_positive_integers(self, tmp_path, capsys, field, value):
+        cfg = self.config(tmp_path, **{field: value})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{field} must be an integer >= 1" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_workers_flag_validated_and_inert(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, noise_std=[0.5], trials=10, workers=3)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path,
+                    "--workers", "0"]) == 2
+        assert "--workers must be an integer >= 1" in capsys.readouterr().err
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        first = (tmp_path / "report.json").read_bytes()
+        cfg = self.config(tmp_path, noise_std=[0.5], trials=10.0)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path,
+                    "--workers", "2"]) == 0
+        assert (tmp_path / "report.json").read_bytes() == first
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):

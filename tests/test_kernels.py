@@ -3,7 +3,7 @@ import pytest
 
 from cfkit import _kernels
 from cfkit._kernels import (backend_name, nearest_codeword_point,
-                            nearest_codeword_point_py)
+                            nearest_codeword_point_py, nearest_codeword_points)
 
 
 def random_case(rng):
@@ -63,6 +63,38 @@ def test_tie_break_prefers_lexicographically_smaller():
     assert np.array_equal(out, [0.0, 0.0])
     out = nearest_codeword_point_py(shifts, np.array([0.25, 0.0]), 1.0)
     assert np.array_equal(out, [0.0, 0.0])
+
+
+def assert_batched_bitwise(shifts, X, gamma):
+    got = nearest_codeword_points(shifts, X, gamma)
+    want = np.array([nearest_codeword_point(shifts, x, gamma) for x in X])
+    assert got.shape == X.shape
+    assert got.tobytes() == want.reshape(X.shape).tobytes()
+
+
+def test_batched_bitwise_equal_to_single_queries():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        shifts, _, gamma = random_case(rng)
+        X = rng.normal(size=(int(rng.integers(1, 30)), shifts.shape[1])) * 3
+        assert_batched_bitwise(shifts, X, gamma)
+
+
+def test_batched_ties_bitwise_equal_to_single_queries():
+    rng = np.random.default_rng(44)
+    # facet midpoints of gamma Z^2 (one coset), mixed with untied queries
+    shifts = np.zeros((1, 2))
+    X = np.array([[0.5, 0.0], [-0.5, 0.5], [0.3, -0.2], [1.5, -1.5], [0.5, 0.5]])
+    assert_batched_bitwise(shifts, X, 1.0)
+    # ties across cosets: points equidistant from two or more cosets
+    shifts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+    X = np.array([[0.25, 0.0], [0.25, 0.25], [0.1, 0.3], [0.75, 0.25], [0.0, 0.25]])
+    assert_batched_bitwise(shifts, X, 1.0)
+    # random grid tables queried at grid midpoints, where ties abound
+    for _ in range(40):
+        shifts, _, gamma = random_case(rng)
+        X = rng.integers(-10, 10, size=(12, shifts.shape[1])) * gamma / 10
+        assert_batched_bitwise(shifts, X, gamma)
 
 
 def test_backend_reported():

@@ -7,8 +7,17 @@ import pytest
 from cfkit import lattice
 from cfkit.lattice import (NestedLatticeEnsemble, ball_volume, build_ensemble,
                            coset_contains, label_inverse, largest_prime_for,
-                           linear_label, mod_lattice, nearest_point,
-                           nominal_levels, second_moment)
+                           linear_label, linear_labels, mod_lattice,
+                           nearest_point, nearest_points, nominal_levels,
+                           second_moment)
+
+
+def _raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
 
 
 def cubic_ensemble(n=2, p=3, gamma=3.0):
@@ -121,6 +130,28 @@ class TestNearestPoint:
             nearest_point(cubic_ensemble(), "F", [1.0, 2.0, 3.0])
 
 
+class TestNearestPoints:
+    def test_bitwise_equal_per_row(self):
+        ens = build_ensemble(4, 5, 2.0, [(1, 2), (0, 3)], seed=10)
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 4)) * 3
+        for which in ("C", "F", ("C", 1), ("F", 1), ("C", 2), ("F", 2)):
+            want = np.array([nearest_point(ens, which, x) for x in X])
+            assert nearest_points(ens, which, X).tobytes() == want.tobytes()
+
+    def test_large_table_is_split_and_bitwise_equal(self):
+        ens = build_ensemble(4, 7, 7.0, [(0, 4)], seed=3)
+        size = ens.codeword_shifts(4).size
+        X = np.random.default_rng(13).normal(size=(21, 4)) * 7
+        assert 1 < lattice.MAX_CODEWORDS // size < X.shape[0]  # several slices
+        want = np.array([nearest_point(ens, "F", x) for x in X])
+        assert nearest_points(ens, "F", X).tobytes() == want.tobytes()
+
+    def test_dimension_check(self):
+        with pytest.raises(ValueError):
+            nearest_points(cubic_ensemble(), "F", np.zeros((2, 3)))
+
+
 class TestModLattice:
     def test_zero_on_lattice_points(self):
         ens = cubic_ensemble()
@@ -197,6 +228,32 @@ class TestLabeling:
         ens = cubic_ensemble()
         with pytest.raises(ValueError):
             linear_label(ens, [0.5, 0.5])
+
+    def test_batched_labels_match(self):
+        for ens in (build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=8),
+                    build_ensemble(4, 5, 2.0, [(1, 2), (1, 3)], seed=10)):
+            rng = np.random.default_rng(14)
+            W = rng.integers(0, ens.p, size=(30, ens.k))
+            # lattice points away from the base cell: labels are mod coarse
+            pts = np.array([label_inverse(ens, w) for w in W])
+            pts += ens.gamma * rng.integers(-2, 3, size=pts.shape)
+            got = linear_labels(ens, pts)
+            assert np.array_equal(got, W % ens.p)
+            assert np.array_equal(got, [linear_label(ens, pt) for pt in pts])
+
+    def test_batched_labels_reject_like_single(self):
+        ens = build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=8)
+        good = label_inverse(ens, [1, 2])
+        # on the gamma/p grid but not a codeword (k_F = 2 < n = 3)
+        off_code = next(np.array(c, dtype=float) for c in
+                        itertools.product(range(3), repeat=3)
+                        if _raises(linear_label, ens, np.array(c, dtype=float)))
+        for bad in (off_code, np.array([0.5, 0.0, 0.0])):
+            with pytest.raises(ValueError) as single:
+                linear_label(ens, bad)
+            with pytest.raises(ValueError) as batched:
+                linear_labels(ens, np.vstack([good, bad]))
+            assert str(batched.value) == str(single.value)
 
     def test_codebook_cardinality(self):
         for n, p in [(2, 3), (3, 3), (2, 5)]:

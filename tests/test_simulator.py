@@ -6,8 +6,9 @@ import pytest
 from cfkit import lattice, simulator
 from cfkit.core import ChannelInstance
 from cfkit.lattice import build_ensemble, linear_label, mod_lattice
-from cfkit.simulator import (TrialConfig, decode_parallel, decode_successive,
-                             encode, recover_real_combo, run_single_trial,
+from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan,
+                             decode_parallel, decode_successive, encode,
+                             recover_real_combo, run_block, run_single_trial,
                              run_trials, shifted_point, true_combinations,
                              wilson_interval, zp_asc_matrix)
 
@@ -401,3 +402,113 @@ class TestRunTrials:
         rec = run_single_trial(cfg, 0)
         assert len(rec.messages) == 2 and len(rec.true_labels) == 2
         assert all(rec.success) and all(rec.real_success)
+
+
+SUCC_MAP = frozenset({(1, 1), (1, 2), (2, 2)})
+
+
+def block_outcomes_vs_oracle(cfg, trials):
+    """run_block against run_single_trial, trial by trial; returns the
+    success flags so callers can check which outcomes occurred."""
+    block = run_block(cfg, TrialPlan.build(cfg), 0, trials)
+    for i in range(trials):
+        rec = run_single_trial(cfg, i)
+        assert np.array_equal(block.decoded[i], np.array(rec.decoded_labels)), i
+        assert block.success[i].tolist() == rec.success, i
+        if cfg.mode == "successive":
+            assert block.real_success[i].tolist() == rec.real_success, i
+        else:
+            assert block.real_success is None
+        assert block.inputs[i].tobytes() == rec.inputs.tobytes(), i
+        # per-trial power exactly as the old per-record aggregation took it
+        want = np.array([x @ x / cfg.ensemble.n for x in rec.inputs])
+        assert block.powers[i].tobytes() == want.tobytes(), i
+    return block.success
+
+
+def oracle_report(cfg, trials):
+    """Aggregation of run_single_trial records, as run_trials did per trial."""
+    records = [run_single_trial(cfg, i) for i in range(trials)]
+    combos = []
+    for m in range(cfg.A.shape[0]):
+        errs = sum(0 if rec.success[m] else 1 for rec in records)
+        lo, hi = wilson_interval(errs, trials)
+        entry = {"combination_index": m + 1, "errors": errs, "trials": trials,
+                 "rate_estimate": errs / trials, "ci_low": lo, "ci_high": hi}
+        if cfg.mode == "successive":
+            entry["real_errors"] = sum(0 if rec.real_success[m] else 1 for rec in records)
+        combos.append(entry)
+    power = [float(np.mean([rec.inputs[u] @ rec.inputs[u] / cfg.ensemble.n
+                            for rec in records]))
+             for u in range(cfg.ensemble.num_users)]
+    return {"noise_std": cfg.noise_std, "trials": trials,
+            "combinations": combos, "mean_power_per_user": power}
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("mode", ["parallel", "successive"])
+    def test_matches_oracle_across_noise(self, mode):
+        ens = small_ensemble()
+        outcomes = set()
+        for noise in (0.0, 0.3, 2.0):
+            cfg = TrialConfig(ensemble=ens, ch=integer_channel(A22), A=A22, mode=mode,
+                              mapping=SUCC_MAP, noise_std=noise, master_seed=21)
+            success = block_outcomes_vs_oracle(cfg, 40)
+            if noise == 0.0:
+                assert success.all()
+            outcomes.update(success.ravel().tolist())
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("mode", ["parallel", "successive"])
+    def test_matches_oracle_with_coarse_prefix(self, mode):
+        ens = build_ensemble(4, 3, 3.0, [(1, 2), (1, 3)], seed=5)
+        assert ens.k_C > 0
+        ch = ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 1.0])
+        outcomes = set()
+        for noise in (0.1, 0.6):
+            cfg = TrialConfig(ensemble=ens, ch=ch, A=A22, mode=mode,
+                              mapping=SUCC_MAP, noise_std=noise, master_seed=4)
+            outcomes.update(block_outcomes_vs_oracle(cfg, 30).ravel().tolist())
+        assert outcomes == {True, False}
+
+    def test_row_vanishing_mod_p(self):
+        ens = small_ensemble()
+        A = np.array([[1, 1], [3, 3]])
+        cfg = TrialConfig(ensemble=ens, ch=integer_channel(A22), A=A,
+                          mode="parallel", noise_std=0.3, master_seed=2)
+        assert TrialPlan.build(cfg).targets[1] is None
+        block_outcomes_vs_oracle(cfg, 20)
+
+    def test_dependent_successive_step(self):
+        # criterion 9's channel: the zero third row has no quantizing user
+        ens = build_ensemble(2, 3, np.sqrt(12.0), [(0, 1)] * 3, seed=909)
+        ch = ChannelInstance(H=[[2.0, 1.0, 1.0]], P=[1.0, 1.0, 1.0])
+        A = np.array([[1, 1, 1], [1, -1, -1], [0, 0, 0]])
+        mapping = frozenset({(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)})
+        for noise in (1e-3, 0.4):
+            cfg = TrialConfig(ensemble=ens, ch=ch, A=A, mode="successive",
+                              mapping=mapping, noise_std=noise, master_seed=909)
+            assert TrialPlan.build(cfg).targets[2] is None
+            block_outcomes_vs_oracle(cfg, 30)
+
+    def test_custom_equalizer_dict(self):
+        ens = small_ensemble()
+        ch = integer_channel(A22)
+        b = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+        cfg = TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel",
+                          noise_std=0.3, equalizers=b, master_seed=8)
+        block_outcomes_vs_oracle(cfg, 30)
+        succ = {0: (b[0], []), 1: (np.array([-1.0, 1.0]), [1.0])}
+        cfg = TrialConfig(ensemble=ens, ch=ch, A=A22, mode="successive",
+                          mapping=SUCC_MAP, noise_std=0.3, equalizers=succ,
+                          master_seed=8)
+        block_outcomes_vs_oracle(cfg, 30)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("trials", [1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1])
+    def test_report_equals_oracle_aggregation(self, trials, n):
+        ens = build_ensemble(n, 3, 3.0, [(0, 1), (0, 2)], seed=21)
+        cfg = TrialConfig(ensemble=ens, ch=integer_channel(A22), A=A22,
+                          mode="successive", mapping=SUCC_MAP, noise_std=0.5,
+                          master_seed=13)
+        assert run_trials(cfg, trials) == oracle_report(cfg, trials)

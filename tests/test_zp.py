@@ -58,3 +58,18 @@ def test_rowspan_membership():
     assert not _zp.in_rowspan_mod_p([[1, 2]], [[1, 0]], 5)
     # integer rowspan vs mod-p rowspan can disagree
     assert not _zp.in_rowspan_mod_p([[5, 0], [0, 1]], [[1, 0]], 5)
+
+
+def test_right_inverse():
+    rng = np.random.default_rng(3)
+    for p in (2, 3, 7, 13):
+        for _ in range(20):
+            k, n = int(rng.integers(1, 4)), int(rng.integers(3, 7))
+            G = rng.integers(0, p, size=(k, n))
+            if _zp.rank_mod_p(G, p) < k:
+                with pytest.raises(ValueError, match="full row rank"):
+                    _zp.right_inverse_mod_p(G, p)
+                continue
+            R = np.array(_zp.right_inverse_mod_p(G, p))
+            assert R.shape == (n, k)
+            assert np.array_equal((G @ R) % p, np.eye(k, dtype=int))

@@ -69,7 +69,10 @@ def _coeff_matrix(doc: dict, key: str = "A", required: bool = True):
 def _mapping_from(doc: dict):
     if "mapping" not in doc:
         return None
-    return frozenset((int(m), int(l)) for m, l in doc["mapping"])
+    try:
+        return frozenset((int(m), int(l)) for m, l in doc["mapping"])
+    except (TypeError, ValueError):
+        raise InputError("field 'mapping' must be a list of [m, l] pairs")
 
 
 def _outdir(args) -> Path:
@@ -116,17 +119,17 @@ def cmd_region(args) -> int:
         A = _coeff_matrix(doc, "Atilde", required=False)
         if A is None:
             A = _coeff_matrix(doc, "A")
-        if mode == "para":
-            spec = regions.para_region(ch, A)
-        else:
-            mapping = _mapping_from(doc)
-            if mapping is None:
-                mapping = regions.all_pairs_mapping(ch.num_users).pairs
-            try:
+        try:
+            if mode == "para":
+                spec = regions.para_region(ch, A)
+            else:
+                mapping = _mapping_from(doc)
+                if mapping is None:
+                    mapping = regions.all_pairs_mapping(ch.num_users).pairs
                 fn = regions.succ_region if mode == "succ" else regions.asc_region
                 spec = fn(ch, A, mapping)
-            except ValueError as exc:
-                raise InputError(str(exc))
+        except ValueError as exc:
+            raise InputError(str(exc))
     elif mode == "mac":
         spec = regions.mac_region(ch)
     elif mode == "sic":
@@ -194,10 +197,9 @@ def cmd_search(args) -> int:
             raise InputError("empty search box: bound must be positive")
     else:
         radius = None
-    F = effective_matrix(ch)
     try:
         dom = intsearch.dominant_solution(
-            F, max_radius=radius if radius is not None else 64)
+            effective_matrix(ch), max_radius=radius if radius is not None else 64)
     except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc))
     rows = []
@@ -222,20 +224,17 @@ def cmd_mac(args) -> int:
     doc = _load_json(args.input)
     ch = _channel_from(doc)
     out = _outdir(args)
-    cap = sum_capacity(ch)
-    entries = []
-    for asg in mac_opt.parallel_mac_assignments(ch):
-        entries.append({"strategy": "parallel", "A": asg.A.tolist(),
-                        "pi": list(asg.pi),
-                        "rates": [round(r, 6) for r in asg.rates],
-                        "sum_rate": round(asg.sum_rate, 6),
-                        "gap": round(asg.gap_to_capacity, 6)})
-    for asg in mac_opt.successive_mac_assignments(ch):
-        entries.append({"strategy": "successive", "A": asg.A.tolist(),
-                        "pi": list(asg.pi),
-                        "rates": [round(r, 6) for r in asg.rates],
-                        "sum_rate": round(asg.sum_rate, 6),
-                        "gap": round(asg.gap_to_capacity, 6)})
+    try:
+        cap = sum_capacity(ch)
+        tables = (("parallel", mac_opt.parallel_mac_assignments(ch)),
+                  ("successive", mac_opt.successive_mac_assignments(ch)))
+    except (ValueError, RuntimeError) as exc:
+        raise InputError(str(exc))
+    entries = [{"strategy": strategy, "A": asg.A.tolist(), "pi": list(asg.pi),
+                "rates": [round(r, 6) for r in asg.rates],
+                "sum_rate": round(asg.sum_rate, 6),
+                "gap": round(asg.gap_to_capacity, 6)}
+               for strategy, table in tables for asg in table]
     payload = {"sum_capacity": round(cap, 6), "assignments": entries}
     _write(out / "mac_assignments.json",
            json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -274,6 +273,32 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _equalizers_from(doc: dict, ch: ChannelInstance, A, mode: str):
+    """The optional "equalizers" field: "optimal", or a list with one entry
+    per row of A, each b (parallel) or [b, c] (successive), where b holds
+    one finite weight per antenna and c finite weights on the real
+    combinations decoded before that row."""
+    eq = doc.get("equalizers", "optimal")
+    if eq == "optimal":
+        return eq
+    entry = "[b, c] pair" if mode == "successive" else "vector b"
+    problem = InputError(
+        f"field 'equalizers' must be \"optimal\" or a list of {A.shape[0]} entries, "
+        f"one {entry} per row of A, with {ch.num_antennas} finite weights in b")
+    if not isinstance(eq, list) or len(eq) != A.shape[0]:
+        raise problem
+    try:
+        for row in eq:
+            b, c = row if mode == "successive" else (row, [])
+            b, c = np.array(b, dtype=float), np.array(c, dtype=float)
+            if b.shape != (ch.num_antennas,) or c.ndim > 1 \
+                    or not (np.isfinite(b).all() and np.isfinite(c).all()):
+                raise problem
+    except (TypeError, ValueError):
+        raise problem
+    return eq
+
+
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
     out = _outdir(args)
@@ -284,15 +309,21 @@ def cmd_simulate(args) -> int:
     if mode not in ("parallel", "successive"):
         raise InputError("field 'mode' must be 'parallel' or 'successive'")
     mapping = _mapping_from(doc)
+    equalizers = _equalizers_from(doc, ch, A, mode)
     noise = doc.get("noise_std")
     if noise is None:
         raise InputError("missing field 'noise_std'")
-    noise_list = [float(v) for v in (noise if isinstance(noise, list) else [noise])]
+    try:
+        noise_list = [float(v) for v in (noise if isinstance(noise, list) else [noise])]
+    except (TypeError, ValueError):
+        raise InputError("field 'noise_std' must be a number or a list of numbers")
     try:
         trials = _count(doc["trials"], "trials")
         master_seed = int(doc["master_seed"])
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r}")
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("field 'master_seed' must be an integer")
     workers = _count(args.workers, "--workers")
     if "workers" in doc:
         workers = _count(doc["workers"], "workers")
@@ -302,7 +333,7 @@ def cmd_simulate(args) -> int:
         try:
             cfg = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode,
                                         mapping=mapping, noise_std=ns,
-                                        equalizers=doc.get("equalizers", "optimal"),
+                                        equalizers=equalizers,
                                         master_seed=master_seed)
         except ValueError as exc:
             raise InputError(str(exc))

@@ -21,7 +21,7 @@ floating-point operations on every coordinate, so their decisions agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -42,6 +42,9 @@ class TrialConfig:
     noise_std: float = 1.0
     equalizers: str | dict = "optimal"
     master_seed: int = 0
+    # successive mode: zp_asc_matrix of the mapping, built (and so checked
+    # against A and p) once here
+    cancellation: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=int))
@@ -55,6 +58,8 @@ class TrialConfig:
             raise ValueError("coefficient matrix width must match user count")
         if self.ensemble.num_users != self.ch.num_users:
             raise ValueError("ensemble and channel disagree on user count")
+        if self.mode == "successive":
+            self.cancellation = zp_asc_matrix(self.A, self.mapping, self.ensemble.p)
 
 
 @dataclass
@@ -427,7 +432,7 @@ class TrialPlan:
         if eq == "optimal":
             eq = successive_equalizers(config.ch, A, config.noise_std)
         pairs = _mapping_pairs(config.mapping)
-        Lbar, Lbar_inv = zp_asc_matrix(A, pairs, ens.p)
+        Lbar, Lbar_inv = config.cancellation
         return cls(equalizers=[(np.asarray(eq[m][0], dtype=float),
                                 np.asarray(eq[m][1], dtype=float).ravel()) for m in rows],
                    targets=[_vartheta_user(ens, pairs, m + 1) for m in rows],

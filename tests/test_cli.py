@@ -24,6 +24,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def assert_input_error(code, capsys, message):
+    """Exit 2 with exactly one stderr line, `error: ...` naming the cause."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+
+
 class TestRegion:
     def test_mac_boundary_contains_capacity_corner(self, fig7_input, tmp_path):
         assert run(["region", "--input", fig7_input, "--mode", "mac",
@@ -115,6 +122,26 @@ class TestMac:
         assert all(abs(e["gap"]) < 1e-6 for e in doc["assignments"])
 
 
+@pytest.mark.parametrize("argv,doc,message,report", [
+    (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power",
+     "mac_assignments.json"),
+    (["mac"], {"H": [[1, 1.5, 2, 0.5, 1.2]], "P": [1] * 5},
+     "exact enumeration capped at 4 users", "mac_assignments.json"),
+    (["mac"], {"H": [[1e12, 1]], "P": [1, 1]}, "enumeration exhausted at radius 64",
+     "mac_assignments.json"),
+    (["search"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power", "search.json"),
+    (["region", "--mode", "para"], {"H": [[1, 1.5]], "P": [1, 0], "A": [[1, 1], [1, 2]]},
+     "user 2 has zero power", "region_para.json"),
+], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "search-zero-power",
+        "region-para-zero-power"])
+def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    code = run(argv + ["--input", path, "--out", tmp_path])
+    assert_input_error(code, capsys, message)
+    assert not (tmp_path / report).exists()
+
+
 class TestSimulate:
     def config(self, tmp_path, **overrides):
         doc = {
@@ -194,6 +221,51 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path,
                     "--workers", "2"]) == 0
         assert (tmp_path / "report.json").read_bytes() == first
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"mode": "successive", "mapping": [[1, 1], [2, 2]]},
+         "mapping is not admissible (row 1)"),
+        ({"ensemble": {"n": 2, "p": 2, "gamma": 2.0, "levels": [[0, 1], [0, 2]], "seed": 21},
+          "A": [[2, 1], [1, 0]], "mode": "successive", "mapping": [[1, 1], [1, 2], [2, 2]]},
+         "p = 2 too small"),
+    ], ids=["not-admissible", "p-too-small"])
+    def test_mapping_errors_are_input_errors(self, tmp_path, capsys, overrides, message):
+        cfg = self.config(tmp_path, noise_std=[0.5], **overrides)
+        assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),
+                           capsys, message)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("mode,equalizers", [
+        ("parallel", {"0": [1, 0], "1": [0, 1]}),
+        ("parallel", [[1, 0]]),
+        ("parallel", [[1, 0, 0], [0, 1, 0]]),
+        ("successive", [[1, 0], [0, 1]]),
+    ], ids=["object", "one-entry-short", "b-too-long", "successive-without-c"])
+    def test_equalizers_must_be_optimal_or_one_per_row(self, tmp_path, capsys, mode,
+                                                        equalizers):
+        cfg = self.config(tmp_path, mode=mode, mapping=[[1, 1], [1, 2], [2, 2]],
+                          equalizers=equalizers)
+        assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),
+                           capsys, "field 'equalizers' must be \"optimal\" or a list of 2")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_equalizers_list_accepted(self, tmp_path):
+        cfg = self.config(tmp_path, equalizers=[[1, 0], [0, 1]])
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        cfg = self.config(tmp_path, mode="successive", mapping=[[1, 1], [1, 2], [2, 2]],
+                          equalizers=[[[1, 0], []], [[0, 1], [0.0]]])
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"mode": "successive", "mapping": [1, 2, 3]}, "field 'mapping'"),
+        ({"noise_std": ["loud"]}, "field 'noise_std'"),
+        ({"master_seed": "seven"}, "field 'master_seed'"),
+    ], ids=["mapping", "noise_std", "master_seed"])
+    def test_malformed_fields_named(self, tmp_path, capsys, overrides, message):
+        cfg = self.config(tmp_path, **overrides)
+        assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),
+                           capsys, message)
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestVerify:

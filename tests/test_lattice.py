@@ -95,6 +95,18 @@ class TestBuildEnsemble:
         assert back.levels == ens.levels
         assert np.array_equal(back.G, ens.G)
 
+    @pytest.mark.parametrize("n, p, levels", [(2, 3, [(0, 2)]), (8, 7, [(0, 4), (1, 5)]),
+                                              (6, 13, [(0, 3)]), (3, 2, [(1, 3)])])
+    def test_codeword_tables_in_message_order(self, n, p, levels):
+        # row v holds (gamma/p)(v G mod p), v in lexicographic order
+        ens = build_ensemble(n, p, 2.5, levels, seed=5)
+        for k in range(ens.k_F + 1):
+            V = np.array(list(itertools.product(range(p), repeat=k)),
+                         dtype=np.int64).reshape(p ** k, k)
+            want = (2.5 / p) * ((V @ ens.G[:k]) % p).astype(np.float64)
+            assert ens.codeword_shifts(k).tobytes() == want.tobytes()
+            assert ens.code_table(k).shifts is ens.codeword_shifts(k)
+
 
 class TestNearestPoint:
     def test_lattice_point_is_fixed(self):
@@ -143,7 +155,7 @@ class TestNearestPoints:
         ens = build_ensemble(4, 7, 7.0, [(0, 4)], seed=3)
         size = ens.codeword_shifts(4).size
         X = np.random.default_rng(13).normal(size=(21, 4)) * 7
-        assert 1 < lattice.MAX_CODEWORDS // size < X.shape[0]  # several slices
+        assert 1 < lattice.slice_length(size // ens.n) < X.shape[0]  # several slices
         want = np.array([nearest_point(ens, "F", x) for x in X])
         assert nearest_points(ens, "F", X).tobytes() == want.tobytes()
 

@@ -114,7 +114,6 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
     cands = steps * gamma
     cands += values
     diffs = cands - x
-    sq = diffs * diffs
     # ceil can land one step above a midpoint; step down where the lower
     # neighbour is as near within tol, (d - gamma)^2 <= d^2 + tol for the
     # offset d, so the smaller coordinate wins
@@ -124,7 +123,6 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
         cands = steps * gamma
         cands += values
         diffs = cands - x
-        sq = diffs * diffs
 
     if table.shape[0] == 1:
         # one coset, so stage 1 holds the point
@@ -132,6 +130,7 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
 
     # stage 2: approximate distances, one lookup per coordinate pair; the
     # lookups gather rows of B floats, the reductions run along rows of K
+    sq = diffs * diffs
     if n % 2:
         sq = np.concatenate([sq, np.zeros((1, m, B))])
     pair_sq = (sq[0::2, :, None] + sq[1::2, None, :]).reshape(len(table.pairs) * m * m, B)

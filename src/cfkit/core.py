@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,22 @@ class ChannelInstance:
     def P_matrix(self) -> np.ndarray:
         return np.diag(self.P)
 
+    @cached_property
+    def _effective_matrix(self) -> np.ndarray:
+        # effective_matrix's factor, built on first use and kept in this
+        # instance's __dict__; a raise stores nothing, so a failing channel
+        # fails again on the next call
+        gram = lattice_gram(self)
+        alt = _gram_woodbury(self)
+        scale = max(1.0, float(np.max(np.abs(gram))))
+        if np.max(np.abs(gram - alt)) > 1e-8 * scale:
+            raise ArithmeticError("inconsistent Gram matrix; input is too ill-conditioned")
+        rev = slice(None, None, -1)
+        chol = np.linalg.cholesky(gram[rev, rev])  # gram reversed = chol @ chol.T
+        F = chol.T[rev, rev]
+        F.setflags(write=False)
+        return F
+
 
 @dataclass
 class NoiseReport:
@@ -94,15 +111,13 @@ def effective_matrix(ch: ChannelInstance) -> np.ndarray:
     The factor is not unique; callers must only rely on F^T F.  The direct
     inverse is cross-checked against the equivalent Woodbury expression
     P - P H^T (I + H P H^T)^-1 H P as a numerical guard.
+
+    F is built once per ChannelInstance, on the first call, and every later
+    call on that instance returns the same read-only array.  Errors (a
+    zero-power user, a singular or inconsistent Gram matrix) are raised anew
+    on every call; nothing is cached for them.
     """
-    gram = lattice_gram(ch)
-    alt = _gram_woodbury(ch)
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    if np.max(np.abs(gram - alt)) > 1e-8 * scale:
-        raise ArithmeticError("inconsistent Gram matrix; input is too ill-conditioned")
-    rev = slice(None, None, -1)
-    chol = np.linalg.cholesky(gram[rev, rev])  # gram reversed = chol @ chol.T
-    return chol.T[rev, rev]
+    return ch._effective_matrix
 
 
 def sigma_para_eval(ch: ChannelInstance, a, b) -> float:

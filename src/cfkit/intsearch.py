@@ -17,6 +17,10 @@ from .core import ChannelInstance
 
 MAX_EXACT_USERS = 4  # enumeration is exponential in the user count
 _MAX_RADIUS = 64
+# Largest half box dominant_solution builds.  Near the cap a radius step holds
+# about 220 MB (int64 rows, their float copy and products); four users stop
+# after radius 21, while two and three users reach _MAX_RADIUS first.
+MAX_BOX_ROWS = 2_000_000
 
 
 @dataclass
@@ -38,20 +42,52 @@ def entry_bound(ch: ChannelInstance) -> float:
     return float(np.linalg.eigvalsh(np.eye(ch.num_users) + S)[-1])
 
 
-def _enumerate_box(dim: int, radius: int) -> np.ndarray:
-    axes = [np.arange(-radius, radius + 1)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    return grid[np.any(grid != 0, axis=1)]
+def _half_box(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero rows of [-radius, radius]^dim whose first nonzero entry is
+    positive, in lexicographic order, and the row index of each unit vector.
+
+    Every nonzero box row is +-1 times exactly one of these rows.  Rows with
+    more leading zeros sort first, so the block of rows with ``lead`` leading
+    zeros follows the block with ``lead + 1``; within a block the entries
+    after the leading one run like digits.
+    """
+    side = 2 * radius + 1
+    grid = np.zeros((_half_box_rows(dim, radius), dim), dtype=int)
+    units = np.zeros(dim, dtype=np.intp)
+    start = 0
+    for lead in reversed(range(dim)):
+        tail = dim - 1 - lead
+        stop = start + radius * side ** tail
+        digits = grid[start:stop].reshape((radius,) + (side,) * tail + (dim,))
+        digits[..., lead] = np.arange(1, radius + 1).reshape((radius,) + (1,) * tail)
+        for j in range(tail):
+            digits[..., lead + 1 + j] = np.arange(-radius, radius + 1).reshape(
+                (side,) + (1,) * (tail - 1 - j))
+        units[lead] = start + (side ** tail - 1) // 2  # the row (1, 0, ..., 0)
+        start = stop
+    return grid, units
+
+
+def _half_box_rows(dim: int, radius: int) -> int:
+    return ((2 * radius + 1) ** dim - 1) // 2
 
 
 def dominant_solution(F: np.ndarray, L: int | None = None,
                       max_users: int = MAX_EXACT_USERS,
                       max_radius: int = _MAX_RADIUS) -> DominantSolution:
-    """Greedily pick integer vectors minimizing ||F a|| subject to independence.
+    """Greedily pick L integer vectors minimizing ||F a|| subject to independence.
 
-    The search box is expanded until sigma_min(F) certifies that no vector
-    outside it can beat the current picks.  Ties break deterministically:
-    first nonzero entry normalized positive, then lexicographic order.
+    Candidates are the rows of the box |a_i| <= radius up to sign: the half
+    box of rows whose first nonzero entry is positive.  Within a box the
+    greedy order is (||F a||^2, then lexicographic on a), so ties break
+    deterministically.  Only rows no longer than the longest unit vector are
+    sorted: the unit vectors are independent and lie in every box, so the
+    greedy pick never reaches past them.  The radius grows from 1 until
+    sigma_min(F) * (radius + 1) exceeds the last pick, which certifies that
+    no vector outside the box can beat the picks.  RuntimeError("enumeration
+    exhausted at radius r") is raised when radius r was searched without a
+    certificate and the next box would pass ``max_radius`` or hold more than
+    MAX_BOX_ROWS rows.
     """
     F = np.asarray(F, dtype=float)
     dim = F.shape[1]
@@ -59,19 +95,21 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
         L = dim
     if dim > max_users:
         raise ValueError(f"exact enumeration capped at {max_users} users (got {dim})")
+    if not 1 <= L <= dim:
+        raise ValueError(f"need 1 <= L <= {dim} vectors (got {L})")
     smin = float(np.linalg.svd(F, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("F must have full rank")
 
     radius = 1
-    while radius <= max_radius:
-        grid = _enumerate_box(dim, radius)
-        first_nz = np.argmax(grid != 0, axis=1)
-        grid = grid * np.sign(grid[np.arange(len(grid)), first_nz])[:, None]
-        grid = np.unique(grid, axis=0)
-        norms2 = np.einsum("ij,ij->i", grid @ F.T, grid @ F.T)
+    while radius <= max_radius and _half_box_rows(dim, radius) <= MAX_BOX_ROWS:
+        grid, units = _half_box(dim, radius)
+        FA = grid @ F.T
+        norms2 = np.einsum("ij,ij->i", FA, FA)
+        near = np.flatnonzero(norms2 <= norms2[units].max())
         # primary key: squared norm; ties: lexicographic on the entries
-        order = np.lexsort(tuple(grid[:, k] for k in reversed(range(dim))) + (norms2,))
+        order = near[np.lexsort(tuple(grid[near, k] for k in reversed(range(dim)))
+                                + (norms2[near],))]
         chosen: list[tuple[int, ...]] = []
         norms: list[float] = []
         for idx in order:
@@ -85,7 +123,7 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
             A = np.array(chosen, dtype=int)
             return DominantSolution(A_star=A, norms=np.array(norms))
         radius += 1
-    raise RuntimeError(f"enumeration exhausted at radius {max_radius}")
+    raise RuntimeError(f"enumeration exhausted at radius {radius - 1}")
 
 
 def rowspan_contains_real(Atilde, A) -> bool:

@@ -129,11 +129,13 @@ class TestMac:
      "exact enumeration capped at 4 users", "mac_assignments.json"),
     (["mac"], {"H": [[1e12, 1]], "P": [1, 1]}, "enumeration exhausted at radius 64",
      "mac_assignments.json"),
+    (["mac"], {"H": [[1e12, 1, 1, 1]], "P": [1, 1, 1, 1]},
+     "enumeration exhausted at radius 21", "mac_assignments.json"),
     (["search"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power", "search.json"),
     (["region", "--mode", "para"], {"H": [[1, 1.5]], "P": [1, 0], "A": [[1, 1], [1, 2]]},
      "user 2 has zero power", "region_para.json"),
-], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "search-zero-power",
-        "region-para-zero-power"])
+], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
+        "search-zero-power", "region-para-zero-power"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))

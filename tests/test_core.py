@@ -66,6 +66,37 @@ class TestEffectiveMatrix:
             assert np.max(np.abs(F.T @ F - alt)) <= 1e-10 * max(1.0, np.max(np.abs(alt)))
 
 
+class TestEffectiveMatrixCache:
+    def test_one_read_only_array_per_channel(self):
+        ch = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
+        F = effective_matrix(ch)
+        assert effective_matrix(ch) is F
+        assert not F.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            F[0, 0] = 1.0
+        other = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
+        assert effective_matrix(other) is not F
+        assert effective_matrix(other).tobytes() == F.tobytes()
+
+    def test_zero_power_raises_on_every_call(self):
+        ch = ChannelInstance(H=[[1.0, 1.0]], P=[1.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="user 2 has zero power"):
+                effective_matrix(ch)
+
+    def test_woodbury_disagreement_raises_and_caches_nothing(self, monkeypatch):
+        from cfkit import core
+
+        ch = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
+        honest = core._gram_woodbury
+        monkeypatch.setattr(core, "_gram_woodbury", lambda c: honest(c) + 1e-3)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="inconsistent Gram matrix"):
+                effective_matrix(ch)
+        monkeypatch.setattr(core, "_gram_woodbury", honest)
+        assert effective_matrix(ch).tobytes() == effective_matrix(FIG7).tobytes()
+
+
 class TestSigmaParallel:
     def test_zero_inputs(self):
         assert sigma_para_eval(FIG7, [0, 0], [0.0]) == 0.0

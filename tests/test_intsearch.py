@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from cfkit import _exact
 from cfkit.core import ChannelInstance, effective_matrix, lattice_gram
-from cfkit.intsearch import (dominant_solution, entry_bound, is_unimodular,
-                             mod_p_solvability, primitivity, primitivize,
-                             rowspan_contains_real)
+from cfkit.intsearch import (DominantSolution, dominant_solution,
+                             entry_bound, is_unimodular, mod_p_solvability,
+                             primitivity, primitivize, rowspan_contains_real)
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 
@@ -59,6 +60,55 @@ def brute_force_minima(F, bound):
     return np.array(chosen)
 
 
+def box_oracle(F, L=None, max_users=4, max_radius=64):
+    """Reference search: sign-normalize the full box, np.unique it, and sort
+    every row on (||F a||^2, entries) at each radius.  dominant_solution must
+    give bitwise the same picks, norms and errors."""
+    F = np.asarray(F, dtype=float)
+    dim = F.shape[1]
+    if L is None:
+        L = dim
+    if dim > max_users:
+        raise ValueError(f"exact enumeration capped at {max_users} users (got {dim})")
+    smin = float(np.linalg.svd(F, compute_uv=False)[-1])
+    if smin <= 0:
+        raise ValueError("F must have full rank")
+
+    radius = 1
+    while radius <= max_radius:
+        axes = [np.arange(-radius, radius + 1)] * dim
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        grid = grid[np.any(grid != 0, axis=1)]
+        first_nz = np.argmax(grid != 0, axis=1)
+        grid = grid * np.sign(grid[np.arange(len(grid)), first_nz])[:, None]
+        grid = np.unique(grid, axis=0)
+        norms2 = np.einsum("ij,ij->i", grid @ F.T, grid @ F.T)
+        order = np.lexsort(tuple(grid[:, k] for k in reversed(range(dim))) + (norms2,))
+        chosen = []
+        norms = []
+        for idx in order:
+            if len(chosen) == L:
+                break
+            vec = tuple(int(v) for v in grid[idx])
+            if _exact.rows_independent(chosen, vec):
+                chosen.append(vec)
+                norms.append(float(np.sqrt(norms2[idx])))
+        if len(chosen) == L and smin * (radius + 1) > norms[-1]:
+            return DominantSolution(A_star=np.array(chosen, dtype=int),
+                                    norms=np.array(norms))
+        radius += 1
+    raise RuntimeError(f"enumeration exhausted at radius {max_radius}")
+
+
+def search_outcome(search, F, **kwargs):
+    """(A_star bytes, norms bytes) of a search, or its exception type and message."""
+    try:
+        dom = search(F, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return dom.A_star.dtype.str, dom.A_star.tobytes(), dom.norms.tobytes()
+
+
 class TestDominantSolution:
     def test_identity_factor(self):
         dom = dominant_solution(np.eye(3))
@@ -106,6 +156,43 @@ class TestDominantSolution:
     def test_user_cap(self):
         with pytest.raises(ValueError, match="capped"):
             dominant_solution(np.eye(5))
+
+    @pytest.mark.parametrize("L", [0, -1, 4])
+    def test_vector_count_checked(self, L):
+        with pytest.raises(ValueError, match=r"1 <= L <= 3"):
+            dominant_solution(np.eye(3), L=L)
+
+
+class TestBoxOracle:
+    """dominant_solution against box_oracle, bitwise, errors included."""
+
+    def test_bitwise_equal_on_random_channels(self):
+        rng = np.random.default_rng(31)
+        exhausted = 0
+        for i in range(500):
+            L = int(rng.integers(2, 5))
+            nr = int(rng.integers(1, L + 1))
+            if i % 2:  # integer gains and powers: exact ties in ||F a||^2
+                ch = ChannelInstance(H=rng.integers(-2, 3, size=(nr, L)),
+                                     P=rng.integers(1, 4, size=L))
+            else:
+                ch = ChannelInstance(H=rng.normal(size=(nr, L)) * rng.uniform(0.3, 3),
+                                     P=rng.uniform(0.3, 10, size=L))
+            F = effective_matrix(ch)
+            kwargs = {"max_radius": 4}
+            if i % 5 == 4:
+                kwargs["L"] = int(rng.integers(1, L + 1))
+            want = search_outcome(box_oracle, F, **kwargs)
+            assert search_outcome(dominant_solution, F, **kwargs) == want, i
+            exhausted += want[0] == "RuntimeError"
+        assert 10 <= exhausted <= 100
+
+    @pytest.mark.parametrize("H", [[[1e12, 1]], [[1e12, 1, 1, 1]]])
+    def test_same_exhaustion_message(self, H):
+        F = effective_matrix(ChannelInstance(H=H, P=[1] * len(H[0])))
+        want = search_outcome(box_oracle, F, max_radius=3)
+        assert want == ("RuntimeError", "enumeration exhausted at radius 3")
+        assert search_outcome(dominant_solution, F, max_radius=3) == want
 
 
 class TestRowspan:

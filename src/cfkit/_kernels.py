@@ -51,10 +51,12 @@ class CodeTable:
     stage 1's n x m grid of rounded coordinates.  `pairs[g]` is each row's
     cell in stage 2's G x m x m grid of summed squared offsets of coordinates
     2g and 2g + 1 (an odd last coordinate pairs with a zero-cost pad).  Both
-    index arrays use the smallest unsigned type that holds them.
+    index arrays use the smallest unsigned type that holds them.  The kernel
+    reads only these and `shape`; the float table `shifts` is built from
+    `values` and `cells` on first access.  Every array is read-only.
     """
 
-    __slots__ = ("shifts", "values", "cells", "pairs")
+    __slots__ = ("shape", "values", "cells", "pairs", "_shifts")
 
     def __init__(self, codes, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -70,11 +72,12 @@ class CodeTable:
         pairs += (m * m * np.arange(groups, dtype=index))[:, None]
         cells = codes.astype(np.min_scalar_type(n * m - 1))
         cells += (m * np.arange(n)).astype(cells.dtype)
+        self.shape = (K, n)
         self.values = values
-        self.shifts = values[np.asarray(codes, dtype=np.intp)]
         self.cells = cells
         self.pairs = pairs
-        for a in (self.values, self.shifts, self.cells, self.pairs):
+        self._shifts = None
+        for a in (self.values, self.cells, self.pairs):
             a.setflags(write=False)
 
     @classmethod
@@ -85,8 +88,14 @@ class CodeTable:
         return cls(codes.reshape(shifts.shape), bits.view(np.float64))
 
     @property
-    def shape(self) -> tuple:
-        return self.shifts.shape
+    def shifts(self) -> np.ndarray:
+        """The K x n float table, entry (k, j) = values[cells[k, j] - j m]."""
+        if self._shifts is None:
+            m = self.values.shape[0]
+            codes = self.cells - m * np.arange(self.shape[1], dtype=np.intp)
+            self._shifts = self.values[codes]
+            self._shifts.setflags(write=False)
+        return self._shifts
 
 
 def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:

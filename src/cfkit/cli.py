@@ -264,13 +264,43 @@ def _ensemble_from(doc: dict) -> lattice.NestedLatticeEnsemble:
         raise InputError(f"bad ensemble config: {exc}")
 
 
+def _integral(value) -> bool:
+    """An integer, or an integral float; never a bool."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+
+
 def _count(value, name: str) -> int:
     """A count from the command line or a config: an integer >= 1."""
-    integral = (isinstance(value, int) and not isinstance(value, bool)
-                or isinstance(value, float) and value.is_integer())
-    if not integral or value < 1:
+    if not _integral(value) or value < 1:
         raise InputError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _seed(value) -> int:
+    """The config's master_seed: an integer in [0, 2**64), the Philox key
+    word it selects."""
+    if not _integral(value) or not 0 <= value < 2 ** 64:
+        raise InputError(f"field 'master_seed' must be an integer in [0, 2**64), "
+                         f"got {value!r}")
+    return int(value)
+
+
+def _noise_levels(doc: dict) -> list[float]:
+    """The config's noise_std: a number or a non-empty list of numbers."""
+    noise = doc.get("noise_std")
+    if noise is None:
+        raise InputError("missing field 'noise_std'")
+    levels = noise if isinstance(noise, list) else [noise]
+    problem = InputError("field 'noise_std' must be a number or a non-empty list "
+                         f"of numbers, got {noise!r}")
+    if not levels or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                             for v in levels):
+        raise problem
+    try:
+        return [float(v) for v in levels]
+    except OverflowError:
+        raise problem
 
 
 def _equalizers_from(doc: dict, ch: ChannelInstance, A, mode: str):
@@ -310,35 +340,26 @@ def cmd_simulate(args) -> int:
         raise InputError("field 'mode' must be 'parallel' or 'successive'")
     mapping = _mapping_from(doc)
     equalizers = _equalizers_from(doc, ch, A, mode)
-    noise = doc.get("noise_std")
-    if noise is None:
-        raise InputError("missing field 'noise_std'")
-    try:
-        noise_list = [float(v) for v in (noise if isinstance(noise, list) else [noise])]
-    except (TypeError, ValueError):
-        raise InputError("field 'noise_std' must be a number or a list of numbers")
-    try:
-        trials = _count(doc["trials"], "trials")
-        master_seed = int(doc["master_seed"])
-    except KeyError as exc:
-        raise InputError(f"missing field {exc.args[0]!r}")
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("field 'master_seed' must be an integer")
-    workers = _count(args.workers, "--workers")
+    noise_list = _noise_levels(doc)
+    for key in ("trials", "master_seed"):
+        if key not in doc:
+            raise InputError(f"missing field {key!r}")
+    trials = _count(doc["trials"], "trials")
+    master_seed = _seed(doc["master_seed"])
+    _count(args.workers, "--workers")
     if "workers" in doc:
-        workers = _count(doc["workers"], "workers")
-    results = []
+        _count(doc["workers"], "workers")
+    try:
+        configs = [simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode,
+                                         mapping=mapping, noise_std=ns,
+                                         equalizers=equalizers,
+                                         master_seed=master_seed)
+                   for ns in noise_list]
+    except ValueError as exc:
+        raise InputError(str(exc))
+    results = simulator.run_campaign(configs, trials)
     csv_lines = ["noise_std,combination_index,errors,trials,rate_estimate,ci_low,ci_high"]
-    for ns in noise_list:
-        try:
-            cfg = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode,
-                                        mapping=mapping, noise_std=ns,
-                                        equalizers=equalizers,
-                                        master_seed=master_seed)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        rep = simulator.run_trials(cfg, trials, workers=workers)
-        results.append(rep)
+    for ns, rep in zip(noise_list, results):
         for combo in rep["combinations"]:
             csv_lines.append(
                 f"{_fmt(ns)},{combo['combination_index']},{combo['errors']},"

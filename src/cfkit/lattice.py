@@ -105,9 +105,14 @@ class NestedLatticeEnsemble:
         """All p^prefix codewords scaled by gamma/p (rows, float64).
 
         Row v runs over the message vectors in lexicographic order (the last
-        symbol fastest) and holds (gamma/p) (v G[:prefix] mod p).  The first
-        call per prefix builds the quantizer's table, which code_table returns.
+        symbol fastest) and holds (gamma/p) (v G[:prefix] mod p).  It is the
+        float table of code_table(prefix), built on first access.
         """
+        return self.code_table(prefix).shifts
+
+    def code_table(self, prefix: int) -> CodeTable:
+        """The quantizer's prepared table of codeword_shifts(prefix), built
+        on the first call per prefix."""
         if prefix not in self._tables:
             # symbol sums stay below prefix (p - 1)^2 <= 864 under the caps
             V = np.indices((self.p,) * prefix, dtype=np.uint16)
@@ -115,12 +120,6 @@ class NestedLatticeEnsemble:
             C = (V @ self.G[:prefix].astype(np.uint16)) % self.p
             values = (self.gamma / self.p) * np.arange(C.max() + 1, dtype=np.float64)
             self._tables[prefix] = CodeTable(C, values)
-        return self._tables[prefix].shifts
-
-    def code_table(self, prefix: int) -> CodeTable:
-        """The quantizer's prepared table of codeword_shifts(prefix)."""
-        if prefix not in self._tables:
-            self.codeword_shifts(prefix)
         return self._tables[prefix]
 
     @functools.cached_property

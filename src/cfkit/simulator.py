@@ -10,12 +10,17 @@ how trials are grouped.
 Two paths run the same chain.  run_single_trial runs one trial through the
 per-point functions (encode, true_combinations, decode_parallel,
 decode_successive) and keeps every intermediate in a TrialRecord; it is the
-debugging path and the oracle.  run_trials builds a TrialPlan once (the
-equalizers, the Z_p cancellation matrix and the quantizing user per row),
-then runs blocks of trials through run_block, which draws each trial's
-randomness in the oracle's order and pushes the whole block through every
-stage with one batched quantizer or labeling call.  Both paths do the same
-floating-point operations on every coordinate, so their decisions agree.
+debugging path and the oracle.  run_campaign runs configs that differ only
+in noise_std: it builds one TrialPlan per config (the equalizers, the Z_p
+cancellation matrix and the quantizing user per row), then takes blocks of
+trials through three batched stages.  _draw_block draws each trial's
+randomness in the oracle's order, on one Philox reset to each trial's key;
+_encode_block computes the dithers, the channel inputs and the true labels;
+_decode_block decodes.  Draws and encoding do not depend on the noise
+level, so each block is drawn and encoded once and decoded once per config.
+run_trials is the campaign of one config and run_block one config's block.
+Both paths do the same floating-point operations on every coordinate, so
+their decisions agree.
 """
 
 from __future__ import annotations
@@ -393,17 +398,19 @@ def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[floa
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# Trials per block of run_trials.  Per-trial cost on the README campaign fell
-# from 110 us at 16 trials per block to 46 us at 128 and 36 us at 512, where
-# the per-trial random draws dominate.  Block arrays are B x L x n floats,
-# 10 kB per user at n = 10; quantizer temporaries are bounded separately by
-# lattice.nearest_points.
+# Trials per block.  On a 2-core Xeon, a two-level README campaign (drawn
+# and encoded once, decoded twice) costs 78 us per trial at 16 trials per
+# block, 19 us at 128 and 13 us at 512, where the per-trial draws (about
+# 13 us: a state reset and three draw calls) dominate.  Block arrays are
+# B x L x n floats, 10 kB per user at n = 10; quantizer temporaries are
+# bounded separately by lattice.nearest_points.  A campaign holds one
+# block's draws and encoding at a time.
 BLOCK_TRIALS = 128
 
 
 @dataclass
 class TrialPlan:
-    """Everything the trials of one config share, built once per run_trials.
+    """Everything the trials of one config share, built once per config.
 
     Per coefficient row m: `equalizers[m]` is b (parallel) or (b, c)
     (successive), None for a parallel row that vanishes mod p; `targets[m]`
@@ -459,28 +466,53 @@ def _dither_sum(coeffs, dithers):
     return sum(int(coeffs[l]) * dithers[l] for l in range(len(dithers)))
 
 
-def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> TrialBlock:
-    """Trials start .. stop - 1 of the config, as run_single_trial would run
-    them, with each stage batched over the block."""
-    ens, ch, A = config.ensemble, config.ch, config.A
-    B, n, p, users = stop - start, ens.n, ens.p, ens.num_users
-    messages = [np.empty((B, kf - kc), dtype=np.int64) for kc, kf in ens.levels]
-    cubes = np.empty((users, B, n))
-    noise = np.empty((B, ch.num_antennas, n))
-    for j in range(B):
-        rng = _trial_rng(config.master_seed, start + j)
-        for u, (kc, kf) in enumerate(ens.levels):
-            messages[u][j] = rng.integers(0, p, size=kf - kc, dtype=np.int64)
-        for u in range(users):
-            cubes[u, j] = rng.random(n)
-        noise[j] = rng.standard_normal((ch.num_antennas, n))
+def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
+                start: int, stop: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The random draws of trials start .. stop - 1, bitwise those that
+    run_single_trial takes from each trial's _trial_rng stream.
 
-    # encode (sample_voronoi, encode and shifted_point per user)
-    X = np.empty((B, users, n))
+    Returns the messages (one B x (k_F,l - k_C,l) block per user), the
+    dither cubes (B x L x n uniforms on [0, 1)) and the unit noise
+    (B x antennas x n standard normals).  One Philox serves the block: each
+    trial sets its state to that of a fresh Philox keyed by
+    (master_seed, i), counter 0, empty buffer, no buffered 32-bit half.
+    Bounded integers (Lemire's method) take next_uint32 in order, so one
+    integers call over all users' widths gives the per-user calls, upper
+    halves carried across users included; one random and one
+    standard_normal call fill the cubes and the noise in the oracle's order.
+    """
+    B, n = stop - start, ens.n
+    widths = [kf - kc for kc, kf in ens.levels]
+    bitgen = np.random.Philox(key=np.array(
+        [master_seed & 0xFFFFFFFFFFFFFFFF, start], dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+    rng = np.random.Generator(bitgen)
+    symbols = np.empty((B, sum(widths)), dtype=np.int64)
+    cubes = np.empty((B, ens.num_users, n))
+    noise = np.empty((B, antennas, n))
+    for j in range(B):
+        key[1] = start + j
+        bitgen.state = state
+        symbols[j] = rng.integers(0, ens.p, size=symbols.shape[1], dtype=np.int64)
+        rng.random(out=cubes[j])
+        rng.standard_normal(out=noise[j])
+    ends = np.cumsum(widths)
+    messages = [symbols[:, end - w:end] for w, end in zip(widths, ends)]
+    return messages, cubes, noise
+
+
+def _encode_block(ens: NestedLatticeEnsemble, A: np.ndarray, messages: list,
+                  cubes: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """sample_voronoi, encode, shifted_point and true_combinations for a
+    block: the channel inputs X (B x L x n), each user's B x n dithers and
+    the true labels (B x M x k) of the rows of A."""
+    B, p, users = cubes.shape[0], ens.p, ens.num_users
+    X = np.empty((B, users, ens.n))
     dithers, labels = [], np.empty((B, users, ens.k), dtype=np.int64)
     for u, (kc, kf) in enumerate(ens.levels):
         coarse = ("C", u + 1)
-        dither = _mod_rows(ens, coarse, cubes[u] * ens.gamma)
+        dither = _mod_rows(ens, coarse, cubes[:, u] * ens.gamma)
         if not np.allclose(_mod_rows(ens, coarse, dither), dither, atol=1e-9):
             raise ValueError("dither must lie in the user's coarse Voronoi region")
         V = np.zeros((B, ens.k_F), dtype=np.int64)
@@ -496,12 +528,17 @@ def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> Tr
         if not (np.array_equal(labels[:, u, kc - ens.k_C:kf - ens.k_C], messages[u])
                 and not labels[:, u, kf - ens.k_C:].any()):
             raise AssertionError(f"user {u + 1}'s shifted point left its message coset")
-    truth = np.matmul(A % p, labels) % p
-    Y = np.matmul(ch.H, X) + noise * config.noise_std
+    return X, dithers, np.matmul(A % p, labels) % p
 
-    M = A.shape[0]
+
+def _decode_block(config: TrialConfig, plan: TrialPlan, X: np.ndarray,
+                  dithers: list, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """decode_parallel or decode_successive on a block of received Y
+    (B x antennas x n): the decoded labels (B x M x k) and, in successive
+    mode, whether each real combination came back equal to A[m] @ X."""
+    ens, A = config.ensemble, config.A
+    B, M, n = X.shape[0], A.shape[0], ens.n
     decoded = np.zeros((B, M, ens.k), dtype=np.int64)
-    real_ok = None
     if config.mode == "parallel":
         for m, target in enumerate(plan.targets):
             if target is None:
@@ -509,45 +546,132 @@ def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> Tr
             t = np.matmul(plan.equalizers[m], Y) - _dither_sum(A[m], dithers)
             mu = _mod_rows(ens, "C", lattice.nearest_points(ens, ("F", target), t))
             decoded[:, m] = lattice.linear_labels(ens, mu)
-    else:
-        real_ok = np.empty((B, M), dtype=bool)
-        atol = 1e-6 * max(1.0, ens.gamma)
-        reals, nus, mus = [], [], []
-        for m, target in enumerate(plan.targets):
-            b, c = plan.equalizers[m]
-            ytilde = np.matmul(b, Y)
-            for i in range(min(m, c.size)):
-                if c[i] != 0.0:
-                    ytilde = ytilde + float(c[i]) * reals[i]
-            t = ytilde.copy()
-            for i in range(m):
-                if plan.Lbar[m, i]:
-                    t = t + int(plan.Lbar[m, i]) * mus[i]
-            t = t - _dither_sum(A[m], dithers)
-            if target is None:
-                nu = np.zeros((B, n))
-            else:
-                nu = _mod_rows(ens, "C", lattice.nearest_points(ens, ("F", target), t))
-            nus.append(nu)
-            acc = nu
-            for i in range(m):
-                if plan.Lbar_inv[m, i]:
-                    acc = acc + int(plan.Lbar_inv[m, i]) * nus[i]
-            mu = _mod_rows(ens, "C", acc)
-            mus.append(mu)
-            decoded[:, m] = lattice.linear_labels(ens, mu)
-            # recover_real_combo, then the np.allclose check against A[m] @ X
-            chi = _mod_rows(ens, "C", mu + _dither_sum(A[m], dithers))
-            reals.append(lattice.nearest_points(ens, "C", ytilde - chi) + chi)
-            exact = np.matmul(A[m], X)
-            real_ok[:, m] = np.all(np.abs(reals[m] - exact) <= atol + 1e-5 * np.abs(exact),
-                                   axis=1)
-    success = np.all(decoded == truth, axis=2)
+        return decoded, None
+    real_ok = np.empty((B, M), dtype=bool)
+    atol = 1e-6 * max(1.0, ens.gamma)
+    reals, nus, mus = [], [], []
+    for m, target in enumerate(plan.targets):
+        b, c = plan.equalizers[m]
+        ytilde = np.matmul(b, Y)
+        for i in range(min(m, c.size)):
+            if c[i] != 0.0:
+                ytilde = ytilde + float(c[i]) * reals[i]
+        t = ytilde.copy()
+        for i in range(m):
+            if plan.Lbar[m, i]:
+                t = t + int(plan.Lbar[m, i]) * mus[i]
+        t = t - _dither_sum(A[m], dithers)
+        if target is None:
+            nu = np.zeros((B, n))
+        else:
+            nu = _mod_rows(ens, "C", lattice.nearest_points(ens, ("F", target), t))
+        nus.append(nu)
+        acc = nu
+        for i in range(m):
+            if plan.Lbar_inv[m, i]:
+                acc = acc + int(plan.Lbar_inv[m, i]) * nus[i]
+        mu = _mod_rows(ens, "C", acc)
+        mus.append(mu)
+        decoded[:, m] = lattice.linear_labels(ens, mu)
+        # recover_real_combo, then the np.allclose check against A[m] @ X
+        chi = _mod_rows(ens, "C", mu + _dither_sum(A[m], dithers))
+        reals.append(lattice.nearest_points(ens, "C", ytilde - chi) + chi)
+        exact = np.matmul(A[m], X)
+        real_ok[:, m] = np.all(np.abs(reals[m] - exact) <= atol + 1e-5 * np.abs(exact),
+                               axis=1)
+    return decoded, real_ok
+
+
+def _powers(X: np.ndarray) -> np.ndarray:
     # the stacked matmul takes the 1-D dot path, so each x @ x rounds as the
     # oracle's does; the mean power is printed in full
-    powers = np.matmul(X[:, :, None, :], X[:, :, :, None])[:, :, 0, 0] / n
-    return TrialBlock(decoded=decoded, success=success,
-                      real_success=real_ok, inputs=X, powers=powers)
+    return np.matmul(X[:, :, None, :], X[:, :, :, None])[:, :, 0, 0] / X.shape[2]
+
+
+def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> TrialBlock:
+    """Trials start .. stop - 1 of the config, as run_single_trial would run
+    them, with each stage batched over the block."""
+    ens, ch = config.ensemble, config.ch
+    messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
+                                         start, stop)
+    X, dithers, truth = _encode_block(ens, config.A, messages, cubes)
+    Y = np.matmul(ch.H, X) + noise * config.noise_std
+    decoded, real_ok = _decode_block(config, plan, X, dithers, Y)
+    return TrialBlock(decoded=decoded, success=np.all(decoded == truth, axis=2),
+                      real_success=real_ok, inputs=X, powers=_powers(X))
+
+
+def _bits(value):
+    """What a config field holds, comparable with ==: arrays by shape, type
+    and bytes; lists, tuples and dicts entry by entry."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _bits(v)) for k, v in value.items())
+    return value
+
+
+def _shared_fields(config: TrialConfig):
+    """Every field of a config but noise_std, as _bits images."""
+    ens, ch = config.ensemble, config.ch
+    return _bits((ens.n, ens.p, ens.gamma, ens.levels, ens.G, ch.H, ch.P, config.A,
+                  config.mode, config.mapping, config.equalizers, config.master_seed))
+
+
+def run_campaign(configs: list[TrialConfig], trials: int,
+                 ci_level: float = 0.95) -> list[dict]:
+    """run_trials for each config, sharing the draws and the encoding.
+
+    The configs may differ only in noise_std.  Trial i's draws depend only
+    on (master_seed, i), and its dithers, channel inputs and true labels
+    only on those draws, so each block of BLOCK_TRIALS trials is drawn and
+    encoded once and decoded once per config.  Each report equals the one
+    run_trials gives for its config alone.
+    """
+    if not configs:
+        return []
+    first = configs[0]
+    shared = _shared_fields(first)
+    if any(_shared_fields(cfg) != shared for cfg in configs[1:]):
+        raise ValueError("campaign configs may differ only in noise_std")
+    plans = [TrialPlan.build(cfg) for cfg in configs]
+    ens, ch, A = first.ensemble, first.ch, first.A
+    errors = np.zeros((len(configs), A.shape[0]), dtype=np.int64)
+    real_errors = np.zeros_like(errors)
+    powers = np.empty((ens.num_users, trials))
+    for start in range(0, trials, BLOCK_TRIALS):
+        stop = min(trials, start + BLOCK_TRIALS)
+        messages, cubes, noise = _draw_block(ens, ch.num_antennas, first.master_seed,
+                                             start, stop)
+        X, dithers, truth = _encode_block(ens, A, messages, cubes)
+        powers[:, start:stop] = _powers(X).T
+        HX = np.matmul(ch.H, X)
+        for c, (cfg, plan) in enumerate(zip(configs, plans)):
+            decoded, real_ok = _decode_block(cfg, plan, X, dithers,
+                                             HX + noise * cfg.noise_std)
+            errors[c] += np.count_nonzero(~np.all(decoded == truth, axis=2), axis=0)
+            if real_ok is not None:
+                real_errors[c] += np.count_nonzero(~real_ok, axis=0)
+    power = [float(np.mean(powers[u])) for u in range(ens.num_users)]
+    return [_report(cfg, trials, errors[c], real_errors[c], power, ci_level)
+            for c, cfg in enumerate(configs)]
+
+
+def _report(config: TrialConfig, trials: int, errors, real_errors, power,
+            ci_level: float) -> dict:
+    combos = []
+    for m, errs in enumerate(errors.tolist()):
+        lo, hi = wilson_interval(errs, trials, ci_level)
+        entry = {"combination_index": m + 1, "errors": errs, "trials": trials,
+                 "rate_estimate": errs / trials if trials else 0.0,
+                 "ci_low": lo, "ci_high": hi}
+        if config.mode == "successive":
+            entry["real_errors"] = int(real_errors[m])
+        combos.append(entry)
+    return {"noise_std": config.noise_std, "trials": trials,
+            "combinations": combos, "mean_power_per_user": list(power)}
 
 
 def run_trials(config: TrialConfig, trials: int, workers: int = 1,
@@ -556,32 +680,9 @@ def run_trials(config: TrialConfig, trials: int, workers: int = 1,
     intervals plus per-user empirical power.
 
     Trial i depends only on (master_seed, i), so the report is the same for
-    any block size.  Trials run in blocks of BLOCK_TRIALS through run_block
-    against one TrialPlan; only counts and per-trial powers are kept.
-    `workers` is accepted for compatibility and has no effect.
+    any block size.  This is run_campaign over the one config: a TrialPlan
+    built for its noise level, then blocks of BLOCK_TRIALS trials; only
+    counts and per-trial powers are kept.  `workers` is accepted for
+    compatibility and has no effect.
     """
-    plan = TrialPlan.build(config)
-    L = config.A.shape[0]
-    errors = np.zeros(L, dtype=np.int64)
-    real_errors = np.zeros(L, dtype=np.int64)
-    powers = np.empty((config.ensemble.num_users, trials))
-    for start in range(0, trials, BLOCK_TRIALS):
-        stop = min(trials, start + BLOCK_TRIALS)
-        block = run_block(config, plan, start, stop)
-        errors += np.count_nonzero(~block.success, axis=0)
-        if block.real_success is not None:
-            real_errors += np.count_nonzero(~block.real_success, axis=0)
-        powers[:, start:stop] = block.powers.T
-    combos = []
-    for m in range(L):
-        errs = int(errors[m])
-        lo, hi = wilson_interval(errs, trials, ci_level)
-        entry = {"combination_index": m + 1, "errors": errs, "trials": trials,
-                 "rate_estimate": errs / trials if trials else 0.0,
-                 "ci_low": lo, "ci_high": hi}
-        if config.mode == "successive":
-            entry["real_errors"] = int(real_errors[m])
-        combos.append(entry)
-    power = [float(np.mean(powers[u])) for u in range(config.ensemble.num_users)]
-    return {"noise_std": config.noise_std, "trials": trials,
-            "combinations": combos, "mean_power_per_user": power}
+    return run_campaign([config], trials, ci_level)[0]

@@ -262,12 +262,49 @@ class TestSimulate:
         ({"mode": "successive", "mapping": [1, 2, 3]}, "field 'mapping'"),
         ({"noise_std": ["loud"]}, "field 'noise_std'"),
         ({"master_seed": "seven"}, "field 'master_seed'"),
-    ], ids=["mapping", "noise_std", "master_seed"])
+        ({"master_seed": 1.5}, "field 'master_seed'"),
+        ({"master_seed": True}, "field 'master_seed'"),
+        ({"master_seed": "7"}, "field 'master_seed'"),
+        ({"master_seed": 2 ** 64 + 3}, "field 'master_seed'"),
+        ({"master_seed": 2 ** 64}, "field 'master_seed'"),
+        ({"master_seed": -1}, "field 'master_seed'"),
+        ({"master_seed": None}, "field 'master_seed'"),
+        ({"noise_std": []}, "field 'noise_std'"),
+        ({"noise_std": True}, "field 'noise_std'"),
+        ({"noise_std": "0.5"}, "field 'noise_std'"),
+        ({"noise_std": [0.5, "0.5"]}, "field 'noise_std'"),
+        ({"noise_std": [0.5, False]}, "field 'noise_std'"),
+        ({"noise_std": {"level": 0.5}}, "field 'noise_std'"),
+        ({"noise_std": [[0.5]]}, "field 'noise_std'"),
+        ({"noise_std": 10 ** 400}, "field 'noise_std'"),
+        ({"noise_std": [0.5, -0.1]}, "noise_std must be finite and nonnegative"),
+    ], ids=["mapping", "noise_std", "master_seed", "master_seed-fraction",
+            "master_seed-bool", "master_seed-string", "master_seed-past-2**64",
+            "master_seed-2**64", "master_seed-negative", "master_seed-null",
+            "noise_std-empty", "noise_std-bool", "noise_std-string",
+            "noise_std-string-in-list", "noise_std-bool-in-list", "noise_std-object",
+            "noise_std-nested", "noise_std-overflow", "noise_std-negative-level"])
     def test_malformed_fields_named(self, tmp_path, capsys, overrides, message):
         cfg = self.config(tmp_path, **overrides)
         assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),
                            capsys, message)
         assert not (tmp_path / "report.json").exists()
+
+
+    @pytest.mark.parametrize("seed,reported", [(0, 0), (7.0, 7), (2 ** 64 - 1, 2 ** 64 - 1)])
+    def test_master_seed_range_accepted(self, tmp_path, seed, reported):
+        cfg = self.config(tmp_path, noise_std=[0.5], master_seed=seed)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["master_seed"] == reported
+
+    def test_integral_seed_float_runs_the_integer_seed(self, tmp_path):
+        reports = []
+        for seed in (7, 7.0):
+            cfg = self.config(tmp_path, noise_std=[0.5, 2.0], master_seed=seed)
+            assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestVerify:

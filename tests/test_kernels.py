@@ -203,3 +203,16 @@ def test_batched_ties_bitwise_equal_to_single_queries():
 def test_backend_reported():
     assert backend_name() in ("compiled", "python")
     assert _kernels.BACKEND == backend_name()
+
+
+def test_code_table_builds_shifts_on_first_access():
+    rng = np.random.default_rng(47)
+    shifts = rng.integers(0, 5, size=(30, 5)).astype(float) * 0.4
+    table = CodeTable.from_shifts(shifts)
+    nearest_codeword_points(table, rng.normal(size=(6, 5)), 2.0)
+    assert table.shape == (30, 5) and table._shifts is None
+    built = table.shifts
+    assert built.tobytes() == shifts.tobytes() and table.shifts is built
+    for a in (table.values, table.cells, table.pairs, built):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0

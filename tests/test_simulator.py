@@ -6,11 +6,11 @@ import pytest
 from cfkit import lattice, simulator
 from cfkit.core import ChannelInstance
 from cfkit.lattice import build_ensemble, linear_label, mod_lattice
-from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan,
-                             decode_parallel, decode_successive, encode,
-                             recover_real_combo, run_block, run_single_trial,
-                             run_trials, shifted_point, true_combinations,
-                             wilson_interval, zp_asc_matrix)
+from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan, _draw_block,
+                             _trial_rng, decode_parallel, decode_successive, encode,
+                             recover_real_combo, run_block, run_campaign,
+                             run_single_trial, run_trials, shifted_point,
+                             true_combinations, wilson_interval, zp_asc_matrix)
 
 
 def small_ensemble():
@@ -512,3 +512,93 @@ class TestBlockEngine:
                           mode="successive", mapping=SUCC_MAP, noise_std=0.5,
                           master_seed=13)
         assert run_trials(cfg, trials) == oracle_report(cfg, trials)
+
+
+def oracle_draws(ens, antennas, seed, start, stop):
+    """Each trial's draws from its own _trial_rng, in run_single_trial's
+    order: every user's message, every user's dither cube, the noise."""
+    messages = [[] for _ in ens.levels]
+    cubes, noise = [], []
+    for i in range(start, stop):
+        rng = _trial_rng(seed, i)
+        for u, (kc, kf) in enumerate(ens.levels):
+            messages[u].append(rng.integers(0, ens.p, size=kf - kc, dtype=np.int64))
+        cubes.append([rng.random(ens.n) for _ in ens.levels])
+        noise.append(rng.standard_normal((antennas, ens.n)))
+    return ([np.array(m).reshape(stop - start, -1) for m in messages],
+            np.array(cubes), np.array(noise))
+
+
+class TestDrawBlock:
+    # (ensemble, antennas): the README successive campaign's and the large
+    # parallel campaign's ensembles, plus odd message widths, so that the
+    # buffered upper half of a 64-bit Philox word crosses user boundaries
+    SHAPES = [
+        (lambda: small_ensemble(), 2),
+        (lambda: build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21), 2),
+        (lambda: build_ensemble(5, 3, 3.0, [(0, 3), (2, 3), (0, 1)], seed=4), 1),
+        (lambda: build_ensemble(6, 5, 5.0, [(1, 2), (0, 3), (0, 1), (1, 4)], seed=6), 3),
+    ]
+
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_bitwise_equal_to_per_trial_streams(self, shape):
+        make, antennas = self.SHAPES[shape]
+        ens = make()
+        keys = 0
+        for seed in (0, 2 ** 63 + 5, -1):
+            for start, stop in ((0, 450), (2 ** 32 - 200, 2 ** 32 + 250)):
+                got = _draw_block(ens, antennas, seed, start, stop)
+                want = oracle_draws(ens, antennas, seed, start, stop)
+                for g, w in zip(got[0], want[0]):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (seed, start)
+                assert got[1].tobytes() == want[1].tobytes(), (seed, start)
+                assert got[2].tobytes() == want[2].tobytes(), (seed, start)
+                keys += stop - start
+        assert keys * len(self.SHAPES) >= 10 ** 4
+
+
+def noise_configs(levels, **fields):
+    """One config per noise level, sharing every other field."""
+    ch = ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 1.0])
+    base = dict(ensemble=small_ensemble(), ch=ch, A=A22, mode="successive",
+                mapping=SUCC_MAP, master_seed=31)
+    base.update(fields)
+    return [TrialConfig(noise_std=ns, **base) for ns in levels]
+
+
+class TestRunCampaign:
+    @pytest.mark.parametrize("mode", ["parallel", "successive"])
+    @pytest.mark.parametrize("trials", [1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1, 300])
+    def test_reports_equal_separate_runs(self, mode, trials):
+        seen = set()
+        for levels in ([0.0], [0.6, 0.0], [1.5, 0.0, 0.3]):
+            configs = noise_configs(levels, mode=mode)
+            reports = run_campaign(configs, trials)
+            assert reports == [run_trials(cfg, trials) for cfg in configs]
+            seen.update(c["errors"] > 0 for r in reports for c in r["combinations"])
+        if trials > 1:
+            assert seen == {True, False}
+
+    def test_no_configs_no_reports(self):
+        assert run_campaign([], 10) == []
+
+    @pytest.mark.parametrize("fields", [
+        {"master_seed": 32},
+        {"A": np.array([[1, 1], [1, 0]])},
+        {"mode": "parallel"},
+        {"ch": ChannelInstance(H=[[1.0, 0.7], [0.4, 1.2]], P=[1.0, 1.0])},
+        {"ch": ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 2.0])},
+        {"ensemble": build_ensemble(2, 3, 3.0, [(0, 1), (0, 2)], seed=22)},
+        {"mapping": frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})},
+        {"equalizers": {0: ([1.0, 0.0], []), 1: ([0.0, 1.0], [0.5])}},
+    ], ids=["master_seed", "A", "mode", "H", "P", "ensemble", "mapping", "equalizers"])
+    def test_configs_must_differ_only_in_noise(self, fields):
+        configs = noise_configs([0.5]) + noise_configs([0.2], **fields)
+        with pytest.raises(ValueError, match="differ only in noise_std"):
+            run_campaign(configs, 5)
+
+    def test_equal_fields_built_apart_are_shared(self):
+        # each call builds its own ensemble and channel
+        configs = noise_configs([0.5]) + noise_configs([0.2])
+        assert configs[0].ensemble is not configs[1].ensemble
+        assert run_campaign(configs, 20) == [run_trials(cfg, 20) for cfg in configs]

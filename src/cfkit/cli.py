@@ -12,6 +12,7 @@ byte-identical files.  CFKIT_OUTDIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -48,9 +49,15 @@ def _channel_from(doc: dict, h_key: str = "H") -> ChannelInstance:
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad numeric field: {exc}")
     try:
-        return ChannelInstance(H=H, P=P)
+        ch = ChannelInstance(H=H, P=P)
     except ValueError as exc:
         raise InputError(str(exc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = (np.all(np.isfinite(ch.H @ ch.P_matrix() @ ch.H.T))
+                  and np.all(np.isfinite(ch.H.T @ ch.H)))
+    if not finite:
+        raise InputError("channel overflows: I + H P H^T or H^T H is not finite")
+    return ch
 
 
 def _coeff_matrix(doc: dict, key: str = "A", required: bool = True):
@@ -119,27 +126,30 @@ def cmd_region(args) -> int:
         A = _coeff_matrix(doc, "Atilde", required=False)
         if A is None:
             A = _coeff_matrix(doc, "A")
-        try:
-            if mode == "para":
-                spec = regions.para_region(ch, A)
-            else:
-                mapping = _mapping_from(doc)
-                if mapping is None:
-                    mapping = regions.all_pairs_mapping(ch.num_users).pairs
-                fn = regions.succ_region if mode == "succ" else regions.asc_region
-                spec = fn(ch, A, mapping)
-        except ValueError as exc:
-            raise InputError(str(exc))
-    elif mode == "mac":
-        spec = regions.mac_region(ch)
-    elif mode == "sic":
-        spec = _sic_spec(ch)
-    else:
+    elif mode not in ("mac", "sic"):
         raise InputError(f"unknown mode {mode!r}")
-    _write(out / f"region_{mode}.json", regions.spec_to_json(spec))
-    if ch.num_users == 2 and not any(UNBOUNDED in b.caps for b in spec.boxes):
-        verts = regions.region_2d([spec], "intersect")
-        _write(out / f"region_{mode}_boundary.csv", regions.boundary_to_csv(verts))
+    files = {}
+    try:
+        if mode == "para":
+            spec = regions.para_region(ch, A)
+        elif mode in ("succ", "asc"):
+            mapping = _mapping_from(doc)
+            if mapping is None:
+                mapping = regions.all_pairs_mapping(ch.num_users).pairs
+            fn = regions.succ_region if mode == "succ" else regions.asc_region
+            spec = fn(ch, A, mapping)
+        elif mode == "mac":
+            spec = regions.mac_region(ch)
+        else:
+            spec = _sic_spec(ch)
+        files[f"region_{mode}.json"] = regions.spec_to_json(spec)
+        if ch.num_users == 2 and not any(UNBOUNDED in b.caps for b in spec.boxes):
+            verts = regions.region_2d([spec], "intersect")
+            files[f"region_{mode}_boundary.csv"] = regions.boundary_to_csv(verts)
+    except (ValueError, ArithmeticError) as exc:
+        raise InputError(str(exc))
+    for name, text in files.items():
+        _write(out / name, text)
     return 0
 
 
@@ -153,6 +163,17 @@ def _cmd_region_compound(doc: dict, out: Path) -> int:
     channels = [_channel_from({"H": H, "P": doc.get("P")}) for H in H_list]
     if any(ch.num_users != 2 for ch in channels):
         raise InputError("compound mode supports exactly two users")
+    try:
+        files = _compound_files(channels)
+    except (ValueError, ArithmeticError) as exc:
+        raise InputError(str(exc))
+    for name, text in files.items():
+        _write(out / name, text)
+    return 0
+
+
+def _compound_files(channels) -> dict:
+    """File name -> text of every compound-mode output, in writing order."""
     panels = {}
     points = {}
     for i, ch in enumerate(channels, start=1):
@@ -172,22 +193,22 @@ def _cmd_region_compound(doc: dict, out: Path) -> int:
     panels["intersection_mac"] = macs
     panels["intersection_sic"] = sics
     panels["intersection_succ"] = succs
+    files = {}
     for name, specs in panels.items():
         verts = regions.region_2d(specs, "intersect")
-        _write(out / f"compound_{name}.csv", regions.boundary_to_csv(verts))
+        files[f"compound_{name}.csv"] = regions.boundary_to_csv(verts)
     for name, specs in (("hull_sic", sics), ("hull_succ", succs)):
         verts = regions.region_2d(specs, "hull")
-        _write(out / f"compound_{name}.csv", regions.boundary_to_csv(verts))
-    _write(out / "compound_points.json",
-           json.dumps(points, sort_keys=True, indent=2, default=float) + "\n")
-    return 0
+        files[f"compound_{name}.csv"] = regions.boundary_to_csv(verts)
+    files["compound_points.json"] = json.dumps(points, sort_keys=True, indent=2,
+                                               default=float) + "\n"
+    return files
 
 
 def cmd_search(args) -> int:
     doc = _load_json(args.input)
     ch = _channel_from(doc)
     out = _outdir(args)
-    bound_val = intsearch.entry_bound(ch)
     if args.bound != "auto":
         try:
             radius = int(args.bound)
@@ -198,17 +219,18 @@ def cmd_search(args) -> int:
     else:
         radius = None
     try:
+        bound_val = intsearch.entry_bound(ch)
         dom = intsearch.dominant_solution(
             effective_matrix(ch), max_radius=radius if radius is not None else 64)
-    except (ValueError, RuntimeError) as exc:
+        rows = []
+        for m, row in enumerate(dom.A_star):
+            para = sigma_para_opt(ch, row).variance
+            succ = sigma_succ_opt(ch, row, dom.A_star[:m]).variance if m else para
+            rows.append({"row": [int(v) for v in row],
+                         "sigma2_parallel": round(para, 6),
+                         "sigma2_successive": round(succ, 6)})
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise InputError(str(exc))
-    rows = []
-    for m, row in enumerate(dom.A_star):
-        para = sigma_para_opt(ch, row).variance
-        succ = sigma_succ_opt(ch, row, dom.A_star[:m]).variance if m else para
-        rows.append({"row": [int(v) for v in row],
-                     "sigma2_parallel": round(para, 6),
-                     "sigma2_successive": round(succ, 6)})
     payload = {"entry_bound": round(bound_val, 6),
                "max_abs_entry": int(np.floor(np.sqrt(bound_val))),
                "A_star": dom.A_star.tolist(),
@@ -228,7 +250,7 @@ def cmd_mac(args) -> int:
         cap = sum_capacity(ch)
         tables = (("parallel", mac_opt.parallel_mac_assignments(ch)),
                   ("successive", mac_opt.successive_mac_assignments(ch)))
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise InputError(str(exc))
     entries = [{"strategy": strategy, "A": asg.A.tolist(), "pi": list(asg.pi),
                 "rates": [round(r, 6) for r in asg.rates],
@@ -573,7 +595,9 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every main call."""
     ap = argparse.ArgumentParser(prog="cfkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

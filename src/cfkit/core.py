@@ -75,6 +75,18 @@ class ChannelInstance:
         F.setflags(write=False)
         return F
 
+    @cached_property
+    def _dominant_solution(self):
+        # intsearch.dominant_solution of effective_matrix at the default
+        # radius cap, kept like _effective_matrix: read-only arrays, and
+        # nothing stored when the search raises
+        from . import intsearch
+
+        dom = intsearch.dominant_solution(effective_matrix(self))
+        dom.A_star.setflags(write=False)
+        dom.norms.setflags(write=False)
+        return dom
+
 
 @dataclass
 class NoiseReport:

@@ -9,14 +9,15 @@ per-user noise conditions hold.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import intsearch, regions
-from .core import (ChannelInstance, achievable_rate, effective_matrix,
-                   log2_plus, sum_capacity)
+from .core import (ChannelInstance, achievable_rate, log2_plus,
+                   sigma_succ_opt, sum_capacity)
 from .regions import AdmissibleMapping
 
 
@@ -67,9 +68,9 @@ def parallel_mac_assignment(ch: ChannelInstance, pivot_order=None) -> MacAssignm
     rate over the available pivot orders (deterministic tie handling)."""
     ch.require_positive_powers()
     if pivot_order is not None:
-        dom = intsearch.dominant_solution(effective_matrix(ch))
+        dom = ch._dominant_solution
         res = mac_mapping(dom.A_star, pivot_order=pivot_order)
-        return _assemble_parallel(ch, dom, *res)
+        return _assemble_parallel(ch, dom, *res, *_parallel_bounds(ch, dom))
     best = None
     for cand in parallel_mac_assignments(ch):
         if best is None or cand.sum_rate > best.sum_rate + 1e-12:
@@ -78,14 +79,22 @@ def parallel_mac_assignment(ch: ChannelInstance, pivot_order=None) -> MacAssignm
 
 
 def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
-    """One assignment per distinct elimination permutation of the dominant
-    solution (deterministic order)."""
+    """One assignment per distinct rate tuple over the elimination
+    permutations of the channel's dominant solution, in pivot-order order.
+
+    The dominant solution is searched once per ChannelInstance and shared
+    with the successive strategy.  Its unchained row variances and the sum
+    capacity are computed once per call; each permutation's rates are then
+    checked against its own cancellation box (the asc_region box of its
+    mapping) and against the (L/2) log2 L gap bound.
+    """
     ch.require_positive_powers()
-    dom = intsearch.dominant_solution(effective_matrix(ch))
+    dom = ch._dominant_solution
+    bounds = _parallel_bounds(ch, dom)
     out = []
     seen = set()
     for mapping, pi in mac_mappings_all(dom.A_star):
-        asg = _assemble_parallel(ch, dom, mapping, pi)
+        asg = _assemble_parallel(ch, dom, mapping, pi, *bounds)
         key = tuple(round(r, 12) for r in asg.rates)
         if key not in seen:
             seen.add(key)
@@ -93,15 +102,21 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     return out
 
 
-def _assemble_parallel(ch, dom, mapping, pi) -> MacAssignment:
+def _parallel_bounds(ch, dom) -> tuple[list[float], float]:
+    """Unchained row variances of dom.A_star, and the sum capacity."""
+    return regions.row_variances(ch, dom.A_star, chained=False), sum_capacity(ch)
+
+
+def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignment:
     variances = [float(n) ** 2 for n in dom.norms]
     rates = tuple(achievable_rate(ch.P[l], variances[pi[l] - 1])
                   for l in range(ch.num_users))
     total = float(sum(rates))
-    cap = sum_capacity(ch)
     asg = MacAssignment(A=dom.A_star, mapping=mapping, pi=pi, rates=rates,
                         sum_rate=total, gap_to_capacity=cap - total)
-    box = regions.asc_region(ch, dom.A_star, mapping)
+    witness = regions._coerce_mapping(dom.A_star, mapping)
+    box = regions.Box(caps=regions._caps_from_rows(ch, row_variances,
+                                                   witness.rows_for_user))
     if not box.contains(rates, tol=1e-9):
         raise AssertionError("assignment fell outside its own cancellation region")
     L = ch.num_users
@@ -121,6 +136,17 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     if not intsearch.is_unimodular(A):
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
+    return _successive_outcome(ch, A, mapping, pi,
+                               lambda: regions.row_variances(ch, A, chained=True),
+                               sum_capacity(ch))
+
+
+def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome:
+    """successive_mac_assignment after its checks on A and the powers.
+
+    variances() gives A's chained row variances; it is called only once the
+    mapping and pi have passed their checks.  cap is sum_capacity(ch).
+    """
     L = ch.num_users
     pairs = mapping.pairs if isinstance(mapping, AdmissibleMapping) else mapping
     mapping = regions._coerce_mapping(A, pairs)
@@ -133,7 +159,7 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
                 None,
                 f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
                 f"{pi[l - 1]}; pi is not allowed by this mapping")
-    variances = regions.row_variances(ch, A, chained=True)
+    variances = variances()
     rates = []
     for l in range(L):
         rows = mapping.rows_for_user(l + 1)
@@ -153,7 +179,6 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
                 f"tolerance {assigned:.6g}")
         rates.append(0.5 * np.log2(ch.P[l] / assigned))
     total = float(sum(rates))
-    cap = sum_capacity(ch)
     if abs(total - cap) > 1e-8:
         raise AssertionError("sum rate failed to match the sum capacity identity")
     asg = MacAssignment(A=A, mapping=mapping, pi=pi, rates=tuple(float(r) for r in rates),
@@ -161,9 +186,30 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     return SuccessiveOutcome(asg)
 
 
+def _chained_variances(ch: ChannelInstance, A: np.ndarray, memo: dict) -> list[float]:
+    """regions.row_variances(ch, A, chained=True) for a unimodular A, whose
+    rows are independent, keeping each row's variance in memo under the row
+    prefix A[:m+1], the only part of A it depends on."""
+    out = []
+    for m in range(A.shape[0]):
+        key = A[:m + 1].tobytes()
+        if key not in memo:
+            memo[key] = sigma_succ_opt(ch, A[m], A[:m]).variance
+        out.append(memo[key])
+    return out
+
+
 def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     """Valid successive assignments over the natural candidates: all user
-    permutation matrices plus the dominant solution (when unimodular)."""
+    permutation matrices plus the dominant solution (when unimodular), one
+    per distinct rate tuple, in candidate then pivot-order order.
+
+    The sum capacity is computed once per call and each candidate's chained
+    variances once, when its first mapping passes the mapping checks.  The
+    permutation candidates share row prefixes, and a row's chained variance
+    depends only on its prefix, so each prefix's variance is computed once
+    per call (for L = 4, 64 variances instead of 96).
+    """
     L = ch.num_users
     candidates: list[np.ndarray] = []
     for perm in itertools.permutations(range(L)):
@@ -171,14 +217,19 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
         for m, u in enumerate(perm):
             P[m, u] = 1
         candidates.append(P)
-    dom = intsearch.dominant_solution(effective_matrix(ch))
+    dom = ch._dominant_solution
     if intsearch.is_unimodular(dom.A_star):
         candidates.append(dom.A_star)
+    cap = sum_capacity(ch)
+    memo: dict[bytes, float] = {}
     out = []
     seen = set()
     for A in candidates:
+        if not intsearch.is_unimodular(A):
+            raise ValueError("coefficient matrix must be unimodular")
+        variances = functools.cache(functools.partial(_chained_variances, ch, A, memo))
         for mapping, pi in mac_mappings_all(A):
-            outcome = successive_mac_assignment(ch, A, mapping, pi)
+            outcome = _successive_outcome(ch, A, mapping, pi, variances, cap)
             if outcome:
                 key = tuple(round(r, 10) for r in outcome.assignment.rates)
                 if key not in seen:

@@ -108,6 +108,39 @@ def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
     return AdmissibleMapping(pairs=pairs, L_real=W)
 
 
+def _fraction_start(A: np.ndarray) -> tuple[list, list]:
+    """Exact work and lower matrices before the first elimination step."""
+    L = A.shape[0]
+    work = [[Fraction(int(v)) for v in row] for row in A.tolist()]
+    lower = [[Fraction(int(i == j)) for j in range(L)] for i in range(L)]
+    return work, lower
+
+
+def _eliminate(work: list, lower: list, step: int, col: int) -> tuple[list, list]:
+    """Clear column col below row step (pivot work[step][col] != 0).
+
+    Returns new matrices; rows that do not change are shared with the inputs,
+    which are never modified, so a caller may branch from them again.
+    """
+    work, lower = list(work), list(lower)
+    pivot_row, pivot_lower = work[step], lower[step]
+    for i in range(step + 1, len(work)):
+        if work[i][col] != 0:
+            f = work[i][col] / pivot_row[col]
+            work[i] = [wi - f * ws for wi, ws in zip(work[i], pivot_row)]
+            lower[i] = [li - f * ls for li, ls in zip(lower[i], pivot_lower)]
+    return work, lower
+
+
+def _eliminated_mapping(work: list, lower: list) -> AdmissibleMapping:
+    """The support of the eliminated matrix, with the lower factor as witness."""
+    L = len(work)
+    pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
+                      if work[m][l] != 0)
+    witness = np.array([[float(v) for v in row] for row in lower])
+    return AdmissibleMapping(pairs=pairs, L_real=witness)
+
+
 def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]] | None:
     """Eliminate below each pivot without row swaps; returns (mapping, pi).
 
@@ -119,8 +152,7 @@ def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]]
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L = A.shape[0]
-    work = [[Fraction(int(v)) for v in row] for row in A.tolist()]
-    lower = [[Fraction(int(i == j)) for j in range(L)] for i in range(L)]
+    work, lower = _fraction_start(A)
     pi = [0] * L
     used: list[int] = []
     for step in range(L):
@@ -134,27 +166,36 @@ def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]]
                 raise ValueError("matrix is rank deficient")
         used.append(col)
         pi[col] = step + 1
-        for i in range(step + 1, L):
-            if work[i][col] != 0:
-                f = work[i][col] / work[step][col]
-                work[i] = [wi - f * ws for wi, ws in zip(work[i], work[step])]
-                lower[i] = [li - f * ls for li, ls in zip(lower[i], lower[step])]
-    pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
-                      if work[m][l] != 0)
-    witness = np.array([[float(v) for v in row] for row in lower])
-    return AdmissibleMapping(pairs=pairs, L_real=witness), tuple(pi)
+        work, lower = _eliminate(work, lower, step, col)
+    return _eliminated_mapping(work, lower), tuple(pi)
 
 
 def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
-    """All distinct (mapping, permutation) pairs over forced pivot orders."""
+    """(mapping, pi) for every pivot order that needs no row swap, in
+    ``itertools.permutations`` order; each result equals
+    ``lu_mapping(A, order)``.
+
+    Walks the pivot prefixes depth first, trying columns in increasing order,
+    so each prefix is eliminated once and a zero pivot prunes every order that
+    starts with that prefix (a permutation matrix costs L steps, not L!
+    orders).  Distinct orders give distinct pi, so no result repeats.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    out = []
-    seen = set()
-    for order in itertools.permutations(range(A.shape[0])):
-        res = lu_mapping(A, pivot_order=order)
-        if res is not None and (res[0].pairs, res[1]) not in seen:
-            seen.add((res[0].pairs, res[1]))
-            out.append(res)
+    L = A.shape[0]
+    out: list[tuple[AdmissibleMapping, tuple[int, ...]]] = []
+    pi = [0] * L
+
+    def walk(work, lower, step):
+        if step == L:
+            out.append((_eliminated_mapping(work, lower), tuple(pi)))
+            return
+        for col in range(L):
+            if pi[col] == 0 and work[step][col] != 0:
+                pi[col] = step + 1
+                walk(*_eliminate(work, lower, step, col), step + 1)
+                pi[col] = 0
+
+    walk(*_fraction_start(A), 0)
     return out
 
 

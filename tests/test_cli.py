@@ -122,6 +122,19 @@ class TestMac:
         assert all(abs(e["gap"]) < 1e-6 for e in doc["assignments"])
 
 
+# Commands run on channels whose exact work overflows or is ill-conditioned,
+# with the report each would write.
+_OVERFLOW_RUNS = [
+    (["mac"], "mac_assignments.json"),
+    (["search"], "search.json"),
+    (["region", "--mode", "para"], "region_para.json"),
+    (["region", "--mode", "succ"], "region_succ.json"),
+    (["region", "--mode", "asc"], "region_asc.json"),
+    (["region", "--mode", "mac"], "region_mac.json"),
+    (["region", "--mode", "sic"], "region_sic.json"),
+]
+
+
 @pytest.mark.parametrize("argv,doc,message,report", [
     (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power",
      "mac_assignments.json"),
@@ -134,8 +147,17 @@ class TestMac:
     (["search"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power", "search.json"),
     (["region", "--mode", "para"], {"H": [[1, 1.5]], "P": [1, 0], "A": [[1, 1], [1, 2]]},
      "user 2 has zero power", "region_para.json"),
+    *[(argv, {"H": [[1e200, 1]], "P": [1, 1], "A": [[1, 0], [0, 1]]},
+       "channel overflows", report) for argv, report in _OVERFLOW_RUNS],
+    *[(argv, {"H": [[1e15, 1e15]], "P": [1, 1], "A": [[1, 1], [1, 2]]},
+       "inconsistent Gram matrix", report) for argv, report in _OVERFLOW_RUNS[:5]],
+    (["region", "--mode", "compound"], {"H": [[[1e15, 1e15]], [[1, 2]]], "P": [1, 1]},
+     "inconsistent Gram matrix", "compound_rx1_mac.csv"),
 ], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
-        "search-zero-power", "region-para-zero-power"])
+        "search-zero-power", "region-para-zero-power",
+        *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
+        *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
+        "region-compound-ill-conditioned"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))
@@ -305,6 +327,30 @@ class TestSimulate:
             assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
             reports.append((tmp_path / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestParser:
+    def test_main_calls_share_one_parser(self, fig7_input, tmp_path, capsys, monkeypatch):
+        import argparse
+
+        parsers = []
+        honest = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, *a, **k: parsers.append(self) or honest(self, *a, **k))
+        argv = ["search", "--input", fig7_input, "--out", tmp_path]
+        assert run(argv) == 0
+        first = (tmp_path / "search.json").read_bytes()
+        assert run(["search", "--input", fig7_input, "--bound", "3",
+                    "--out", tmp_path]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--bound", "3", "--out", tmp_path])  # --input missing
+        assert exc.value.code == 2
+        capsys.readouterr()
+        (tmp_path / "search.json").unlink()
+        assert run(argv) == 0  # --bound is back at its default
+        assert (tmp_path / "search.json").read_bytes() == first
+        assert len(set(map(id, parsers))) == 1
 
 
 class TestVerify:

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cfkit.core import ChannelInstance, sum_capacity
-from cfkit.mac_opt import (mac_mapping, mac_mappings_all,
+from cfkit import intsearch, regions
+from cfkit.core import (ChannelInstance, achievable_rate, effective_matrix,
+                        log2_plus, sum_capacity)
+from cfkit.mac_opt import (MacAssignment, SuccessiveOutcome, mac_mapping,
+                           mac_mappings_all,
                            parallel_mac_assignment, parallel_mac_assignments,
                            random_unimodular, successive_mac_assignment,
                            successive_mac_assignments, successive_sum_identity)
-from cfkit.regions import asc_region, succ_region
+from cfkit.regions import AdmissibleMapping, asc_region, succ_region
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 
@@ -119,6 +124,153 @@ class TestSuccessiveAssignments:
         out = successive_mac_assignment(FIG7, np.eye(2, dtype=int), mapping, (1, 2))
         assert not out
         assert "worst mapped noise" in out.declined_reason
+
+
+def _oracle_assemble_parallel(ch, dom, mapping, pi) -> MacAssignment:
+    variances = [float(n) ** 2 for n in dom.norms]
+    rates = tuple(achievable_rate(ch.P[l], variances[pi[l] - 1])
+                  for l in range(ch.num_users))
+    total = float(sum(rates))
+    cap = sum_capacity(ch)
+    asg = MacAssignment(A=dom.A_star, mapping=mapping, pi=pi, rates=rates,
+                        sum_rate=total, gap_to_capacity=cap - total)
+    box = regions.asc_region(ch, dom.A_star, mapping)
+    if not box.contains(rates, tol=1e-9):
+        raise AssertionError("assignment fell outside its own cancellation region")
+    L = ch.num_users
+    if asg.gap_to_capacity > 0.5 * L * log2_plus(L) + 1e-9:
+        raise AssertionError("sum-rate gap exceeded the (L/2) log2 L bound")
+    return asg
+
+
+def _oracle_successive_step(ch, A, mapping, pi) -> SuccessiveOutcome:
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    if not intsearch.is_unimodular(A):
+        raise ValueError("coefficient matrix must be unimodular")
+    ch.require_positive_powers()
+    L = ch.num_users
+    pairs = mapping.pairs if isinstance(mapping, AdmissibleMapping) else mapping
+    mapping = regions._coerce_mapping(A, pairs)
+    pi = tuple(int(v) for v in pi)
+    if sorted(pi) != list(range(1, L + 1)):
+        raise ValueError("pi must be a permutation of decoding steps 1..L")
+    for (m, l) in mapping.pairs:
+        if m > pi[l - 1]:
+            return SuccessiveOutcome(None, "pair below pivot")
+    variances = regions.row_variances(ch, A, chained=True)
+    rates = []
+    for l in range(L):
+        rows = mapping.rows_for_user(l + 1)
+        if pi[l] not in rows:
+            return SuccessiveOutcome(None, "not mapped")
+        worst = max(variances[m - 1] for m in rows)
+        assigned = variances[pi[l] - 1]
+        if worst > assigned * (1 + 1e-9) + 1e-12:
+            return SuccessiveOutcome(None, "worst mapped noise")
+        if ch.P[l] < assigned - 1e-12:
+            return SuccessiveOutcome(None, "power")
+        rates.append(0.5 * np.log2(ch.P[l] / assigned))
+    total = float(sum(rates))
+    cap = sum_capacity(ch)
+    if abs(total - cap) > 1e-8:
+        raise AssertionError("sum rate failed to match the sum capacity identity")
+    asg = MacAssignment(A=A, mapping=mapping, pi=pi, rates=tuple(float(r) for r in rates),
+                        sum_rate=total, gap_to_capacity=cap - total)
+    return SuccessiveOutcome(asg)
+
+
+def mac_oracle(ch):
+    """(parallel, successive) assignment lists computed as before the
+    per-channel sharing: every check, variance and sum capacity per mapping.
+    The loops are kept verbatim, except that both use one dominant-solution
+    search (a search is deterministic, and it is the slow part here)."""
+    ch.require_positive_powers()
+    dom = intsearch.dominant_solution(effective_matrix(ch))
+    parallel = []
+    seen = set()
+    for mapping, pi in mac_mappings_all(dom.A_star):
+        asg = _oracle_assemble_parallel(ch, dom, mapping, pi)
+        key = tuple(round(r, 12) for r in asg.rates)
+        if key not in seen:
+            seen.add(key)
+            parallel.append(asg)
+
+    L = ch.num_users
+    candidates: list[np.ndarray] = []
+    for perm in itertools.permutations(range(L)):
+        P = np.zeros((L, L), dtype=int)
+        for m, u in enumerate(perm):
+            P[m, u] = 1
+        candidates.append(P)
+    if intsearch.is_unimodular(dom.A_star):
+        candidates.append(dom.A_star)
+    successive = []
+    seen = set()
+    for A in candidates:
+        for mapping, pi in mac_mappings_all(A):
+            outcome = _oracle_successive_step(ch, A, mapping, pi)
+            if outcome:
+                key = tuple(round(r, 10) for r in outcome.assignment.rates)
+                if key not in seen:
+                    seen.add(key)
+                    successive.append(outcome.assignment)
+    return parallel, successive
+
+
+def _bitwise(assignments):
+    return [(a.A.dtype, a.A.shape, a.A.tobytes(), a.pi, a.rates, a.sum_rate,
+             a.gap_to_capacity, a.mapping.pairs, a.mapping.L_real.tobytes())
+            for a in assignments]
+
+
+def oracle_channels(rng, count):
+    """2-4 users, 1-2 antennas; every third channel has small integer gains
+    and powers, where equal variances (ties) are common."""
+    for i in range(count):
+        L = 2 + i % 3
+        nr = int(rng.integers(1, 3))
+        if i % 3 == 0:
+            H = rng.integers(-3, 4, size=(nr, L)).astype(float)
+            P = rng.choice([1.0, 2.0, 4.0, 16.0], size=L)
+        else:
+            H = rng.normal(0.0, 2.0, size=(nr, L))
+            P = rng.uniform(0.5, 9.0, size=L)
+        yield ChannelInstance(H=H, P=P)
+
+
+class TestAgainstOracle:
+    def test_assignment_tables_equal_oracle_bitwise(self):
+        rng = np.random.default_rng(43)
+        for i, ch in enumerate(oracle_channels(rng, 300)):
+            parallel, successive = mac_oracle(ch)
+            assert _bitwise(parallel_mac_assignments(ch)) == _bitwise(parallel), i
+            assert _bitwise(successive_mac_assignments(ch)) == _bitwise(successive), i
+
+    def test_dominant_solution_cached_read_only(self):
+        ch = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
+        dom = ch._dominant_solution
+        assert ch._dominant_solution is dom
+        assert not dom.A_star.flags.writeable and not dom.norms.flags.writeable
+        assert parallel_mac_assignments(ch)[0].A is dom.A_star
+        zero = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="user 2 has zero power"):
+                zero._dominant_solution
+        assert "_dominant_solution" not in vars(zero)
+
+    def test_one_search_per_mac_call(self, tmp_path, monkeypatch):
+        import json
+
+        from cfkit.cli import main
+
+        calls = []
+        honest = intsearch.dominant_solution
+        monkeypatch.setattr(intsearch, "dominant_solution",
+                            lambda *a, **k: calls.append(a) or honest(*a, **k))
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"H": [[1.0, -0.4, 2.2]], "P": [3.0, 1.0, 5.0]}))
+        assert main(["mac", "--input", str(path), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestSumIdentity:

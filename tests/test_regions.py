@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
                         sigma_para_opt, sigma_succ_opt, sum_capacity)
 from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
                            all_pairs_mapping, boundary_to_csv, is_admissible,
-                           lu_mapping, mac_region, membership, para_region,
+                           lu_mapping, lu_mappings_all, mac_region, membership,
+                           para_region,
                            participation_mapping, region_2d, sic_rates,
                            spec_to_json, succ_region)
 
@@ -90,6 +92,111 @@ class TestAdmissibility:
                 for l in range(3):
                     if (m + 1, l + 1) not in mapping.pairs:
                         assert abs(prod[m, l]) < 1e-9
+
+
+def _lu_mapping_oracle(A, pivot_order=None):
+    """Per-order elimination as it was before the prefix walk, verbatim."""
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    L = A.shape[0]
+    work = [[Fraction(int(v)) for v in row] for row in A.tolist()]
+    lower = [[Fraction(int(i == j)) for j in range(L)] for i in range(L)]
+    pi = [0] * L
+    used: list[int] = []
+    for step in range(L):
+        if pivot_order is not None:
+            col = int(pivot_order[step])
+            if col in used or work[step][col] == 0:
+                return None
+        else:
+            col = next((c for c in range(L) if c not in used and work[step][c] != 0), None)
+            if col is None:
+                raise ValueError("matrix is rank deficient")
+        used.append(col)
+        pi[col] = step + 1
+        for i in range(step + 1, L):
+            if work[i][col] != 0:
+                f = work[i][col] / work[step][col]
+                work[i] = [wi - f * ws for wi, ws in zip(work[i], work[step])]
+                lower[i] = [li - f * ls for li, ls in zip(lower[i], lower[step])]
+    pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
+                      if work[m][l] != 0)
+    witness = np.array([[float(v) for v in row] for row in lower])
+    return AdmissibleMapping(pairs=pairs, L_real=witness), tuple(pi)
+
+
+def pivot_orders_oracle(A):
+    """lu_mappings_all as one elimination per pivot order, verbatim."""
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    out = []
+    seen = set()
+    for order in itertools.permutations(range(A.shape[0])):
+        res = _lu_mapping_oracle(A, pivot_order=order)
+        if res is not None and (res[0].pairs, res[1]) not in seen:
+            seen.add((res[0].pairs, res[1]))
+            out.append(res)
+    return out
+
+
+def _bitwise(results):
+    return [(mapping.pairs, mapping.L_real.dtype, mapping.L_real.shape,
+             mapping.L_real.tobytes(), pi) for mapping, pi in results]
+
+
+def _oracle_matrices(rng, count):
+    """Random L = 1..4 integer matrices: dense, singular, permutation and
+    unimodular ones in turn."""
+    from cfkit.mac_opt import random_unimodular
+
+    for i in range(count):
+        L = 1 + i % 4
+        kind = (i // 4) % 4
+        if kind == 0:
+            yield rng.integers(-3, 4, size=(L, L))
+        elif kind == 1:
+            A = rng.integers(-2, 3, size=(L, L))
+            A[-1] = A[0] * int(rng.integers(-2, 3))  # rank deficient
+            yield A
+        elif kind == 2:
+            yield np.eye(L, dtype=int)[rng.permutation(L)]
+        else:
+            yield random_unimodular(L, rng)
+
+
+class TestLuMappingsAll:
+    def test_prefix_walk_equals_per_order_oracle(self):
+        rng = np.random.default_rng(41)
+        for A in _oracle_matrices(rng, 400):
+            assert _bitwise(lu_mappings_all(A)) == _bitwise(pivot_orders_oracle(A)), A
+
+    def test_forced_and_default_orders_equal_oracle(self):
+        rng = np.random.default_rng(42)
+        for A in _oracle_matrices(rng, 200):
+            for order in itertools.permutations(range(A.shape[0])):
+                got, want = lu_mapping(A, order), _lu_mapping_oracle(A, order)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert _bitwise([got]) == _bitwise([want])
+            try:
+                want = _lu_mapping_oracle(A)
+            except ValueError:
+                with pytest.raises(ValueError, match="rank deficient"):
+                    lu_mapping(A)
+                continue
+            assert _bitwise([lu_mapping(A)]) == _bitwise([want])
+
+    def test_zero_pivot_prunes_the_subtree(self, monkeypatch):
+        from cfkit import regions
+
+        calls = []
+        honest = regions._eliminate
+        monkeypatch.setattr(regions, "_eliminate",
+                            lambda *args: calls.append(args[2:]) or honest(*args))
+        A = np.eye(4, dtype=int)[[2, 0, 3, 1]]
+        (mapping, pi), = lu_mappings_all(A)
+        assert pi == (2, 4, 1, 3) and len(calls) == 4
+        calls.clear()
+        assert len(lu_mappings_all(np.ones((3, 3), dtype=int) + np.eye(3, dtype=int))) == 6
+        assert len(calls) == 3 + 6 + 6  # one elimination per pivot prefix
 
 
 class TestSuccRegion:

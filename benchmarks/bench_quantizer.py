@@ -1,13 +1,23 @@
-"""Benchmark the nearest-codeword kernel, called two ways per table size.
+"""Benchmark the nearest-codeword kernel per table size, query kind and path.
 
 The quantizer is the hot inner loop of the Monte-Carlo decoding chains (each
 trial quantizes several times against tables of up to p^k_F codewords), so
-this is the comparison that matters.  "one row" calls the kernel once per
-query on the ensemble's prepared table, as the per-point helpers
-(`lattice.nearest_point`) do; "blocks" hands all queries to
-`lattice.nearest_points`, which slices them as the block trial engine does.
-"us/query" gives both per query (one row / blocks).  Also cross-checks that
-both return identical points, bit for bit.
+this is the comparison that matters.  For each ensemble's finest table it
+times, in microseconds per query:
+
+- "one row": one kernel call per query on the prepared table, as the
+  per-point helpers (`lattice.nearest_point`) make;
+- "pairs" and "trie": all queries through `lattice.nearest_points`, which
+  slices them as the block trial engine does, with stage 2 forced onto the
+  pair lookups and onto the trie search (`_kernels.TRIE_MIN_ROWS` set to
+  the table's row count plus one, or to 0, for the run).
+
+"nodes" is the trie nodes the search keeps per query over all its passes,
+and "path" the one the kernel takes on that table.  Two query kinds:
+"decode" queries are random lattice points plus N(0, (0.2 gamma/p)^2) noise
+per coordinate, like the equalized channel outputs a decoder quantizes;
+"uniform" queries are uniform over [0, gamma)^n, like the dithers an encoder
+reduces.  All paths must return the same points, bit for bit.
 
 Usage: python3 benchmarks/bench_quantizer.py [--samples N]
 """
@@ -17,15 +27,41 @@ import time
 
 import numpy as np
 
-from cfkit import lattice
+from cfkit import _kernels, lattice
 from cfkit._kernels import nearest_codeword_point
 
 
 # (n, p, gamma, levels, seed) of each ensemble; its finest table has p^k_F
 # rows of length n.  The last is the parallel benchmark campaign's ensemble,
 # whose finest table has 7^5 = 16807 rows.
-ENSEMBLES = [(4, 3, 4.0, [(0, 2)], 0), (6, 5, 4.0, [(0, 3)], 0), (8, 7, 4.0, [(0, 4)], 0),
-             (10, 11, 4.0, [(0, 4)], 0), (8, 7, 7.0, [(0, 4), (1, 5)], 21)]
+ENSEMBLES = [(4, 3, 4.0, [(0, 2)], 0), (6, 7, 7.0, [(0, 2)], 0), (6, 5, 4.0, [(0, 3)], 0),
+             (6, 7, 7.0, [(0, 3)], 0), (8, 3, 3.0, [(0, 6)], 0), (8, 11, 11.0, [(0, 3)], 0),
+             (6, 13, 13.0, [(0, 3)], 0), (8, 7, 4.0, [(0, 4)], 0), (10, 11, 4.0, [(0, 4)], 0),
+             (8, 7, 7.0, [(0, 4), (1, 5)], 21)]
+
+
+def timed(fn):
+    start = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - start
+
+
+def blocks(ens, queries, trie_min_rows):
+    saved = _kernels.TRIE_MIN_ROWS
+    _kernels.TRIE_MIN_ROWS = trie_min_rows
+    try:
+        return timed(lambda: lattice.nearest_points(ens, "F", queries))
+    finally:
+        _kernels.TRIE_MIN_ROWS = saved
+
+
+def trie_nodes(table, queries, gamma, step=64):
+    tol = _kernels.TIE_REL * max(1.0, gamma * gamma)
+    nodes = 0
+    for i in range(0, len(queries), step):
+        _, diffs = _kernels._round(table.values, queries[i:i + step], gamma, tol)
+        nodes += _kernels._trie_shortlist(table, diffs * diffs, gamma, tol)[2]
+    return nodes
 
 
 def main():
@@ -33,25 +69,30 @@ def main():
     ap.add_argument("--samples", type=int, default=2000)
     args = ap.parse_args()
     rng = np.random.default_rng(0)
-    print(f"{'table':>14} {'n':>3} {'queries':>8} {'one row':>12} {'blocks':>12} "
-          f"{'us/query':>17} {'speed-up':>9}")
+    print(f"{'table':>14} {'n':>3} {'queries':>8} {'one row':>9} {'pairs':>9} {'trie':>9} "
+          f"{'nodes':>8} {'path':>6}   (us/query)")
     for n, p, gamma, levels, seed in ENSEMBLES:
         ens = lattice.build_ensemble(n, p, gamma, levels, seed=seed)
         k = ens.k_F
         table = ens.code_table(k)
-        queries = rng.normal(size=(args.samples, n)) * gamma
-
-        start = time.perf_counter()
-        out_row = np.array([nearest_codeword_point(table, q, gamma) for q in queries])
-        t_row = time.perf_counter() - start
-        start = time.perf_counter()
-        out_block = lattice.nearest_points(ens, "F", queries)
-        t_block = time.perf_counter() - start
-
-        assert out_block.tobytes() == out_row.tobytes(), "one-row and block points differ"
-        per_query = f"{t_row / args.samples * 1e6:7.1f} / {t_block / args.samples * 1e6:7.1f}"
-        print(f"{p}^{k} = {p ** k:>6} {n:>3} {args.samples:>8} {t_row * 1e3:9.1f} ms "
-              f"{t_block * 1e3:9.1f} ms {per_query:>17} {t_row / t_block:8.1f}x")
+        rows = table.shape[0]
+        _ = table.pairs, table.trie  # built outside the timed calls
+        points = table.shifts[rng.integers(0, rows, args.samples)]
+        points = points + gamma * rng.integers(-2, 3, size=points.shape)
+        kinds = {"decode": points + rng.normal(size=points.shape) * 0.2 * gamma / p,
+                 "uniform": rng.random((args.samples, n)) * gamma}
+        for kind, queries in kinds.items():
+            out_row, t_row = timed(lambda: np.array(
+                [nearest_codeword_point(table, q, gamma) for q in queries]))
+            out_pairs, t_pairs = blocks(ens, queries, rows + 1)
+            out_trie, t_trie = blocks(ens, queries, 0)
+            assert out_pairs.tobytes() == out_row.tobytes(), "one-row and pair points differ"
+            assert out_trie.tobytes() == out_row.tobytes(), "pair and trie points differ"
+            nodes = trie_nodes(table, queries, gamma) / args.samples
+            path = "trie" if rows >= _kernels.TRIE_MIN_ROWS else "pairs"
+            us = [t / args.samples * 1e6 for t in (t_row, t_pairs, t_trie)]
+            print(f"{p}^{k} = {rows:>6} {n:>3} {kind:>8} {us[0]:9.1f} {us[1]:9.1f} {us[2]:9.1f} "
+                  f"{nodes:8.1f} {path:>6}")
 
 
 if __name__ == "__main__":

@@ -379,7 +379,12 @@ def cmd_simulate(args) -> int:
                    for ns in noise_list]
     except ValueError as exc:
         raise InputError(str(exc))
-    results = simulator.run_campaign(configs, trials)
+    try:
+        results = simulator.run_campaign(configs, trials)
+    except (ValueError, ArithmeticError) as exc:
+        # zero powers, and noise levels so small that the equalizers or the
+        # decoded points leave float range
+        raise InputError(str(exc))
     csv_lines = ["noise_std,combination_index,errors,trials,rate_estimate,ci_low,ci_high"]
     for ns, rep in zip(noise_list, results):
         for combo in rep["combinations"]:

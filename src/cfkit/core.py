@@ -225,9 +225,19 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
 
 
 def sum_capacity(ch: ChannelInstance) -> float:
-    """Multiple-access sum capacity 0.5 log2 det(I + H P H^T)."""
+    """Multiple-access sum capacity 0.5 log2 det(I + H P H^T).
+
+    With more antennas than users the determinant is taken as that of the
+    L x L matrix I + P^1/2 H^T H P^1/2 (Sylvester's identity): the larger
+    N_r x N_r one is rank-deficient plus I, and with large entries its
+    log-determinant loses the unit eigenvalues.
+    """
     H = ch.H
-    G = np.eye(ch.num_antennas) + H @ ch.P_matrix() @ H.T
+    if ch.num_antennas > ch.num_users:
+        root = np.sqrt(ch.P)
+        G = np.eye(ch.num_users) + root[:, None] * (H.T @ H) * root
+    else:
+        G = np.eye(ch.num_antennas) + H @ ch.P_matrix() @ H.T
     sign, logdet = np.linalg.slogdet(G)
     if sign <= 0:
         raise ArithmeticError("I + H P H^T must be positive definite")

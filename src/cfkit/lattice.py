@@ -16,15 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _zp
+from . import _kernels, _zp
 from ._kernels import CodeTable, nearest_codeword_point, nearest_codeword_points
 
 MAX_N = 10
 MAX_P = 13
 MAX_KF = 6
 # Rows of the largest quantizer table, p^k_F.  nearest_points also sizes its
-# slices by it, to at least MIN_SLICE queries (see slice_length).
+# slices by it, and by MAX_TRIE_NODES on tables the kernel searches by trie,
+# to at least MIN_SLICE queries (see slice_length).
 MAX_CODEWORDS = 20000
+MAX_TRIE_NODES = 2 ** 20
 MIN_SLICE = 4
 
 
@@ -112,21 +114,32 @@ class NestedLatticeEnsemble:
 
     def code_table(self, prefix: int) -> CodeTable:
         """The quantizer's prepared table of codeword_shifts(prefix), built
-        on the first call per prefix."""
+        on the first call per prefix.  Its trie branches first over the pivot
+        columns of G[:prefix] mod p, an information set, so that the
+        symbols in the other columns follow."""
         if prefix not in self._tables:
-            # symbol sums stay below prefix (p - 1)^2 <= 864 under the caps
-            V = np.indices((self.p,) * prefix, dtype=np.uint16)
-            V = V.reshape(prefix, self.p ** prefix).T
-            C = (V @ self.G[:prefix].astype(np.uint16)) % self.p
+            # message symbols from first to last: each row of G adds its p
+            # multiples to every codeword so far, so the last symbol runs
+            # fastest; a sum of two symbols stays below 2p <= 26
+            C = np.zeros((1, self.n), dtype=np.uint8)
+            for g in self.G[:prefix]:
+                steps = ((np.arange(self.p)[:, None] * g) % self.p).astype(np.uint8)
+                C = (C[:, None, :] + steps).reshape(-1, self.n)
+                C -= (C >= self.p) * np.uint8(self.p)
             values = (self.gamma / self.p) * np.arange(C.max() + 1, dtype=np.float64)
-            self._tables[prefix] = CodeTable(C, values)
+            pivots = _zp.rref_mod_p(self.G[:prefix].tolist(), self.p)[1] if prefix else []
+            order = pivots + [j for j in range(self.n) if j not in pivots]
+            self._tables[prefix] = CodeTable(C, values, order)
         return self._tables[prefix]
 
     @functools.cached_property
     def G_right_inverse(self) -> np.ndarray:
         """n x k_F right inverse R of G over Z_p: a codeword c = v G has
         message vector v = c R (unique, since G has full row rank)."""
-        R = np.array(_zp.right_inverse_mod_p(self.G.tolist(), self.p), dtype=np.int64)
+        if self.k_F == 0:
+            R = np.zeros((self.n, 0), dtype=np.int64)
+        else:
+            R = np.array(_zp.right_inverse_mod_p(self.G.tolist(), self.p), dtype=np.int64)
         R.setflags(write=False)
         return R
 
@@ -230,13 +243,17 @@ def nearest_point(ens: NestedLatticeEnsemble, which, x) -> np.ndarray:
 def slice_length(rows: int) -> int:
     """Queries per kernel call of nearest_points for a table of `rows` rows.
 
-    The kernel's largest buffers are rows x queries floats, so a slice holds
-    MAX_CODEWORDS // rows queries, but at least MIN_SLICE.  Each of the
-    kernel's lookups copies one row of B floats per table row; on the
-    16807-row table, 4-query slices ran about 1.5x faster per query than
-    slices of 1 to 3 or of 5 to 8 queries.
+    Below _kernels.TRIE_MIN_ROWS rows the kernel's largest buffers are
+    rows x queries floats, so a slice holds MAX_CODEWORDS // rows queries.
+    From there on the trie search keeps at most `rows` nodes per query and
+    level, each a few 8-byte array entries, so a slice holds
+    MAX_TRIE_NODES // rows queries: 62 on the 16807-row table.  There a
+    decode-like query costs about 5 times less in 62-query slices than in
+    4-query ones, and its search keeps about 50 nodes.  Both are at least
+    MIN_SLICE.
     """
-    return max(MIN_SLICE, MAX_CODEWORDS // rows)
+    budget = MAX_CODEWORDS if rows < _kernels.TRIE_MIN_ROWS else MAX_TRIE_NODES
+    return max(MIN_SLICE, budget // rows)
 
 
 def nearest_points(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:

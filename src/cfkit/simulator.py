@@ -64,6 +64,9 @@ class TrialConfig:
         if self.ensemble.num_users != self.ch.num_users:
             raise ValueError("ensemble and channel disagree on user count")
         if self.mode == "successive":
+            M, L = self.A.shape
+            if not all(1 <= m <= M and 1 <= l <= L for m, l in _mapping_pairs(self.mapping)):
+                raise ValueError(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
             self.cancellation = zp_asc_matrix(self.A, self.mapping, self.ensemble.p)
 
 
@@ -220,12 +223,12 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    L = A.shape[0]
+    L, users = A.shape
     pairs = _mapping_pairs(mapping)
     rows = [[Fraction(int(v)) for v in row] for row in A.tolist()]
     Lbar = np.eye(L, dtype=np.int64)
     for m in range(1, L + 1):
-        cols = [l - 1 for l in range(1, L + 1) if (m, l) not in pairs]
+        cols = [l - 1 for l in range(1, users + 1) if (m, l) not in pairs]
         if not cols:
             continue
         if m == 1:
@@ -242,7 +245,7 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
                     f"p = {p} too small: cancellation coefficient {frac} has no mod-p image")
             Lbar[m - 1, i] = (frac.numerator * pow(frac.denominator, -1, p)) % p
     reduced = np.array(_zp.matmul_mod_p(Lbar.tolist(), A.tolist(), p), dtype=np.int64)
-    for (m, l) in ((m, l) for m in range(1, L + 1) for l in range(1, L + 1)):
+    for (m, l) in ((m, l) for m in range(1, L + 1) for l in range(1, users + 1)):
         if (m, l) not in pairs and reduced[m - 1, l - 1] % p != 0:
             raise AssertionError("mod-p cancellation failed to match the mapping")
     Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)

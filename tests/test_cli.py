@@ -121,6 +121,18 @@ class TestMac:
         doc = json.loads((tmp_path / "mac_assignments.json").read_text())
         assert all(abs(e["gap"]) < 1e-6 for e in doc["assignments"])
 
+    @pytest.mark.parametrize("doc", [{"H": [[100.0], [100.0]], "P": [10000.0]},
+                                     {"H": [[150.0], [100.0]], "P": [100000.0]}])
+    def test_more_antennas_than_users(self, tmp_path, doc):
+        # I + H P H^T is rank one plus I with entries near 1e8 to 2e9; the
+        # sum capacity comes from the 1 x 1 I + P^1/2 H^T H P^1/2 instead
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(doc))
+        assert run(["mac", "--input", path, "--out", tmp_path]) == 0
+        out = json.loads((tmp_path / "mac_assignments.json").read_text())
+        succ = [e for e in out["assignments"] if e["strategy"] == "successive"]
+        assert succ and all(e["sum_rate"] == out["sum_capacity"] for e in succ)
+
 
 # Commands run on channels whose exact work overflows or is ill-conditioned,
 # with the report each would write.
@@ -252,7 +264,14 @@ class TestSimulate:
         ({"ensemble": {"n": 2, "p": 2, "gamma": 2.0, "levels": [[0, 1], [0, 2]], "seed": 21},
           "A": [[2, 1], [1, 0]], "mode": "successive", "mapping": [[1, 1], [1, 2], [2, 2]]},
          "p = 2 too small"),
-    ], ids=["not-admissible", "p-too-small"])
+        ({"mode": "successive", "mapping": [[1, 1], [1, 2], [3, 2]]},
+         "mapping pairs [m, l] need 1 <= m <= 2 and 1 <= l <= 2"),
+        ({"A": [[1, 1]], "mode": "successive", "mapping": [[1, 1]]},
+         "mapping is not admissible (row 1)"),
+        ({"mode": "successive", "mapping": [[1, 1], [1, 2], [2, 2]], "P": [1.0, 0.0]},
+         "user 2 has zero power"),
+    ], ids=["not-admissible", "p-too-small", "pair-out-of-range", "fewer-rows-than-users",
+            "zero-power"])
     def test_mapping_errors_are_input_errors(self, tmp_path, capsys, overrides, message):
         cfg = self.config(tmp_path, noise_std=[0.5], **overrides)
         assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),

@@ -150,6 +150,110 @@ def test_campaign_table_bitwise_equal_to_scan_oracle():
         assert got[i:i + 4].tobytes() == want.tobytes()
 
 
+def assert_sliced_matches_oracle(table, X, gamma, step=4):
+    got = nearest_codeword_points(table, X, gamma)
+    for i in range(0, X.shape[0], step):
+        want = scan_oracle(table.shifts, X[i:i + step], gamma)
+        assert got[i:i + step].tobytes() == want.tobytes(), i
+
+
+def trie_queries(rng, table, gamma, count=24):
+    """Decode-like queries (codewords moved by gamma Z^n plus noise), queries
+    uniform over [0, gamma)^n and points of the gamma/14 grid, where
+    midpoint ties abound."""
+    K, n = table.shape
+    points = table.shifts[rng.integers(0, K, count)]
+    points = points + gamma * rng.integers(-2, 3, size=points.shape)
+    return {"decode": points + rng.normal(size=points.shape) * 0.3,
+            "uniform": rng.random((count, n)) * gamma,
+            "grid": rng.integers(-14, 14, size=(count, n)) * gamma / 14}
+
+
+@pytest.fixture(scope="module")
+def campaign_ensemble():
+    # the 7^4 = 2401- and 7^5 = 16807-row tables of the parallel benchmark campaign
+    return build_ensemble(8, 7, 7.0, [[0, 4], [1, 5]], seed=21)
+
+
+@pytest.mark.parametrize("prefix", [4, 5])
+def test_trie_search_bitwise_equal_to_scan_oracle(campaign_ensemble, prefix):
+    table = campaign_ensemble.code_table(prefix)
+    assert table.shape[0] >= _kernels.TRIE_MIN_ROWS
+    rng = np.random.default_rng(48 + prefix)
+    for X in trie_queries(rng, table, 7.0).values():
+        assert_sliced_matches_oracle(table, X, 7.0)
+
+
+def test_trie_branches_over_an_information_set(campaign_ensemble):
+    # pivot columns first: k levels of p children each, then n - k levels
+    # of one child, one leaf per row
+    table = campaign_ensemble.code_table(5)
+    trie = table.trie
+    assert [first is None for _, first in trie.levels] == [False] * 5 + [True] * 3
+    assert [len(cells) for cells, _ in trie.levels] == [7 ** 1, 7 ** 2, 7 ** 3, 7 ** 4] + [7 ** 5] * 4
+    assert sorted(trie.leaves) == list(range(7 ** 5))
+    arrays = [table.order, trie.leaves] + [a for level in trie.levels for a in level if a is not None]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_trie_search_retries_uniform_queries(campaign_ensemble, monkeypatch):
+    # uniform queries sit far from the 2401-row table's codewords, beyond
+    # the first threshold, so some are searched again
+    table = campaign_ensemble.code_table(4)
+    passes = []
+    descend = _kernels._descend
+    monkeypatch.setattr(_kernels, "_descend", lambda *a: passes.append(a[-1].size) or descend(*a))
+    X = np.random.default_rng(50).random((24, 8)) * 7.0
+    assert_sliced_matches_oracle(table, X, 7.0, step=24)
+    assert len(passes) > 1
+
+
+def test_trie_search_without_leading_information_set():
+    # the first two columns repeat a symbol, so the trie's second level has
+    # one child per node and branching goes on below it
+    ens = build_ensemble(8, 7, 7.0, [[0, 4]], seed=21)
+    codes = ens.code_table(4).cells - 7 * np.arange(8)
+    codes[:, 1] = codes[:, 0]
+    values = np.arange(7) * 1.0
+    table = CodeTable(codes, values)
+    assert [first is None for _, first in table.trie.levels][:3] == [False, True, False]
+    rng = np.random.default_rng(51)
+    for X in trie_queries(rng, table, 7.0).values():
+        assert_sliced_matches_oracle(table, X, 7.0)
+
+
+def test_trie_search_on_duplicate_rows(campaign_ensemble):
+    shifts = campaign_ensemble.codeword_shifts(4)
+    rng = np.random.default_rng(52)
+    shifts = np.vstack([shifts, shifts[rng.integers(0, len(shifts), 600)]])
+    table = CodeTable.from_shifts(shifts)
+    assert table.shape[0] >= _kernels.TRIE_MIN_ROWS and len(table.trie.leaves) == 2401
+    for X in trie_queries(rng, table, 7.0).values():
+        assert_sliced_matches_oracle(table, X, 7.0)
+
+
+def test_trie_search_non_finite_queries(campaign_ensemble):
+    # NaN offsets shortlist nothing and take row 0; offsets that overflow
+    # tie every row; both as in the scan
+    table = campaign_ensemble.code_table(4)
+    X = np.array([[np.nan] * 8, [np.inf] + [0.0] * 7, [1e300] + [0.0] * 7, [1e160] * 8,
+                  [3e153, 1, 2, 3, 4, 5, 6, 7]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_sliced_matches_oracle(table, X, 7.0, step=5)
+
+
+@pytest.mark.parametrize("seed", [45, 123])
+def test_trie_search_on_small_tables(monkeypatch, seed):
+    # the random tie tables of the pair-path tests, searched by trie
+    monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", 2)
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        shifts, _, gamma = random_case(rng)
+        assert_matches_oracle(shifts, grid_queries(rng, shifts, gamma), gamma)
+
+
 @pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
 def test_shortlist_boundary(scale):
     # two cosets whose exact squared distances differ by scale * tol, with
@@ -166,6 +270,13 @@ def test_shortlist_boundary(scale):
             assert got.tobytes() == scan_oracle(shifts, x, gamma).tobytes()
             want = [0.0, h] if scale > 1 else [0.0, 0.0]
             assert np.array_equal(got[0], want), (h, scale, got)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
+def test_trie_shortlist_boundary(monkeypatch, scale):
+    # the same near ties, searched by trie
+    monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", 2)
+    test_shortlist_boundary(scale)
 
 
 def assert_batched_bitwise(shifts, X, gamma):

@@ -154,8 +154,9 @@ class TestNearestPoints:
     def test_large_table_is_split_and_bitwise_equal(self):
         ens = build_ensemble(4, 7, 7.0, [(0, 4)], seed=3)
         size = ens.codeword_shifts(4).size
-        X = np.random.default_rng(13).normal(size=(21, 4)) * 7
-        assert 1 < lattice.slice_length(size // ens.n) < X.shape[0]  # several slices
+        step = lattice.slice_length(size // ens.n)
+        X = np.random.default_rng(13).normal(size=(2 * step + 5, 4)) * 7
+        assert 1 < step < X.shape[0]  # several slices
         want = np.array([nearest_point(ens, "F", x) for x in X])
         assert nearest_points(ens, "F", X).tobytes() == want.tobytes()
 

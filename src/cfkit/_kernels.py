@@ -29,10 +29,12 @@ by indices into its m distinct values:
      trie (Agrell, Eriksson, Vardy and Zeger, "Closest point search in
      lattices", IEEE Trans. IT 2002), level by level over the whole block.
      A node's cost is the sum of its coordinates' offsets; its bound adds
-     each remaining coordinate's smallest offset.  Nodes whose bound exceeds
-     the query's threshold are dropped.  The threshold starts at the root's
-     bound plus (gamma/m)^2; a query whose surviving leaves do not show that
-     it covered the shortlist margin is searched again with a larger one;
+     each remaining coordinate's smallest offset.  Where nodes branch,
+     children whose bound exceeds the query's threshold are dropped; below
+     the last branching level each node has one leaf, which is costed.  The
+     threshold starts at the root's bound plus (gamma/m)^2; a query whose
+     leaves do not show that it covered the shortlist margin is searched
+     again with a larger one;
 3. a query with one shortlisted row takes that row's coordinates from
    stage 1; one with several reruns the scan's arithmetic (row-wise einsum
    distance, tol, lexicographic pass) on them.
@@ -52,10 +54,10 @@ TIE_REL = 1e-12
 # Tables of at least this many rows take stage 2's trie search, smaller ones
 # the pair lookups.  In blocks on a 2-core Xeon (benchmarks/bench_quantizer.py)
 # the trie is 4 to 11 times faster on decode-like queries from 2197 rows up,
-# and on queries uniform over the cube from 2.7 times slower (14641 rows,
-# n = 10) to 2.7 times faster (16807 rows).  Below that the pair lookups cost
-# at most 16 us per query, and the trie loses up to 5 times on uniform
-# queries (1331 rows).
+# and on queries uniform over the cube from about 3 times slower (14641 rows,
+# n = 10) to about 2.7 times faster (16807 rows).  Below that the pair
+# lookups cost at most about 14 us per query, and the trie loses up to about
+# 5 times on uniform queries (1331 rows).
 TRIE_MIN_ROWS = 2000
 
 # Relative slack of the trie's threshold over the shortlist margin: far

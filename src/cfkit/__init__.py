@@ -7,7 +7,7 @@ Monte-Carlo harness.
 """
 
 from .core import (UNBOUNDED, ChannelInstance, NoiseReport, achievable_rate,
-                   effective_matrix, lattice_gram, sigma_para_eval,
+                   effective_matrix, lattice_gram, noise_variance, sigma_para_eval,
                    sigma_para_opt, sigma_succ_eval, sigma_succ_opt,
                    sum_capacity)
 from .intsearch import (DominantSolution, dominant_solution, entry_bound,

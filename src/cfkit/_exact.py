@@ -81,6 +81,38 @@ def rows_independent(rows_so_far: list, candidate) -> bool:
     return int_rank(stacked) == len(stacked)
 
 
+class RowBasis:
+    """Exact span of the integer rows kept so far, grown one row at a time.
+
+    Holds a fraction-free echelon basis in python ints: every kept row has a
+    pivot column, and every later row is zero at it.  A candidate reduced
+    against the kept rows in order is therefore zero at every pivot, and is
+    independent exactly when something nonzero is left.  This answers
+    rows_independent(kept, candidate) without a rank from scratch.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, candidate) -> bool:
+        """Keep candidate and return True when it is independent of the kept
+        rows; return False, keeping nothing, when it lies in their span."""
+        r = [int(v) for v in candidate]
+        for col, row in self._rows:
+            g = r[col]
+            if g:
+                f = row[col]
+                r = [f * x - g * y for x, y in zip(r, row)]
+        col = next((j for j, v in enumerate(r) if v), None)
+        if col is None:
+            return False
+        self._rows.append((col, r))
+        return True
+
+
 def is_unimodular(mat) -> bool:
     """Square integer matrix with determinant +1 or -1."""
     rows = _to_rows(mat)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import intsearch, lattice, mac_opt, regions, simulator
 from .core import (UNBOUNDED, ChannelInstance, effective_matrix, lattice_gram,
-                   sigma_para_opt, sigma_succ_opt, sum_capacity)
+                   noise_variance, sigma_para_opt, sum_capacity)
 
 
 class InputError(Exception):
@@ -65,11 +65,16 @@ def _coeff_matrix(doc: dict, key: str = "A", required: bool = True):
         if required:
             raise InputError(f"missing field {key!r}")
         return None
-    A = np.array(doc[key])
-    if A.size == 0:
+    try:
+        A = np.array(doc[key])
+        integral = np.array_equal(A, np.rint(A))
+    except (TypeError, ValueError):
+        # ragged rows, strings, nulls, integers past int64
+        raise InputError(f"field {key!r} must be an integer matrix")
+    if A.size == 0 or A.ndim > 2:
         raise InputError(f"field {key!r} must be a nonempty integer matrix")
-    if not np.array_equal(A, np.rint(A)):
-        raise InputError(f"field {key!r} must contain integers")
+    if not integral or not np.all(np.abs(A) < 2.0 ** 63):
+        raise InputError(f"field {key!r} must contain integers below 2^63 in magnitude")
     return np.atleast_2d(A.astype(int))
 
 
@@ -126,6 +131,9 @@ def cmd_region(args) -> int:
         A = _coeff_matrix(doc, "Atilde", required=False)
         if A is None:
             A = _coeff_matrix(doc, "A")
+        if A.shape[1] != ch.num_users:
+            raise InputError(f"coefficient matrix has {A.shape[1]} columns "
+                             f"for {ch.num_users} users")
     elif mode not in ("mac", "sic"):
         raise InputError(f"unknown mode {mode!r}")
     files = {}
@@ -134,8 +142,9 @@ def cmd_region(args) -> int:
             spec = regions.para_region(ch, A)
         elif mode in ("succ", "asc"):
             mapping = _mapping_from(doc)
-            if mapping is None:
-                mapping = regions.all_pairs_mapping(ch.num_users).pairs
+            if mapping is None:  # every row serves every user
+                mapping = frozenset(itertools.product(range(1, A.shape[0] + 1),
+                                                      range(1, ch.num_users + 1)))
             fn = regions.succ_region if mode == "succ" else regions.asc_region
             spec = fn(ch, A, mapping)
         elif mode == "mac":
@@ -222,10 +231,11 @@ def cmd_search(args) -> int:
         bound_val = intsearch.entry_bound(ch)
         dom = intsearch.dominant_solution(
             effective_matrix(ch), max_radius=radius if radius is not None else 64)
+        # the rows of A_star are exactly independent
         rows = []
         for m, row in enumerate(dom.A_star):
-            para = sigma_para_opt(ch, row).variance
-            succ = sigma_succ_opt(ch, row, dom.A_star[:m]).variance if m else para
+            para = noise_variance(ch, row)
+            succ = noise_variance(ch, row, dom.A_star[:m]) if m else para
             rows.append({"row": [int(v) for v in row],
                          "sigma2_parallel": round(para, 6),
                          "sigma2_successive": round(succ, 6)})

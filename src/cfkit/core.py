@@ -154,8 +154,40 @@ def sigma_para_opt(ch: ChannelInstance, a) -> NoiseReport:
     P = ch.P_matrix()
     G = np.eye(ch.num_antennas) + H @ P @ H.T
     b_opt = np.linalg.solve(G, H @ P @ a)
-    variance = float(np.sum((F @ a) ** 2))
-    return NoiseReport(variance=variance, b_opt=b_opt)
+    return NoiseReport(variance=_para_variance(F, a), b_opt=b_opt)
+
+
+def _para_variance(F: np.ndarray, a: np.ndarray) -> float:
+    return float(np.sum((F @ a) ** 2))
+
+
+def _chained_residual(F: np.ndarray, a_m: np.ndarray, A_prev: np.ndarray):
+    """(N F a_m, Q, R, Q^T F a_m) for the projector N = I - Q Q^T onto the
+    orthogonal complement of F A_prev^T, with Q R = F A_prev^T."""
+    # QR projection: much better conditioned than forming
+    # A_prev (F^T F) A_prev^T explicitly
+    Q, R = np.linalg.qr(F @ A_prev.T)
+    Fa = F @ a_m
+    coeffs = Q.T @ Fa
+    return Fa - Q @ coeffs, Q, R, coeffs
+
+
+def noise_variance(ch: ChannelInstance, a_m, A_prev=()) -> float:
+    """sigma_succ_opt(ch, a_m, A_prev).variance without the equalizers.
+
+    With no prior rows this is sigma_para_opt's ||F a_m||^2.  The floating
+    operations are those of sigma_para_opt/sigma_succ_opt, in the same order,
+    so the value is bitwise theirs.  Neither the dimensions nor the rank of
+    A_prev are checked: callers pass rows they know to be exactly independent
+    (the rows of a unimodular matrix, say).
+    """
+    a_m = np.asarray(a_m, dtype=float).ravel()
+    F = effective_matrix(ch)
+    if not np.size(A_prev):
+        return _para_variance(F, a_m)
+    A_prev = np.atleast_2d(np.asarray(A_prev, dtype=float))
+    resid_vec = _chained_residual(F, a_m, A_prev)[0]
+    return float(resid_vec @ resid_vec)
 
 
 def sigma_succ_eval(ch: ChannelInstance, a_m, A_prev, b, c) -> float:
@@ -205,13 +237,7 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
         raise ValueError("dimension mismatch")
     if _numeric_rank(A_prev) != A_prev.shape[0]:
         raise ValueError("A_prev must have full row rank (drop dependent rows)")
-    F = effective_matrix(ch)
-    # orthogonal projection onto span(F A_prev^T) via QR: much better
-    # conditioned than forming A_prev (F^T F) A_prev^T explicitly
-    Q, R = np.linalg.qr(F @ A_prev.T)
-    Fa = F @ a_m
-    coeffs = Q.T @ Fa
-    resid_vec = Fa - Q @ coeffs
+    resid_vec, Q, R, coeffs = _chained_residual(effective_matrix(ch), a_m, A_prev)
     c_opt = np.linalg.solve(R, coeffs)
     resid = a_m - A_prev.T @ c_opt
     H = ch.H

@@ -110,13 +110,14 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
         # primary key: squared norm; ties: lexicographic on the entries
         order = near[np.lexsort(tuple(grid[near, k] for k in reversed(range(dim)))
                                 + (norms2[near],))]
-        chosen: list[tuple[int, ...]] = []
+        basis = _exact.RowBasis()
+        chosen: list[list[int]] = []
         norms: list[float] = []
         for idx in order:
             if len(chosen) == L:
                 break
-            vec = tuple(int(v) for v in grid[idx])
-            if _exact.rows_independent(chosen, vec):
+            vec = grid[idx].tolist()
+            if basis.add(vec):
                 chosen.append(vec)
                 norms.append(float(np.sqrt(norms2[idx])))
         if len(chosen) == L and smin * (radius + 1) > norms[-1]:

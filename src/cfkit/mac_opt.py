@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intsearch, regions
-from .core import (ChannelInstance, achievable_rate, log2_plus,
-                   sigma_succ_opt, sum_capacity)
+from .core import (ChannelInstance, achievable_rate, log2_plus, noise_variance,
+                   sum_capacity)
 from .regions import AdmissibleMapping
 
 
@@ -104,7 +104,7 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
 
 def _parallel_bounds(ch, dom) -> tuple[list[float], float]:
     """Unchained row variances of dom.A_star, and the sum capacity."""
-    return regions.row_variances(ch, dom.A_star, chained=False), sum_capacity(ch)
+    return [noise_variance(ch, row) for row in dom.A_star], sum_capacity(ch)
 
 
 def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignment:
@@ -148,8 +148,7 @@ def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome
     mapping and pi have passed their checks.  cap is sum_capacity(ch).
     """
     L = ch.num_users
-    pairs = mapping.pairs if isinstance(mapping, AdmissibleMapping) else mapping
-    mapping = regions._coerce_mapping(A, pairs)
+    mapping = regions._coerce_mapping(A, mapping)
     pi = tuple(int(v) for v in pi)
     if sorted(pi) != list(range(1, L + 1)):
         raise ValueError("pi must be a permutation of decoding steps 1..L")
@@ -194,7 +193,7 @@ def _chained_variances(ch: ChannelInstance, A: np.ndarray, memo: dict) -> list[f
     for m in range(A.shape[0]):
         key = A[:m + 1].tobytes()
         if key not in memo:
-            memo[key] = sigma_succ_opt(ch, A[m], A[:m]).variance
+            memo[key] = noise_variance(ch, A[m], A[:m])
         out.append(memo[key])
     return out
 

@@ -85,13 +85,15 @@ def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
 
     Row by row, solves for coefficients on the earlier rows that zero out
     every column not in the mapping (least squares with a residual check).
+    Atilde may have any number of rows; pairs naming no row or no column of
+    it are ignored.
     """
     A = np.atleast_2d(np.asarray(Atilde, dtype=float))
-    L = A.shape[0]
+    M, L = A.shape
     pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
-    W = np.eye(L)
+    W = np.eye(M)
     scale = max(1.0, float(np.max(np.abs(A))))
-    for m in range(1, L + 1):
+    for m in range(1, M + 1):
         cols = [l - 1 for l in range(1, L + 1) if (m, l) not in pairs]
         if not cols:
             continue
@@ -201,11 +203,8 @@ def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
 
 def _independent_prefix(A: np.ndarray, m: int) -> np.ndarray:
     """Rows before m (0-indexed exclusive) with dependent rows dropped."""
-    kept: list[list[int]] = []
-    for i in range(m):
-        row = [int(v) for v in A[i]]
-        if any(row) and _exact.rows_independent(kept, row):
-            kept.append(row)
+    basis = _exact.RowBasis()
+    kept = [row for row in A[:m].tolist() if basis.add(row)]
     return np.array(kept, dtype=int) if kept else np.zeros((0, A.shape[1]), dtype=int)
 
 
@@ -269,14 +268,47 @@ def asc_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
 
 
 def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
+    """The mapping with a witness that holds for A, or ValueError.
+
+    A mapping that carries a witness (lu_mapping's exact one, say) is
+    returned as it is when one product L_real @ A clears every column outside
+    the mapping, at is_admissible's tolerance.  A raw pair set, or a carried
+    witness that fails, is solved for by is_admissible.  A pair naming a user
+    of A but no row of it is an error.
+    """
     if isinstance(mapping, AdmissibleMapping):
         pairs = mapping.pairs
     else:
         pairs = frozenset((int(m), int(l)) for (m, l) in mapping)
+    M, L = A.shape
+    for m, l in pairs:
+        if 1 <= l <= L and not 1 <= m <= M:
+            raise ValueError(f"mapping pair ({m},{l}) names row {m} of a "
+                             f"coefficient matrix with {M} rows")
+    if isinstance(mapping, AdmissibleMapping) and _witness_holds(A, mapping):
+        return mapping
     witness = is_admissible(A, pairs)
     if witness is None:
         raise ValueError("mapping is not admissible for this coefficient matrix")
     return witness
+
+
+def _witness_holds(A: np.ndarray, mapping: AdmissibleMapping) -> bool:
+    """mapping.L_real is lower unitriangular and zeroes, in one product with
+    A, every entry outside the mapping up to is_admissible's tolerance."""
+    W = mapping.L_real
+    M, L = A.shape
+    if W is None or W.shape != (M, M):
+        return False
+    # python loops: the matrices are small, and numpy's per-call cost dominates
+    upper = W.tolist()
+    if any(upper[i][j] != (i == j) for i in range(M) for j in range(i, M)):
+        return False
+    entries = A.tolist()
+    tol = _TOL * max(1.0, *(abs(v) for row in entries for v in row))
+    prod = (W @ A).tolist()
+    return all(abs(prod[m][l]) <= tol for m in range(M) for l in range(L)
+               if (m + 1, l + 1) not in mapping.pairs)
 
 
 def mac_region(ch: ChannelInstance) -> RateRegionSpec:

@@ -32,6 +32,55 @@ def test_rows_independent():
     assert _exact.rows_independent([[1, 2, 3]], [1, 0, 0])
 
 
+def _row_sequence(rng, dim):
+    """Candidate rows for a RowBasis: small rows, rows with entries above
+    2^40 (kept below 2^63 in every combination, as int_rank reads them
+    through numpy), zero rows, and integer combinations of the rows drawn so
+    far (dependent ones)."""
+    rows = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            row = [0] * dim
+        elif kind == 1 and rows:
+            picks = rng.integers(0, len(rows), size=2)
+            f, g = (int(v) for v in rng.integers(-3, 4, size=2))
+            row = [f * x + g * y for x, y in zip(rows[picks[0]], rows[picks[1]])]
+        elif kind == 2:
+            row = [int(v) * 2 ** int(rng.integers(40, 57)) + int(rng.integers(-5, 6))
+                   for v in rng.integers(-3, 4, size=dim)]
+        else:
+            row = [int(v) for v in rng.integers(-3, 4, size=dim)]
+        rows.append(row)
+    return rows
+
+
+def test_row_basis_agrees_with_rows_independent():
+    rng = np.random.default_rng(5)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        dim = int(rng.integers(1, 6))
+        basis = _exact.RowBasis()
+        kept = []
+        for row in _row_sequence(rng, dim):
+            expected = _exact.rows_independent(kept, row)
+            assert basis.add(row) == expected
+            seen[expected] += 1
+            if expected:
+                kept.append(row)
+            assert len(basis) == len(kept)
+    assert min(seen.values()) > 300
+
+
+def test_row_basis_examples():
+    basis = _exact.RowBasis()
+    assert not basis.add([0, 0, 0])
+    assert basis.add([2, 4, 6]) and not basis.add([1, 2, 3])
+    assert basis.add([2 ** 41, 1, 0]) and not basis.add([2 ** 41 + 2, 5, 6])
+    assert basis.add(np.array([0, 0, 5])) and not basis.add([7, -1, 2])
+    assert len(basis) == 3
+
+
 def test_unimodular():
     assert _exact.is_unimodular([[1, 1], [1, 2]])
     assert not _exact.is_unimodular([[2, 0], [0, 1]])

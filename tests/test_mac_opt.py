@@ -5,7 +5,8 @@ import pytest
 
 from cfkit import intsearch, regions
 from cfkit.core import (ChannelInstance, achievable_rate, effective_matrix,
-                        log2_plus, sum_capacity)
+                        log2_plus, noise_variance, sigma_para_opt,
+                        sigma_succ_opt, sum_capacity)
 from cfkit.mac_opt import (MacAssignment, SuccessiveOutcome, mac_mapping,
                            mac_mappings_all,
                            parallel_mac_assignment, parallel_mac_assignments,
@@ -219,8 +220,19 @@ def mac_oracle(ch):
 
 def _bitwise(assignments):
     return [(a.A.dtype, a.A.shape, a.A.tobytes(), a.pi, a.rates, a.sum_rate,
-             a.gap_to_capacity, a.mapping.pairs, a.mapping.L_real.tobytes())
-            for a in assignments]
+             a.gap_to_capacity, a.mapping.pairs) for a in assignments]
+
+
+def _assert_exact_witnesses(assignments):
+    """Each witness is bitwise the exact one of lu_mapping for the
+    assignment's pivot order.  (The oracle's successive witnesses come from
+    is_admissible's least squares, so they may differ in the last bits or in
+    the sign of a zero.)"""
+    for asg in assignments:
+        order = [asg.pi.index(step) for step in range(1, len(asg.pi) + 1)]
+        exact, pi = regions.lu_mapping(asg.A, order)
+        assert pi == asg.pi and exact.pairs == asg.mapping.pairs
+        assert asg.mapping.L_real.tobytes() == exact.L_real.tobytes()
 
 
 def oracle_channels(rng, count):
@@ -243,8 +255,29 @@ class TestAgainstOracle:
         rng = np.random.default_rng(43)
         for i, ch in enumerate(oracle_channels(rng, 300)):
             parallel, successive = mac_oracle(ch)
-            assert _bitwise(parallel_mac_assignments(ch)) == _bitwise(parallel), i
-            assert _bitwise(successive_mac_assignments(ch)) == _bitwise(successive), i
+            for new, old in ((parallel_mac_assignments(ch), parallel),
+                             (successive_mac_assignments(ch), successive)):
+                assert _bitwise(new) == _bitwise(old), i
+                _assert_exact_witnesses(new)
+
+    def test_noise_variance_equals_full_reports_bitwise(self):
+        # every row prefix of every successive_mac_assignments candidate:
+        # the user permutation matrices and the dominant solution
+        rng = np.random.default_rng(43)
+        for i, ch in enumerate(oracle_channels(rng, 300)):
+            L = ch.num_users
+            candidates = [np.eye(L, dtype=int)[list(p)]
+                          for p in itertools.permutations(range(L))]
+            candidates.append(ch._dominant_solution.A_star)
+            prefixes = {A[:m + 1].tobytes(): A[:m + 1] for A in candidates
+                        for m in range(L)}
+            for rows in prefixes.values():
+                a_m, prev = rows[-1], rows[:-1]
+                full = sigma_succ_opt(ch, a_m, prev).variance
+                assert np.float64(noise_variance(ch, a_m, prev)).tobytes() == \
+                    np.float64(full).tobytes(), (i, rows.tolist())
+                assert np.float64(noise_variance(ch, a_m)).tobytes() == \
+                    np.float64(sigma_para_opt(ch, a_m).variance).tobytes(), i
 
     def test_dominant_solution_cached_read_only(self):
         ch = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])

@@ -12,7 +12,7 @@ from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
                            lu_mapping, lu_mappings_all, mac_region, membership,
                            para_region,
                            participation_mapping, region_2d, sic_rates,
-                           spec_to_json, succ_region)
+                           spec_to_json, succ_region, _coerce_mapping)
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 COMPSUCC = ChannelInstance(H=[[2.0, 1.0, 1.0]], P=[1.0, 1.0, 1.0])
@@ -92,6 +92,48 @@ class TestAdmissibility:
                 for l in range(3):
                     if (m + 1, l + 1) not in mapping.pairs:
                         assert abs(prod[m, l]) < 1e-9
+
+
+class TestCarriedWitness:
+    """_coerce_mapping keeps a mapping's own witness when it holds for A and
+    solves for one when it does not."""
+
+    def test_exact_witness_is_kept(self):
+        A = np.array([[1, 1, 1], [1, -1, -1], [2, 1, 3]])
+        for mapping, _pi in lu_mappings_all(A):
+            assert _coerce_mapping(A, mapping) is mapping
+
+    def test_wrong_witness_is_replaced(self):
+        A = np.array(COMPSUCC_A[:2].tolist() + [[0, 1, 0]])
+        pairs = frozenset({(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)})
+        solved = is_admissible(A, pairs)
+        for bad in (np.eye(3), np.array([[1, 0, 0], [-1, 1, 0], [0, 0, 2.0]]),
+                    np.array([[1, 0, 0], [-1, 1, 5.0], [0, 0, 1]]), None):
+            got = _coerce_mapping(A, AdmissibleMapping(pairs=pairs, L_real=bad))
+            assert got.L_real.tobytes() == solved.L_real.tobytes()
+
+    def test_inadmissible_pairs_raise_despite_a_witness(self):
+        with pytest.raises(ValueError, match="not admissible"):
+            _coerce_mapping(np.array([[1, 1], [1, 2]]),
+                            AdmissibleMapping(pairs=frozenset({(1, 1), (2, 2)}),
+                                              L_real=np.eye(2)))
+
+    def test_pair_naming_a_missing_row_raises(self):
+        A = np.array([[1, 0]])
+        for pairs in ({(1, 1), (2, 1)}, {(0, 2)}):
+            with pytest.raises(ValueError, match="names row"):
+                _coerce_mapping(A, pairs)
+        # a pair naming no user is ignored, as is_admissible ignores it
+        assert _coerce_mapping(A, {(1, 1), (1, 2), (5, 3)}).pairs == \
+            frozenset({(1, 1), (1, 2), (5, 3)})
+
+    def test_non_square_matrices(self):
+        wide = np.array([[1, 2, 0]])
+        assert is_admissible(wide, {(1, 1), (1, 2)}) is not None
+        assert is_admissible(wide, {(1, 1)}) is None
+        tall = np.array([[1], [2]])
+        wit = is_admissible(tall, {(1, 1)})
+        assert np.allclose(wit.L_real, [[1, 0], [-2, 1]], atol=1e-12)
 
 
 def _lu_mapping_oracle(A, pivot_order=None):

@@ -94,9 +94,6 @@ class RowBasis:
     def __init__(self):
         self._rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     def add(self, candidate) -> bool:
         """Keep candidate and return True when it is independent of the kept
         rows; return False, keeping nothing, when it lies in their span."""

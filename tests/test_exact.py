@@ -68,7 +68,6 @@ def test_row_basis_agrees_with_rows_independent():
             seen[expected] += 1
             if expected:
                 kept.append(row)
-            assert len(basis) == len(kept)
     assert min(seen.values()) > 300
 
 
@@ -78,7 +77,6 @@ def test_row_basis_examples():
     assert basis.add([2, 4, 6]) and not basis.add([1, 2, 3])
     assert basis.add([2 ** 41, 1, 0]) and not basis.add([2 ** 41 + 2, 5, 6])
     assert basis.add(np.array([0, 0, 5])) and not basis.add([7, -1, 2])
-    assert len(basis) == 3
 
 
 def test_unimodular():

@@ -54,35 +54,37 @@ def region_docs(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(mode=st.sampled_from(["para", "succ", "asc", "mac", "sic"]), doc=region_docs())
-def test_region_files_end_in_exit_0_or_one_error_line(mode, doc):
+def _run_region(mode: str, doc: dict) -> tuple[int, list]:
+    """Run ``cfkit region`` on doc; return the exit code and the written
+    file names, after checking that the run ended in exit 0 with a silent
+    stderr or in exit 2 with one ``error:`` line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "region.json"
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["region", "--mode", mode, "--input", str(path), "--out", tmp])
+        written = sorted(p.name for p in Path(tmp).iterdir() if p != path)
     err = err.getvalue()
     if code == 0:
         assert err == "", err
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+    return code, written
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(["para", "succ", "asc", "mac", "sic"]), doc=region_docs())
+def test_region_files_end_in_exit_0_or_one_error_line(mode, doc):
+    _run_region(mode, doc)
 
 
 @pytest.mark.parametrize("mode", ["para", "succ", "asc"])
-@pytest.mark.parametrize("doc", [
-    {"H": [[0, 0]], "P": [1, 1], "A": [[0], [0, 0]]},   # ragged rows
-    {"H": [[1, 2]], "P": [1, 1], "A": [[1, 0]]},         # fewer rows than users
-    {"H": [[1]], "P": [1], "A": [[1], [1]]},             # more rows than users
+@pytest.mark.parametrize("doc, code", [
+    ({"H": [[0, 0]], "P": [1, 1], "A": [[0], [0, 0]]}, 2),   # ragged rows
+    ({"H": [[1, 2]], "P": [1, 1], "A": [[1, 0]]}, 0),        # fewer rows than users
+    ({"H": [[1]], "P": [1], "A": [[1], [1]]}, 0),            # more rows than users
 ], ids=["ragged", "short", "tall"])
-def test_found_inputs_end_in_exit_0_or_one_error_line(tmp_path, mode, doc):
-    path = tmp_path / "region.json"
-    path.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["region", "--mode", mode, "--input", str(path),
-                     "--out", str(tmp_path)])
-    err = err.getvalue()
-    assert (code == 0 and err == "") or (code == 2 and err.count("\n") == 1
-                                         and err.startswith("error: ")), err
+def test_inputs_that_raised_before(mode, doc, code):
+    got, written = _run_region(mode, doc)
+    assert got == code and (f"region_{mode}.json" in written) == (code == 0)

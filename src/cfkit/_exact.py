@@ -12,14 +12,27 @@ from fractions import Fraction
 import numpy as np
 
 
+def _as_int(value) -> int:
+    try:
+        out = int(value)
+    except (ValueError, OverflowError):  # nan, inf
+        out = None
+    if out is None or out != value:
+        raise ValueError("matrix entries must be integers")
+    return out
+
+
 def _to_rows(mat) -> list[list[int]]:
     arr = np.asarray(mat)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise ValueError("matrix entries must be integers")
-        arr = rounded.astype(object)
-    return [[int(v) for v in row] for row in arr.tolist()] if arr.ndim == 2 else []
+    if arr.ndim != 2:
+        return []
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.tolist()
+    if not isinstance(mat, np.ndarray):
+        # numpy stores python ints past int64 as floats, which drop low
+        # bits, or as objects; read the entries themselves instead
+        arr = np.asarray(mat, dtype=object)
+    return [[_as_int(v) for v in row] for row in arr.tolist()]
 
 
 def int_det(mat) -> int:

@@ -573,16 +573,10 @@ def _verify_lattice(seed: int):
             kc, kf = ens.levels[user - 1]
             pts = set()
             for w in itertools.product(range(ens.p), repeat=kf - kc):
-                lam, _ = _encode_point(ens, user, w)
+                lam = simulator.encode(ens, user, w, np.zeros(ens.n))[0]
                 pts.add(tuple(np.round(lam, 6)))
             assert len(pts) == ens.p ** (kf - kc), \
                 f"user {user} codebook has {len(pts)} points"
-
-    def _encode_point(e, user, w):
-        padded = lattice.zero_padded_label(e, user, w)
-        point = lattice.label_inverse(e, padded)
-        lam = lattice.mod_lattice(e, ("C", user), point)
-        return lam, point
 
     check("labeling round trip (exhaustive)", roundtrip)
     check("labeling linearity", linearity)

@@ -7,33 +7,36 @@ that truth.  Per-trial randomness comes from a counter-based generator keyed
 by (master_seed, trial_index), so reports are reproducible and independent of
 how trials are grouped.
 
-Two paths run the same chain.  run_single_trial runs one trial through the
-per-point functions (encode, true_combinations, decode_parallel,
-decode_successive) and keeps every intermediate in a TrialRecord; it is the
-debugging path and the oracle.  run_campaign runs configs that differ only
-in noise_std: it builds one TrialPlan per config (the equalizers, the Z_p
-cancellation matrix and the quantizing user per row), then takes blocks of
-trials through three batched stages.  _draw_block draws each trial's
-randomness in the oracle's order, on one Philox reset to each trial's key;
-_encode_block computes the dithers, the channel inputs and the true labels;
-_decode_block decodes.  Draws and encoding do not depend on the noise
-level, so each block is drawn and encoded once and decoded once per config.
-run_trials is the campaign of one config and run_block one config's block.
-Both paths do the same floating-point operations on every coordinate, so
-their decisions agree.
+One chain, in three stages over blocks of trials.  _draw_block draws each
+trial's messages, dither cubes and noise, on one Philox reset to each
+trial's key.  _encode_block makes the dithers, then runs each user's
+encoder (_encode_user) and labels the shifted points: the channel inputs
+and the true labels of the rows of A.  _decode_block equalizes, quantizes
+and, in successive mode, cancels over Z_p and recovers the real
+combinations, with a TrialPlan built once per config (the equalizers, the
+Z_p cancellation matrix and the quantizing user per row).
+
+run_campaign runs configs that differ only in noise_std.  Draws and
+encoding do not depend on the noise level, so each block is drawn and
+encoded once and decoded once per config, and only counts and powers are
+kept.  run_trials is the campaign of one config.  run_block runs one
+config's block and keeps every intermediate in a TrialBlock.  The per-point
+functions (encode, shifted_point, true_combinations, decode_parallel,
+decode_successive, recover_real_combo and run_single_trial, whose
+TrialRecord is row 0 of a TrialBlock) are one-row calls of the same stages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 
-from . import _zp, lattice, regions
-from .core import ChannelInstance
+from . import _exact, _zp, lattice, regions
+from .core import ChannelInstance, sigma_para_opt, sigma_succ_opt
 from .lattice import NestedLatticeEnsemble
 
 
@@ -84,39 +87,6 @@ class TrialRecord:
     real_success: list[bool] | None
 
 
-def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
-    """Map a message to its lattice codeword and dithered channel input."""
-    dither = np.asarray(dither, dtype=float).ravel()
-    back = lattice.mod_lattice(ens, ("C", user), dither)
-    if not np.allclose(back, dither, atol=1e-9):
-        raise ValueError("dither must lie in the user's coarse Voronoi region")
-    padded = lattice.zero_padded_label(ens, user, message)
-    point = lattice.label_inverse(ens, padded)
-    lam = lattice.mod_lattice(ens, ("C", user), point)
-    x = lattice.mod_lattice(ens, ("C", user), lam + dither)
-    return lam, x
-
-
-def shifted_point(ens: NestedLatticeEnsemble, user: int, lam, dither) -> np.ndarray:
-    """The coset representative the decoder actually recovers: the codeword
-    shifted by the coarse point absorbed during dithering."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    dither = np.asarray(dither, dtype=float).ravel()
-    return lam - lattice.nearest_point(ens, ("C", user), lam + dither)
-
-
-def true_combinations(ens: NestedLatticeEnsemble, A, shifted_points,
-                      messages=None) -> list[np.ndarray]:
-    """Ground-truth labels u_m of the integer combinations of shifted points."""
-    A = np.atleast_2d(np.asarray(A, dtype=int))
-    labels = [lattice.linear_label(ens, pt) for pt in shifted_points]
-    if messages is not None:
-        for user, (lab, msg) in enumerate(zip(labels, messages), start=1):
-            if not lattice.coset_contains(ens, user, lab, msg):
-                raise AssertionError(f"user {user}'s shifted point left its message coset")
-    return [lattice.label_add(ens, labels, A[m]) for m in range(A.shape[0])]
-
-
 def _theta_user(ens: NestedLatticeEnsemble, coeffs, p: int) -> int | None:
     """User with the finest lattice among mod-p participants (1-indexed)."""
     best = None
@@ -151,8 +121,6 @@ def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.nda
     scaled = ChannelInstance(H=ch.H / noise_std, P=ch.P)
     out = []
     for m in range(A.shape[0]):
-        from .core import sigma_para_opt
-
         out.append(sigma_para_opt(scaled, A[m]).b_opt / noise_std)
     return out
 
@@ -160,17 +128,16 @@ def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.nda
 def successive_equalizers(ch: ChannelInstance, A, noise_std: float
                           ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-row (b, c) pairs; c entries for dropped (dependent) rows are zero."""
-    from .core import sigma_succ_opt
-
     A = np.atleast_2d(np.asarray(A, dtype=int))
     scaled = None
     if noise_std > 0.0:
         scaled = ch if noise_std == 1.0 else ChannelInstance(H=ch.H / noise_std, P=ch.P)
+    # row i is kept when it is independent of the rows kept before it
+    basis = _exact.RowBasis()
+    kept = [basis.add(row) for row in A.tolist()]
     out = []
     for m in range(A.shape[0]):
-        keep = [i for i in range(m)
-                if regions._independent_prefix(A, i + 1).shape[0] >
-                regions._independent_prefix(A, i).shape[0]]
+        keep = [i for i in range(m) if kept[i]]
         prev = A[keep] if keep else np.zeros((0, ch.num_users), dtype=int)
         c_full = np.zeros(m)
         if noise_std == 0.0:
@@ -188,31 +155,6 @@ def successive_equalizers(ch: ChannelInstance, A, noise_std: float
             c_full[row] = c[idx]
         out.append((np.asarray(b, dtype=float), c_full))
     return out
-
-
-def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
-                    dithers, equalizers="optimal", noise_std: float = 1.0):
-    """Independent per-row decoding; returns (labels, flags) where a False
-    flag marks a row whose coefficients all vanish mod p."""
-    A = np.atleast_2d(np.asarray(A, dtype=int))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if equalizers == "optimal":
-        equalizers = parallel_equalizers(ch, A, noise_std)
-    labels = []
-    live = []
-    for m in range(A.shape[0]):
-        theta = _theta_user(ens, A[m], ens.p)
-        if theta is None:
-            labels.append(np.zeros(ens.k, dtype=np.int64))
-            live.append(False)
-            continue
-        ytilde = np.asarray(equalizers[m], dtype=float) @ Y
-        t = ytilde - sum(int(A[m, l]) * np.asarray(dithers[l], dtype=float)
-                         for l in range(ens.num_users))
-        mu_hat = lattice.mod_lattice(ens, "C", lattice.nearest_point(ens, ("F", theta), t))
-        labels.append(lattice.linear_label(ens, mu_hat))
-        live.append(True)
-    return labels, live
 
 
 def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,115 +223,6 @@ def _solve_rational(M, t) -> list[Fraction] | None:
     return x
 
 
-def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
-    """Rebuild the real combination a^T X from its mod-coarse residue.
-
-    Exact whenever the effective noise of ytilde stays inside the coarsest
-    Voronoi region; silently wrong otherwise (trial bookkeeping flags it).
-    """
-    a = np.asarray(a, dtype=int).ravel()
-    acc = np.asarray(mu, dtype=float).ravel() + sum(
-        int(a[l]) * np.asarray(dithers[l], dtype=float) for l in range(len(dithers)))
-    chi = lattice.mod_lattice(ens, "C", acc)
-    ytilde = np.asarray(ytilde, dtype=float).ravel()
-    return lattice.nearest_point(ens, "C", ytilde - chi) + chi
-
-
-def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
-                      mapping, dithers, equalizers="optimal",
-                      noise_std: float = 1.0, with_internals: bool = False):
-    """Full successive chain: equalize with decoded real combinations,
-    cancel algebraically over Z_p, quantize, then invert the cancellation.
-
-    Returns (labels, real_combos, live_flags); with_internals adds a dict of
-    intermediate quantities (reduced combinations, cancellation matrices).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    L = A.shape[0]
-    pairs = _mapping_pairs(mapping)
-    Lbar, Lbar_inv = zp_asc_matrix(A, pairs, ens.p)
-    if equalizers == "optimal":
-        equalizers = successive_equalizers(ch, A, noise_std)
-    labels, reals, nus, mus, live = [], [], [], [], []
-    for m in range(L):
-        b, c = equalizers[m]
-        ytilde = np.asarray(b, dtype=float) @ Y
-        for i in range(m):
-            coef = float(np.asarray(c, dtype=float)[i]) if np.size(c) > i else 0.0
-            if coef != 0.0:
-                ytilde = ytilde + coef * reals[i]
-        target_user = _vartheta_user(ens, pairs, m + 1)
-        t = ytilde.copy()
-        for i in range(m):
-            if Lbar[m, i]:
-                t = t + int(Lbar[m, i]) * mus[i]
-        t = t - sum(int(A[m, l]) * np.asarray(dithers[l], dtype=float)
-                    for l in range(ens.num_users))
-        if target_user is None:
-            nu = np.zeros(ens.n)
-            live.append(False)
-        else:
-            nu = lattice.mod_lattice(
-                ens, "C", lattice.nearest_point(ens, ("F", target_user), t))
-            live.append(True)
-        nus.append(nu)
-        acc = nu
-        for i in range(m):
-            if Lbar_inv[m, i]:
-                acc = acc + int(Lbar_inv[m, i]) * nus[i]
-        mu = lattice.mod_lattice(ens, "C", acc)
-        mus.append(mu)
-        labels.append(lattice.linear_label(ens, mu))
-        reals.append(recover_real_combo(ens, ytilde, mu, dithers, A[m]))
-    if with_internals:
-        return labels, reals, live, {"nu": nus, "mu": mus,
-                                     "Lbar": Lbar, "Lbar_inv": Lbar_inv}
-    return labels, reals, live
-
-
-def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Trial `index`'s own stream: Philox keyed by (master_seed, index)."""
-    return np.random.Generator(np.random.Philox(key=np.array(
-        [master_seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
-
-
-def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialRecord:
-    ens, ch, A = config.ensemble, config.ch, config.A
-    rng = _trial_rng(config.master_seed, index)
-    messages, dithers, codewords, inputs = [], [], [], []
-    for user in range(1, ens.num_users + 1):
-        kc, kf = ens.levels[user - 1]
-        messages.append(rng.integers(0, ens.p, size=kf - kc, dtype=np.int64))
-    for user in range(1, ens.num_users + 1):
-        dithers.append(lattice.sample_voronoi(ens, ("C", user), rng))
-    for user in range(1, ens.num_users + 1):
-        lam, x = encode(ens, user, messages[user - 1], dithers[user - 1])
-        codewords.append(lam)
-        inputs.append(x)
-    X = np.vstack(inputs)
-    noise = rng.standard_normal((ch.num_antennas, ens.n)) * config.noise_std
-    Y = ch.H @ X + noise
-    shifted = [shifted_point(ens, u + 1, codewords[u], dithers[u])
-               for u in range(ens.num_users)]
-    truth = true_combinations(ens, A, shifted, messages)
-    eq = equalizers if equalizers is not None else config.equalizers
-    if config.mode == "parallel":
-        decoded, _live = decode_parallel(ens, Y, ch, A, dithers, eq, config.noise_std)
-        reals = None
-        real_ok = None
-    else:
-        decoded, reals, _live = decode_successive(
-            ens, Y, ch, A, config.mapping, dithers, eq, config.noise_std)
-        real_ok = [bool(np.allclose(r, A[m] @ X, atol=1e-6 * max(1.0, ens.gamma)))
-                   for m, r in enumerate(reals)]
-    success = [bool(np.array_equal(u, v)) for u, v in zip(decoded, truth)]
-    return TrialRecord(messages=messages, dithers=dithers, codewords=codewords,
-                       inputs=X, shifted_points=shifted, true_labels=truth,
-                       decoded_labels=decoded, decoded_real=reals,
-                       success=success, real_success=real_ok)
-
-
 def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
@@ -451,13 +284,20 @@ class TrialPlan:
 
 @dataclass
 class TrialBlock:
-    """Outcomes of a block of B consecutive trials, one leading entry each."""
+    """A block of B consecutive trials, one leading entry each: what a
+    TrialRecord holds for one trial."""
 
-    decoded: np.ndarray              # B x M x k decoded labels
-    success: np.ndarray              # B x M, decoded label equals the truth
-    real_success: np.ndarray | None  # B x M (successive): real combination recovered
+    messages: list                   # per user, B x (k_F,l - k_C,l) symbols
+    dithers: list                    # per user, B x n
+    codewords: list                  # per user, B x n
+    shifted_points: list             # per user, B x n
     inputs: np.ndarray               # B x L x n channel inputs
     powers: np.ndarray               # B x L, x @ x / n per input
+    true_labels: np.ndarray          # B x M x k
+    decoded: np.ndarray              # B x M x k decoded labels
+    decoded_real: list | None        # successive: per row, B x n real combinations
+    success: np.ndarray              # B x M, decoded label equals the truth
+    real_success: np.ndarray | None  # B x M (successive): real combination recovered
 
 
 def _mod_rows(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:
@@ -465,14 +305,15 @@ def _mod_rows(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:
 
 
 def _dither_sum(coeffs, dithers):
-    # the oracle's sum(), started at int 0, so rows round identically
+    # summed from int 0 in user order: the reports depend on this rounding
     return sum(int(coeffs[l]) * dithers[l] for l in range(len(dithers)))
 
 
 def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
                 start: int, stop: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """The random draws of trials start .. stop - 1, bitwise those that
-    run_single_trial takes from each trial's _trial_rng stream.
+    """The random draws of trials start .. stop - 1, trial i's from its own
+    stream, a Philox keyed by (master_seed, i): every user's message, every
+    user's dither cube, then the noise.
 
     Returns the messages (one B x (k_F,l - k_C,l) block per user), the
     dither cubes (B x L x n uniforms on [0, 1)) and the unit noise
@@ -482,7 +323,7 @@ def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
     Bounded integers (Lemire's method) take next_uint32 in order, so one
     integers call over all users' widths gives the per-user calls, upper
     halves carried across users included; one random and one
-    standard_normal call fill the cubes and the noise in the oracle's order.
+    standard_normal call fill the cubes and the noise in stream order.
     """
     B, n = stop - start, ens.n
     widths = [kf - kc for kc, kf in ens.levels]
@@ -505,53 +346,93 @@ def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
     return messages, cubes, noise
 
 
+def _dither_step(ens: NestedLatticeEnsemble, coarse, lam, dither):
+    """Channel inputs (lam + dither) mod the user's coarse lattice, and the
+    shifted points: the codewords moved by the coarse point that step
+    absorbed, the coset representatives the decoder recovers."""
+    moved = lam + dither
+    absorbed = lattice.nearest_points(ens, coarse, moved)
+    return moved - absorbed, lam - absorbed
+
+
+def _encode_user(ens: NestedLatticeEnsemble, u: int, messages, dithers):
+    """User u + 1's encoder on a block of B x (k_F,l - k_C,l) messages and
+    B x n dithers: the codewords (the messages at the user's signal levels,
+    mod its coarse lattice), the channel inputs and the shifted points."""
+    coarse = ("C", u + 1)
+    if not np.allclose(_mod_rows(ens, coarse, dithers), dithers, atol=1e-9):
+        raise ValueError("dither must lie in the user's coarse Voronoi region")
+    kc, kf = ens.levels[u]
+    V = np.zeros((dithers.shape[0], ens.k_F), dtype=np.int64)
+    V[:, kc:kf] = messages
+    point = (ens.gamma / ens.p) * ((V @ ens.G) % ens.p).astype(np.float64)
+    lam = _mod_rows(ens, coarse, point)
+    return (lam, *_dither_step(ens, coarse, lam, dithers))
+
+
+def _check_coset(ens: NestedLatticeEnsemble, u: int, labels, messages) -> None:
+    """User u + 1's shifted-point labels (B x k) hold its messages at its
+    signal levels and zeros past them."""
+    kc, kf = ens.levels[u]
+    if not (np.array_equal(labels[:, kc - ens.k_C:kf - ens.k_C], messages)
+            and not labels[:, kf - ens.k_C:].any()):
+        raise AssertionError(f"user {u + 1}'s shifted point left its message coset")
+
+
+def _combine(ens: NestedLatticeEnsemble, A: np.ndarray, labels) -> np.ndarray:
+    """The labels of the rows of A over a block of user labels: B x L x k
+    in, B x M x k out."""
+    return np.matmul(A % ens.p, labels) % ens.p
+
+
 def _encode_block(ens: NestedLatticeEnsemble, A: np.ndarray, messages: list,
-                  cubes: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-    """sample_voronoi, encode, shifted_point and true_combinations for a
-    block: the channel inputs X (B x L x n), each user's B x n dithers and
-    the true labels (B x M x k) of the rows of A."""
-    B, p, users = cubes.shape[0], ens.p, ens.num_users
+                  cubes: np.ndarray) -> tuple:
+    """Dithers and encoding of a block: each user's dithers (its cubes
+    scaled by gamma, mod its coarse lattice), the channel inputs X
+    (B x L x n), each user's codewords and shifted points (B x n), and the
+    true labels (B x M x k) of the rows of A."""
+    B, users = cubes.shape[0], ens.num_users
     X = np.empty((B, users, ens.n))
-    dithers, labels = [], np.empty((B, users, ens.k), dtype=np.int64)
-    for u, (kc, kf) in enumerate(ens.levels):
-        coarse = ("C", u + 1)
-        dither = _mod_rows(ens, coarse, cubes[:, u] * ens.gamma)
-        if not np.allclose(_mod_rows(ens, coarse, dither), dither, atol=1e-9):
-            raise ValueError("dither must lie in the user's coarse Voronoi region")
-        V = np.zeros((B, ens.k_F), dtype=np.int64)
-        V[:, kc:kf] = messages[u]
-        point = (ens.gamma / p) * ((V @ ens.G) % p).astype(np.float64)
-        lam = _mod_rows(ens, coarse, point)
-        moved = lam + dither
-        absorbed = lattice.nearest_points(ens, coarse, moved)
-        X[:, u] = moved - absorbed
-        labels[:, u] = lattice.linear_labels(ens, lam - absorbed)
+    labels = np.empty((B, users, ens.k), dtype=np.int64)
+    dithers, codewords, shifted = [], [], []
+    for u in range(users):
+        dither = _mod_rows(ens, ("C", u + 1), cubes[:, u] * ens.gamma)
+        lam, X[:, u], point = _encode_user(ens, u, messages[u], dither)
+        labels[:, u] = lattice.linear_labels(ens, point)
+        _check_coset(ens, u, labels[:, u], messages[u])
         dithers.append(dither)
-        # coset check of true_combinations: message block set, tail zero
-        if not (np.array_equal(labels[:, u, kc - ens.k_C:kf - ens.k_C], messages[u])
-                and not labels[:, u, kf - ens.k_C:].any()):
-            raise AssertionError(f"user {u + 1}'s shifted point left its message coset")
-    return X, dithers, np.matmul(A % p, labels) % p
+        codewords.append(lam)
+        shifted.append(point)
+    return X, dithers, codewords, shifted, _combine(ens, A, labels)
 
 
-def _decode_block(config: TrialConfig, plan: TrialPlan, X: np.ndarray,
-                  dithers: list, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """decode_parallel or decode_successive on a block of received Y
-    (B x antennas x n): the decoded labels (B x M x k) and, in successive
-    mode, whether each real combination came back equal to A[m] @ X."""
-    ens, A = config.ensemble, config.A
-    B, M, n = X.shape[0], A.shape[0], ens.n
+def _recover_real(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
+    """The real combinations a^T X of a block, rebuilt from their mod-coarse
+    residues mu and the equalized ytilde."""
+    chi = _mod_rows(ens, "C", mu + _dither_sum(a, dithers))
+    return lattice.nearest_points(ens, "C", ytilde - chi) + chi
+
+
+def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
+                  dithers: list, Y: np.ndarray) -> tuple:
+    """Decode a block of received Y (B x antennas x n) with a plan.
+
+    Returns the decoded labels (B x M x k) and, for a successive plan, per
+    row of A: the recovered real combinations, the quantized reduced
+    combinations nu and the combinations mu they give back after the Z_p
+    cancellation is inverted (B x n each).  A parallel plan returns None
+    for the three lists.
+    """
+    B, M, n = Y.shape[0], A.shape[0], ens.n
     decoded = np.zeros((B, M, ens.k), dtype=np.int64)
-    if config.mode == "parallel":
+    if plan.Lbar is None:  # parallel
         for m, target in enumerate(plan.targets):
             if target is None:
                 continue
             t = np.matmul(plan.equalizers[m], Y) - _dither_sum(A[m], dithers)
             mu = _mod_rows(ens, "C", lattice.nearest_points(ens, ("F", target), t))
             decoded[:, m] = lattice.linear_labels(ens, mu)
-        return decoded, None
-    real_ok = np.empty((B, M), dtype=bool)
-    atol = 1e-6 * max(1.0, ens.gamma)
+        return decoded, None, None, None
     reals, nus, mus = [], [], []
     for m, target in enumerate(plan.targets):
         b, c = plan.equalizers[m]
@@ -576,32 +457,148 @@ def _decode_block(config: TrialConfig, plan: TrialPlan, X: np.ndarray,
         mu = _mod_rows(ens, "C", acc)
         mus.append(mu)
         decoded[:, m] = lattice.linear_labels(ens, mu)
-        # recover_real_combo, then the np.allclose check against A[m] @ X
-        chi = _mod_rows(ens, "C", mu + _dither_sum(A[m], dithers))
-        reals.append(lattice.nearest_points(ens, "C", ytilde - chi) + chi)
+        reals.append(_recover_real(ens, ytilde, mu, dithers, A[m]))
+    return decoded, reals, nus, mus
+
+
+def _real_success(ens: NestedLatticeEnsemble, A: np.ndarray, reals: list,
+                  X: np.ndarray) -> np.ndarray:
+    """B x M: whether each recovered real combination equals A[m] @ X, by
+    np.allclose's test on each trial."""
+    atol = 1e-6 * max(1.0, ens.gamma)
+    ok = np.empty((X.shape[0], A.shape[0]), dtype=bool)
+    for m, real in enumerate(reals):
         exact = np.matmul(A[m], X)
-        real_ok[:, m] = np.all(np.abs(reals[m] - exact) <= atol + 1e-5 * np.abs(exact),
-                               axis=1)
-    return decoded, real_ok
+        ok[:, m] = np.all(np.abs(real - exact) <= atol + 1e-5 * np.abs(exact), axis=1)
+    return ok
 
 
 def _powers(X: np.ndarray) -> np.ndarray:
-    # the stacked matmul takes the 1-D dot path, so each x @ x rounds as the
-    # oracle's does; the mean power is printed in full
+    # the stacked matmul takes the 1-D dot path, so each x @ x rounds as a
+    # lone x @ x does; the mean power is printed in full
     return np.matmul(X[:, :, None, :], X[:, :, :, None])[:, :, 0, 0] / X.shape[2]
 
 
 def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> TrialBlock:
-    """Trials start .. stop - 1 of the config, as run_single_trial would run
-    them, with each stage batched over the block."""
-    ens, ch = config.ensemble, config.ch
+    """Trials start .. stop - 1 of the config, every intermediate kept."""
+    ens, ch, A = config.ensemble, config.ch, config.A
     messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
                                          start, stop)
-    X, dithers, truth = _encode_block(ens, config.A, messages, cubes)
-    Y = np.matmul(ch.H, X) + noise * config.noise_std
-    decoded, real_ok = _decode_block(config, plan, X, dithers, Y)
-    return TrialBlock(decoded=decoded, success=np.all(decoded == truth, axis=2),
-                      real_success=real_ok, inputs=X, powers=_powers(X))
+    X, dithers, codewords, shifted, truth = _encode_block(ens, A, messages, cubes)
+    decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
+                                         np.matmul(ch.H, X) + noise * config.noise_std)
+    return TrialBlock(messages=messages, dithers=dithers, codewords=codewords,
+                      shifted_points=shifted, inputs=X, powers=_powers(X),
+                      true_labels=truth, decoded=decoded, decoded_real=reals,
+                      success=np.all(decoded == truth, axis=2),
+                      real_success=None if reals is None else _real_success(ens, A, reals, X))
+
+
+# The per-point functions: one-row (B = 1) calls of the block stages.
+
+def _rows(points) -> np.ndarray:
+    """A point, or each point of a list, as a row of a block."""
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _first(blocks) -> list | None:
+    """Row 0 of each block of a list; None stays None."""
+    return None if blocks is None else [block[0] for block in blocks]
+
+
+def _message_row(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
+    kc, kf = ens.levels[user - 1]
+    message = np.asarray(message, dtype=np.int64).reshape(1, -1) % ens.p
+    if message.shape[1] != kf - kc:
+        raise ValueError(f"message for user {user} must have length {kf - kc}")
+    return message
+
+
+def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
+    """Map a message to its lattice codeword and dithered channel input."""
+    lam, x, _ = _encode_user(ens, user - 1, _message_row(ens, user, message), _rows(dither))
+    return lam[0], x[0]
+
+
+def shifted_point(ens: NestedLatticeEnsemble, user: int, lam, dither) -> np.ndarray:
+    """The coset representative the decoder actually recovers: the codeword
+    shifted by the coarse point absorbed during dithering."""
+    return _dither_step(ens, ("C", user), _rows(lam), _rows(dither))[1][0]
+
+
+def true_combinations(ens: NestedLatticeEnsemble, A, shifted_points,
+                      messages=None) -> list[np.ndarray]:
+    """Ground-truth labels u_m of the integer combinations of shifted points."""
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    labels = lattice.linear_labels(ens, _rows(shifted_points))
+    if messages is not None:
+        for u, msg in enumerate(messages):
+            _check_coset(ens, u, labels[u:u + 1], _message_row(ens, u + 1, msg))
+    return list(_combine(ens, A, labels))
+
+
+def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
+    """Rebuild the real combination a^T X from its mod-coarse residue.
+
+    Exact whenever the effective noise of ytilde stays inside the coarsest
+    Voronoi region; silently wrong otherwise (trial bookkeeping flags it).
+    """
+    a = np.asarray(a, dtype=int).ravel()
+    return _recover_real(ens, _rows(ytilde), _rows(mu),
+                         [_rows(d) for d in dithers], a)[0]
+
+
+def _decode_point(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A, dithers,
+                  **fields):
+    """One received Y (antennas x n) through _decode_block: the plan of the
+    config the arguments make, and the stage's outputs."""
+    config = TrialConfig(ensemble=ens, ch=ch, A=A, **fields)
+    plan = TrialPlan.build(config)
+    return plan, _decode_block(ens, config.A, plan, [_rows(d) for d in dithers],
+                               _rows(Y)[None])
+
+
+def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
+                    dithers, equalizers="optimal", noise_std: float = 1.0):
+    """Independent per-row decoding; returns (labels, flags) where a False
+    flag marks a row whose coefficients all vanish mod p."""
+    plan, (decoded, *_) = _decode_point(ens, Y, ch, A, dithers, mode="parallel",
+                                        equalizers=equalizers, noise_std=noise_std)
+    return list(decoded[0]), [target is not None for target in plan.targets]
+
+
+def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
+                      mapping, dithers, equalizers="optimal",
+                      noise_std: float = 1.0, with_internals: bool = False):
+    """Full successive chain: equalize with decoded real combinations,
+    cancel algebraically over Z_p, quantize, then invert the cancellation.
+
+    Returns (labels, real_combos, live_flags); with_internals adds a dict of
+    intermediate quantities (reduced combinations, cancellation matrices).
+    """
+    plan, (decoded, reals, nus, mus) = _decode_point(
+        ens, Y, ch, A, dithers, mode="successive", mapping=mapping,
+        equalizers=equalizers, noise_std=noise_std)
+    out = (list(decoded[0]), _first(reals), [target is not None for target in plan.targets])
+    if with_internals:
+        return (*out, {"nu": _first(nus), "mu": _first(mus),
+                       "Lbar": plan.Lbar, "Lbar_inv": plan.Lbar_inv})
+    return out
+
+
+def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialRecord:
+    """Trial `index` of the config, every intermediate kept; `equalizers`,
+    when given, replaces the config's."""
+    if equalizers is not None:
+        config = replace(config, equalizers=equalizers)
+    block = run_block(config, TrialPlan.build(config), index, index + 1)
+    return TrialRecord(
+        messages=_first(block.messages), dithers=_first(block.dithers),
+        codewords=_first(block.codewords), inputs=block.inputs[0],
+        shifted_points=_first(block.shifted_points),
+        true_labels=list(block.true_labels[0]), decoded_labels=list(block.decoded[0]),
+        decoded_real=_first(block.decoded_real), success=block.success[0].tolist(),
+        real_success=None if block.real_success is None else block.real_success[0].tolist())
 
 
 def _bits(value):
@@ -648,15 +645,15 @@ def run_campaign(configs: list[TrialConfig], trials: int,
         stop = min(trials, start + BLOCK_TRIALS)
         messages, cubes, noise = _draw_block(ens, ch.num_antennas, first.master_seed,
                                              start, stop)
-        X, dithers, truth = _encode_block(ens, A, messages, cubes)
+        X, dithers, _, _, truth = _encode_block(ens, A, messages, cubes)
         powers[:, start:stop] = _powers(X).T
         HX = np.matmul(ch.H, X)
         for c, (cfg, plan) in enumerate(zip(configs, plans)):
-            decoded, real_ok = _decode_block(cfg, plan, X, dithers,
-                                             HX + noise * cfg.noise_std)
+            decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
+                                                 HX + noise * cfg.noise_std)
             errors[c] += np.count_nonzero(~np.all(decoded == truth, axis=2), axis=0)
-            if real_ok is not None:
-                real_errors[c] += np.count_nonzero(~real_ok, axis=0)
+            if reals is not None:
+                real_errors[c] += np.count_nonzero(~_real_success(ens, A, reals, X), axis=0)
     power = [float(np.mean(powers[u])) for u in range(ens.num_users)]
     return [_report(cfg, trials, errors[c], real_errors[c], power, ci_level)
             for c, cfg in enumerate(configs)]
@@ -677,15 +674,13 @@ def _report(config: TrialConfig, trials: int, errors, real_errors, power,
             "combinations": combos, "mean_power_per_user": list(power)}
 
 
-def run_trials(config: TrialConfig, trials: int, workers: int = 1,
-               ci_level: float = 0.95) -> dict:
+def run_trials(config: TrialConfig, trials: int, ci_level: float = 0.95) -> dict:
     """Deterministic report: per-combination error counts and confidence
     intervals plus per-user empirical power.
 
     Trial i depends only on (master_seed, i), so the report is the same for
     any block size.  This is run_campaign over the one config: a TrialPlan
     built for its noise level, then blocks of BLOCK_TRIALS trials; only
-    counts and per-trial powers are kept.  `workers` is accepted for
-    compatibility and has no effect.
+    counts and per-trial powers are kept.
     """
     return run_campaign([config], trials, ci_level)[0]

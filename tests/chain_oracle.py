@@ -1,0 +1,186 @@
+"""The per-point encode and decode chain, kept as an independent oracle.
+
+These are the bodies the simulator's per-point functions had before they
+became one-row calls of its block stages: each trial drawn from its own
+Philox stream, one point at a time through the lattice's scalar functions
+(nearest_point, mod_lattice, linear_label, label_add).  The block engine is
+checked against them trial by trial, decision by decision.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cfkit import lattice
+from cfkit.core import ChannelInstance
+from cfkit.lattice import NestedLatticeEnsemble
+from cfkit.simulator import (TrialConfig, TrialRecord, _mapping_pairs, _theta_user,
+                             _vartheta_user, parallel_equalizers, successive_equalizers,
+                             zp_asc_matrix)
+
+
+def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
+    """Map a message to its lattice codeword and dithered channel input."""
+    dither = np.asarray(dither, dtype=float).ravel()
+    back = lattice.mod_lattice(ens, ("C", user), dither)
+    if not np.allclose(back, dither, atol=1e-9):
+        raise ValueError("dither must lie in the user's coarse Voronoi region")
+    padded = lattice.zero_padded_label(ens, user, message)
+    point = lattice.label_inverse(ens, padded)
+    lam = lattice.mod_lattice(ens, ("C", user), point)
+    x = lattice.mod_lattice(ens, ("C", user), lam + dither)
+    return lam, x
+
+
+def shifted_point(ens: NestedLatticeEnsemble, user: int, lam, dither) -> np.ndarray:
+    """The coset representative the decoder actually recovers: the codeword
+    shifted by the coarse point absorbed during dithering."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    dither = np.asarray(dither, dtype=float).ravel()
+    return lam - lattice.nearest_point(ens, ("C", user), lam + dither)
+
+
+def true_combinations(ens: NestedLatticeEnsemble, A, shifted_points,
+                      messages=None) -> list[np.ndarray]:
+    """Ground-truth labels u_m of the integer combinations of shifted points."""
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    labels = [lattice.linear_label(ens, pt) for pt in shifted_points]
+    if messages is not None:
+        for user, (lab, msg) in enumerate(zip(labels, messages), start=1):
+            if not lattice.coset_contains(ens, user, lab, msg):
+                raise AssertionError(f"user {user}'s shifted point left its message coset")
+    return [lattice.label_add(ens, labels, A[m]) for m in range(A.shape[0])]
+
+
+def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
+                    dithers, equalizers="optimal", noise_std: float = 1.0):
+    """Independent per-row decoding; returns (labels, flags) where a False
+    flag marks a row whose coefficients all vanish mod p."""
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if equalizers == "optimal":
+        equalizers = parallel_equalizers(ch, A, noise_std)
+    labels = []
+    live = []
+    for m in range(A.shape[0]):
+        theta = _theta_user(ens, A[m], ens.p)
+        if theta is None:
+            labels.append(np.zeros(ens.k, dtype=np.int64))
+            live.append(False)
+            continue
+        ytilde = np.asarray(equalizers[m], dtype=float) @ Y
+        t = ytilde - sum(int(A[m, l]) * np.asarray(dithers[l], dtype=float)
+                         for l in range(ens.num_users))
+        mu_hat = lattice.mod_lattice(ens, "C", lattice.nearest_point(ens, ("F", theta), t))
+        labels.append(lattice.linear_label(ens, mu_hat))
+        live.append(True)
+    return labels, live
+
+
+def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
+    """Rebuild the real combination a^T X from its mod-coarse residue.
+
+    Exact whenever the effective noise of ytilde stays inside the coarsest
+    Voronoi region; silently wrong otherwise (trial bookkeeping flags it).
+    """
+    a = np.asarray(a, dtype=int).ravel()
+    acc = np.asarray(mu, dtype=float).ravel() + sum(
+        int(a[l]) * np.asarray(dithers[l], dtype=float) for l in range(len(dithers)))
+    chi = lattice.mod_lattice(ens, "C", acc)
+    ytilde = np.asarray(ytilde, dtype=float).ravel()
+    return lattice.nearest_point(ens, "C", ytilde - chi) + chi
+
+
+def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
+                      mapping, dithers, equalizers="optimal",
+                      noise_std: float = 1.0, with_internals: bool = False):
+    """Full successive chain: equalize with decoded real combinations,
+    cancel algebraically over Z_p, quantize, then invert the cancellation.
+
+    Returns (labels, real_combos, live_flags); with_internals adds a dict of
+    intermediate quantities (reduced combinations, cancellation matrices).
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    L = A.shape[0]
+    pairs = _mapping_pairs(mapping)
+    Lbar, Lbar_inv = zp_asc_matrix(A, pairs, ens.p)
+    if equalizers == "optimal":
+        equalizers = successive_equalizers(ch, A, noise_std)
+    labels, reals, nus, mus, live = [], [], [], [], []
+    for m in range(L):
+        b, c = equalizers[m]
+        ytilde = np.asarray(b, dtype=float) @ Y
+        for i in range(m):
+            coef = float(np.asarray(c, dtype=float)[i]) if np.size(c) > i else 0.0
+            if coef != 0.0:
+                ytilde = ytilde + coef * reals[i]
+        target_user = _vartheta_user(ens, pairs, m + 1)
+        t = ytilde.copy()
+        for i in range(m):
+            if Lbar[m, i]:
+                t = t + int(Lbar[m, i]) * mus[i]
+        t = t - sum(int(A[m, l]) * np.asarray(dithers[l], dtype=float)
+                    for l in range(ens.num_users))
+        if target_user is None:
+            nu = np.zeros(ens.n)
+            live.append(False)
+        else:
+            nu = lattice.mod_lattice(
+                ens, "C", lattice.nearest_point(ens, ("F", target_user), t))
+            live.append(True)
+        nus.append(nu)
+        acc = nu
+        for i in range(m):
+            if Lbar_inv[m, i]:
+                acc = acc + int(Lbar_inv[m, i]) * nus[i]
+        mu = lattice.mod_lattice(ens, "C", acc)
+        mus.append(mu)
+        labels.append(lattice.linear_label(ens, mu))
+        reals.append(recover_real_combo(ens, ytilde, mu, dithers, A[m]))
+    if with_internals:
+        return labels, reals, live, {"nu": nus, "mu": mus,
+                                     "Lbar": Lbar, "Lbar_inv": Lbar_inv}
+    return labels, reals, live
+
+
+def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Trial `index`'s own stream: Philox keyed by (master_seed, index)."""
+    return np.random.Generator(np.random.Philox(key=np.array(
+        [master_seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
+
+
+def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialRecord:
+    ens, ch, A = config.ensemble, config.ch, config.A
+    rng = _trial_rng(config.master_seed, index)
+    messages, dithers, codewords, inputs = [], [], [], []
+    for user in range(1, ens.num_users + 1):
+        kc, kf = ens.levels[user - 1]
+        messages.append(rng.integers(0, ens.p, size=kf - kc, dtype=np.int64))
+    for user in range(1, ens.num_users + 1):
+        dithers.append(lattice.sample_voronoi(ens, ("C", user), rng))
+    for user in range(1, ens.num_users + 1):
+        lam, x = encode(ens, user, messages[user - 1], dithers[user - 1])
+        codewords.append(lam)
+        inputs.append(x)
+    X = np.vstack(inputs)
+    noise = rng.standard_normal((ch.num_antennas, ens.n)) * config.noise_std
+    Y = ch.H @ X + noise
+    shifted = [shifted_point(ens, u + 1, codewords[u], dithers[u])
+               for u in range(ens.num_users)]
+    truth = true_combinations(ens, A, shifted, messages)
+    eq = equalizers if equalizers is not None else config.equalizers
+    if config.mode == "parallel":
+        decoded, _live = decode_parallel(ens, Y, ch, A, dithers, eq, config.noise_std)
+        reals = None
+        real_ok = None
+    else:
+        decoded, reals, _live = decode_successive(
+            ens, Y, ch, A, config.mapping, dithers, eq, config.noise_std)
+        real_ok = [bool(np.allclose(r, A[m] @ X, atol=1e-6 * max(1.0, ens.gamma)))
+                   for m, r in enumerate(reals)]
+    success = [bool(np.array_equal(u, v)) for u, v in zip(decoded, truth)]
+    return TrialRecord(messages=messages, dithers=dithers, codewords=codewords,
+                       inputs=X, shifted_points=shifted, true_labels=truth,
+                       decoded_labels=decoded, decoded_real=reals,
+                       success=success, real_success=real_ok)

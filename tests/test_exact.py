@@ -160,3 +160,23 @@ def test_column_hnf_of_unimodular_is_identity():
                 A[i] += int(rng.integers(-2, 3)) * A[j]
         Tlow, _ = _exact.column_hnf_lower(A.tolist())
         assert np.array_equal(np.array(Tlow), np.eye(n, dtype=int))
+
+
+def test_python_ints_past_int64_stay_exact():
+    # numpy would hold these as objects it cannot round, or as float64,
+    # where 2**63 + 1 and 2**63 - 1 both read as 2**63
+    assert _exact.is_unimodular([[2 ** 64 + 1, 2 ** 64], [1, 1]])
+    assert _exact.int_det([[2 ** 63 + 1, 2 ** 63], [1, 1]]) == 1
+    assert _exact.int_rank([[2 ** 63 + 1, 2 ** 63], [2 ** 63, 2 ** 63 - 1]]) == 2
+
+
+@pytest.mark.parametrize("mat", [
+    [[1.5, 2 ** 64], [1, 1]],
+    [[0.5, 1], [1, 1]],
+    np.array([[2.5, 1.0], [1.0, 1.0]]),
+    [[float("nan"), 1], [1, 1]],
+], ids=["past-int64", "list", "array", "nan"])
+def test_non_integral_entries_rejected(mat):
+    for fn in (_exact.int_det, _exact.int_rank, _exact.is_unimodular):
+        with pytest.raises(ValueError, match="must be integers"):
+            fn(mat)

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import chain_oracle
 from cfkit import lattice, simulator
 from cfkit.core import ChannelInstance
 from cfkit.lattice import build_ensemble, linear_label, mod_lattice
 from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan, _draw_block,
-                             _trial_rng, decode_parallel, decode_successive, encode,
+                             decode_parallel, decode_successive, encode,
                              recover_real_combo, run_block, run_campaign,
                              run_single_trial, run_trials, shifted_point,
                              true_combinations, wilson_interval, zp_asc_matrix)
@@ -375,8 +376,7 @@ class TestRunTrials:
                           noise_std=0.3, master_seed=9)
         r1 = run_trials(cfg, 30)
         r2 = run_trials(cfg, 30)
-        r4 = run_trials(cfg, 30, workers=4)
-        assert r1 == r2 == r4
+        assert r1 == r2
 
     def test_error_rate_monotone_in_noise(self):
         ens = small_ensemble()
@@ -408,11 +408,11 @@ SUCC_MAP = frozenset({(1, 1), (1, 2), (2, 2)})
 
 
 def block_outcomes_vs_oracle(cfg, trials):
-    """run_block against run_single_trial, trial by trial; returns the
-    success flags so callers can check which outcomes occurred."""
+    """run_block against the oracle's run_single_trial, trial by trial;
+    returns the success flags so callers can check which outcomes occurred."""
     block = run_block(cfg, TrialPlan.build(cfg), 0, trials)
     for i in range(trials):
-        rec = run_single_trial(cfg, i)
+        rec = chain_oracle.run_single_trial(cfg, i)
         assert np.array_equal(block.decoded[i], np.array(rec.decoded_labels)), i
         assert block.success[i].tolist() == rec.success, i
         if cfg.mode == "successive":
@@ -427,8 +427,9 @@ def block_outcomes_vs_oracle(cfg, trials):
 
 
 def oracle_report(cfg, trials):
-    """Aggregation of run_single_trial records, as run_trials did per trial."""
-    records = [run_single_trial(cfg, i) for i in range(trials)]
+    """Aggregation of the oracle's run_single_trial records, as run_trials
+    did per trial."""
+    records = [chain_oracle.run_single_trial(cfg, i) for i in range(trials)]
     combos = []
     for m in range(cfg.A.shape[0]):
         errs = sum(0 if rec.success[m] else 1 for rec in records)
@@ -514,13 +515,84 @@ class TestBlockEngine:
         assert run_trials(cfg, trials) == oracle_report(cfg, trials)
 
 
+class TestPointCallsMatchOracle:
+    """The per-point functions, one-row calls of the block stages, against
+    the oracle's per-point copy of the chain."""
+
+    @pytest.mark.parametrize("mode", ["parallel", "successive"])
+    def test_run_single_trial_records(self, mode):
+        ens = build_ensemble(4, 3, 3.0, [(1, 2), (1, 3)], seed=5)
+        ch = ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 1.0])
+        outcomes = set()
+        for noise in (0.0, 0.1, 0.6):
+            cfg = TrialConfig(ensemble=ens, ch=ch, A=A22, mode=mode, mapping=SUCC_MAP,
+                              noise_std=noise, master_seed=4)
+            for i in range(25):
+                got = run_single_trial(cfg, i)
+                want = chain_oracle.run_single_trial(cfg, i)
+                for name in ("messages", "dithers", "codewords", "shifted_points",
+                             "true_labels", "decoded_labels"):
+                    assert len(getattr(got, name)) == len(getattr(want, name))
+                    for g, w in zip(getattr(got, name), getattr(want, name)):
+                        assert g.tobytes() == w.tobytes(), (name, i)
+                assert got.inputs.tobytes() == want.inputs.tobytes()
+                assert got.success == want.success and got.real_success == want.real_success
+                if mode == "parallel":
+                    assert got.decoded_real is None
+                else:
+                    for g, w in zip(got.decoded_real, want.decoded_real):
+                        assert np.allclose(g, w, rtol=0, atol=1e-12)
+                outcomes.update(got.success)
+        assert outcomes == {True, False}
+
+    def test_point_functions(self):
+        ens = small_ensemble()
+        ch = ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 1.0])
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
+            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            lams, xs = [], []
+            for u in range(2):
+                got = encode(ens, u + 1, msgs[u], dithers[u])
+                want = chain_oracle.encode(ens, u + 1, msgs[u], dithers[u])
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+                lams.append(got[0])
+                xs.append(got[1])
+            shifted = [shifted_point(ens, u + 1, lams[u], dithers[u]) for u in range(2)]
+            assert all(s.tobytes() == chain_oracle.shifted_point(
+                ens, u + 1, lams[u], dithers[u]).tobytes() for u, s in enumerate(shifted))
+            assert np.array_equal(true_combinations(ens, A22, shifted, msgs),
+                                  chain_oracle.true_combinations(ens, A22, shifted, msgs))
+            Y = ch.H @ np.vstack(xs) + rng.normal(size=(2, 2)) * 0.3
+            got = decode_parallel(ens, Y, ch, A22, dithers, noise_std=0.3)
+            want = chain_oracle.decode_parallel(ens, Y, ch, A22, dithers, noise_std=0.3)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            got = decode_successive(ens, Y, ch, A22, SUCC_MAP, dithers, noise_std=0.3,
+                                    with_internals=True)
+            want = chain_oracle.decode_successive(ens, Y, ch, A22, SUCC_MAP, dithers,
+                                                  noise_std=0.3, with_internals=True)
+            assert np.array_equal(got[0], want[0]) and got[2] == want[2]
+            assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
+            for key in ("nu", "mu"):
+                assert np.allclose(got[3][key], want[3][key], rtol=0, atol=1e-12)
+            for key in ("Lbar", "Lbar_inv"):
+                assert np.array_equal(got[3][key], want[3][key])
+            a = rng.integers(-3, 4, size=2)
+            mu = got[3]["mu"][0]
+            assert np.allclose(recover_real_combo(ens, Y[0], mu, dithers, a),
+                               chain_oracle.recover_real_combo(ens, Y[0], mu, dithers, a),
+                               rtol=0, atol=1e-12)
+
+
 def oracle_draws(ens, antennas, seed, start, stop):
-    """Each trial's draws from its own _trial_rng, in run_single_trial's
-    order: every user's message, every user's dither cube, the noise."""
+    """Each trial's draws from the oracle's own per-trial stream, in its
+    run_single_trial's order: every user's message, every user's dither
+    cube, the noise."""
     messages = [[] for _ in ens.levels]
     cubes, noise = [], []
     for i in range(start, stop):
-        rng = _trial_rng(seed, i)
+        rng = chain_oracle._trial_rng(seed, i)
         for u, (kc, kf) in enumerate(ens.levels):
             messages[u].append(rng.integers(0, ens.p, size=kf - kc, dtype=np.int64))
         cubes.append([rng.random(ens.n) for _ in ens.levels])

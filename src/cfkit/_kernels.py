@@ -17,26 +17,32 @@ by indices into its m distinct values:
 
 1. per coordinate and value, the rounded coordinate and its squared offset,
    an n x m x B grid for B queries (a one-row table stops here);
-2. per query, a shortlist of rows whose summed offsets lie within a
+2. per query, a shortlist of codewords whose summed offsets lie within a
    relative 1e-9 plus 2 tol of the smallest such sum.  A sum of n
    nonnegative terms moves by about n eps relative when summed in another
    order, so every row that the exact scan counts as best or tied is on it.
-   The sums come one of two ways, chosen by the table's row count:
-   - below TRIE_MIN_ROWS rows, pair lookups: per pair of coordinates, the
-     m^2 sums of two offsets, looked up through one K-row index per pair,
-     n/2 gathers per query instead of a K x n scan;
-   - from TRIE_MIN_ROWS rows on, an exact branch-and-bound over the table's
-     trie (Agrell, Eriksson, Vardy and Zeger, "Closest point search in
-     lattices", IEEE Trans. IT 2002), level by level over the whole block.
-     A node's cost is the sum of its coordinates' offsets; its bound adds
-     each remaining coordinate's smallest offset.  Where nodes branch,
-     children whose bound exceeds the query's threshold are dropped; below
-     the last branching level each node has one leaf, which is costed.  The
-     threshold starts at the root's bound plus (gamma/m)^2; a query whose
-     leaves do not show that it covered the shortlist margin is searched
-     again with a larger one;
-3. a query with one shortlisted row takes that row's coordinates from
-   stage 1; one with several reruns the scan's arithmetic (row-wise einsum
+   The sums come one of two ways:
+   - on tables of fewer than TRIE_MIN_ROWS rows, and on float tables at any
+     size, pair lookups: per pair of coordinates, the m^2 sums of two
+     offsets, looked up through one K-row index per pair, n/2 gathers per
+     query instead of a K x n scan;
+   - on the code of a generator G from TRIE_MIN_ROWS rows on, an exact
+     branch-and-bound (Agrell, Eriksson, Vardy and Zeger, "Closest point
+     search in lattices", IEEE Trans. IT 2002) over an implicit tree, level
+     by level over the whole block.  The tree's first k levels are the
+     pivot columns of G's reduced row echelon form, an information set:
+     every node there has p children, one per symbol.  Below them each node
+     has one leaf, whose other columns are its pivot symbols times the RREF
+     columns outside the pivots, mod p.  A node's cost is the sum of its
+     coordinates' offsets; its bound adds each remaining coordinate's
+     smallest offset.  Children whose bound exceeds the query's threshold
+     are dropped; the leaves below the last branching level are costed.
+     The threshold starts at the root's bound plus (gamma/m)^2; a query
+     whose leaves do not show that it covered the shortlist margin is
+     searched again with a larger one.  Neither the K x n table nor a tree
+     is built;
+3. a query with one shortlisted codeword takes its coordinates from stage
+   1; one with several reruns the scan's arithmetic (row-wise einsum
    distance, tol, lexicographic pass) on them.
 
 The output is bitwise that of the full scan, which computes every candidate
@@ -45,24 +51,24 @@ one kernel, nearest_codeword_points, over a block of queries;
 nearest_codeword_point is its one-row view.
 """
 
-from typing import NamedTuple
-
 import numpy as np
+
+from . import _zp
 
 TIE_REL = 1e-12
 
-# Tables of at least this many rows take stage 2's trie search, smaller ones
-# the pair lookups.  In blocks on a 2-core Xeon (benchmarks/bench_quantizer.py)
-# the trie is 4 to 11 times faster on decode-like queries from 2197 rows up,
-# and on queries uniform over the cube from about 3 times slower (14641 rows,
-# n = 10) to about 2.7 times faster (16807 rows).  Below that the pair
-# lookups cost at most about 14 us per query, and the trie loses up to about
-# 5 times on uniform queries (1331 rows).
+# Code tables of at least this many rows take stage 2's tree search, smaller
+# ones the pair lookups.  In blocks on a 2-core Xeon (benchmarks/bench_quantizer.py)
+# the tree search is 4 to 11 times faster on decode-like queries from 2197
+# rows up, and on queries uniform over the cube from about 3 times slower
+# (14641 rows, n = 10) to about 2.7 times faster (16807 rows).  Below that
+# the pair lookups cost at most about 14 us per query, and the tree search
+# loses up to about 5 times on uniform queries (1331 rows).
 TRIE_MIN_ROWS = 2000
 
-# Relative slack of the trie's threshold over the shortlist margin: far
-# above the n eps by which the bound of a node and the cost of a row below it
-# can round apart.
+# Relative slack of the tree search's threshold over the shortlist margin:
+# far above the n eps by which the bound of a node and the cost of a leaf
+# below it can round apart.
 _SLACK = 1e-12
 
 # Kept for result files that record which quantizer produced them.
@@ -73,53 +79,57 @@ def backend_name() -> str:
     return BACKEND
 
 
-class Trie(NamedTuple):
-    """The distinct rows of a CodeTable as a trie over its columns in
-    `CodeTable.order`.
-
-    Depth t holds one node per distinct t-prefix of the reordered rows, in
-    lexicographic order.  In `levels[t] = (cells, first)`, `cells[i]` is the
-    stage-1 cell of node i at depth t + 1 in column order[t], and the
-    children of node i at depth t are the nodes first[i] .. first[i+1] - 1
-    at depth t + 1; `first` is None where every node has one child, which
-    then has the node's own index.  `leaves[i]` is a table row of leaf i
-    (duplicate rows share a leaf).  Every array is read-only.
-    """
-
-    levels: tuple
-    leaves: np.ndarray
-
-
 class CodeTable:
     """A K x n shift table prepared for the kernel.
 
     Entry (k, j) is value `values[c]`; `cells[k, j]` = j m + c is its cell in
-    stage 1's n x m grid of rounded coordinates.  Stage 2 reads `pairs` on
-    tables of fewer than TRIE_MIN_ROWS rows and `trie` on larger ones.
-    `pairs[g]` is each row's cell in the G x m x m grid of summed squared
-    offsets of coordinates 2g and 2g + 1 (an odd last coordinate pairs with
-    a zero-cost pad), in the smallest unsigned type that holds it.  `trie`
-    branches over the columns in `order` (the identity by default); with an
-    information set first, its levels past the code's dimension have one
-    child per node.  `pairs`, `trie` and the float table `shifts` are built
-    on first access.  Every array is read-only.
+    stage 1's n x m grid of rounded coordinates.  `pairs[g]` is each row's
+    cell in the G x m x m grid of summed squared offsets of coordinates 2g
+    and 2g + 1 (an odd last coordinate pairs with a zero-cost pad), in the
+    smallest unsigned type that holds it.
+
+    A table made by from_generator holds the p^k codewords of a k x n
+    `generator` of rank k over Z_p, with values (gamma/p) r for the symbols
+    r (so m = p when k > 0), its rows in message order: row v is
+    (v generator mod p) for the message vectors v in lexicographic order,
+    the last symbol fastest.  It also keeps `order`, the pivot columns of
+    the generator's reduced row echelon form R followed by the other
+    columns, and `lift`, k x p x n: lift[t, s] is s R[t] mod p.  The
+    codeword with symbols u in the pivot columns is u R mod p, the sum of
+    lift[t, u[t]] over t, mod p.  Stage 2's tree search reads only these.
+    `cells`, `pairs` and the float table `shifts` are built on first
+    access.  Every array is read-only.
     """
 
-    __slots__ = ("shape", "values", "cells", "order", "_pairs", "_trie", "_shifts")
+    __slots__ = ("shape", "values", "generator", "order", "lift",
+                 "_cells", "_pairs", "_shifts")
 
-    def __init__(self, codes, values, order=None):
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        codes = np.asarray(codes)
-        K, n = codes.shape
-        m = values.shape[0]
-        cells = codes.astype(np.min_scalar_type(n * m - 1))
-        cells += (m * np.arange(n)).astype(cells.dtype)
-        self.shape = (K, n)
-        self.values = values
-        self.cells = cells
-        self.order = np.arange(n) if order is None else np.array(order, dtype=np.intp)
-        self._pairs = self._trie = self._shifts = None
-        for a in (self.values, self.cells, self.order):
+    def __init__(self, codes, values, generator=None):
+        """A table of `codes`, K x n indices into `values`; or, with codes
+        None, of the codewords of `generator`, one value per symbol."""
+        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        self.values.setflags(write=False)
+        self.generator = self.order = self.lift = None
+        self._cells = self._pairs = self._shifts = None
+        if generator is None:
+            codes = np.asarray(codes)
+            self.shape = codes.shape
+            self._cells = self._cells_of(codes)
+            return
+        p = self.values.shape[0]
+        G = np.array(generator, dtype=np.int64) % p
+        k, n = G.shape
+        rref, pivots = _zp.rref_mod_p(G.tolist(), p) if k else ([], [])
+        if len(pivots) != k:
+            raise ValueError("generator does not have full row rank mod p")
+        self.shape = (p ** k, n)
+        self.generator = G
+        self.order = np.array(pivots + [j for j in range(n) if j not in pivots],
+                              dtype=np.intp)
+        # a sum of k entries of lift stays in its type
+        lift = np.arange(p)[:, None] * np.array(rref, dtype=np.int64).reshape(k, 1, n) % p
+        self.lift = lift.astype(np.min_scalar_type(k * (p - 1)))
+        for a in (self.generator, self.order, self.lift):
             a.setflags(write=False)
 
     @classmethod
@@ -128,6 +138,37 @@ class CodeTable:
         shifts = np.ascontiguousarray(shifts, dtype=np.float64)
         bits, codes = np.unique(shifts.view(np.int64), return_inverse=True)
         return cls(codes.reshape(shifts.shape), bits.view(np.float64))
+
+    @classmethod
+    def from_generator(cls, generator, p: int, gamma: float) -> "CodeTable":
+        """The table of the codewords of a k x n generator over Z_p, scaled
+        by gamma/p."""
+        m = p if len(generator) else 1
+        return cls(None, (gamma / p) * np.arange(m, dtype=np.float64), generator)
+
+    def _cells_of(self, codes) -> np.ndarray:
+        n = self.shape[1]
+        m = self.values.shape[0]
+        cells = codes.astype(np.min_scalar_type(n * m - 1))
+        cells += (m * np.arange(n)).astype(cells.dtype)
+        cells.setflags(write=False)
+        return cells
+
+    @property
+    def cells(self) -> np.ndarray:
+        if self._cells is None:
+            # message symbols from first to last: each row of the generator
+            # adds its p multiples to every codeword so far, so the last
+            # symbol runs fastest; a sum of two symbols stays below 2p <= 26
+            n = self.shape[1]
+            p = self.values.shape[0]
+            C = np.zeros((1, n), dtype=np.uint8)
+            for g in self.generator:
+                steps = ((np.arange(p)[:, None] * g) % p).astype(np.uint8)
+                C = (C[:, None, :] + steps).reshape(-1, n)
+                C -= (C >= p) * np.uint8(p)
+            self._cells = self._cells_of(C)
+        return self._cells
 
     def _codes(self) -> np.ndarray:
         m = self.values.shape[0]
@@ -148,40 +189,6 @@ class CodeTable:
             pairs.setflags(write=False)
             self._pairs = pairs
         return self._pairs
-
-    @property
-    def trie(self) -> Trie:
-        """Built in O(K n): one stable sort of the reordered rows, then per
-        level the rows that start a node and each node's first child."""
-        if self._trie is None:
-            K, n = self.shape
-            order = self.order
-            cols = self.cells.T[order]
-            rows = np.lexsort(cols[::-1])
-            cols = np.take(cols, rows, axis=1)
-            # fresh[t, i]: sorted row i starts a node at depth t + 1
-            fresh = np.empty((n, K), dtype=bool)
-            fresh[:, 0] = True
-            np.not_equal(cols[:, 1:], cols[:, :-1], out=fresh[:, 1:])
-            starts = np.zeros(1, dtype=np.intp)
-            levels = []
-            for t in range(n):
-                first = None
-                if starts.size < K:
-                    if t:
-                        fresh[t] |= fresh[t - 1]
-                    below = np.flatnonzero(fresh[t])
-                    if below.size > starts.size:
-                        first = np.append(np.searchsorted(below, starts), below.size)
-                        first.setflags(write=False)
-                    starts = below
-                cells = cols[t] if starts.size == K else cols[t, starts]
-                cells.setflags(write=False)
-                levels.append((cells, first))
-            leaves = rows[starts]
-            leaves.setflags(write=False)
-            self._trie = Trie(tuple(levels), leaves)
-        return self._trie
 
     @property
     def shifts(self) -> np.ndarray:
@@ -218,8 +225,8 @@ def _round(values: np.ndarray, X: np.ndarray, gamma: float, tol: float):
 
 
 def _pair_shortlist(table: CodeTable, sq: np.ndarray, tol: float):
-    """Stage 2 by pair lookups: each query's first shortlisted row, and a
-    (query, rows) pair for each query with several, rows as a K-row mask."""
+    """Stage 2 by pair lookups: the cells of each query's first shortlisted
+    row, and a (query, cells) pair for each query with several."""
     n, m, B = sq.shape
     pairs = table.pairs
     if n % 2:
@@ -236,65 +243,69 @@ def _pair_shortlist(table: CodeTable, sq: np.ndarray, tol: float):
     shortlist = approx <= bound[:, None]
     several = ()
     if np.count_nonzero(shortlist) > B:
-        several = [(b, shortlist[b]) for b in np.flatnonzero(shortlist.sum(axis=1) > 1)]
-    return shortlist.argmax(axis=1), several
+        several = [(b, table.cells[shortlist[b]])
+                   for b in np.flatnonzero(shortlist.sum(axis=1) > 1)]
+    return table.cells[shortlist.argmax(axis=1)], several
 
 
-def _descend(trie: Trie, sq: np.ndarray, floors: np.ndarray, limit: np.ndarray,
-             queries: np.ndarray):
-    """One branch-and-bound pass over the trie for the sorted `queries`.
+def _walk(table: CodeTable, sq: np.ndarray, floors: np.ndarray, limit: np.ndarray,
+          queries: np.ndarray):
+    """One branch-and-bound pass over the implicit tree for the sorted
+    `queries`.
 
-    `sq` is stage 1's n m x B grid of squared offsets.  Where a node has
-    several children, a child of query b is kept while its cost plus
-    floors[t + 1, b], the least cost of the coordinates below it, is at
-    most the threshold limit[b].  Below the last such level each node has
-    one leaf, whose cost the pass computes whatever the threshold.  Returns
-    the leaves reached as (query, leaf, cost) arrays grouped by query, and
-    the number of nodes kept on the way.
+    `sq` is stage 1's B x n x m grid of squared offsets.  At depth t < k a
+    node of query b has p children, one per symbol s of column order[t]; a
+    child is kept while its cost plus floors[t + 1, b], the least cost of
+    the columns below it, is at most the threshold limit[b] (the last
+    column of a table with k = n is costed whatever the threshold).  Each
+    node carries the sum of lift[t, s] along its path, so that at depth k,
+    mod p, it holds its leaf's codeword.  The leaf's cost adds the offsets
+    of the forced columns in column order.  Returns the leaves reached as
+    (query, codeword, cost) arrays grouped by query, and the number of
+    nodes kept on the way, one per node and level.
     """
-    B = sq.shape[1]
-    sq = sq.ravel()
+    k, n = table.lift.shape[0], table.shape[1]
+    p = table.values.shape[0]
+    order, lift = table.order, table.lift
     q = queries
-    node = np.zeros(q.size, dtype=np.intp)
     cost = np.zeros(q.size)
+    codes = np.zeros((q.size, n), dtype=lift.dtype)
     kept = 0
-    for t, (cells, first) in enumerate(trie.levels):
-        if first is not None:
-            lo = first[node]
-            count = first[node + 1] - lo
-            parent = np.repeat(np.arange(node.size), count)
-            node = np.repeat(lo - np.cumsum(count) + count, count)
-            node += np.arange(parent.size)
-            q, cost = q[parent], cost[parent]
-        index = np.multiply(cells[node], B, dtype=np.intp)
-        index += q
-        cost = cost + sq[index]
-        if first is not None and t + 1 < len(trie.levels):
-            keep = cost + floors[t + 1, q] <= limit[q]
-            q, node, cost = q[keep], node[keep], cost[keep]
+    for t in range(k):
+        cost = cost[:, None] + sq[q, order[t]]
+        if t + 1 < n:
+            keep = cost + floors[t + 1, q][:, None] <= limit[q][:, None]
+        else:
+            keep = np.ones(cost.shape, dtype=bool)
+        parent, symbol = np.nonzero(keep)
+        q, cost = q[parent], cost[keep]
+        codes = codes[parent] + lift[t, symbol]
         kept += q.size
-    return q, node, cost, kept
+    codes %= p
+    for j in order[k:]:
+        cost = cost + sq[q, j, codes[:, j]]
+    kept += (n - k) * q.size
+    return q, codes, cost, kept
 
 
-def _trie_shortlist(table: CodeTable, sq: np.ndarray, gamma: float, tol: float):
-    """Stage 2 by the trie search: as _pair_shortlist, with rows as an index
-    array, plus the number of trie nodes the search kept over all its
-    passes."""
+def _tree_shortlist(table: CodeTable, sq: np.ndarray, gamma: float, tol: float):
+    """Stage 2 by the tree search: as _pair_shortlist, plus the number of
+    tree nodes the search kept over all its passes."""
     n, m, B = sq.shape
-    trie = table.trie
-    # floors[t]: the least cost of the coordinates order[t:]
+    # floors[t]: the least cost of the columns order[t:]
     floors = np.zeros((n + 1, B))
     floors[:n] = np.cumsum(sq.min(axis=1)[table.order[::-1]], axis=0)[::-1]
-    sq = sq.reshape(n * m, B)
+    sq = np.ascontiguousarray(sq.transpose(2, 0, 1))
     margin = np.full(B, (gamma / m) ** 2)
     limit = floors[0] + margin
     upper = np.full(B, np.inf)
     # a query with a non-finite coordinate has NaN offsets, shortlists
-    # nothing and takes row 0, as in the scan
+    # nothing and takes row 0, the zero codeword, as in the scan; a block of
+    # such queries walks no pass
     pending = np.flatnonzero(limit == limit)
-    found_q, found_leaf, kept = [], [], 0
+    found_q, found, kept = [pending[:0]], [], 0
     while pending.size:
-        q, leaf, cost, count = _descend(trie, sq, floors, limit, pending)
+        q, codes, cost, count = _walk(table, sq, floors, limit, pending)
         kept += count
         best = np.full(B, np.inf)
         np.minimum.at(best, q, cost)
@@ -307,23 +318,23 @@ def _trie_shortlist(table: CodeTable, sq: np.ndarray, gamma: float, tol: float):
         covered = need <= limit
         keep = covered[q] & (cost <= bound[q])
         found_q.append(q[keep])
-        found_leaf.append(leaf[keep])
+        found.append(codes[keep])
         pending = pending[~covered[pending]]
         # a threshold of `need` covers a leaf it reached; short of that,
         # the margin grows
         np.minimum(upper, need, out=upper)
         margin[pending] *= 4
         limit[pending] = np.minimum(upper[pending], floors[0, pending] + margin[pending])
-    q, rows = np.concatenate(found_q), trie.leaves[np.concatenate(found_leaf)]
-    if len(found_q) > 1:
-        by_query = np.argsort(q, kind="stable")
-        q, rows = q[by_query], rows[by_query]
+    # after the leaves, grouped by query, the zero codeword for the queries
+    # that found none
+    found.append(np.zeros((1, n), dtype=np.uint8))
+    q = np.concatenate(found_q)
+    by_query = np.argsort(q, kind="stable")
+    cells = np.concatenate(found)[np.append(by_query, -1)] + m * np.arange(n)
     counts = np.bincount(q, minlength=B)
     starts = np.cumsum(counts) - counts
-    first = np.zeros(B, dtype=np.intp)
-    first[counts > 0] = rows[starts[counts > 0]]
-    several = [(b, rows[starts[b]:starts[b] + counts[b]]) for b in np.flatnonzero(counts > 1)]
-    return first, several, kept
+    several = [(b, cells[starts[b]:starts[b] + counts[b]]) for b in np.flatnonzero(counts > 1)]
+    return cells[np.where(counts > 0, starts, -1)], several, kept
 
 
 def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
@@ -332,7 +343,7 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
     `shifts` is a CodeTable or a K x n float table (prepared on each call).
     Each row's point depends only on that row, so a block gives the same
     bits as one call per row.  The pair lookups' largest temporaries are
-    K x B; the trie search's are its surviving nodes, at most K per query
+    K x B; the tree search's are its surviving nodes, at most K per query
     and level.  lattice.nearest_points bounds their size.
     """
     table = shifts if isinstance(shifts, CodeTable) else CodeTable.from_shifts(shifts)
@@ -345,19 +356,17 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
         return np.ascontiguousarray(cands.reshape(-1, B)[table.cells[0]].T)
 
     sq = diffs * diffs
-    if table.shape[0] < TRIE_MIN_ROWS:
+    if table.generator is None or table.shape[0] < TRIE_MIN_ROWS:
         first, several = _pair_shortlist(table, sq, tol)
     else:
-        first, several, _ = _trie_shortlist(table, sq, gamma, tol)
+        first, several, _ = _tree_shortlist(table, sq, gamma, tol)
 
-    # stage 3: a lone shortlisted row is the answer; several are re-checked
-    # with the scan's arithmetic
-    out = np.take(cands, np.multiply(table.cells[first], B, dtype=np.intp)
-                  + np.arange(B)[:, None])
+    # stage 3: a lone shortlisted codeword is the answer; several are
+    # re-checked with the scan's arithmetic
+    out = np.take(cands, np.multiply(first, B, dtype=np.intp) + np.arange(B)[:, None])
     if several:
         cands, diffs = cands.reshape(-1, B), diffs.reshape(-1, B)
-    for b, rows in several:
-        cells = table.cells[rows]
+    for b, cells in several:
         offsets = diffs[cells, b]
         d2 = np.einsum("ij,ij->i", offsets, offsets)
         points = cands[cells[d2 <= d2.min() + tol], b]

@@ -3,8 +3,10 @@
 A generator matrix G (k_F x n over Z_p) defines a chain of codes via its row
 prefixes; lifting each code c -> (gamma/p) * (c + p Z^n) gives a chain of
 nested lattices.  User l's coarse/fine pair is the prefix pair
-(k_C,l, k_F,l).  Quantization enumerates the p^k codewords of the underlying
-code, which caps the usable sizes (enforced below) but keeps everything exact.
+(k_C,l, k_F,l).  Quantization searches all p^k codewords of the underlying
+code, over the enumerated table for small codes and over an implicit tree
+read from G for large ones.  That caps the usable sizes (enforced below) but
+keeps everything exact.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ MAX_N = 10
 MAX_P = 13
 MAX_KF = 6
 # Rows of the largest quantizer table, p^k_F.  nearest_points also sizes its
-# slices by it, and by MAX_TRIE_NODES on tables the kernel searches by trie,
-# to at least MIN_SLICE queries (see slice_length).
+# slices by it, and by MAX_TRIE_NODES on tables the kernel searches as an
+# implicit tree, to at least MIN_SLICE queries (see slice_length).
 MAX_CODEWORDS = 20000
 MAX_TRIE_NODES = 2 ** 20
 MIN_SLICE = 4
@@ -108,28 +110,20 @@ class NestedLatticeEnsemble:
 
         Row v runs over the message vectors in lexicographic order (the last
         symbol fastest) and holds (gamma/p) (v G[:prefix] mod p).  It is the
-        float table of code_table(prefix), built on first access.
+        float table of code_table(prefix), enumerated on first access; the
+        quantizer reads it on no table.
         """
         return self.code_table(prefix).shifts
 
     def code_table(self, prefix: int) -> CodeTable:
-        """The quantizer's prepared table of codeword_shifts(prefix), built
-        on the first call per prefix.  Its trie branches first over the pivot
-        columns of G[:prefix] mod p, an information set, so that the
-        symbols in the other columns follow."""
+        """The quantizer's table of the code of G[:prefix], made on the
+        first call per prefix.  It holds the reduced row echelon form and
+        pivot columns of G[:prefix] mod p, over which the kernel searches
+        tables of _kernels.TRIE_MIN_ROWS rows or more as an implicit tree;
+        its rows in message order are enumerated only when read, for the
+        pair lookups on smaller tables or for codeword_shifts."""
         if prefix not in self._tables:
-            # message symbols from first to last: each row of G adds its p
-            # multiples to every codeword so far, so the last symbol runs
-            # fastest; a sum of two symbols stays below 2p <= 26
-            C = np.zeros((1, self.n), dtype=np.uint8)
-            for g in self.G[:prefix]:
-                steps = ((np.arange(self.p)[:, None] * g) % self.p).astype(np.uint8)
-                C = (C[:, None, :] + steps).reshape(-1, self.n)
-                C -= (C >= self.p) * np.uint8(self.p)
-            values = (self.gamma / self.p) * np.arange(C.max() + 1, dtype=np.float64)
-            pivots = _zp.rref_mod_p(self.G[:prefix].tolist(), self.p)[1] if prefix else []
-            order = pivots + [j for j in range(self.n) if j not in pivots]
-            self._tables[prefix] = CodeTable(C, values, order)
+            self._tables[prefix] = CodeTable.from_generator(self.G[:prefix], self.p, self.gamma)
         return self._tables[prefix]
 
     @functools.cached_property
@@ -245,8 +239,9 @@ def slice_length(rows: int) -> int:
 
     Below _kernels.TRIE_MIN_ROWS rows the kernel's largest buffers are
     rows x queries floats, so a slice holds MAX_CODEWORDS // rows queries.
-    From there on the trie search keeps at most `rows` nodes per query and
-    level, each a few 8-byte array entries, so a slice holds
+    From there on the tree search keeps at most `rows` nodes per query and
+    level, each a few 8-byte array entries and its forced symbols, so a
+    slice holds
     MAX_TRIE_NODES // rows queries: 62 on the 16807-row table.  There a
     decode-like query costs about 5 times less in 62-query slices than in
     4-query ones, and its search keeps about 50 nodes.  Both are at least
@@ -283,7 +278,10 @@ def _field_coords(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     scaled = lam * ens.p / ens.gamma
     rounded = np.rint(scaled)
-    if np.max(np.abs(scaled - rounded)) > 1e-6:
+    # NaN and infinite coordinates fail this test too
+    with np.errstate(invalid="ignore"):
+        on_grid = np.all(np.abs(scaled - rounded) <= 1e-6)
+    if not on_grid:
         raise ValueError("point is not on the gamma/p integer grid")
     return rounded.astype(np.int64) % ens.p
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cfkit import _kernels
+from cfkit import _kernels, _zp, lattice
 from cfkit._kernels import (TIE_REL, CodeTable, backend_name,
                             nearest_codeword_point, nearest_codeword_points)
 from cfkit.lattice import build_ensemble
@@ -185,15 +185,23 @@ def test_trie_search_bitwise_equal_to_scan_oracle(campaign_ensemble, prefix):
 
 
 def test_trie_branches_over_an_information_set(campaign_ensemble):
-    # pivot columns first: k levels of p children each, then n - k levels
-    # of one child, one leaf per row
-    table = campaign_ensemble.code_table(5)
-    trie = table.trie
-    assert [first is None for _, first in trie.levels] == [False] * 5 + [True] * 3
-    assert [len(cells) for cells, _ in trie.levels] == [7 ** 1, 7 ** 2, 7 ** 3, 7 ** 4] + [7 ** 5] * 4
-    assert sorted(trie.leaves) == list(range(7 ** 5))
-    arrays = [table.order, trie.leaves] + [a for level in trie.levels for a in level if a is not None]
-    for a in arrays:
+    # pivot columns first; the search reads no row of the table, and a walk
+    # with no threshold reaches each of its codewords once
+    ens = lattice.NestedLatticeEnsemble(8, 7, 7.0, ((0, 5),), campaign_ensemble.G)
+    table = ens.code_table(5)
+    rng = np.random.default_rng(49)
+    X = rng.integers(0, 7, (24, 5)) @ table.generator % 7 + rng.normal(size=(24, 8)) * 0.3
+    nearest_codeword_points(table, X, 7.0)
+    assert table._cells is None and table._pairs is None and table._shifts is None
+    pivots = _zp.rref_mod_p(campaign_ensemble.G.tolist(), 7)[1]
+    assert list(table.order[:5]) == pivots and sorted(table.order) == list(range(8))
+    _, codes, _, kept = _kernels._walk(table, np.zeros((1, 8, 7)), np.zeros((9, 1)),
+                                       np.array([np.inf]), np.zeros(1, dtype=np.intp))
+    assert kept == sum(7 ** t for t in range(1, 6)) + 3 * 7 ** 5
+    assert np.array_equal(codes[:, pivots], list(itertools.product(range(7), repeat=5)))
+    want = table.cells - 7 * np.arange(8)
+    assert np.array_equal(np.unique(codes, axis=0), np.unique(want, axis=0))
+    for a in (table.generator, table.order, table.lift):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -203,55 +211,83 @@ def test_trie_search_retries_uniform_queries(campaign_ensemble, monkeypatch):
     # the first threshold, so some are searched again
     table = campaign_ensemble.code_table(4)
     passes = []
-    descend = _kernels._descend
-    monkeypatch.setattr(_kernels, "_descend", lambda *a: passes.append(a[-1].size) or descend(*a))
+    walk = _kernels._walk
+    monkeypatch.setattr(_kernels, "_walk", lambda *a: passes.append(a[-1].size) or walk(*a))
     X = np.random.default_rng(50).random((24, 8)) * 7.0
     assert_sliced_matches_oracle(table, X, 7.0, step=24)
     assert len(passes) > 1
 
 
 def test_trie_search_without_leading_information_set():
-    # the first two columns repeat a symbol, so the trie's second level has
-    # one child per node and branching goes on below it
-    ens = build_ensemble(8, 7, 7.0, [[0, 4]], seed=21)
-    codes = ens.code_table(4).cells - 7 * np.arange(8)
-    codes[:, 1] = codes[:, 0]
-    values = np.arange(7) * 1.0
-    table = CodeTable(codes, values)
-    assert [first is None for _, first in table.trie.levels][:3] == [False, True, False]
+    # column 0 is zero and columns 1 and 2 repeat a symbol, so the pivots
+    # are not the leading columns
+    G = build_ensemble(8, 7, 7.0, [[0, 4]], seed=21).G.copy()
+    G[:, 0] = 0
+    G[:, 2] = G[:, 1]
+    ens = lattice.NestedLatticeEnsemble(8, 7, 7.0, ((0, 4),), G)
+    table = ens.code_table(4)
+    assert table.shape[0] >= _kernels.TRIE_MIN_ROWS
+    assert list(table.order[:4]) != [0, 1, 2, 3] and 0 not in table.order[:4]
     rng = np.random.default_rng(51)
     for X in trie_queries(rng, table, 7.0).values():
         assert_sliced_matches_oracle(table, X, 7.0)
 
 
-def test_trie_search_on_duplicate_rows(campaign_ensemble):
+def test_float_tables_take_pair_lookups_at_any_size(campaign_ensemble, monkeypatch):
+    # a float table, here with duplicate rows, has no generator to walk
     shifts = campaign_ensemble.codeword_shifts(4)
     rng = np.random.default_rng(52)
     shifts = np.vstack([shifts, shifts[rng.integers(0, len(shifts), 600)]])
     table = CodeTable.from_shifts(shifts)
-    assert table.shape[0] >= _kernels.TRIE_MIN_ROWS and len(table.trie.leaves) == 2401
+    assert table.shape[0] >= _kernels.TRIE_MIN_ROWS and table.generator is None
+    monkeypatch.setattr(_kernels, "_tree_shortlist", None)
     for X in trie_queries(rng, table, 7.0).values():
         assert_sliced_matches_oracle(table, X, 7.0)
 
 
 def test_trie_search_non_finite_queries(campaign_ensemble):
     # NaN offsets shortlist nothing and take row 0; offsets that overflow
-    # tie every row; both as in the scan
+    # tie every row; both as in the scan, also in blocks of NaN rows only
     table = campaign_ensemble.code_table(4)
     X = np.array([[np.nan] * 8, [np.inf] + [0.0] * 7, [1e300] + [0.0] * 7, [1e160] * 8,
                   [3e153, 1, 2, 3, 4, 5, 6, 7]])
+    one = np.array([[np.nan] + [0.0] * 7])
     with np.errstate(invalid="ignore", over="ignore"):
         assert_sliced_matches_oracle(table, X, 7.0, step=5)
+        for Y in (one, X[:1], X[[0, 0, 0]], np.vstack([one, X[:1]])):
+            assert_sliced_matches_oracle(table, Y, 7.0, step=len(Y))
+        point = lattice.nearest_point(campaign_ensemble, ("F", 2), one[0])
+    assert np.isnan(point[0]) and np.array_equal(point[1:], np.zeros(7))
+
+
+def small_code(rng):
+    """A random code table of p in {2, 3, 5, 7}, k <= 3 and n <= 6."""
+    p = int(rng.choice([2, 3, 5, 7]))
+    n = int(rng.integers(1, 7))
+    k = int(rng.integers(1, min(3, n) + 1))
+    gamma = float(rng.uniform(0.5, 4.0))
+    ens = build_ensemble(n, p, gamma, [(0, k)], seed=int(rng.integers(2 ** 32)))
+    return ens.code_table(k), gamma
 
 
 @pytest.mark.parametrize("seed", [45, 123])
 def test_trie_search_on_small_tables(monkeypatch, seed):
-    # the random tie tables of the pair-path tests, searched by trie
+    # random small linear codes, searched as implicit trees, on decode-like,
+    # uniform and grid-midpoint queries
     monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", 2)
     rng = np.random.default_rng(seed)
-    for _ in range(300):
-        shifts, _, gamma = random_case(rng)
-        assert_matches_oracle(shifts, grid_queries(rng, shifts, gamma), gamma)
+    for _ in range(150):
+        table, gamma = small_code(rng)
+        K, n = table.shape
+        p = table.values.shape[0]
+        codes = rng.integers(0, p, (8, len(table.generator))) @ table.generator % p
+        points = (codes + p * rng.integers(-2, 3, size=codes.shape)) * (gamma / p)
+        X = np.vstack([points + rng.normal(size=points.shape) * 0.2 * gamma / p,
+                       rng.random((8, n)) * gamma,
+                       rng.integers(-2 * p, 2 * p, size=(12, n)) * (gamma / (2 * p))])
+        got = nearest_codeword_points(table, X, gamma)
+        assert table._cells is None
+        assert got.tobytes() == scan_oracle(table.shifts, X, gamma).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
@@ -274,9 +310,20 @@ def test_shortlist_boundary(scale):
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
 def test_trie_shortlist_boundary(monkeypatch, scale):
-    # the same near ties, searched by trie
+    # the same near ties on the codes of [0 1] and [[0 1 0], [1 0 1]] over
+    # Z_2 with gamma = 2h, whose codewords (0, 0) and (0, h) are the two
+    # nearest cosets, searched as implicit trees
     monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", 2)
-    test_shortlist_boundary(scale)
+    tol = TIE_REL
+    for h in (1e-3, 3e-3):
+        for G in ([[0, 1]], [[0, 1, 0], [1, 0, 1]]):
+            table = CodeTable.from_generator(np.array(G), 2, 2 * h)
+            x = np.zeros((1, len(G[0])))
+            x[0, 1] = h / 2 + scale * tol / (2 * h)
+            got = nearest_codeword_points(table, x, 2 * h)
+            assert got.tobytes() == scan_oracle(table.shifts, x, 2 * h).tobytes()
+            want = h if scale > 1 else 0.0
+            assert np.array_equal(got[0], [0.0, want, 0.0][:len(G[0])]), (h, scale, got)
 
 
 def assert_batched_bitwise(shifts, X, gamma):

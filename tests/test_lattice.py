@@ -268,6 +268,15 @@ class TestLabeling:
                 linear_labels(ens, np.vstack([good, bad]))
             assert str(batched.value) == str(single.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # the README ensemble; a NaN once cast to an integer label
+        ens = build_ensemble(2, 3, 3.0, [(0, 1), (0, 2)], seed=21)
+        with pytest.raises(ValueError, match="not on the gamma/p integer grid"):
+            linear_label(ens, [bad, 0.0])
+        with pytest.raises(ValueError, match="not on the gamma/p integer grid"):
+            linear_labels(ens, [[0.0, 0.0], [bad, 0.0]])
+
     def test_codebook_cardinality(self):
         for n, p in [(2, 3), (3, 3), (2, 5)]:
             ens = build_ensemble(n, p, float(p), [(0, 1), (1, 2)], seed=11)

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cfkit.cli import main  # noqa: E402
 
 # Small fields and blocklengths keep most tables to a few rows; (7, 4) and
-# (5, 5) give tables of 2401 and 3125 rows, which the quantizer searches by
-# trie.  Levels may exceed the blocklength or the desk-scale caps.
+# (5, 5) give tables of 2401 and 3125 rows, which the quantizer searches as
+# implicit trees.  Levels may exceed the blocklength or the desk-scale caps.
 _ENSEMBLES = st.one_of(
     st.tuples(st.integers(1, 4), st.sampled_from([2, 3, 5]), st.integers(0, 3)),
     st.sampled_from([(6, 7, 4), (8, 7, 4), (6, 5, 5), (3, 4, 2), (2, 3, 3)]))

@@ -674,3 +674,15 @@ class TestRunCampaign:
         configs = noise_configs([0.5]) + noise_configs([0.2])
         assert configs[0].ensemble is not configs[1].ensemble
         assert run_campaign(configs, 20) == [run_trials(cfg, 20) for cfg in configs]
+
+
+def test_large_campaign_enumerates_no_large_table():
+    # the parallel benchmark campaign searches its 16807-row table as an
+    # implicit tree, so the table's rows are never enumerated
+    ens = build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21)
+    ch = ChannelInstance(H=[[1.0, 1.0], [1.0, 2.0]], P=[1.0, 1.0])
+    configs = [TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel", noise_std=ns,
+                           master_seed=7) for ns in (0.3, 0.1)]
+    run_campaign(configs, 15)
+    table = ens._tables[5]
+    assert table._cells is None and table._pairs is None and table._shifts is None

@@ -278,7 +278,7 @@ def test_trie_search_on_small_tables(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     for _ in range(150):
         table, gamma = small_code(rng)
-        K, n = table.shape
+        n = table.shape[1]
         p = table.values.shape[0]
         codes = rng.integers(0, p, (8, len(table.generator))) @ table.generator % p
         points = (codes + p * rng.integers(-2, 3, size=codes.shape)) * (gamma / p)

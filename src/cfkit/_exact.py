@@ -1,13 +1,18 @@
-"""Exact integer matrix routines: determinants, rank, Smith form, column HNF.
+"""Exact integer matrix routines: one fraction-free elimination behind
+ranks, exact solves, inverses and LU steps; determinants, Smith form and
+column HNF.
 
 Everything here works on lists of python ints (arbitrary precision) so the
 answers are exact.  Inputs may be numpy integer arrays; they are converted.
 Matrices are small (L <= 8 or so), so the cubic algorithms are plenty fast.
+
+The elimination is integer preserving (Bareiss, Math. Comp. 1968): a step
+takes row r to (f r - g row) / d, with f the pivot, g the entry of r under
+it and d the previous pivot, and the division is exact.  RowBasis takes the
+same step with d = 1.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +27,9 @@ def _as_int(value) -> int:
     return out
 
 
-def _to_rows(mat) -> list[list[int]]:
+def int_rows(mat) -> list[list[int]]:
+    """The rows of a 2D matrix as lists of python ints ([] for other shapes);
+    a non-integral entry raises ValueError."""
     arr = np.asarray(mat)
     if arr.ndim != 2:
         return []
@@ -35,9 +42,69 @@ def _to_rows(mat) -> list[list[int]]:
     return [[_as_int(v) for v in row] for row in arr.tolist()]
 
 
+def _step(f: int, r: list, g: int, row: list, d: int = 1) -> list:
+    """(f r - g row) / d, the division exact when d is the previous pivot."""
+    return [(f * x - g * y) // d for x, y in zip(r, row)]
+
+
+def eliminate_below(rows: list, step: int, col: int, d: int) -> list:
+    """One fraction-free LU step: clear column col below the pivot
+    rows[step][col] != 0, d being the previous step's pivot (1 at first).
+
+    Row m ends up d_{m-1}, the pivot of step m - 1, times its row of
+    rational elimination.  Returns a new list that shares the rows at or
+    above step with the input, which is never modified.
+    """
+    pivot_row = rows[step]
+    f = pivot_row[col]
+    return rows[:step + 1] + [_step(f, r, r[col], pivot_row, d)
+                              for r in rows[step + 1:]]
+
+
+def _gauss_jordan(rows: list, width: int) -> tuple[list, list[int], int]:
+    """Fraction-free Gauss-Jordan on the first width columns of integer rows.
+
+    Each pivot is the first nonzero entry, at or below the rows already
+    pivoted, of the leftmost column that has one; rows are swapped in
+    place.  Returns (rows, pivot columns, D): row i is D times row i of the
+    reduced row echelon form.
+    """
+    pivots, d = [], 1
+    for c in range(width):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pivot_row = rows[r]
+        f = pivot_row[c]
+        rows = [row if i == r else _step(f, row, row[c], pivot_row, d)
+                for i, row in enumerate(rows)]
+        d = f
+        pivots.append(c)
+    return rows, pivots, d
+
+
+def solve(M, t) -> tuple[list[int], int] | None:
+    """Exact solution of M x = t for integer M (a list of rows) and t.
+
+    The pivots are the leftmost columns and free variables are 0.  Returns
+    (numerators, D), x = numerators / D with D != 0 (possibly negative), or
+    None when the system is inconsistent.
+    """
+    n = len(M[0]) if M else 0
+    rows, pivots, d = _gauss_jordan([[*row, v] for row, v in zip(M, t)], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [0] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return x, d
+
+
 def int_det(mat) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    rows = _to_rows(mat)
+    rows = int_rows(mat)
     n = len(rows)
     if n == 0:
         return 1
@@ -64,28 +131,9 @@ def int_det(mat) -> int:
 
 
 def int_rank(mat) -> int:
-    """Exact rank over the rationals (fraction-free elimination)."""
-    rows = _to_rows(mat)
-    if not rows:
-        return 0
-    a = [row[:] for row in rows]
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        for i in range(rank + 1, m):
-            if a[i][col] != 0:
-                f = a[rank][col]
-                g = a[i][col]
-                a[i] = [f * a[i][j] - g * a[rank][j] for j in range(n)]
-        rank += 1
-        col += 1
-    return rank
+    """Exact rank over the rationals: the rows a RowBasis keeps."""
+    basis = RowBasis()
+    return sum(basis.add(row) for row in int_rows(mat))
 
 
 def rows_independent(rows_so_far: list, candidate) -> bool:
@@ -114,8 +162,7 @@ class RowBasis:
         for col, row in self._rows:
             g = r[col]
             if g:
-                f = row[col]
-                r = [f * x - g * y for x, y in zip(r, row)]
+                r = _step(row[col], r, g, row)
         col = next((j for j, v in enumerate(r) if v), None)
         if col is None:
             return False
@@ -125,7 +172,7 @@ class RowBasis:
 
 def is_unimodular(mat) -> bool:
     """Square integer matrix with determinant +1 or -1."""
-    rows = _to_rows(mat)
+    rows = int_rows(mat)
     if not rows or len(rows) != len(rows[0]):
         return False
     return int_det(rows) in (1, -1)
@@ -163,7 +210,7 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 
     S is diagonal with nonnegative invariant factors d_1 | d_2 | ... .
     """
-    rows = _to_rows(mat)
+    rows = int_rows(mat)
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [row[:] for row in rows]
@@ -229,24 +276,15 @@ def invariant_factors(mat) -> list[int]:
 
 
 def int_inverse_unimodular(mat) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (stays integer)."""
-    rows = _to_rows(mat)
+    """Exact inverse of a unimodular integer matrix (stays integer): the
+    solution of mat X = I."""
+    rows = int_rows(mat)
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[x for x in row[n:]] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    aug, pivots, d = _gauss_jordan(aug, n)
+    if len(pivots) < n or d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    return [[d * x for x in row[n:]] for row in aug]
 
 
 def column_hnf_lower(mat) -> tuple[list[list[int]], list[list[int]]]:
@@ -255,7 +293,7 @@ def column_hnf_lower(mat) -> tuple[list[list[int]], list[list[int]]]:
 
     Requires a square nonsingular integer input.
     """
-    rows = _to_rows(mat)
+    rows = int_rows(mat)
     n = len(rows)
     a = [row[:] for row in rows]
     w = [[int(i == j) for j in range(n)] for i in range(n)]

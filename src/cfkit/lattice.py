@@ -278,9 +278,11 @@ def _field_coords(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     scaled = lam * ens.p / ens.gamma
     rounded = np.rint(scaled)
-    # NaN and infinite coordinates fail this test too
+    # NaN and infinite coordinates fail too; past 2^53 every float is an
+    # integer, so the grid test cannot tell (and the int64 cast overflows)
     with np.errstate(invalid="ignore"):
-        on_grid = np.all(np.abs(scaled - rounded) <= 1e-6)
+        on_grid = (np.all(np.abs(scaled - rounded) <= 1e-6)
+                   and np.all(np.abs(rounded) < 2.0 ** 53))
     if not on_grid:
         raise ValueError("point is not on the gamma/p integer grid")
     return rounded.astype(np.int64) % ens.p

@@ -80,66 +80,55 @@ def participation_mapping(Atilde) -> AdmissibleMapping:
     return AdmissibleMapping(pairs=pairs, L_real=np.eye(A.shape[0]))
 
 
+def cancellation_solves(rows: list, pairs: frozenset):
+    """For each row m (0-indexed) with columns outside the mapping, yield
+    (m, _exact.solve's answer for the coefficients on rows 0..m-1 that zero
+    every such column l, (m + 1, l + 1) not in pairs): (numerators, D), or
+    None when no combination of the earlier rows does."""
+    for m, row in enumerate(rows):
+        cols = [l for l in range(len(row)) if (m + 1, l + 1) not in pairs]
+        if cols:
+            yield m, _exact.solve([[rows[i][c] for i in range(m)] for c in cols],
+                                  [-row[c] for c in cols])
+
+
 def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
     """Return a lower-unitriangular witness for the pair set, or None.
 
-    Row by row, solves for coefficients on the earlier rows that zero out
-    every column not in the mapping (least squares with a residual check).
-    Atilde may have any number of rows; pairs naming no row or no column of
-    it are ignored.
+    The witness holds the floats of the exact rational coefficients of
+    cancellation_solves, the same solve as simulator.zp_asc_matrix.
+    Atilde must be an integer matrix (else ValueError) and may have any
+    number of rows; pairs naming no row or no column of it are ignored.
     """
-    A = np.atleast_2d(np.asarray(Atilde, dtype=float))
-    M, L = A.shape
+    rows = _exact.int_rows(np.atleast_2d(Atilde))
     pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
-    W = np.eye(M)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for m in range(1, M + 1):
-        cols = [l - 1 for l in range(1, L + 1) if (m, l) not in pairs]
-        if not cols:
-            continue
-        target = -A[m - 1, cols]
-        if m == 1:
-            if np.max(np.abs(target)) > _TOL * scale:
-                return None
-            continue
-        block = A[: m - 1, cols]
-        x, *_ = np.linalg.lstsq(block.T, target, rcond=None)
-        if np.max(np.abs(block.T @ x - target)) > _TOL * scale:
+    W = np.eye(len(rows))
+    for m, sol in cancellation_solves(rows, pairs):
+        if sol is None:
             return None
-        W[m - 1, : m - 1] = x
+        nums, d = sol
+        W[m, :m] = [n / d if n else 0.0 for n in nums]
     return AdmissibleMapping(pairs=pairs, L_real=W)
 
 
-def _fraction_start(A: np.ndarray) -> tuple[list, list]:
-    """Exact work and lower matrices before the first elimination step."""
+def _lu_start(A: np.ndarray) -> list:
+    """Rows [A | I] before the first elimination step."""
     L = A.shape[0]
-    work = [[Fraction(int(v)) for v in row] for row in A.tolist()]
-    lower = [[Fraction(int(i == j)) for j in range(L)] for i in range(L)]
-    return work, lower
+    return [row + [int(i == j) for j in range(L)] for i, row in enumerate(A.tolist())]
 
 
-def _eliminate(work: list, lower: list, step: int, col: int) -> tuple[list, list]:
-    """Clear column col below row step (pivot work[step][col] != 0).
+def _eliminated_mapping(rows: list) -> AdmissibleMapping:
+    """The support of the eliminated [L A | L] rows, with L as witness.
 
-    Returns new matrices; rows that do not change are shared with the inputs,
-    which are never modified, so a caller may branch from them again.
+    Row m of L carries the scale d_{m-1} of fraction-free elimination, which
+    is also its diagonal entry, and is divided by it: int true division
+    rounds as float(Fraction) does, and a zero is written +0.0, not 0 / -d.
     """
-    work, lower = list(work), list(lower)
-    pivot_row, pivot_lower = work[step], lower[step]
-    for i in range(step + 1, len(work)):
-        if work[i][col] != 0:
-            f = work[i][col] / pivot_row[col]
-            work[i] = [wi - f * ws for wi, ws in zip(work[i], pivot_row)]
-            lower[i] = [li - f * ls for li, ls in zip(lower[i], pivot_lower)]
-    return work, lower
-
-
-def _eliminated_mapping(work: list, lower: list) -> AdmissibleMapping:
-    """The support of the eliminated matrix, with the lower factor as witness."""
-    L = len(work)
+    L = len(rows)
     pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
-                      if work[m][l] != 0)
-    witness = np.array([[float(v) for v in row] for row in lower])
+                      if rows[m][l] != 0)
+    witness = np.array([[v / row[L + m] if v else 0.0 for v in row[L:]]
+                        for m, row in enumerate(rows)])
     return AdmissibleMapping(pairs=pairs, L_real=witness)
 
 
@@ -154,22 +143,21 @@ def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]]
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L = A.shape[0]
-    work, lower = _fraction_start(A)
+    rows = _lu_start(A)
     pi = [0] * L
-    used: list[int] = []
+    d = 1
     for step in range(L):
         if pivot_order is not None:
             col = int(pivot_order[step])
-            if col in used or work[step][col] == 0:
+            if pi[col] or rows[step][col] == 0:
                 return None
         else:
-            col = next((c for c in range(L) if c not in used and work[step][c] != 0), None)
+            col = next((c for c in range(L) if not pi[c] and rows[step][c] != 0), None)
             if col is None:
                 raise ValueError("matrix is rank deficient")
-        used.append(col)
         pi[col] = step + 1
-        work, lower = _eliminate(work, lower, step, col)
-    return _eliminated_mapping(work, lower), tuple(pi)
+        rows, d = _exact.eliminate_below(rows, step, col, d), rows[step][col]
+    return _eliminated_mapping(rows), tuple(pi)
 
 
 def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
@@ -178,26 +166,28 @@ def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
     ``lu_mapping(A, order)``.
 
     Walks the pivot prefixes depth first, trying columns in increasing order,
-    so each prefix is eliminated once and a zero pivot prunes every order that
-    starts with that prefix (a permutation matrix costs L steps, not L!
-    orders).  Distinct orders give distinct pi, so no result repeats.
+    so each prefix is eliminated once (one fraction-free step,
+    _exact.eliminate_below) and a zero pivot prunes every order that starts
+    with that prefix (a permutation matrix costs L steps, not L! orders).
+    Distinct orders give distinct pi, so no result repeats.
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L = A.shape[0]
     out: list[tuple[AdmissibleMapping, tuple[int, ...]]] = []
     pi = [0] * L
 
-    def walk(work, lower, step):
+    def walk(rows, step, d):
         if step == L:
-            out.append((_eliminated_mapping(work, lower), tuple(pi)))
+            out.append((_eliminated_mapping(rows), tuple(pi)))
             return
         for col in range(L):
-            if pi[col] == 0 and work[step][col] != 0:
+            pivot = rows[step][col]
+            if pi[col] == 0 and pivot != 0:
                 pi[col] = step + 1
-                walk(*_eliminate(work, lower, step, col), step + 1)
+                walk(_exact.eliminate_below(rows, step, col, d), step + 1, pivot)
                 pi[col] = 0
 
-    walk(*_fraction_start(A), 0)
+    walk(_lu_start(A), 0, 1)
     return out
 
 
@@ -272,9 +262,9 @@ def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
 
     A mapping that carries a witness (lu_mapping's exact one, say) is
     returned as it is when one product L_real @ A clears every column outside
-    the mapping, at is_admissible's tolerance.  A raw pair set, or a carried
-    witness that fails, is solved for by is_admissible.  A pair naming a user
-    of A but no row of it is an error.
+    the mapping, to a relative 1e-9 (_TOL).  A raw pair set, or a carried
+    witness that fails, is solved for exactly by is_admissible.  A pair
+    naming a user of A but no row of it is an error.
     """
     if isinstance(mapping, AdmissibleMapping):
         pairs = mapping.pairs
@@ -295,7 +285,7 @@ def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
 
 def _witness_holds(A: np.ndarray, mapping: AdmissibleMapping) -> bool:
     """mapping.L_real is lower unitriangular and zeroes, in one product with
-    A, every entry outside the mapping up to is_admissible's tolerance."""
+    A, every entry outside the mapping up to _TOL times the largest |A|."""
     W = mapping.L_real
     M, L = A.shape
     if W is None or W.shape != (M, M):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -160,67 +159,33 @@ def successive_equalizers(ch: ChannelInstance, A, noise_std: float
 def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Lower-unitriangular cancellation matrix over Z_p and its inverse.
 
-    Built by exact rational elimination, then reduced mod p.  Raises when a
-    denominator vanishes mod p ("p too small" for this mapping).
+    Each row is solved exactly (regions.cancellation_solves, as for
+    regions.is_admissible), and each coefficient n/d, in lowest terms, is
+    taken to n d^-1 mod p.  Raises when a denominator vanishes mod p
+    ("p too small" for this mapping).
     """
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L, users = A.shape
     pairs = _mapping_pairs(mapping)
-    rows = [[Fraction(int(v)) for v in row] for row in A.tolist()]
     Lbar = np.eye(L, dtype=np.int64)
-    for m in range(1, L + 1):
-        cols = [l - 1 for l in range(1, users + 1) if (m, l) not in pairs]
-        if not cols:
-            continue
-        if m == 1:
-            if any(rows[0][c] != 0 for c in cols):
-                raise ValueError("mapping is not admissible (row 1)")
-            continue
-        sol = _solve_rational([[rows[i][c] for i in range(m - 1)] for c in cols],
-                              [-rows[m - 1][c] for c in cols])
+    for m, sol in regions.cancellation_solves(A.tolist(), pairs):
         if sol is None:
-            raise ValueError(f"mapping is not admissible (row {m})")
-        for i, frac in enumerate(sol):
-            if frac.denominator % p == 0:
-                raise ValueError(
-                    f"p = {p} too small: cancellation coefficient {frac} has no mod-p image")
-            Lbar[m - 1, i] = (frac.numerator * pow(frac.denominator, -1, p)) % p
+            raise ValueError(f"mapping is not admissible (row {m + 1})")
+        nums, d = sol
+        for i, n in enumerate(nums):
+            g = math.gcd(n, d) * (-1 if d < 0 else 1)
+            num, den = n // g, d // g
+            if den % p == 0:
+                raise ValueError(f"p = {p} too small: cancellation coefficient "
+                                 f"{num}/{den} has no mod-p image")
+            Lbar[m, i] = num * pow(den, -1, p) % p
     reduced = np.array(_zp.matmul_mod_p(Lbar.tolist(), A.tolist(), p), dtype=np.int64)
     for (m, l) in ((m, l) for m in range(1, L + 1) for l in range(1, users + 1)):
         if (m, l) not in pairs and reduced[m - 1, l - 1] % p != 0:
             raise AssertionError("mod-p cancellation failed to match the mapping")
     Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)
     return Lbar, Lbar_inv
-
-
-def _solve_rational(M, t) -> list[Fraction] | None:
-    """Solve M x = t exactly over the rationals (free variables -> 0)."""
-    rows = [list(r) + [tv] for r, tv in zip(M, t)]
-    m = len(rows)
-    n = len(rows[0]) - 1 if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = rows[row_idx][n]
-    return x
 
 
 def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[float, float]:

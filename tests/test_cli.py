@@ -165,11 +165,15 @@ _OVERFLOW_RUNS = [
        "inconsistent Gram matrix", report) for argv, report in _OVERFLOW_RUNS[:5]],
     (["region", "--mode", "compound"], {"H": [[[1e15, 1e15]], [[1, 2]]], "P": [1, 1]},
      "inconsistent Gram matrix", "compound_rx1_mac.csv"),
+    (["region", "--mode", "succ"], {"H": [[1, 1]], "P": [1, 1],
+                                     "A": [[10 ** 12, 1], [10 ** 12 + 1, 1]],
+                                     "mapping": [[1, 1], [1, 2]]},
+     "mapping is not admissible", "region_succ.json"),
 ], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
         "search-zero-power", "region-para-zero-power",
         *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
         *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
-        "region-compound-ill-conditioned"])
+        "region-compound-ill-conditioned", "region-succ-borderline-mapping"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cfkit import _exact
+from exact_oracle import int_rank_oracle
 
 
 def brute_det(M):
@@ -63,7 +66,9 @@ def test_row_basis_agrees_with_rows_independent():
         basis = _exact.RowBasis()
         kept = []
         for row in _row_sequence(rng, dim):
-            expected = _exact.rows_independent(kept, row)
+            expected = int_rank_oracle(kept + [row]) == len(kept) + 1
+            assert _exact.rows_independent(kept, row) == expected
+            assert _exact.int_rank(kept + [row]) == len(kept) + expected
             assert basis.add(row) == expected
             seen[expected] += 1
             if expected:
@@ -126,8 +131,28 @@ def test_int_inverse_unimodular():
 
 
 def test_int_inverse_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        _exact.int_inverse_unimodular([[2, 0], [0, 1]])
+    for mat in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            _exact.int_inverse_unimodular(mat)
+
+
+def test_solve_examples():
+    # pivots on the leftmost columns, free variables 0, one denominator
+    assert _exact.solve([[2, 4, 1], [0, 0, 3]], [1, 1]) == ([2, 0, 2], 6)
+    assert _exact.solve([[1, 2], [2, 4]], [1, 3]) is None
+    assert _exact.solve([[0], [0]], [0, 0]) == ([0], 1)
+    nums, d = _exact.solve([[2 ** 64, 1], [1, 1]], [1, 0])
+    assert [Fraction(v, d) for v in nums] == [Fraction(1, 2 ** 64 - 1),
+                                              Fraction(-1, 2 ** 64 - 1)]
+
+
+def test_eliminate_below_keeps_integers_and_shares_rows():
+    rows = [[2, 1, 1, 0, 0], [4, 3, 0, 1, 0], [6, 5, 0, 0, 1]]
+    once = _exact.eliminate_below(rows, 0, 0, 1)
+    assert once[0] is rows[0] and rows[1] == [4, 3, 0, 1, 0]
+    assert once[1:] == [[0, 2, -4, 2, 0], [0, 4, -6, 0, 2]]
+    # the second step divides by the first pivot, 2
+    assert _exact.eliminate_below(once, 1, 1, 2)[2] == [0, 0, 2, -4, 2]
 
 
 def test_column_hnf_lower():

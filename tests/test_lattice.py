@@ -277,6 +277,23 @@ class TestLabeling:
         with pytest.raises(ValueError, match="not on the gamma/p integer grid"):
             linear_labels(ens, [[0.0, 0.0], [bad, 0.0]])
 
+    @pytest.mark.parametrize("big", [1e300, 3e19, 2.0 ** 53, -2.0 ** 60])
+    def test_huge_points_rejected(self, big):
+        # past 2^53 every float passes the grid test, and past 2^63 the
+        # int64 cast overflowed to a wrong label
+        ens = build_ensemble(2, 3, 3.0, [(0, 1), (0, 2)], seed=21)
+        with pytest.raises(ValueError, match="not on the gamma/p integer grid"):
+            linear_label(ens, [big, 0.0])
+        with pytest.raises(ValueError, match="not on the gamma/p integer grid"):
+            linear_labels(ens, [[0.0, 0.0], [big, 0.0]])
+
+    def test_largest_grid_points_labelled(self):
+        ens = build_ensemble(2, 3, 3.0, [(0, 1), (0, 2)], seed=21)
+        top = 2.0 ** 53 - 1  # gamma / p = 1: a grid coordinate of its own
+        want = linear_label(ens, [top % 3, -top % 3])
+        assert np.array_equal(linear_label(ens, [top, -top]), want)
+        assert np.array_equal(linear_labels(ens, [[top, -top]]), [want])
+
     def test_codebook_cardinality(self):
         for n, p in [(2, 3), (3, 3), (2, 5)]:
             ens = build_ensemble(n, p, float(p), [(0, 1), (1, 2)], seed=11)

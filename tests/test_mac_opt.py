@@ -226,8 +226,8 @@ def _bitwise(assignments):
 def _assert_exact_witnesses(assignments):
     """Each witness is bitwise the exact one of lu_mapping for the
     assignment's pivot order.  (The oracle's successive witnesses come from
-    is_admissible's least squares, so they may differ in the last bits or in
-    the sign of a zero.)"""
+    is_admissible's exact solve, whose free variables are 0, so they may
+    differ from lu_mapping's.)"""
     for asg in assignments:
         order = [asg.pi.index(step) for step in range(1, len(asg.pi) + 1)]
         exact, pi = regions.lu_mapping(asg.A, order)

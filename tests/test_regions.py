@@ -79,6 +79,35 @@ class TestAdmissibility:
     def test_non_admissible_returns_none(self):
         assert is_admissible([[1, 1], [1, 2]], {(1, 1), (2, 2)}) is None
 
+    def test_borderline_mapping_refused_exactly(self):
+        # row 2 must cancel column 1 with -(10^12 + 1)/10^12 and column 2
+        # with -1; a float solve with a 1e-9 residual test accepted it
+        A = [[10 ** 12, 1], [10 ** 12 + 1, 1]]
+        pairs = {(1, 1), (1, 2)}
+        assert is_admissible(A, pairs) is None
+        with pytest.raises(ValueError, match="not admissible"):
+            succ_region(ChannelInstance(H=[[1.0, 1.0]], P=[1.0, 1.0]), A, pairs)
+        assert is_admissible(A, pairs | {(2, 2)}) is not None
+
+    def test_exact_witness_entries(self):
+        A = [[3, 1, 0], [1, 2, 0], [5, 0, 7]]
+        wit = is_admissible(A, {(1, 1), (1, 2), (2, 2), (3, 3)})
+        # -1/3 and the solve of x [3 1; 1 2] = -[5 0], free of rounding
+        assert wit.L_real.tolist() == [[1.0, 0.0, 0.0], [-1 / 3, 1.0, 0.0],
+                                       [-2.0, 1.0, 1.0]]
+        # a zero coefficient over a negative denominator is +0.0, not -0.0
+        wit = is_admissible([[-2, 0, 0], [0, 1, 0], [0, 3, 1]], {(3, 3)} | {
+            (m, l) for m in (1, 2) for l in (1, 2, 3)})
+        assert wit.L_real[2].tolist() == [0.0, -3.0, 1.0]
+        assert np.array_equal(np.signbit(wit.L_real), wit.L_real < 0)
+
+    def test_non_integral_matrix_rejected(self):
+        for A in ([[1.5, 1], [1, 2]], np.array([[1.0, np.nan], [1, 2]])):
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                is_admissible(A, {(1, 1), (1, 2)})
+        assert is_admissible(np.array([[2.0, 1.0], [4.0, 2.0]]),
+                             {(1, 1), (1, 2)}) is not None
+
     def test_witness_zeroes_mapped_out_entries(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -227,12 +256,12 @@ class TestLuMappingsAll:
             assert _bitwise([lu_mapping(A)]) == _bitwise([want])
 
     def test_zero_pivot_prunes_the_subtree(self, monkeypatch):
-        from cfkit import regions
+        from cfkit import _exact
 
         calls = []
-        honest = regions._eliminate
-        monkeypatch.setattr(regions, "_eliminate",
-                            lambda *args: calls.append(args[2:]) or honest(*args))
+        honest = _exact.eliminate_below
+        monkeypatch.setattr(_exact, "eliminate_below",
+                            lambda *args: calls.append(args[1:3]) or honest(*args))
         A = np.eye(4, dtype=int)[[2, 0, 3, 1]]
         (mapping, pi), = lu_mappings_all(A)
         assert pi == (2, 4, 1, 3) and len(calls) == 4

@@ -104,9 +104,11 @@ class CodeTable:
     __slots__ = ("shape", "values", "generator", "order", "lift",
                  "_cells", "_pairs", "_shifts")
 
-    def __init__(self, codes, values, generator=None):
+    def __init__(self, codes, values, generator=None, echelon=None):
         """A table of `codes`, K x n indices into `values`; or, with codes
-        None, of the codewords of `generator`, one value per symbol."""
+        None, of the codewords of `generator`, one value per symbol.
+        `echelon`, when given, is the generator's (rref, pivots) as
+        _zp.rref_mod_p gives them, and is not checked."""
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.values.setflags(write=False)
         self.generator = self.order = self.lift = None
@@ -119,7 +121,9 @@ class CodeTable:
         p = self.values.shape[0]
         G = np.array(generator, dtype=np.int64) % p
         k, n = G.shape
-        rref, pivots = _zp.rref_mod_p(G.tolist(), p) if k else ([], [])
+        if echelon is None:
+            echelon = _zp.rref_mod_p(G.tolist(), p) if k else ([], [])
+        rref, pivots = echelon
         if len(pivots) != k:
             raise ValueError("generator does not have full row rank mod p")
         self.shape = (p ** k, n)
@@ -140,11 +144,11 @@ class CodeTable:
         return cls(codes.reshape(shifts.shape), bits.view(np.float64))
 
     @classmethod
-    def from_generator(cls, generator, p: int, gamma: float) -> "CodeTable":
+    def from_generator(cls, generator, p: int, gamma: float, echelon=None) -> "CodeTable":
         """The table of the codewords of a k x n generator over Z_p, scaled
-        by gamma/p."""
+        by gamma/p; `echelon` as for the constructor."""
         m = p if len(generator) else 1
-        return cls(None, (gamma / p) * np.arange(m, dtype=np.float64), generator)
+        return cls(None, (gamma / p) * np.arange(m, dtype=np.float64), generator, echelon)
 
     def _cells_of(self, codes) -> np.ndarray:
         n = self.shape[1]

@@ -98,21 +98,57 @@ def inv_mod_p(mat, p: int) -> list[list[int]]:
     return [row[n:] for row in rref[:n]]
 
 
+def prefix_echelons(mat, p: int) -> list[tuple[list[list[int]], list[int], list[list[int]]]]:
+    """The reduced row echelon forms of a matrix's leading rows over Z_p, from
+    one pass that adds the rows in order.
+
+    Entry j is (rref, pivots, T) for mat[:j]: rref and pivots as rref_mod_p
+    gives them, and the j x j matrix T with T mat[:j] = rref mod p.  The list
+    runs from j = 0 up to the last j whose rows are independent mod p: its
+    length is one more than the number of leading independent rows.
+    """
+    rows = reduce_mod(mat, p) if len(mat) else []
+    k = len(rows)
+    basis, pivots = [], []  # the rref rows so far, each followed by its row of T
+    out = [([], [], [])]
+    for j, row in enumerate(rows):
+        n = len(row)
+        r = row + [int(i == j) for i in range(k)]
+        for b, c in zip(basis, pivots):
+            f = r[c]
+            if f:
+                r = [(x - f * y) % p for x, y in zip(r, b)]
+        lead = next((c for c in range(n) if r[c]), None)
+        if lead is None:
+            break
+        inv = pow(r[lead], -1, p)
+        r = [(x * inv) % p for x in r]
+        for i, b in enumerate(basis):
+            f = b[lead]
+            if f:
+                basis[i] = [(x - f * y) % p for x, y in zip(b, r)]
+        at = sum(c < lead for c in pivots)
+        basis.insert(at, r)
+        pivots.insert(at, lead)
+        out.append(([b[:n] for b in basis], pivots[:], [b[n:n + j + 1] for b in basis]))
+    return out
+
+
 def right_inverse_mod_p(mat, p: int) -> list[list[int]]:
     """R with mat R = I over Z_p, for a k x n matrix of full row rank k.
 
     R is zero outside the pivot rows of mat's echelon form, where it holds
-    the inverse of mat's pivot columns.
+    the transform T with T mat = rref (the inverse of mat's pivot columns).
     """
     a = reduce_mod(mat, p)
     k, n = len(a), len(a[0])
-    _, pivots = rref_mod_p(a, p)
-    if len(pivots) != k:
+    echelons = prefix_echelons(a, p)
+    if len(echelons) <= k:
         raise ValueError("matrix does not have full row rank mod p")
-    inv = inv_mod_p([[row[c] for c in pivots] for row in a], p)
+    _, pivots, T = echelons[k]
     R = [[0] * k for _ in range(n)]
     for i, c in enumerate(pivots):
-        R[c] = inv[i]
+        R[c] = T[i]
     return R
 
 

@@ -40,6 +40,9 @@ class NestedLatticeEnsemble:
     levels: tuple[tuple[int, int], ...]  # (k_C,l , k_F,l) per user
     G: np.ndarray                        # k_F x n over Z_p
     _tables: dict = field(default_factory=dict, repr=False)
+    # _zp.prefix_echelons of G: the RREF, pivots and transform of each
+    # prefix, from one pass over G's rows
+    _echelons: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _zp.require_prime(self.p)
@@ -61,8 +64,9 @@ class NestedLatticeEnsemble:
         for kc, kfl in self.levels:
             if not 0 <= kc <= kfl <= kf:
                 raise ValueError("levels must satisfy 0 <= k_C,l <= k_F,l <= k_F")
+        self._echelons = _zp.prefix_echelons(G, self.p)
         for k in self.required_prefixes():
-            if _zp.rank_mod_p(G[:k].tolist(), self.p) != k:
+            if k >= len(self._echelons):
                 raise ValueError(f"prefix of {k} rows of G is rank deficient mod p")
 
     @property
@@ -123,17 +127,19 @@ class NestedLatticeEnsemble:
         its rows in message order are enumerated only when read, for the
         pair lookups on smaller tables or for codeword_shifts."""
         if prefix not in self._tables:
-            self._tables[prefix] = CodeTable.from_generator(self.G[:prefix], self.p, self.gamma)
+            self._tables[prefix] = CodeTable.from_generator(
+                self.G[:prefix], self.p, self.gamma, self._echelons[prefix][:2])
         return self._tables[prefix]
 
     @functools.cached_property
     def G_right_inverse(self) -> np.ndarray:
         """n x k_F right inverse R of G over Z_p: a codeword c = v G has
-        message vector v = c R (unique, since G has full row rank)."""
-        if self.k_F == 0:
-            R = np.zeros((self.n, 0), dtype=np.int64)
-        else:
-            R = np.array(_zp.right_inverse_mod_p(self.G.tolist(), self.p), dtype=np.int64)
+        message vector v = c R (unique, since G has full row rank).  R is
+        zero outside the pivot rows of G's RREF, where it holds the transform
+        T with T G = RREF, as _zp.right_inverse_mod_p builds it."""
+        _, pivots, T = self._echelons[self.k_F]
+        R = np.zeros((self.n, self.k_F), dtype=np.int64)
+        R[pivots] = np.array(T, dtype=np.int64).reshape(len(pivots), self.k_F)
         R.setflags(write=False)
         return R
 

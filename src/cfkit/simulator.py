@@ -13,17 +13,21 @@ trial's key.  _encode_block makes the dithers, then runs each user's
 encoder (_encode_user) and labels the shifted points: the channel inputs
 and the true labels of the rows of A.  _decode_block equalizes, quantizes
 and, in successive mode, cancels over Z_p and recovers the real
-combinations, with a TrialPlan built once per config (the equalizers, the
-Z_p cancellation matrix and the quantizing user per row).
+combinations, with a TrialPlan built once per campaign (the equalizers of
+each noise level; the Z_p cancellation matrix and the quantizing user per
+row).
 
 run_campaign runs configs that differ only in noise_std.  Draws and
 encoding do not depend on the noise level, so each block is drawn and
-encoded once and decoded once per config, and only counts and powers are
-kept.  run_trials is the campaign of one config.  run_block runs one
-config's block and keeps every intermediate in a TrialBlock.  The per-point
+encoded once.  It is then decoded at every level in one pass: each level
+is equalized on its own, and each quantizer and labeling call takes all
+levels' rows as one stacked block.  Only counts and powers are kept.
+run_trials is the campaign of one config.  run_block runs one config's
+block and keeps every intermediate in a TrialBlock.  The per-point
 functions (encode, shifted_point, true_combinations, decode_parallel,
 decode_successive, recover_real_combo and run_single_trial, whose
-TrialRecord is row 0 of a TrialBlock) are one-row calls of the same stages.
+TrialRecord is row 0 of a TrialBlock) are one-row calls of the same
+stages, decoding at one level.
 """
 
 from __future__ import annotations
@@ -124,19 +128,42 @@ def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.nda
     return out
 
 
-def successive_equalizers(ch: ChannelInstance, A, noise_std: float
+@dataclass
+class PriorRows:
+    """What the successive equalizers of one A share across noise levels.
+
+    `keep[m]` lists the earlier rows that row m's equalizer combines: row i
+    is kept when it is exactly independent of the rows kept before it.
+    `checked` holds the rows whose kept rows have passed sigma_succ_opt's
+    numeric rank check, which depends only on them; later levels skip it.
+    """
+
+    keep: list
+    checked: set = field(default_factory=set)
+
+    @classmethod
+    def of(cls, A) -> "PriorRows":
+        basis = _exact.RowBasis()
+        kept = [basis.add(row) for row in np.asarray(A).tolist()]
+        return cls(keep=[[i for i in range(m) if kept[i]] for m in range(len(kept))])
+
+
+def successive_equalizers(ch: ChannelInstance, A, noise_std: float,
+                          prior: PriorRows | None = None
                           ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-row (b, c) pairs; c entries for dropped (dependent) rows are zero."""
+    """Per-row (b, c) pairs; c entries for dropped (dependent) rows are zero.
+
+    `prior`, PriorRows.of(A) when not given, may be shared by the calls for
+    several noise levels."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
     scaled = None
     if noise_std > 0.0:
         scaled = ch if noise_std == 1.0 else ChannelInstance(H=ch.H / noise_std, P=ch.P)
-    # row i is kept when it is independent of the rows kept before it
-    basis = _exact.RowBasis()
-    kept = [basis.add(row) for row in A.tolist()]
+    if prior is None:
+        prior = PriorRows.of(A)
     out = []
     for m in range(A.shape[0]):
-        keep = [i for i in range(m) if kept[i]]
+        keep = prior.keep[m]
         prev = A[keep] if keep else np.zeros((0, ch.num_users), dtype=int)
         c_full = np.zeros(m)
         if noise_std == 0.0:
@@ -147,7 +174,8 @@ def successive_equalizers(ch: ChannelInstance, A, noise_std: float
             b = z[: ch.num_antennas]
             c = z[ch.num_antennas:]
         else:
-            rep = sigma_succ_opt(scaled, A[m], prev)
+            rep = sigma_succ_opt(scaled, A[m], prev, rank_checked=m in prior.checked)
+            prior.checked.add(m)
             b = rep.b_opt / noise_std
             c = rep.c_opt if rep.c_opt is not None else np.zeros(0)
         for idx, row in enumerate(keep):
@@ -203,21 +231,44 @@ def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[floa
 # and encoded once, decoded twice) costs 78 us per trial at 16 trials per
 # block, 19 us at 128 and 13 us at 512, where the per-trial draws (about
 # 13 us: a state reset and three draw calls) dominate.  Block arrays are
-# B x L x n floats, 10 kB per user at n = 10; quantizer temporaries are
-# bounded separately by lattice.nearest_points.  A campaign holds one
-# block's draws and encoding at a time.
+# B x L x n floats, 10 kB per user at n = 10.  A campaign of C noise levels
+# decodes them in one pass, so each quantizer call holds C x B rows; its
+# temporaries are bounded separately by lattice.nearest_points, which
+# slices them.  A campaign holds one block's draws and encoding at a time.
 BLOCK_TRIALS = 128
+
+
+def _bits(value):
+    """What a config field holds, comparable with ==: arrays by shape, type
+    and bytes; lists, tuples and dicts entry by entry."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _bits(v)) for k, v in value.items())
+    return value
+
+
+def _shared_fields(config: TrialConfig):
+    """Every field of a config but noise_std, as _bits images."""
+    ens, ch = config.ensemble, config.ch
+    return _bits((ens.n, ens.p, ens.gamma, ens.levels, ens.G, ch.H, ch.P, config.A,
+                  config.mode, config.mapping, config.equalizers, config.master_seed))
 
 
 @dataclass
 class TrialPlan:
-    """Everything the trials of one config share, built once per config.
+    """Everything the trials of a campaign share, built once per campaign.
 
-    Per coefficient row m: `equalizers[m]` is b (parallel) or (b, c)
-    (successive), None for a parallel row that vanishes mod p; `targets[m]`
-    is the user whose fine lattice quantizes the row (theta for parallel,
-    vartheta for successive), None when the row has none.  Successive plans
-    also hold the Z_p cancellation matrix and its inverse.
+    A campaign's configs differ only in noise_std; one config is a campaign
+    of one level.  `equalizers[c][m]` is level c's equalizer of coefficient
+    row m: b (parallel) or (b, c) (successive), None for a parallel row that
+    vanishes mod p.  The rest does not depend on the level and is found
+    once: `targets[m]` is the user whose fine lattice quantizes the row
+    (theta for parallel, vartheta for successive), None when the row has
+    none; successive plans also hold the Z_p cancellation matrix and its
+    inverse, and share successive_equalizers' PriorRows across levels.
     """
 
     equalizers: list
@@ -226,24 +277,33 @@ class TrialPlan:
     Lbar_inv: np.ndarray | None = None
 
     @classmethod
-    def build(cls, config: TrialConfig) -> "TrialPlan":
-        ens, A = config.ensemble, config.A
-        eq = config.equalizers
+    def build(cls, configs) -> "TrialPlan":
+        """The plan of a list of configs, or of one config."""
+        if isinstance(configs, TrialConfig):
+            configs = [configs]
+        first = configs[0]
+        shared = _shared_fields(first)
+        if any(_shared_fields(cfg) != shared for cfg in configs[1:]):
+            raise ValueError("campaign configs may differ only in noise_std")
+        ens, A, eq = first.ensemble, first.A, first.equalizers
         rows = range(A.shape[0])
-        if config.mode == "parallel":
-            if eq == "optimal":
-                eq = parallel_equalizers(config.ch, A, config.noise_std)
+        levels = []
+        if first.mode == "parallel":
             targets = [_theta_user(ens, A[m], ens.p) for m in rows]
-            return cls(equalizers=[None if targets[m] is None
-                                   else np.asarray(eq[m], dtype=float) for m in rows],
-                       targets=targets)
-        if eq == "optimal":
-            eq = successive_equalizers(config.ch, A, config.noise_std)
-        pairs = _mapping_pairs(config.mapping)
-        Lbar, Lbar_inv = config.cancellation
-        return cls(equalizers=[(np.asarray(eq[m][0], dtype=float),
-                                np.asarray(eq[m][1], dtype=float).ravel()) for m in rows],
-                   targets=[_vartheta_user(ens, pairs, m + 1) for m in rows],
+            for cfg in configs:
+                level = parallel_equalizers(cfg.ch, A, cfg.noise_std) if eq == "optimal" else eq
+                levels.append([None if targets[m] is None
+                               else np.asarray(level[m], dtype=float) for m in rows])
+            return cls(equalizers=levels, targets=targets)
+        prior = PriorRows.of(A)
+        for cfg in configs:
+            level = (successive_equalizers(cfg.ch, A, cfg.noise_std, prior)
+                     if eq == "optimal" else eq)
+            levels.append([(np.asarray(level[m][0], dtype=float),
+                            np.asarray(level[m][1], dtype=float).ravel()) for m in rows])
+        pairs = _mapping_pairs(first.mapping)
+        Lbar, Lbar_inv = first.cancellation
+        return cls(equalizers=levels, targets=[_vartheta_user(ens, pairs, m + 1) for m in rows],
                    Lbar=Lbar, Lbar_inv=Lbar_inv)
 
 
@@ -265,8 +325,14 @@ class TrialBlock:
     real_success: np.ndarray | None  # B x M (successive): real combination recovered
 
 
+def _nearest(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:
+    """lattice.nearest_points on the points along X's last axis, whatever
+    its leading axes: one stacked block of rows."""
+    return lattice.nearest_points(ens, which, X.reshape(-1, ens.n)).reshape(X.shape)
+
+
 def _mod_rows(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:
-    return X - lattice.nearest_points(ens, which, X)
+    return X - _nearest(ens, which, X)
 
 
 def _dither_sum(coeffs, dithers):
@@ -372,48 +438,66 @@ def _encode_block(ens: NestedLatticeEnsemble, A: np.ndarray, messages: list,
 
 
 def _recover_real(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
-    """The real combinations a^T X of a block, rebuilt from their mod-coarse
-    residues mu and the equalized ytilde."""
+    """The real combinations a^T X of a block (B x n, or C x B x n for C
+    noise levels), rebuilt from their mod-coarse residues mu and the
+    equalized ytilde."""
     chi = _mod_rows(ens, "C", mu + _dither_sum(a, dithers))
-    return lattice.nearest_points(ens, "C", ytilde - chi) + chi
+    return _nearest(ens, "C", ytilde - chi) + chi
+
+
+def _labels(ens: NestedLatticeEnsemble, points) -> np.ndarray:
+    """lattice.linear_labels on C x B x n points: C x B x k labels."""
+    return lattice.linear_labels(ens, points.reshape(-1, ens.n)).reshape(
+        *points.shape[:2], ens.k)
 
 
 def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
-                  dithers: list, Y: np.ndarray) -> tuple:
-    """Decode a block of received Y (B x antennas x n) with a plan.
+                  dithers: list, Y: list) -> tuple:
+    """Decode a block of trials at each of a plan's C noise levels.
 
-    Returns the decoded labels (B x M x k) and, for a successive plan, per
-    row of A: the recovered real combinations, the quantized reduced
+    Y holds one received block (B x antennas x n) per level, in the plan's
+    order.  Each level is equalized on its own; the quantizing, mod-coarse,
+    labeling and real-recovery steps then take the C levels' rows as one
+    stacked (C B) x n block.  The kernel answers each row on its own, so
+    every level's outputs are bitwise those of a one-level plan.
+
+    Returns the decoded labels (C x B x M x k) and, for a successive plan,
+    per row of A: the recovered real combinations, the quantized reduced
     combinations nu and the combinations mu they give back after the Z_p
-    cancellation is inverted (B x n each).  A parallel plan returns None
+    cancellation is inverted (C x B x n each).  A parallel plan returns None
     for the three lists.
     """
-    B, M, n = Y.shape[0], A.shape[0], ens.n
-    decoded = np.zeros((B, M, ens.k), dtype=np.int64)
+    C, (B, _, n), M = len(Y), Y[0].shape, A.shape[0]
+    decoded = np.zeros((C, B, M, ens.k), dtype=np.int64)
     if plan.Lbar is None:  # parallel
         for m, target in enumerate(plan.targets):
             if target is None:
                 continue
-            t = np.matmul(plan.equalizers[m], Y) - _dither_sum(A[m], dithers)
-            mu = _mod_rows(ens, "C", lattice.nearest_points(ens, ("F", target), t))
-            decoded[:, m] = lattice.linear_labels(ens, mu)
+            dither = _dither_sum(A[m], dithers)
+            t = np.empty((C, B, n))
+            for c, (level, Yc) in enumerate(zip(plan.equalizers, Y)):
+                t[c] = np.matmul(level[m], Yc) - dither
+            decoded[:, :, m] = _labels(ens, _mod_rows(ens, "C", _nearest(ens, ("F", target), t)))
         return decoded, None, None, None
     reals, nus, mus = [], [], []
     for m, target in enumerate(plan.targets):
-        b, c = plan.equalizers[m]
-        ytilde = np.matmul(b, Y)
-        for i in range(min(m, c.size)):
-            if c[i] != 0.0:
-                ytilde = ytilde + float(c[i]) * reals[i]
-        t = ytilde.copy()
+        ytilde = np.empty((C, B, n))
+        for c, (level, Yc) in enumerate(zip(plan.equalizers, Y)):
+            b, coeffs = level[m]
+            y = np.matmul(b, Yc)
+            for i in range(min(m, coeffs.size)):
+                if coeffs[i] != 0.0:
+                    y = y + float(coeffs[i]) * reals[i][c]
+            ytilde[c] = y
+        t = ytilde
         for i in range(m):
             if plan.Lbar[m, i]:
                 t = t + int(plan.Lbar[m, i]) * mus[i]
         t = t - _dither_sum(A[m], dithers)
         if target is None:
-            nu = np.zeros((B, n))
+            nu = np.zeros((C, B, n))
         else:
-            nu = _mod_rows(ens, "C", lattice.nearest_points(ens, ("F", target), t))
+            nu = _mod_rows(ens, "C", _nearest(ens, ("F", target), t))
         nus.append(nu)
         acc = nu
         for i in range(m):
@@ -421,20 +505,21 @@ def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
                 acc = acc + int(plan.Lbar_inv[m, i]) * nus[i]
         mu = _mod_rows(ens, "C", acc)
         mus.append(mu)
-        decoded[:, m] = lattice.linear_labels(ens, mu)
+        decoded[:, :, m] = _labels(ens, mu)
         reals.append(_recover_real(ens, ytilde, mu, dithers, A[m]))
     return decoded, reals, nus, mus
 
 
 def _real_success(ens: NestedLatticeEnsemble, A: np.ndarray, reals: list,
                   X: np.ndarray) -> np.ndarray:
-    """B x M: whether each recovered real combination equals A[m] @ X, by
-    np.allclose's test on each trial."""
+    """C x B x M: whether each recovered real combination (C x B x n per
+    row) equals A[m] @ X, by np.allclose's test on each trial.  A[m] @ X is
+    computed once for all levels."""
     atol = 1e-6 * max(1.0, ens.gamma)
-    ok = np.empty((X.shape[0], A.shape[0]), dtype=bool)
+    ok = np.empty((*reals[0].shape[:2], A.shape[0]), dtype=bool)
     for m, real in enumerate(reals):
         exact = np.matmul(A[m], X)
-        ok[:, m] = np.all(np.abs(real - exact) <= atol + 1e-5 * np.abs(exact), axis=1)
+        ok[:, :, m] = np.all(np.abs(real - exact) <= atol + 1e-5 * np.abs(exact), axis=-1)
     return ok
 
 
@@ -445,18 +530,20 @@ def _powers(X: np.ndarray) -> np.ndarray:
 
 
 def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> TrialBlock:
-    """Trials start .. stop - 1 of the config, every intermediate kept."""
+    """Trials start .. stop - 1 of the config, every intermediate kept; the
+    plan is the config's own (one level)."""
     ens, ch, A = config.ensemble, config.ch, config.A
     messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
                                          start, stop)
     X, dithers, codewords, shifted, truth = _encode_block(ens, A, messages, cubes)
     decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
-                                         np.matmul(ch.H, X) + noise * config.noise_std)
+                                         [np.matmul(ch.H, X) + noise * config.noise_std])
+    decoded = decoded[0]
     return TrialBlock(messages=messages, dithers=dithers, codewords=codewords,
                       shifted_points=shifted, inputs=X, powers=_powers(X),
-                      true_labels=truth, decoded=decoded, decoded_real=reals,
+                      true_labels=truth, decoded=decoded, decoded_real=_first(reals),
                       success=np.all(decoded == truth, axis=2),
-                      real_success=None if reals is None else _real_success(ens, A, reals, X))
+                      real_success=None if reals is None else _real_success(ens, A, reals, X)[0])
 
 
 # The per-point functions: one-row (B = 1) calls of the block stages.
@@ -516,11 +603,12 @@ def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np
 def _decode_point(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A, dithers,
                   **fields):
     """One received Y (antennas x n) through _decode_block: the plan of the
-    config the arguments make, and the stage's outputs."""
+    config the arguments make, and the stage's outputs at its one level."""
     config = TrialConfig(ensemble=ens, ch=ch, A=A, **fields)
     plan = TrialPlan.build(config)
-    return plan, _decode_block(ens, config.A, plan, [_rows(d) for d in dithers],
-                               _rows(Y)[None])
+    decoded, reals, nus, mus = _decode_block(ens, config.A, plan, [_rows(d) for d in dithers],
+                                             [_rows(Y)[None]])
+    return plan, (decoded[0], _first(reals), _first(nus), _first(mus))
 
 
 def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
@@ -566,42 +654,22 @@ def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialR
         real_success=None if block.real_success is None else block.real_success[0].tolist())
 
 
-def _bits(value):
-    """What a config field holds, comparable with ==: arrays by shape, type
-    and bytes; lists, tuples and dicts entry by entry."""
-    if isinstance(value, np.ndarray):
-        return value.shape, value.dtype.str, value.tobytes()
-    if isinstance(value, (list, tuple)):
-        return tuple(_bits(v) for v in value)
-    if isinstance(value, dict):
-        return tuple((k, _bits(v)) for k, v in value.items())
-    return value
-
-
-def _shared_fields(config: TrialConfig):
-    """Every field of a config but noise_std, as _bits images."""
-    ens, ch = config.ensemble, config.ch
-    return _bits((ens.n, ens.p, ens.gamma, ens.levels, ens.G, ch.H, ch.P, config.A,
-                  config.mode, config.mapping, config.equalizers, config.master_seed))
-
-
 def run_campaign(configs: list[TrialConfig], trials: int,
                  ci_level: float = 0.95) -> list[dict]:
-    """run_trials for each config, sharing the draws and the encoding.
+    """run_trials for each config, sharing the draws, the encoding and the
+    decoding passes.
 
     The configs may differ only in noise_std.  Trial i's draws depend only
     on (master_seed, i), and its dithers, channel inputs and true labels
     only on those draws, so each block of BLOCK_TRIALS trials is drawn and
-    encoded once and decoded once per config.  Each report equals the one
-    run_trials gives for its config alone.
+    encoded once.  One TrialPlan holds every level's equalizers, and one
+    _decode_block call decodes the block at all levels.  Each report
+    equals the one run_trials gives for its config alone.
     """
     if not configs:
         return []
+    plan = TrialPlan.build(configs)
     first = configs[0]
-    shared = _shared_fields(first)
-    if any(_shared_fields(cfg) != shared for cfg in configs[1:]):
-        raise ValueError("campaign configs may differ only in noise_std")
-    plans = [TrialPlan.build(cfg) for cfg in configs]
     ens, ch, A = first.ensemble, first.ch, first.A
     errors = np.zeros((len(configs), A.shape[0]), dtype=np.int64)
     real_errors = np.zeros_like(errors)
@@ -613,12 +681,11 @@ def run_campaign(configs: list[TrialConfig], trials: int,
         X, dithers, _, _, truth = _encode_block(ens, A, messages, cubes)
         powers[:, start:stop] = _powers(X).T
         HX = np.matmul(ch.H, X)
-        for c, (cfg, plan) in enumerate(zip(configs, plans)):
-            decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
-                                                 HX + noise * cfg.noise_std)
-            errors[c] += np.count_nonzero(~np.all(decoded == truth, axis=2), axis=0)
-            if reals is not None:
-                real_errors[c] += np.count_nonzero(~_real_success(ens, A, reals, X), axis=0)
+        decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
+                                             [HX + noise * cfg.noise_std for cfg in configs])
+        errors += np.count_nonzero(~np.all(decoded == truth, axis=3), axis=1)
+        if reals is not None:
+            real_errors += np.count_nonzero(~_real_success(ens, A, reals, X), axis=1)
     power = [float(np.mean(powers[u])) for u in range(ens.num_users)]
     return [_report(cfg, trials, errors[c], real_errors[c], power, ci_level)
             for c, cfg in enumerate(configs)]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cfkit import lattice
+from cfkit import _kernels, _zp, lattice
 from cfkit.lattice import (NestedLatticeEnsemble, ball_volume, build_ensemble,
                            coset_contains, label_inverse, largest_prime_for,
                            linear_label, linear_labels, mod_lattice,
@@ -108,6 +108,49 @@ class TestBuildEnsemble:
             assert ens.code_table(k).shifts is ens.codeword_shifts(k)
 
 
+class TestPrefixEchelons:
+    """The ensemble reduces G once; its rank checks, code tables and right
+    inverse read that pass."""
+
+    @pytest.mark.parametrize("n, p, levels, seed", [(2, 3, [(0, 1), (0, 2)], 21),
+                                                    (8, 7, [(0, 4), (1, 5)], 21),
+                                                    (6, 13, [(0, 3)], 5), (3, 2, [(1, 3)], 5),
+                                                    (4, 5, [(1, 2), (0, 3)], 10)])
+    def test_each_prefix_and_right_inverse_as_separate_eliminations(self, n, p, levels, seed):
+        ens = build_ensemble(n, p, 2.5, levels, seed=seed)
+        for k in range(1, ens.k_F + 1):
+            rref, pivots = _zp.rref_mod_p(ens.G[:k].tolist(), p)
+            assert ens._echelons[k][:2] == (rref, pivots)
+            table = ens.code_table(k)
+            assert list(table.order[:k]) == pivots
+            want = np.arange(p)[:, None] * np.array(rref).reshape(k, 1, n) % p
+            assert np.array_equal(table.lift, want)
+        # the right inverse as it was built before: the inverse of G's pivot
+        # columns, from a second elimination, in G's pivot rows
+        pivots = _zp.rref_mod_p(ens.G.tolist(), p)[1]
+        inv = _zp.inv_mod_p(ens.G[:, pivots].tolist(), p)
+        want = np.zeros((n, ens.k_F), dtype=np.int64)
+        want[pivots] = inv
+        R = ens.G_right_inverse
+        assert R.dtype == want.dtype and np.array_equal(R, want)
+        assert np.array_equal(R, _zp.right_inverse_mod_p(ens.G, p))
+
+    def test_first_deficient_required_prefix_is_named(self):
+        # row 3 repeats row 1: prefixes 1 and 2 are full rank, 3 and 4 not
+        G = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        ens = NestedLatticeEnsemble(4, 3, 3.0, ((0, 2),), np.array(G[:2]))
+        assert len(ens._echelons) == 3
+        with pytest.raises(ValueError, match="prefix of 4 rows of G is rank deficient"):
+            NestedLatticeEnsemble(4, 3, 3.0, ((0, 2), (1, 4)), np.array(G))
+        with pytest.raises(ValueError, match="prefix of 3 rows of G is rank deficient"):
+            NestedLatticeEnsemble(4, 3, 3.0, ((0, 3), (2, 4)), np.array(G))
+
+    def test_empty_generator(self):
+        ens = NestedLatticeEnsemble(3, 5, 1.0, ((0, 0),), np.zeros((0, 3), dtype=int))
+        assert ens.G_right_inverse.shape == (3, 0)
+        assert ens.code_table(0).shape == (1, 3)
+
+
 class TestNearestPoint:
     def test_lattice_point_is_fixed(self):
         ens = cubic_ensemble()
@@ -163,6 +206,43 @@ class TestNearestPoints:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             nearest_points(cubic_ensemble(), "F", np.zeros((2, 3)))
+
+
+class TestStackedBlocks:
+    """nearest_points and linear_labels on blocks stacked into one give each
+    block's rows bitwise: a campaign decodes all its noise levels this way."""
+
+    @pytest.mark.parametrize("path", ["tree", "pairs"])
+    @pytest.mark.parametrize("kind", ["decode", "uniform"])
+    def test_stacked_equals_separate_calls(self, path, kind):
+        if path == "tree":  # the 16807-row table of the parallel benchmark campaign
+            ens = build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21)
+        else:
+            ens = build_ensemble(6, 7, 7.0, [(0, 3)], seed=0)
+        table = ens.code_table(ens.k_F)
+        rows = table.shape[0]
+        assert (rows >= _kernels.TRIE_MIN_ROWS) == (path == "tree")
+        step = lattice.slice_length(rows)
+        if path == "tree":
+            assert step == 62
+        rng = np.random.default_rng(15)
+        sizes = [15, step - 1, 1, step + 1, 2 * step + 3, 50]
+        blocks = []
+        for size in sizes:
+            V = rng.integers(0, ens.p, size=(size, ens.k_F))
+            if kind == "decode":
+                X = ens.gamma / ens.p * (V @ ens.G % ens.p)
+                X = X + ens.gamma * rng.integers(-2, 3, size=X.shape)
+                X = X + rng.normal(size=X.shape) * 0.2 * ens.gamma / ens.p
+            else:
+                X = rng.random((size, ens.n)) * ens.gamma
+            blocks.append(X)
+        separate = [nearest_points(ens, "F", X) for X in blocks]
+        stacked = nearest_points(ens, "F", np.vstack(blocks))
+        assert stacked.shape[0] > 3 * step  # the stacked block crosses slices
+        assert stacked.tobytes() == np.vstack(separate).tobytes()
+        labels = linear_labels(ens, stacked)
+        assert labels.tobytes() == np.vstack([linear_labels(ens, s) for s in separate]).tobytes()
 
 
 class TestModLattice:

@@ -676,6 +676,56 @@ class TestRunCampaign:
         assert run_campaign(configs, 20) == [run_trials(cfg, 20) for cfg in configs]
 
 
+    def test_large_parallel_campaign_equals_separate_runs(self):
+        # the parallel benchmark campaign's 16807-row table, searched over
+        # the implicit tree, with both levels' rows in one quantizer call
+        ens = build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21)
+        ch = ChannelInstance(H=[[1.0, 1.0], [1.0, 2.0]], P=[1.0, 1.0])
+        configs = [TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel", noise_std=ns,
+                               master_seed=7) for ns in (0.5, 0.1)]
+        trials = BLOCK_TRIALS + 22
+        reports = run_campaign(configs, trials)
+        assert reports == [run_trials(cfg, trials) for cfg in configs]
+        assert [[c["errors"] > 0 for c in r["combinations"]] for r in reports] == \
+            [[True, True], [False, False]]
+
+    def test_plan_checks_prior_rank_once(self, monkeypatch):
+        # the numeric rank check of row 2's prior row runs at the first
+        # level only; every level's equalizers are those of a one-level plan
+        from cfkit import core
+
+        ranks = []
+        numeric_rank = core._numeric_rank
+        monkeypatch.setattr(core, "_numeric_rank", lambda m: ranks.append(1) or numeric_rank(m))
+        configs = noise_configs([1.5, 0.5, 0.2])
+        plan = TrialPlan.build(configs)
+        assert len(ranks) == 1
+        for cfg, level in zip(configs, plan.equalizers):
+            want = simulator.successive_equalizers(cfg.ch, cfg.A, cfg.noise_std)
+            assert [(b.tobytes(), c.tobytes()) for b, c in level] == \
+                [(b.tobytes(), c.tobytes()) for b, c in want]
+
+    @pytest.mark.parametrize("mode", ["parallel", "successive"])
+    def test_one_decoding_pass_per_block_whatever_the_levels(self, mode, monkeypatch):
+        # every level's rows go through each quantizer call of the pass
+        calls = []
+        quantize = lattice.nearest_points
+
+        def spy(*args):
+            calls.append(args[2].shape[0])
+            return quantize(*args)
+
+        monkeypatch.setattr(lattice, "nearest_points", spy)
+        counts, rows = [], []
+        for levels in ([0.5], [1.5, 0.5, 0.0]):
+            calls.clear()
+            run_campaign(noise_configs(levels, mode=mode), 2 * BLOCK_TRIALS)
+            counts.append(len(calls))
+            rows.append(sum(calls))
+        assert counts[0] == counts[1] > 0
+        assert rows[1] > rows[0]
+
+
 def test_large_campaign_enumerates_no_large_table():
     # the parallel benchmark campaign searches its 16807-row table as an
     # implicit tree, so the table's rows are never enumerated

@@ -73,3 +73,27 @@ def test_right_inverse():
             R = np.array(_zp.right_inverse_mod_p(G, p))
             assert R.shape == (n, k)
             assert np.array_equal((G @ R) % p, np.eye(k, dtype=int))
+
+
+def test_prefix_echelons_match_rref_of_each_prefix():
+    # one pass over the rows gives every prefix's rref and pivots, and the
+    # transform T with T mat[:j] = rref; it stops at the first dependent row
+    rng = np.random.default_rng(4)
+    stops = 0
+    for p in (2, 3, 7, 13):
+        for _ in range(60):
+            k, n = int(rng.integers(0, 6)), int(rng.integers(1, 9))
+            G = rng.integers(0, p, size=(k, n))
+            if k > 2 and rng.random() < 0.4:
+                G[2] = (G[0] * int(rng.integers(0, p)) + G[1]) % p
+            echelons = _zp.prefix_echelons(G, p)
+            assert echelons[0] == ([], [], [])
+            for j, (rref, pivots, T) in enumerate(echelons[1:], start=1):
+                assert (rref, pivots) == _zp.rref_mod_p(G[:j].tolist(), p)
+                assert np.array_equal(np.array(T) @ G[:j] % p, np.array(rref))
+            independent = len(echelons) - 1
+            assert _zp.rank_mod_p(G[:independent].tolist(), p) == independent
+            if independent < k:
+                stops += 1
+                assert _zp.rank_mod_p(G[:independent + 1].tolist(), p) == independent
+    assert stops > 10

@@ -53,8 +53,6 @@ nearest_codeword_point is its one-row view.
 
 import numpy as np
 
-from . import _zp
-
 TIE_REL = 1e-12
 
 # Code tables of at least this many rows take stage 2's tree search, smaller
@@ -106,9 +104,10 @@ class CodeTable:
 
     def __init__(self, codes, values, generator=None, echelon=None):
         """A table of `codes`, K x n indices into `values`; or, with codes
-        None, of the codewords of `generator`, one value per symbol.
-        `echelon`, when given, is the generator's (rref, pivots) as
-        _zp.rref_mod_p gives them, and is not checked."""
+        None, of the codewords of `generator`, one value per symbol, whose
+        reduced row echelon form `echelon` gives as the (rref, pivots) of
+        _zp.rref_mod_p.  The echelon must span the generator's rows and hold
+        the identity in its k pivot columns."""
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.values.setflags(write=False)
         self.generator = self.order = self.lift = None
@@ -121,17 +120,20 @@ class CodeTable:
         p = self.values.shape[0]
         G = np.array(generator, dtype=np.int64) % p
         k, n = G.shape
-        if echelon is None:
-            echelon = _zp.rref_mod_p(G.tolist(), p) if k else ([], [])
         rref, pivots = echelon
         if len(pivots) != k:
             raise ValueError("generator does not have full row rank mod p")
+        pivots = list(pivots)
+        R = np.array(rref, dtype=np.int64).reshape(k, n)
+        if not (np.array_equal(R[:, pivots], np.eye(k, dtype=np.int64))
+                and np.array_equal(G[:, pivots] @ R % p, G)):
+            raise ValueError("echelon is not the generator's reduced row echelon form")
         self.shape = (p ** k, n)
         self.generator = G
         self.order = np.array(pivots + [j for j in range(n) if j not in pivots],
                               dtype=np.intp)
         # a sum of k entries of lift stays in its type
-        lift = np.arange(p)[:, None] * np.array(rref, dtype=np.int64).reshape(k, 1, n) % p
+        lift = np.arange(p)[:, None] * R.reshape(k, 1, n) % p
         self.lift = lift.astype(np.min_scalar_type(k * (p - 1)))
         for a in (self.generator, self.order, self.lift):
             a.setflags(write=False)
@@ -144,9 +146,9 @@ class CodeTable:
         return cls(codes.reshape(shifts.shape), bits.view(np.float64))
 
     @classmethod
-    def from_generator(cls, generator, p: int, gamma: float, echelon=None) -> "CodeTable":
+    def from_generator(cls, generator, p: int, gamma: float, echelon) -> "CodeTable":
         """The table of the codewords of a k x n generator over Z_p, scaled
-        by gamma/p; `echelon` as for the constructor."""
+        by gamma/p; `echelon` is its (rref, pivots), as for the constructor."""
         m = p if len(generator) else 1
         return cls(None, (gamma / p) * np.arange(m, dtype=np.float64), generator, echelon)
 

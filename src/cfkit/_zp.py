@@ -134,22 +134,29 @@ def prefix_echelons(mat, p: int) -> list[tuple[list[list[int]], list[int], list[
     return out
 
 
-def right_inverse_mod_p(mat, p: int) -> list[list[int]]:
-    """R with mat R = I over Z_p, for a k x n matrix of full row rank k.
+def echelon_right_inverse(pivots, T, n: int) -> list[list[int]]:
+    """R with mat R = I over Z_p, for a k x n matrix of full row rank k whose
+    reduced row echelon form has `pivots` and transform T (T mat = rref).
 
-    R is zero outside the pivot rows of mat's echelon form, where it holds
-    the transform T with T mat = rref (the inverse of mat's pivot columns).
+    R is zero outside the pivot rows, where it holds T: T is the inverse of
+    mat's pivot columns, since rref holds the identity there.
     """
+    R = [[0] * len(pivots) for _ in range(n)]
+    for i, c in enumerate(pivots):
+        R[c] = list(T[i])
+    return R
+
+
+def right_inverse_mod_p(mat, p: int) -> list[list[int]]:
+    """R with mat R = I over Z_p, for a k x n matrix of full row rank k, as
+    echelon_right_inverse builds it."""
     a = reduce_mod(mat, p)
     k, n = len(a), len(a[0])
     echelons = prefix_echelons(a, p)
     if len(echelons) <= k:
         raise ValueError("matrix does not have full row rank mod p")
     _, pivots, T = echelons[k]
-    R = [[0] * k for _ in range(n)]
-    for i, c in enumerate(pivots):
-        R[c] = T[i]
-    return R
+    return echelon_right_inverse(pivots, T, n)
 
 
 def matmul_mod_p(A, B, p: int) -> list[list[int]]:

@@ -218,15 +218,12 @@ def _numeric_rank(mat: np.ndarray) -> int:
     return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
-def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev,
-                   rank_checked: bool = False) -> NoiseReport:
+def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
     """MMSE (b, c) pair given exact prior combinations A_prev, plus variance.
 
     A_prev must have full row rank; callers drop dependent rows first.  The
-    numeric rank check that enforces it depends only on A_prev, and
-    rank_checked=True skips it for a caller that has passed it on these rows
-    before.  The variance is ||N F a_m||^2 for the projector N onto the
-    orthogonal complement of F A_prev^T.
+    variance is ||N F a_m||^2 for the projector N onto the orthogonal
+    complement of F A_prev^T.
     """
     a_m = np.asarray(a_m, dtype=float).ravel()
     A_prev = np.atleast_2d(np.asarray(A_prev, dtype=float)) if np.size(A_prev) else \
@@ -238,7 +235,7 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev,
         return rep
     if A_prev.shape[1] != ch.num_users or a_m.shape[0] != ch.num_users:
         raise ValueError("dimension mismatch")
-    if not rank_checked and _numeric_rank(A_prev) != A_prev.shape[0]:
+    if _numeric_rank(A_prev) != A_prev.shape[0]:
         raise ValueError("A_prev must have full row rank (drop dependent rows)")
     resid_vec, Q, R, coeffs = _chained_residual(effective_matrix(ch), a_m, A_prev)
     c_opt = np.linalg.solve(R, coeffs)

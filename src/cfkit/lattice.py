@@ -134,12 +134,11 @@ class NestedLatticeEnsemble:
     @functools.cached_property
     def G_right_inverse(self) -> np.ndarray:
         """n x k_F right inverse R of G over Z_p: a codeword c = v G has
-        message vector v = c R (unique, since G has full row rank).  R is
-        zero outside the pivot rows of G's RREF, where it holds the transform
-        T with T G = RREF, as _zp.right_inverse_mod_p builds it."""
+        message vector v = c R (unique, since G has full row rank), built by
+        _zp.echelon_right_inverse from the echelon pass over G."""
         _, pivots, T = self._echelons[self.k_F]
-        R = np.zeros((self.n, self.k_F), dtype=np.int64)
-        R[pivots] = np.array(T, dtype=np.int64).reshape(len(pivots), self.k_F)
+        R = np.array(_zp.echelon_right_inverse(pivots, T, self.n),
+                     dtype=np.int64).reshape(self.n, self.k_F)
         R.setflags(write=False)
         return R
 

@@ -128,42 +128,19 @@ def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.nda
     return out
 
 
-@dataclass
-class PriorRows:
-    """What the successive equalizers of one A share across noise levels.
-
-    `keep[m]` lists the earlier rows that row m's equalizer combines: row i
-    is kept when it is exactly independent of the rows kept before it.
-    `checked` holds the rows whose kept rows have passed sigma_succ_opt's
-    numeric rank check, which depends only on them; later levels skip it.
-    """
-
-    keep: list
-    checked: set = field(default_factory=set)
-
-    @classmethod
-    def of(cls, A) -> "PriorRows":
-        basis = _exact.RowBasis()
-        kept = [basis.add(row) for row in np.asarray(A).tolist()]
-        return cls(keep=[[i for i in range(m) if kept[i]] for m in range(len(kept))])
-
-
-def successive_equalizers(ch: ChannelInstance, A, noise_std: float,
-                          prior: PriorRows | None = None
+def successive_equalizers(ch: ChannelInstance, A, noise_std: float
                           ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-row (b, c) pairs; c entries for dropped (dependent) rows are zero.
-
-    `prior`, PriorRows.of(A) when not given, may be shared by the calls for
-    several noise levels."""
+    """Per-row (b, c) pairs; c entries for dropped (dependent) rows are zero."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
     scaled = None
     if noise_std > 0.0:
         scaled = ch if noise_std == 1.0 else ChannelInstance(H=ch.H / noise_std, P=ch.P)
-    if prior is None:
-        prior = PriorRows.of(A)
+    # row i is kept when it is independent of the rows kept before it
+    basis = _exact.RowBasis()
+    kept = [basis.add(row) for row in A.tolist()]
     out = []
     for m in range(A.shape[0]):
-        keep = prior.keep[m]
+        keep = [i for i in range(m) if kept[i]]
         prev = A[keep] if keep else np.zeros((0, ch.num_users), dtype=int)
         c_full = np.zeros(m)
         if noise_std == 0.0:
@@ -174,8 +151,7 @@ def successive_equalizers(ch: ChannelInstance, A, noise_std: float,
             b = z[: ch.num_antennas]
             c = z[ch.num_antennas:]
         else:
-            rep = sigma_succ_opt(scaled, A[m], prev, rank_checked=m in prior.checked)
-            prior.checked.add(m)
+            rep = sigma_succ_opt(scaled, A[m], prev)
             b = rep.b_opt / noise_std
             c = rep.c_opt if rep.c_opt is not None else np.zeros(0)
         for idx, row in enumerate(keep):
@@ -268,7 +244,7 @@ class TrialPlan:
     once: `targets[m]` is the user whose fine lattice quantizes the row
     (theta for parallel, vartheta for successive), None when the row has
     none; successive plans also hold the Z_p cancellation matrix and its
-    inverse, and share successive_equalizers' PriorRows across levels.
+    inverse.
     """
 
     equalizers: list
@@ -295,10 +271,8 @@ class TrialPlan:
                 levels.append([None if targets[m] is None
                                else np.asarray(level[m], dtype=float) for m in rows])
             return cls(equalizers=levels, targets=targets)
-        prior = PriorRows.of(A)
         for cfg in configs:
-            level = (successive_equalizers(cfg.ch, A, cfg.noise_std, prior)
-                     if eq == "optimal" else eq)
+            level = successive_equalizers(cfg.ch, A, cfg.noise_std) if eq == "optimal" else eq
             levels.append([(np.asarray(level[m][0], dtype=float),
                             np.asarray(level[m][1], dtype=float).ravel()) for m in rows])
         pairs = _mapping_pairs(first.mapping)

@@ -317,7 +317,7 @@ def test_trie_shortlist_boundary(monkeypatch, scale):
     tol = TIE_REL
     for h in (1e-3, 3e-3):
         for G in ([[0, 1]], [[0, 1, 0], [1, 0, 1]]):
-            table = CodeTable.from_generator(np.array(G), 2, 2 * h)
+            table = CodeTable.from_generator(np.array(G), 2, 2 * h, _zp.rref_mod_p(G, 2))
             x = np.zeros((1, len(G[0])))
             x[0, 1] = h / 2 + scale * tol / (2 * h)
             got = nearest_codeword_points(table, x, 2 * h)
@@ -374,3 +374,21 @@ def test_code_table_builds_shifts_on_first_access():
     for a in (table.values, table.cells, table.pairs, built):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def test_generator_table_checks_its_echelon():
+    # the echelon a generator table is built from must be the generator's:
+    # full rank, the identity in the pivot columns, and the same row space
+    G = np.array([[1, 2, 0], [0, 1, 1]])
+    rref, pivots = _zp.rref_mod_p(G.tolist(), 3)
+    table = CodeTable.from_generator(G, 3, 3.0, (rref, pivots))
+    assert table.shape == (9, 3) and list(table.order[:2]) == pivots
+    bad = [(rref[:1], pivots[:1]),                       # too few pivots
+           ([rref[0], [1, 1, 1]], pivots),               # no identity at pivots
+           (_zp.rref_mod_p([[1, 0, 0], [0, 1, 0]], 3))]  # another row space
+    for echelon in bad:
+        with pytest.raises(ValueError, match="full row rank|echelon"):
+            CodeTable.from_generator(G, 3, 3.0, echelon)
+    with pytest.raises(ValueError, match="full row rank"):
+        CodeTable.from_generator(np.array([[1, 2, 0], [2, 1, 0]]), 3, 3.0,
+                                 _zp.rref_mod_p([[1, 2, 0], [2, 1, 0]], 3))

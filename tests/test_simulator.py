@@ -689,22 +689,6 @@ class TestRunCampaign:
         assert [[c["errors"] > 0 for c in r["combinations"]] for r in reports] == \
             [[True, True], [False, False]]
 
-    def test_plan_checks_prior_rank_once(self, monkeypatch):
-        # the numeric rank check of row 2's prior row runs at the first
-        # level only; every level's equalizers are those of a one-level plan
-        from cfkit import core
-
-        ranks = []
-        numeric_rank = core._numeric_rank
-        monkeypatch.setattr(core, "_numeric_rank", lambda m: ranks.append(1) or numeric_rank(m))
-        configs = noise_configs([1.5, 0.5, 0.2])
-        plan = TrialPlan.build(configs)
-        assert len(ranks) == 1
-        for cfg, level in zip(configs, plan.equalizers):
-            want = simulator.successive_equalizers(cfg.ch, cfg.A, cfg.noise_std)
-            assert [(b.tobytes(), c.tobytes()) for b, c in level] == \
-                [(b.tobytes(), c.tobytes()) for b, c in want]
-
     @pytest.mark.parametrize("mode", ["parallel", "successive"])
     def test_one_decoding_pass_per_block_whatever_the_levels(self, mode, monkeypatch):
         # every level's rows go through each quantizer call of the pass

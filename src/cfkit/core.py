@@ -78,8 +78,9 @@ class ChannelInstance:
     @cached_property
     def _dominant_solution(self):
         # intsearch.dominant_solution of effective_matrix at the default
-        # radius cap, kept like _effective_matrix: read-only arrays, and
-        # nothing stored when the search raises
+        # radius, 64 (one ellipsoid enumeration, certified for entries up
+        # to it), kept like _effective_matrix: read-only arrays, and nothing
+        # stored when the search raises
         from . import intsearch
 
         dom = intsearch.dominant_solution(effective_matrix(self))

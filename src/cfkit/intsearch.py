@@ -2,12 +2,16 @@
 vectors under ||F a||, rowspan and mod-p solvability checks, unimodularity,
 and primitive-basis handling.
 
-Determinants, Smith forms, and mod-p elimination are exact (python ints);
+The shortest vectors come from one Fincke-Pohst enumeration of the integer
+points of an ellipsoid ||F a||^2 <= R (Fincke and Pohst, Math. Comp. 1985),
+breadth first and vectorized over the nodes of each level.  Determinants,
+Smith forms, independence and mod-p elimination are exact (python ints);
 floating point is used only for the norms being minimized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +21,17 @@ from .core import ChannelInstance
 
 MAX_EXACT_USERS = 4  # enumeration is exponential in the user count
 _MAX_RADIUS = 64
-# Largest half box dominant_solution builds.  Near the cap a radius step holds
-# about 220 MB (int64 rows, their float copy and products); four users stop
-# after radius 21, while two and three users reach _MAX_RADIUS first.
-MAX_BOX_ROWS = 2_000_000
+# Most nodes dominant_solution's search may visit, over all its levels.  A
+# level of a million nodes holds about 100 MB (coordinates, centres and
+# their copies).  Near-singular channels, whose ellipsoid is wide in several
+# directions, reach it and end in a RuntimeError.
+MAX_SEARCH_NODES = 1_000_000
+_EPS = float(np.finfo(float).eps)
+# Candidates left when dominant_solution has all picks but the last of a
+# full set, past which it finds the last one by one product with the
+# normal of the others' hyperplane instead of row by row.  Near-singular
+# 4-user channels can put some 10^5 rows on that plane.
+_LONG_SCAN = 256
 
 
 @dataclass
@@ -42,34 +53,71 @@ def entry_bound(ch: ChannelInstance) -> float:
     return float(np.linalg.eigvalsh(np.eye(ch.num_users) + S)[-1])
 
 
-def _half_box(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero rows of [-radius, radius]^dim whose first nonzero entry is
-    positive, in lexicographic order, and the row index of each unit vector.
+def _triangular_factor(F: np.ndarray) -> np.ndarray:
+    """Lower-triangular T with positive diagonal and ||T a|| = ||F a||.
 
-    Every nonzero box row is +-1 times exactly one of these rows.  Rows with
-    more leading zeros sort first, so the block of rows with ``lead`` leading
-    zeros follows the block with ``lead + 1``; within a block the entries
-    after the leading one run like digits.
+    effective_matrix's F is lower triangular with a positive diagonal
+    already and is returned as it is; otherwise T comes from a QR
+    factorization of F with its columns reversed.
     """
-    side = 2 * radius + 1
-    grid = np.zeros((_half_box_rows(dim, radius), dim), dtype=int)
-    units = np.zeros(dim, dtype=np.intp)
-    start = 0
-    for lead in reversed(range(dim)):
-        tail = dim - 1 - lead
-        stop = start + radius * side ** tail
-        digits = grid[start:stop].reshape((radius,) + (side,) * tail + (dim,))
-        digits[..., lead] = np.arange(1, radius + 1).reshape((radius,) + (1,) * tail)
-        for j in range(tail):
-            digits[..., lead + 1 + j] = np.arange(-radius, radius + 1).reshape(
-                (side,) + (1,) * (tail - 1 - j))
-        units[lead] = start + (side ** tail - 1) // 2  # the row (1, 0, ..., 0)
-        start = stop
-    return grid, units
+    dim = F.shape[1]
+    rows = F.tolist()
+    if len(rows) == dim and all(rows[i][i] > 0 and not any(rows[i][i + 1:])
+                                for i in range(dim)):
+        return F
+    T = np.linalg.qr(F[:, ::-1], mode="r")[::-1, ::-1]
+    return T * np.where(np.diag(T) < 0, -1.0, 1.0)[:, None]
 
 
-def _half_box_rows(dim: int, radius: int) -> int:
-    return ((2 * radius + 1) ** dim - 1) // 2
+def _ellipsoid_points(T: np.ndarray, bound: float, radius: int,
+                      pad: float) -> np.ndarray:
+    """Integer rows a in [-radius, radius]^dim with ||T a||^2 <= bound whose
+    first nonzero entry is positive, in lexicographic order.
+
+    A breadth-first Fincke-Pohst search: at level k each node (a prefix
+    a_0..a_k-1) takes the integers a_k that keep its partial norm within
+    bound, an interval widened by pad / T[k, k] on each side so that
+    rounding drops no point.  Nodes stay in lexicographic order, so node 0
+    is the zero prefix, the one node that takes only a_k >= 0; it ends as
+    the zero row, which is dropped.  The search is vectorized over the nodes
+    of a level.  RuntimeError when the levels would hold more than
+    MAX_SEARCH_NODES nodes in all.
+    """
+    dim = T.shape[0]
+    diag = T.diagonal().tolist()
+    over = RuntimeError(f"enumeration stopped at {MAX_SEARCH_NODES} nodes; "
+                        f"the channel is too ill-conditioned")
+    # level 0 has one node, the empty prefix: a_0 runs over 0..top
+    top = min(math.floor((math.sqrt(bound) + pad) / diag[0]), radius)
+    visited = top + 1
+    if visited > MAX_SEARCH_NODES:
+        raise over
+    value = np.arange(top + 1)
+    coords = np.zeros((top + 1, dim), dtype=np.int64)
+    coords[:, 0] = value
+    centre = np.multiply.outer(value, T[:, 0])  # T[:, :k] @ a[:k] per node
+    used = centre[:, 0] ** 2                    # ||T[:k, :k] a[:k]||^2 per node
+    for k in range(1, dim):
+        half = np.sqrt(np.maximum(bound - used, 0.0))
+        half += pad
+        mid = centre[:, k]
+        lo = np.maximum(np.ceil((-mid - half) / diag[k]), -radius)
+        lo[0] = max(lo[0], 0.0)
+        counts = np.minimum(np.floor((half - mid) / diag[k]), radius) - lo + 1
+        counts = np.maximum(counts, 0, out=counts).astype(np.intp)
+        total = int(counts.sum())
+        visited += total
+        if visited > MAX_SEARCH_NODES:
+            raise over
+        # each node's children run lo, lo + 1, ... in node order
+        value = np.repeat(lo.astype(np.int64) - np.cumsum(counts) + counts,
+                          counts) + np.arange(total)
+        coords = np.repeat(coords, counts, axis=0)
+        coords[:, k] = value
+        if k + 1 < dim:
+            centre = np.repeat(centre, counts, axis=0) + np.multiply.outer(value, T[:, k])
+            used = np.repeat(used, counts) + centre[:, k] ** 2
+    return coords[1:]
 
 
 def dominant_solution(F: np.ndarray, L: int | None = None,
@@ -77,17 +125,23 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
                       max_radius: int = _MAX_RADIUS) -> DominantSolution:
     """Greedily pick L integer vectors minimizing ||F a|| subject to independence.
 
-    Candidates are the rows of the box |a_i| <= radius up to sign: the half
-    box of rows whose first nonzero entry is positive.  Within a box the
-    greedy order is (||F a||^2, then lexicographic on a), so ties break
-    deterministically.  Only rows no longer than the longest unit vector are
-    sorted: the unit vectors are independent and lie in every box, so the
-    greedy pick never reaches past them.  The radius grows from 1 until
-    sigma_min(F) * (radius + 1) exceeds the last pick, which certifies that
-    no vector outside the box can beat the picks.  RuntimeError("enumeration
-    exhausted at radius r") is raised when radius r was searched without a
-    certificate and the next box would pass ``max_radius`` or hold more than
-    MAX_BOX_ROWS rows.
+    The greedy order is (||F a||^2, then lexicographic on a) over integer
+    vectors up to sign (first nonzero entry positive), so ties break
+    deterministically.  The picks are certified when they lie in the box
+    |a_i| <= max_radius and sigma_min(F) * (max_radius + 1) exceeds the last
+    pick: every vector outside the box is longer, so no vector anywhere
+    beats them.  These are the picks and the outcome of growing the box
+    from radius 1 until the first radius that certifies.
+
+    The candidates are the points of the box in the ellipsoid
+    ||F a||^2 <= bound, enumerated once by _ellipsoid_points on a
+    triangular factor of F.  The bound is the largest unit-vector norm^2,
+    since the unit vectors are independent and no pick is longer, or
+    (sigma_min(F) (max_radius + 1))^2 when that is smaller, since no longer
+    pick is certified.  Their norms come from one product with F.
+    RuntimeError("enumeration exhausted at radius max_radius") when the
+    picks are not certified, and RuntimeError when the search would visit
+    more than MAX_SEARCH_NODES nodes.
     """
     F = np.asarray(F, dtype=float)
     dim = F.shape[1]
@@ -97,34 +151,69 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
         raise ValueError(f"exact enumeration capped at {max_users} users (got {dim})")
     if not 1 <= L <= dim:
         raise ValueError(f"need 1 <= L <= {dim} vectors (got {L})")
-    smin = float(np.linalg.svd(F, compute_uv=False)[-1])
+    sv = np.linalg.svd(F, compute_uv=False)
+    smin = float(sv[-1]) if F.shape[0] >= dim else 0.0
     if smin <= 0:
         raise ValueError("F must have full rank")
+    exhausted = RuntimeError(f"enumeration exhausted at radius {max_radius}")
+    if max_radius < 1:
+        raise exhausted
 
-    radius = 1
-    while radius <= max_radius and _half_box_rows(dim, radius) <= MAX_BOX_ROWS:
-        grid, units = _half_box(dim, radius)
-        FA = grid @ F.T
-        norms2 = np.einsum("ij,ij->i", FA, FA)
-        near = np.flatnonzero(norms2 <= norms2[units].max())
-        # primary key: squared norm; ties: lexicographic on the entries
-        order = near[np.lexsort(tuple(grid[near, k] for k in reversed(range(dim)))
-                                + (norms2[near],))]
-        basis = _exact.RowBasis()
-        chosen: list[list[int]] = []
-        norms: list[float] = []
-        for idx in order:
-            if len(chosen) == L:
+    R = max(np.einsum("ij,ij->j", F, F).tolist())
+    # No point of the ellipsoid has an entry past sqrt(R) / smin, so a box
+    # wider than that holds the same points, and certifies whatever the
+    # wider box does.
+    radius = int(min(max_radius, math.sqrt(R) / smin + 2, 2.0 ** 53))
+    cap = smin * (radius + 1)
+    bound = min(R, cap * cap)
+    # Rounding: for a point of the search, each entry of F a and of T a is
+    # computed to within err, and so each squared norm to within
+    # dim err (2 sqrt(bound) + err); the search's bound and intervals are
+    # widened by them.
+    err = 8 * dim * math.sqrt(dim) * _EPS * radius * float(sv[0])
+    bound += 3 * dim * err * (2 * math.sqrt(bound) + err)
+    if not math.isfinite(bound):
+        raise exhausted  # norms past the float range: nothing is certified
+    grid = _ellipsoid_points(_triangular_factor(F), bound, radius, 2 * err)
+
+    FA = grid @ F.T
+    norms2 = np.einsum("ij,ij->i", FA, FA)
+    # The grid is in lexicographic order, so a stable sort on the squared
+    # norm breaks ties lexicographically.  Rows longer than the longest unit
+    # vector sort after all of them and are never picked; a pick longer
+    # than the cap fails the certificate below.
+    order = np.argsort(norms2, kind="stable")
+    basis = _exact.RowBasis()
+    picks: list[int] = []
+    for pos, idx in enumerate(order.tolist()):
+        if basis.add(grid[idx].tolist()):
+            picks.append(idx)
+            if len(picks) == L:
                 break
-            vec = grid[idx].tolist()
-            if basis.add(vec):
-                chosen.append(vec)
-                norms.append(float(np.sqrt(norms2[idx])))
-        if len(chosen) == L and smin * (radius + 1) > norms[-1]:
-            A = np.array(chosen, dtype=int)
-            return DominantSolution(A_star=A, norms=np.array(norms))
-        radius += 1
-    raise RuntimeError(f"enumeration exhausted at radius {radius - 1}")
+            if (len(picks) == dim - 1 and order.size - pos > _LONG_SCAN
+                    and math.factorial(dim) * radius ** dim < 2 ** 63):
+                picks += _first_off_plane(grid, order[pos + 1:], picks)
+                break
+    if len(picks) < L or not cap > math.sqrt(norms2[picks[-1]]):
+        raise exhausted
+    return DominantSolution(A_star=grid[picks],
+                            norms=np.sqrt(norms2[picks]))
+
+
+def _first_off_plane(grid: np.ndarray, rest: np.ndarray, picks: list) -> list:
+    """[the first row of rest off the hyperplane spanned by the dim - 1
+    independent rows grid[picks]], or [] when every row lies on it.
+
+    A row lies on the plane exactly when its product with the plane's
+    integer normal (the signed minors of the picks) is zero.  The caller
+    makes sure the product is exact in int64: with entries at most the
+    search radius, it is at most dim! radius^dim.
+    """
+    rows = grid[picks].tolist()
+    normal = [(-1) ** j * _exact.int_det([r[:j] + r[j + 1:] for r in rows])
+              for j in range(grid.shape[1])]
+    off = rest[grid[rest] @ np.array(normal, dtype=np.int64) != 0]
+    return off[:1].tolist()
 
 
 def rowspan_contains_real(Atilde, A) -> bool:

@@ -114,9 +114,8 @@ def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignmen
     total = float(sum(rates))
     asg = MacAssignment(A=dom.A_star, mapping=mapping, pi=pi, rates=rates,
                         sum_rate=total, gap_to_capacity=cap - total)
-    witness = regions._coerce_mapping(dom.A_star, mapping)
     box = regions.Box(caps=regions._caps_from_rows(ch, row_variances,
-                                                   witness.rows_for_user))
+                                                   mapping.rows_for_user))
     if not box.contains(rates, tol=1e-9):
         raise AssertionError("assignment fell outside its own cancellation region")
     L = ch.num_users
@@ -136,19 +135,19 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     if not intsearch.is_unimodular(A):
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
-    return _successive_outcome(ch, A, mapping, pi,
+    return _successive_outcome(ch, A, regions._coerce_mapping(A, mapping), pi,
                                lambda: regions.row_variances(ch, A, chained=True),
                                sum_capacity(ch))
 
 
 def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome:
-    """successive_mac_assignment after its checks on A and the powers.
+    """successive_mac_assignment after its checks on A, the mapping and the
+    powers: mapping is an AdmissibleMapping whose witness holds for A.
 
     variances() gives A's chained row variances; it is called only once the
     mapping and pi have passed their checks.  cap is sum_capacity(ch).
     """
     L = ch.num_users
-    mapping = regions._coerce_mapping(A, mapping)
     pi = tuple(int(v) for v in pi)
     if sorted(pi) != list(range(1, L + 1)):
         raise ValueError("pi must be a permutation of decoding steps 1..L")
@@ -203,11 +202,13 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     permutation matrices plus the dominant solution (when unimodular), one
     per distinct rate tuple, in candidate then pivot-order order.
 
-    The sum capacity is computed once per call and each candidate's chained
-    variances once, when its first mapping passes the mapping checks.  The
-    permutation candidates share row prefixes, and a row's chained variance
-    depends only on its prefix, so each prefix's variance is computed once
-    per call (for L = 4, 64 variances instead of 96).
+    Each mapping of lu_mappings_all carries its exact witness and is used
+    as it is.  The sum capacity is computed once per call and each
+    candidate's chained variances once, when its first mapping passes the
+    mapping checks.  The permutation candidates share row prefixes, and a
+    row's chained variance depends only on its prefix, so each prefix's
+    variance is computed once per call (for L = 4, 64 variances instead of
+    96).
     """
     L = ch.num_users
     candidates: list[np.ndarray] = []

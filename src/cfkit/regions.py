@@ -260,10 +260,11 @@ def asc_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
 def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
     """The mapping with a witness that holds for A, or ValueError.
 
-    A mapping that carries a witness (lu_mapping's exact one, say) is
-    returned as it is when one product L_real @ A clears every column outside
-    the mapping, to a relative 1e-9 (_TOL).  A raw pair set, or a carried
-    witness that fails, is solved for exactly by is_admissible.  A pair
+    The pairs must be admissible for A exactly (is_admissible, which solves
+    cancellation_solves' systems).  A mapping that carries a witness is then
+    returned as it is when one product L_real @ A clears every column
+    outside the mapping, to a relative 1e-9 (_TOL); a raw pair set, or a
+    carried witness that fails, gets is_admissible's witness.  A pair
     naming a user of A but no row of it is an error.
     """
     if isinstance(mapping, AdmissibleMapping):
@@ -275,11 +276,11 @@ def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
         if 1 <= l <= L and not 1 <= m <= M:
             raise ValueError(f"mapping pair ({m},{l}) names row {m} of a "
                              f"coefficient matrix with {M} rows")
-    if isinstance(mapping, AdmissibleMapping) and _witness_holds(A, mapping):
-        return mapping
     witness = is_admissible(A, pairs)
     if witness is None:
         raise ValueError("mapping is not admissible for this coefficient matrix")
+    if isinstance(mapping, AdmissibleMapping) and _witness_holds(A, mapping):
+        return mapping
     return witness
 
 

@@ -165,18 +165,20 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each row is solved exactly (regions.cancellation_solves, as for
     regions.is_admissible), and each coefficient n/d, in lowest terms, is
-    taken to n d^-1 mod p.  Raises when a denominator vanishes mod p
-    ("p too small" for this mapping).
+    taken to n d^-1 mod p.  Raises "not admissible" at the first row with
+    no solution, and only when every row has one, "p too small" at the
+    first denominator that vanishes mod p.
     """
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L, users = A.shape
     pairs = _mapping_pairs(mapping)
-    Lbar = np.eye(L, dtype=np.int64)
-    for m, sol in regions.cancellation_solves(A.tolist(), pairs):
+    sols = list(regions.cancellation_solves(A.tolist(), pairs))
+    for m, sol in sols:
         if sol is None:
             raise ValueError(f"mapping is not admissible (row {m + 1})")
-        nums, d = sol
+    Lbar = np.eye(L, dtype=np.int64)
+    for m, (nums, d) in sols:
         for i, n in enumerate(nums):
             g = math.gcd(n, d) * (-1 if d < 0 else 1)
             num, den = n // g, d // g
@@ -363,10 +365,10 @@ def _dither_step(ens: NestedLatticeEnsemble, coarse, lam, dither):
 def _encode_user(ens: NestedLatticeEnsemble, u: int, messages, dithers):
     """User u + 1's encoder on a block of B x (k_F,l - k_C,l) messages and
     B x n dithers: the codewords (the messages at the user's signal levels,
-    mod its coarse lattice), the channel inputs and the shifted points."""
+    mod its coarse lattice), the channel inputs and the shifted points.
+    The dithers lie in the user's coarse Voronoi region: _encode_block
+    makes them there, and encode checks the one it is given."""
     coarse = ("C", u + 1)
-    if not np.allclose(_mod_rows(ens, coarse, dithers), dithers, atol=1e-9):
-        raise ValueError("dither must lie in the user's coarse Voronoi region")
     kc, kf = ens.levels[u]
     V = np.zeros((dithers.shape[0], ens.k_F), dtype=np.int64)
     V[:, kc:kf] = messages
@@ -542,7 +544,11 @@ def _message_row(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
 
 def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
     """Map a message to its lattice codeword and dithered channel input."""
-    lam, x, _ = _encode_user(ens, user - 1, _message_row(ens, user, message), _rows(dither))
+    message = _message_row(ens, user, message)
+    dither = _rows(dither)
+    if not np.allclose(_mod_rows(ens, ("C", user), dither), dither, atol=1e-9):
+        raise ValueError("dither must lie in the user's coarse Voronoi region")
+    lam, x, _ = _encode_user(ens, user - 1, message, dither)
     return lam[0], x[0]
 
 

@@ -71,15 +71,17 @@ def int_rank_oracle(rows) -> int:
 def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Lower-unitriangular cancellation matrix over Z_p and its inverse.
 
-    Built by exact rational elimination, then reduced mod p.  Raises when a
-    denominator vanishes mod p ("p too small" for this mapping).
+    Built by exact rational elimination, then reduced mod p.  Raises when
+    some row has no solution ("not admissible", checked for every row
+    first), then when a denominator vanishes mod p ("p too small" for this
+    mapping).
     """
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L, users = A.shape
     pairs = _mapping_pairs(mapping)
     rows = [[Fraction(int(v)) for v in row] for row in A.tolist()]
-    Lbar = np.eye(L, dtype=np.int64)
+    sols = []
     for m in range(1, L + 1):
         cols = [l - 1 for l in range(1, users + 1) if (m, l) not in pairs]
         if not cols:
@@ -92,6 +94,9 @@ def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
                              [-rows[m - 1][c] for c in cols])
         if sol is None:
             raise ValueError(f"mapping is not admissible (row {m})")
+        sols.append((m, sol))
+    Lbar = np.eye(L, dtype=np.int64)
+    for m, sol in sols:
         for i, frac in enumerate(sol):
             if frac.denominator % p == 0:
                 raise ValueError(

@@ -146,6 +146,11 @@ _OVERFLOW_RUNS = [
     (["region", "--mode", "sic"], "region_sic.json"),
 ]
 
+# Three users a million times stronger than the fourth: the search would
+# visit a ball of about 575,000 points on their plane, and more than a
+# million nodes on its way there.
+_NEAR_SINGULAR = {"H": [[1e6, 0, 0, 0], [0, 1e6, 0, 0], [0, 0, 1e6, 0]], "P": [1, 1, 1, 1]}
+
 
 @pytest.mark.parametrize("argv,doc,message,report", [
     (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power",
@@ -155,7 +160,9 @@ _OVERFLOW_RUNS = [
     (["mac"], {"H": [[1e12, 1]], "P": [1, 1]}, "enumeration exhausted at radius 64",
      "mac_assignments.json"),
     (["mac"], {"H": [[1e12, 1, 1, 1]], "P": [1, 1, 1, 1]},
-     "enumeration exhausted at radius 21", "mac_assignments.json"),
+     "enumeration exhausted at radius 64", "mac_assignments.json"),
+    *[([command], _NEAR_SINGULAR, "enumeration stopped at 1000000 nodes", report)
+      for command, report in (("search", "search.json"), ("mac", "mac_assignments.json"))],
     (["search"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power", "search.json"),
     (["region", "--mode", "para"], {"H": [[1, 1.5]], "P": [1, 0], "A": [[1, 1], [1, 2]]},
      "user 2 has zero power", "region_para.json"),
@@ -170,6 +177,7 @@ _OVERFLOW_RUNS = [
                                      "mapping": [[1, 1], [1, 2]]},
      "mapping is not admissible", "region_succ.json"),
 ], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
+        "search-node-budget", "mac-node-budget",
         "search-zero-power", "region-para-zero-power",
         *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
         *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],

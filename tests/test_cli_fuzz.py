@@ -49,7 +49,7 @@ def test_channel_files_end_in_exit_0_or_one_error_line(command, doc):
     # A small box cap keeps each run short.  Searches past it end in the same
     # "enumeration exhausted" input error as searches past the real cap.
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(intsearch, "MAX_BOX_ROWS", 20_000):
+            mock.patch.object(intsearch, "MAX_SEARCH_NODES", 20_000):
         path = Path(tmp) / "channel.json"
         path.write_text(json.dumps(doc))
         err = io.StringIO()

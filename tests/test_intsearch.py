@@ -1,9 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cfkit import _exact
+from cfkit import _exact, intsearch
 from cfkit.core import ChannelInstance, effective_matrix, lattice_gram
 from cfkit.intsearch import (DominantSolution, dominant_solution,
                              entry_bound, is_unimodular, mod_p_solvability,
@@ -193,6 +194,90 @@ class TestBoxOracle:
         want = search_outcome(box_oracle, F, max_radius=3)
         assert want == ("RuntimeError", "enumeration exhausted at radius 3")
         assert search_outcome(dominant_solution, F, max_radius=3) == want
+
+    def test_non_triangular_factors(self):
+        # a rotated F, and F over extra zero rows, go through the QR factor
+        rng = np.random.default_rng(32)
+        for i in range(120):
+            L = int(rng.integers(2, 5))
+            ch = ChannelInstance(H=rng.normal(size=(int(rng.integers(1, L + 1)), L)),
+                                 P=rng.uniform(0.3, 10, size=L))
+            F = effective_matrix(ch)
+            if i % 2:
+                F = np.linalg.qr(rng.normal(size=(L, L)))[0] @ F
+            else:
+                F = np.vstack([F, np.zeros((2, L))])
+            want = search_outcome(box_oracle, F, max_radius=4)
+            assert search_outcome(dominant_solution, F, max_radius=4) == want, i
+
+    def test_last_pick_off_the_plane(self):
+        # with no scan row by row, every full set's last pick is the first
+        # candidate off the plane of the others, found by one product
+        rng = np.random.default_rng(33)
+        cases = [ChannelInstance(H=np.diag([g, g, g, 0.0])[:3], P=[1, 1, 1, 1])
+                 for g in (2.0, 3.0, 3.9)]
+        for _ in range(150):
+            L = int(rng.integers(2, 5))
+            nr = int(rng.integers(1, L + 1))
+            cases.append(ChannelInstance(H=rng.integers(-2, 3, size=(nr, L)),
+                                         P=rng.integers(1, 6, size=L)))
+        with mock.patch.object(intsearch, "_LONG_SCAN", 0):
+            for i, ch in enumerate(cases):
+                F = effective_matrix(ch)
+                want = search_outcome(box_oracle, F, max_radius=6)
+                assert search_outcome(dominant_solution, F, max_radius=6) == want, i
+
+    def test_found_channel_answered(self):
+        # Refused by the old half-box search's row cap (4 users stopped after
+        # radius 21); first certified at radius 22, as sigma_min(F) = 0.1249
+        # and the last norm is 2.83.  box_oracle takes about two minutes to
+        # get there, so its answer is written out below.
+        ch = ChannelInstance(H=[[0, -4, 4, -4], [-2, 2, 0, 0], [0, -4, -4, 4]],
+                             P=[16, 16, 16, 16])
+        dom = dominant_solution(effective_matrix(ch), max_radius=64)
+        assert dom.A_star.tolist() == FOUND_A_STAR
+        assert dom.norms.tolist() == FOUND_NORMS
+
+    def test_node_budget(self):
+        F = effective_matrix(ChannelInstance(H=np.diag([1e6, 1e6, 1e6, 0.0])[:3],
+                                             P=[1, 1, 1, 1]))
+        with pytest.raises(RuntimeError, match=r"^enumeration stopped at 1000000 nodes; "):
+            dominant_solution(F)
+        F = effective_matrix(FIG7)
+        with mock.patch.object(intsearch, "MAX_SEARCH_NODES", 5), \
+                pytest.raises(RuntimeError, match="enumeration stopped at 5 nodes"):
+            dominant_solution(F)
+
+    def test_radius_extremes(self):
+        F = effective_matrix(FIG7)
+        want = search_outcome(dominant_solution, F)
+        assert search_outcome(dominant_solution, F, max_radius=10 ** 400) == want
+        assert search_outcome(dominant_solution, F, max_radius=2) == want
+        for r in (1, 0, -3):
+            assert search_outcome(dominant_solution, F, max_radius=r) == (
+                "RuntimeError", f"enumeration exhausted at radius {r}")
+
+
+# box_oracle's answer for the channel of test_found_channel_answered
+FOUND_A_STAR = [[0, 1, 0, 0], [0, 0, 1, -1], [1, -1, 0, 0], [0, 0, 1, 0]]
+FOUND_NORMS = [0.1764350770293639, 0.17669044171975448, 0.4961463635300775,
+               2.8298065089416746]
+
+
+class TestEllipsoidPoints:
+    def test_against_the_box(self):
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            dim = int(rng.integers(1, 5))
+            radius = int(rng.integers(1, 5))
+            T = np.tril(rng.normal(size=(dim, dim)))
+            T[np.diag_indices(dim)] = rng.uniform(0.2, 2, size=dim)
+            bound = float(rng.uniform(0.1, 6))
+            got = intsearch._ellipsoid_points(T, bound, radius, 0.0)
+            box = np.array(list(itertools.product(range(-radius, radius + 1), repeat=dim)))
+            first = box[np.arange(len(box)), np.argmax(box != 0, axis=1)]
+            want = box[(first > 0) & (np.einsum("ij,ij->i", box @ T.T, box @ T.T) <= bound)]
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestRowspan:

@@ -279,6 +279,25 @@ class TestAgainstOracle:
                 assert np.float64(noise_variance(ch, a_m)).tobytes() == \
                     np.float64(sigma_para_opt(ch, a_m).variance).tobytes(), i
 
+    def test_tables_use_the_exact_witnesses_unchecked(self, monkeypatch):
+        # lu_mappings_all's witnesses are exact: neither table re-checks one
+        def refuse(*args):
+            raise AssertionError("a carried witness was re-checked")
+
+        monkeypatch.setattr(regions, "_coerce_mapping", refuse)
+        monkeypatch.setattr(regions, "_witness_holds", refuse)
+        rng = np.random.default_rng(44)
+        for ch in oracle_channels(rng, 20):
+            parallel_mac_assignments(ch)
+            successive_mac_assignments(ch)
+
+    def test_public_assignment_refuses_a_near_witness(self):
+        A = np.array([[10 ** 12, 1], [10 ** 12 + 1, 1]])  # det -1: unimodular
+        near = AdmissibleMapping(pairs=frozenset({(1, 1), (1, 2)}),
+                                 L_real=np.array([[1, 0], [-1.000000000001, 1]]))
+        with pytest.raises(ValueError, match="not admissible"):
+            successive_mac_assignment(FIG7, A, near, (1, 2))
+
     def test_dominant_solution_cached_read_only(self):
         ch = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
         dom = ch._dominant_solution

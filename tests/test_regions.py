@@ -141,6 +141,17 @@ class TestCarriedWitness:
             got = _coerce_mapping(A, AdmissibleMapping(pairs=pairs, L_real=bad))
             assert got.L_real.tobytes() == solved.L_real.tobytes()
 
+    def test_near_witness_of_inadmissible_pairs_raises(self):
+        # the witness clears column 1 of row 2 to 1e-12 relative, within the
+        # float tolerance of _witness_holds, but the pairs are not admissible
+        A = [[10 ** 12, 1], [10 ** 12 + 1, 1]]
+        near = AdmissibleMapping(pairs=frozenset({(1, 1), (1, 2)}),
+                                 L_real=np.array([[1, 0], [-1.000000000001, 1]]))
+        ch = ChannelInstance(H=[[1.0, 1.0]], P=[1.0, 1.0])
+        for region in (succ_region, asc_region):
+            with pytest.raises(ValueError, match="not admissible"):
+                region(ch, A, near)
+
     def test_inadmissible_pairs_raise_despite_a_witness(self):
         with pytest.raises(ValueError, match="not admissible"):
             _coerce_mapping(np.array([[1, 1], [1, 2]]),

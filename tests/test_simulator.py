@@ -63,6 +63,22 @@ class TestEncode:
         with pytest.raises(ValueError, match="Voronoi"):
             encode(ens, 1, [0], np.array([5.0, 5.0]))
 
+    def test_block_encoder_reduces_each_dither_once(self, monkeypatch):
+        # per user: the dither, the codeword and the dithered input, each
+        # reduced mod the coarse lattice once; the dither is not re-checked
+        calls = []
+        quantize = lattice.nearest_points
+
+        def spy(*args):
+            calls.append(args[1])
+            return quantize(*args)
+
+        ens = small_ensemble()
+        messages, cubes, _ = _draw_block(ens, 2, 5, 0, 7)
+        monkeypatch.setattr(lattice, "nearest_points", spy)
+        simulator._encode_block(ens, A22, messages, cubes)
+        assert calls == [("C", 1)] * 3 + [("C", 2)] * 3
+
 
 class TestTrueCombinations:
     def test_zero_matrix(self):
@@ -197,6 +213,15 @@ class TestZpAsc:
                 except ValueError:
                     continue  # p too small for this mapping
                 assert np.array_equal((Linv @ Lbar) % p, np.eye(3, dtype=int))
+
+    def test_inadmissible_before_too_small(self):
+        # row 2 needs -1/2, which has no image mod 2, but row 3 has no
+        # solution at all: that is reported first, whatever the field
+        A = [[2, 1, 0], [1, 0, 0], [0, 0, 1]]
+        mapping = {(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)}
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=r"mapping is not admissible \(row 3\)"):
+                zp_asc_matrix(A, mapping, p)
 
     def test_p_too_small_reported(self):
         # row 2 needs coefficient -1/2, which has no image mod 2

@@ -27,11 +27,6 @@ _MAX_RADIUS = 64
 # directions, reach it and end in a RuntimeError.
 MAX_SEARCH_NODES = 1_000_000
 _EPS = float(np.finfo(float).eps)
-# Candidates left when dominant_solution has all picks but the last of a
-# full set, past which it finds the last one by one product with the
-# normal of the others' hyperplane instead of row by row.  Near-singular
-# 4-user channels can put some 10^5 rows on that plane.
-_LONG_SCAN = 256
 
 
 @dataclass
@@ -185,35 +180,15 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
     order = np.argsort(norms2, kind="stable")
     basis = _exact.RowBasis()
     picks: list[int] = []
-    for pos, idx in enumerate(order.tolist()):
+    for idx in order.tolist():
         if basis.add(grid[idx].tolist()):
             picks.append(idx)
             if len(picks) == L:
-                break
-            if (len(picks) == dim - 1 and order.size - pos > _LONG_SCAN
-                    and math.factorial(dim) * radius ** dim < 2 ** 63):
-                picks += _first_off_plane(grid, order[pos + 1:], picks)
                 break
     if len(picks) < L or not cap > math.sqrt(norms2[picks[-1]]):
         raise exhausted
     return DominantSolution(A_star=grid[picks],
                             norms=np.sqrt(norms2[picks]))
-
-
-def _first_off_plane(grid: np.ndarray, rest: np.ndarray, picks: list) -> list:
-    """[the first row of rest off the hyperplane spanned by the dim - 1
-    independent rows grid[picks]], or [] when every row lies on it.
-
-    A row lies on the plane exactly when its product with the plane's
-    integer normal (the signed minors of the picks) is zero.  The caller
-    makes sure the product is exact in int64: with entries at most the
-    search radius, it is at most dim! radius^dim.
-    """
-    rows = grid[picks].tolist()
-    normal = [(-1) ** j * _exact.int_det([r[:j] + r[j + 1:] for r in rows])
-              for j in range(grid.shape[1])]
-    off = rest[grid[rest] @ np.array(normal, dtype=np.int64) != 0]
-    return off[:1].tolist()
 
 
 def rowspan_contains_real(Atilde, A) -> bool:

@@ -236,7 +236,13 @@ def para_region(ch: ChannelInstance, Atilde) -> RateRegionSpec:
 def succ_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
     """One box from chained variances; caps follow the admissible mapping."""
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
-    mapping = _coerce_mapping(A, mapping)
+    return _succ_box(ch, A, _coerce_mapping(A, mapping))
+
+
+def _succ_box(ch: ChannelInstance, A: np.ndarray,
+              mapping: AdmissibleMapping) -> RateRegionSpec:
+    """succ_region for an integer A and a mapping known to be admissible for
+    it (lu_mappings_all's, say), which is not checked again."""
     variances = row_variances(ch, A, chained=True)
     caps = _caps_from_rows(ch, variances, mapping.rows_for_user)
     box = Box(caps=caps, provenance={"Atilde": A.tolist(),
@@ -382,12 +388,14 @@ def membership(ch: ChannelInstance, A, rates, mode: str = "parallel",
             if para_region(ch, cand).contains(rates):
                 return MembershipResult("member", cand, None)
         else:
+            # lu_mappings_all's witnesses are exact, and the all-pairs
+            # mapping leaves nothing to cancel: neither is checked again
             if _exact.int_rank(cand.tolist()) == L:
                 for mapping, _pi in lu_mappings_all(cand):
-                    if succ_region(ch, cand, mapping).contains(rates):
+                    if _succ_box(ch, cand, mapping).contains(rates):
                         return MembershipResult("member", cand, mapping)
             mapping = all_pairs_mapping(L)
-            if succ_region(ch, cand, mapping).contains(rates):
+            if _succ_box(ch, cand, mapping).contains(rates):
                 return MembershipResult("member", cand, mapping)
     return MembershipResult("inconclusive")
 

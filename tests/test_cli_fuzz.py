@@ -46,8 +46,8 @@ def channel_docs(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["mac", "search"]), doc=channel_docs())
 def test_channel_files_end_in_exit_0_or_one_error_line(command, doc):
-    # A small box cap keeps each run short.  Searches past it end in the same
-    # "enumeration exhausted" input error as searches past the real cap.
+    # A small node budget keeps each run short.  Searches past it end in the
+    # node-budget input error, a one-line exit 2.
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(intsearch, "MAX_SEARCH_NODES", 20_000):
         path = Path(tmp) / "channel.json"

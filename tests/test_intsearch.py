@@ -210,23 +210,6 @@ class TestBoxOracle:
             want = search_outcome(box_oracle, F, max_radius=4)
             assert search_outcome(dominant_solution, F, max_radius=4) == want, i
 
-    def test_last_pick_off_the_plane(self):
-        # with no scan row by row, every full set's last pick is the first
-        # candidate off the plane of the others, found by one product
-        rng = np.random.default_rng(33)
-        cases = [ChannelInstance(H=np.diag([g, g, g, 0.0])[:3], P=[1, 1, 1, 1])
-                 for g in (2.0, 3.0, 3.9)]
-        for _ in range(150):
-            L = int(rng.integers(2, 5))
-            nr = int(rng.integers(1, L + 1))
-            cases.append(ChannelInstance(H=rng.integers(-2, 3, size=(nr, L)),
-                                         P=rng.integers(1, 6, size=L)))
-        with mock.patch.object(intsearch, "_LONG_SCAN", 0):
-            for i, ch in enumerate(cases):
-                F = effective_matrix(ch)
-                want = search_outcome(box_oracle, F, max_radius=6)
-                assert search_outcome(dominant_solution, F, max_radius=6) == want, i
-
     def test_found_channel_answered(self):
         # Refused by the old half-box search's row cap (4 users stopped after
         # radius 21); first certified at radius 22, as sigma_min(F) = 0.1249

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cfkit import regions
 from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
                         sigma_para_opt, sigma_succ_opt, sum_capacity)
 from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
@@ -444,6 +445,24 @@ class TestMembership:
                          mode="successive", search_bound=2)
         assert res.status == "member"
         # the witness's own box must cover the point
+        box = succ_region(FIG7, res.witness_Atilde, res.witness_mapping).boxes[0]
+        assert box.contains(point)
+
+    def test_successive_search_checks_no_mapping_again(self, monkeypatch):
+        # lu_mappings_all's witnesses are exact and the all-pairs mapping
+        # cancels nothing, so no candidate's mapping is re-checked
+        def refuse(*args):
+            raise AssertionError("a mapping was re-checked")
+
+        point = self._extra_successive_point()
+        monkeypatch.setattr(regions, "_coerce_mapping", refuse)
+        monkeypatch.setattr(regions, "is_admissible", refuse)
+        res = membership(FIG7, np.eye(2, dtype=int), point,
+                         mode="successive", search_bound=2)
+        scan = membership(FIG7, np.eye(2, dtype=int), [0.9940, 0.9588],
+                          mode="successive", search_bound=1)
+        monkeypatch.undo()
+        assert scan.status == "inconclusive" and res.status == "member"
         box = succ_region(FIG7, res.witness_Atilde, res.witness_mapping).boxes[0]
         assert box.contains(point)
 

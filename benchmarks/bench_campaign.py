@@ -38,13 +38,13 @@ SHAPES = [("sim-succ-small", SIM_SUCC, [0.5, 0.05, 0.2, 0.1]),
 LEVEL_COUNTS = (1, 2, 4)
 
 
-def campaign(doc: dict, ens, levels: list, master_seed: int) -> list:
-    ch = ChannelInstance(H=doc["H"], P=doc["P"])
+def campaign(doc: dict, ens, levels: list, master_seed: int) -> simulator.TrialConfig:
+    """The workload's campaign at the given levels, as one config."""
     mapping = doc.get("mapping")
-    return [simulator.TrialConfig(
-        ensemble=ens, ch=ch, A=np.array(doc["A"]), mode=doc["mode"],
-        mapping=None if mapping is None else frozenset(map(tuple, mapping)),
-        noise_std=ns, master_seed=master_seed) for ns in levels]
+    return simulator.TrialConfig(
+        ensemble=ens, ch=ChannelInstance(H=doc["H"], P=doc["P"]), A=np.array(doc["A"]),
+        mode=doc["mode"], mapping=None if mapping is None else frozenset(map(tuple, mapping)),
+        noise_std=levels, master_seed=master_seed)
 
 
 def time_counts(doc: dict, levels: list, repeats: int) -> list:
@@ -55,9 +55,9 @@ def time_counts(doc: dict, levels: list, repeats: int) -> list:
     times = [[] for _ in LEVEL_COUNTS]
     for seed in range(repeats):
         for out, count in zip(times, LEVEL_COUNTS):
-            configs = campaign(doc, ens, levels[:count], seed)
+            config = campaign(doc, ens, levels[:count], seed)
             start = time.perf_counter()
-            simulator.run_campaign(configs, doc["trials"])
+            simulator.run_campaign(config, doc["trials"])
             out.append(time.perf_counter() - start)
     return [statistics.median(t) * 1e3 for t in times]
 

@@ -382,18 +382,15 @@ def cmd_simulate(args) -> int:
     if "workers" in doc:
         _count(doc["workers"], "workers")
     try:
-        configs = [simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode,
-                                         mapping=mapping, noise_std=ns,
-                                         equalizers=equalizers,
-                                         master_seed=master_seed)
-                   for ns in noise_list]
+        config = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode, mapping=mapping,
+                                       noise_std=noise_list, equalizers=equalizers,
+                                       master_seed=master_seed)
     except ValueError as exc:
         raise InputError(str(exc))
     try:
-        results = simulator.run_campaign(configs, trials)
+        results = simulator.run_campaign(config, trials)
     except (ValueError, ArithmeticError) as exc:
-        # zero powers, and noise levels so small that the equalizers or the
-        # decoded points leave float range
+        # zero powers, and decoded points that leave float range
         raise InputError(str(exc))
     csv_lines = ["noise_std,combination_index,errors,trials,rate_estimate,ci_low,ci_high"]
     for ns, rep in zip(noise_list, results):

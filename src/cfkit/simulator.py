@@ -14,15 +14,16 @@ encoder (_encode_user) and labels the shifted points: the channel inputs
 and the true labels of the rows of A.  _decode_block equalizes, quantizes
 and, in successive mode, cancels over Z_p and recovers the real
 combinations, with a TrialPlan built once per campaign (the equalizers of
-each noise level; the Z_p cancellation matrix and the quantizing user per
-row).
+each noise level, each from one least-squares solve on the unscaled
+channel; the Z_p cancellation matrix and the quantizing user per row).
 
-run_campaign runs configs that differ only in noise_std.  Draws and
+A TrialConfig is a campaign: its noise_std holds one noise level or a
+sequence of them, and run_campaign gives one report per level.  Draws and
 encoding do not depend on the noise level, so each block is drawn and
 encoded once.  It is then decoded at every level in one pass: each level
 is equalized on its own, and each quantizer and labeling call takes all
 levels' rows as one stacked block.  Only counts and powers are kept.
-run_trials is the campaign of one config.  run_block runs one config's
+run_trials is the campaign of one level.  run_block runs one level's
 block and keeps every intermediate in a TrialBlock.  The per-point
 functions (encode, shifted_point, true_combinations, decode_parallel,
 decode_successive, recover_real_combo and run_single_trial, whose
@@ -39,18 +40,23 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _exact, _zp, lattice, regions
-from .core import ChannelInstance, sigma_para_opt, sigma_succ_opt
+from .core import ChannelInstance
 from .lattice import NestedLatticeEnsemble
 
 
 @dataclass
 class TrialConfig:
+    """A campaign: one channel, coefficient matrix, mode, mapping and
+    equalizers, run at each level of noise_std, a number (kept as a float)
+    or a non-empty sequence (kept as a tuple of floats).  The levels are
+    checked, and the Z_p cancellation matrix is built, once here."""
+
     ensemble: NestedLatticeEnsemble
     ch: ChannelInstance
     A: np.ndarray
     mode: str  # "parallel" or "successive"
     mapping: frozenset | None = None
-    noise_std: float = 1.0
+    noise_std: float | tuple = 1.0
     equalizers: str | dict = "optimal"
     master_seed: int = 0
     # successive mode: zp_asc_matrix of the mapping, built (and so checked
@@ -63,8 +69,13 @@ class TrialConfig:
             raise ValueError("mode must be 'parallel' or 'successive'")
         if self.mode == "successive" and self.mapping is None:
             raise ValueError("successive mode needs an admissible mapping")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+        one = np.ndim(self.noise_std) == 0
+        levels = [self.noise_std] if one else list(self.noise_std)
+        if not levels:
+            raise ValueError("noise_std needs at least one level")
+        if not all(math.isfinite(s) and s >= 0 for s in levels):
             raise ValueError("noise_std must be finite and nonnegative")
+        self.noise_std = float(levels[0]) if one else tuple(map(float, levels))
         if self.A.shape[1] != self.ch.num_users:
             raise ValueError("coefficient matrix width must match user count")
         if self.ensemble.num_users != self.ch.num_users:
@@ -74,6 +85,16 @@ class TrialConfig:
             if not all(1 <= m <= M and 1 <= l <= L for m, l in _mapping_pairs(self.mapping)):
                 raise ValueError(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
             self.cancellation = zp_asc_matrix(self.A, self.mapping, self.ensemble.p)
+
+    @property
+    def levels(self) -> tuple:
+        return self.noise_std if isinstance(self.noise_std, tuple) else (self.noise_std,)
+
+
+def _one_level(config: TrialConfig) -> float:
+    if len(config.levels) != 1:
+        raise ValueError("this call runs one noise level; run_campaign runs several")
+    return config.levels[0]
 
 
 @dataclass
@@ -114,49 +135,44 @@ def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
     return max(users, key=lambda l: (ens.levels[l - 1][1], -l))
 
 
+def _mmse(ch: ChannelInstance, a, prev, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """The MMSE (b, c) of row a given the real combinations of the rows of
+    prev, at noise deviation s: the (minimum-norm) least-squares solution of
+    [P^1/2 H^T, P^1/2 prev^T; s I, 0] [b; c] ~ [P^1/2 a; 0] on the unscaled
+    channel, so (s^2 I + H P H^T) b = H P (a - prev^T c).  Its squared
+    residual is the effective-noise variance of (s b, c) on the channel
+    H / s, which core.sigma_succ_opt minimizes; s = 0 gives zero forcing."""
+    antennas = ch.num_antennas
+    root = np.sqrt(ch.P)
+    D = np.vstack([np.hstack([ch.H.T, prev.T]) * root[:, None],
+                   np.hstack([noise_std * np.eye(antennas),
+                              np.zeros((antennas, prev.shape[0]))])])
+    target = np.concatenate([a * root, np.zeros(antennas)])
+    z = np.linalg.lstsq(D, target, rcond=None)[0]
+    return z[:antennas], z[antennas:]
+
+
 def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.ndarray]:
-    """Per-row MMSE equalizers for channel noise of the given deviation."""
+    """Per-row MMSE equalizers b for channel noise of the given deviation."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    if noise_std == 0.0:
-        P = ch.P_matrix()
-        G = ch.H @ P @ ch.H.T
-        return [np.linalg.pinv(G) @ (ch.H @ P @ A[m]) for m in range(A.shape[0])]
-    scaled = ChannelInstance(H=ch.H / noise_std, P=ch.P)
-    out = []
-    for m in range(A.shape[0]):
-        out.append(sigma_para_opt(scaled, A[m]).b_opt / noise_std)
-    return out
+    return [_mmse(ch, a, A[:0], noise_std)[0] for a in A]
 
 
 def successive_equalizers(ch: ChannelInstance, A, noise_std: float
                           ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-row (b, c) pairs; c entries for dropped (dependent) rows are zero."""
+    """Per-row MMSE (b, c) pairs, c weighting the real combinations of the
+    earlier rows; c entries for dropped (dependent) rows are zero."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    scaled = None
-    if noise_std > 0.0:
-        scaled = ch if noise_std == 1.0 else ChannelInstance(H=ch.H / noise_std, P=ch.P)
     # row i is kept when it is independent of the rows kept before it
     basis = _exact.RowBasis()
     kept = [basis.add(row) for row in A.tolist()]
     out = []
     for m in range(A.shape[0]):
         keep = [i for i in range(m) if kept[i]]
-        prev = A[keep] if keep else np.zeros((0, ch.num_users), dtype=int)
+        b, c = _mmse(ch, A[m], A[keep], noise_std)
         c_full = np.zeros(m)
-        if noise_std == 0.0:
-            P12 = np.sqrt(ch.P)
-            D = np.hstack([ch.H.T * 1.0, prev.T]) * P12[:, None]
-            target = A[m] * P12
-            z, *_ = np.linalg.lstsq(D, target, rcond=None)
-            b = z[: ch.num_antennas]
-            c = z[ch.num_antennas:]
-        else:
-            rep = sigma_succ_opt(scaled, A[m], prev)
-            b = rep.b_opt / noise_std
-            c = rep.c_opt if rep.c_opt is not None else np.zeros(0)
-        for idx, row in enumerate(keep):
-            c_full[row] = c[idx]
-        out.append((np.asarray(b, dtype=float), c_full))
+        c_full[keep] = c
+        out.append((b, c_full))
     return out
 
 
@@ -216,37 +232,17 @@ def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[floa
 BLOCK_TRIALS = 128
 
 
-def _bits(value):
-    """What a config field holds, comparable with ==: arrays by shape, type
-    and bytes; lists, tuples and dicts entry by entry."""
-    if isinstance(value, np.ndarray):
-        return value.shape, value.dtype.str, value.tobytes()
-    if isinstance(value, (list, tuple)):
-        return tuple(_bits(v) for v in value)
-    if isinstance(value, dict):
-        return tuple((k, _bits(v)) for k, v in value.items())
-    return value
-
-
-def _shared_fields(config: TrialConfig):
-    """Every field of a config but noise_std, as _bits images."""
-    ens, ch = config.ensemble, config.ch
-    return _bits((ens.n, ens.p, ens.gamma, ens.levels, ens.G, ch.H, ch.P, config.A,
-                  config.mode, config.mapping, config.equalizers, config.master_seed))
-
-
 @dataclass
 class TrialPlan:
     """Everything the trials of a campaign share, built once per campaign.
 
-    A campaign's configs differ only in noise_std; one config is a campaign
-    of one level.  `equalizers[c][m]` is level c's equalizer of coefficient
-    row m: b (parallel) or (b, c) (successive), None for a parallel row that
-    vanishes mod p.  The rest does not depend on the level and is found
-    once: `targets[m]` is the user whose fine lattice quantizes the row
-    (theta for parallel, vartheta for successive), None when the row has
-    none; successive plans also hold the Z_p cancellation matrix and its
-    inverse.
+    `equalizers[c][m]` is level c's equalizer of coefficient row m, in the
+    config's order of levels: b (parallel) or (b, c) (successive), None for
+    a parallel row that vanishes mod p.  The rest does not depend on the
+    level and is found once: `targets[m]` is the user whose fine lattice
+    quantizes the row (theta for parallel, vartheta for successive), None
+    when the row has none; successive plans also hold the config's Z_p
+    cancellation matrix and its inverse.
     """
 
     equalizers: list
@@ -255,31 +251,28 @@ class TrialPlan:
     Lbar_inv: np.ndarray | None = None
 
     @classmethod
-    def build(cls, configs) -> "TrialPlan":
-        """The plan of a list of configs, or of one config."""
-        if isinstance(configs, TrialConfig):
-            configs = [configs]
-        first = configs[0]
-        shared = _shared_fields(first)
-        if any(_shared_fields(cfg) != shared for cfg in configs[1:]):
-            raise ValueError("campaign configs may differ only in noise_std")
-        ens, A, eq = first.ensemble, first.A, first.equalizers
+    def build(cls, config: TrialConfig) -> "TrialPlan":
+        """The plan of a config, over all of its levels.  Optimal equalizers
+        at a positive level need every user's power positive."""
+        ens, ch, A, eq = config.ensemble, config.ch, config.A, config.equalizers
+        optimal = eq == "optimal"
+        if optimal and max(config.levels) > 0:
+            ch.require_positive_powers()
         rows = range(A.shape[0])
-        levels = []
-        if first.mode == "parallel":
+        if config.mode == "parallel":
             targets = [_theta_user(ens, A[m], ens.p) for m in rows]
-            for cfg in configs:
-                level = parallel_equalizers(cfg.ch, A, cfg.noise_std) if eq == "optimal" else eq
-                levels.append([None if targets[m] is None
-                               else np.asarray(level[m], dtype=float) for m in rows])
-            return cls(equalizers=levels, targets=targets)
-        for cfg in configs:
-            level = successive_equalizers(cfg.ch, A, cfg.noise_std) if eq == "optimal" else eq
-            levels.append([(np.asarray(level[m][0], dtype=float),
-                            np.asarray(level[m][1], dtype=float).ravel()) for m in rows])
-        pairs = _mapping_pairs(first.mapping)
-        Lbar, Lbar_inv = first.cancellation
-        return cls(equalizers=levels, targets=[_vartheta_user(ens, pairs, m + 1) for m in rows],
+            levels = [parallel_equalizers(ch, A, s) if optimal else eq for s in config.levels]
+            return cls(equalizers=[[None if targets[m] is None
+                                    else np.asarray(level[m], dtype=float) for m in rows]
+                                   for level in levels],
+                       targets=targets)
+        levels = [successive_equalizers(ch, A, s) if optimal else eq for s in config.levels]
+        pairs = _mapping_pairs(config.mapping)
+        Lbar, Lbar_inv = config.cancellation
+        return cls(equalizers=[[(np.asarray(level[m][0], dtype=float),
+                                 np.asarray(level[m][1], dtype=float).ravel()) for m in rows]
+                               for level in levels],
+                   targets=[_vartheta_user(ens, pairs, m + 1) for m in rows],
                    Lbar=Lbar, Lbar_inv=Lbar_inv)
 
 
@@ -506,14 +499,14 @@ def _powers(X: np.ndarray) -> np.ndarray:
 
 
 def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> TrialBlock:
-    """Trials start .. stop - 1 of the config, every intermediate kept; the
-    plan is the config's own (one level)."""
+    """Trials start .. stop - 1 of a one-level config, every intermediate
+    kept; the plan is the config's own."""
     ens, ch, A = config.ensemble, config.ch, config.A
     messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
                                          start, stop)
     X, dithers, codewords, shifted, truth = _encode_block(ens, A, messages, cubes)
     decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
-                                         [np.matmul(ch.H, X) + noise * config.noise_std])
+                                         [np.matmul(ch.H, X) + noise * _one_level(config)])
     decoded = decoded[0]
     return TrialBlock(messages=messages, dithers=dithers, codewords=codewords,
                       shifted_points=shifted, inputs=X, powers=_powers(X),
@@ -585,6 +578,7 @@ def _decode_point(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A, dithers
     """One received Y (antennas x n) through _decode_block: the plan of the
     config the arguments make, and the stage's outputs at its one level."""
     config = TrialConfig(ensemble=ens, ch=ch, A=A, **fields)
+    _one_level(config)
     plan = TrialPlan.build(config)
     decoded, reals, nus, mus = _decode_block(ens, config.A, plan, [_rows(d) for d in dithers],
                                              [_rows(Y)[None]])
@@ -634,65 +628,61 @@ def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialR
         real_success=None if block.real_success is None else block.real_success[0].tolist())
 
 
-def run_campaign(configs: list[TrialConfig], trials: int,
-                 ci_level: float = 0.95) -> list[dict]:
-    """run_trials for each config, sharing the draws, the encoding and the
-    decoding passes.
+def run_campaign(config: TrialConfig, trials: int, ci_level: float = 0.95) -> list[dict]:
+    """One report per noise level of the config, in its order: run_trials
+    at each level, sharing the draws, the encoding and the decoding passes.
 
-    The configs may differ only in noise_std.  Trial i's draws depend only
-    on (master_seed, i), and its dithers, channel inputs and true labels
-    only on those draws, so each block of BLOCK_TRIALS trials is drawn and
-    encoded once.  One TrialPlan holds every level's equalizers, and one
-    _decode_block call decodes the block at all levels.  Each report
-    equals the one run_trials gives for its config alone.
+    Trial i's draws depend only on (master_seed, i), and its dithers,
+    channel inputs and true labels only on those draws, so each block of
+    BLOCK_TRIALS trials is drawn and encoded once.  One TrialPlan holds
+    every level's equalizers, and one _decode_block call decodes the block
+    at all levels.  Each report equals the one run_trials gives for a
+    config of its level alone.
     """
-    if not configs:
-        return []
-    plan = TrialPlan.build(configs)
-    first = configs[0]
-    ens, ch, A = first.ensemble, first.ch, first.A
-    errors = np.zeros((len(configs), A.shape[0]), dtype=np.int64)
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError("trials must be an integer >= 1")
+    plan = TrialPlan.build(config)
+    ens, ch, A, levels = config.ensemble, config.ch, config.A, config.levels
+    errors = np.zeros((len(levels), A.shape[0]), dtype=np.int64)
     real_errors = np.zeros_like(errors)
     powers = np.empty((ens.num_users, trials))
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(trials, start + BLOCK_TRIALS)
-        messages, cubes, noise = _draw_block(ens, ch.num_antennas, first.master_seed,
+        messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
                                              start, stop)
         X, dithers, _, _, truth = _encode_block(ens, A, messages, cubes)
         powers[:, start:stop] = _powers(X).T
         HX = np.matmul(ch.H, X)
         decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
-                                             [HX + noise * cfg.noise_std for cfg in configs])
+                                             [HX + noise * s for s in levels])
         errors += np.count_nonzero(~np.all(decoded == truth, axis=3), axis=1)
         if reals is not None:
             real_errors += np.count_nonzero(~_real_success(ens, A, reals, X), axis=1)
     power = [float(np.mean(powers[u])) for u in range(ens.num_users)]
-    return [_report(cfg, trials, errors[c], real_errors[c], power, ci_level)
-            for c, cfg in enumerate(configs)]
+    return [_report(config.mode, s, trials, errors[c], real_errors[c], power, ci_level)
+            for c, s in enumerate(levels)]
 
 
-def _report(config: TrialConfig, trials: int, errors, real_errors, power,
+def _report(mode: str, noise_std: float, trials: int, errors, real_errors, power,
             ci_level: float) -> dict:
     combos = []
     for m, errs in enumerate(errors.tolist()):
         lo, hi = wilson_interval(errs, trials, ci_level)
         entry = {"combination_index": m + 1, "errors": errs, "trials": trials,
-                 "rate_estimate": errs / trials if trials else 0.0,
-                 "ci_low": lo, "ci_high": hi}
-        if config.mode == "successive":
+                 "rate_estimate": errs / trials, "ci_low": lo, "ci_high": hi}
+        if mode == "successive":
             entry["real_errors"] = int(real_errors[m])
         combos.append(entry)
-    return {"noise_std": config.noise_std, "trials": trials,
+    return {"noise_std": noise_std, "trials": trials,
             "combinations": combos, "mean_power_per_user": list(power)}
 
 
 def run_trials(config: TrialConfig, trials: int, ci_level: float = 0.95) -> dict:
-    """Deterministic report: per-combination error counts and confidence
-    intervals plus per-user empirical power.
+    """Deterministic report of a one-level config: per-combination error
+    counts and confidence intervals plus per-user empirical power.
 
     Trial i depends only on (master_seed, i), so the report is the same for
-    any block size.  This is run_campaign over the one config: a TrialPlan
-    built for its noise level, then blocks of BLOCK_TRIALS trials; only
-    counts and per-trial powers are kept.
+    any block size.  This is run_campaign's one report.
     """
-    return run_campaign([config], trials, ci_level)[0]
+    _one_level(config)
+    return run_campaign(config, trials, ci_level)[0]

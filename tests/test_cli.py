@@ -236,6 +236,17 @@ class TestSimulate:
         assert all(c["errors"] == 0 and c["real_errors"] == 0
                    for r in doc["results"] for c in r["combinations"])
 
+    def test_tiny_noise_level_gives_a_report(self, tmp_path):
+        # the README campaign at a level of 1e-300: the equalizers come from
+        # the unscaled channel, so nothing is scaled by 1 / noise_std
+        cfg = self.config(tmp_path, mode="successive", mapping=[[1, 1], [1, 2], [2, 2]],
+                          noise_std=[1e-300, 0.0], trials=500, master_seed=17)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert [r["noise_std"] for r in results] == [1e-300, 0.0]
+        assert all(c["errors"] == 0 and c["real_errors"] == 0
+                   for r in results for c in r["combinations"])
+
     def test_malformed_config(self, tmp_path):
         cfg = self.config(tmp_path)
         doc = json.loads(cfg.read_text())

@@ -1,11 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chain_oracle
-from cfkit import lattice, simulator
-from cfkit.core import ChannelInstance
+from exact_oracle import solve_rational
+from cfkit import _exact, lattice, simulator
+from cfkit.core import ChannelInstance, sigma_succ_eval, sigma_succ_opt
 from cfkit.lattice import build_ensemble, linear_label, mod_lattice
 from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan, _draw_block,
                              decode_parallel, decode_successive, encode,
@@ -386,6 +388,133 @@ class TestDecodeSuccessive:
         assert len(outputs) == 1
 
 
+def exact_mmse(H, P, a, prev, s):
+    """The minimum-norm least-squares solution z = [b; c] of
+    [P^1/2 H^T, P^1/2 prev^T; s I, 0] z ~ [P^1/2 a; 0], in Fractions: the
+    minimum-norm solution of its normal equations
+
+        [H P H^T + s^2 I, H P prev^T; prev P H^T, prev P prev^T] z = [H P a; prev P a],
+
+    which hold no square root.  That solution lies in the row space of the
+    matrix N: z = B^T y for a basis B of N's rows, with (B N B^T) y = B r."""
+    F = np.vectorize(Fraction, otypes=[object])
+    K = np.vstack([F(H), F(prev).reshape(-1, len(a))])   # rows: antennas, then prev
+    PK = K * F(P)
+    N = PK @ K.T
+    antennas = len(H)
+    for i in range(antennas):
+        N[i, i] += Fraction(s) ** 2
+    r = PK @ F(a)
+    basis = []
+    for row in N.tolist():
+        if any(row) and (not basis or solve_rational(np.array(basis).T.tolist(), row) is None):
+            basis.append(row)
+    B = np.array(basis, dtype=object).reshape(-1, N.shape[0])
+    y = solve_rational((B @ N @ B.T).tolist(), (B @ r).tolist())
+    return B.T @ np.array(y, dtype=object).reshape(-1) if basis else np.zeros(N.shape[0], object)
+
+
+class TestEqualizersExact:
+    """parallel_equalizers and successive_equalizers against the MMSE
+    solution solved exactly, and against the analysis layer's variance."""
+
+    LEVELS = (0.0, 1e-3, 0.3, 1.0, 2.5)
+
+    @staticmethod
+    def instances(count, seed):
+        """Random 1-3-user, 1-2-antenna channels with small integer or
+        dyadic gains and powers, each with a 1-3-row coefficient matrix,
+        and each row's prior rows (the independent ones before it)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            users, antennas, rows = (int(v) for v in rng.integers(1, [4, 3, 4]))
+            denom = int(rng.choice([1, 4]))
+            H = rng.integers(-3 * denom, 3 * denom + 1, size=(antennas, users)) / denom
+            P = rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 4.0], size=users)
+            A = rng.integers(-2, 3, size=(rows, users))
+            basis = _exact.RowBasis()
+            kept = [basis.add(row) for row in A.tolist()]
+            yield ChannelInstance(H=H, P=P), A, [[i for i in range(m) if kept[i]]
+                                                 for m in range(rows)]
+
+    @staticmethod
+    def bound(ch, a, prev, s, z):
+        """How far a backward-stable least-squares solve may land from the
+        exact solution z of [P^1/2 H^T, P^1/2 prev^T; s I, 0] z ~ [P^1/2 a; 0].
+
+        Higham, Accuracy and Stability of Numerical Algorithms, thm. 20.1:
+        the exact solution for D and its target perturbed by eps relative to
+        their norms moves by at most kappa eps (2 ||z|| + (kappa + 1) ||res||
+        / ||D||) to first order, kappa = sigma_1 / sigma_r the condition of D
+        on its row space (r its rank) and res the exact residual.  numpy's
+        SVD solver has a backward error of a modest multiple of the unit
+        roundoff; 10 (m + n) u stands for it.  A zero D has the zero
+        solution, and the solver returns it exactly."""
+        root = np.sqrt(ch.P)
+        D = np.vstack([np.hstack([ch.H.T, prev.T]) * root[:, None],
+                       np.hstack([s * np.eye(ch.num_antennas),
+                                  np.zeros((ch.num_antennas, len(prev)))])])
+        rank = np.linalg.matrix_rank(D)
+        if rank == 0:
+            return 0.0
+        sv = np.linalg.svd(D, compute_uv=False)
+        kappa = sv[0] / sv[rank - 1]
+        eps = 10 * sum(D.shape) * np.finfo(float).eps
+        res = D @ z.astype(float) - np.concatenate([a * root, np.zeros(ch.num_antennas)])
+        return kappa * eps * (2 * np.linalg.norm(z.astype(float))
+                              + (kappa + 1) * np.linalg.norm(res) / sv[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equalizers_match_the_exact_mmse_solution(self, seed):
+        checked = 0
+        for ch, A, keep in self.instances(15, seed):
+            for s in self.LEVELS:
+                para = simulator.parallel_equalizers(ch, A, s)
+                succ = simulator.successive_equalizers(ch, A, s)
+                for m, a in enumerate(A):
+                    b, c = succ[m]
+                    assert not np.delete(c, keep[m]).any()
+                    for got, prev in ((para[m], A[:0]),
+                                      (np.concatenate([b, c[keep[m]]]), A[keep[m]])):
+                        want = exact_mmse(ch.H, ch.P, a, prev, s)
+                        err = np.linalg.norm(got - want.astype(float))
+                        assert err <= self.bound(ch, a, prev, s, want), (s, m)
+                        checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_variance_is_the_analysis_layers(self, seed):
+        # The variance of (s b, c) on the channel H / s is the least-squares
+        # objective at the solution, and the analysis layer's MMSE variance.
+        # It matches the objective at the exact solution to 1e-12.  The
+        # analysis layer inverts P^-1 + H^T H / s^2, whose condition number
+        # kappa grows as 1 / s^2, so its variance is good to about
+        # eps kappa (up to 2.4e-9 at s = 1e-3 here); the tie takes 1e-9 or
+        # 10 eps kappa, whichever is larger.  A row in the span of its prior
+        # rows has variance exactly 0, which all sides give as a rounding
+        # residue of order (eps ||z||)^2, far below 1e-20 a^T P a.
+        F = np.vectorize(Fraction, otypes=[object])
+        checked = 0
+        for ch, A, keep in self.instances(15, seed):
+            for s in self.LEVELS[1:]:
+                scaled = ChannelInstance(H=ch.H / s, P=ch.P)
+                gram = np.diag(1.0 / ch.P) + scaled.H.T @ scaled.H
+                rel = max(1e-9, 10 * np.finfo(float).eps * np.linalg.cond(gram))
+                for m, (b, c) in enumerate(simulator.successive_equalizers(ch, A, s)):
+                    a, prev = A[m], A[keep[m]]
+                    floor = 1e-20 * float(a @ (ch.P * a))
+                    z = exact_mmse(ch.H, ch.P, a, prev, s)
+                    zb, zc = z[:ch.num_antennas], z[ch.num_antennas:]
+                    miss = F(ch.H).T @ zb + F(prev).reshape(-1, len(a)).T @ zc - F(a)
+                    exact = float(F(ch.P) @ (miss * miss) + Fraction(s) ** 2 * (zb @ zb))
+                    got = sigma_succ_eval(scaled, a, prev, s * b, c[keep[m]])
+                    assert got == pytest.approx(exact, rel=1e-12, abs=floor), (s, m)
+                    want = sigma_succ_opt(scaled, a, prev).variance
+                    assert got == pytest.approx(want, rel=rel, abs=floor), (s, m)
+                    checked += 1
+        assert checked > 100
+
+
 class TestRunTrials:
     def test_noiseless_zero_errors(self):
         ens = small_ensemble()
@@ -654,13 +783,13 @@ class TestDrawBlock:
         assert keys * len(self.SHAPES) >= 10 ** 4
 
 
-def noise_configs(levels, **fields):
-    """One config per noise level, sharing every other field."""
+def campaign(levels, **fields):
+    """One config over the given noise levels (a sequence, or one number)."""
     ch = ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 1.0])
     base = dict(ensemble=small_ensemble(), ch=ch, A=A22, mode="successive",
                 mapping=SUCC_MAP, master_seed=31)
     base.update(fields)
-    return [TrialConfig(noise_std=ns, **base) for ns in levels]
+    return TrialConfig(noise_std=levels, **base)
 
 
 class TestRunCampaign:
@@ -669,48 +798,69 @@ class TestRunCampaign:
     def test_reports_equal_separate_runs(self, mode, trials):
         seen = set()
         for levels in ([0.0], [0.6, 0.0], [1.5, 0.0, 0.3]):
-            configs = noise_configs(levels, mode=mode)
-            reports = run_campaign(configs, trials)
-            assert reports == [run_trials(cfg, trials) for cfg in configs]
+            reports = run_campaign(campaign(levels, mode=mode), trials)
+            assert reports == [run_trials(campaign(s, mode=mode), trials) for s in levels]
             seen.update(c["errors"] > 0 for r in reports for c in r["combinations"])
         if trials > 1:
             assert seen == {True, False}
 
     def test_no_configs_no_reports(self):
-        assert run_campaign([], 10) == []
+        # a campaign of no noise levels is refused when it is built
+        with pytest.raises(ValueError, match="at least one level"):
+            campaign([])
 
-    @pytest.mark.parametrize("fields", [
-        {"master_seed": 32},
-        {"A": np.array([[1, 1], [1, 0]])},
-        {"mode": "parallel"},
-        {"ch": ChannelInstance(H=[[1.0, 0.7], [0.4, 1.2]], P=[1.0, 1.0])},
-        {"ch": ChannelInstance(H=[[1.0, 0.7], [0.4, 1.3]], P=[1.0, 2.0])},
-        {"ensemble": build_ensemble(2, 3, 3.0, [(0, 1), (0, 2)], seed=22)},
-        {"mapping": frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})},
-        {"equalizers": {0: ([1.0, 0.0], []), 1: ([0.0, 1.0], [0.5])}},
-    ], ids=["master_seed", "A", "mode", "H", "P", "ensemble", "mapping", "equalizers"])
-    def test_configs_must_differ_only_in_noise(self, fields):
-        configs = noise_configs([0.5]) + noise_configs([0.2], **fields)
-        with pytest.raises(ValueError, match="differ only in noise_std"):
-            run_campaign(configs, 5)
+    @pytest.mark.parametrize("levels", [0.5, [0.5], (0.5, 0.2)])
+    def test_levels_of_a_number_or_a_sequence(self, levels):
+        cfg = campaign(levels)
+        assert cfg.levels == tuple(np.atleast_1d(levels))
+        assert [r["noise_std"] for r in run_campaign(cfg, 3)] == list(cfg.levels)
 
-    def test_equal_fields_built_apart_are_shared(self):
-        # each call builds its own ensemble and channel
-        configs = noise_configs([0.5]) + noise_configs([0.2])
-        assert configs[0].ensemble is not configs[1].ensemble
-        assert run_campaign(configs, 20) == [run_trials(cfg, 20) for cfg in configs]
+    @pytest.mark.parametrize("levels", [[0.5, -0.1], [float("nan")], [0.5, float("inf")]])
+    def test_every_level_is_checked(self, levels):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            campaign(levels)
 
+    def test_one_level_calls_refuse_several(self):
+        cfg = campaign([0.5, 0.2])
+        with pytest.raises(ValueError, match="run_campaign runs several"):
+            run_trials(cfg, 5)
+        with pytest.raises(ValueError, match="run_campaign runs several"):
+            run_single_trial(cfg, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.0, True])
+    def test_trial_count_must_be_a_positive_integer(self, trials):
+        cfg = campaign(0.5)
+        for call in (run_campaign, run_trials):
+            with pytest.raises(ValueError, match=r"trials must be an integer >= 1"):
+                call(cfg, trials)
+
+    def test_one_cancellation_matrix_and_no_channel_per_campaign(self, monkeypatch):
+        # a 3-level successive campaign builds its Z_p cancellation matrix
+        # once, with the config, and equalizes every level on the config's channel
+        calls = []
+        zp = simulator.zp_asc_matrix
+        monkeypatch.setattr(simulator, "zp_asc_matrix",
+                            lambda *args: calls.append("zp") or zp(*args))
+        cfg = campaign([1.5, 0.5, 0.0])
+        check = ChannelInstance.__post_init__
+        monkeypatch.setattr(ChannelInstance, "__post_init__",
+                            lambda self: calls.append("channel") or check(self))
+        assert len(run_campaign(cfg, 40)) == 3
+        assert calls == ["zp"]
 
     def test_large_parallel_campaign_equals_separate_runs(self):
         # the parallel benchmark campaign's 16807-row table, searched over
         # the implicit tree, with both levels' rows in one quantizer call
         ens = build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21)
         ch = ChannelInstance(H=[[1.0, 1.0], [1.0, 2.0]], P=[1.0, 1.0])
-        configs = [TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel", noise_std=ns,
-                               master_seed=7) for ns in (0.5, 0.1)]
+
+        def config(levels):
+            return TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel",
+                               noise_std=levels, master_seed=7)
+
         trials = BLOCK_TRIALS + 22
-        reports = run_campaign(configs, trials)
-        assert reports == [run_trials(cfg, trials) for cfg in configs]
+        reports = run_campaign(config([0.5, 0.1]), trials)
+        assert reports == [run_trials(config(s), trials) for s in (0.5, 0.1)]
         assert [[c["errors"] > 0 for c in r["combinations"]] for r in reports] == \
             [[True, True], [False, False]]
 
@@ -728,7 +878,7 @@ class TestRunCampaign:
         counts, rows = [], []
         for levels in ([0.5], [1.5, 0.5, 0.0]):
             calls.clear()
-            run_campaign(noise_configs(levels, mode=mode), 2 * BLOCK_TRIALS)
+            run_campaign(campaign(levels, mode=mode), 2 * BLOCK_TRIALS)
             counts.append(len(calls))
             rows.append(sum(calls))
         assert counts[0] == counts[1] > 0
@@ -740,8 +890,7 @@ def test_large_campaign_enumerates_no_large_table():
     # implicit tree, so the table's rows are never enumerated
     ens = build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21)
     ch = ChannelInstance(H=[[1.0, 1.0], [1.0, 2.0]], P=[1.0, 1.0])
-    configs = [TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel", noise_std=ns,
-                           master_seed=7) for ns in (0.3, 0.1)]
-    run_campaign(configs, 15)
+    run_campaign(TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel",
+                             noise_std=[0.3, 0.1], master_seed=7), 15)
     table = ens._tables[5]
     assert table._cells is None and table._pairs is None and table._shifts is None

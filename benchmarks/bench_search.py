@@ -1,11 +1,18 @@
-"""Benchmark the dominant-solution search per user count.
+"""Benchmark the dominant-solution search and the chained variances per user
+count.
 
 Every `cfkit search` and `cfkit mac` call picks the shortest independent
 integer coefficient vectors once (`intsearch.dominant_solution`).  The
 search enumerates the integer points of one ellipsoid, so its cost follows
-the number of points it enumerates.  For 2, 3 and 4 users this prints the
-median microseconds per call and the mean points enumerated per call, on
-two channel sets:
+the number of points it enumerates.  `cfkit mac` then scores its successive
+candidates (every user permutation matrix, plus the dominant solution when
+it is unimodular) by their chained variances, in one
+`core.chained_variances` call on their stack.
+
+For each user count this prints the median microseconds per search call,
+the mean points enumerated per search, the mean successive candidates per
+channel and the median microseconds per `chained_variances` call on that
+stack, on two channel sets:
 
 - "pool": the 30 channels of the analysis-sweep workload
   (perfbench/workloads.py), each in the equivalent forms of seeds 0..3;
@@ -13,13 +20,19 @@ two channel sets:
   N(0, s^2) gains and real powers and half with small integer gains and
   powers, whose ties in ||F a||^2 exercise the tie-breaking.
 
+At 5 and 6 users, above the search's user cap (`MAX_EXACT_USERS`), only
+the random set's permutation stacks (120 and 720 candidates) are timed:
+their variances need only the effective matrix.
+
 A channel's time is the least of `--repeats` calls; the median is over
-channels.  Searches that end in an error count too.
+channels.  Searches that end in an error count too, and such a channel's
+stack holds only the permutation matrices.
 
 Usage: python3 benchmarks/bench_search.py [--channels N] [--repeats N]
 """
 
 import argparse
+import itertools
 import statistics
 import sys
 import time
@@ -29,24 +42,24 @@ from unittest import mock
 import numpy as np
 
 from cfkit import intsearch
-from cfkit.core import ChannelInstance, effective_matrix
+from cfkit.core import ChannelInstance, chained_variances, effective_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import channel_pool, equivalent_channel  # noqa: E402
 
-USER_COUNTS = (2, 3, 4)
+USER_COUNTS = (2, 3, 4, 5, 6)
 
 
-def pool_factors() -> list:
+def pool_channels() -> list:
     out = []
     for seed in range(4):
         for i, (H, P) in enumerate(channel_pool()):
             H, P = equivalent_channel(H, P, np.random.default_rng([seed, 0, i]))
-            out.append(effective_matrix(ChannelInstance(H=H, P=P)))
+            out.append(ChannelInstance(H=H, P=P))
     return out
 
 
-def random_factors(users: int, count: int) -> list:
+def random_channels(users: int, count: int) -> list:
     rng = np.random.default_rng(users)
     out = []
     for i in range(count):
@@ -57,18 +70,30 @@ def random_factors(users: int, count: int) -> list:
         else:
             ch = ChannelInstance(H=rng.normal(size=(nr, users)) * rng.uniform(0.3, 5),
                                  P=rng.uniform(0.3, 30, size=users))
-        out.append(effective_matrix(ch))
+        out.append(ch)
     return out
 
 
 def search(F):
     try:
-        intsearch.dominant_solution(F)
+        return intsearch.dominant_solution(F)
     except RuntimeError:
-        pass
+        return None
 
 
-def points_per_call(factors: list) -> float:
+def candidate_stack(ch) -> np.ndarray:
+    """successive_mac_assignments' candidates: the permutation matrices, and
+    the dominant solution when the search succeeds and it is unimodular."""
+    L = ch.num_users
+    out = [np.eye(L, dtype=int)[list(p)] for p in itertools.permutations(range(L))]
+    if L <= intsearch.MAX_EXACT_USERS:
+        dom = search(effective_matrix(ch))
+        if dom is not None and intsearch.is_unimodular(dom.A_star):
+            out.append(dom.A_star)
+    return np.stack(out)
+
+
+def points_per_call(channels: list) -> float:
     """Mean number of points _ellipsoid_points returns per search."""
     counts = []
     enumerate_points = intsearch._ellipsoid_points
@@ -79,18 +104,19 @@ def points_per_call(factors: list) -> float:
         return points
 
     with mock.patch.object(intsearch, "_ellipsoid_points", counted):
-        for F in factors:
-            search(F)
-    return sum(counts) / len(factors)
+        for ch in channels:
+            search(effective_matrix(ch))
+    return sum(counts) / len(channels)
 
 
-def median_us(factors: list, repeats: int) -> float:
+def median_us(calls: list, repeats: int) -> float:
+    """Median over calls of the least of `repeats` timings of each."""
     best = []
-    for F in factors:
+    for call in calls:
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            search(F)
+            call()
             times.append(time.perf_counter() - start)
         best.append(min(times))
     return statistics.median(best) * 1e6
@@ -101,13 +127,25 @@ def main():
     ap.add_argument("--channels", type=int, default=200)
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
-    pool = pool_factors()
-    print(f"{'set':>7} {'users':>6} {'channels':>9} {'us/call':>9} {'points/call':>12}")
+    pool = pool_channels()
+    print(f"{'set':>7} {'users':>6} {'channels':>9} {'us/call':>9} {'points/call':>12} "
+          f"{'candidates':>11} {'chained us':>11}")
     for users in USER_COUNTS:
-        for name, factors in (("pool", [F for F in pool if F.shape[1] == users]),
-                              ("random", random_factors(users, args.channels))):
-            print(f"{name:>7} {users:>6} {len(factors):>9} "
-                  f"{median_us(factors, args.repeats):9.1f} {points_per_call(factors):12.1f}")
+        sets = [("random", random_channels(users, args.channels))]
+        if users <= intsearch.MAX_EXACT_USERS:
+            sets.insert(0, ("pool", [ch for ch in pool if ch.num_users == users]))
+        for name, channels in sets:
+            stacks = [candidate_stack(ch) for ch in channels]
+            chained = median_us([lambda ch=ch, S=S: chained_variances(ch, S)
+                                 for ch, S in zip(channels, stacks)], args.repeats)
+            if users <= intsearch.MAX_EXACT_USERS:
+                us = median_us([lambda F=effective_matrix(ch): search(F) for ch in channels],
+                               args.repeats)
+                searched = f"{us:9.1f} {points_per_call(channels):12.1f}"
+            else:
+                searched = f"{'-':>9} {'-':>12}"
+            print(f"{name:>7} {users:>6} {len(channels):>9} {searched} "
+                  f"{np.mean([len(S) for S in stacks]):11.1f} {chained:11.1f}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ Monte-Carlo harness.
 """
 
 from .core import (UNBOUNDED, ChannelInstance, NoiseReport, achievable_rate,
-                   effective_matrix, lattice_gram, noise_variance, sigma_para_eval,
-                   sigma_para_opt, sigma_succ_eval, sigma_succ_opt,
-                   sum_capacity)
+                   chained_variances, effective_matrix, lattice_gram, noise_variance,
+                   sigma_para_eval, sigma_para_opt, sigma_succ_eval,
+                   sigma_succ_opt, sum_capacity)
 from .intsearch import (DominantSolution, dominant_solution, entry_bound,
                         is_unimodular, mod_p_solvability, primitivity,
                         primitivize, rowspan_contains_real)

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import intsearch, lattice, mac_opt, regions, simulator
-from .core import (UNBOUNDED, ChannelInstance, effective_matrix, lattice_gram,
-                   noise_variance, sigma_para_opt, sum_capacity)
+from .core import (UNBOUNDED, ChannelInstance, chained_variances, effective_matrix,
+                   lattice_gram, noise_variance, sigma_para_opt, sum_capacity)
 
 
 class InputError(Exception):
@@ -232,13 +232,11 @@ def cmd_search(args) -> int:
         dom = intsearch.dominant_solution(
             effective_matrix(ch), max_radius=radius if radius is not None else 64)
         # the rows of A_star are exactly independent
-        rows = []
-        for m, row in enumerate(dom.A_star):
-            para = noise_variance(ch, row)
-            succ = noise_variance(ch, row, dom.A_star[:m]) if m else para
-            rows.append({"row": [int(v) for v in row],
-                         "sigma2_parallel": round(para, 6),
-                         "sigma2_successive": round(succ, 6)})
+        chained = chained_variances(ch, dom.A_star).tolist()
+        rows = [{"row": [int(v) for v in row],
+                 "sigma2_parallel": round(noise_variance(ch, row), 6),
+                 "sigma2_successive": round(succ, 6)}
+                for row, succ in zip(dom.A_star, chained)]
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise InputError(str(exc))
     payload = {"entry_bound": round(bound_val, 6),

@@ -173,22 +173,59 @@ def _chained_residual(F: np.ndarray, a_m: np.ndarray, A_prev: np.ndarray):
     return Fa - Q @ coeffs, Q, R, coeffs
 
 
+def _chained_rows(F: np.ndarray, S: np.ndarray, m: int) -> np.ndarray:
+    """Chained variance of row m of S (an M x L matrix, or a K x M x L stack
+    of them) given its rows 0..m-1, one value per matrix.
+
+    The stacked operations are those _para_variance and _chained_residual
+    take on one matrix (one QR of the prefix product F S[:m]^T, a
+    matrix-vector product per projection step, a dot for the squared norm),
+    so each value is bitwise theirs.  Taking Q from one QR of the whole
+    F S^T, or the variance from R's diagonal, is not.
+    """
+    Fa = np.matmul(F, S[..., m, :, None])
+    if m == 0:
+        return np.sum(Fa[..., 0] ** 2, axis=-1)
+    Q = np.linalg.qr(F @ np.swapaxes(S[..., :m, :], -1, -2))[0]
+    resid = Fa - np.matmul(Q, np.matmul(np.swapaxes(Q, -1, -2), Fa))
+    return np.matmul(np.swapaxes(resid, -1, -2), resid)[..., 0, 0]
+
+
+def chained_variances(ch: ChannelInstance, A) -> np.ndarray:
+    """noise_variance(ch, A[m], A[:m]) for every row m of A, bitwise.
+
+    A is one M x L integer matrix or a K x M x L stack of them; the result
+    has shape (M,) or (K, M).  The rows of each matrix must be exactly
+    independent (a unimodular matrix's, say); this is not checked.  Each
+    prefix length takes one QR of the whole stack.
+    """
+    S = np.asarray(A, dtype=float)
+    if S.ndim not in (2, 3) or S.shape[-1] != ch.num_users:
+        raise ValueError("A must be an M x L matrix or a K x M x L stack "
+                         "with one column per user")
+    F = effective_matrix(ch)
+    out = np.empty(S.shape[:-1])
+    for m in range(S.shape[-2]):
+        out[..., m] = _chained_rows(F, S, m)
+    return out
+
+
 def noise_variance(ch: ChannelInstance, a_m, A_prev=()) -> float:
     """sigma_succ_opt(ch, a_m, A_prev).variance without the equalizers.
 
-    With no prior rows this is sigma_para_opt's ||F a_m||^2.  The floating
-    operations are those of sigma_para_opt/sigma_succ_opt, in the same order,
-    so the value is bitwise theirs.  Neither the dimensions nor the rank of
-    A_prev are checked: callers pass rows they know to be exactly independent
-    (the rows of a unimodular matrix, say).
+    With no prior rows this is sigma_para_opt's ||F a_m||^2; with prior rows
+    it is chained_variances' value for the last row of [A_prev; a_m].  The
+    floating operations are those of sigma_para_opt/sigma_succ_opt, so the
+    value is bitwise theirs.  Neither the dimensions nor the rank of A_prev
+    are checked: callers pass rows they know to be exactly independent (the
+    rows of a unimodular matrix, say).
     """
     a_m = np.asarray(a_m, dtype=float).ravel()
     F = effective_matrix(ch)
     if not np.size(A_prev):
         return _para_variance(F, a_m)
-    A_prev = np.atleast_2d(np.asarray(A_prev, dtype=float))
-    resid_vec = _chained_residual(F, a_m, A_prev)[0]
-    return float(resid_vec @ resid_vec)
+    S = np.vstack([np.atleast_2d(np.asarray(A_prev, dtype=float)), a_m])
+    return float(_chained_rows(F, S, S.shape[0] - 1))
 
 
 def sigma_succ_eval(ch: ChannelInstance, a_m, A_prev, b, c) -> float:

@@ -9,15 +9,14 @@ per-user noise conditions hold.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import intsearch, regions
-from .core import (ChannelInstance, achievable_rate, log2_plus, noise_variance,
-                   sum_capacity)
+from .core import (ChannelInstance, achievable_rate, chained_variances, log2_plus,
+                   noise_variance, sum_capacity)
 from .regions import AdmissibleMapping
 
 
@@ -135,17 +134,20 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     if not intsearch.is_unimodular(A):
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
-    return _successive_outcome(ch, A, regions._coerce_mapping(A, mapping), pi,
-                               lambda: regions.row_variances(ch, A, chained=True),
+    mapping = regions._coerce_mapping(A, mapping)
+    return _successive_outcome(ch, A, mapping, pi, chained_variances(ch, A).tolist(),
                                sum_capacity(ch))
 
 
 def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome:
     """successive_mac_assignment after its checks on A, the mapping and the
-    powers: mapping is an AdmissibleMapping whose witness holds for A.
+    powers: mapping is an AdmissibleMapping whose witness holds for A,
+    variances are A's chained row variances and cap is sum_capacity(ch).
 
-    variances() gives A's chained row variances; it is called only once the
-    mapping and pi have passed their checks.  cap is sum_capacity(ch).
+    The rates of an accepted assignment sum to cap in exact arithmetic.  A
+    float sum that misses cap by more than 1e-8 raises ArithmeticError: on
+    an ill-conditioned channel the variances are not accurate enough for
+    the assignment to be reported.
     """
     L = ch.num_users
     pi = tuple(int(v) for v in pi)
@@ -157,7 +159,6 @@ def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome
                 None,
                 f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
                 f"{pi[l - 1]}; pi is not allowed by this mapping")
-    variances = variances()
     rates = []
     for l in range(L):
         rows = mapping.rows_for_user(l + 1)
@@ -178,23 +179,12 @@ def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome
         rates.append(0.5 * np.log2(ch.P[l] / assigned))
     total = float(sum(rates))
     if abs(total - cap) > 1e-8:
-        raise AssertionError("sum rate failed to match the sum capacity identity")
+        raise ArithmeticError(
+            f"successive sum rate misses the sum capacity by {abs(total - cap):.2e} "
+            f"(tolerance 1e-8); the channel is too ill-conditioned")
     asg = MacAssignment(A=A, mapping=mapping, pi=pi, rates=tuple(float(r) for r in rates),
                         sum_rate=total, gap_to_capacity=cap - total)
     return SuccessiveOutcome(asg)
-
-
-def _chained_variances(ch: ChannelInstance, A: np.ndarray, memo: dict) -> list[float]:
-    """regions.row_variances(ch, A, chained=True) for a unimodular A, whose
-    rows are independent, keeping each row's variance in memo under the row
-    prefix A[:m+1], the only part of A it depends on."""
-    out = []
-    for m in range(A.shape[0]):
-        key = A[:m + 1].tobytes()
-        if key not in memo:
-            memo[key] = noise_variance(ch, A[m], A[:m])
-        out.append(memo[key])
-    return out
 
 
 def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
@@ -203,33 +193,24 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     per distinct rate tuple, in candidate then pivot-order order.
 
     Each mapping of lu_mappings_all carries its exact witness and is used
-    as it is.  The sum capacity is computed once per call and each
-    candidate's chained variances once, when its first mapping passes the
-    mapping checks.  The permutation candidates share row prefixes, and a
-    row's chained variance depends only on its prefix, so each prefix's
-    variance is computed once per call (for L = 4, 64 variances instead of
-    96).
+    as it is.  The sum capacity is computed once per call, and the chained
+    variances of every candidate in one chained_variances call on their
+    stack.  The candidates are unimodular by construction (the dominant
+    solution is checked before it joins them), so none is checked again.
     """
     L = ch.num_users
-    candidates: list[np.ndarray] = []
-    for perm in itertools.permutations(range(L)):
-        P = np.zeros((L, L), dtype=int)
-        for m, u in enumerate(perm):
-            P[m, u] = 1
-        candidates.append(P)
+    candidates = [np.eye(L, dtype=int)[list(perm)]
+                  for perm in itertools.permutations(range(L))]
     dom = ch._dominant_solution
     if intsearch.is_unimodular(dom.A_star):
         candidates.append(dom.A_star)
     cap = sum_capacity(ch)
-    memo: dict[bytes, float] = {}
+    variances = chained_variances(ch, np.stack(candidates)).tolist()
     out = []
     seen = set()
-    for A in candidates:
-        if not intsearch.is_unimodular(A):
-            raise ValueError("coefficient matrix must be unimodular")
-        variances = functools.cache(functools.partial(_chained_variances, ch, A, memo))
+    for A, row_variances in zip(candidates, variances):
         for mapping, pi in mac_mappings_all(A):
-            outcome = _successive_outcome(ch, A, mapping, pi, variances, cap)
+            outcome = _successive_outcome(ch, A, mapping, pi, row_variances, cap)
             if outcome:
                 key = tuple(round(r, 10) for r in outcome.assignment.rates)
                 if key not in seen:

@@ -151,6 +151,14 @@ _OVERFLOW_RUNS = [
 # million nodes on its way there.
 _NEAR_SINGULAR = {"H": [[1e6, 0, 0, 0], [0, 1e6, 0, 0], [0, 0, 1e6, 0]], "P": [1, 1, 1, 1]}
 
+# An ill-conditioned 3-user channel: the float chained rates of A = I,
+# pi = (1, 2, 3) sum to 1.26e-8 off the sum capacity, past the 1e-8 check.
+_ILL_CONDITIONED_3_USERS = {
+    "H": [[0.18741764658239202, 3240.7824325742536, 347.20363251559723],
+          [-3947.6845546120926, -203.38369279157774, -0.3125176278023317],
+          [2.6173547520922833, 0.049296135617367245, -0.00856342679795989]],
+    "P": [0.3495355968249849, 7737.990263562073, 479.81084557660967]}
+
 
 @pytest.mark.parametrize("argv,doc,message,report", [
     (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power",
@@ -176,12 +184,15 @@ _NEAR_SINGULAR = {"H": [[1e6, 0, 0, 0], [0, 1e6, 0, 0], [0, 0, 1e6, 0]], "P": [1
                                      "A": [[10 ** 12, 1], [10 ** 12 + 1, 1]],
                                      "mapping": [[1, 1], [1, 2]]},
      "mapping is not admissible", "region_succ.json"),
+    (["mac"], _ILL_CONDITIONED_3_USERS,
+     "successive sum rate misses the sum capacity by 1.26e-08", "mac_assignments.json"),
 ], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
         "search-node-budget", "mac-node-budget",
         "search-zero-power", "region-para-zero-power",
         *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
         *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
-        "region-compound-ill-conditioned", "region-succ-borderline-mapping"])
+        "region-compound-ill-conditioned", "region-succ-borderline-mapping",
+        "mac-sum-identity-miss"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
-                        effective_matrix, lattice_gram, sigma_para_eval,
-                        sigma_para_opt, sigma_succ_eval, sigma_succ_opt,
-                        sum_capacity)
+                        chained_variances, effective_matrix, lattice_gram,
+                        noise_variance, sigma_para_eval, sigma_para_opt,
+                        sigma_succ_eval, sigma_succ_opt, sum_capacity)
+from cfkit.mac_opt import random_unimodular
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 
@@ -224,6 +226,75 @@ class TestSigmaSuccessive:
         N = rep.projector
         assert np.allclose(N @ N, N, atol=1e-10)
         assert np.allclose(N, N.T, atol=1e-10)
+
+
+def _per_row_variances(ch, A) -> list[float]:
+    """The per-row path: sigma_para_opt for row 0, sigma_succ_opt (its own
+    QR of F A[:m]^T) for each later row."""
+    return [sigma_succ_opt(ch, A[m], A[:m]).variance if m else
+            sigma_para_opt(ch, A[m]).variance for m in range(A.shape[0])]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _chain_channels(rng, L):
+    """Small-integer channels with ties (all-ones gains tie every user),
+    and normal gains whose columns span four decades."""
+    yield ChannelInstance(H=np.ones((1, L)), P=np.ones(L))
+    yield ChannelInstance(H=rng.integers(-2, 3, size=(int(rng.integers(1, L + 1)), L)),
+                          P=rng.choice([1.0, 2.0, 4.0], size=L))
+    yield ChannelInstance(H=rng.normal(size=(int(rng.integers(1, L + 1)), L))
+                          * 10.0 ** rng.uniform(-1, 3, size=L),
+                          P=rng.uniform(0.5, 9.0, size=L))
+
+
+def _chain_candidates(rng, L):
+    """Every user permutation matrix, then random unimodular matrices with
+    entries capped at 3, 20 and 200."""
+    out = [np.eye(L, dtype=int)[list(p)] for p in itertools.permutations(range(L))]
+    for cap in (3, 20, 200):
+        out += [random_unimodular(L, rng, steps=60, entry_cap=cap) for _ in range(4)]
+    return np.stack(out)
+
+
+class TestChainedVariances:
+    @pytest.mark.parametrize("L", range(2, 7))
+    def test_stack_equals_per_row_path_bitwise(self, L):
+        rng = np.random.default_rng(60 + L)
+        S = _chain_candidates(rng, L)
+        assert np.max(np.abs(S)) > 20
+        for ch in _chain_channels(rng, L):
+            V = chained_variances(ch, S)
+            assert V.shape == S.shape[:2]
+            for k, A in enumerate(S):
+                ref = _per_row_variances(ch, A)
+                assert _bits(V[k]) == _bits(ref), (L, k)
+                assert _bits(chained_variances(ch, A)) == _bits(ref), (L, k)
+                assert _bits([noise_variance(ch, A[m], A[:m]) for m in range(L)]) == \
+                    _bits(ref), (L, k)
+
+    @pytest.mark.parametrize("L", range(2, 7))
+    def test_one_row_and_one_matrix(self, L):
+        rng = np.random.default_rng(70 + L)
+        S = _chain_candidates(rng, L)
+        for ch in _chain_channels(rng, L):
+            # M = 1: each value is sigma_para_opt's
+            rows = chained_variances(ch, S[:, :1, :])
+            assert rows.shape == (S.shape[0], 1)
+            assert _bits(rows[:, 0]) == _bits([sigma_para_opt(ch, A[0]).variance for A in S])
+            # K = 1, and a prefix of rows (M < L)
+            A = S[-1]
+            assert _bits(chained_variances(ch, A[None])[0]) == _bits(_per_row_variances(ch, A))
+            assert _bits(chained_variances(ch, A[:L - 1])) == \
+                _bits(_per_row_variances(ch, A[:L - 1]))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="one column per user"):
+            chained_variances(FIG7, np.eye(3, dtype=int))
+        with pytest.raises(ValueError, match="one column per user"):
+            chained_variances(FIG7, [1, 2])
 
 
 class TestSumCapacity:

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from cfkit import intsearch, regions
+from cfkit import intsearch, mac_opt, regions
 from cfkit.core import (ChannelInstance, achievable_rate, effective_matrix,
                         log2_plus, noise_variance, sigma_para_opt,
                         sigma_succ_opt, sum_capacity)
@@ -278,6 +279,26 @@ class TestAgainstOracle:
                     np.float64(full).tobytes(), (i, rows.tolist())
                 assert np.float64(noise_variance(ch, a_m)).tobytes() == \
                     np.float64(sigma_para_opt(ch, a_m).variance).tobytes(), i
+
+    def test_one_chained_variances_call_on_unimodular_candidates(self, monkeypatch):
+        # the candidates are not re-checked in the loop: each must be
+        # unimodular by construction
+        stacks = []
+        chained_variances = mac_opt.chained_variances
+
+        def spy(ch, A):
+            stacks.append(np.array(A))
+            return chained_variances(ch, A)
+
+        monkeypatch.setattr(mac_opt, "chained_variances", spy)
+        rng = np.random.default_rng(45)
+        for ch in oracle_channels(rng, 30):
+            stacks.clear()
+            successive_mac_assignments(ch)
+            assert len(stacks) == 1
+            L = ch.num_users
+            assert stacks[0].shape[0] in (math.factorial(L), math.factorial(L) + 1)
+            assert all(intsearch.is_unimodular(A) for A in stacks[0])
 
     def test_tables_use_the_exact_witnesses_unchecked(self, monkeypatch):
         # lu_mappings_all's witnesses are exact: neither table re-checks one

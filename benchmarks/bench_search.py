@@ -1,5 +1,5 @@
-"""Benchmark the dominant-solution search and the chained variances per user
-count.
+"""Benchmark the dominant-solution search, the chained variances and the
+mac_assignments.json writer per user count.
 
 Every `cfkit search` and `cfkit mac` call picks the shortest independent
 integer coefficient vectors once (`intsearch.dominant_solution`).  The
@@ -7,12 +7,16 @@ search enumerates the integer points of one ellipsoid, so its cost follows
 the number of points it enumerates.  `cfkit mac` then scores its successive
 candidates (every user permutation matrix, plus the dominant solution when
 it is unimodular) by their chained variances, in one
-`core.chained_variances` call on their stack.
+`core.chained_variances` call on their stack, and writes its table through
+a cached template whose leaves the C JSON encoder writes in one call.
 
 For each user count this prints the median microseconds per search call,
 the mean points enumerated per search, the mean successive candidates per
-channel and the median microseconds per `chained_variances` call on that
-stack, on two channel sets:
+channel, the median microseconds per `chained_variances` call on that
+stack and, on the pool, per `mac_assignments.json` text: the template
+writer against `json.dumps(payload, sort_keys=True, indent=2)`, which
+gives the same bytes through the pure-Python encoder ("write us"). It
+runs on two channel sets:
 
 - "pool": the 30 channels of the analysis-sweep workload
   (perfbench/workloads.py), each in the equivalent forms of seeds 0..3;
@@ -33,6 +37,7 @@ Usage: python3 benchmarks/bench_search.py [--channels N] [--repeats N]
 
 import argparse
 import itertools
+import json
 import statistics
 import sys
 import time
@@ -41,7 +46,7 @@ from unittest import mock
 
 import numpy as np
 
-from cfkit import intsearch
+from cfkit import cli, intsearch
 from cfkit.core import ChannelInstance, chained_variances, effective_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -109,6 +114,19 @@ def points_per_call(channels: list) -> float:
     return sum(counts) / len(channels)
 
 
+def write_us(channels: list, repeats: int) -> str:
+    """Median microseconds of the template writer and of json.dumps on the
+    channels' mac_assignments.json payloads, after checking their bytes
+    agree."""
+    payloads = [cli._mac_payload(ch) for ch in channels]
+    for payload in payloads:
+        assert cli._mac_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    template = median_us([lambda p=p: cli._mac_json(p) for p in payloads], repeats)
+    dumps = median_us([lambda p=p: json.dumps(p, sort_keys=True, indent=2)
+                       for p in payloads], repeats)
+    return f"{template:.0f}/{dumps:.0f}"
+
+
 def median_us(calls: list, repeats: int) -> float:
     """Median over calls of the least of `repeats` timings of each."""
     best = []
@@ -129,7 +147,7 @@ def main():
     args = ap.parse_args()
     pool = pool_channels()
     print(f"{'set':>7} {'users':>6} {'channels':>9} {'us/call':>9} {'points/call':>12} "
-          f"{'candidates':>11} {'chained us':>11}")
+          f"{'candidates':>11} {'chained us':>11} {'write us':>11}")
     for users in USER_COUNTS:
         sets = [("random", random_channels(users, args.channels))]
         if users <= intsearch.MAX_EXACT_USERS:
@@ -144,8 +162,10 @@ def main():
                 searched = f"{us:9.1f} {points_per_call(channels):12.1f}"
             else:
                 searched = f"{'-':>9} {'-':>12}"
+            written = write_us(channels, args.repeats) if name == "pool" else "-"
             print(f"{name:>7} {users:>6} {len(channels):>9} {searched} "
-                  f"{np.mean([len(S) for S in stacks]):11.1f} {chained:11.1f}")
+                  f"{np.mean([len(S) for S in stacks]):11.1f} {chained:11.1f} "
+                  f"{written:>11}")
 
 
 if __name__ == "__main__":

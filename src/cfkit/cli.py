@@ -23,7 +23,7 @@ import numpy as np
 
 from . import intsearch, lattice, mac_opt, regions, simulator
 from .core import (UNBOUNDED, ChannelInstance, chained_variances, effective_matrix,
-                   lattice_gram, noise_variance, sigma_para_opt, sum_capacity)
+                   lattice_gram, sigma_para_opt, sum_capacity)
 
 
 class InputError(Exception):
@@ -101,6 +101,71 @@ def _write(path: Path, text: str):
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+_LEAF = "\x00"  # a skeleton's placeholder leaf, which json writes as "\u0000"
+
+# json.dumps(leaves) for a list, with "\n" between the items: no indent, so
+# the C encoder runs, and an encoded leaf never holds a raw newline
+_encode_leaves = json.JSONEncoder(separators=("\n", ":")).encode
+
+
+def _template(skeleton) -> str:
+    """json.dumps(skeleton, sort_keys=True, indent=2) as a %-template with
+    one %s per _LEAF."""
+    text = json.dumps(skeleton, sort_keys=True, indent=2).replace("%", "%%")
+    return text.replace(json.dumps(_LEAF), "%s")
+
+
+def _render(template: str, leaves: list) -> str:
+    """The template filled with each leaf as json.dumps writes it; the
+    leaves come in the skeleton's sorted-key order."""
+    return template % tuple(_encode_leaves(leaves)[1:-1].split("\n"))
+
+
+@functools.cache
+def _search_template(M: int, L: int) -> str:
+    row = {"row": [_LEAF] * L, "sigma2_parallel": _LEAF, "sigma2_successive": _LEAF}
+    return _template({"A_star": [[_LEAF] * L] * M, "entry_bound": _LEAF,
+                      "max_abs_entry": _LEAF, "norms_squared": [_LEAF] * M,
+                      "rows": [row] * M}) + "\n"
+
+
+def _search_json(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n" for search.json."""
+    A = payload["A_star"]
+    leaves = [v for row in A for v in row]
+    leaves += [payload["entry_bound"], payload["max_abs_entry"], *payload["norms_squared"]]
+    for r in payload["rows"]:
+        leaves += [*r["row"], r["sigma2_parallel"], r["sigma2_successive"]]
+    return _render(_search_template(len(A), len(A[0])), leaves)
+
+
+@functools.cache
+def _mac_template(L: int) -> tuple[str, str, str]:
+    """(head, block, tail) of an L-user mac_assignments.json template.  The
+    file of n assignments is head + ",".join([block] * n) + tail, and
+    head + tail.lstrip() for none, as json.dumps lays out a list of n items
+    ("[]" when empty)."""
+    entry = {"A": [[_LEAF] * L] * L, "gap": _LEAF, "pi": [_LEAF] * L,
+             "rates": [_LEAF] * L, "strategy": _LEAF, "sum_rate": _LEAF}
+    text = _template({"assignments": [entry], "sum_capacity": _LEAF}) + "\n"
+    start, end = text.index("[") + 1, text.rindex("\n  ]")
+    return text[:start], text[start:end], text[end:]
+
+
+def _mac_json(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n" for
+    mac_assignments.json; every assignment has as many users as the first."""
+    entries = payload["assignments"]
+    leaves = []
+    for e in entries:
+        leaves += [v for row in e["A"] for v in row]
+        leaves += [e["gap"], *e["pi"], *e["rates"], e["strategy"], e["sum_rate"]]
+    leaves.append(payload["sum_capacity"])
+    head, block, tail = _mac_template(len(entries[0]["pi"]) if entries else 0)
+    template = head + ",".join([block] * len(entries)) + (tail if entries else tail.lstrip())
+    return _render(template, leaves)
 
 
 def _sic_spec(ch: ChannelInstance) -> regions.RateRegionSpec:
@@ -231,12 +296,13 @@ def cmd_search(args) -> int:
         bound_val = intsearch.entry_bound(ch)
         dom = intsearch.dominant_solution(
             effective_matrix(ch), max_radius=radius if radius is not None else 64)
-        # the rows of A_star are exactly independent
+        # the rows of A_star are exactly independent; each alone is unchained
         chained = chained_variances(ch, dom.A_star).tolist()
+        unchained = chained_variances(ch, dom.A_star[:, None, :])[:, 0].tolist()
         rows = [{"row": [int(v) for v in row],
-                 "sigma2_parallel": round(noise_variance(ch, row), 6),
+                 "sigma2_parallel": round(para, 6),
                  "sigma2_successive": round(succ, 6)}
-                for row, succ in zip(dom.A_star, chained)]
+                for row, para, succ in zip(dom.A_star, unchained, chained)]
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise InputError(str(exc))
     payload = {"entry_bound": round(bound_val, 6),
@@ -244,16 +310,13 @@ def cmd_search(args) -> int:
                "A_star": dom.A_star.tolist(),
                "norms_squared": [round(float(v) ** 2, 6) for v in dom.norms],
                "rows": rows}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write(out / "search.json", text)
+    _write(out / "search.json", _search_json(payload))
     print(f"dominant solution: {dom.A_star.tolist()}")
     return 0
 
 
-def cmd_mac(args) -> int:
-    doc = _load_json(args.input)
-    ch = _channel_from(doc)
-    out = _outdir(args)
+def _mac_payload(ch: ChannelInstance) -> dict:
+    """The content of `cfkit mac`'s mac_assignments.json for the channel."""
     try:
         cap = sum_capacity(ch)
         tables = (("parallel", mac_opt.parallel_mac_assignments(ch)),
@@ -265,12 +328,18 @@ def cmd_mac(args) -> int:
                 "sum_rate": round(asg.sum_rate, 6),
                 "gap": round(asg.gap_to_capacity, 6)}
                for strategy, table in tables for asg in table]
-    payload = {"sum_capacity": round(cap, 6), "assignments": entries}
-    _write(out / "mac_assignments.json",
-           json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return {"sum_capacity": round(cap, 6), "assignments": entries}
+
+
+def cmd_mac(args) -> int:
+    doc = _load_json(args.input)
+    ch = _channel_from(doc)
+    out = _outdir(args)
+    payload = _mac_payload(ch)
+    _write(out / "mac_assignments.json", _mac_json(payload))
     header = f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}"
     print(header)
-    for e in entries:
+    for e in payload["assignments"]:
         rates = " ".join(_fmt(r) for r in e["rates"])
         print(f"{e['strategy']:<11} {rates:<30} {_fmt(e['sum_rate']):>9} "
               f"{_fmt(e['gap']):>9}")

@@ -88,6 +88,18 @@ class ChannelInstance:
         dom.norms.setflags(write=False)
         return dom
 
+    @cached_property
+    def _dominant_mappings(self):
+        # regions.lu_mappings_all of the dominant solution, shared by the
+        # parallel and successive strategies like _dominant_solution, with
+        # read-only witnesses
+        from . import regions
+
+        mappings = tuple(regions.lu_mappings_all(self._dominant_solution.A_star))
+        for mapping, _pi in mappings:
+            mapping.L_real.setflags(write=False)
+        return mappings
+
 
 @dataclass
 class NoiseReport:

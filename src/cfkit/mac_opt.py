@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intsearch, regions
-from .core import (ChannelInstance, achievable_rate, chained_variances, log2_plus,
-                   noise_variance, sum_capacity)
+from .core import ChannelInstance, achievable_rate, chained_variances, log2_plus, sum_capacity
 from .regions import AdmissibleMapping
 
 
@@ -57,10 +56,6 @@ def mac_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]
     return res
 
 
-def mac_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
-    return regions.lu_mappings_all(A)
-
-
 def parallel_mac_assignment(ch: ChannelInstance, pivot_order=None) -> MacAssignment:
     """Rate tuple R_l = 1/2 log+ (P_l / sigma2_para(a*_pi(l))) for the shortest
     independent combinations a*.  Defaults to the assignment with the best sum
@@ -81,8 +76,9 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     """One assignment per distinct rate tuple over the elimination
     permutations of the channel's dominant solution, in pivot-order order.
 
-    The dominant solution is searched once per ChannelInstance and shared
-    with the successive strategy.  Its unchained row variances and the sum
+    The dominant solution and its mappings are computed once per
+    ChannelInstance and shared with the successive strategy.  Its unchained
+    row variances (one chained_variances call) and the sum
     capacity are computed once per call; each permutation's rates are then
     checked against its own cancellation box (the asc_region box of its
     mapping) and against the (L/2) log2 L gap bound.
@@ -92,7 +88,7 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     bounds = _parallel_bounds(ch, dom)
     out = []
     seen = set()
-    for mapping, pi in mac_mappings_all(dom.A_star):
+    for mapping, pi in ch._dominant_mappings:
         asg = _assemble_parallel(ch, dom, mapping, pi, *bounds)
         key = tuple(round(r, 12) for r in asg.rates)
         if key not in seen:
@@ -103,7 +99,8 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
 
 def _parallel_bounds(ch, dom) -> tuple[list[float], float]:
     """Unchained row variances of dom.A_star, and the sum capacity."""
-    return [noise_variance(ch, row) for row in dom.A_star], sum_capacity(ch)
+    # each row alone is a chain of one step
+    return chained_variances(ch, dom.A_star[:, None, :])[:, 0].tolist(), sum_capacity(ch)
 
 
 def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignment:
@@ -192,24 +189,29 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     permutation matrices plus the dominant solution (when unimodular), one
     per distinct rate tuple, in candidate then pivot-order order.
 
-    Each mapping of lu_mappings_all carries its exact witness and is used
-    as it is.  The sum capacity is computed once per call, and the chained
-    variances of every candidate in one chained_variances call on their
-    stack.  The candidates are unimodular by construction (the dominant
-    solution is checked before it joins them), so none is checked again.
+    A permutation matrix's one mapping is read off its permutation
+    (regions.permutation_mapping); the dominant solution's are the
+    channel's shared lu_mappings_all.  Each mapping carries its exact
+    witness and is used as it is.  The sum capacity is computed once per
+    call, and the chained variances of every candidate in one
+    chained_variances call on their stack.  The candidates are unimodular
+    by construction (the dominant solution is checked before it joins
+    them), so none is checked again.
     """
     L = ch.num_users
-    candidates = [np.eye(L, dtype=int)[list(perm)]
-                  for perm in itertools.permutations(range(L))]
+    perms = list(itertools.permutations(range(L)))
+    candidates = [np.eye(L, dtype=int)[list(perm)] for perm in perms]
+    mappings = [[regions.permutation_mapping(perm)] for perm in perms]
     dom = ch._dominant_solution
     if intsearch.is_unimodular(dom.A_star):
         candidates.append(dom.A_star)
+        mappings.append(ch._dominant_mappings)
     cap = sum_capacity(ch)
     variances = chained_variances(ch, np.stack(candidates)).tolist()
     out = []
     seen = set()
-    for A, row_variances in zip(candidates, variances):
-        for mapping, pi in mac_mappings_all(A):
+    for A, row_variances, results in zip(candidates, variances, mappings):
+        for mapping, pi in results:
             outcome = _successive_outcome(ch, A, mapping, pi, row_variances, cap)
             if outcome:
                 key = tuple(round(r, 10) for r in outcome.assignment.rates)

@@ -191,6 +191,18 @@ def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
     return out
 
 
+def permutation_mapping(perm) -> tuple[AdmissibleMapping, tuple[int, ...]]:
+    """lu_mappings_all's one result for the permutation matrix with rows
+    e_perm[0], e_perm[1], ..., read off perm without elimination: step m
+    pivots on column perm[m] with pivot 1 and clears nothing, so the pairs
+    are the matrix's support, the witness is the identity, and user l is
+    decoded at step perm.index(l - 1) + 1."""
+    L = len(perm)
+    pairs = frozenset((m + 1, perm[m] + 1) for m in range(L))
+    return (AdmissibleMapping(pairs=pairs, L_real=np.eye(L)),
+            tuple(perm.index(l) + 1 for l in range(L)))
+
+
 def _independent_prefix(A: np.ndarray, m: int) -> np.ndarray:
     """Rows before m (0-indexed exclusive) with dependent rows dropped."""
     basis = _exact.RowBasis()

@@ -9,7 +9,6 @@ from cfkit.core import (ChannelInstance, achievable_rate, effective_matrix,
                         log2_plus, noise_variance, sigma_para_opt,
                         sigma_succ_opt, sum_capacity)
 from cfkit.mac_opt import (MacAssignment, SuccessiveOutcome, mac_mapping,
-                           mac_mappings_all,
                            parallel_mac_assignment, parallel_mac_assignments,
                            random_unimodular, successive_mac_assignment,
                            successive_mac_assignments, successive_sum_identity)
@@ -190,7 +189,7 @@ def mac_oracle(ch):
     dom = intsearch.dominant_solution(effective_matrix(ch))
     parallel = []
     seen = set()
-    for mapping, pi in mac_mappings_all(dom.A_star):
+    for mapping, pi in regions.lu_mappings_all(dom.A_star):
         asg = _oracle_assemble_parallel(ch, dom, mapping, pi)
         key = tuple(round(r, 12) for r in asg.rates)
         if key not in seen:
@@ -209,7 +208,7 @@ def mac_oracle(ch):
     successive = []
     seen = set()
     for A in candidates:
-        for mapping, pi in mac_mappings_all(A):
+        for mapping, pi in regions.lu_mappings_all(A):
             outcome = _oracle_successive_step(ch, A, mapping, pi)
             if outcome:
                 key = tuple(round(r, 10) for r in outcome.assignment.rates)
@@ -299,6 +298,25 @@ class TestAgainstOracle:
             L = ch.num_users
             assert stacks[0].shape[0] in (math.factorial(L), math.factorial(L) + 1)
             assert all(intsearch.is_unimodular(A) for A in stacks[0])
+
+    def test_one_elimination_walk_per_channel(self, monkeypatch):
+        # the permutation candidates' mappings are read off the permutation;
+        # only the dominant solution is eliminated, once for both tables
+        walked = []
+        lu_mappings_all = regions.lu_mappings_all
+
+        def spy(A):
+            walked.append(np.array(A))
+            return lu_mappings_all(A)
+
+        monkeypatch.setattr(regions, "lu_mappings_all", spy)
+        rng = np.random.default_rng(46)
+        for ch in oracle_channels(rng, 30):
+            walked.clear()
+            parallel_mac_assignments(ch)
+            successive_mac_assignments(ch)
+            assert len(walked) == 1
+            assert np.array_equal(walked[0], ch._dominant_solution.A_star)
 
     def test_tables_use_the_exact_witnesses_unchecked(self, monkeypatch):
         # lu_mappings_all's witnesses are exact: neither table re-checks one

@@ -281,6 +281,13 @@ class TestLuMappingsAll:
         assert len(lu_mappings_all(np.ones((3, 3), dtype=int) + np.eye(3, dtype=int))) == 6
         assert len(calls) == 3 + 6 + 6  # one elimination per pivot prefix
 
+    def test_permutation_mapping_is_the_one_elimination_result(self):
+        for L in range(1, 7):
+            for perm in itertools.permutations(range(L)):
+                A = np.eye(L, dtype=int)[list(perm)]
+                assert _bitwise([regions.permutation_mapping(perm)]) == \
+                    _bitwise(lu_mappings_all(A)), perm
+
 
 class TestSuccRegion:
     def test_compsucc_chain_caps(self):

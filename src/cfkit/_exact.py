@@ -170,6 +170,13 @@ class RowBasis:
         return True
 
 
+def kept_rows(rows) -> list[bool]:
+    """Whether each row counts: a row counts when it is independent of the
+    rows kept before it (one RowBasis pass)."""
+    basis = RowBasis()
+    return [basis.add(row) for row in rows]
+
+
 def is_unimodular(mat) -> bool:
     """Square integer matrix with determinant +1 or -1."""
     rows = int_rows(mat)

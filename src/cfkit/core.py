@@ -157,16 +157,33 @@ def sigma_para_eval(ch: ChannelInstance, a, b) -> float:
     return float(b @ b + mismatch @ (ch.P * mismatch))
 
 
+def mmse_solve(ch: ChannelInstance, a, prev, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """The MMSE (b, c) of row a given the real combinations of the rows of
+    prev, at noise deviation s: the (minimum-norm) least-squares solution of
+    [P^1/2 H^T, P^1/2 prev^T; s I, 0] [b; c] ~ [P^1/2 a; 0] on the unscaled
+    channel, so (s^2 I + H P H^T) b = H P (a - prev^T c).  Its squared
+    residual is the effective-noise variance of (s b, c) on the channel
+    H / s, which sigma_succ_opt minimizes; s = 0 gives zero forcing.  This
+    is the one equalizer solve: sigma_para_opt and sigma_succ_opt take
+    theirs from it at s = 1, and the simulator's equalizers at each level."""
+    antennas = ch.num_antennas
+    root = np.sqrt(ch.P)
+    D = np.vstack([np.hstack([ch.H.T, prev.T]) * root[:, None],
+                   np.hstack([noise_std * np.eye(antennas),
+                              np.zeros((antennas, prev.shape[0]))])])
+    target = np.concatenate([a * root, np.zeros(antennas)])
+    z = np.linalg.lstsq(D, target, rcond=None)[0]
+    return z[:antennas], z[antennas:]
+
+
 def sigma_para_opt(ch: ChannelInstance, a) -> NoiseReport:
-    """MMSE equalizer b and minimal variance a^T (P^-1 + H^T H)^-1 a = ||F a||^2."""
+    """MMSE equalizer b (mmse_solve at unit noise) and minimal variance
+    a^T (P^-1 + H^T H)^-1 a = ||F a||^2."""
     a = np.asarray(a, dtype=float).ravel()
     if a.shape[0] != ch.num_users:
         raise ValueError("coefficient vector length must match user count")
     F = effective_matrix(ch)
-    H = ch.H
-    P = ch.P_matrix()
-    G = np.eye(ch.num_antennas) + H @ P @ H.T
-    b_opt = np.linalg.solve(G, H @ P @ a)
+    b_opt = mmse_solve(ch, a, np.zeros((0, ch.num_users)), 1.0)[0]
     return NoiseReport(variance=_para_variance(F, a), b_opt=b_opt)
 
 
@@ -175,14 +192,13 @@ def _para_variance(F: np.ndarray, a: np.ndarray) -> float:
 
 
 def _chained_residual(F: np.ndarray, a_m: np.ndarray, A_prev: np.ndarray):
-    """(N F a_m, Q, R, Q^T F a_m) for the projector N = I - Q Q^T onto the
-    orthogonal complement of F A_prev^T, with Q R = F A_prev^T."""
+    """(N F a_m, Q) for the projector N = I - Q Q^T onto the orthogonal
+    complement of F A_prev^T, with Q R = F A_prev^T."""
     # QR projection: much better conditioned than forming
     # A_prev (F^T F) A_prev^T explicitly
-    Q, R = np.linalg.qr(F @ A_prev.T)
+    Q = np.linalg.qr(F @ A_prev.T)[0]
     Fa = F @ a_m
-    coeffs = Q.T @ Fa
-    return Fa - Q @ coeffs, Q, R, coeffs
+    return Fa - Q @ (Q.T @ Fa), Q
 
 
 def _chained_rows(F: np.ndarray, S: np.ndarray, m: int) -> np.ndarray:
@@ -268,6 +284,13 @@ def _numeric_rank(mat: np.ndarray) -> int:
     return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
+def require_full_row_rank(A_prev) -> None:
+    """ValueError unless the prior rows have full row rank numerically
+    (singular values above _RANK_RTOL of the largest)."""
+    if _numeric_rank(np.asarray(A_prev, dtype=float)) != len(A_prev):
+        raise ValueError("A_prev must have full row rank (drop dependent rows)")
+
+
 def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
     """MMSE (b, c) pair given exact prior combinations A_prev, plus variance.
 
@@ -285,19 +308,11 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
         return rep
     if A_prev.shape[1] != ch.num_users or a_m.shape[0] != ch.num_users:
         raise ValueError("dimension mismatch")
-    if _numeric_rank(A_prev) != A_prev.shape[0]:
-        raise ValueError("A_prev must have full row rank (drop dependent rows)")
-    resid_vec, Q, R, coeffs = _chained_residual(effective_matrix(ch), a_m, A_prev)
-    c_opt = np.linalg.solve(R, coeffs)
-    resid = a_m - A_prev.T @ c_opt
-    H = ch.H
-    P = ch.P_matrix()
-    G = np.eye(ch.num_antennas) + H @ P @ H.T
-    b_opt = np.linalg.solve(G, H @ P @ resid)
-    variance = float(resid_vec @ resid_vec)
-    projector = np.eye(ch.num_users) - Q @ Q.T
-    return NoiseReport(variance=variance, b_opt=b_opt, c_opt=c_opt,
-                       projector=projector)
+    require_full_row_rank(A_prev)
+    resid_vec, Q = _chained_residual(effective_matrix(ch), a_m, A_prev)
+    b_opt, c_opt = mmse_solve(ch, a_m, A_prev, 1.0)
+    return NoiseReport(variance=float(resid_vec @ resid_vec), b_opt=b_opt, c_opt=c_opt,
+                       projector=np.eye(ch.num_users) - Q @ Q.T)
 
 
 def sum_capacity(ch: ChannelInstance) -> float:

@@ -116,7 +116,6 @@ def _ellipsoid_points(T: np.ndarray, bound: float, radius: int,
 
 
 def dominant_solution(F: np.ndarray, L: int | None = None,
-                      max_users: int = MAX_EXACT_USERS,
                       max_radius: int = _MAX_RADIUS) -> DominantSolution:
     """Greedily pick L integer vectors minimizing ||F a|| subject to independence.
 
@@ -142,8 +141,8 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
     dim = F.shape[1]
     if L is None:
         L = dim
-    if dim > max_users:
-        raise ValueError(f"exact enumeration capped at {max_users} users (got {dim})")
+    if dim > MAX_EXACT_USERS:
+        raise ValueError(f"exact enumeration capped at {MAX_EXACT_USERS} users (got {dim})")
     if not 1 <= L <= dim:
         raise ValueError(f"need 1 <= L <= {dim} vectors (got {L})")
     sv = np.linalg.svd(F, compute_uv=False)

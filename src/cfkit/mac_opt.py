@@ -56,15 +56,11 @@ def mac_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]
     return res
 
 
-def parallel_mac_assignment(ch: ChannelInstance, pivot_order=None) -> MacAssignment:
+def parallel_mac_assignment(ch: ChannelInstance) -> MacAssignment:
     """Rate tuple R_l = 1/2 log+ (P_l / sigma2_para(a*_pi(l))) for the shortest
-    independent combinations a*.  Defaults to the assignment with the best sum
-    rate over the available pivot orders (deterministic tie handling)."""
+    independent combinations a*: the assignment with the best sum rate over
+    the available pivot orders (deterministic tie handling)."""
     ch.require_positive_powers()
-    if pivot_order is not None:
-        dom = ch._dominant_solution
-        res = mac_mapping(dom.A_star, pivot_order=pivot_order)
-        return _assemble_parallel(ch, dom, *res, *_parallel_bounds(ch, dom))
     best = None
     for cand in parallel_mac_assignments(ch):
         if best is None or cand.sum_rate > best.sum_rate + 1e-12:
@@ -110,9 +106,7 @@ def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignmen
     total = float(sum(rates))
     asg = MacAssignment(A=dom.A_star, mapping=mapping, pi=pi, rates=rates,
                         sum_rate=total, gap_to_capacity=cap - total)
-    box = regions.Box(caps=regions._caps_from_rows(ch, row_variances,
-                                                   mapping.rows_for_user))
-    if not box.contains(rates, tol=1e-9):
+    if not regions._box(ch, row_variances, mapping).contains(rates, tol=1e-9):
         raise AssertionError("assignment fell outside its own cancellation region")
     L = ch.num_users
     if asg.gap_to_capacity > 0.5 * L * log2_plus(L) + 1e-9:
@@ -230,7 +224,7 @@ def successive_sum_identity(ch: ChannelInstance, A, pi) -> tuple[float, float]:
     ch.require_positive_powers()
     L = ch.num_users
     pi = tuple(int(v) for v in pi)
-    variances = regions.row_variances(ch, A, chained=True)
+    variances = chained_variances(ch, A).tolist()
     lhs = float(sum(0.5 * np.log2(ch.P[l] / variances[pi[l] - 1]) for l in range(L)))
     return lhs, sum_capacity(ch)
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact, intsearch
-from .core import (UNBOUNDED, ChannelInstance, achievable_rate, sigma_para_opt,
-                   sigma_succ_opt, sum_capacity)
+from .core import (UNBOUNDED, ChannelInstance, achievable_rate, chained_variances,
+                   noise_variance, require_full_row_rank, sum_capacity)
 
 _TOL = 1e-9
 
@@ -203,62 +203,56 @@ def permutation_mapping(perm) -> tuple[AdmissibleMapping, tuple[int, ...]]:
             tuple(perm.index(l) + 1 for l in range(L)))
 
 
-def _independent_prefix(A: np.ndarray, m: int) -> np.ndarray:
-    """Rows before m (0-indexed exclusive) with dependent rows dropped."""
-    basis = _exact.RowBasis()
-    kept = [row for row in A[:m].tolist() if basis.add(row)]
-    return np.array(kept, dtype=int) if kept else np.zeros((0, A.shape[1]), dtype=int)
-
-
 def row_variances(ch: ChannelInstance, Atilde, chained: bool) -> list[float]:
-    """Per-row effective noise variance, chained (successive) or not."""
+    """Per-row effective noise variance, chained (successive) or not.
+
+    A chained row is conditioned on the earlier rows that _exact.kept_rows
+    keeps, which must have full row rank numerically
+    (core.require_full_row_rank).  The values are bitwise sigma_para_opt's
+    and sigma_succ_opt's, without their equalizers.
+    """
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
+    if not A.shape[0]:
+        return []
+    if A.shape[1] != ch.num_users:
+        raise ValueError("coefficient vector length must match user count")
+    if not chained:
+        # each row alone is a chain of one step
+        return chained_variances(ch, A[:, None, :])[:, 0].tolist()
+    kept = _exact.kept_rows(A.tolist())
     out = []
     for m in range(A.shape[0]):
-        if chained:
-            prev = _independent_prefix(A, m)
-            out.append(sigma_succ_opt(ch, A[m], prev).variance)
-        else:
-            out.append(sigma_para_opt(ch, A[m]).variance)
+        prev = A[[i for i in range(m) if kept[i]]]
+        if prev.shape[0]:
+            require_full_row_rank(prev)
+        out.append(noise_variance(ch, A[m], prev))
     return out
 
 
-def _caps_from_rows(ch: ChannelInstance, variances, rows_per_user) -> tuple[float, ...]:
-    caps = []
-    for l in range(ch.num_users):
-        rows = rows_per_user(l + 1)
-        if not rows:
-            caps.append(UNBOUNDED)
-        else:
-            caps.append(min(achievable_rate(ch.P[l], variances[m - 1]) for m in rows))
-    return tuple(caps)
+def _box(ch: ChannelInstance, variances, mapping: AdmissibleMapping,
+         provenance: dict | None = None) -> Box:
+    """The box of a mapping: user l is capped by the worst of the rows
+    mapped to it, and unbounded when none is."""
+    caps = tuple(min((achievable_rate(ch.P[l], variances[m - 1])
+                      for m in mapping.rows_for_user(l + 1)), default=UNBOUNDED)
+                 for l in range(ch.num_users))
+    return Box(caps=caps, provenance=provenance)
 
 
 def para_region(ch: ChannelInstance, Atilde) -> RateRegionSpec:
     """One box: user l is capped by the worst row in which it participates."""
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
-    variances = row_variances(ch, A, chained=False)
-    caps = _caps_from_rows(
-        ch, variances,
-        lambda user: [m + 1 for m in range(A.shape[0]) if A[m, user - 1] != 0])
-    box = Box(caps=caps, provenance={"Atilde": A.tolist(), "mapping": "participation"})
+    box = _box(ch, row_variances(ch, A, chained=False), participation_mapping(A),
+               {"Atilde": A.tolist(), "mapping": "participation"})
     return RateRegionSpec(L=ch.num_users, boxes=[box])
 
 
 def succ_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
     """One box from chained variances; caps follow the admissible mapping."""
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
-    return _succ_box(ch, A, _coerce_mapping(A, mapping))
-
-
-def _succ_box(ch: ChannelInstance, A: np.ndarray,
-              mapping: AdmissibleMapping) -> RateRegionSpec:
-    """succ_region for an integer A and a mapping known to be admissible for
-    it (lu_mappings_all's, say), which is not checked again."""
-    variances = row_variances(ch, A, chained=True)
-    caps = _caps_from_rows(ch, variances, mapping.rows_for_user)
-    box = Box(caps=caps, provenance={"Atilde": A.tolist(),
-                                     "mapping": sorted(mapping.pairs)})
+    mapping = _coerce_mapping(A, mapping)
+    box = _box(ch, row_variances(ch, A, chained=True), mapping,
+               {"Atilde": A.tolist(), "mapping": sorted(mapping.pairs)})
     return RateRegionSpec(L=ch.num_users, boxes=[box])
 
 
@@ -267,11 +261,8 @@ def asc_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
     equalizers set to zero: only the cancellation order is exploited)."""
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
     mapping = _coerce_mapping(A, mapping)
-    variances = row_variances(ch, A, chained=False)
-    caps = _caps_from_rows(ch, variances, mapping.rows_for_user)
-    box = Box(caps=caps, provenance={"Atilde": A.tolist(),
-                                     "mapping": sorted(mapping.pairs),
-                                     "chained": False})
+    box = _box(ch, row_variances(ch, A, chained=False), mapping,
+               {"Atilde": A.tolist(), "mapping": sorted(mapping.pairs), "chained": False})
     return RateRegionSpec(L=ch.num_users, boxes=[box])
 
 
@@ -402,13 +393,13 @@ def membership(ch: ChannelInstance, A, rates, mode: str = "parallel",
         else:
             # lu_mappings_all's witnesses are exact, and the all-pairs
             # mapping leaves nothing to cancel: neither is checked again
+            variances = row_variances(ch, cand, chained=True)
+            mappings = [all_pairs_mapping(L)]
             if _exact.int_rank(cand.tolist()) == L:
-                for mapping, _pi in lu_mappings_all(cand):
-                    if _succ_box(ch, cand, mapping).contains(rates):
-                        return MembershipResult("member", cand, mapping)
-            mapping = all_pairs_mapping(L)
-            if _succ_box(ch, cand, mapping).contains(rates):
-                return MembershipResult("member", cand, mapping)
+                mappings = [mapping for mapping, _pi in lu_mappings_all(cand)] + mappings
+            for mapping in mappings:
+                if _box(ch, variances, mapping).contains(rates):
+                    return MembershipResult("member", cand, mapping)
     return MembershipResult("inconclusive")
 
 

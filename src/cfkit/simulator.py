@@ -14,8 +14,8 @@ encoder (_encode_user) and labels the shifted points: the channel inputs
 and the true labels of the rows of A.  _decode_block equalizes, quantizes
 and, in successive mode, cancels over Z_p and recovers the real
 combinations, with a TrialPlan built once per campaign (the equalizers of
-each noise level, each from one least-squares solve on the unscaled
-channel; the Z_p cancellation matrix and the quantizing user per row).
+each noise level, each from one core.mmse_solve on the unscaled channel;
+the Z_p cancellation matrix and the quantizing user per row).
 
 A TrialConfig is a campaign: its noise_std holds one noise level or a
 sequence of them, and run_campaign gives one report per level.  Draws and
@@ -40,7 +40,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _exact, _zp, lattice, regions
-from .core import ChannelInstance
+from .core import ChannelInstance, mmse_solve
 from .lattice import NestedLatticeEnsemble
 
 
@@ -135,27 +135,10 @@ def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
     return max(users, key=lambda l: (ens.levels[l - 1][1], -l))
 
 
-def _mmse(ch: ChannelInstance, a, prev, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """The MMSE (b, c) of row a given the real combinations of the rows of
-    prev, at noise deviation s: the (minimum-norm) least-squares solution of
-    [P^1/2 H^T, P^1/2 prev^T; s I, 0] [b; c] ~ [P^1/2 a; 0] on the unscaled
-    channel, so (s^2 I + H P H^T) b = H P (a - prev^T c).  Its squared
-    residual is the effective-noise variance of (s b, c) on the channel
-    H / s, which core.sigma_succ_opt minimizes; s = 0 gives zero forcing."""
-    antennas = ch.num_antennas
-    root = np.sqrt(ch.P)
-    D = np.vstack([np.hstack([ch.H.T, prev.T]) * root[:, None],
-                   np.hstack([noise_std * np.eye(antennas),
-                              np.zeros((antennas, prev.shape[0]))])])
-    target = np.concatenate([a * root, np.zeros(antennas)])
-    z = np.linalg.lstsq(D, target, rcond=None)[0]
-    return z[:antennas], z[antennas:]
-
-
 def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.ndarray]:
     """Per-row MMSE equalizers b for channel noise of the given deviation."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    return [_mmse(ch, a, A[:0], noise_std)[0] for a in A]
+    return [mmse_solve(ch, a, A[:0], noise_std)[0] for a in A]
 
 
 def successive_equalizers(ch: ChannelInstance, A, noise_std: float
@@ -163,13 +146,11 @@ def successive_equalizers(ch: ChannelInstance, A, noise_std: float
     """Per-row MMSE (b, c) pairs, c weighting the real combinations of the
     earlier rows; c entries for dropped (dependent) rows are zero."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    # row i is kept when it is independent of the rows kept before it
-    basis = _exact.RowBasis()
-    kept = [basis.add(row) for row in A.tolist()]
+    kept = _exact.kept_rows(A.tolist())
     out = []
     for m in range(A.shape[0]):
         keep = [i for i in range(m) if kept[i]]
-        b, c = _mmse(ch, A[m], A[keep], noise_std)
+        b, c = mmse_solve(ch, A[m], A[keep], noise_std)
         c_full = np.zeros(m)
         c_full[keep] = c
         out.append((b, c_full))

@@ -186,13 +186,17 @@ _ILL_CONDITIONED_3_USERS = {
      "mapping is not admissible", "region_succ.json"),
     (["mac"], _ILL_CONDITIONED_3_USERS,
      "successive sum rate misses the sum capacity by 1.26e-08", "mac_assignments.json"),
+    # rows 1 and 2 are exactly independent but numerically parallel
+    (["region", "--mode", "succ"], {"H": [[1, 2, 0.5]], "P": [1, 1, 1],
+                                     "A": [[10 ** 12, 1, 0], [10 ** 12 + 1, 1, 0], [0, 0, 1]]},
+     "A_prev must have full row rank", "region_succ.json"),
 ], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
         "search-node-budget", "mac-node-budget",
         "search-zero-power", "region-para-zero-power",
         *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
         *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
         "region-compound-ill-conditioned", "region-succ-borderline-mapping",
-        "mac-sum-identity-miss"])
+        "mac-sum-identity-miss", "region-succ-rank-refusal"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))

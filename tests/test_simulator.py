@@ -6,8 +6,8 @@ import pytest
 
 import chain_oracle
 from exact_oracle import solve_rational
-from cfkit import _exact, lattice, simulator
-from cfkit.core import ChannelInstance, sigma_succ_eval, sigma_succ_opt
+from cfkit import _exact, core, lattice, simulator
+from cfkit.core import ChannelInstance, sigma_para_opt, sigma_succ_eval, sigma_succ_opt
 from cfkit.lattice import build_ensemble, linear_label, mod_lattice
 from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan, _draw_block,
                              decode_parallel, decode_successive, encode,
@@ -415,7 +415,8 @@ def exact_mmse(H, P, a, prev, s):
 
 
 class TestEqualizersExact:
-    """parallel_equalizers and successive_equalizers against the MMSE
+    """parallel_equalizers, successive_equalizers and, at unit noise, the
+    equalizers of sigma_para_opt and sigma_succ_opt against the MMSE
     solution solved exactly, and against the analysis layer's variance."""
 
     LEVELS = (0.0, 1e-3, 0.3, 1.0, 2.5)
@@ -474,13 +475,46 @@ class TestEqualizersExact:
                 for m, a in enumerate(A):
                     b, c = succ[m]
                     assert not np.delete(c, keep[m]).any()
-                    for got, prev in ((para[m], A[:0]),
-                                      (np.concatenate([b, c[keep[m]]]), A[keep[m]])):
+                    cases = [(A[:0], [para[m]]),
+                             (A[keep[m]], [np.concatenate([b, c[keep[m]]])])]
+                    if s == 1.0:  # the analysis layer's equalizers
+                        rep = sigma_succ_opt(ch, a, A[keep[m]])
+                        cases[0][1].append(sigma_para_opt(ch, a).b_opt)
+                        cases[1][1].append(np.concatenate([rep.b_opt, rep.c_opt]))
+                    for prev, gots in cases:
                         want = exact_mmse(ch.H, ch.P, a, prev, s)
-                        err = np.linalg.norm(got - want.astype(float))
-                        assert err <= self.bound(ch, a, prev, s, want), (s, m)
-                        checked += 1
-        assert checked > 250
+                        bound = self.bound(ch, a, prev, s, want)
+                        for got in gots:
+                            err = np.linalg.norm(got - want.astype(float))
+                            assert err <= bound, (s, m)
+                            checked += 1
+        assert checked > 300
+
+    def test_one_solve_serves_both_layers(self, monkeypatch):
+        # sigma_para_opt, sigma_succ_opt and the simulator's equalizers all
+        # take their (b, c) from core.mmse_solve, and return what it returns
+        calls = []
+        solve = core.mmse_solve
+
+        def spy(ch, a, prev, noise_std):
+            out = solve(ch, a, prev, noise_std)
+            calls.append((len(prev), noise_std, out))
+            return out
+
+        for module in (core, simulator):
+            monkeypatch.setattr(module, "mmse_solve", spy)
+        ch = ChannelInstance(H=[[1.0, 1.5], [0.5, -1.0]], P=[2.0, 3.0])
+        A = np.array([[1, 1], [2, 2], [1, 2]])  # row 2 depends on row 1
+        b = sigma_para_opt(ch, A[0]).b_opt
+        rep = sigma_succ_opt(ch, A[2], A[:1])
+        para = simulator.parallel_equalizers(ch, A, 0.3)
+        succ = simulator.successive_equalizers(ch, A, 0.3)
+        assert [call[:2] for call in calls] == [(0, 1.0), (1, 1.0), *[(0, 0.3)] * 4,
+                                                (1, 0.3), (1, 0.3)]
+        outs = [call[2] for call in calls]
+        assert outs[0][0] is b and outs[1][0] is rep.b_opt and outs[1][1] is rep.c_opt
+        assert all(eq is out[0] for eq, out in zip(para, outs[2:5]))
+        assert all(eq[0] is out[0] for eq, out in zip(succ, outs[5:]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_variance_is_the_analysis_layers(self, seed):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intsearch, regions
-from .core import ChannelInstance, achievable_rate, chained_variances, log2_plus, sum_capacity
+from .core import (ChannelInstance, achievable_rate, chained_variances, log2_plus,
+                   require_full_row_rank, sum_capacity)
 from .regions import AdmissibleMapping
 
 
@@ -223,7 +224,12 @@ def successive_sum_identity(ch: ChannelInstance, A, pi) -> tuple[float, float]:
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
     L = ch.num_users
+    if A.shape[1] != L:
+        raise ValueError("coefficient vector length must match user count")
     pi = tuple(int(v) for v in pi)
+    # dropping rows cannot shrink the smallest singular value or grow the
+    # largest, so when A[:-1] passes the check every shorter prefix does
+    require_full_row_rank(A[:-1])
     variances = chained_variances(ch, A).tolist()
     lhs = float(sum(0.5 * np.log2(ch.P[l] / variances[pi[l] - 1]) for l in range(L)))
     return lhs, sum_capacity(ch)

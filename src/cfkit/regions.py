@@ -223,8 +223,7 @@ def row_variances(ch: ChannelInstance, Atilde, chained: bool) -> list[float]:
     out = []
     for m in range(A.shape[0]):
         prev = A[[i for i in range(m) if kept[i]]]
-        if prev.shape[0]:
-            require_full_row_rank(prev)
+        require_full_row_rank(prev)
         out.append(noise_variance(ch, A[m], prev))
     return out
 

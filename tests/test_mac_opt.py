@@ -386,6 +386,14 @@ class TestSumIdentity:
             lhs, rhs = successive_sum_identity(ch, A, pi)
             assert abs(lhs - rhs) <= 1e-8
 
+    def test_refuses_numerically_dependent_prefix(self):
+        # unimodular (determinant -1), but its first two rows are parallel
+        # to within the numerical rank tolerance
+        ch = ChannelInstance(H=[[1.0, 2.0, 0.5]], P=[1.0, 1.0, 1.0])
+        A = [[10**12, 1, 0], [10**12 + 1, 1, 0], [0, 0, 1]]
+        with pytest.raises(ValueError, match="A_prev must have full row rank"):
+            successive_sum_identity(ch, A, (1, 2, 3))
+
 
 class TestEquivariance:
     def test_user_permutation_permutes_assignment_sets(self):

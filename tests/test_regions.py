@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfkit import regions
+from cfkit import _exact, regions
 from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
                         sigma_para_opt, sigma_succ_opt, sum_capacity)
 from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
@@ -339,6 +339,65 @@ class TestSuccRegion:
     def test_rejects_non_admissible_mapping(self):
         with pytest.raises(ValueError, match="admissible"):
             succ_region(FIG7, [[1, 1], [1, 2]], {(1, 1), (2, 2)})
+
+
+def _reference_variances(ch, A, chained):
+    """row_variances through sigma_*_opt, each chained row conditioned on
+    the earlier rows that raise the exact rank of the rows kept so far."""
+    out, kept = [], []
+    for row in A.tolist():
+        if chained:
+            prev = np.array(kept, dtype=int).reshape(len(kept), A.shape[1])
+            out.append(sigma_succ_opt(ch, row, prev).variance)
+            if _exact.int_rank(kept + [row]) > len(kept):
+                kept.append(row)
+        else:
+            out.append(sigma_para_opt(ch, row).variance)
+    return out
+
+
+class TestRowVariances:
+    @staticmethod
+    def _matrix(rng, L):
+        M = int(rng.integers(1, L + 2))
+        A = rng.integers(-3, 4, size=(M, L))
+        kind = rng.integers(4)
+        if kind == 1 and M >= 2:  # a row repeated or scaled: dependent
+            i, j = rng.choice(M, size=2, replace=False)
+            A[j] = int(rng.integers(-2, 3)) * A[i]
+        elif kind == 2:
+            A[int(rng.integers(M))] = 0
+        elif kind == 3 and M >= 2 and L >= 2:  # near-parallel rows near 10^12
+            k = int(10 ** rng.uniform(6, 12.5))
+            A[0, :2] = [k, 1]
+            A[1, :2] = [k + 1, 1]
+        return A
+
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_bitwise_equal_to_sigma_opt(self, chained):
+        rng = np.random.default_rng(41 + chained)
+        refused = 0
+        for _ in range(300):
+            L = int(rng.integers(1, 5))
+            ch = ChannelInstance(H=rng.normal(size=(int(rng.integers(1, 3)), L)) * 2,
+                                 P=rng.uniform(0.3, 9.0, size=L))
+            A = self._matrix(rng, L)
+            try:
+                expected = _reference_variances(ch, A, chained)
+            except ValueError as err:
+                refused += 1
+                with pytest.raises(ValueError) as got:
+                    regions.row_variances(ch, A, chained)
+                assert str(got.value) == str(err)
+                continue
+            got = regions.row_variances(ch, A, chained)
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), A.tolist()
+        # the near-parallel rows exercise the full-row-rank refusal
+        assert (refused > 0) == chained
+
+    def test_compsucc_zero_row_is_conditioned_on_kept_rows(self):
+        got = regions.row_variances(COMPSUCC, COMPSUCC_A, chained=True)
+        assert got == _reference_variances(COMPSUCC, COMPSUCC_A, chained=True)
 
 
 class TestAscRegion:

@@ -1,6 +1,6 @@
 """Exact integer matrix routines: one fraction-free elimination behind
-ranks, exact solves, inverses and LU steps; determinants, Smith form and
-column HNF.
+determinants, exact solves, inverses and LU steps; ranks and spans, Smith
+form and column HNF.
 
 Everything here works on lists of python ints (arbitrary precision) so the
 answers are exact.  Inputs may be numpy integer arrays; they are converted.
@@ -8,8 +8,12 @@ Matrices are small (L <= 8 or so), so the cubic algorithms are plenty fast.
 
 The elimination is integer preserving (Bareiss, Math. Comp. 1968): a step
 takes row r to (f r - g row) / d, with f the pivot, g the entry of r under
-it and d the previous pivot, and the division is exact.  RowBasis takes the
-same step with d = 1.
+it and d the previous pivot, and the division is exact.  _gauss_jordan runs
+it to the end for int_det, solve and int_inverse_unimodular;
+eliminate_below takes one swap-free step for the LU walks in regions; and
+RowBasis takes it with d = 1 on rows added one at a time for int_rank,
+rows_independent, kept_rows and the span tests.  The Smith and Hermite
+forms use unimodular row and column operations instead.
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ def _gauss_jordan(rows: list, width: int) -> tuple[list, list[int], int]:
     """Fraction-free Gauss-Jordan on the first width columns of integer rows.
 
     Each pivot is the first nonzero entry, at or below the rows already
-    pivoted, of the leftmost column that has one; rows are swapped in
-    place.  Returns (rows, pivot columns, D): row i is D times row i of the
-    reduced row echelon form.
+    pivoted, of the leftmost column that has one; it is swapped up in
+    place, and the row it displaces moves down negated, so each step keeps
+    the determinant.  Returns (rows, pivot columns, D): row i is D times
+    row i of the reduced row echelon form, and on a square matrix with a
+    pivot in every column D is its determinant.
     """
     pivots, d = [], 1
     for c in range(width):
@@ -75,7 +81,8 @@ def _gauss_jordan(rows: list, width: int) -> tuple[list, list[int], int]:
         k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if k is None:
             continue
-        rows[r], rows[k] = rows[k], rows[r]
+        if k != r:
+            rows[r], rows[k] = rows[k], [-x for x in rows[r]]
         pivot_row = rows[r]
         f = pivot_row[c]
         rows = [row if i == r else _step(f, row, row[c], pivot_row, d)
@@ -103,31 +110,14 @@ def solve(M, t) -> tuple[list[int], int] | None:
 
 
 def int_det(mat) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: _gauss_jordan's D when every column has a pivot,
+    else 0 (its swaps negate the row moved down, which keeps the sign)."""
     rows = int_rows(mat)
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    _, pivots, d = _gauss_jordan(rows, n)
+    return d if len(pivots) == n else 0
 
 
 def int_rank(mat) -> int:

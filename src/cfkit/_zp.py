@@ -1,4 +1,10 @@
-"""Linear algebra over the prime field Z_p with exact python-int arithmetic."""
+"""Linear algebra over the prime field Z_p with exact python-int arithmetic.
+
+One elimination step, _insert, adds a row to a reduced row echelon basis:
+rref_mod_p (and the rank, solve and inverse built on it) and
+prefix_echelons insert a matrix's rows in order, and in_rowspan_mod_p tries
+further rows against the basis of rref_mod_p.
+"""
 
 from __future__ import annotations
 
@@ -32,29 +38,39 @@ def reduce_mod(mat, p: int) -> list[list[int]]:
     return [[int(v) % p for v in row] for row in arr.tolist()]
 
 
+def _insert(basis: list, pivots: list, r: list, n: int, p: int) -> bool:
+    """Add row r, in place, to a reduced row echelon basis over Z_p: rows
+    sorted by pivot (the first nonzero of their leading n entries), each 1
+    at its pivot and alone there.  Returns whether r was added: False,
+    changing nothing, when r reduces to zero in its leading n entries."""
+    for b, c in zip(basis, pivots):
+        f = r[c]
+        if f:
+            r = [(x - f * y) % p for x, y in zip(r, b)]
+    lead = next((c for c in range(n) if r[c]), None)
+    if lead is None:
+        return False
+    inv = pow(r[lead], -1, p)
+    r = [(x * inv) % p for x in r]
+    for i, b in enumerate(basis):
+        f = b[lead]
+        if f:
+            basis[i] = [(x - f * y) % p for x, y in zip(b, r)]
+    at = sum(c < lead for c in pivots)
+    basis.insert(at, r)
+    pivots.insert(at, lead)
+    return True
+
+
 def rref_mod_p(mat, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over Z_p; returns (rref, pivot_columns)."""
-    a = [row[:] for row in reduce_mod(mat, p)]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+    """Reduced row echelon form over Z_p; returns (rref, pivot_columns).
+    The rows are inserted in order; dependent ones become the zero rows."""
+    rows = reduce_mod(mat, p)
+    n = len(rows[0]) if rows else 0
+    basis, pivots = [], []
+    for row in rows:
+        _insert(basis, pivots, row, n, p)
+    return basis + [[0] * n for _ in range(len(rows) - len(basis))], pivots
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -62,10 +78,12 @@ def rank_mod_p(mat, p: int) -> int:
 
 
 def in_rowspan_mod_p(mat, vec, p: int) -> bool:
-    """True when vec lies in the Z_p row space of mat."""
-    base = rank_mod_p(mat, p)
-    stacked = reduce_mod(mat, p) + reduce_mod(vec, p)
-    return rank_mod_p(stacked, p) == base
+    """True when every row of vec lies in the Z_p row space of mat: none
+    can be inserted into mat's echelon basis."""
+    rref, pivots = rref_mod_p(mat, p)
+    basis = rref[:len(pivots)]
+    return not any(_insert(basis, pivots, row, len(row), p)
+                   for row in reduce_mod(vec, p))
 
 
 def solve_mod_p(A, b, p: int) -> list[int] | None:
@@ -113,23 +131,8 @@ def prefix_echelons(mat, p: int) -> list[tuple[list[list[int]], list[int], list[
     out = [([], [], [])]
     for j, row in enumerate(rows):
         n = len(row)
-        r = row + [int(i == j) for i in range(k)]
-        for b, c in zip(basis, pivots):
-            f = r[c]
-            if f:
-                r = [(x - f * y) % p for x, y in zip(r, b)]
-        lead = next((c for c in range(n) if r[c]), None)
-        if lead is None:
+        if not _insert(basis, pivots, row + [int(i == j) for i in range(k)], n, p):
             break
-        inv = pow(r[lead], -1, p)
-        r = [(x * inv) % p for x in r]
-        for i, b in enumerate(basis):
-            f = b[lead]
-            if f:
-                basis[i] = [(x - f * y) % p for x, y in zip(b, r)]
-        at = sum(c < lead for c in pivots)
-        basis.insert(at, r)
-        pivots.insert(at, lead)
         out.append(([b[:n] for b in basis], pivots[:], [b[n:n + j + 1] for b in basis]))
     return out
 

@@ -175,10 +175,11 @@ def _sic_spec(ch: ChannelInstance) -> regions.RateRegionSpec:
     return regions.RateRegionSpec(L=ch.num_users, boxes=boxes)
 
 
-def _succ_mac_spec(ch: ChannelInstance) -> regions.RateRegionSpec:
-    """Successive-computation region for recovering all messages: SIC boxes
-    plus every valid sum-capacity assignment of the dominant solution."""
-    boxes = list(_sic_spec(ch).boxes)
+def _succ_mac_spec(ch: ChannelInstance, sic: regions.RateRegionSpec) -> regions.RateRegionSpec:
+    """Successive-computation region for recovering all messages: the boxes
+    of sic (the channel's _sic_spec) plus every valid sum-capacity
+    assignment of the dominant solution."""
+    boxes = list(sic.boxes)
     for asg in mac_opt.successive_mac_assignments(ch):
         boxes.append(regions.Box(caps=asg.rates,
                                  provenance={"A": asg.A.tolist(), "pi": list(asg.pi)}))
@@ -250,10 +251,14 @@ def _compound_files(channels) -> dict:
     """File name -> text of every compound-mode output, in writing order."""
     panels = {}
     points = {}
+    macs, sics, succs = [], [], []
     for i, ch in enumerate(channels, start=1):
         mac = regions.mac_region(ch)
         sic = _sic_spec(ch)
-        succ = _succ_mac_spec(ch)
+        succ = _succ_mac_spec(ch, sic)
+        macs.append(mac)
+        sics.append(sic)
+        succs.append(succ)
         panels[f"rx{i}_mac"] = [mac]
         panels[f"rx{i}_sic"] = [sic]
         panels[f"rx{i}_succ"] = [succ]
@@ -261,9 +266,6 @@ def _compound_files(channels) -> dict:
             "sic_corners": [list(b.caps) for b in sic.boxes],
             "succ_points": [list(b.caps) for b in succ.boxes],
         }
-    macs = [regions.mac_region(ch) for ch in channels]
-    sics = [_sic_spec(ch) for ch in channels]
-    succs = [_succ_mac_spec(ch) for ch in channels]
     panels["intersection_mac"] = macs
     panels["intersection_sic"] = sics
     panels["intersection_succ"] = succs
@@ -489,16 +491,21 @@ def _random_channel(rng, L=None, max_antennas=2):
     return ChannelInstance(H=H, P=P)
 
 
-def _verify_identities(seed: int, reps: int = 100):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def check(name, fn):
+def _run_checks(checks) -> list:
+    """(name, None) for each (name, fn) whose fn returns, (name, message)
+    for each whose fn fails an assertion; run in order."""
+    out = []
+    for name, fn in checks:
         try:
             fn()
-            checks.append((name, None))
+            out.append((name, None))
         except AssertionError as exc:
-            checks.append((name, str(exc) or "assertion failed"))
+            out.append((name, str(exc) or "assertion failed"))
+    return out
+
+
+def _verify_identities(seed: int, reps: int = 100):
+    rng = np.random.default_rng(seed)
 
     def woodbury():
         for _ in range(reps):
@@ -563,27 +570,18 @@ def _verify_identities(seed: int, reps: int = 100):
         assert bad is None, \
             "corrupted fixture accepted: non-admissible mapping passed the witness check"
 
-    check("matrix-inversion identity (1e-10)", woodbury)
-    check("factor-choice invariance of variances", factor_invariance)
-    check("unimodular successive sum identity (1e-8)", unimodular_sum)
-    check("parallel region contained in successive region", containment)
-    check("SIC rates sum to capacity", sic_sum)
-    check("parallel assignment within (L/2) log2 L of capacity", parallel_gap)
-    check("negative control: corrupted mapping rejected", negative_control)
-    return checks
+    return _run_checks([
+        ("matrix-inversion identity (1e-10)", woodbury),
+        ("factor-choice invariance of variances", factor_invariance),
+        ("unimodular successive sum identity (1e-8)", unimodular_sum),
+        ("parallel region contained in successive region", containment),
+        ("SIC rates sum to capacity", sic_sum),
+        ("parallel assignment within (L/2) log2 L of capacity", parallel_gap),
+        ("negative control: corrupted mapping rejected", negative_control)])
 
 
 def _verify_lattice(seed: int):
     rng = np.random.default_rng(seed)
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, None))
-        except AssertionError as exc:
-            checks.append((name, str(exc) or "assertion failed"))
-
     ens = lattice.build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=seed)
 
     def roundtrip():
@@ -642,13 +640,13 @@ def _verify_lattice(seed: int):
             assert len(pts) == ens.p ** (kf - kc), \
                 f"user {user} codebook has {len(pts)} points"
 
-    check("labeling round trip (exhaustive)", roundtrip)
-    check("labeling linearity", linearity)
-    check("level structure from label suffixes", level_structure)
-    check("nested quantization property", nested_quantization)
-    check("mod-lattice distributive law", distributive)
-    check("codebook cardinality p^(kF-kC)", codebook_size)
-    return checks
+    return _run_checks([
+        ("labeling round trip (exhaustive)", roundtrip),
+        ("labeling linearity", linearity),
+        ("level structure from label suffixes", level_structure),
+        ("nested quantization property", nested_quantization),
+        ("mod-lattice distributive law", distributive),
+        ("codebook cardinality p^(kF-kC)", codebook_size)])
 
 
 def cmd_verify(args) -> int:

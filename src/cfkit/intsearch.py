@@ -194,12 +194,12 @@ def rowspan_contains_real(Atilde, A) -> bool:
     """True when every row of A lies in the real row space of Atilde (exact)."""
     Atilde = np.atleast_2d(np.asarray(Atilde, dtype=int))
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    base = _exact.int_rank(Atilde.tolist())
-    for row in A:
-        stacked = Atilde.tolist() + [row.tolist()]
-        if _exact.int_rank(stacked) != base:
-            return False
-    return True
+    if A.shape[1] != Atilde.shape[1]:
+        raise ValueError("Atilde and A must have the same number of columns")
+    basis = _exact.RowBasis()
+    for row in Atilde.tolist():
+        basis.add(row)
+    return not any(basis.add(row) for row in A.tolist())
 
 
 def mod_p_solvability(A, m: int, p: int) -> bool:

@@ -295,21 +295,21 @@ def _field_coords(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
 
 def linear_label(ens: NestedLatticeEnsemble, lam) -> np.ndarray:
     """Label in Z_p^k: the trailing k coordinates of the unique message vector
-    whose codeword matches the point's mod-p reduction."""
-    c = _field_coords(ens, np.ravel(lam))
-    v = _zp.solve_mod_p(ens.G.T.tolist(), c.tolist(), ens.p)
-    if v is None:
-        raise ValueError("point is not in the finest lattice of the ensemble")
-    return np.array(v[ens.k_C:], dtype=np.int64)
+    whose codeword matches the point's mod-p reduction (linear_labels of the
+    one point)."""
+    return linear_labels(ens, np.reshape(lam, (1, -1)))[0]
 
 
 def linear_labels(ens: NestedLatticeEnsemble, lams) -> np.ndarray:
     """linear_label for each row of a B x n block of points (B x k out).
 
-    One integer product with the right inverse of G replaces a row reduction
-    per point; the product is checked to be a codeword, so a point off the
-    finest lattice raises the same error as linear_label.
+    One integer product with the right inverse of G gives the message
+    vectors; the product is checked to be a codeword, so a point off the
+    finest lattice raises ValueError.
     """
+    lams = np.asarray(lams)
+    if lams.ndim != 2 or lams.shape[1] != ens.n:
+        raise ValueError(f"points must be rows of dimension {ens.n}")
     c = _field_coords(ens, lams)
     v = (c @ ens.G_right_inverse) % ens.p
     if not np.array_equal((v @ ens.G) % ens.p, c):

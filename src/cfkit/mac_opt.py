@@ -118,15 +118,18 @@ def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignmen
 def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> SuccessiveOutcome:
     """Exact sum-capacity assignment via successive computation, when valid.
 
-    Requires unimodular A and an admissible mapping allowing permutation pi.
-    Declines (with the reason) when some user's worst mapped noise is not the
-    one pi assigns it, or when its power cannot cover that noise.
+    Requires unimodular A with numerically independent rows and an
+    admissible mapping allowing permutation pi (else ValueError).  Declines
+    (with the reason) when some user's worst mapped noise is not the one pi
+    assigns it, or when its power cannot cover that noise.
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
     if not intsearch.is_unimodular(A):
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
     mapping = regions._coerce_mapping(A, mapping)
+    # as in successive_sum_identity, A[:-1] passing covers every prefix
+    require_full_row_rank(A[:-1])
     return _successive_outcome(ch, A, mapping, pi, chained_variances(ch, A).tolist(),
                                sum_capacity(ch))
 
@@ -145,23 +148,25 @@ def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome
     pi = tuple(int(v) for v in pi)
     if sorted(pi) != list(range(1, L + 1)):
         raise ValueError("pi must be a permutation of decoding steps 1..L")
+    worst = {}  # user -> largest variance of the rows mapped to it
     for (m, l) in mapping.pairs:
         if m > pi[l - 1]:
             return SuccessiveOutcome(
                 None,
                 f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
                 f"{pi[l - 1]}; pi is not allowed by this mapping")
+        if 1 <= l <= L:  # pairs naming no user are ignored
+            worst[l] = max(worst.get(l, -np.inf), variances[m - 1])
     rates = []
     for l in range(L):
-        rows = mapping.rows_for_user(l + 1)
-        if pi[l] not in rows:
+        if (pi[l], l + 1) not in mapping.pairs:
             return SuccessiveOutcome(None, f"user {l + 1} is not mapped to its assigned step {pi[l]}")
-        worst = max(variances[m - 1] for m in rows)
+        worst_l = worst[l + 1]
         assigned = variances[pi[l] - 1]
-        if worst > assigned * (1 + 1e-9) + 1e-12:
+        if worst_l > assigned * (1 + 1e-9) + 1e-12:
             return SuccessiveOutcome(
                 None,
-                f"user {l + 1}: worst mapped noise {worst:.6g} exceeds assigned "
+                f"user {l + 1}: worst mapped noise {worst_l:.6g} exceeds assigned "
                 f"step {pi[l]} noise {assigned:.6g}")
         if ch.P[l] < assigned - 1e-12:
             return SuccessiveOutcome(

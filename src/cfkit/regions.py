@@ -132,38 +132,9 @@ def _eliminated_mapping(rows: list) -> AdmissibleMapping:
     return AdmissibleMapping(pairs=pairs, L_real=witness)
 
 
-def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]] | None:
-    """Eliminate below each pivot without row swaps; returns (mapping, pi).
-
-    pivot_order optionally forces the column (0-indexed) pivoted at each step;
-    by default the leftmost unused nonzero column is taken.  pi[l-1] is the
-    step at which user l's column was pivoted (1-indexed), so L @ A is upper
-    triangular once columns are permuted into pivot order.  Returns None when
-    a forced pivot is zero (that order needs a row swap).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
-    L = A.shape[0]
-    rows = _lu_start(A)
-    pi = [0] * L
-    d = 1
-    for step in range(L):
-        if pivot_order is not None:
-            col = int(pivot_order[step])
-            if pi[col] or rows[step][col] == 0:
-                return None
-        else:
-            col = next((c for c in range(L) if not pi[c] and rows[step][c] != 0), None)
-            if col is None:
-                raise ValueError("matrix is rank deficient")
-        pi[col] = step + 1
-        rows, d = _exact.eliminate_below(rows, step, col, d), rows[step][col]
-    return _eliminated_mapping(rows), tuple(pi)
-
-
-def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
-    """(mapping, pi) for every pivot order that needs no row swap, in
-    ``itertools.permutations`` order; each result equals
-    ``lu_mapping(A, order)``.
+def _lu_walk(A, pivot_order=None):
+    """Yield (mapping, pi) for every pivot order that needs no row swap, in
+    ``itertools.permutations`` order, or only for pivot_order when given.
 
     Walks the pivot prefixes depth first, trying columns in increasing order,
     so each prefix is eliminated once (one fraction-free step,
@@ -173,22 +144,45 @@ def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L = A.shape[0]
-    out: list[tuple[AdmissibleMapping, tuple[int, ...]]] = []
     pi = [0] * L
 
     def walk(rows, step, d):
         if step == L:
-            out.append((_eliminated_mapping(rows), tuple(pi)))
+            yield _eliminated_mapping(rows), tuple(pi)
             return
-        for col in range(L):
+        cols = range(L) if pivot_order is None else (int(pivot_order[step]),)
+        for col in cols:
             pivot = rows[step][col]
             if pi[col] == 0 and pivot != 0:
                 pi[col] = step + 1
-                walk(_exact.eliminate_below(rows, step, col, d), step + 1, pivot)
+                yield from walk(_exact.eliminate_below(rows, step, col, d), step + 1, pivot)
                 pi[col] = 0
 
-    walk(_lu_start(A), 0, 1)
-    return out
+    return walk(_lu_start(A), 0, 1)
+
+
+def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]] | None:
+    """Eliminate below each pivot without row swaps; returns (mapping, pi).
+
+    pivot_order optionally forces the column (0-indexed) pivoted at each step;
+    by default the leftmost unused nonzero column is taken (the first order
+    of _lu_walk: on a full-rank matrix no prefix dead-ends).  pi[l-1] is the
+    step at which user l's column was pivoted (1-indexed), so L @ A is upper
+    triangular once columns are permuted into pivot order.  Returns None when
+    a forced pivot is zero (that order needs a row swap); with no forced
+    order, a matrix with no such order is rank deficient (ValueError).
+    """
+    res = next(_lu_walk(A, pivot_order), None)
+    if res is None and pivot_order is None:
+        raise ValueError("matrix is rank deficient")
+    return res
+
+
+def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
+    """(mapping, pi) for every pivot order that needs no row swap, in
+    ``itertools.permutations`` order; each result equals
+    ``lu_mapping(A, order)``."""
+    return list(_lu_walk(A))
 
 
 def permutation_mapping(perm) -> tuple[AdmissibleMapping, tuple[int, ...]]:

@@ -1,8 +1,11 @@
 """The eliminations the exact core replaced, kept as oracles.
 
 solve_rational is the Fraction Gauss-Jordan that zp_asc_matrix called
-before _exact.solve, zp_asc_matrix_oracle is zp_asc_matrix built on it, and
-int_rank_oracle is int_rank's own fraction-free loop, all verbatim.
+before _exact.solve, zp_asc_matrix_oracle is zp_asc_matrix built on it,
+int_rank_oracle is int_rank's own fraction-free loop, int_det_oracle is
+int_det's own Bareiss loop (before int_det read _gauss_jordan's D), and
+rref_mod_p_oracle is rref_mod_p's own column loop (before it inserted rows
+one at a time), all verbatim.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cfkit import _zp
+from cfkit import _exact, _zp
 from cfkit.simulator import _mapping_pairs
 
 
@@ -66,6 +69,59 @@ def int_rank_oracle(rows) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def int_det_oracle(mat) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    rows = _exact.int_rows(mat)
+    n = len(rows)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    a = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def rref_mod_p_oracle(mat, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z_p; returns (rref, pivot_columns)."""
+    a = [row[:] for row in _zp.reduce_mod(mat, p)]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
 
 
 def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,22 @@ class TestRegion:
         inter = (tmp_path / "compound_intersection_mac.csv").read_text()
         assert "1.010942,1.915432" in inter
 
+    def test_compound_builds_each_spec_once(self, fig8_input, tmp_path, monkeypatch):
+        from cfkit import mac_opt, regions
+
+        calls = {"successive_mac_assignments": 0, "sic_rates": 0, "mac_region": 0}
+        for module, name in ((mac_opt, "successive_mac_assignments"),
+                             (regions, "sic_rates"), (regions, "mac_region")):
+            def spy(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+        assert run(["region", "--input", fig8_input, "--mode", "compound",
+                    "--out", tmp_path]) == 0
+        # two receivers, two users: one mac, two SIC orders and one
+        # successive table per receiver
+        assert calls == {"successive_mac_assignments": 2, "sic_rates": 4, "mac_region": 2}
+
     def test_missing_A_for_para_is_input_error(self, fig7_input, tmp_path):
         assert run(["region", "--input", fig7_input, "--mode", "para",
                     "--out", tmp_path]) == 2

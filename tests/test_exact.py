@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfkit import _exact
-from exact_oracle import int_rank_oracle
+from exact_oracle import int_det_oracle, int_rank_oracle, solve_rational
 
 
 def brute_det(M):
@@ -21,6 +21,42 @@ def test_det_matches_float_determinant():
 
 def test_det_singular():
     assert _exact.int_det([[1, 2], [2, 4]]) == 0
+
+
+def test_det_equals_bareiss_oracle():
+    # square matrices with small entries, entries past 2^63, zero rows and
+    # rows that are integer combinations of others (determinant 0)
+    rng = np.random.default_rng(6)
+    seen = {"zero": 0, "swap": 0, "big": 0}
+    for trial in range(3000):
+        n = int(rng.integers(0, 6))
+        M = rng.integers(-4, 5, size=(n, n)).tolist()
+        if trial % 4 == 0:
+            M = [[v * 2 ** int(rng.integers(60, 70)) + int(rng.integers(-3, 4))
+                  for v in row] for row in M]
+            seen["big"] += 1
+        if n >= 2 and trial % 3 == 1:
+            f, g = (int(v) for v in rng.integers(-3, 4, size=2))
+            M[-1] = [f * x + g * y for x, y in zip(M[0], M[-2])]
+        if n and trial % 7 == 2:
+            M[int(rng.integers(0, n))] = [0] * n
+        if n and not M[0][0]:
+            seen["swap"] += 1
+        det = _exact.int_det(M)
+        assert det == int_det_oracle(M)
+        seen["zero"] += det == 0
+        if n:
+            # solve's D changes sign with each swap; its ratios do not
+            t = [int(v) for v in rng.integers(-5, 6, size=n)]
+            got, want = _exact.solve(M, t), solve_rational(M, t)
+            assert (got is None) == (want is None)
+            if got is not None:
+                nums, d = got
+                assert [Fraction(x, d) for x in nums] == want
+    assert min(seen.values()) > 300
+    with pytest.raises(ValueError, match="square"):
+        _exact.int_det([[1, 2, 3], [4, 5, 6]])
+    assert _exact.int_det([]) == int_det_oracle([]) == 1
 
 
 def test_rank_examples():

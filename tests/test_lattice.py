@@ -316,6 +316,34 @@ class TestLabeling:
             for which in [("C", 1), ("C", 2), ("F", 1), ("F", 2), "F"]:
                 assert np.allclose(mod_lattice(ens, which, base), 0, atol=1e-9)
 
+    def test_labels_equal_zp_solve(self):
+        # every label of small ensembles, at its base point and shifted by
+        # coarse lattice vectors: the label is the tail of the solution of
+        # G^T v = c mod p, the one-point solve linear_label once ran
+        rng = np.random.default_rng(15)
+        count = 0
+        for n, p, levels, seed in [(3, 3, [(0, 1), (1, 2)], 8), (4, 5, [(1, 2), (1, 3)], 10),
+                                   (3, 2, [(0, 3), (1, 2)], 3), (5, 7, [(0, 2), (2, 2)], 4),
+                                   (2, 13, [(0, 1), (0, 2)], 5)]:
+            ens = build_ensemble(n, p, 2.0 * p, levels, seed=seed)
+            for w in itertools.product(range(p), repeat=ens.k):
+                lam = label_inverse(ens, w) + ens.gamma * rng.integers(-2, 3, size=n)
+                c = np.rint(lam * p / ens.gamma).astype(np.int64) % p
+                v = _zp.solve_mod_p(ens.G.T.tolist(), c.tolist(), p)
+                assert np.array_equal(linear_label(ens, lam), v[ens.k_C:])
+                count += 1
+        assert count == 260
+
+    def test_wrong_length_points_rejected(self):
+        ens = build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=0)
+        for bad in (np.zeros(4), np.zeros(2), np.zeros(0)):
+            with pytest.raises(ValueError, match="points must be rows of dimension 3"):
+                linear_label(ens, bad)
+            with pytest.raises(ValueError, match="points must be rows of dimension 3"):
+                linear_labels(ens, bad.reshape(1, -1))
+        with pytest.raises(ValueError, match="points must be rows of dimension 3"):
+            linear_labels(ens, np.zeros(3))
+
     def test_rejects_non_lattice_points(self):
         ens = cubic_ensemble()
         with pytest.raises(ValueError):

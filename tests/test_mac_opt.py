@@ -126,6 +126,16 @@ class TestSuccessiveAssignments:
         assert not out
         assert "worst mapped noise" in out.declined_reason
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
+    def test_refuses_numerically_dependent_prefix(self, order):
+        # unimodular, but its first two rows are parallel to within the
+        # numerical rank tolerance: a noise of 8.4e+23 was once quoted
+        ch = ChannelInstance(H=[[1.0, 2.0, 0.5]], P=[1.0, 1.0, 1.0])
+        A = np.array([[10**12, 1, 0], [10**12 + 1, 1, 0], [0, 0, 1]])
+        mapping, pi = mac_mapping(A, pivot_order=order)
+        with pytest.raises(ValueError, match="A_prev must have full row rank"):
+            successive_mac_assignment(ch, A, mapping, pi)
+
 
 def _oracle_assemble_parallel(ch, dom, mapping, pi) -> MacAssignment:
     variances = [float(n) ** 2 for n in dom.norms]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfkit import _zp
+from exact_oracle import rref_mod_p_oracle
 
 
 def test_is_prime():
@@ -53,6 +54,51 @@ def test_inverse():
         _zp.inv_mod_p([[1, 1], [1, 1]], 3)
 
 
+def _random_matrix(rng, p):
+    """A matrix with 0-6 rows and 1-8 columns, entries past [0, p), and
+    often a row that is a combination of two others mod p."""
+    m, n = int(rng.integers(0, 7)), int(rng.integers(1, 9))
+    M = rng.integers(-20, 20, size=(m, n))
+    if m >= 3 and rng.random() < 0.4:
+        M[int(rng.integers(2, m))] = M[0] * int(rng.integers(0, p)) + M[1]
+    return M
+
+
+def test_rref_equals_column_loop_oracle():
+    rng = np.random.default_rng(7)
+    dependent = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(400):
+            M = _random_matrix(rng, p)
+            got = _zp.rref_mod_p(M.tolist(), p)
+            assert got == rref_mod_p_oracle(M.tolist(), p)
+            dependent += len(got[1]) < len(M)
+    assert dependent > 500
+    assert _zp.rref_mod_p([[0, 0], [0, 0]], 3) == ([[0, 0], [0, 0]], [])
+
+
+def test_rowspan_equals_rank_test():
+    # vec lies in the row space exactly when stacking it keeps the rank
+    rng = np.random.default_rng(8)
+    seen = {True: 0, False: 0}
+    for p in (2, 3, 5, 7, 11, 13):
+        for _ in range(300):
+            M = _random_matrix(rng, p)
+            if not len(M):
+                continue
+            vec = rng.integers(0, p, size=(int(rng.integers(1, 3)), M.shape[1]))
+            if rng.random() < 0.5:
+                vec[0] = M[0] * 2 + M[-1]
+            rank = len(rref_mod_p_oracle(M.tolist(), p)[1])
+            want = len(rref_mod_p_oracle(M.tolist() + vec.tolist(), p)[1]) == rank
+            assert _zp.in_rowspan_mod_p(M.tolist(), vec.tolist(), p) == want
+            seen[want] += 1
+    assert min(seen.values()) > 400
+    # no rows span only the zero vector
+    assert _zp.in_rowspan_mod_p(np.zeros((0, 2), dtype=int), [[0, 0]], 3)
+    assert not _zp.in_rowspan_mod_p(np.zeros((0, 2), dtype=int), [[0, 1]], 3)
+
+
 def test_rowspan_membership():
     assert _zp.in_rowspan_mod_p([[1, 2], [0, 1]], [[1, 0]], 5)
     assert not _zp.in_rowspan_mod_p([[1, 2]], [[1, 0]], 5)
@@ -89,7 +135,7 @@ def test_prefix_echelons_match_rref_of_each_prefix():
             echelons = _zp.prefix_echelons(G, p)
             assert echelons[0] == ([], [], [])
             for j, (rref, pivots, T) in enumerate(echelons[1:], start=1):
-                assert (rref, pivots) == _zp.rref_mod_p(G[:j].tolist(), p)
+                assert (rref, pivots) == rref_mod_p_oracle(G[:j].tolist(), p)
                 assert np.array_equal(np.array(T) @ G[:j] % p, np.array(rref))
             independent = len(echelons) - 1
             assert _zp.rank_mod_p(G[:independent].tolist(), p) == independent

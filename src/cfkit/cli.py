@@ -298,9 +298,9 @@ def cmd_search(args) -> int:
         bound_val = intsearch.entry_bound(ch)
         dom = intsearch.dominant_solution(
             effective_matrix(ch), max_radius=radius if radius is not None else 64)
-        # the rows of A_star are exactly independent; each alone is unchained
+        # the rows of A_star are exactly independent
         chained = chained_variances(ch, dom.A_star).tolist()
-        unchained = chained_variances(ch, dom.A_star[:, None, :])[:, 0].tolist()
+        unchained = regions.row_variances(ch, dom.A_star, chained=False)
         rows = [{"row": [int(v) for v in row],
                  "sigma2_parallel": round(para, 6),
                  "sigma2_successive": round(succ, 6)}

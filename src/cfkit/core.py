@@ -146,15 +146,9 @@ def effective_matrix(ch: ChannelInstance) -> np.ndarray:
 
 
 def sigma_para_eval(ch: ChannelInstance, a, b) -> float:
-    """Effective noise variance ||b||^2 + ||(b^T H - a^T) P^(1/2)||^2."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape[0] != ch.num_users:
-        raise ValueError("coefficient vector length must match user count")
-    if b.shape[0] != ch.num_antennas:
-        raise ValueError("equalizer length must match antenna count")
-    mismatch = b @ ch.H - a
-    return float(b @ b + mismatch @ (ch.P * mismatch))
+    """Effective noise variance ||b||^2 + ||(b^T H - a^T) P^(1/2)||^2:
+    sigma_succ_eval with no prior rows."""
+    return sigma_succ_eval(ch, a, (), b, ())
 
 
 def mmse_solve(ch: ChannelInstance, a, prev, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
@@ -182,34 +176,18 @@ def sigma_para_opt(ch: ChannelInstance, a) -> NoiseReport:
     a = np.asarray(a, dtype=float).ravel()
     if a.shape[0] != ch.num_users:
         raise ValueError("coefficient vector length must match user count")
-    F = effective_matrix(ch)
+    variance = noise_variance(ch, a)
     b_opt = mmse_solve(ch, a, np.zeros((0, ch.num_users)), 1.0)[0]
-    return NoiseReport(variance=_para_variance(F, a), b_opt=b_opt)
-
-
-def _para_variance(F: np.ndarray, a: np.ndarray) -> float:
-    return float(np.sum((F @ a) ** 2))
-
-
-def _chained_residual(F: np.ndarray, a_m: np.ndarray, A_prev: np.ndarray):
-    """(N F a_m, Q) for the projector N = I - Q Q^T onto the orthogonal
-    complement of F A_prev^T, with Q R = F A_prev^T."""
-    # QR projection: much better conditioned than forming
-    # A_prev (F^T F) A_prev^T explicitly
-    Q = np.linalg.qr(F @ A_prev.T)[0]
-    Fa = F @ a_m
-    return Fa - Q @ (Q.T @ Fa), Q
+    return NoiseReport(variance=variance, b_opt=b_opt)
 
 
 def _chained_rows(F: np.ndarray, S: np.ndarray, m: int) -> np.ndarray:
-    """Chained variance of row m of S (an M x L matrix, or a K x M x L stack
-    of them) given its rows 0..m-1, one value per matrix.
-
-    The stacked operations are those _para_variance and _chained_residual
-    take on one matrix (one QR of the prefix product F S[:m]^T, a
-    matrix-vector product per projection step, a dot for the squared norm),
-    so each value is bitwise theirs.  Taking Q from one QR of the whole
-    F S^T, or the variance from R's diagonal, is not.
+    """Chained variance ||N F a_m||^2 of row a_m = S[m] given rows 0..m-1
+    (||F a_0||^2 for m = 0), one value per matrix of S: an M x L matrix or a
+    K x M x L stack.  N = I - Q Q^T with Q from the QR of F S[:m]^T, much
+    better conditioned than forming S[:m] (F^T F) S[:m]^T.  This is the one
+    variance computation: every other variance is read from here.  A QR of
+    the whole F S^T, or R's diagonal, would change the bits.
     """
     Fa = np.matmul(F, S[..., m, :, None])
     if m == 0:
@@ -225,7 +203,7 @@ def chained_variances(ch: ChannelInstance, A) -> np.ndarray:
     A is one M x L integer matrix or a K x M x L stack of them; the result
     has shape (M,) or (K, M).  The rows of each matrix must be exactly
     independent (a unimodular matrix's, say); this is not checked.  Each
-    prefix length takes one QR of the whole stack.
+    prefix length takes one QR of the whole stack (_chained_rows).
     """
     S = np.asarray(A, dtype=float)
     if S.ndim not in (2, 3) or S.shape[-1] != ch.num_users:
@@ -238,34 +216,34 @@ def chained_variances(ch: ChannelInstance, A) -> np.ndarray:
     return out
 
 
-def noise_variance(ch: ChannelInstance, a_m, A_prev=()) -> float:
-    """sigma_succ_opt(ch, a_m, A_prev).variance without the equalizers.
+def _prev_rows(A_prev, L: int) -> np.ndarray:
+    """The prior rows as a float matrix; no rows is a 0 x L matrix."""
+    if not np.size(A_prev):
+        return np.zeros((0, L))
+    return np.atleast_2d(np.asarray(A_prev, dtype=float))
 
-    With no prior rows this is sigma_para_opt's ||F a_m||^2; with prior rows
-    it is chained_variances' value for the last row of [A_prev; a_m].  The
-    floating operations are those of sigma_para_opt/sigma_succ_opt, so the
-    value is bitwise theirs.  Neither the dimensions nor the rank of A_prev
-    are checked: callers pass rows they know to be exactly independent (the
-    rows of a unimodular matrix, say).
+
+def noise_variance(ch: ChannelInstance, a_m, A_prev=()) -> float:
+    """sigma_succ_opt(ch, a_m, A_prev).variance without the equalizers:
+    the _chained_rows value of the last row of [A_prev; a_m].  With no
+    prior rows this is sigma_para_opt's ||F a_m||^2.  Neither the
+    dimensions nor the rank of A_prev are checked: callers pass rows they
+    know to be exactly independent (the rows of a unimodular matrix, say).
     """
     a_m = np.asarray(a_m, dtype=float).ravel()
-    F = effective_matrix(ch)
-    if not np.size(A_prev):
-        return _para_variance(F, a_m)
-    S = np.vstack([np.atleast_2d(np.asarray(A_prev, dtype=float)), a_m])
-    return float(_chained_rows(F, S, S.shape[0] - 1))
+    S = np.vstack([_prev_rows(A_prev, ch.num_users), a_m])
+    return float(_chained_rows(effective_matrix(ch), S, S.shape[0] - 1))
 
 
 def sigma_succ_eval(ch: ChannelInstance, a_m, A_prev, b, c) -> float:
     """Variance ||b||^2 + ||(b^T H + c^T A_prev - a_m^T) P^(1/2)||^2."""
     a_m = np.asarray(a_m, dtype=float).ravel()
-    A_prev = np.atleast_2d(np.asarray(A_prev, dtype=float)) if np.size(A_prev) else \
-        np.zeros((0, ch.num_users))
+    A_prev = _prev_rows(A_prev, ch.num_users)
     b = np.asarray(b, dtype=float).ravel()
     c = np.asarray(c, dtype=float).ravel() if np.size(c) else np.zeros(0)
     if A_prev.shape[0] != c.shape[0]:
         raise ValueError("c must have one entry per prior combination")
-    if A_prev.shape[0] and A_prev.shape[1] != ch.num_users:
+    if A_prev.shape[1] != ch.num_users:
         raise ValueError("A_prev column count must match user count")
     if a_m.shape[0] != ch.num_users or b.shape[0] != ch.num_antennas:
         raise ValueError("dimension mismatch")
@@ -295,23 +273,18 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
     """MMSE (b, c) pair given exact prior combinations A_prev, plus variance.
 
     A_prev must have full row rank; callers drop dependent rows first.  The
-    variance is ||N F a_m||^2 for the projector N onto the orthogonal
-    complement of F A_prev^T.
+    variance is noise_variance's ||N F a_m||^2 for the projector N onto the
+    orthogonal complement of F A_prev^T; with no prior rows, N = I.
     """
     a_m = np.asarray(a_m, dtype=float).ravel()
-    A_prev = np.atleast_2d(np.asarray(A_prev, dtype=float)) if np.size(A_prev) else \
-        np.zeros((0, ch.num_users))
-    if A_prev.shape[0] == 0:
-        rep = sigma_para_opt(ch, a_m)
-        rep.c_opt = np.zeros(0)
-        rep.projector = np.eye(ch.num_users)
-        return rep
+    A_prev = _prev_rows(A_prev, ch.num_users)
     if A_prev.shape[1] != ch.num_users or a_m.shape[0] != ch.num_users:
         raise ValueError("dimension mismatch")
     require_full_row_rank(A_prev)
-    resid_vec, Q = _chained_residual(effective_matrix(ch), a_m, A_prev)
+    variance = noise_variance(ch, a_m, A_prev)
+    Q = np.linalg.qr(effective_matrix(ch) @ A_prev.T)[0]
     b_opt, c_opt = mmse_solve(ch, a_m, A_prev, 1.0)
-    return NoiseReport(variance=float(resid_vec @ resid_vec), b_opt=b_opt, c_opt=c_opt,
+    return NoiseReport(variance=variance, b_opt=b_opt, c_opt=c_opt,
                        projector=np.eye(ch.num_users) - Q @ Q.T)
 
 

@@ -75,7 +75,7 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
 
     The dominant solution and its mappings are computed once per
     ChannelInstance and shared with the successive strategy.  Its unchained
-    row variances (one chained_variances call) and the sum
+    row variances (one regions.row_variances call) and the sum
     capacity are computed once per call; each permutation's rates are then
     checked against its own cancellation box (the asc_region box of its
     mapping) and against the (L/2) log2 L gap bound.
@@ -96,8 +96,7 @@ def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
 
 def _parallel_bounds(ch, dom) -> tuple[list[float], float]:
     """Unchained row variances of dom.A_star, and the sum capacity."""
-    # each row alone is a chain of one step
-    return chained_variances(ch, dom.A_star[:, None, :])[:, 0].tolist(), sum_capacity(ch)
+    return regions.row_variances(ch, dom.A_star, chained=False), sum_capacity(ch)
 
 
 def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignment:
@@ -148,20 +147,18 @@ def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome
     pi = tuple(int(v) for v in pi)
     if sorted(pi) != list(range(1, L + 1)):
         raise ValueError("pi must be a permutation of decoding steps 1..L")
-    worst = {}  # user -> largest variance of the rows mapped to it
     for (m, l) in mapping.pairs:
-        if m > pi[l - 1]:
+        if 1 <= l <= L and m > pi[l - 1]:  # pairs naming no user are ignored
             return SuccessiveOutcome(
                 None,
                 f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
                 f"{pi[l - 1]}; pi is not allowed by this mapping")
-        if 1 <= l <= L:  # pairs naming no user are ignored
-            worst[l] = max(worst.get(l, -np.inf), variances[m - 1])
+    worst = mapping.worst_variances(variances, L)
     rates = []
     for l in range(L):
         if (pi[l], l + 1) not in mapping.pairs:
             return SuccessiveOutcome(None, f"user {l + 1} is not mapped to its assigned step {pi[l]}")
-        worst_l = worst[l + 1]
+        worst_l = worst[l]
         assigned = variances[pi[l] - 1]
         if worst_l > assigned * (1 + 1e-9) + 1e-12:
             return SuccessiveOutcome(

@@ -38,6 +38,16 @@ class AdmissibleMapping:
     def rows_for_user(self, user: int) -> list[int]:
         return sorted(m for (m, l) in self.pairs if l == user)
 
+    def worst_variances(self, variances, L: int) -> list:
+        """For each user 1..L, the largest of variances[m - 1] over the
+        rows m mapped to it, or None when no row is.  Pairs naming no user
+        are ignored."""
+        worst = [None] * L
+        for (m, l) in self.pairs:
+            if 1 <= l <= L and (worst[l - 1] is None or variances[m - 1] > worst[l - 1]):
+                worst[l - 1] = variances[m - 1]
+        return worst
+
 
 @dataclass
 class Box:
@@ -202,8 +212,11 @@ def row_variances(ch: ChannelInstance, Atilde, chained: bool) -> list[float]:
 
     A chained row is conditioned on the earlier rows that _exact.kept_rows
     keeps, which must have full row rank numerically
-    (core.require_full_row_rank).  The values are bitwise sigma_para_opt's
-    and sigma_succ_opt's, without their equalizers.
+    (core.require_full_row_rank).  The check runs once, on the longest
+    such prefix: dropping rows cannot shrink the smallest singular value
+    or grow the largest, so every shorter prefix passes with it.  The
+    values are core._chained_rows' (through chained_variances and
+    noise_variance), so bitwise sigma_para_opt's and sigma_succ_opt's.
     """
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
     if not A.shape[0]:
@@ -214,21 +227,19 @@ def row_variances(ch: ChannelInstance, Atilde, chained: bool) -> list[float]:
         # each row alone is a chain of one step
         return chained_variances(ch, A[:, None, :])[:, 0].tolist()
     kept = _exact.kept_rows(A.tolist())
-    out = []
-    for m in range(A.shape[0]):
-        prev = A[[i for i in range(m) if kept[i]]]
-        require_full_row_rank(prev)
-        out.append(noise_variance(ch, A[m], prev))
-    return out
+    prefix = [i for i in range(A.shape[0] - 1) if kept[i]]
+    require_full_row_rank(A[prefix])
+    return [noise_variance(ch, A[m], A[[i for i in prefix if i < m]])
+            for m in range(A.shape[0])]
 
 
 def _box(ch: ChannelInstance, variances, mapping: AdmissibleMapping,
          provenance: dict | None = None) -> Box:
     """The box of a mapping: user l is capped by the worst of the rows
-    mapped to it, and unbounded when none is."""
-    caps = tuple(min((achievable_rate(ch.P[l], variances[m - 1])
-                      for m in mapping.rows_for_user(l + 1)), default=UNBOUNDED)
-                 for l in range(ch.num_users))
+    mapped to it, and unbounded when none is.  achievable_rate never
+    increases with the variance, so this is the least of the rows' rates."""
+    caps = tuple(UNBOUNDED if v is None else achievable_rate(ch.P[l], v)
+                 for l, v in enumerate(mapping.worst_variances(variances, ch.num_users)))
     return Box(caps=caps, provenance=provenance)
 
 

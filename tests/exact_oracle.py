@@ -3,9 +3,11 @@
 solve_rational is the Fraction Gauss-Jordan that zp_asc_matrix called
 before _exact.solve, zp_asc_matrix_oracle is zp_asc_matrix built on it,
 int_rank_oracle is int_rank's own fraction-free loop, int_det_oracle is
-int_det's own Bareiss loop (before int_det read _gauss_jordan's D), and
+int_det's own Bareiss loop (before int_det read _gauss_jordan's D),
 rref_mod_p_oracle is rref_mod_p's own column loop (before it inserted rows
-one at a time), all verbatim.
+one at a time), and para_variance_oracle and chained_variance_oracle are
+the one-matrix variances of sigma_para_opt and sigma_succ_opt (before both
+read core._chained_rows), all verbatim.
 """
 
 from __future__ import annotations
@@ -164,3 +166,19 @@ def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
             raise AssertionError("mod-p cancellation failed to match the mapping")
     Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)
     return Lbar, Lbar_inv
+
+
+def para_variance_oracle(F: np.ndarray, a: np.ndarray) -> float:
+    """||F a||^2, the unchained variance of one row."""
+    return float(np.sum((F @ a) ** 2))
+
+
+def chained_variance_oracle(F: np.ndarray, a_m: np.ndarray, A_prev: np.ndarray) -> float:
+    """||N F a_m||^2 for the projector N = I - Q Q^T onto the orthogonal
+    complement of F A_prev^T, with Q R = F A_prev^T."""
+    # QR projection: much better conditioned than forming
+    # A_prev (F^T F) A_prev^T explicitly
+    Q = np.linalg.qr(F @ A_prev.T)[0]
+    Fa = F @ a_m
+    r = Fa - Q @ (Q.T @ Fa)
+    return float(r @ r)

@@ -9,6 +9,7 @@ from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
                         noise_variance, sigma_para_eval, sigma_para_opt,
                         sigma_succ_eval, sigma_succ_opt, sum_capacity)
 from cfkit.mac_opt import random_unimodular
+from exact_oracle import chained_variance_oracle, para_variance_oracle
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 
@@ -227,12 +228,32 @@ class TestSigmaSuccessive:
         assert np.allclose(N @ N, N, atol=1e-10)
         assert np.allclose(N, N.T, atol=1e-10)
 
+    def test_empty_prefix_forms_are_parallel(self):
+        # no prior rows, however written, is sigma_para_opt: the variance
+        # bits, no c, and the identity projector exactly
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            ch = random_channel(rng)
+            L = ch.num_users
+            a = rng.integers(-3, 4, size=L)
+            para = sigma_para_opt(ch, a)
+            bits = np.float64(para.variance).tobytes()
+            for empty in ((), [], np.zeros((0, L))):
+                assert np.float64(noise_variance(ch, a, empty)).tobytes() == bits
+                rep = sigma_succ_opt(ch, a, empty)
+                assert np.float64(rep.variance).tobytes() == bits
+                assert rep.b_opt.tobytes() == para.b_opt.tobytes()
+                assert rep.c_opt.shape == (0,)
+                assert rep.projector.tobytes() == np.eye(L).tobytes()
+
 
 def _per_row_variances(ch, A) -> list[float]:
-    """The per-row path: sigma_para_opt for row 0, sigma_succ_opt (its own
-    QR of F A[:m]^T) for each later row."""
-    return [sigma_succ_opt(ch, A[m], A[:m]).variance if m else
-            sigma_para_opt(ch, A[m]).variance for m in range(A.shape[0])]
+    """The per-row path: ||F a||^2 for row 0, and its own QR of F A[:m]^T
+    for each later row (exact_oracle's one-matrix variances)."""
+    F = effective_matrix(ch)
+    S = np.asarray(A, dtype=float)
+    return [chained_variance_oracle(F, S[m], S[:m]) if m else
+            para_variance_oracle(F, S[m]) for m in range(S.shape[0])]
 
 
 def _bits(values) -> bytes:

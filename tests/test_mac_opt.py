@@ -126,6 +126,21 @@ class TestSuccessiveAssignments:
         assert not out
         assert "worst mapped noise" in out.declined_reason
 
+    @pytest.mark.parametrize("junk", [(1, 3), (3, 0)])
+    @pytest.mark.parametrize("pi", [(1, 2), (2, 1)])
+    def test_pairs_naming_no_user_are_ignored(self, junk, pi):
+        # (1, 3) names user 3 of two, (3, 0) user 0: is_admissible ignores
+        # both, and so must the pivot test
+        A = np.eye(2, dtype=int)
+        base = successive_mac_assignment(FIG7, A, {(1, 1), (2, 2)}, pi)
+        out = successive_mac_assignment(FIG7, A, {(1, 1), (2, 2), junk}, pi)
+        assert out.declined_reason == base.declined_reason
+        if base:
+            assert (out.assignment.pi, out.assignment.rates, out.assignment.sum_rate) == \
+                (base.assignment.pi, base.assignment.rates, base.assignment.sum_rate)
+        else:
+            assert not out
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
     def test_refuses_numerically_dependent_prefix(self, order):
         # unimodular, but its first two rows are parallel to within the

@@ -7,6 +7,7 @@ import pytest
 
 from cfkit import _exact, regions
 from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
+                        effective_matrix, require_full_row_rank,
                         sigma_para_opt, sigma_succ_opt, sum_capacity)
 from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
                            all_pairs_mapping, boundary_to_csv, is_admissible,
@@ -14,6 +15,7 @@ from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
                            para_region,
                            participation_mapping, region_2d, sic_rates,
                            spec_to_json, succ_region, _coerce_mapping)
+from exact_oracle import chained_variance_oracle, para_variance_oracle
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 COMPSUCC = ChannelInstance(H=[[2.0, 1.0, 1.0]], P=[1.0, 1.0, 1.0])
@@ -342,17 +344,22 @@ class TestSuccRegion:
 
 
 def _reference_variances(ch, A, chained):
-    """row_variances through sigma_*_opt, each chained row conditioned on
-    the earlier rows that raise the exact rank of the rows kept so far."""
+    """row_variances one row at a time through exact_oracle's one-matrix
+    variances, each chained row conditioned on the earlier rows that raise
+    the exact rank of the rows kept so far, whose full row rank is checked
+    for every row."""
+    F = effective_matrix(ch)
     out, kept = [], []
     for row in A.tolist():
-        if chained:
-            prev = np.array(kept, dtype=int).reshape(len(kept), A.shape[1])
-            out.append(sigma_succ_opt(ch, row, prev).variance)
-            if _exact.int_rank(kept + [row]) > len(kept):
-                kept.append(row)
+        a = np.array(row, dtype=float)
+        if chained and kept:
+            prev = np.array(kept, dtype=float)
+            require_full_row_rank(prev)
+            out.append(chained_variance_oracle(F, a, prev))
         else:
-            out.append(sigma_para_opt(ch, row).variance)
+            out.append(para_variance_oracle(F, a))
+        if chained and _exact.int_rank(kept + [row]) > len(kept):
+            kept.append(row)
     return out
 
 

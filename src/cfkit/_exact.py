@@ -1,6 +1,6 @@
 """Exact integer matrix routines: one fraction-free elimination behind
-determinants, exact solves, inverses and LU steps; ranks and spans, Smith
-form and column HNF.
+determinants, exact solves, inverses and LU steps; ranks and spans, and the
+column Hermite form.
 
 Everything here works on lists of python ints (arbitrary precision) so the
 answers are exact.  Inputs may be numpy integer arrays; they are converted.
@@ -12,8 +12,8 @@ it and d the previous pivot, and the division is exact.  _gauss_jordan runs
 it to the end for int_det, solve and int_inverse_unimodular;
 eliminate_below takes one swap-free step for the LU walks in regions; and
 RowBasis takes it with d = 1 on rows added one at a time for int_rank,
-rows_independent, kept_rows and the span tests.  The Smith and Hermite
-forms use unimodular row and column operations instead.
+rows_independent, kept_rows and the span tests.  The column Hermite form,
+the one unimodular reduction, uses unimodular column operations instead.
 """
 
 from __future__ import annotations
@@ -175,103 +175,6 @@ def is_unimodular(mat) -> bool:
     return int_det(rows) in (1, -1)
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a, u, src, dst, factor):
-    n = len(a[0])
-    for j in range(n):
-        a[dst][j] += factor * a[src][j]
-    for j in range(len(u[0])):
-        u[dst][j] += factor * u[src][j]
-
-
-def _add_col(a, v, src, dst, factor):
-    for row in a:
-        row[dst] += factor * row[src]
-    for row in v:
-        row[dst] += factor * row[src]
-
-
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (S, U, V) with S = U @ mat @ V, U and V unimodular, S in Smith form.
-
-    S is diagonal with nonnegative invariant factors d_1 | d_2 | ... .
-    """
-    rows = int_rows(mat)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [row[:] for row in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def smallest_nonzero(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        _swap_rows(a, u, t, pos[0])
-        _swap_cols(a, v, t, pos[1])
-        reduced = False
-        while not reduced:
-            reduced = True
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, u, t, i, -q)
-                    if a[i][t] != 0:
-                        _swap_rows(a, u, t, i)
-                        reduced = False
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, v, t, j, -q)
-                    if a[t][j] != 0:
-                        _swap_cols(a, v, t, j)
-                        reduced = False
-        # divisibility: d_t must divide every remaining entry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(a, u, offender, t, 1)
-            continue
-        if a[t][t] < 0:
-            for j in range(n):
-                a[t][j] = -a[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
-        t += 1
-    return a, u, v
-
-
-def invariant_factors(mat) -> list[int]:
-    s, _, _ = smith_normal_form(mat)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0]
-
-
 def int_inverse_unimodular(mat) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix (stays integer): the
     solution of mat X = I."""
@@ -285,27 +188,27 @@ def int_inverse_unimodular(mat) -> list[list[int]]:
 
 
 def column_hnf_lower(mat) -> tuple[list[list[int]], list[list[int]]]:
-    """Column-style Hermite form: returns (T, W) with mat @ W = T, W unimodular,
-    T lower triangular with positive diagonal and reduced below-diagonal entries.
+    """Column-style Hermite form of an M x L integer matrix of full row rank:
+    returns (H, W) with mat @ W = H = [T 0], W unimodular and T (M x M)
+    lower triangular with positive diagonal and reduced below-diagonal
+    entries (0 <= T[i][j] < T[i][i]).
 
-    Requires a square nonsingular integer input.
+    T is unique, and det T is the gcd of the M x M minors of mat.  A
+    rank-deficient input raises ValueError.
     """
-    rows = int_rows(mat)
-    n = len(rows)
-    a = [row[:] for row in rows]
+    a = [row[:] for row in int_rows(mat)]
+    n = len(a[0]) if a else 0
     w = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_op(dst, src, factor):
-        for r in range(n):
-            a[r][dst] += factor * a[r][src]
-            w[r][dst] += factor * w[r][src]
+        for row in a + w:
+            row[dst] += factor * row[src]
 
     def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-            w[r][i], w[r][j] = w[r][j], w[r][i]
+        for row in a + w:
+            row[i], row[j] = row[j], row[i]
 
-    for i in range(n):
+    for i in range(len(a)):
         # gcd-reduce row i over columns i..n-1 so only a[i][i] survives
         while True:
             nz = [j for j in range(i, n) if a[i][j] != 0]
@@ -320,12 +223,11 @@ def column_hnf_lower(mat) -> tuple[list[list[int]], list[list[int]]]:
                     col_op(j, i, -(a[i][j] // a[i][i]))
                     if a[i][j] != 0:
                         done = False
-            if done and all(a[i][j] == 0 for j in range(i + 1, n)):
+            if done:
                 break
         if a[i][i] < 0:
-            for r in range(n):
-                a[r][i] = -a[r][i]
-                w[r][i] = -w[r][i]
+            for row in a + w:
+                row[i] = -row[i]
         for j in range(i):
             q = a[i][j] // a[i][i]
             if q:

@@ -223,15 +223,24 @@ def _prev_rows(A_prev, L: int) -> np.ndarray:
     return np.atleast_2d(np.asarray(A_prev, dtype=float))
 
 
+def _succ_rows(ch: ChannelInstance, a_m, A_prev) -> np.ndarray:
+    """The float matrix [A_prev; a_m]; ValueError("dimension mismatch")
+    unless a_m and the prior rows have one entry per user."""
+    a_m = np.asarray(a_m, dtype=float).ravel()
+    A_prev = _prev_rows(A_prev, ch.num_users)
+    if A_prev.shape[1] != ch.num_users or a_m.shape[0] != ch.num_users:
+        raise ValueError("dimension mismatch")
+    return np.vstack([A_prev, a_m])
+
+
 def noise_variance(ch: ChannelInstance, a_m, A_prev=()) -> float:
     """sigma_succ_opt(ch, a_m, A_prev).variance without the equalizers:
     the _chained_rows value of the last row of [A_prev; a_m].  With no
-    prior rows this is sigma_para_opt's ||F a_m||^2.  Neither the
-    dimensions nor the rank of A_prev are checked: callers pass rows they
-    know to be exactly independent (the rows of a unimodular matrix, say).
+    prior rows this is sigma_para_opt's ||F a_m||^2.  The widths are
+    checked but not the rank of A_prev: callers pass rows they know to be
+    exactly independent (the rows of a unimodular matrix, say).
     """
-    a_m = np.asarray(a_m, dtype=float).ravel()
-    S = np.vstack([_prev_rows(A_prev, ch.num_users), a_m])
+    S = _succ_rows(ch, a_m, A_prev)
     return float(_chained_rows(effective_matrix(ch), S, S.shape[0] - 1))
 
 
@@ -276,10 +285,8 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
     variance is noise_variance's ||N F a_m||^2 for the projector N onto the
     orthogonal complement of F A_prev^T; with no prior rows, N = I.
     """
-    a_m = np.asarray(a_m, dtype=float).ravel()
-    A_prev = _prev_rows(A_prev, ch.num_users)
-    if A_prev.shape[1] != ch.num_users or a_m.shape[0] != ch.num_users:
-        raise ValueError("dimension mismatch")
+    S = _succ_rows(ch, a_m, A_prev)
+    a_m, A_prev = S[-1], S[:-1]
     require_full_row_rank(A_prev)
     variance = noise_variance(ch, a_m, A_prev)
     Q = np.linalg.qr(effective_matrix(ch) @ A_prev.T)[0]

@@ -5,8 +5,8 @@ and primitive-basis handling.
 The shortest vectors come from one Fincke-Pohst enumeration of the integer
 points of an ellipsoid ||F a||^2 <= R (Fincke and Pohst, Math. Comp. 1985),
 breadth first and vectorized over the nodes of each level.  Determinants,
-Smith forms, independence and mod-p elimination are exact (python ints);
-floating point is used only for the norms being minimized.
+column Hermite forms, independence and mod-p elimination are exact (python
+ints); floating point is used only for the norms being minimized.
 """
 
 from __future__ import annotations
@@ -231,7 +231,8 @@ def _stacked_block(A: np.ndarray) -> np.ndarray:
 
 
 def primitivity(A) -> bool:
-    """All Smith invariant factors of the leading block equal one.
+    """The gcd of the leading block's maximal minors is one: its column
+    Hermite form [T 0] has T = I.
 
     Equivalently the block can be completed to a unimodular matrix.
     """
@@ -239,7 +240,8 @@ def primitivity(A) -> bool:
     block = _stacked_block(A)
     if block.shape[0] == 0:
         return True
-    return all(d == 1 for d in _exact.invariant_factors(block.tolist()))
+    H, _ = _exact.column_hnf_lower(block.tolist())
+    return all(row[i] == 1 for i, row in enumerate(H))
 
 
 def primitivize(A) -> tuple[np.ndarray, np.ndarray]:
@@ -253,17 +255,12 @@ def primitivize(A) -> tuple[np.ndarray, np.ndarray]:
     M, L = block.shape
     if M == 0:
         return A.copy(), np.zeros((0, 0), dtype=int)
-    S, U, V = _exact.smith_normal_form(block.tolist())
-    # block = U^-1 S V^-1 and S = [D 0]; rows of V^-1 are primitive
-    Uinv = np.array(_exact.int_inverse_unimodular(U), dtype=int)
-    Vinv = np.array(_exact.int_inverse_unimodular(V), dtype=int)
-    D = np.array([[S[i][i] if i == j else 0 for j in range(M)] for i in range(M)], dtype=int)
-    B = Vinv[:M, :]                       # primitive basis of the saturation
-    T0 = Uinv @ D
-    Tlow, W = _exact.column_hnf_lower(T0.tolist())
-    T = np.array(Tlow, dtype=int)
-    Winv = np.array(_exact.int_inverse_unimodular(W), dtype=int)
-    prim_block = Winv @ B
+    # block @ W = [T 0], so block = T (W^-1)[:M], and the rows of a
+    # unimodular matrix are primitive; the rows that complete them can
+    # outgrow int64 and are not kept
+    H, W = _exact.column_hnf_lower(block.tolist())
+    T = np.array([row[:M] for row in H], dtype=int)
+    prim_block = np.array(_exact.int_inverse_unimodular(W)[:M], dtype=int)
     if not np.array_equal(T @ prim_block, block):
         raise AssertionError("primitive factorization failed to reproduce input")
     A_prim = np.vstack([prim_block, np.zeros((A.shape[0] - M, L), dtype=int)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intsearch, regions
+from . import _exact, intsearch, regions
 from .core import (ChannelInstance, achievable_rate, chained_variances, log2_plus,
                    require_full_row_rank, sum_capacity)
 from .regions import AdmissibleMapping
@@ -49,7 +49,7 @@ def mac_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]
     tightest pair set the elimination certifies.
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    if intsearch._exact.int_rank(A.tolist()) != A.shape[0]:
+    if _exact.int_rank(A.tolist()) != A.shape[0]:
         raise ValueError("coefficient matrix must have full rank")
     res = regions.lu_mapping(A, pivot_order=pivot_order)
     if res is None:

@@ -5,18 +5,26 @@ before _exact.solve, zp_asc_matrix_oracle is zp_asc_matrix built on it,
 int_rank_oracle is int_rank's own fraction-free loop, int_det_oracle is
 int_det's own Bareiss loop (before int_det read _gauss_jordan's D),
 rref_mod_p_oracle is rref_mod_p's own column loop (before it inserted rows
-one at a time), and para_variance_oracle and chained_variance_oracle are
+one at a time), para_variance_oracle and chained_variance_oracle are
 the one-matrix variances of sigma_para_opt and sigma_succ_opt (before both
-read core._chained_rows), all verbatim.
+read core._chained_rows), and smith_normal_form with invariant_factors,
+primitivity_oracle and primitivize_oracle are the Smith form and the
+primitive-basis step on it (before primitivity and primitivize read the
+column Hermite form; the square column_hnf_lower they call takes the same
+steps as then), all verbatim.  primitivity_minors_oracle is an independent
+check: the gcd of the maximal minors.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from cfkit import _exact, _zp
+from cfkit.intsearch import _stacked_block
 from cfkit.simulator import _mapping_pairs
 
 
@@ -182,3 +190,148 @@ def chained_variance_oracle(F: np.ndarray, a_m: np.ndarray, A_prev: np.ndarray) 
     Fa = F @ a_m
     r = Fa - Q @ (Q.T @ Fa)
     return float(r @ r)
+
+
+def _swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(a, u, src, dst, factor):
+    n = len(a[0])
+    for j in range(n):
+        a[dst][j] += factor * a[src][j]
+    for j in range(len(u[0])):
+        u[dst][j] += factor * u[src][j]
+
+
+def _add_col(a, v, src, dst, factor):
+    for row in a:
+        row[dst] += factor * row[src]
+    for row in v:
+        row[dst] += factor * row[src]
+
+
+def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (S, U, V) with S = U @ mat @ V, U and V unimodular, S in Smith form.
+
+    S is diagonal with nonnegative invariant factors d_1 | d_2 | ... .
+    """
+    rows = _exact.int_rows(mat)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [row[:] for row in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def smallest_nonzero(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pos = smallest_nonzero(t)
+        if pos is None:
+            break
+        _swap_rows(a, u, t, pos[0])
+        _swap_cols(a, v, t, pos[1])
+        reduced = False
+        while not reduced:
+            reduced = True
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    _add_row(a, u, t, i, -q)
+                    if a[i][t] != 0:
+                        _swap_rows(a, u, t, i)
+                        reduced = False
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    _add_col(a, v, t, j, -q)
+                    if a[t][j] != 0:
+                        _swap_cols(a, v, t, j)
+                        reduced = False
+        # divisibility: d_t must divide every remaining entry
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            _add_row(a, u, offender, t, 1)
+            continue
+        if a[t][t] < 0:
+            for j in range(n):
+                a[t][j] = -a[t][j]
+            for j in range(m):
+                u[t][j] = -u[t][j]
+        t += 1
+    return a, u, v
+
+
+def invariant_factors(mat) -> list[int]:
+    s, _, _ = smith_normal_form(mat)
+    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0]
+
+
+def primitivity_oracle(A) -> bool:
+    """All Smith invariant factors of the leading block equal one.
+
+    Equivalently the block can be completed to a unimodular matrix.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    block = _stacked_block(A)
+    if block.shape[0] == 0:
+        return True
+    return all(d == 1 for d in invariant_factors(block.tolist()))
+
+
+def primitivize_oracle(A) -> tuple[np.ndarray, np.ndarray]:
+    """Rewrite [A_M; 0] as T @ A_prim with A_prim primitive.
+
+    T is M x M lower triangular with strictly positive diagonal; A_prim has
+    the same rowspan and stacked shape as A.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=int))
+    block = _stacked_block(A)
+    M, L = block.shape
+    if M == 0:
+        return A.copy(), np.zeros((0, 0), dtype=int)
+    S, U, V = smith_normal_form(block.tolist())
+    # block = U^-1 S V^-1 and S = [D 0]; rows of V^-1 are primitive
+    Uinv = np.array(_exact.int_inverse_unimodular(U), dtype=int)
+    Vinv = np.array(_exact.int_inverse_unimodular(V), dtype=int)
+    D = np.array([[S[i][i] if i == j else 0 for j in range(M)] for i in range(M)], dtype=int)
+    B = Vinv[:M, :]                       # primitive basis of the saturation
+    T0 = Uinv @ D
+    Tlow, W = _exact.column_hnf_lower(T0.tolist())
+    T = np.array(Tlow, dtype=int)
+    Winv = np.array(_exact.int_inverse_unimodular(W), dtype=int)
+    prim_block = Winv @ B
+    if not np.array_equal(T @ prim_block, block):
+        raise AssertionError("primitive factorization failed to reproduce input")
+    A_prim = np.vstack([prim_block, np.zeros((A.shape[0] - M, L), dtype=int)])
+    return A_prim, T
+
+
+def primitivity_minors_oracle(block) -> bool:
+    """The gcd of the M x M minors of a full-row-rank M x L block is one."""
+    rows = _exact.int_rows(block)
+    M, L = len(rows), len(rows[0])
+    return math.gcd(*(_exact.int_det([[row[c] for c in cols] for row in rows])
+                      for cols in itertools.combinations(range(L), M))) == 1

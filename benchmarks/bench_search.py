@@ -1,5 +1,6 @@
-"""Benchmark the dominant-solution search, the chained variances and the
-mac_assignments.json writer per user count.
+"""Benchmark the dominant-solution search, the chained variances, the
+mapping layer of the mac tables and the mac_assignments.json writer per
+user count.
 
 Every `cfkit search` and `cfkit mac` call picks the shortest independent
 integer coefficient vectors once (`intsearch.dominant_solution`).  The
@@ -13,7 +14,12 @@ a cached template whose leaves the C JSON encoder writes in one call.
 For each user count this prints the median microseconds per search call,
 the mean points enumerated per search, the mean successive candidates per
 channel, the median microseconds per `chained_variances` call on that
-stack and, on the pool, per `mac_assignments.json` text: the template
+stack and, on the pool, three more: per `regions.lu_mappings_all` call on
+the channel's dominant solution ("lu us"); per pair of mac tables,
+`parallel_mac_assignments` then `successive_mac_assignments`, with the
+dominant solution cached but not its mappings, so each pair runs one
+elimination walk and the permutation candidates' `permutation_mapping`
+calls ("tables us"); and per `mac_assignments.json` text: the template
 writer against `json.dumps(payload, sort_keys=True, indent=2)`, which
 gives the same bytes through the pure-Python encoder ("write us"). It
 runs on two channel sets:
@@ -30,7 +36,8 @@ their variances need only the effective matrix.
 
 A channel's time is the least of `--repeats` calls; the median is over
 channels.  Searches that end in an error count too, and such a channel's
-stack holds only the permutation matrices.
+stack holds only the permutation matrices, and it is left out of the
+"lu us" and "tables us" medians.
 
 Usage: python3 benchmarks/bench_search.py [--channels N] [--repeats N]
 """
@@ -46,7 +53,7 @@ from unittest import mock
 
 import numpy as np
 
-from cfkit import cli, intsearch
+from cfkit import cli, intsearch, mac_opt, regions
 from cfkit.core import ChannelInstance, chained_variances, effective_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -127,6 +134,23 @@ def write_us(channels: list, repeats: int) -> str:
     return f"{template:.0f}/{dumps:.0f}"
 
 
+def mapping_us(channels: list, repeats: int) -> str:
+    """Median microseconds of lu_mappings_all on the dominant solution and
+    of both mac tables with the mappings recomputed, over the channels whose
+    search succeeds."""
+    channels = [ch for ch in channels if search(effective_matrix(ch)) is not None]
+
+    def tables(ch):
+        ch.__dict__.pop("_dominant_mappings", None)  # cached_property slot
+        mac_opt.parallel_mac_assignments(ch)
+        mac_opt.successive_mac_assignments(ch)
+
+    lu = median_us([lambda A=ch._dominant_solution.A_star: regions.lu_mappings_all(A)
+                    for ch in channels], repeats)
+    both = median_us([lambda ch=ch: tables(ch) for ch in channels], repeats)
+    return f"{lu:9.1f} {both:10.1f}"
+
+
 def median_us(calls: list, repeats: int) -> float:
     """Median over calls of the least of `repeats` timings of each."""
     best = []
@@ -147,7 +171,8 @@ def main():
     args = ap.parse_args()
     pool = pool_channels()
     print(f"{'set':>7} {'users':>6} {'channels':>9} {'us/call':>9} {'points/call':>12} "
-          f"{'candidates':>11} {'chained us':>11} {'write us':>11}")
+          f"{'candidates':>11} {'chained us':>11} {'lu us':>9} {'tables us':>10} "
+          f"{'write us':>11}")
     for users in USER_COUNTS:
         sets = [("random", random_channels(users, args.channels))]
         if users <= intsearch.MAX_EXACT_USERS:
@@ -162,10 +187,14 @@ def main():
                 searched = f"{us:9.1f} {points_per_call(channels):12.1f}"
             else:
                 searched = f"{'-':>9} {'-':>12}"
-            written = write_us(channels, args.repeats) if name == "pool" else "-"
+            if name == "pool":
+                mapped = mapping_us(channels, args.repeats)
+                written = write_us(channels, args.repeats)
+            else:
+                mapped, written = f"{'-':>9} {'-':>10}", "-"
             print(f"{name:>7} {users:>6} {len(channels):>9} {searched} "
                   f"{np.mean([len(S) for S in stacks]):11.1f} {chained:11.1f} "
-                  f"{written:>11}")
+                  f"{mapped} {written:>11}")
 
 
 if __name__ == "__main__":

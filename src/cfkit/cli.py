@@ -82,9 +82,12 @@ def _mapping_from(doc: dict):
     if "mapping" not in doc:
         return None
     try:
-        return frozenset((int(m), int(l)) for m, l in doc["mapping"])
+        pairs = [(m, l) for m, l in doc["mapping"]]
     except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or not all(_integral(m) and _integral(l) for m, l in pairs):
         raise InputError("field 'mapping' must be a list of [m, l] pairs")
+    return frozenset((int(m), int(l)) for m, l in pairs)
 
 
 def _outdir(args) -> Path:
@@ -568,7 +571,7 @@ def _verify_identities(seed: int, reps: int = 100):
     def negative_control():
         bad = regions.is_admissible([[1, 1], [1, 2]], {(1, 1), (2, 2)})
         assert bad is None, \
-            "corrupted fixture accepted: non-admissible mapping passed the witness check"
+            "corrupted fixture accepted: non-admissible mapping passed the admissibility check"
 
     return _run_checks([
         ("matrix-inversion identity (1e-10)", woodbury),

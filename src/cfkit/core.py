@@ -91,14 +91,11 @@ class ChannelInstance:
     @cached_property
     def _dominant_mappings(self):
         # regions.lu_mappings_all of the dominant solution, shared by the
-        # parallel and successive strategies like _dominant_solution, with
-        # read-only witnesses
+        # parallel and successive strategies like _dominant_solution; each
+        # mapping is a frozen pair set, so the tuple is immutable
         from . import regions
 
-        mappings = tuple(regions.lu_mappings_all(self._dominant_solution.A_star))
-        for mapping, _pi in mappings:
-            mapping.L_real.setflags(write=False)
-        return mappings
+        return tuple(regions.lu_mappings_all(self._dominant_solution.A_star))
 
 
 @dataclass

@@ -259,7 +259,11 @@ def primitivize(A) -> tuple[np.ndarray, np.ndarray]:
     # unimodular matrix are primitive; the rows that complete them can
     # outgrow int64 and are not kept
     H, W = _exact.column_hnf_lower(block.tolist())
-    T = np.array([row[:M] for row in H], dtype=int)
+    try:
+        T = np.array([row[:M] for row in H], dtype=int)
+    except OverflowError:
+        raise ValueError("the column Hermite factor T of this block does not "
+                         "fit int64") from None
     prim_block = np.array(_exact.int_inverse_unimodular(W)[:M], dtype=int)
     if not np.array_equal(T @ prim_block, block):
         raise AssertionError("primitive factorization failed to reproduce input")

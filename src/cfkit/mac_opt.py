@@ -135,7 +135,7 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
 
 def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome:
     """successive_mac_assignment after its checks on A, the mapping and the
-    powers: mapping is an AdmissibleMapping whose witness holds for A,
+    powers: mapping is an AdmissibleMapping whose pairs are admissible for A,
     variances are A's chained row variances and cap is sum_capacity(ch).
 
     The rates of an accepted assignment sum to cap in exact arithmetic.  A
@@ -188,8 +188,8 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
 
     A permutation matrix's one mapping is read off its permutation
     (regions.permutation_mapping); the dominant solution's are the
-    channel's shared lu_mappings_all.  Each mapping carries its exact
-    witness and is used as it is.  The sum capacity is computed once per
+    channel's shared lu_mappings_all.  Both are admissible by construction
+    and are used as they are.  The sum capacity is computed once per
     call, and the chained variances of every candidate in one
     chained_variances call on their stack.  The candidates are unimodular
     by construction (the dominant solution is checked before it joins

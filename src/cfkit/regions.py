@@ -26,17 +26,13 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class AdmissibleMapping:
-    """Set of (combination, user) pairs with a lower-unitriangular witness.
-
-    The witness L satisfies (L @ A)[m, l] == 0 for every pair outside the
-    mapping, which is what makes the cancellation order realizable.
+    """Set of (combination, user) pairs that some lower-unitriangular L
+    makes admissible: (L @ A)[m, l] == 0 for every pair outside the set,
+    which is what makes the cancellation order realizable.  is_admissible
+    decides this exactly; the mapping holds only its pairs.
     """
 
     pairs: frozenset[tuple[int, int]]
-    L_real: np.ndarray | None = None
-
-    def rows_for_user(self, user: int) -> list[int]:
-        return sorted(m for (m, l) in self.pairs if l == user)
 
     def worst_variances(self, variances, L: int) -> list:
         """For each user 1..L, the largest of variances[m - 1] over the
@@ -79,15 +75,15 @@ class RateRegionSpec:
 
 def all_pairs_mapping(L: int) -> AdmissibleMapping:
     pairs = frozenset((m, l) for m in range(1, L + 1) for l in range(1, L + 1))
-    return AdmissibleMapping(pairs=pairs, L_real=np.eye(L))
+    return AdmissibleMapping(pairs)
 
 
 def participation_mapping(Atilde) -> AdmissibleMapping:
-    """Pairs where the coefficient is nonzero; always admissible (witness I)."""
+    """Pairs where the coefficient is nonzero; always admissible (L = I)."""
     A = np.atleast_2d(np.asarray(Atilde, dtype=int))
     pairs = frozenset((m + 1, l + 1) for m in range(A.shape[0])
                       for l in range(A.shape[1]) if A[m, l] != 0)
-    return AdmissibleMapping(pairs=pairs, L_real=np.eye(A.shape[0]))
+    return AdmissibleMapping(pairs)
 
 
 def cancellation_solves(rows: list, pairs: frozenset):
@@ -103,43 +99,19 @@ def cancellation_solves(rows: list, pairs: frozenset):
 
 
 def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
-    """Return a lower-unitriangular witness for the pair set, or None.
+    """The pair set as an AdmissibleMapping when some lower-unitriangular L
+    makes it admissible for Atilde, else None.
 
-    The witness holds the floats of the exact rational coefficients of
-    cancellation_solves, the same solve as simulator.zp_asc_matrix.
-    Atilde must be an integer matrix (else ValueError) and may have any
-    number of rows; pairs naming no row or no column of it are ignored.
+    Decided exactly by cancellation_solves, the same solve as
+    simulator.zp_asc_matrix.  Atilde must be an integer matrix (else
+    ValueError) and may have any number of rows; pairs naming no row or no
+    column of it are ignored.
     """
     rows = _exact.int_rows(np.atleast_2d(Atilde))
     pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
-    W = np.eye(len(rows))
-    for m, sol in cancellation_solves(rows, pairs):
-        if sol is None:
-            return None
-        nums, d = sol
-        W[m, :m] = [n / d if n else 0.0 for n in nums]
-    return AdmissibleMapping(pairs=pairs, L_real=W)
-
-
-def _lu_start(A: np.ndarray) -> list:
-    """Rows [A | I] before the first elimination step."""
-    L = A.shape[0]
-    return [row + [int(i == j) for j in range(L)] for i, row in enumerate(A.tolist())]
-
-
-def _eliminated_mapping(rows: list) -> AdmissibleMapping:
-    """The support of the eliminated [L A | L] rows, with L as witness.
-
-    Row m of L carries the scale d_{m-1} of fraction-free elimination, which
-    is also its diagonal entry, and is divided by it: int true division
-    rounds as float(Fraction) does, and a zero is written +0.0, not 0 / -d.
-    """
-    L = len(rows)
-    pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
-                      if rows[m][l] != 0)
-    witness = np.array([[v / row[L + m] if v else 0.0 for v in row[L:]]
-                        for m, row in enumerate(rows)])
-    return AdmissibleMapping(pairs=pairs, L_real=witness)
+    if any(sol is None for _m, sol in cancellation_solves(rows, pairs)):
+        return None
+    return AdmissibleMapping(pairs)
 
 
 def _lu_walk(A, pivot_order=None):
@@ -150,7 +122,9 @@ def _lu_walk(A, pivot_order=None):
     so each prefix is eliminated once (one fraction-free step,
     _exact.eliminate_below) and a zero pivot prunes every order that starts
     with that prefix (a permutation matrix costs L steps, not L! orders).
-    Distinct orders give distinct pi, so no result repeats.
+    Distinct orders give distinct pi, so no result repeats.  The mapping is
+    the support of the eliminated rows: the row operations that produce
+    them are the lower-unitriangular L that makes it admissible.
     """
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L = A.shape[0]
@@ -158,7 +132,9 @@ def _lu_walk(A, pivot_order=None):
 
     def walk(rows, step, d):
         if step == L:
-            yield _eliminated_mapping(rows), tuple(pi)
+            pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
+                              if rows[m][l])
+            yield AdmissibleMapping(pairs), tuple(pi)
             return
         cols = range(L) if pivot_order is None else (int(pivot_order[step]),)
         for col in cols:
@@ -168,7 +144,7 @@ def _lu_walk(A, pivot_order=None):
                 yield from walk(_exact.eliminate_below(rows, step, col, d), step + 1, pivot)
                 pi[col] = 0
 
-    return walk(_lu_start(A), 0, 1)
+    return walk(A.tolist(), 0, 1)
 
 
 def lu_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]] | None:
@@ -199,11 +175,10 @@ def permutation_mapping(perm) -> tuple[AdmissibleMapping, tuple[int, ...]]:
     """lu_mappings_all's one result for the permutation matrix with rows
     e_perm[0], e_perm[1], ..., read off perm without elimination: step m
     pivots on column perm[m] with pivot 1 and clears nothing, so the pairs
-    are the matrix's support, the witness is the identity, and user l is
-    decoded at step perm.index(l - 1) + 1."""
+    are the matrix's support and user l is decoded at step
+    perm.index(l - 1) + 1."""
     L = len(perm)
-    pairs = frozenset((m + 1, perm[m] + 1) for m in range(L))
-    return (AdmissibleMapping(pairs=pairs, L_real=np.eye(L)),
+    return (AdmissibleMapping(frozenset((m + 1, perm[m] + 1) for m in range(L))),
             tuple(perm.index(l) + 1 for l in range(L)))
 
 
@@ -271,48 +246,22 @@ def asc_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
 
 
 def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
-    """The mapping with a witness that holds for A, or ValueError.
-
-    The pairs must be admissible for A exactly (is_admissible, which solves
-    cancellation_solves' systems).  A mapping that carries a witness is then
-    returned as it is when one product L_real @ A clears every column
-    outside the mapping, to a relative 1e-9 (_TOL); a raw pair set, or a
-    carried witness that fails, gets is_admissible's witness.  A pair
-    naming a user of A but no row of it is an error.
+    """The mapping's pairs, an AdmissibleMapping or a raw pair set, as
+    is_admissible's answer for A, or ValueError when they are not
+    admissible for A exactly.  A pair naming a user of A but no row of it
+    is an error.
     """
-    if isinstance(mapping, AdmissibleMapping):
-        pairs = mapping.pairs
-    else:
-        pairs = frozenset((int(m), int(l)) for (m, l) in mapping)
+    pairs = mapping.pairs if isinstance(mapping, AdmissibleMapping) else mapping
+    pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
     M, L = A.shape
     for m, l in pairs:
         if 1 <= l <= L and not 1 <= m <= M:
             raise ValueError(f"mapping pair ({m},{l}) names row {m} of a "
                              f"coefficient matrix with {M} rows")
-    witness = is_admissible(A, pairs)
-    if witness is None:
+    admissible = is_admissible(A, pairs)
+    if admissible is None:
         raise ValueError("mapping is not admissible for this coefficient matrix")
-    if isinstance(mapping, AdmissibleMapping) and _witness_holds(A, mapping):
-        return mapping
-    return witness
-
-
-def _witness_holds(A: np.ndarray, mapping: AdmissibleMapping) -> bool:
-    """mapping.L_real is lower unitriangular and zeroes, in one product with
-    A, every entry outside the mapping up to _TOL times the largest |A|."""
-    W = mapping.L_real
-    M, L = A.shape
-    if W is None or W.shape != (M, M):
-        return False
-    # python loops: the matrices are small, and numpy's per-call cost dominates
-    upper = W.tolist()
-    if any(upper[i][j] != (i == j) for i in range(M) for j in range(i, M)):
-        return False
-    entries = A.tolist()
-    tol = _TOL * max(1.0, *(abs(v) for row in entries for v in row))
-    prod = (W @ A).tolist()
-    return all(abs(prod[m][l]) <= tol for m in range(M) for l in range(L)
-               if (m + 1, l + 1) not in mapping.pairs)
+    return admissible
 
 
 def mac_region(ch: ChannelInstance) -> RateRegionSpec:
@@ -395,8 +344,9 @@ def membership(ch: ChannelInstance, A, rates, mode: str = "parallel",
             if para_region(ch, cand).contains(rates):
                 return MembershipResult("member", cand, None)
         else:
-            # lu_mappings_all's witnesses are exact, and the all-pairs
-            # mapping leaves nothing to cancel: neither is checked again
+            # lu_mappings_all's mappings are admissible by construction,
+            # and the all-pairs mapping leaves nothing to cancel: neither
+            # is checked again
             variances = row_variances(ch, cand, chained=True)
             mappings = [all_pairs_mapping(L)]
             if _exact.int_rank(cand.tolist()) == L:

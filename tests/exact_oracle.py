@@ -11,8 +11,11 @@ read core._chained_rows), and smith_normal_form with invariant_factors,
 primitivity_oracle and primitivize_oracle are the Smith form and the
 primitive-basis step on it (before primitivity and primitivize read the
 column Hermite form; the square column_hnf_lower they call takes the same
-steps as then), all verbatim.  primitivity_minors_oracle is an independent
-check: the gcd of the maximal minors.
+steps as then), and admissible_witness_oracle with witness_holds_oracle
+are the float witness that is_admissible built and the check that
+regions._coerce_mapping ran on it (before a mapping became its pair set),
+all verbatim.  primitivity_minors_oracle is an independent check: the gcd
+of the maximal minors.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cfkit import _exact, _zp
+from cfkit import _exact, _zp, regions
 from cfkit.intsearch import _stacked_block
 from cfkit.simulator import _mapping_pairs
 
@@ -335,3 +338,37 @@ def primitivity_minors_oracle(block) -> bool:
     M, L = len(rows), len(rows[0])
     return math.gcd(*(_exact.int_det([[row[c] for c in cols] for row in rows])
                       for cols in itertools.combinations(range(L), M))) == 1
+
+
+_TOL = 1e-9  # regions._TOL
+
+
+def admissible_witness_oracle(Atilde, pairs) -> np.ndarray | None:
+    """The lower-unitriangular float witness of the pair set, or None: the
+    floats of the exact rational coefficients of cancellation_solves."""
+    rows = _exact.int_rows(np.atleast_2d(Atilde))
+    pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
+    W = np.eye(len(rows))
+    for m, sol in regions.cancellation_solves(rows, pairs):
+        if sol is None:
+            return None
+        nums, d = sol
+        W[m, :m] = [n / d if n else 0.0 for n in nums]
+    return W
+
+
+def witness_holds_oracle(A: np.ndarray, pairs, W) -> bool:
+    """W is lower unitriangular and zeroes, in one product with A, every
+    entry outside the pairs up to _TOL times the largest |A|."""
+    M, L = A.shape
+    if W is None or W.shape != (M, M):
+        return False
+    # python loops: the matrices are small, and numpy's per-call cost dominates
+    upper = W.tolist()
+    if any(upper[i][j] != (i == j) for i in range(M) for j in range(i, M)):
+        return False
+    entries = A.tolist()
+    tol = _TOL * max(1.0, *(abs(v) for row in entries for v in row))
+    prod = (W @ A).tolist()
+    return all(abs(prod[m][l]) <= tol for m in range(M) for l in range(L)
+               if (m + 1, l + 1) not in pairs)

@@ -75,6 +75,29 @@ class TestRegion:
         # successive table per receiver
         assert calls == {"successive_mac_assignments": 2, "sic_rates": 4, "mac_region": 2}
 
+    @pytest.mark.parametrize("first", [[1.7, 1], [True, 1], ["1", "1"]],
+                             ids=["fraction", "bool", "string"])
+    def test_mapping_entries_must_be_integers(self, tmp_path, capsys, first):
+        doc = {"H": [[1, 1.5]], "P": [7, 4], "A": [[1, 1], [1, 2]],
+               "mapping": [first, [1, 2], [2, 2]]}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = run(["region", "--input", path, "--mode", "succ", "--out", tmp_path])
+        assert_input_error(code, capsys, "field 'mapping' must be a list of [m, l] pairs")
+        assert not (tmp_path / "region_succ.json").exists()
+
+    def test_integral_float_mapping_entries_accepted(self, tmp_path):
+        reports = []
+        for mapping in ([[1, 1], [1, 2], [2, 2]], [[1.0, 1], [1, 2.0], [2, 2]]):
+            doc = {"H": [[1, 1.5]], "P": [7, 4], "A": [[1, 1], [1, 2]],
+                   "mapping": mapping}
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(doc))
+            assert run(["region", "--input", path, "--mode", "succ",
+                        "--out", tmp_path]) == 0
+            reports.append((tmp_path / "region_succ.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_missing_A_for_para_is_input_error(self, fig7_input, tmp_path):
         assert run(["region", "--input", fig7_input, "--mode", "para",
                     "--out", tmp_path]) == 2
@@ -355,6 +378,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("overrides,message", [
         ({"mode": "successive", "mapping": [1, 2, 3]}, "field 'mapping'"),
+        *[({"mode": "successive", "mapping": [first, [1, 2], [2, 2]]},
+           "field 'mapping' must be a list of [m, l] pairs")
+          for first in ([1.7, 1], [True, 1], ["1", "1"])],
         ({"noise_std": ["loud"]}, "field 'noise_std'"),
         ({"master_seed": "seven"}, "field 'master_seed'"),
         ({"master_seed": 1.5}, "field 'master_seed'"),
@@ -373,7 +399,8 @@ class TestSimulate:
         ({"noise_std": [[0.5]]}, "field 'noise_std'"),
         ({"noise_std": 10 ** 400}, "field 'noise_std'"),
         ({"noise_std": [0.5, -0.1]}, "noise_std must be finite and nonnegative"),
-    ], ids=["mapping", "noise_std", "master_seed", "master_seed-fraction",
+    ], ids=["mapping", "mapping-fraction", "mapping-bool", "mapping-string",
+            "noise_std", "master_seed", "master_seed-fraction",
             "master_seed-bool", "master_seed-string", "master_seed-past-2**64",
             "master_seed-2**64", "master_seed-negative", "master_seed-null",
             "noise_std-empty", "noise_std-bool", "noise_std-string",

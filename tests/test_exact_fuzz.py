@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from cfkit import _exact  # noqa: E402
 from cfkit.regions import is_admissible, lu_mapping  # noqa: E402
 from cfkit.simulator import zp_asc_matrix  # noqa: E402
-from exact_oracle import solve_rational, zp_asc_matrix_oracle  # noqa: E402
+from exact_oracle import (admissible_witness_oracle, solve_rational,  # noqa: E402
+                          witness_holds_oracle, zp_asc_matrix_oracle)
 
 _ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-3, 3),
                      st.integers(-2 ** 80, 2 ** 80),
@@ -135,12 +136,10 @@ def test_is_admissible_agrees_with_zp_asc_matrix(case):
         # "p too small" means the mapping is admissible
         refused = "not admissible" in str(exc)
         assert refused or "too small" in str(exc)
-    witness = is_admissible(A, pairs)
-    assert (witness is None) == refused
-    if witness is not None:
-        W = witness.L_real
-        assert np.array_equal(np.tril(W, -1) + np.eye(len(A)), W)
-        prod = W @ A
-        for m, l in np.ndindex(*A.shape):
-            if (m + 1, l + 1) not in pairs:
-                assert abs(prod[m, l]) <= 1e-9 * max(1, np.abs(A).max())
+    mapping = is_admissible(A, pairs)
+    assert (mapping is None) == refused
+    W = admissible_witness_oracle(A, pairs)
+    assert (W is None) == refused
+    if mapping is not None:
+        assert mapping.pairs == pairs
+        assert witness_holds_oracle(A, pairs, W)

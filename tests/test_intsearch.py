@@ -404,6 +404,18 @@ class TestPrimitive:
         assert is_unimodular(A_prim)
         assert not primitive and not primitivity_minors_oracle(block)
 
+    def test_factor_past_int64_is_a_value_error(self):
+        # T's diagonal multiplies to |det|, past int64 here; A_prim would fit
+        block = [[4, -2744, -1046, 1541, -1951, 2924],
+                 [-2932, -2439, -1595, 1806, -2303, 2592],
+                 [-2961, 1048, 989, 16, 2863, 1533],
+                 [87, 1446, 1923, 902, 2823, -402],
+                 [-2516, -1343, -447, -2181, -469, 2381],
+                 [-1508, 1530, 1306, -210, 323, 1718]]
+        assert not primitivity(block)
+        with pytest.raises(ValueError, match="does not fit int64"):
+            primitivize(block)
+
     def test_malformed_stack_rejected(self):
         with pytest.raises(ValueError):
             primitivize([[0, 0], [1, 1]])

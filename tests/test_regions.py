@@ -15,7 +15,8 @@ from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
                            para_region,
                            participation_mapping, region_2d, sic_rates,
                            spec_to_json, succ_region, _coerce_mapping)
-from exact_oracle import chained_variance_oracle, para_variance_oracle
+from exact_oracle import (admissible_witness_oracle, chained_variance_oracle,
+                          para_variance_oracle, witness_holds_oracle)
 
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 COMPSUCC = ChannelInstance(H=[[2.0, 1.0, 1.0]], P=[1.0, 1.0, 1.0])
@@ -59,25 +60,33 @@ class TestParaRegion:
         assert caps[1] == pytest.approx(0.5903, abs=5e-5)
 
 
+def _solves(A, pairs) -> dict:
+    """cancellation_solves' coefficients of each row, as Fractions."""
+    return {m: [Fraction(n, sol[1]) for n in sol[0]]
+            for m, sol in regions.cancellation_solves(np.asarray(A).tolist(),
+                                                      frozenset(pairs))}
+
+
 class TestAdmissibility:
     def test_first_mapping_witness(self):
         pairs = {(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)}
         wit = is_admissible(COMPSUCC_A, pairs)
-        assert wit is not None
-        assert np.allclose(wit.L_real[1], [-1, 1, 0], atol=1e-9)
+        assert wit is not None and wit.pairs == pairs
+        assert _solves(COMPSUCC_A, pairs)[1] == [-1]
 
     def test_second_mapping_witness(self):
         pairs = {(1, 1), (1, 2), (1, 3), (2, 1)}
         wit = is_admissible(COMPSUCC_A, pairs)
-        assert wit is not None
-        assert np.allclose(wit.L_real[1], [1, 1, 0], atol=1e-9)
+        assert wit is not None and wit.pairs == pairs
+        assert _solves(COMPSUCC_A, pairs)[1] == [1]
 
     def test_all_pairs_always_admissible(self):
         rng = np.random.default_rng(22)
         A = rng.integers(-4, 5, size=(3, 3))
-        wit = is_admissible(A, all_pairs_mapping(3).pairs)
-        assert wit is not None
-        assert np.allclose(wit.L_real, np.eye(3))
+        pairs = all_pairs_mapping(3).pairs
+        wit = is_admissible(A, pairs)
+        assert wit is not None and wit.pairs == pairs
+        assert _solves(A, pairs) == {}  # nothing to cancel: L = I
 
     def test_non_admissible_returns_none(self):
         assert is_admissible([[1, 1], [1, 2]], {(1, 1), (2, 2)}) is None
@@ -94,15 +103,11 @@ class TestAdmissibility:
 
     def test_exact_witness_entries(self):
         A = [[3, 1, 0], [1, 2, 0], [5, 0, 7]]
-        wit = is_admissible(A, {(1, 1), (1, 2), (2, 2), (3, 3)})
-        # -1/3 and the solve of x [3 1; 1 2] = -[5 0], free of rounding
-        assert wit.L_real.tolist() == [[1.0, 0.0, 0.0], [-1 / 3, 1.0, 0.0],
-                                       [-2.0, 1.0, 1.0]]
-        # a zero coefficient over a negative denominator is +0.0, not -0.0
-        wit = is_admissible([[-2, 0, 0], [0, 1, 0], [0, 3, 1]], {(3, 3)} | {
-            (m, l) for m in (1, 2) for l in (1, 2, 3)})
-        assert wit.L_real[2].tolist() == [0.0, -3.0, 1.0]
-        assert np.array_equal(np.signbit(wit.L_real), wit.L_real < 0)
+        pairs = frozenset({(1, 1), (1, 2), (2, 2), (3, 3)})
+        assert is_admissible(A, pairs).pairs == pairs
+        # -1/3 and the solve of x [3 1; 1 2] = -[5 0], [-2, 1], both exact
+        assert list(regions.cancellation_solves(A, pairs)) == [
+            (0, ([], 1)), (1, ([-1], 3)), (2, ([-10, 5], 5))]
 
     def test_non_integral_matrix_rejected(self):
         for A in ([[1.5, 1], [1, 2]], np.array([[1.0, np.nan], [1, 2]])):
@@ -112,6 +117,7 @@ class TestAdmissibility:
                              {(1, 1), (1, 2)}) is not None
 
     def test_witness_zeroes_mapped_out_entries(self):
+        # lu_mapping's pairs are admissible: a witness clears the rest
         rng = np.random.default_rng(23)
         for _ in range(20):
             A = rng.integers(-3, 4, size=(3, 3))
@@ -119,37 +125,20 @@ class TestAdmissibility:
             if res is None:
                 continue
             mapping, _ = res
-            prod = mapping.L_real @ A
-            for m in range(3):
-                for l in range(3):
-                    if (m + 1, l + 1) not in mapping.pairs:
-                        assert abs(prod[m, l]) < 1e-9
+            assert is_admissible(A, mapping.pairs) == mapping
+            assert witness_holds_oracle(
+                A, mapping.pairs, admissible_witness_oracle(A, mapping.pairs))
 
 
 class TestCarriedWitness:
-    """_coerce_mapping keeps a mapping's own witness when it holds for A and
-    solves for one when it does not."""
-
-    def test_exact_witness_is_kept(self):
-        A = np.array([[1, 1, 1], [1, -1, -1], [2, 1, 3]])
-        for mapping, _pi in lu_mappings_all(A):
-            assert _coerce_mapping(A, mapping) is mapping
-
-    def test_wrong_witness_is_replaced(self):
-        A = np.array(COMPSUCC_A[:2].tolist() + [[0, 1, 0]])
-        pairs = frozenset({(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)})
-        solved = is_admissible(A, pairs)
-        for bad in (np.eye(3), np.array([[1, 0, 0], [-1, 1, 0], [0, 0, 2.0]]),
-                    np.array([[1, 0, 0], [-1, 1, 5.0], [0, 0, 1]]), None):
-            got = _coerce_mapping(A, AdmissibleMapping(pairs=pairs, L_real=bad))
-            assert got.L_real.tobytes() == solved.L_real.tobytes()
+    """_coerce_mapping answers with is_admissible for the mapping's pairs,
+    and refuses pairs that are not admissible or name a missing row."""
 
     def test_near_witness_of_inadmissible_pairs_raises(self):
-        # the witness clears column 1 of row 2 to 1e-12 relative, within the
-        # float tolerance of _witness_holds, but the pairs are not admissible
+        # a float witness cleared column 1 of row 2 to 1e-12 relative, but
+        # the pairs are not admissible
         A = [[10 ** 12, 1], [10 ** 12 + 1, 1]]
-        near = AdmissibleMapping(pairs=frozenset({(1, 1), (1, 2)}),
-                                 L_real=np.array([[1, 0], [-1.000000000001, 1]]))
+        near = frozenset({(1, 1), (1, 2)})
         ch = ChannelInstance(H=[[1.0, 1.0]], P=[1.0, 1.0])
         for region in (succ_region, asc_region):
             with pytest.raises(ValueError, match="not admissible"):
@@ -157,9 +146,7 @@ class TestCarriedWitness:
 
     def test_inadmissible_pairs_raise_despite_a_witness(self):
         with pytest.raises(ValueError, match="not admissible"):
-            _coerce_mapping(np.array([[1, 1], [1, 2]]),
-                            AdmissibleMapping(pairs=frozenset({(1, 1), (2, 2)}),
-                                              L_real=np.eye(2)))
+            _coerce_mapping(np.array([[1, 1], [1, 2]]), frozenset({(1, 1), (2, 2)}))
 
     def test_pair_naming_a_missing_row_raises(self):
         A = np.array([[1, 0]])
@@ -175,16 +162,16 @@ class TestCarriedWitness:
         assert is_admissible(wide, {(1, 1), (1, 2)}) is not None
         assert is_admissible(wide, {(1, 1)}) is None
         tall = np.array([[1], [2]])
-        wit = is_admissible(tall, {(1, 1)})
-        assert np.allclose(wit.L_real, [[1, 0], [-2, 1]], atol=1e-12)
+        assert is_admissible(tall, {(1, 1)}).pairs == {(1, 1)}
+        assert _solves(tall, {(1, 1)}) == {1: [-2]}
 
 
 def _lu_mapping_oracle(A, pivot_order=None):
-    """Per-order elimination as it was before the prefix walk, verbatim."""
+    """Per-order elimination as it was before the prefix walk, verbatim but
+    for the float witness, which a mapping no longer carries."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L = A.shape[0]
     work = [[Fraction(int(v)) for v in row] for row in A.tolist()]
-    lower = [[Fraction(int(i == j)) for j in range(L)] for i in range(L)]
     pi = [0] * L
     used: list[int] = []
     for step in range(L):
@@ -202,11 +189,9 @@ def _lu_mapping_oracle(A, pivot_order=None):
             if work[i][col] != 0:
                 f = work[i][col] / work[step][col]
                 work[i] = [wi - f * ws for wi, ws in zip(work[i], work[step])]
-                lower[i] = [li - f * ls for li, ls in zip(lower[i], lower[step])]
     pairs = frozenset((m + 1, l + 1) for m in range(L) for l in range(L)
                       if work[m][l] != 0)
-    witness = np.array([[float(v) for v in row] for row in lower])
-    return AdmissibleMapping(pairs=pairs, L_real=witness), tuple(pi)
+    return AdmissibleMapping(pairs), tuple(pi)
 
 
 def pivot_orders_oracle(A):
@@ -222,9 +207,8 @@ def pivot_orders_oracle(A):
     return out
 
 
-def _bitwise(results):
-    return [(mapping.pairs, mapping.L_real.dtype, mapping.L_real.shape,
-             mapping.L_real.tobytes(), pi) for mapping, pi in results]
+def _pairs_pi(results):
+    return [(mapping.pairs, pi) for mapping, pi in results]
 
 
 def _oracle_matrices(rng, count):
@@ -251,7 +235,7 @@ class TestLuMappingsAll:
     def test_prefix_walk_equals_per_order_oracle(self):
         rng = np.random.default_rng(41)
         for A in _oracle_matrices(rng, 400):
-            assert _bitwise(lu_mappings_all(A)) == _bitwise(pivot_orders_oracle(A)), A
+            assert _pairs_pi(lu_mappings_all(A)) == _pairs_pi(pivot_orders_oracle(A)), A
 
     def test_forced_and_default_orders_equal_oracle(self):
         rng = np.random.default_rng(42)
@@ -260,14 +244,14 @@ class TestLuMappingsAll:
                 got, want = lu_mapping(A, order), _lu_mapping_oracle(A, order)
                 assert (got is None) == (want is None)
                 if got is not None:
-                    assert _bitwise([got]) == _bitwise([want])
+                    assert _pairs_pi([got]) == _pairs_pi([want])
             try:
                 want = _lu_mapping_oracle(A)
             except ValueError:
                 with pytest.raises(ValueError, match="rank deficient"):
                     lu_mapping(A)
                 continue
-            assert _bitwise([lu_mapping(A)]) == _bitwise([want])
+            assert _pairs_pi([lu_mapping(A)]) == _pairs_pi([want])
 
     def test_zero_pivot_prunes_the_subtree(self, monkeypatch):
         from cfkit import _exact
@@ -287,8 +271,8 @@ class TestLuMappingsAll:
         for L in range(1, 7):
             for perm in itertools.permutations(range(L)):
                 A = np.eye(L, dtype=int)[list(perm)]
-                assert _bitwise([regions.permutation_mapping(perm)]) == \
-                    _bitwise(lu_mappings_all(A)), perm
+                assert _pairs_pi([regions.permutation_mapping(perm)]) == \
+                    _pairs_pi(lu_mappings_all(A)), perm
 
 
 class TestSuccRegion:

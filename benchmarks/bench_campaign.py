@@ -14,6 +14,13 @@ Each repeat times the three level counts back to back on a new master seed,
 so that a drift in the host's speed moves them alike; a count's time is the
 median over the repeats.
 
+It then splits one block of each workload campaign, at the workload's own
+two levels, into the stages run_campaign runs: `_draw_block`,
+`_encode_block` and `_decode_block`.  It prints each stage's median ms per
+call, and how many `lattice.nearest_points` (quantizer) and
+`lattice.linear_labels` (labeling) calls the stage makes per block, counted
+in one untimed pass; the counts do not depend on the seed or the host.
+
 Usage: python3 benchmarks/bench_campaign.py [--repeats N]
 """
 
@@ -25,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cfkit import simulator
+from cfkit import lattice, simulator
 from cfkit.core import ChannelInstance
 from cfkit.lattice import build_ensemble
 
@@ -62,6 +69,69 @@ def time_counts(doc: dict, levels: list, repeats: int) -> list:
     return [statistics.median(t) * 1e3 for t in times]
 
 
+STAGES = ("_draw_block", "_encode_block", "_decode_block")
+
+
+def stage_deltas(config: simulator.TrialConfig, plan: simulator.TrialPlan, trials: int,
+                 read) -> dict:
+    """The first block of the config's campaign, stage by stage as
+    run_campaign runs it: per stage, how much read() grows across it."""
+    ens, ch, A = config.ensemble, config.ch, config.A
+    out = {}
+    before = read()
+
+    def done(stage):
+        nonlocal before
+        now = read()
+        if stage is not None:
+            out[stage] = now - before
+        before = now
+
+    messages, cubes, noise = simulator._draw_block(
+        ens, ch.num_antennas, config.master_seed, 0, min(trials, simulator.BLOCK_TRIALS))
+    done("_draw_block")
+    X, dithers, *_ = simulator._encode_block(ens, A, messages, cubes)
+    done("_encode_block")
+    Y = [np.matmul(ch.H, X) + noise * s for s in config.levels]
+    done(None)
+    simulator._decode_block(ens, A, plan, dithers, Y)
+    done("_decode_block")
+    return out
+
+
+def stage_calls(config: simulator.TrialConfig, plan: simulator.TrialPlan, trials: int) -> dict:
+    """Per stage: its quantizer and labeling calls in one block."""
+    counts = np.zeros(2, dtype=int)
+    originals = (lattice.nearest_points, lattice.linear_labels)
+
+    def counted(i):
+        def call(*args):
+            counts[i] += 1
+            return originals[i](*args)
+        return call
+
+    lattice.nearest_points, lattice.linear_labels = counted(0), counted(1)
+    try:
+        return stage_deltas(config, plan, trials, counts.copy)
+    finally:
+        lattice.nearest_points, lattice.linear_labels = originals
+
+
+def time_stages(doc: dict, repeats: int) -> dict:
+    """Per stage: median ms per call over the repeats, on one master seed
+    each, and its quantizer and labeling calls per block."""
+    ens = build_ensemble(**doc["ensemble"])
+    config = campaign(doc, ens, doc["noise_std"], repeats)
+    plan = simulator.TrialPlan.build(config)
+    calls = stage_calls(config, plan, doc["trials"])
+    times = {stage: [] for stage in STAGES}
+    for seed in range(repeats):
+        config = campaign(doc, ens, doc["noise_std"], seed)
+        for stage, t in stage_deltas(config, plan, doc["trials"], time.perf_counter).items():
+            times[stage].append(t)
+    return {stage: (statistics.median(times[stage]) * 1e3, *calls[stage]) for stage in STAGES}
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=100)
@@ -73,6 +143,12 @@ def main():
         for count, t in zip(LEVEL_COUNTS, ms):
             added = f"{(t - ms[0]) / (count - 1):9.3f}" if count > 1 else f"{'-':>9}"
             print(f"{name:>15} {doc['trials']:>7} {count:>7} {t:9.3f} {t / count:9.3f} {added}")
+    print()
+    print(f"{'campaign':>15} {'stage':>14} {'ms/call':>9} {'quantizer':>10} {'labels':>7}"
+          f"   (one block at the workload's two levels; calls per block)")
+    for name, doc, _ in SHAPES:
+        for stage, (ms, quantizer, labels) in time_stages(doc, args.repeats).items():
+            print(f"{name:>15} {stage:>14} {ms:9.3f} {quantizer:>10} {labels:>7}")
 
 
 if __name__ == "__main__":

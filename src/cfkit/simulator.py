@@ -7,15 +7,23 @@ that truth.  Per-trial randomness comes from a counter-based generator keyed
 by (master_seed, trial_index), so reports are reproducible and independent of
 how trials are grouped.
 
-One chain, in three stages over blocks of trials.  _draw_block draws each
-trial's messages, dither cubes and noise, on one Philox reset to each
-trial's key.  _encode_block makes the dithers, then runs each user's
-encoder (_encode_user) and labels the shifted points: the channel inputs
-and the true labels of the rows of A.  _decode_block equalizes, quantizes
-and, in successive mode, cancels over Z_p and recovers the real
-combinations, with a TrialPlan built once per campaign (the equalizers of
-each noise level, each from one core.mmse_solve on the unscaled channel;
-the Z_p cancellation matrix and the quantizing user per row).
+One chain, in three stages over blocks of trials.  _draw_block reads each
+trial's raw 64-bit words and noise from one Philox reset to the trial's
+key, and makes the block's messages and dither cubes from the words.
+_encode_block runs the encoders of the users of each coarse lattice
+together (_encode_users: the dithers and codewords in one quantizer call,
+the channel inputs and shifted points in one more) and labels every
+user's shifted points in one call: the channel inputs and the true labels
+of the rows of A.  _decode_block equalizes, quantizes and, in successive
+mode, cancels over Z_p and recovers the real combinations, with a
+TrialPlan built once per campaign (the equalizers of each noise level,
+each from one core.mmse_solve on the unscaled channel; the Z_p
+cancellation matrix and the quantizing user per row).  A parallel pass
+makes one quantizer call per distinct fine table, over every row that
+targets it, then one mod-coarse and one labeling call over all live rows;
+a successive pass goes row by row, each row needing the rows before it.
+The kernel answers each row of a call on its own, so stacking moves no
+output bit.
 
 A TrialConfig is a campaign: its noise_std holds one noise level or a
 sequence of them, and run_campaign gives one report per level.  Draws and
@@ -141,12 +149,14 @@ def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.nda
     return [mmse_solve(ch, a, A[:0], noise_std)[0] for a in A]
 
 
-def successive_equalizers(ch: ChannelInstance, A, noise_std: float
-                          ) -> list[tuple[np.ndarray, np.ndarray]]:
+def successive_equalizers(ch: ChannelInstance, A, noise_std: float, *,
+                          kept: list | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-row MMSE (b, c) pairs, c weighting the real combinations of the
-    earlier rows; c entries for dropped (dependent) rows are zero."""
+    earlier rows; c entries for dropped (dependent) rows are zero.  `kept`,
+    when given, is _exact.kept_rows of A, which depends on A alone."""
     A = np.atleast_2d(np.asarray(A, dtype=int))
-    kept = _exact.kept_rows(A.tolist())
+    if kept is None:
+        kept = _exact.kept_rows(A.tolist())
     out = []
     for m in range(A.shape[0]):
         keep = [i for i in range(m) if kept[i]]
@@ -203,9 +213,11 @@ def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[floa
 
 
 # Trials per block.  On a 2-core Xeon, a two-level README campaign (drawn
-# and encoded once, decoded twice) costs 78 us per trial at 16 trials per
-# block, 19 us at 128 and 13 us at 512, where the per-trial draws (about
-# 13 us: a state reset and three draw calls) dominate.  Block arrays are
+# and encoded once, decoded twice) costs 44 us per trial at 16 trials per
+# block, 10.5 us at 128 and 6.7 us at 512 (52, 16.5 and 12 us with three
+# Generator calls per trial's draw).  The per-trial draw, a state reset, one
+# random_raw and one standard_normal call, takes about 5 us of that at any
+# block size (benchmarks/bench_campaign.py).  Block arrays are
 # B x L x n floats, 10 kB per user at n = 10.  A campaign of C noise levels
 # decodes them in one pass, so each quantizer call holds C x B rows; its
 # temporaries are bounded separately by lattice.nearest_points, which
@@ -247,7 +259,9 @@ class TrialPlan:
                                     else np.asarray(level[m], dtype=float) for m in rows]
                                    for level in levels],
                        targets=targets)
-        levels = [successive_equalizers(ch, A, s) if optimal else eq for s in config.levels]
+        kept = _exact.kept_rows(A.tolist()) if optimal else None
+        levels = [successive_equalizers(ch, A, s, kept=kept) if optimal else eq
+                  for s in config.levels]
         pairs = _mapping_pairs(config.mapping)
         Lbar, Lbar_inv = config.cancellation
         return cls(equalizers=[[(np.asarray(level[m][0], dtype=float),
@@ -290,6 +304,22 @@ def _dither_sum(coeffs, dithers):
     return sum(int(coeffs[l]) * dithers[l] for l in range(len(dithers)))
 
 
+def _lemire_symbols(words: np.ndarray, p: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symbols Generator.integers(0, p, width) makes from the 64-bit
+    Philox words it reads, per row of a B x ceil(width / 2) block of words.
+
+    Each word gives its low 32-bit half, then its high half, and half u
+    gives symbol (u p) >> 32 (Lemire's bounded-integer rule).  numpy refuses
+    a half whose (u p) mod 2^32 falls below 2^32 mod p and reads another, so
+    a row with a refused half does not hold that stream's symbols.  Returns
+    the B x width int64 symbols and, per row, whether a half was refused.
+    """
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(len(words), -1)
+    scaled = halves[:, :width] * np.uint64(p)
+    refused = np.any(scaled & 0xFFFFFFFF < (1 << 32) % p, axis=1)
+    return (scaled >> 32).astype(np.int64), refused
+
+
 def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
                 start: int, stop: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The random draws of trials start .. stop - 1, trial i's from its own
@@ -301,25 +331,38 @@ def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
     (B x antennas x n standard normals).  One Philox serves the block: each
     trial sets its state to that of a fresh Philox keyed by
     (master_seed, i), counter 0, empty buffer, no buffered 32-bit half.
-    Bounded integers (Lemire's method) take next_uint32 in order, so one
-    integers call over all users' widths gives the per-user calls, upper
-    halves carried across users included; one random and one
-    standard_normal call fill the cubes and the noise in stream order.
+    integers takes the W message symbols from 32-bit halves of the stream's
+    64-bit words, low half first, so ceil(W / 2) words hold them unless a
+    half is refused; random takes one whole word per cube entry,
+    (word >> 11) 2^-53, and never reads a buffered upper half.  So each
+    trial reads its ceil(W / 2) + L n words in one random_raw call and its
+    noise in one standard_normal call, and the symbols (_lemire_symbols)
+    and cubes are made from the words over the whole block.  A trial with a
+    refused half (odds about p / 2^32 per symbol) is drawn again by the
+    three Generator calls.
     """
-    B, n = stop - start, ens.n
+    B, n, users = stop - start, ens.n, ens.num_users
     widths = [kf - kc for kc, kf in ens.levels]
+    width = sum(widths)
+    half = (width + 1) // 2
     bitgen = np.random.Philox(key=np.array(
         [master_seed & 0xFFFFFFFFFFFFFFFF, start], dtype=np.uint64))
     state = bitgen.state
     key = state["state"]["key"]
     rng = np.random.Generator(bitgen)
-    symbols = np.empty((B, sum(widths)), dtype=np.int64)
-    cubes = np.empty((B, ens.num_users, n))
+    words = np.empty((B, half + users * n), dtype=np.uint64)
     noise = np.empty((B, antennas, n))
     for j in range(B):
         key[1] = start + j
         bitgen.state = state
-        symbols[j] = rng.integers(0, ens.p, size=symbols.shape[1], dtype=np.int64)
+        words[j] = bitgen.random_raw(words.shape[1])
+        rng.standard_normal(out=noise[j])
+    symbols, refused = _lemire_symbols(words[:, :half], ens.p, width)
+    cubes = ((words[:, half:] >> 11) * 2.0 ** -53).reshape(B, users, n)
+    for j in np.flatnonzero(refused):
+        key[1] = start + j
+        bitgen.state = state
+        symbols[j] = rng.integers(0, ens.p, size=width, dtype=np.int64)
         rng.random(out=cubes[j])
         rng.standard_normal(out=noise[j])
     ends = np.cumsum(widths)
@@ -332,23 +375,27 @@ def _dither_step(ens: NestedLatticeEnsemble, coarse, lam, dither):
     shifted points: the codewords moved by the coarse point that step
     absorbed, the coset representatives the decoder recovers."""
     moved = lam + dither
-    absorbed = lattice.nearest_points(ens, coarse, moved)
+    absorbed = _nearest(ens, coarse, moved)
     return moved - absorbed, lam - absorbed
 
 
-def _encode_user(ens: NestedLatticeEnsemble, u: int, messages, dithers):
-    """User u + 1's encoder on a block of B x (k_F,l - k_C,l) messages and
-    B x n dithers: the codewords (the messages at the user's signal levels,
-    mod its coarse lattice), the channel inputs and the shifted points.
-    The dithers lie in the user's coarse Voronoi region: _encode_block
-    makes them there, and encode checks the one it is given."""
-    coarse = ("C", u + 1)
-    kc, kf = ens.levels[u]
-    V = np.zeros((dithers.shape[0], ens.k_F), dtype=np.int64)
-    V[:, kc:kf] = messages
-    point = (ens.gamma / ens.p) * ((V @ ens.G) % ens.p).astype(np.float64)
-    lam = _mod_rows(ens, coarse, point)
-    return (lam, *_dither_step(ens, coarse, lam, dithers))
+def _encode_users(ens: NestedLatticeEnsemble, users: list, messages: list, dithers):
+    """The encoders of users (0-based) that share one coarse lattice, on
+    their B x (k_F,l - k_C,l) message blocks and U x B x n dithers.  One
+    quantizer call reduces the dithers and the codewords (the messages at
+    each user's signal levels) mod that lattice, and one more makes the
+    channel inputs and the shifted points (_dither_step).  Returns the
+    reduced dithers, the codewords, the inputs and the shifted points,
+    U x B x n each."""
+    coarse = ("C", users[0] + 1)
+    points = np.empty_like(dithers)
+    for i, u in enumerate(users):
+        kc, kf = ens.levels[u]
+        V = np.zeros((dithers.shape[1], ens.k_F), dtype=np.int64)
+        V[:, kc:kf] = messages[i]
+        points[i] = (ens.gamma / ens.p) * ((V @ ens.G) % ens.p).astype(np.float64)
+    dithers, lam = _mod_rows(ens, coarse, np.stack([dithers, points]))
+    return (dithers, lam, *_dither_step(ens, coarse, lam, dithers))
 
 
 def _check_coset(ens: NestedLatticeEnsemble, u: int, labels, messages) -> None:
@@ -371,20 +418,24 @@ def _encode_block(ens: NestedLatticeEnsemble, A: np.ndarray, messages: list,
     """Dithers and encoding of a block: each user's dithers (its cubes
     scaled by gamma, mod its coarse lattice), the channel inputs X
     (B x L x n), each user's codewords and shifted points (B x n), and the
-    true labels (B x M x k) of the rows of A."""
-    B, users = cubes.shape[0], ens.num_users
-    X = np.empty((B, users, ens.n))
-    labels = np.empty((B, users, ens.k), dtype=np.int64)
-    dithers, codewords, shifted = [], [], []
+    true labels (B x M x k) of the rows of A.  The users of each coarse
+    lattice are encoded together (_encode_users), and one labeling call
+    takes every user's shifted points."""
+    B, users, n = cubes.shape[0], ens.num_users, ens.n
+    X = np.empty((B, users, n))
+    dithers, codewords, shifted = (np.empty((users, B, n)) for _ in range(3))
+    groups = {}
+    for u, (kc, _) in enumerate(ens.levels):
+        groups.setdefault(kc, []).append(u)
+    for group in groups.values():
+        dither, lam, x, point = _encode_users(
+            ens, group, [messages[u] for u in group], cubes[:, group].swapaxes(0, 1) * ens.gamma)
+        dithers[group], codewords[group], shifted[group] = dither, lam, point
+        X[:, group] = x.swapaxes(0, 1)
+    labels = _labels(ens, shifted)
     for u in range(users):
-        dither = _mod_rows(ens, ("C", u + 1), cubes[:, u] * ens.gamma)
-        lam, X[:, u], point = _encode_user(ens, u, messages[u], dither)
-        labels[:, u] = lattice.linear_labels(ens, point)
-        _check_coset(ens, u, labels[:, u], messages[u])
-        dithers.append(dither)
-        codewords.append(lam)
-        shifted.append(point)
-    return X, dithers, codewords, shifted, _combine(ens, A, labels)
+        _check_coset(ens, u, labels[u], messages[u])
+    return X, list(dithers), list(codewords), list(shifted), _combine(ens, A, labels.swapaxes(0, 1))
 
 
 def _recover_real(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
@@ -396,9 +447,10 @@ def _recover_real(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndar
 
 
 def _labels(ens: NestedLatticeEnsemble, points) -> np.ndarray:
-    """lattice.linear_labels on C x B x n points: C x B x k labels."""
+    """lattice.linear_labels on the points along the last axis, whatever its
+    leading axes: one call, ... x n points in, ... x k labels out."""
     return lattice.linear_labels(ens, points.reshape(-1, ens.n)).reshape(
-        *points.shape[:2], ens.k)
+        *points.shape[:-1], ens.k)
 
 
 def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
@@ -408,8 +460,11 @@ def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
     Y holds one received block (B x antennas x n) per level, in the plan's
     order.  Each level is equalized on its own; the quantizing, mod-coarse,
     labeling and real-recovery steps then take the C levels' rows as one
-    stacked (C B) x n block.  The kernel answers each row on its own, so
-    every level's outputs are bitwise those of a one-level plan.
+    stacked (C B) x n block.  A parallel plan also stacks its rows: one
+    quantizer call per distinct fine table over the rows that target it,
+    one mod-coarse call and one labeling call over all live rows.  The
+    kernel answers each row on its own, so every level's outputs are
+    bitwise those of a one-level, one-row plan.
 
     Returns the decoded labels (C x B x M x k) and, for a successive plan,
     per row of A: the recovered real combinations, the quantized reduced
@@ -420,14 +475,17 @@ def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
     C, (B, _, n), M = len(Y), Y[0].shape, A.shape[0]
     decoded = np.zeros((C, B, M, ens.k), dtype=np.int64)
     if plan.Lbar is None:  # parallel
-        for m, target in enumerate(plan.targets):
-            if target is None:
-                continue
+        live = [m for m, target in enumerate(plan.targets) if target is not None]
+        t = np.empty((len(live), C, B, n))
+        tables = {}
+        for i, m in enumerate(live):
             dither = _dither_sum(A[m], dithers)
-            t = np.empty((C, B, n))
             for c, (level, Yc) in enumerate(zip(plan.equalizers, Y)):
-                t[c] = np.matmul(level[m], Yc) - dither
-            decoded[:, :, m] = _labels(ens, _mod_rows(ens, "C", _nearest(ens, ("F", target), t)))
+                t[i, c] = np.matmul(level[m], Yc) - dither
+            tables.setdefault(ens.prefix_len(("F", plan.targets[m])), []).append(i)
+        for rows in tables.values():
+            t[rows] = _nearest(ens, ("F", plan.targets[live[rows[0]]]), t[rows])
+        decoded[:, :, live] = np.moveaxis(_labels(ens, _mod_rows(ens, "C", t)), 0, 2)
         return decoded, None, None, None
     reals, nus, mus = [], [], []
     for m, target in enumerate(plan.targets):
@@ -519,11 +577,13 @@ def _message_row(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
 def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
     """Map a message to its lattice codeword and dithered channel input."""
     message = _message_row(ens, user, message)
-    dither = _rows(dither)
-    if not np.allclose(_mod_rows(ens, ("C", user), dither), dither, atol=1e-9):
+    dither = _rows(dither)[None]
+    # a dither that passes the check is its own reduction, bit for bit: a
+    # nonzero coarse point would move it by far more than the tolerance
+    reduced, lam, x, _ = _encode_users(ens, [user - 1], [message], dither)
+    if not np.allclose(reduced, dither, atol=1e-9):
         raise ValueError("dither must lie in the user's coarse Voronoi region")
-    lam, x, _ = _encode_user(ens, user - 1, message, dither)
-    return lam[0], x[0]
+    return lam[0, 0], x[0, 0]
 
 
 def shifted_point(ens: NestedLatticeEnsemble, user: int, lam, dither) -> np.ndarray:

@@ -66,20 +66,22 @@ class TestEncode:
             encode(ens, 1, [0], np.array([5.0, 5.0]))
 
     def test_block_encoder_reduces_each_dither_once(self, monkeypatch):
-        # per user: the dither, the codeword and the dithered input, each
-        # reduced mod the coarse lattice once; the dither is not re-checked
+        # per coarse table: every user's dithers and codewords reduced in
+        # one call, then every user's dithered inputs in one more; the
+        # dither is not re-checked.  Both users of small_ensemble have
+        # k_C,l = 0, so the call for ("C", 1) serves them both
         calls = []
         quantize = lattice.nearest_points
 
         def spy(*args):
-            calls.append(args[1])
+            calls.append((args[1], args[2].shape[0]))
             return quantize(*args)
 
         ens = small_ensemble()
         messages, cubes, _ = _draw_block(ens, 2, 5, 0, 7)
         monkeypatch.setattr(lattice, "nearest_points", spy)
         simulator._encode_block(ens, A22, messages, cubes)
-        assert calls == [("C", 1)] * 3 + [("C", 2)] * 3
+        assert calls == [(("C", 1), 2 * 2 * 7), (("C", 1), 2 * 7)]
 
 
 class TestTrueCombinations:
@@ -668,6 +670,24 @@ class TestBlockEngine:
         assert TrialPlan.build(cfg).targets[1] is None
         block_outcomes_vs_oracle(cfg, 20)
 
+    def test_parallel_rows_on_two_fine_tables(self):
+        # rows quantized by users with different fine lattices (k_F,l = 2 and
+        # 3), a row that vanishes mod p, and users 1 and 3 sharing a coarse
+        # lattice that user 2 does not
+        ens = build_ensemble(4, 3, 3.0, [(1, 2), (0, 3), (1, 3)], seed=8)
+        A = np.array([[1, 0, 0], [0, 1, 1], [3, 3, 0], [1, 2, 0]])
+        ch = ChannelInstance(H=[[1.0, 0.3, 0.2], [0.5, 1.2, 0.1], [0.2, 0.4, 1.1]],
+                             P=[1.0, 1.0, 1.0])
+        outcomes = set()
+        for noise in (0.05, 0.3, 0.8):
+            cfg = TrialConfig(ensemble=ens, ch=ch, A=A, mode="parallel",
+                              noise_std=noise, master_seed=12)
+            targets = TrialPlan.build(cfg).targets
+            assert [None if t is None else ens.levels[t - 1][1] for t in targets] == \
+                [2, 3, None, 3]
+            outcomes.update(block_outcomes_vs_oracle(cfg, 30).ravel().tolist())
+        assert outcomes == {True, False}
+
     def test_dependent_successive_step(self):
         # criterion 9's channel: the zero third row has no quantizing user
         ens = build_ensemble(2, 3, np.sqrt(12.0), [(0, 1)] * 3, seed=909)
@@ -798,6 +818,8 @@ class TestDrawBlock:
         (lambda: build_ensemble(8, 7, 7.0, [(0, 4), (1, 5)], seed=21), 2),
         (lambda: build_ensemble(5, 3, 3.0, [(0, 3), (2, 3), (0, 1)], seed=4), 1),
         (lambda: build_ensemble(6, 5, 5.0, [(1, 2), (0, 3), (0, 1), (1, 4)], seed=6), 3),
+        # every k_C,l = k_F,l: no message symbols, so no 32-bit half is read
+        (lambda: build_ensemble(4, 3, 3.0, [(1, 1), (2, 2)], seed=3), 2),
     ]
 
     @pytest.mark.parametrize("shape", range(len(SHAPES)))
@@ -815,6 +837,85 @@ class TestDrawBlock:
                 assert got[2].tobytes() == want[2].tobytes(), (seed, start)
                 keys += stop - start
         assert keys * len(self.SHAPES) >= 10 ** 4
+
+    @pytest.mark.parametrize("shape", [0, 1, 3])
+    def test_refused_trials_are_drawn_again(self, shape, monkeypatch):
+        # a refused half is too rare to meet in a test (odds about p / 2^32
+        # per symbol), so chosen trials are marked refused and their symbols
+        # spoiled: only the per-trial redraw gives them back
+        chosen = [0, 5, 6, 39]
+        words_to_symbols = simulator._lemire_symbols
+
+        def refuse(*args):
+            symbols, refused = words_to_symbols(*args)
+            symbols[chosen] = -1
+            refused[chosen] = True
+            return symbols, refused
+
+        monkeypatch.setattr(simulator, "_lemire_symbols", refuse)
+        make, antennas = self.SHAPES[shape]
+        ens = make()
+        got = _draw_block(ens, antennas, 17, 100, 140)
+        want = oracle_draws(ens, antennas, 17, 100, 140)
+        for g, w in zip(got[0], want[0]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def numpy_symbols(words, p, width):
+    """Generator.integers(0, p, width) on a Philox whose next four 64-bit
+    words are the given ones (its buffer), and whether it read exactly
+    `width` 32-bit halves of them."""
+    bitgen = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
+    state = bitgen.state
+    state["buffer"] = np.asarray(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bitgen.state = state
+    symbols = np.random.Generator(bitgen).integers(0, p, size=width, dtype=np.int64)
+    after = bitgen.state
+    read = 2 * after["buffer_pos"] - after["has_uint32"]
+    return symbols, read == width and not after["state"]["counter"].any()
+
+
+class TestLemireSymbols:
+    """simulator._lemire_symbols against Generator.integers on crafted
+    words: numpy refuses a half u when (u p) mod 2^32 < 2^32 mod p."""
+
+    @staticmethod
+    def halves(p):
+        t = 2 ** 32 % p
+        # the half whose (u p) mod 2^32 equals t: u = t p^-1 for odd p, and
+        # 2^31 for p = 2 (t = 0)
+        at = t * pow(p, -1, 2 ** 32) % 2 ** 32 if p % 2 else 2 ** 31
+        below = (t - 1) * pow(p, -1, 2 ** 32) % 2 ** 32 if t else at
+        rng = np.random.default_rng(p)
+        return [0, at, below, 2 ** 32 - 1, 1, *rng.integers(0, 2 ** 32, size=10).tolist()]
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_symbols_and_refusals_match_numpy(self, p):
+        t = 2 ** 32 % p
+        pool = self.halves(p)
+        rng = np.random.default_rng(100 + p)
+        rows = [[h] * 8 for h in pool]  # each crafted half alone
+        rows += [rng.choice(pool, size=8).tolist() for _ in range(300)]
+        words = np.array([[lo | hi << 32 for lo, hi in zip(r[::2], r[1::2])] for r in rows],
+                         dtype=np.uint64)
+        seen = set()
+        for width in range(9):
+            got, refused = simulator._lemire_symbols(words[:, :(width + 1) // 2], p, width)
+            assert got.shape == (len(rows), width) and got.dtype == np.int64
+            for row, (w, g, r) in enumerate(zip(words, got, refused)):
+                want, exact = numpy_symbols(w, p, width)
+                assert r == (not exact), (p, width, row)
+                if exact:
+                    assert np.array_equal(g, want), (p, width, row)
+                # a zero half is refused unless t = 0 (p = 2); the half at
+                # the threshold is kept
+                if width and row < 2:
+                    assert r == (row == 0 and t > 0), (p, width, row)
+                seen.add(bool(r))
+        assert seen == ({True, False} if t else {False})
 
 
 def campaign(levels, **fields):
@@ -917,6 +1018,31 @@ class TestRunCampaign:
             rows.append(sum(calls))
         assert counts[0] == counts[1] > 0
         assert rows[1] > rows[0]
+
+
+def test_parallel_decode_one_call_per_fine_table(monkeypatch):
+    # one quantizer call per distinct fine table over the rows that target
+    # it, at every level, then one mod-C call and one labeling call over
+    # every live row
+    ens = build_ensemble(4, 3, 3.0, [(1, 2), (0, 3), (1, 3)], seed=8)
+    A = np.array([[1, 0, 0], [0, 1, 1], [3, 3, 0], [1, 2, 0]])
+    ch = ChannelInstance(H=np.eye(3) + 0.2, P=[1.0, 1.0, 1.0])
+    config = TrialConfig(ensemble=ens, ch=ch, A=A, mode="parallel",
+                         noise_std=[0.5, 0.1], master_seed=3)
+    plan = TrialPlan.build(config)
+    messages, cubes, noise = _draw_block(ens, 3, 3, 0, 9)
+    X, dithers, *_ = simulator._encode_block(ens, A, messages, cubes)
+    Y = [np.matmul(ch.H, X) + noise * s for s in config.levels]
+    calls = []
+    quantize, label = lattice.nearest_points, lattice.linear_labels
+    monkeypatch.setattr(lattice, "nearest_points",
+                        lambda *args: calls.append((args[1], len(args[2]))) or quantize(*args))
+    monkeypatch.setattr(lattice, "linear_labels",
+                        lambda *args: calls.append(("labels", len(args[1]))) or label(*args))
+    simulator._decode_block(ens, A, plan, dithers, Y)
+    rows = 2 * 9  # levels x trials per live row
+    assert calls == [(("F", 1), rows), (("F", 2), 2 * rows), ("C", 3 * rows),
+                     ("labels", 3 * rows)]
 
 
 def test_large_campaign_enumerates_no_large_table():

@@ -7,6 +7,13 @@ coefficient search), mac (multiple-access assignment tables), simulate
 Exit codes: 0 success, 1 verification failure, 2 input error.  All numeric
 output uses six decimal places; runs with identical inputs and seeds produce
 byte-identical files.  CFKIT_OUTDIR sets the default output directory.
+
+main is the one place that turns an exception into exit 2 with a single
+"error: <message>" line on stderr.  It catches InputError (raised here with
+a message of its own), ValueError (numpy's LinAlgError and undecodable input
+among them), ArithmeticError, RuntimeError (searches that exhaust their box
+or node budget) and OSError (unreadable input, unwritable --out).  Any other
+exception is a fault of the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -32,15 +39,28 @@ class InputError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON syntax, or bytes that are not UTF-8
         raise InputError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _has_bool(value) -> bool:
+    """Whether a JSON value is true or false, or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
 
 
 def _channel_from(doc: dict, h_key: str = "H") -> ChannelInstance:
+    for key in (h_key, "P"):
+        if _has_bool(doc.get(key)):
+            raise InputError(f"bad numeric field: {key!r} holds true or false")
     try:
         H = np.array(doc[h_key], dtype=float)
         P = np.array(doc["P"], dtype=float)
@@ -48,10 +68,7 @@ def _channel_from(doc: dict, h_key: str = "H") -> ChannelInstance:
         raise InputError(f"missing field {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad numeric field: {exc}")
-    try:
-        ch = ChannelInstance(H=H, P=P)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    ch = ChannelInstance(H=H, P=P)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = (np.all(np.isfinite(ch.H @ ch.P_matrix() @ ch.H.T))
                   and np.all(np.isfinite(ch.H.T @ ch.H)))
@@ -65,6 +82,8 @@ def _coeff_matrix(doc: dict, key: str = "A", required: bool = True):
         if required:
             raise InputError(f"missing field {key!r}")
         return None
+    if _has_bool(doc[key]):
+        raise InputError(f"field {key!r} must be an integer matrix")
     try:
         A = np.array(doc[key])
         integral = np.array_equal(A, np.rint(A))
@@ -203,29 +222,23 @@ def cmd_region(args) -> int:
         if A.shape[1] != ch.num_users:
             raise InputError(f"coefficient matrix has {A.shape[1]} columns "
                              f"for {ch.num_users} users")
-    elif mode not in ("mac", "sic"):
-        raise InputError(f"unknown mode {mode!r}")
-    files = {}
-    try:
-        if mode == "para":
-            spec = regions.para_region(ch, A)
-        elif mode in ("succ", "asc"):
-            mapping = _mapping_from(doc)
-            if mapping is None:  # every row serves every user
-                mapping = frozenset(itertools.product(range(1, A.shape[0] + 1),
-                                                      range(1, ch.num_users + 1)))
-            fn = regions.succ_region if mode == "succ" else regions.asc_region
-            spec = fn(ch, A, mapping)
-        elif mode == "mac":
-            spec = regions.mac_region(ch)
-        else:
-            spec = _sic_spec(ch)
-        files[f"region_{mode}.json"] = regions.spec_to_json(spec)
-        if ch.num_users == 2 and not any(UNBOUNDED in b.caps for b in spec.boxes):
-            verts = regions.region_2d([spec], "intersect")
-            files[f"region_{mode}_boundary.csv"] = regions.boundary_to_csv(verts)
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(str(exc))
+    if mode == "para":
+        spec = regions.para_region(ch, A)
+    elif mode in ("succ", "asc"):
+        mapping = _mapping_from(doc)
+        if mapping is None:  # every row serves every user
+            mapping = frozenset(itertools.product(range(1, A.shape[0] + 1),
+                                                  range(1, ch.num_users + 1)))
+        fn = regions.succ_region if mode == "succ" else regions.asc_region
+        spec = fn(ch, A, mapping)
+    elif mode == "mac":
+        spec = regions.mac_region(ch)
+    else:
+        spec = _sic_spec(ch)
+    files = {f"region_{mode}.json": regions.spec_to_json(spec)}
+    if ch.num_users == 2 and not any(UNBOUNDED in b.caps for b in spec.boxes):
+        verts = regions.region_2d([spec], "intersect")
+        files[f"region_{mode}_boundary.csv"] = regions.boundary_to_csv(verts)
     for name, text in files.items():
         _write(out / name, text)
     return 0
@@ -241,11 +254,7 @@ def _cmd_region_compound(doc: dict, out: Path) -> int:
     channels = [_channel_from({"H": H, "P": doc.get("P")}) for H in H_list]
     if any(ch.num_users != 2 for ch in channels):
         raise InputError("compound mode supports exactly two users")
-    try:
-        files = _compound_files(channels)
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(str(exc))
-    for name, text in files.items():
+    for name, text in _compound_files(channels).items():
         _write(out / name, text)
     return 0
 
@@ -288,28 +297,23 @@ def cmd_search(args) -> int:
     doc = _load_json(args.input)
     ch = _channel_from(doc)
     out = _outdir(args)
+    box = {}  # dominant_solution's own max_radius under --bound auto
     if args.bound != "auto":
         try:
-            radius = int(args.bound)
+            box["max_radius"] = int(args.bound)
         except ValueError:
             raise InputError("--bound must be 'auto' or an integer")
-        if radius <= 0:
+        if box["max_radius"] <= 0:
             raise InputError("empty search box: bound must be positive")
-    else:
-        radius = None
-    try:
-        bound_val = intsearch.entry_bound(ch)
-        dom = intsearch.dominant_solution(
-            effective_matrix(ch), max_radius=radius if radius is not None else 64)
-        # the rows of A_star are exactly independent
-        chained = chained_variances(ch, dom.A_star).tolist()
-        unchained = regions.row_variances(ch, dom.A_star, chained=False)
-        rows = [{"row": [int(v) for v in row],
-                 "sigma2_parallel": round(para, 6),
-                 "sigma2_successive": round(succ, 6)}
-                for row, para, succ in zip(dom.A_star, unchained, chained)]
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        raise InputError(str(exc))
+    bound_val = intsearch.entry_bound(ch)
+    dom = intsearch.dominant_solution(effective_matrix(ch), **box)
+    # the rows of A_star are exactly independent
+    chained = chained_variances(ch, dom.A_star).tolist()
+    unchained = regions.row_variances(ch, dom.A_star, chained=False)
+    rows = [{"row": [int(v) for v in row],
+             "sigma2_parallel": round(para, 6),
+             "sigma2_successive": round(succ, 6)}
+            for row, para, succ in zip(dom.A_star, unchained, chained)]
     payload = {"entry_bound": round(bound_val, 6),
                "max_abs_entry": int(np.floor(np.sqrt(bound_val))),
                "A_star": dom.A_star.tolist(),
@@ -322,12 +326,9 @@ def cmd_search(args) -> int:
 
 def _mac_payload(ch: ChannelInstance) -> dict:
     """The content of `cfkit mac`'s mac_assignments.json for the channel."""
-    try:
-        cap = sum_capacity(ch)
-        tables = (("parallel", mac_opt.parallel_mac_assignments(ch)),
-                  ("successive", mac_opt.successive_mac_assignments(ch)))
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        raise InputError(str(exc))
+    cap = sum_capacity(ch)
+    tables = (("parallel", mac_opt.parallel_mac_assignments(ch)),
+              ("successive", mac_opt.successive_mac_assignments(ch)))
     entries = [{"strategy": strategy, "A": asg.A.tolist(), "pi": list(asg.pi),
                 "rates": [round(r, 6) for r in asg.rates],
                 "sum_rate": round(asg.sum_rate, 6),
@@ -355,6 +356,8 @@ def _ensemble_from(doc: dict) -> lattice.NestedLatticeEnsemble:
     try:
         e = doc["ensemble"]
         levels = tuple(tuple(lv) for lv in e["levels"])
+        if _has_bool(list(e.values())):
+            raise InputError("bad ensemble config: a field holds true or false")
         if "G" in e:
             kf = max(b for _, b in levels)
             G = np.array(e["G"], dtype=np.int64).reshape(kf, e["n"])
@@ -450,20 +453,10 @@ def cmd_simulate(args) -> int:
             raise InputError(f"missing field {key!r}")
     trials = _count(doc["trials"], "trials")
     master_seed = _seed(doc["master_seed"])
-    _count(args.workers, "--workers")
-    if "workers" in doc:
-        _count(doc["workers"], "workers")
-    try:
-        config = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode, mapping=mapping,
-                                       noise_std=noise_list, equalizers=equalizers,
-                                       master_seed=master_seed)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    try:
-        results = simulator.run_campaign(config, trials)
-    except (ValueError, ArithmeticError) as exc:
-        # zero powers, and decoded points that leave float range
-        raise InputError(str(exc))
+    config = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode, mapping=mapping,
+                                   noise_std=noise_list, equalizers=equalizers,
+                                   master_seed=master_seed)
+    results = simulator.run_campaign(config, trials)
     csv_lines = ["noise_std,combination_index,errors,trials,rate_estimate,ci_low,ci_high"]
     for ns, rep in zip(noise_list, results):
         for combo in rep["combinations"]:
@@ -653,6 +646,8 @@ def _verify_lattice(seed: int):
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be an integer >= 0, got {args.seed}")
     checks = []
     if args.suite in ("identities", "all"):
         checks += _verify_identities(args.seed)
@@ -696,9 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; trials run in one process "
-                        "and results do not depend on it")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="self-check identities and lattice algebra")
@@ -712,7 +704,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

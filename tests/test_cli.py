@@ -198,6 +198,11 @@ _ILL_CONDITIONED_3_USERS = {
           [2.6173547520922833, 0.049296135617367245, -0.00856342679795989]],
     "P": [0.3495355968249849, 7737.990263562073, 479.81084557660967]}
 
+# A receiver whose gains are five decades apart: the dominant search's
+# default box of radius 64 does not certify its picks.
+_WIDE_GAINS = [0.0025322789496672257, 404.172447150663]
+_WIDE_POWERS = [0.11459278121198337, 0.41364925345864595]
+
 
 @pytest.mark.parametrize("argv,doc,message,report", [
     (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power",
@@ -219,6 +224,8 @@ _ILL_CONDITIONED_3_USERS = {
        "inconsistent Gram matrix", report) for argv, report in _OVERFLOW_RUNS[:5]],
     (["region", "--mode", "compound"], {"H": [[[1e15, 1e15]], [[1, 2]]], "P": [1, 1]},
      "inconsistent Gram matrix", "compound_rx1_mac.csv"),
+    (["region", "--mode", "compound"], {"H": [[[1, 2]], [_WIDE_GAINS]], "P": _WIDE_POWERS},
+     "enumeration exhausted at radius 64", "compound_rx1_mac.csv"),
     (["region", "--mode", "succ"], {"H": [[1, 1]], "P": [1, 1],
                                      "A": [[10 ** 12, 1], [10 ** 12 + 1, 1]],
                                      "mapping": [[1, 1], [1, 2]]},
@@ -234,7 +241,8 @@ _ILL_CONDITIONED_3_USERS = {
         "search-zero-power", "region-para-zero-power",
         *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
         *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
-        "region-compound-ill-conditioned", "region-succ-borderline-mapping",
+        "region-compound-ill-conditioned", "region-compound-exhausted",
+        "region-succ-borderline-mapping",
         "mac-sum-identity-miss", "region-succ-rank-refusal"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
@@ -242,6 +250,27 @@ def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, r
     code = run(argv + ["--input", path, "--out", tmp_path])
     assert_input_error(code, capsys, message)
     assert not (tmp_path / report).exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["mac", "--input", "{tmp}", "--out", "{tmp}/out"], "Is a directory"),
+    (["mac", "--input", "{tmp}/fig7.json", "--out", "{tmp}/taken"], "File exists"),
+    (["mac", "--input", "{tmp}/latin1.json", "--out", "{tmp}/out"],
+     "latin1.json: 'utf-8' codec can't decode"),
+    (["mac", "--input", "{tmp}/array.json", "--out", "{tmp}/out"],
+     "array.json must hold a JSON object"),
+], ids=["verify-negative-seed", "input-is-directory", "out-is-file",
+        "input-not-utf8", "input-not-object"])
+def test_unusable_arguments_are_input_errors(tmp_path, capsys, argv, message):
+    files = {"fig7.json": json.dumps({"H": [[1, 1.5]], "P": [7, 4]}).encode(),
+             "latin1.json": '{"H": [[1, 1.5]], "P": [7, 4], "site": "Å"}'.encode("latin-1"),
+             "array.json": b"[1, 2]", "taken": b""}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code = run([a.format(tmp=tmp_path) for a in argv])
+    assert_input_error(code, capsys, message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 class TestSimulate:
@@ -276,9 +305,8 @@ class TestSimulate:
         rows = [l.split(",") for l in first.decode().strip().split("\n")[1:]]
         errs = {(float(r[0])): int(r[2]) for r in rows if r[1] == "1"}
         assert errs[0.02] <= errs[2.0]
-        # byte-identical across repeat runs and worker counts
-        assert run(["simulate", "--config", cfg, "--out", tmp_path,
-                    "--workers", "4"]) == 0
+        # byte-identical across repeat runs
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
         assert (tmp_path / "report.csv").read_bytes() == first
         assert (tmp_path / "report.json").read_bytes() == first_json
 
@@ -315,7 +343,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field,value", [
         ("trials", 0), ("trials", -5), ("trials", 2.5), ("trials", "7"),
-        ("trials", True), ("workers", 0), ("workers", -1)])
+        ("trials", True)])
     def test_counts_must_be_positive_integers(self, tmp_path, capsys, field, value):
         cfg = self.config(tmp_path, **{field: value})
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
@@ -323,17 +351,13 @@ class TestSimulate:
         assert err.count("\n") == 1 and f"{field} must be an integer >= 1" in err
         assert not (tmp_path / "report.json").exists()
 
-    def test_workers_flag_validated_and_inert(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, noise_std=[0.5], trials=10, workers=3)
-        assert run(["simulate", "--config", cfg, "--out", tmp_path,
-                    "--workers", "0"]) == 2
-        assert "--workers must be an integer >= 1" in capsys.readouterr().err
-        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
-        first = (tmp_path / "report.json").read_bytes()
-        cfg = self.config(tmp_path, noise_std=[0.5], trials=10.0)
-        assert run(["simulate", "--config", cfg, "--out", tmp_path,
-                    "--workers", "2"]) == 0
-        assert (tmp_path / "report.json").read_bytes() == first
+    def test_integral_trials_float_runs_the_integer_count(self, tmp_path):
+        reports = []
+        for trials in (10, 10.0):
+            cfg = self.config(tmp_path, noise_std=[0.5], trials=trials)
+            assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("overrides,message", [
         ({"mode": "successive", "mapping": [[1, 1], [2, 2]]},
@@ -399,13 +423,19 @@ class TestSimulate:
         ({"noise_std": [[0.5]]}, "field 'noise_std'"),
         ({"noise_std": 10 ** 400}, "field 'noise_std'"),
         ({"noise_std": [0.5, -0.1]}, "noise_std must be finite and nonnegative"),
+        ({"A": [[True, False], [False, True]]}, "field 'A' must be an integer matrix"),
+        ({"P": [True, 1.0]}, "bad numeric field: 'P' holds true or false"),
+        ({"H": [[1, 1], [True, 2]]}, "bad numeric field: 'H' holds true or false"),
+        ({"ensemble": {"n": 2, "p": 3, "gamma": 3.0, "levels": [[0, 1], [0, 2]],
+                       "seed": True}}, "bad ensemble config: a field holds true or false"),
     ], ids=["mapping", "mapping-fraction", "mapping-bool", "mapping-string",
             "noise_std", "master_seed", "master_seed-fraction",
             "master_seed-bool", "master_seed-string", "master_seed-past-2**64",
             "master_seed-2**64", "master_seed-negative", "master_seed-null",
             "noise_std-empty", "noise_std-bool", "noise_std-string",
             "noise_std-string-in-list", "noise_std-bool-in-list", "noise_std-object",
-            "noise_std-nested", "noise_std-overflow", "noise_std-negative-level"])
+            "noise_std-nested", "noise_std-overflow", "noise_std-negative-level",
+            "A-bool", "P-bool", "H-bool", "ensemble-seed-bool"])
     def test_malformed_fields_named(self, tmp_path, capsys, overrides, message):
         cfg = self.config(tmp_path, **overrides)
         assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),

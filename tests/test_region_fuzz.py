@@ -1,8 +1,9 @@
 """Random input files through ``cfkit region``: every run ends in exit 0 with
-a silent stderr, or in exit 2 with one ``error:`` line on stderr, and never
-in a traceback.  The coefficient matrices may be ragged, non-square, of the
-wrong width or not integral, and the mappings may name rows and users the
-matrix does not have."""
+a silent stderr, or in exit 2 with one ``error:`` line on stderr and no file
+written, and never in a traceback.  The coefficient matrices may be ragged,
+non-square, of the wrong width or not integral, and the mappings may name
+rows and users the matrix does not have.  Compound runs draw receivers whose
+gains may span six decades."""
 
 import contextlib
 import io
@@ -54,10 +55,25 @@ def region_docs(draw):
     return doc
 
 
+# m * 10**e, m in [1, 10): gains from 1e-3 to about 1e3
+_WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-3, 2))
+
+
+@st.composite
+def compound_docs(draw):
+    """1 to 3 receivers of two users with 1 or 2 antennas each; a receiver
+    draws its gains near 1 or across six decades."""
+    def receiver():
+        gain = draw(st.sampled_from([_GAINS, _WIDE]))
+        return [[draw(gain) for _ in range(2)] for _ in range(draw(st.integers(1, 2)))]
+    return {"H": [receiver() for _ in range(draw(st.integers(1, 3)))],
+            "P": [draw(st.sampled_from([0.1, 0.5, 1.0, 4.0])) for _ in range(2)]}
+
+
 def _run_region(mode: str, doc: dict) -> tuple[int, list]:
     """Run ``cfkit region`` on doc; return the exit code and the written
     file names, after checking that the run ended in exit 0 with a silent
-    stderr or in exit 2 with one ``error:`` line."""
+    stderr or in exit 2 with one ``error:`` line and no file written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "region.json"
         path.write_text(json.dumps(doc))
@@ -70,6 +86,7 @@ def _run_region(mode: str, doc: dict) -> tuple[int, list]:
         assert err == "", err
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+        assert written == [], written
     return code, written
 
 
@@ -77,6 +94,12 @@ def _run_region(mode: str, doc: dict) -> tuple[int, list]:
 @given(mode=st.sampled_from(["para", "succ", "asc", "mac", "sic"]), doc=region_docs())
 def test_region_files_end_in_exit_0_or_one_error_line(mode, doc):
     _run_region(mode, doc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=compound_docs())
+def test_compound_files_end_in_exit_0_or_one_error_line(doc):
+    _run_region("compound", doc)
 
 
 @pytest.mark.parametrize("mode", ["para", "succ", "asc"])

@@ -1,7 +1,7 @@
 """Linear algebra over the prime field Z_p with exact python-int arithmetic.
 
 One elimination step, _insert, adds a row to a reduced row echelon basis:
-rref_mod_p (and the rank, solve and inverse built on it) and
+rref_mod_p (and the solve and inverse built on it) and
 prefix_echelons insert a matrix's rows in order, and in_rowspan_mod_p tries
 further rows against the basis of rref_mod_p.
 """
@@ -71,10 +71,6 @@ def rref_mod_p(mat, p: int) -> tuple[list[list[int]], list[int]]:
     for row in rows:
         _insert(basis, pivots, row, n, p)
     return basis + [[0] * n for _ in range(len(rows) - len(basis))], pivots
-
-
-def rank_mod_p(mat, p: int) -> int:
-    return len(rref_mod_p(mat, p)[1])
 
 
 def in_rowspan_mod_p(mat, vec, p: int) -> bool:
@@ -148,18 +144,6 @@ def echelon_right_inverse(pivots, T, n: int) -> list[list[int]]:
     for i, c in enumerate(pivots):
         R[c] = list(T[i])
     return R
-
-
-def right_inverse_mod_p(mat, p: int) -> list[list[int]]:
-    """R with mat R = I over Z_p, for a k x n matrix of full row rank k, as
-    echelon_right_inverse builds it."""
-    a = reduce_mod(mat, p)
-    k, n = len(a), len(a[0])
-    echelons = prefix_echelons(a, p)
-    if len(echelons) <= k:
-        raise ValueError("matrix does not have full row rank mod p")
-    _, pivots, T = echelons[k]
-    return echelon_right_inverse(pivots, T, n)
 
 
 def matmul_mod_p(A, B, p: int) -> list[list[int]]:

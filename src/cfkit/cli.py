@@ -14,6 +14,12 @@ a message of its own), ValueError (numpy's LinAlgError and undecodable input
 among them), ArithmeticError, RuntimeError (searches that exhaust their box
 or node budget) and OSError (unreadable input, unwritable --out).  Any other
 exception is a fault of the program and ends in a traceback.
+
+Every JSON field is read by _array, through _field where the field may be
+missing: one shape-and-number rule turns a value into a nonempty array with
+an exact number of axes (a number for a scalar field), whose leaves are JSON
+numbers, and whose integer fields are read exactly.  A value it refuses
+ends in one InputError line that names the field.
 """
 
 from __future__ import annotations
@@ -50,24 +56,60 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _has_bool(value) -> bool:
-    """Whether a JSON value is true or false, or a list holding one at any depth."""
-    if isinstance(value, list):
-        return any(map(_has_bool, value))
-    return isinstance(value, bool)
+def _array(value, key: str, what: str, shape: tuple = (), integer: bool = False,
+           lo=None, hi=None, section: str | None = None, name: str | None = None):
+    """value read by the one rule every field follows: a nonempty array with
+    len(shape) axes, or a number when shape is (); else InputError naming key.
+
+    Each axis is a nonempty list, of one length at its depth, which is
+    shape's entry there unless that is None.  The leaves are JSON numbers:
+    true, false, strings, nulls and lists are not.  An integer field takes
+    integral floats, keeps its integers exact, needs lo <= v < hi, and as
+    an array is int64, so its entries lie in [-2^63, 2^63).  A field of an
+    object such as "ensemble" names the object as section; name replaces
+    "field 'key'" in a message that keeps its own wording.
+    """
+    items, dims = [value], []
+    for size in shape:  # one depth at a time, so each list is visited once
+        n = len(items[0]) if type(items[0]) is list else 0
+        if not n or size not in (None, n) or any(type(x) is not list or len(x) != n
+                                                 for x in items):
+            items = [[]]  # fails as a leaf that is not a number
+            break
+        dims.append(n)
+        items = [v for x in items for v in x]
+    kinds = set(map(type, items))
+    if kinds <= {int, float}:
+        try:
+            if not integer:
+                return np.array(items, dtype=float).reshape(dims) if shape else float(items[0])
+            items = [int(v) if type(v) is float and v.is_integer() else v for v in items]
+            if all(type(v) is int for v in items) and (lo is None or min(items) >= lo) \
+                    and (hi is None or max(items) < hi):
+                return np.array(items, dtype=np.int64).reshape(dims) if shape else items[0]
+        except OverflowError:  # an int past the float range, or an entry past int64
+            pass
+    lead = f"bad {section}: " if section else ""
+    if bool in kinds:
+        lead += ("a field" if section else f"bad numeric field: {key!r}") + \
+            " holds true or false; "
+    got = "" if type(value) is list else f", got {value!r}"
+    raise InputError(f"{lead}{name or f'field {key!r}'} must be {what}{got}")
 
 
-def _channel_from(doc: dict, h_key: str = "H") -> ChannelInstance:
-    for key in (h_key, "P"):
-        if _has_bool(doc.get(key)):
-            raise InputError(f"bad numeric field: {key!r} holds true or false")
-    try:
-        H = np.array(doc[h_key], dtype=float)
-        P = np.array(doc["P"], dtype=float)
-    except KeyError as exc:
-        raise InputError(f"missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad numeric field: {exc}")
+def _field(doc: dict, key: str, what: str, shape: tuple = (), **rule):
+    """doc[key] read by _array; an absent or null key is a missing field."""
+    value = doc.get(key)
+    if value is None:
+        section = rule.get("section")
+        raise InputError(f"{f'bad {section}: ' if section else ''}missing field {key!r}")
+    return _array(value, key, what, shape, **rule)
+
+
+_COEFFS = "an integer matrix, given as a list of rows, with entries in [-2^63, 2^63)"
+
+
+def _channel(H, P) -> ChannelInstance:
     ch = ChannelInstance(H=H, P=P)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = (np.all(np.isfinite(ch.H @ ch.P_matrix() @ ch.H.T))
@@ -77,36 +119,16 @@ def _channel_from(doc: dict, h_key: str = "H") -> ChannelInstance:
     return ch
 
 
-def _coeff_matrix(doc: dict, key: str = "A", required: bool = True):
-    if key not in doc:
-        if required:
-            raise InputError(f"missing field {key!r}")
-        return None
-    if _has_bool(doc[key]):
-        raise InputError(f"field {key!r} must be an integer matrix")
-    try:
-        A = np.array(doc[key])
-        integral = np.array_equal(A, np.rint(A))
-    except (TypeError, ValueError):
-        # ragged rows, strings, nulls, integers past int64
-        raise InputError(f"field {key!r} must be an integer matrix")
-    if A.size == 0 or A.ndim > 2:
-        raise InputError(f"field {key!r} must be a nonempty integer matrix")
-    if not integral or not np.all(np.abs(A) < 2.0 ** 63):
-        raise InputError(f"field {key!r} must contain integers below 2^63 in magnitude")
-    return np.atleast_2d(A.astype(int))
+def _channel_from(doc: dict) -> ChannelInstance:
+    return _channel(_field(doc, "H", "a matrix of numbers, given as a list of rows", (None, None)),
+                    _field(doc, "P", "a list of numbers", (None,)))
 
 
 def _mapping_from(doc: dict):
-    if "mapping" not in doc:
+    if doc.get("mapping") is None:
         return None
-    try:
-        pairs = [(m, l) for m, l in doc["mapping"]]
-    except (TypeError, ValueError):
-        pairs = None
-    if pairs is None or not all(_integral(m) and _integral(l) for m, l in pairs):
-        raise InputError("field 'mapping' must be a list of [m, l] pairs")
-    return frozenset((int(m), int(l)) for m, l in pairs)
+    pairs = _field(doc, "mapping", "a list of [m, l] pairs", (None, 2), integer=True)
+    return frozenset(map(tuple, pairs.tolist()))
 
 
 def _outdir(args) -> Path:
@@ -216,9 +238,8 @@ def cmd_region(args) -> int:
         return _cmd_region_compound(doc, out)
     ch = _channel_from(doc)
     if mode in ("para", "succ", "asc"):
-        A = _coeff_matrix(doc, "Atilde", required=False)
-        if A is None:
-            A = _coeff_matrix(doc, "A")
+        key = "A" if doc.get("Atilde") is None else "Atilde"
+        A = _field(doc, key, _COEFFS, (None, None), integer=True)
         if A.shape[1] != ch.num_users:
             raise InputError(f"coefficient matrix has {A.shape[1]} columns "
                              f"for {ch.num_users} users")
@@ -245,13 +266,11 @@ def cmd_region(args) -> int:
 
 
 def _cmd_region_compound(doc: dict, out: Path) -> int:
-    try:
-        H_list = doc["H"]
-        if not isinstance(H_list[0][0], list):
-            raise InputError("compound mode expects H to be a list of matrices")
-    except (KeyError, TypeError, IndexError):
-        raise InputError("compound mode expects H to be a list of matrices")
-    channels = [_channel_from({"H": H, "P": doc.get("P")}) for H in H_list]
+    P = _field(doc, "P", "a list of numbers", (None,))
+    receivers, what = doc.get("H"), "a list of matrices, one per receiver"
+    if type(receivers) is not list or not receivers:
+        raise InputError("missing field 'H'" if receivers is None else f"field 'H' must be {what}")
+    channels = [_channel(_array(H, "H", what, (None, None)), P) for H in receivers]
     if any(ch.num_users != 2 for ch in channels):
         raise InputError("compound mode supports exactly two users")
     for name, text in _compound_files(channels).items():
@@ -353,87 +372,51 @@ def cmd_mac(args) -> int:
 
 
 def _ensemble_from(doc: dict) -> lattice.NestedLatticeEnsemble:
-    try:
-        e = doc["ensemble"]
-        levels = tuple(tuple(lv) for lv in e["levels"])
-        if _has_bool(list(e.values())):
-            raise InputError("bad ensemble config: a field holds true or false")
-        if "G" in e:
-            kf = max(b for _, b in levels)
-            G = np.array(e["G"], dtype=np.int64).reshape(kf, e["n"])
-            return lattice.build_ensemble(e["n"], e["p"], e["gamma"], levels,
-                                          seed=0, G=G)
-        return lattice.build_ensemble(e["n"], e["p"], e["gamma"], levels,
-                                      seed=int(e["seed"]))
-    except KeyError as exc:
-        raise InputError(f"ensemble config missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad ensemble config: {exc}")
+    e = doc.get("ensemble")
+    if type(e) is not dict:
+        raise InputError("missing field 'ensemble'" if e is None
+                         else "field 'ensemble' must be an object")
 
+    def read(key, what, shape=(), integer=True, **rule):
+        return _field(e, key, what, shape, integer=integer, section="ensemble config", **rule)
 
-def _integral(value) -> bool:
-    """An integer, or an integral float; never a bool."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer())
-
-
-def _count(value, name: str) -> int:
-    """A count from the command line or a config: an integer >= 1."""
-    if not _integral(value) or value < 1:
-        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _seed(value) -> int:
-    """The config's master_seed: an integer in [0, 2**64), the Philox key
-    word it selects."""
-    if not _integral(value) or not 0 <= value < 2 ** 64:
-        raise InputError(f"field 'master_seed' must be an integer in [0, 2**64), "
-                         f"got {value!r}")
-    return int(value)
-
-
-def _noise_levels(doc: dict) -> list[float]:
-    """The config's noise_std: a number or a non-empty list of numbers."""
-    noise = doc.get("noise_std")
-    if noise is None:
-        raise InputError("missing field 'noise_std'")
-    levels = noise if isinstance(noise, list) else [noise]
-    problem = InputError("field 'noise_std' must be a number or a non-empty list "
-                         f"of numbers, got {noise!r}")
-    if not levels or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                             for v in levels):
-        raise problem
-    try:
-        return [float(v) for v in levels]
-    except OverflowError:
-        raise problem
+    n = read("n", f"an integer in [1, {lattice.MAX_N}]", lo=1, hi=lattice.MAX_N + 1)
+    p = read("p", f"an integer in [2, {lattice.MAX_P}]", lo=2, hi=lattice.MAX_P + 1)
+    gamma = read("gamma", "a number", integer=False)
+    levels = read("levels", "a list of [k_C, k_F] pairs", (None, 2)).tolist()
+    if e.get("G") is None:
+        return lattice.build_ensemble(n, p, gamma, levels,
+                                      seed=read("seed", "an integer >= 0", lo=0))
+    kf = max(b for _, b in levels)
+    G = read("G", f"a list of k_F * n = {kf * n} integers", (kf * n,))
+    return lattice.build_ensemble(n, p, gamma, levels, seed=0, G=G.reshape(kf, n))
 
 
 def _equalizers_from(doc: dict, ch: ChannelInstance, A, mode: str):
     """The optional "equalizers" field: "optimal", or a list with one entry
     per row of A, each b (parallel) or [b, c] (successive), where b holds
     one finite weight per antenna and c finite weights on the real
-    combinations decoded before that row."""
-    eq = doc.get("equalizers", "optimal")
-    if eq == "optimal":
-        return eq
+    combinations decoded before that row; c may be empty."""
+    eq = doc.get("equalizers")
+    if eq is None or eq == "optimal":
+        return "optimal"
     entry = "[b, c] pair" if mode == "successive" else "vector b"
-    problem = InputError(
-        f"field 'equalizers' must be \"optimal\" or a list of {A.shape[0]} entries, "
-        f"one {entry} per row of A, with {ch.num_antennas} finite weights in b")
-    if not isinstance(eq, list) or len(eq) != A.shape[0]:
+    what = (f"\"optimal\" or a list of {A.shape[0]} entries, one {entry} per row of A, "
+            f"with {ch.num_antennas} finite weights in b")
+    problem = InputError(f"field 'equalizers' must be {what}")
+    if type(eq) is not list or len(eq) != A.shape[0]:
         raise problem
-    try:
-        for row in eq:
-            b, c = row if mode == "successive" else (row, [])
-            b, c = np.array(b, dtype=float), np.array(c, dtype=float)
-            if b.shape != (ch.num_antennas,) or c.ndim > 1 \
-                    or not (np.isfinite(b).all() and np.isfinite(c).all()):
-                raise problem
-    except (TypeError, ValueError):
-        raise problem
-    return eq
+    out = []
+    for row in eq:
+        if mode == "successive" and (type(row) is not list or len(row) != 2):
+            raise problem
+        b, c = row if mode == "successive" else (row, [])
+        b = _array(b, "equalizers", what, (ch.num_antennas,))
+        c = _array(c, "equalizers", what, (None,)) if c != [] else np.zeros(0)
+        if not (np.isfinite(b).all() and np.isfinite(c).all()):
+            raise problem
+        out.append((b, c) if mode == "successive" else b)
+    return out
 
 
 def cmd_simulate(args) -> int:
@@ -441,18 +424,19 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     ens = _ensemble_from(doc)
     ch = _channel_from(doc)
-    A = _coeff_matrix(doc, "A")
+    A = _field(doc, "A", _COEFFS, (None, None), integer=True)
     mode = doc.get("mode")
     if mode not in ("parallel", "successive"):
         raise InputError("field 'mode' must be 'parallel' or 'successive'")
     mapping = _mapping_from(doc)
     equalizers = _equalizers_from(doc, ch, A, mode)
-    noise_list = _noise_levels(doc)
-    for key in ("trials", "master_seed"):
-        if key not in doc:
-            raise InputError(f"missing field {key!r}")
-    trials = _count(doc["trials"], "trials")
-    master_seed = _seed(doc["master_seed"])
+    levels = doc.get("noise_std")
+    noise = _field(doc, "noise_std", "a number or a non-empty list of numbers",
+                   (None,) if type(levels) is list else ())
+    noise_list = noise.tolist() if type(levels) is list else [noise]
+    trials = _field(doc, "trials", "an integer >= 1", integer=True, lo=1, name="trials")
+    master_seed = _field(doc, "master_seed", "an integer in [0, 2**64)", integer=True,
+                         lo=0, hi=2 ** 64)
     config = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode, mapping=mapping,
                                    noise_std=noise_list, equalizers=equalizers,
                                    master_seed=master_seed)

@@ -27,10 +27,12 @@ class ChannelInstance:
     P: np.ndarray
 
     def __post_init__(self):
-        H = np.array(self.H, dtype=float, ndmin=2)
-        P = np.array(self.P, dtype=float).ravel()
+        H = np.array(self.H, dtype=float)
+        P = np.array(self.P, dtype=float)
         if H.ndim != 2 or H.shape[0] < 1 or H.shape[1] < 1:
             raise ValueError("H must be a matrix with at least one row and column")
+        if P.ndim != 1:
+            raise ValueError("P must be a vector with one power per user")
         if not np.all(np.isfinite(H)):
             raise ValueError("H must be finite-valued")
         if P.shape[0] != H.shape[1]:

@@ -49,8 +49,8 @@ class NestedLatticeEnsemble:
         self.levels = tuple((int(a), int(b)) for a, b in self.levels)
         G = np.array(self.G, dtype=np.int64) % self.p
         self.G = G
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError("gamma must be finite and positive")
         kf = self.k_F
         if not (1 <= self.n <= MAX_N and self.p <= MAX_P and kf <= MAX_KF):
             raise ValueError(

@@ -73,6 +73,14 @@ class RateRegionSpec:
         return False
 
 
+def mapping_pairs(mapping) -> frozenset:
+    """The (m, l) pairs of an AdmissibleMapping, or of any iterable of
+    pairs, as a frozenset of int pairs."""
+    if isinstance(mapping, AdmissibleMapping):
+        return mapping.pairs
+    return frozenset((int(m), int(l)) for (m, l) in mapping)
+
+
 def all_pairs_mapping(L: int) -> AdmissibleMapping:
     pairs = frozenset((m, l) for m in range(1, L + 1) for l in range(1, L + 1))
     return AdmissibleMapping(pairs)
@@ -108,7 +116,7 @@ def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
     column of it are ignored.
     """
     rows = _exact.int_rows(np.atleast_2d(Atilde))
-    pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
+    pairs = mapping_pairs(pairs)
     if any(sol is None for _m, sol in cancellation_solves(rows, pairs)):
         return None
     return AdmissibleMapping(pairs)
@@ -251,8 +259,7 @@ def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
     admissible for A exactly.  A pair naming a user of A but no row of it
     is an error.
     """
-    pairs = mapping.pairs if isinstance(mapping, AdmissibleMapping) else mapping
-    pairs = frozenset((int(m), int(l)) for (m, l) in pairs)
+    pairs = mapping_pairs(mapping)
     M, L = A.shape
     for m, l in pairs:
         if 1 <= l <= L and not 1 <= m <= M:

@@ -90,7 +90,8 @@ class TrialConfig:
             raise ValueError("ensemble and channel disagree on user count")
         if self.mode == "successive":
             M, L = self.A.shape
-            if not all(1 <= m <= M and 1 <= l <= L for m, l in _mapping_pairs(self.mapping)):
+            pairs = regions.mapping_pairs(self.mapping)
+            if not all(1 <= m <= M and 1 <= l <= L for m, l in pairs):
                 raise ValueError(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
             self.cancellation = zp_asc_matrix(self.A, self.mapping, self.ensemble.p)
 
@@ -128,12 +129,6 @@ def _theta_user(ens: NestedLatticeEnsemble, coeffs, p: int) -> int | None:
             if best is None or kf > ens.levels[best - 1][1]:
                 best = user
     return best
-
-
-def _mapping_pairs(mapping) -> frozenset:
-    if isinstance(mapping, regions.AdmissibleMapping):
-        return mapping.pairs
-    return frozenset((int(m), int(l)) for (m, l) in mapping)
 
 
 def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
@@ -179,7 +174,7 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L, users = A.shape
-    pairs = _mapping_pairs(mapping)
+    pairs = regions.mapping_pairs(mapping)
     sols = list(regions.cancellation_solves(A.tolist(), pairs))
     for m, sol in sols:
         if sol is None:
@@ -262,7 +257,7 @@ class TrialPlan:
         kept = _exact.kept_rows(A.tolist()) if optimal else None
         levels = [successive_equalizers(ch, A, s, kept=kept) if optimal else eq
                   for s in config.levels]
-        pairs = _mapping_pairs(config.mapping)
+        pairs = regions.mapping_pairs(config.mapping)
         Lbar, Lbar_inv = config.cancellation
         return cls(equalizers=[[(np.asarray(level[m][0], dtype=float),
                                  np.asarray(level[m][1], dtype=float).ravel()) for m in rows]

@@ -14,7 +14,8 @@ import numpy as np
 from cfkit import lattice
 from cfkit.core import ChannelInstance
 from cfkit.lattice import NestedLatticeEnsemble
-from cfkit.simulator import (TrialConfig, TrialRecord, _mapping_pairs, _theta_user,
+from cfkit.regions import mapping_pairs
+from cfkit.simulator import (TrialConfig, TrialRecord, _theta_user,
                              _vartheta_user, parallel_equalizers, successive_equalizers,
                              zp_asc_matrix)
 
@@ -103,7 +104,7 @@ def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
     A = np.atleast_2d(np.asarray(A, dtype=int))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     L = A.shape[0]
-    pairs = _mapping_pairs(mapping)
+    pairs = mapping_pairs(mapping)
     Lbar, Lbar_inv = zp_asc_matrix(A, pairs, ens.p)
     if equalizers == "optimal":
         equalizers = successive_equalizers(ch, A, noise_std)

@@ -28,7 +28,6 @@ import numpy as np
 
 from cfkit import _exact, _zp, regions
 from cfkit.intsearch import _stacked_block
-from cfkit.simulator import _mapping_pairs
 
 
 def solve_rational(M, t) -> list[Fraction] | None:
@@ -148,7 +147,7 @@ def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L, users = A.shape
-    pairs = _mapping_pairs(mapping)
+    pairs = regions.mapping_pairs(mapping)
     rows = [[Fraction(int(v)) for v in row] for row in A.tolist()]
     sols = []
     for m in range(1, L + 1):

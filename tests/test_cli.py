@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,19 @@ _ILL_CONDITIONED_3_USERS = {
           [2.6173547520922833, 0.049296135617367245, -0.00856342679795989]],
     "P": [0.3495355968249849, 7737.990263562073, 479.81084557660967]}
 
+# Channel files outside README's shape rule (H a list of rows of numbers,
+# P a list of numbers, compound H a list of such matrices), each with the
+# field its error names.
+_COMPOUND = ["region", "--mode", "compound"]
+_MISSHAPEN = [
+    ({"H": 3, "P": [1]}, "field 'H' must be a matrix"),
+    ({"H": "1", "P": [7]}, "field 'H' must be a matrix"),
+    ({"H": [["1", "1.5"]], "P": ["7", "4"]}, "field 'H' must be a matrix"),
+    ({"H": [1, 2], "P": [1, 1]}, "field 'H' must be a matrix"),
+    ({"H": [[1, 2]], "P": [[1, 1]]}, "field 'P' must be a list of numbers"),
+    ({"H": [[1, 2]], "P": None}, "missing field 'P'"),
+]
+
 # A receiver whose gains are five decades apart: the dominant search's
 # default box of radius 64 does not certify its picks.
 _WIDE_GAINS = [0.0025322789496672257, 404.172447150663]
@@ -236,6 +251,10 @@ _WIDE_POWERS = [0.11459278121198337, 0.41364925345864595]
     (["region", "--mode", "succ"], {"H": [[1, 2, 0.5]], "P": [1, 1, 1],
                                      "A": [[10 ** 12, 1, 0], [10 ** 12 + 1, 1, 0], [0, 0, 1]]},
      "A_prev must have full row rank", "region_succ.json"),
+    *[(["mac"], doc, message, "mac_assignments.json") for doc, message in _MISSHAPEN],
+    (_COMPOUND, {"H": [[[1, 2]]]}, "missing field 'P'", "compound_rx1_mac.csv"),
+    (_COMPOUND, {"H": [[[1, 2]], 5], "P": [1, 1]}, "field 'H' must be a list of matrices",
+     "compound_rx1_mac.csv"),
 ], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
         "search-node-budget", "mac-node-budget",
         "search-zero-power", "region-para-zero-power",
@@ -243,7 +262,9 @@ _WIDE_POWERS = [0.11459278121198337, 0.41364925345864595]
         *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
         "region-compound-ill-conditioned", "region-compound-exhausted",
         "region-succ-borderline-mapping",
-        "mac-sum-identity-miss", "region-succ-rank-refusal"])
+        "mac-sum-identity-miss", "region-succ-rank-refusal",
+        "mac-H-scalar", "mac-H-string", "mac-strings", "mac-H-vector", "mac-P-matrix",
+        "mac-P-null", "region-compound-no-P", "region-compound-scalar-receiver"])
 def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))
@@ -428,6 +449,18 @@ class TestSimulate:
         ({"H": [[1, 1], [True, 2]]}, "bad numeric field: 'H' holds true or false"),
         ({"ensemble": {"n": 2, "p": 3, "gamma": 3.0, "levels": [[0, 1], [0, 2]],
                        "seed": True}}, "bad ensemble config: a field holds true or false"),
+        ({"equalizers": [[True, False], [False, True]]}, "field 'equalizers'"),
+        ({"equalizers": [["1", "0"], ["0", "1"]]}, "field 'equalizers'"),
+        ({"ensemble": {"n": 2, "p": 3, "gamma": 3.0, "levels": [[0, 1.5], [0, 2]],
+                       "seed": 21}}, "field 'levels'"),
+        ({"ensemble": {"n": 2, "p": 3, "gamma": 3.0, "levels": [[0, 1], [0, 2]],
+                       "seed": 21.5}}, "field 'seed'"),
+        ({"ensemble": {"n": 2, "p": 3, "gamma": 3.0, "levels": [[0, 1], [0, 2]],
+                       "G": [1.5, 0, 0, 1]}}, "field 'G'"),
+        *[({"ensemble": {"n": 2, "p": 3, "gamma": gamma, "levels": [[0, 1], [0, 2]],
+                         "seed": 21}}, "gamma must be finite and positive")
+          for gamma in (float("inf"), float("nan"))],
+        ({"P": None}, "missing field 'P'"),
     ], ids=["mapping", "mapping-fraction", "mapping-bool", "mapping-string",
             "noise_std", "master_seed", "master_seed-fraction",
             "master_seed-bool", "master_seed-string", "master_seed-past-2**64",
@@ -435,7 +468,10 @@ class TestSimulate:
             "noise_std-empty", "noise_std-bool", "noise_std-string",
             "noise_std-string-in-list", "noise_std-bool-in-list", "noise_std-object",
             "noise_std-nested", "noise_std-overflow", "noise_std-negative-level",
-            "A-bool", "P-bool", "H-bool", "ensemble-seed-bool"])
+            "A-bool", "P-bool", "H-bool", "ensemble-seed-bool",
+            "equalizers-bool", "equalizers-string", "ensemble-levels-fraction",
+            "ensemble-seed-fraction", "ensemble-G-fraction", "gamma-infinite", "gamma-nan",
+            "P-null"])
     def test_malformed_fields_named(self, tmp_path, capsys, overrides, message):
         cfg = self.config(tmp_path, **overrides)
         assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),
@@ -449,6 +485,27 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["config"]["master_seed"] == reported
+
+    def test_integral_float_ensemble_sizes_run_the_integer_sizes(self, tmp_path):
+        reports = []
+        for n, p in ((2, 3), (2.0, 3.0)):
+            cfg = self.config(tmp_path, noise_std=[0.5], ensemble={
+                "n": n, "p": p, "gamma": 3.0, "levels": [[0, 1], [0, 2]], "seed": 21})
+            assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_readme_campaign_runs(self, tmp_path):
+        # the fenced JSON block of README's campaign section, as documented
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"Campaign config JSON.*?```json\n(.*?)```", readme, re.S)
+        doc = json.loads(block.group(1))
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(block.group(1))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert len(results) == len(doc["noise_std"])
+        assert all(r["trials"] == doc["trials"] for r in results)
 
     def test_integral_seed_float_runs_the_integer_seed(self, tmp_path):
         reports = []

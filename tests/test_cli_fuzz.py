@@ -1,6 +1,7 @@
 """Random channel files through ``cfkit mac`` and ``cfkit search``: every run
 ends in exit 0 with a silent stderr, or in exit 2 with one ``error:`` line on
-stderr, and never in a traceback."""
+stderr, and never in a traceback.  A file whose H or P breaks the shape rule
+(H a list of rows of numbers, P a list of numbers) exits 2 naming it."""
 
 import contextlib
 import io
@@ -43,9 +44,23 @@ def channel_docs(draw):
     return {"H": H, "P": P}
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(command=st.sampled_from(["mac", "search"]), doc=channel_docs())
-def test_channel_files_end_in_exit_0_or_one_error_line(command, doc):
+def misshapen(value):
+    """value as a scalar, a string or null, or with one axis fewer, one more
+    or two more."""
+    leaf = value[0][0] if isinstance(value[0], list) else value[0]
+    return st.sampled_from([leaf, str(leaf), None, value[0], [value], [[value]]])
+
+
+@st.composite
+def misshapen_docs(draw):
+    """(key, doc): a channel doc whose H or P, named by key, is misshapen."""
+    doc = draw(channel_docs())
+    key = draw(st.sampled_from(["H", "P"]))
+    doc[key] = draw(misshapen(doc[key]))
+    return key, doc
+
+
+def _run(command: str, doc: dict) -> tuple[int, str]:
     # A small node budget keeps each run short.  Searches past it end in the
     # node-budget input error, a one-line exit 2.
     with tempfile.TemporaryDirectory() as tmp, \
@@ -55,8 +70,23 @@ def test_channel_files_end_in_exit_0_or_one_error_line(command, doc):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--input", str(path), "--out", tmp])
-    err = err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["mac", "search"]), doc=channel_docs())
+def test_channel_files_end_in_exit_0_or_one_error_line(command, doc):
+    code, err = _run(command, doc)
     if code == 0:
         assert err == "", err
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["mac", "search"]), case=misshapen_docs())
+def test_misshapen_channels_exit_2_naming_the_field(command, case):
+    key, doc = case
+    code, err = _run(command, doc)
+    assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+    assert f"field {key!r}" in err, err

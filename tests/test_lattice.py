@@ -63,9 +63,9 @@ class TestNominalLevels:
 class TestBuildEnsemble:
     def test_square_generator_must_be_invertible(self):
         ens = build_ensemble(2, 3, 3.0, [(0, 2), (0, 2)], seed=9)
-        from cfkit._zp import rank_mod_p
+        from cfkit._zp import rref_mod_p
 
-        assert rank_mod_p(ens.G.tolist(), 3) == 2
+        assert len(rref_mod_p(ens.G.tolist(), 3)[1]) == 2
 
     def test_injected_generator_cosets(self):
         ens = cubic_ensemble()
@@ -87,6 +87,11 @@ class TestBuildEnsemble:
             build_ensemble(11, 3, 1.0, [(0, 1)], seed=0)
         with pytest.raises(ValueError, match="k_F must not exceed"):
             build_ensemble(2, 3, 1.0, [(0, 3)], seed=0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, -math.inf, 0.0])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            build_ensemble(2, 3, gamma, [(0, 1), (0, 2)], seed=21)
 
     def test_serialization_roundtrip(self):
         ens = build_ensemble(3, 5, 2.5, [(0, 1), (1, 2)], seed=3)

@@ -3,7 +3,8 @@ a silent stderr, or in exit 2 with one ``error:`` line on stderr and no file
 written, and never in a traceback.  The coefficient matrices may be ragged,
 non-square, of the wrong width or not integral, and the mappings may name
 rows and users the matrix does not have.  Compound runs draw receivers whose
-gains may span six decades."""
+gains may span six decades.  A file whose H, P or compound receiver breaks
+the shape rule exits 2 naming the field."""
 
 import contextlib
 import io
@@ -17,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cfkit.cli import main  # noqa: E402
+from test_cli_fuzz import misshapen  # noqa: E402
 
 _GAINS = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
                    st.floats(-4.0, 4.0, allow_nan=False))
@@ -70,9 +72,24 @@ def compound_docs(draw):
             "P": [draw(st.sampled_from([0.1, 0.5, 1.0, 4.0])) for _ in range(2)]}
 
 
-def _run_region(mode: str, doc: dict) -> tuple[int, list]:
-    """Run ``cfkit region`` on doc; return the exit code and the written
-    file names, after checking that the run ended in exit 0 with a silent
+@st.composite
+def misshapen_docs(draw):
+    """(mode, key, doc): a region doc whose H or P, named by key, is
+    misshapen; in compound mode, one receiver of H or P is."""
+    mode = draw(st.sampled_from(["para", "succ", "asc", "mac", "sic", "compound"]))
+    doc = draw(compound_docs() if mode == "compound" else region_docs())
+    key = draw(st.sampled_from(["H", "P"]))
+    if mode == "compound" and key == "H":
+        receiver = draw(st.integers(0, len(doc["H"]) - 1))
+        doc["H"][receiver] = draw(misshapen(doc["H"][receiver]))
+    else:
+        doc[key] = draw(misshapen(doc[key]))
+    return mode, key, doc
+
+
+def _run_region(mode: str, doc: dict) -> tuple[int, list, str]:
+    """Run ``cfkit region`` on doc; return the exit code, the written file
+    names and stderr, after checking that the run ended in exit 0 with a silent
     stderr or in exit 2 with one ``error:`` line and no file written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "region.json"
@@ -87,7 +104,7 @@ def _run_region(mode: str, doc: dict) -> tuple[int, list]:
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
         assert written == [], written
-    return code, written
+    return code, written, err
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -102,6 +119,14 @@ def test_compound_files_end_in_exit_0_or_one_error_line(doc):
     _run_region("compound", doc)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=misshapen_docs())
+def test_misshapen_channels_exit_2_naming_the_field(case):
+    mode, key, doc = case
+    code, _, err = _run_region(mode, doc)
+    assert code == 2 and f"field {key!r}" in err, err
+
+
 @pytest.mark.parametrize("mode", ["para", "succ", "asc"])
 @pytest.mark.parametrize("doc, code", [
     ({"H": [[0, 0]], "P": [1, 1], "A": [[0], [0, 0]]}, 2),   # ragged rows
@@ -109,5 +134,5 @@ def test_compound_files_end_in_exit_0_or_one_error_line(doc):
     ({"H": [[1]], "P": [1], "A": [[1], [1]]}, 0),            # more rows than users
 ], ids=["ragged", "short", "tall"])
 def test_inputs_that_raised_before(mode, doc, code):
-    got, written = _run_region(mode, doc)
+    got, written, _ = _run_region(mode, doc)
     assert got == code and (f"region_{mode}.json" in written) == (code == 0)

@@ -1,6 +1,8 @@
 """Random campaign files through ``cfkit simulate``: every run ends in exit 0
 with a report, or in exit 2 with one ``error:`` line on stderr, and never in
-a traceback."""
+a traceback.  In the ensemble's integer fields and in the equalizers, an
+integral float reads as its integer, and a fraction (in an integer field)
+or a string exits 2 naming the field."""
 
 import contextlib
 import io
@@ -56,9 +58,8 @@ def campaign_docs(draw):
     return doc
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(doc=campaign_docs())
-def test_campaign_files_end_in_exit_0_or_one_error_line(doc):
+def _simulate(doc: dict) -> tuple[int, str, bytes | None]:
+    """Exit code, stderr and report.json of ``cfkit simulate`` on doc."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "campaign.json"
         path.write_text(json.dumps(doc))
@@ -66,11 +67,68 @@ def test_campaign_files_end_in_exit_0_or_one_error_line(doc):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["simulate", "--config", str(path), "--out", tmp])
         report = Path(tmp) / "report.json"
-        err = err.getvalue()
-        if code == 0:
-            assert err == "", err
-            results = json.loads(report.read_text())["results"]
-            assert [r["trials"] for r in results] == [doc["trials"]] * len(results)
-        else:
-            assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
-            assert not report.exists()
+        return code, err.getvalue(), report.read_bytes() if report.exists() else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=campaign_docs())
+def test_campaign_files_end_in_exit_0_or_one_error_line(doc):
+    code, err, report = _simulate(doc)
+    if code == 0:
+        assert err == "", err
+        results = json.loads(report)["results"]
+        assert [r["trials"] for r in results] == [doc["trials"]] * len(results)
+    else:
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+        assert report is None
+
+
+_VARIANTS = {"integral": float, "fraction": lambda v: v + 0.5, "string": str}
+
+
+@st.composite
+def number_rule_cases(draw):
+    """(target, variant, doc, mutated): a campaign on the README channel
+    that runs, and a copy in which one integer entry of the target field is
+    written as an integral float, a fraction or a string."""
+    mode = draw(st.sampled_from(["parallel", "successive"]))
+    doc = {"ensemble": {"n": draw(st.integers(2, 4)), "p": draw(st.sampled_from([3, 5, 7])),
+                        "gamma": 3.0, "seed": draw(st.integers(0, 50)),
+                        "levels": draw(st.sampled_from([[[0, 1], [0, 2]], [[0, 2], [1, 2]],
+                                                        [[1, 2], [0, 1]]]))},
+           "H": [[1, 1], [1, 2]], "P": [1.0, 1.0], "A": [[1, 1], [1, 2]], "mode": mode,
+           "noise_std": [0.5], "trials": 6, "master_seed": draw(st.integers(0, 2 ** 64 - 1))}
+    target = draw(st.sampled_from(["n", "p", "seed", "levels", "equalizers"]))
+    variant = draw(st.sampled_from(sorted(_VARIANTS)))
+    weights = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+    if mode == "successive":
+        doc["mapping"] = [[1, 1], [1, 2], [2, 2]]
+        doc["equalizers"] = [[draw(weights), draw(st.lists(st.integers(-2, 2), max_size=m))]
+                             for m in range(2)]
+    else:
+        doc["equalizers"] = [draw(weights) for _ in range(2)]
+    mutated = json.loads(json.dumps(doc))
+    if target == "equalizers":
+        row = mutated["equalizers"][draw(st.integers(0, 1))]
+        entries = row if mode == "parallel" else row[0]
+    elif target == "levels":
+        entries = mutated["ensemble"]["levels"][draw(st.integers(0, 1))]
+    else:
+        entries = mutated["ensemble"]
+    index = target if target in entries else draw(st.integers(0, 1))
+    entries[index] = _VARIANTS[variant](entries[index])
+    return target, variant, doc, mutated
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=number_rule_cases())
+def test_integer_fields_follow_the_number_rule(case):
+    target, variant, doc, mutated = case
+    code, err, report = _simulate(mutated)
+    if variant == "integral":
+        assert code == 0 and (code, err, report) == _simulate(doc), err
+    elif variant == "fraction" and target == "equalizers":
+        assert code == 0, err  # a fractional weight is a number
+    else:
+        assert code == 2 and err.count("\n") == 1 and f"field {target!r}" in err, err
+        assert report is None

@@ -14,12 +14,16 @@ def test_is_prime():
         _zp.require_prime(9)
 
 
+def _rank(mat, p):
+    return len(_zp.rref_mod_p(mat, p)[1])
+
+
 def test_rref_and_rank():
     a = [[1, 2, 0], [2, 4, 1]]
     rref, pivots = _zp.rref_mod_p(a, 5)
     assert pivots == [0, 2]
-    assert _zp.rank_mod_p(a, 5) == 2
-    assert _zp.rank_mod_p([[5, 0], [0, 5]], 5) == 0
+    assert _rank(a, 5) == 2
+    assert _rank([[5, 0], [0, 5]], 5) == 0
 
 
 def test_solve_roundtrip():
@@ -46,7 +50,7 @@ def test_inverse():
             n = int(rng.integers(1, 5))
             while True:
                 A = rng.integers(0, p, size=(n, n))
-                if _zp.rank_mod_p(A.tolist(), p) == n:
+                if _rank(A.tolist(), p) == n:
                     break
             inv = np.array(_zp.inv_mod_p(A.tolist(), p))
             assert np.array_equal((A @ inv) % p, np.eye(n, dtype=int))
@@ -107,16 +111,18 @@ def test_rowspan_membership():
 
 
 def test_right_inverse():
+    # the echelon of all k rows exists exactly when G has full row rank
     rng = np.random.default_rng(3)
     for p in (2, 3, 7, 13):
         for _ in range(20):
             k, n = int(rng.integers(1, 4)), int(rng.integers(3, 7))
             G = rng.integers(0, p, size=(k, n))
-            if _zp.rank_mod_p(G, p) < k:
-                with pytest.raises(ValueError, match="full row rank"):
-                    _zp.right_inverse_mod_p(G, p)
+            echelons = _zp.prefix_echelons(G, p)
+            assert (len(echelons) > k) == (_rank(G, p) == k)
+            if len(echelons) <= k:
                 continue
-            R = np.array(_zp.right_inverse_mod_p(G, p))
+            _, pivots, T = echelons[k]
+            R = np.array(_zp.echelon_right_inverse(pivots, T, n))
             assert R.shape == (n, k)
             assert np.array_equal((G @ R) % p, np.eye(k, dtype=int))
 
@@ -138,8 +144,8 @@ def test_prefix_echelons_match_rref_of_each_prefix():
                 assert (rref, pivots) == rref_mod_p_oracle(G[:j].tolist(), p)
                 assert np.array_equal(np.array(T) @ G[:j] % p, np.array(rref))
             independent = len(echelons) - 1
-            assert _zp.rank_mod_p(G[:independent].tolist(), p) == independent
+            assert _rank(G[:independent].tolist(), p) == independent
             if independent < k:
                 stops += 1
-                assert _zp.rank_mod_p(G[:independent + 1].tolist(), p) == independent
+                assert _rank(G[:independent + 1].tolist(), p) == independent
     assert stops > 10

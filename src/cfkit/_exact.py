@@ -3,8 +3,15 @@ determinants, exact solves, inverses and LU steps; ranks and spans, and the
 column Hermite form.
 
 Everything here works on lists of python ints (arbitrary precision) so the
-answers are exact.  Inputs may be numpy integer arrays; they are converted.
-Matrices are small (L <= 8 or so), so the cubic algorithms are plenty fast.
+answers are exact.  Matrices are small (L <= 8 or so), so the cubic
+algorithms are plenty fast.
+
+This module is also the library's one reader of integer input: int_rows
+reads a caller's coefficient matrix (a list of rows or an array; a 1-D
+input is one row) exactly, refusing a non-integral entry, and int_matrix is
+its int64 numpy view, which the other modules take their A, ensemble
+generator and symbol vectors through.  _as_int reads one index, such as a
+mapping pair's or a decoding order's entry, by the same rule.
 
 The elimination is integer preserving (Bareiss, Math. Comp. 1968): a step
 takes row r to (f r - g row) / d, with f the pivot, g the entry of r under
@@ -21,29 +28,50 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_int(value) -> int:
+def _as_int(value, what: str = "matrix entries") -> int:
     try:
         out = int(value)
-    except (ValueError, OverflowError):  # nan, inf
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
         out = None
     if out is None or out != value:
-        raise ValueError("matrix entries must be integers")
+        raise ValueError(f"{what} must be integers")
     return out
 
 
-def int_rows(mat) -> list[list[int]]:
-    """The rows of a 2D matrix as lists of python ints ([] for other shapes);
-    a non-integral entry raises ValueError."""
-    arr = np.asarray(mat)
+def _matrix(arr: np.ndarray) -> np.ndarray:
+    """arr with two axes: a 1-D arr is one row, and an empty one the matrix
+    with no rows; any other number of axes raises ValueError."""
+    if arr.ndim == 1:
+        return arr[None] if arr.size else arr.reshape(0, 0)
     if arr.ndim != 2:
-        return []
+        raise ValueError(f"expected a matrix (1 or 2 axes), got {arr.ndim} axes")
+    return arr
+
+
+def int_rows(mat) -> list[list[int]]:
+    """The rows of a matrix (_matrix's shape rule) as lists of python ints;
+    a non-integral entry raises ValueError."""
+    arr = _matrix(np.asarray(mat))
     if np.issubdtype(arr.dtype, np.integer):
         return arr.tolist()
     if not isinstance(mat, np.ndarray):
         # numpy stores python ints past int64 as floats, which drop low
         # bits, or as objects; read the entries themselves instead
-        arr = np.asarray(mat, dtype=object)
+        arr = _matrix(np.asarray(mat, dtype=object))
     return [[_as_int(v) for v in row] for row in arr.tolist()]
+
+
+def int_matrix(mat) -> np.ndarray:
+    """int_rows' matrix as a 2-D int64 array.  An int64 array is returned as
+    it is (a 1-D one as a one-row view), so integer input pays no copy; an
+    entry past int64 raises ValueError."""
+    arr = _matrix(np.asarray(mat))
+    if arr.dtype == np.int64:
+        return arr
+    try:
+        return np.array(int_rows(mat), dtype=np.int64).reshape(arr.shape)
+    except OverflowError:
+        raise ValueError("matrix entries must be integers in [-2^63, 2^63)") from None
 
 
 def _step(f: int, r: list, g: int, row: list, d: int = 1) -> list:
@@ -128,7 +156,7 @@ def int_rank(mat) -> int:
 
 def rows_independent(rows_so_far: list, candidate) -> bool:
     """True when stacking candidate on the existing rows raises the rank."""
-    stacked = [list(map(int, r)) for r in rows_so_far] + [list(map(int, candidate))]
+    stacked = [*rows_so_far, candidate]
     return int_rank(stacked) == len(stacked)
 
 

@@ -192,8 +192,8 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
 
 def rowspan_contains_real(Atilde, A) -> bool:
     """True when every row of A lies in the real row space of Atilde (exact)."""
-    Atilde = np.atleast_2d(np.asarray(Atilde, dtype=int))
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    Atilde = _exact.int_matrix(Atilde)
+    A = _exact.int_matrix(A)
     if A.shape[1] != Atilde.shape[1]:
         raise ValueError("Atilde and A must have the same number of columns")
     basis = _exact.RowBasis()
@@ -205,7 +205,7 @@ def rowspan_contains_real(Atilde, A) -> bool:
 def mod_p_solvability(A, m: int, p: int) -> bool:
     """Can the m-th (1-indexed) unit row be solved from [A] mod p over Z_p?"""
     _zp.require_prime(p)
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     L = A.shape[1]
     if not 1 <= m <= L:
         raise ValueError(f"index {m} out of range 1..{L}")
@@ -214,8 +214,7 @@ def mod_p_solvability(A, m: int, p: int) -> bool:
     return _zp.in_rowspan_mod_p(A.tolist(), [delta], p)
 
 
-def is_unimodular(A) -> bool:
-    return _exact.is_unimodular(np.atleast_2d(np.asarray(A, dtype=int)).tolist())
+is_unimodular = _exact.is_unimodular
 
 
 def _stacked_block(A: np.ndarray) -> np.ndarray:
@@ -236,7 +235,7 @@ def primitivity(A) -> bool:
 
     Equivalently the block can be completed to a unimodular matrix.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     block = _stacked_block(A)
     if block.shape[0] == 0:
         return True
@@ -250,7 +249,7 @@ def primitivize(A) -> tuple[np.ndarray, np.ndarray]:
     T is M x M lower triangular with strictly positive diagonal; A_prim has
     the same rowspan and stacked shape as A.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     block = _stacked_block(A)
     M, L = block.shape
     if M == 0:

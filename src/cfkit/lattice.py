@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _zp
+from . import _exact, _kernels, _zp
 from ._kernels import CodeTable, nearest_codeword_point, nearest_codeword_points
 
 MAX_N = 10
@@ -45,16 +45,13 @@ class NestedLatticeEnsemble:
     _echelons: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.levels = _desk_levels(self.n, self.p, self.levels)
         _zp.require_prime(self.p)
-        self.levels = tuple((int(a), int(b)) for a, b in self.levels)
-        G = np.array(self.G, dtype=np.int64) % self.p
+        G = _exact.int_matrix(self.G) % self.p
         self.G = G
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be finite and positive")
         kf = self.k_F
-        if not (1 <= self.n <= MAX_N and self.p <= MAX_P and kf <= MAX_KF):
-            raise ValueError(
-                f"desk scale caps: n <= {MAX_N}, p <= {MAX_P}, k_F <= {MAX_KF}")
         if self.p ** kf > MAX_CODEWORDS:
             raise ValueError(f"p^k_F = {self.p ** kf} exceeds {MAX_CODEWORDS}")
         if kf > self.n:
@@ -151,10 +148,19 @@ class NestedLatticeEnsemble:
     @classmethod
     def from_json(cls, text: str) -> "NestedLatticeEnsemble":
         d = json.loads(text)
-        kf = max(b for _, b in d["levels"])
-        G = np.array(d["G"], dtype=np.int64).reshape(kf, d["n"])
-        return cls(n=d["n"], p=d["p"], gamma=d["gamma"],
-                   levels=tuple(tuple(lv) for lv in d["levels"]), G=G)
+        return cls(n=d["n"], p=d["p"], gamma=d["gamma"], levels=d["levels"],
+                   G=_exact.int_matrix(d["G"]).reshape(-1, d["n"]))
+
+
+def _desk_levels(n: int, p: int, levels) -> tuple[tuple[int, int], ...]:
+    """levels as (k_C, k_F) int pairs, read by _exact's integer rule, once
+    n, p and k_F are checked against the desk-scale caps: before any work
+    that grows with them (the primality test of p, a draw of G)."""
+    rows = _exact.int_rows(levels)
+    if not (1 <= n <= MAX_N and p <= MAX_P and max(b for _, b in rows) <= MAX_KF):
+        raise ValueError(
+            f"desk scale caps: n <= {MAX_N}, p <= {MAX_P}, k_F <= {MAX_KF}")
+    return tuple(map(tuple, rows))
 
 
 def ball_volume(n: int) -> float:
@@ -214,11 +220,10 @@ def build_ensemble(n: int, p: int, gamma: float, levels, seed: int,
 
     An explicit G skips sampling but is still validated.
     """
-    levels = tuple((int(a), int(b)) for a, b in levels)
+    levels = _desk_levels(n, p, levels)
     kf = max(b for _, b in levels)
     if G is not None:
-        return NestedLatticeEnsemble(n=n, p=p, gamma=gamma, levels=levels,
-                                     G=np.array(G, dtype=np.int64))
+        return NestedLatticeEnsemble(n=n, p=p, gamma=gamma, levels=levels, G=G)
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(max_retries):
         cand = rng.integers(0, p, size=(kf, n), dtype=np.int64)
@@ -319,7 +324,7 @@ def linear_labels(ens: NestedLatticeEnsemble, lams) -> np.ndarray:
 
 def label_inverse(ens: NestedLatticeEnsemble, w) -> np.ndarray:
     """Lattice point with the given label: lift of G^T [0_{k_C}; w]."""
-    w = np.asarray(w, dtype=np.int64).ravel() % ens.p
+    w = _exact.int_matrix(w).ravel() % ens.p
     if w.shape[0] != ens.k:
         raise ValueError(f"label must have length {ens.k}")
     v = np.concatenate([np.zeros(ens.k_C, dtype=np.int64), w])
@@ -331,7 +336,8 @@ def label_add(ens: NestedLatticeEnsemble, labels, coeffs) -> np.ndarray:
     """Mod-p combination sum_l coeffs[l] * labels[l]."""
     acc = np.zeros(ens.k, dtype=np.int64)
     for lab, a in zip(labels, coeffs):
-        acc = (acc + (int(a) % ens.p) * np.asarray(lab, dtype=np.int64)) % ens.p
+        a = _exact._as_int(a, "coefficients") % ens.p
+        acc = (acc + a * _exact.int_matrix(lab).ravel()) % ens.p
     return acc
 
 
@@ -342,8 +348,8 @@ def coset_contains(ens: NestedLatticeEnsemble, user: int, candidate, message) ->
     must equal the message, and the trailing k_F - k_F,l symbols must be 0.
     """
     kc, kf = ens.levels[user - 1]
-    candidate = np.asarray(candidate, dtype=np.int64).ravel() % ens.p
-    message = np.asarray(message, dtype=np.int64).ravel() % ens.p
+    candidate = _exact.int_matrix(candidate).ravel() % ens.p
+    message = _exact.int_matrix(message).ravel() % ens.p
     if message.shape[0] != kf - kc:
         raise ValueError(f"message for user {user} must have length {kf - kc}")
     if candidate.shape[0] != ens.k:
@@ -357,7 +363,7 @@ def coset_contains(ens: NestedLatticeEnsemble, user: int, candidate, message) ->
 def zero_padded_label(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
     """Message embedded at user `user`'s signal levels (zeros elsewhere)."""
     kc, kf = ens.levels[user - 1]
-    message = np.asarray(message, dtype=np.int64).ravel() % ens.p
+    message = _exact.int_matrix(message).ravel() % ens.p
     if message.shape[0] != kf - kc:
         raise ValueError(f"message for user {user} must have length {kf - kc}")
     lead = kc - ens.k_C

@@ -48,7 +48,7 @@ def mac_mapping(A, pivot_order=None) -> tuple[AdmissibleMapping, tuple[int, ...]
     the column sequence.  The mapping is the support of L @ A, so it is the
     tightest pair set the elimination certifies.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     if _exact.int_rank(A.tolist()) != A.shape[0]:
         raise ValueError("coefficient matrix must have full rank")
     res = regions.lu_mapping(A, pivot_order=pivot_order)
@@ -122,21 +122,31 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     (with the reason) when some user's worst mapped noise is not the one pi
     assigns it, or when its power cannot cover that noise.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     if not intsearch.is_unimodular(A):
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
     mapping = regions._coerce_mapping(A, mapping)
     # as in successive_sum_identity, A[:-1] passing covers every prefix
     require_full_row_rank(A[:-1])
-    return _successive_outcome(ch, A, mapping, pi, chained_variances(ch, A).tolist(),
-                               sum_capacity(ch))
+    return _successive_outcome(ch, A, mapping, _decoding_steps(pi, ch.num_users),
+                               chained_variances(ch, A).tolist(), sum_capacity(ch))
+
+
+def _decoding_steps(pi, L: int) -> tuple[int, ...]:
+    """pi read by _exact's integer rule; ValueError unless it is a
+    permutation of the decoding steps 1..L."""
+    pi = tuple(_exact._as_int(v, "pi entries") for v in pi)
+    if sorted(pi) != list(range(1, L + 1)):
+        raise ValueError("pi must be a permutation of decoding steps 1..L")
+    return pi
 
 
 def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome:
-    """successive_mac_assignment after its checks on A, the mapping and the
-    powers: mapping is an AdmissibleMapping whose pairs are admissible for A,
-    variances are A's chained row variances and cap is sum_capacity(ch).
+    """successive_mac_assignment after its checks on A, the mapping, pi and
+    the powers: mapping is an AdmissibleMapping whose pairs are admissible
+    for A, pi is a permutation of 1..L (a tuple of ints), variances are A's
+    chained row variances and cap is sum_capacity(ch).
 
     The rates of an accepted assignment sum to cap in exact arithmetic.  A
     float sum that misses cap by more than 1e-8 raises ArithmeticError: on
@@ -144,9 +154,6 @@ def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome
     the assignment to be reported.
     """
     L = ch.num_users
-    pi = tuple(int(v) for v in pi)
-    if sorted(pi) != list(range(1, L + 1)):
-        raise ValueError("pi must be a permutation of decoding steps 1..L")
     for (m, l) in mapping.pairs:
         if 1 <= l <= L and m > pi[l - 1]:  # pairs naming no user are ignored
             return SuccessiveOutcome(
@@ -221,14 +228,14 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
 def successive_sum_identity(ch: ChannelInstance, A, pi) -> tuple[float, float]:
     """(sum of per-step log rates under pi, sum capacity); equal for any
     unimodular A up to numerical error."""
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     if not intsearch.is_unimodular(A):
         raise ValueError("coefficient matrix must be unimodular")
     ch.require_positive_powers()
     L = ch.num_users
     if A.shape[1] != L:
         raise ValueError("coefficient vector length must match user count")
-    pi = tuple(int(v) for v in pi)
+    pi = _decoding_steps(pi, L)
     # dropping rows cannot shrink the smallest singular value or grow the
     # largest, so when A[:-1] passes the check every shorter prefix does
     require_full_row_rank(A[:-1])

@@ -75,10 +75,12 @@ class RateRegionSpec:
 
 def mapping_pairs(mapping) -> frozenset:
     """The (m, l) pairs of an AdmissibleMapping, or of any iterable of
-    pairs, as a frozenset of int pairs."""
+    pairs, as a frozenset of int pairs; an entry that is not an integer
+    raises ValueError."""
     if isinstance(mapping, AdmissibleMapping):
         return mapping.pairs
-    return frozenset((int(m), int(l)) for (m, l) in mapping)
+    return frozenset((_exact._as_int(m, "mapping pairs"), _exact._as_int(l, "mapping pairs"))
+                     for (m, l) in mapping)
 
 
 def all_pairs_mapping(L: int) -> AdmissibleMapping:
@@ -88,7 +90,7 @@ def all_pairs_mapping(L: int) -> AdmissibleMapping:
 
 def participation_mapping(Atilde) -> AdmissibleMapping:
     """Pairs where the coefficient is nonzero; always admissible (L = I)."""
-    A = np.atleast_2d(np.asarray(Atilde, dtype=int))
+    A = _exact.int_matrix(Atilde)
     pairs = frozenset((m + 1, l + 1) for m in range(A.shape[0])
                       for l in range(A.shape[1]) if A[m, l] != 0)
     return AdmissibleMapping(pairs)
@@ -115,7 +117,7 @@ def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
     ValueError) and may have any number of rows; pairs naming no row or no
     column of it are ignored.
     """
-    rows = _exact.int_rows(np.atleast_2d(Atilde))
+    rows = _exact.int_rows(Atilde)
     pairs = mapping_pairs(pairs)
     if any(sol is None for _m, sol in cancellation_solves(rows, pairs)):
         return None
@@ -134,9 +136,11 @@ def _lu_walk(A, pivot_order=None):
     the support of the eliminated rows: the row operations that produce
     them are the lower-unitriangular L that makes it admissible.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     L = A.shape[0]
     pi = [0] * L
+    if pivot_order is not None:
+        pivot_order = [_exact._as_int(c, "pivot order entries") for c in pivot_order]
 
     def walk(rows, step, d):
         if step == L:
@@ -144,7 +148,7 @@ def _lu_walk(A, pivot_order=None):
                               if rows[m][l])
             yield AdmissibleMapping(pairs), tuple(pi)
             return
-        cols = range(L) if pivot_order is None else (int(pivot_order[step]),)
+        cols = range(L) if pivot_order is None else (pivot_order[step],)
         for col in cols:
             pivot = rows[step][col]
             if pi[col] == 0 and pivot != 0:
@@ -201,7 +205,7 @@ def row_variances(ch: ChannelInstance, Atilde, chained: bool) -> list[float]:
     values are core._chained_rows' (through chained_variances and
     noise_variance), so bitwise sigma_para_opt's and sigma_succ_opt's.
     """
-    A = np.atleast_2d(np.asarray(Atilde, dtype=int))
+    A = _exact.int_matrix(Atilde)
     if not A.shape[0]:
         return []
     if A.shape[1] != ch.num_users:
@@ -228,7 +232,7 @@ def _box(ch: ChannelInstance, variances, mapping: AdmissibleMapping,
 
 def para_region(ch: ChannelInstance, Atilde) -> RateRegionSpec:
     """One box: user l is capped by the worst row in which it participates."""
-    A = np.atleast_2d(np.asarray(Atilde, dtype=int))
+    A = _exact.int_matrix(Atilde)
     box = _box(ch, row_variances(ch, A, chained=False), participation_mapping(A),
                {"Atilde": A.tolist(), "mapping": "participation"})
     return RateRegionSpec(L=ch.num_users, boxes=[box])
@@ -236,7 +240,7 @@ def para_region(ch: ChannelInstance, Atilde) -> RateRegionSpec:
 
 def succ_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
     """One box from chained variances; caps follow the admissible mapping."""
-    A = np.atleast_2d(np.asarray(Atilde, dtype=int))
+    A = _exact.int_matrix(Atilde)
     mapping = _coerce_mapping(A, mapping)
     box = _box(ch, row_variances(ch, A, chained=True), mapping,
                {"Atilde": A.tolist(), "mapping": sorted(mapping.pairs)})
@@ -246,7 +250,7 @@ def succ_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
 def asc_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
     """Like succ_region but with unchained per-row variances (side-information
     equalizers set to zero: only the cancellation order is exploited)."""
-    A = np.atleast_2d(np.asarray(Atilde, dtype=int))
+    A = _exact.int_matrix(Atilde)
     mapping = _coerce_mapping(A, mapping)
     box = _box(ch, row_variances(ch, A, chained=False), mapping,
                {"Atilde": A.tolist(), "mapping": sorted(mapping.pairs), "chained": False})
@@ -285,7 +289,7 @@ def mac_region(ch: ChannelInstance) -> RateRegionSpec:
 def sic_rates(ch: ChannelInstance, order) -> tuple[float, ...]:
     """Rate tuple of successive interference cancellation in the given
     decoding order (1-indexed users, first decoded first)."""
-    order = [int(u) for u in order]
+    order = [_exact._as_int(u, "order entries") for u in order]
     if sorted(order) != list(range(1, ch.num_users + 1)):
         raise ValueError("order must be a permutation of the users")
     H, P = ch.H, ch.P
@@ -324,7 +328,7 @@ def membership(ch: ChannelInstance, A, rates, mode: str = "parallel",
     """
     if mode not in ("parallel", "successive"):
         raise ValueError("mode must be 'parallel' or 'successive'")
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     L = ch.num_users
     rates = np.asarray(rates, dtype=float).ravel()
     if np.all(rates <= _TOL):

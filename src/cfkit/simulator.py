@@ -72,7 +72,7 @@ class TrialConfig:
     cancellation: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=int))
+        self.A = _exact.int_matrix(self.A)
         if self.mode not in ("parallel", "successive"):
             raise ValueError("mode must be 'parallel' or 'successive'")
         if self.mode == "successive" and self.mapping is None:
@@ -140,7 +140,7 @@ def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
 
 def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.ndarray]:
     """Per-row MMSE equalizers b for channel noise of the given deviation."""
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     return [mmse_solve(ch, a, A[:0], noise_std)[0] for a in A]
 
 
@@ -149,7 +149,7 @@ def successive_equalizers(ch: ChannelInstance, A, noise_std: float, *,
     """Per-row MMSE (b, c) pairs, c weighting the real combinations of the
     earlier rows; c entries for dropped (dependent) rows are zero.  `kept`,
     when given, is _exact.kept_rows of A, which depends on A alone."""
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     if kept is None:
         kept = _exact.kept_rows(A.tolist())
     out = []
@@ -172,7 +172,7 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     first denominator that vanishes mod p.
     """
     _zp.require_prime(p)
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     L, users = A.shape
     pairs = regions.mapping_pairs(mapping)
     sols = list(regions.cancellation_solves(A.tolist(), pairs))
@@ -563,7 +563,7 @@ def _first(blocks) -> list | None:
 
 def _message_row(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
     kc, kf = ens.levels[user - 1]
-    message = np.asarray(message, dtype=np.int64).reshape(1, -1) % ens.p
+    message = _exact.int_matrix(message).reshape(1, -1) % ens.p
     if message.shape[1] != kf - kc:
         raise ValueError(f"message for user {user} must have length {kf - kc}")
     return message
@@ -590,7 +590,7 @@ def shifted_point(ens: NestedLatticeEnsemble, user: int, lam, dither) -> np.ndar
 def true_combinations(ens: NestedLatticeEnsemble, A, shifted_points,
                       messages=None) -> list[np.ndarray]:
     """Ground-truth labels u_m of the integer combinations of shifted points."""
-    A = np.atleast_2d(np.asarray(A, dtype=int))
+    A = _exact.int_matrix(A)
     labels = lattice.linear_labels(ens, _rows(shifted_points))
     if messages is not None:
         for u, msg in enumerate(messages):
@@ -604,7 +604,7 @@ def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np
     Exact whenever the effective noise of ytilde stays inside the coarsest
     Voronoi region; silently wrong otherwise (trial bookkeeping flags it).
     """
-    a = np.asarray(a, dtype=int).ravel()
+    a = _exact.int_matrix(a).ravel()
     return _recover_real(ens, _rows(ytilde), _rows(mu),
                          [_rows(d) for d in dithers], a)[0]
 

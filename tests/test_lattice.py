@@ -88,6 +88,23 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError, match="k_F must not exceed"):
             build_ensemble(2, 3, 1.0, [(0, 3)], seed=0)
 
+    @pytest.mark.parametrize("n, p, levels", [(2, 9999999999999937, [(0, 1)]),
+                                              (2, 15, [(0, 1)]),
+                                              (2_000_000, 3, [(0, 1)]),
+                                              (2, 3, [(0, 7)])])
+    def test_caps_checked_before_any_work(self, monkeypatch, n, p, levels):
+        # neither the primality test of p nor a draw of G may run first
+        def spy(*args, **kwargs):
+            raise AssertionError("work done before the desk scale caps")
+
+        monkeypatch.setattr(lattice._zp, "require_prime", spy)
+        monkeypatch.setattr(lattice.np.random, "PCG64", spy)
+        with pytest.raises(ValueError, match="desk scale caps"):
+            build_ensemble(n, p, 3.0, levels, seed=0)
+        with pytest.raises(ValueError, match="desk scale caps"):
+            NestedLatticeEnsemble(n=n, p=p, gamma=3.0, levels=levels,
+                                  G=np.zeros((1, 2), dtype=np.int64))
+
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, -math.inf, 0.0])
     def test_gamma_must_be_finite_and_positive(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite and positive"):

@@ -18,8 +18,8 @@ stack and, on the pool, three more: per `regions.lu_mappings_all` call on
 the channel's dominant solution ("lu us"); per pair of mac tables,
 `parallel_mac_assignments` then `successive_mac_assignments`, with the
 dominant solution cached but not its mappings, so each pair runs one
-elimination walk and the permutation candidates' `permutation_mapping`
-calls ("tables us"); and per `mac_assignments.json` text: the template
+elimination walk ("tables us"; `benchmarks/bench_mac.py` times the
+successive table alone); and per `mac_assignments.json` text: the template
 writer against `json.dumps(payload, sort_keys=True, indent=2)`, which
 gives the same bytes through the pure-Python encoder ("write us"). It
 runs on two channel sets:

@@ -8,7 +8,7 @@ further rows against the basis of rref_mod_p.
 
 from __future__ import annotations
 
-import numpy as np
+from . import _exact
 
 
 def is_prime(p: int) -> bool:
@@ -32,10 +32,10 @@ def require_prime(p: int) -> None:
 
 
 def reduce_mod(mat, p: int) -> list[list[int]]:
-    arr = np.asarray(mat)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return [[int(v) % p for v in row] for row in arr.tolist()]
+    """The rows of an integer matrix mod p, as lists of python ints.  The
+    matrix is read by _exact.int_rows: exactly, a 1-D input as one row, and
+    a non-integral entry raises ValueError."""
+    return [[v % p for v in row] for row in _exact.int_rows(mat)]
 
 
 def _insert(basis: list, pivots: list, r: list, n: int, p: int) -> bool:
@@ -88,7 +88,7 @@ def solve_mod_p(A, b, p: int) -> list[int] | None:
     Free variables (if any) are set to zero.
     """
     A = reduce_mod(A, p)
-    bcol = [int(v) % p for v in np.asarray(b).ravel().tolist()]
+    bcol = [v for row in reduce_mod(b, p) for v in row]  # a row or a column
     m = len(A)
     n = len(A[0]) if m else 0
     aug = [A[i] + [bcol[i]] for i in range(m)]
@@ -121,7 +121,7 @@ def prefix_echelons(mat, p: int) -> list[tuple[list[list[int]], list[int], list[
     runs from j = 0 up to the last j whose rows are independent mod p: its
     length is one more than the number of leading independent rows.
     """
-    rows = reduce_mod(mat, p) if len(mat) else []
+    rows = reduce_mod(mat, p)
     k = len(rows)
     basis, pivots = [], []  # the rref rows so far, each followed by its row of T
     out = [([], [], [])]

@@ -362,12 +362,12 @@ def cmd_mac(args) -> int:
     out = _outdir(args)
     payload = _mac_payload(ch)
     _write(out / "mac_assignments.json", _mac_json(payload))
-    header = f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}"
-    print(header)
+    lines = [f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}"]
     for e in payload["assignments"]:
         rates = " ".join(_fmt(r) for r in e["rates"])
-        print(f"{e['strategy']:<11} {rates:<30} {_fmt(e['sum_rate']):>9} "
-              f"{_fmt(e['gap']):>9}")
+        lines.append(f"{e['strategy']:<11} {rates:<30} {_fmt(e['sum_rate']):>9} "
+                     f"{_fmt(e['gap']):>9}")
+    print("\n".join(lines))
     return 0
 
 

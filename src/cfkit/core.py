@@ -78,6 +78,21 @@ class ChannelInstance:
         return F
 
     @cached_property
+    def _sum_capacity(self) -> float:
+        # sum_capacity's value, kept like _effective_matrix: a raise
+        # stores nothing
+        H = self.H
+        if self.num_antennas > self.num_users:
+            root = np.sqrt(self.P)
+            G = np.eye(self.num_users) + root[:, None] * (H.T @ H) * root
+        else:
+            G = np.eye(self.num_antennas) + H @ self.P_matrix() @ H.T
+        sign, logdet = np.linalg.slogdet(G)
+        if sign <= 0:
+            raise ArithmeticError("I + H P H^T must be positive definite")
+        return 0.5 * logdet / math.log(2.0)
+
+    @cached_property
     def _dominant_solution(self):
         # intsearch.dominant_solution of effective_matrix at the default
         # radius, 64 (one ellipsoid enumeration, certified for entries up
@@ -301,17 +316,12 @@ def sum_capacity(ch: ChannelInstance) -> float:
     L x L matrix I + P^1/2 H^T H P^1/2 (Sylvester's identity): the larger
     N_r x N_r one is rank-deficient plus I, and with large entries its
     log-determinant loses the unit eigenvalues.
+
+    Computed once per ChannelInstance, like effective_matrix: every later
+    call on that instance returns the same float, and an error is raised
+    anew on every call.
     """
-    H = ch.H
-    if ch.num_antennas > ch.num_users:
-        root = np.sqrt(ch.P)
-        G = np.eye(ch.num_users) + root[:, None] * (H.T @ H) * root
-    else:
-        G = np.eye(ch.num_antennas) + H @ ch.P_matrix() @ H.T
-    sign, logdet = np.linalg.slogdet(G)
-    if sign <= 0:
-        raise ArithmeticError("I + H P H^T must be positive definite")
-    return 0.5 * logdet / math.log(2.0)
+    return ch._sum_capacity
 
 
 def log2_plus(x: float) -> float:

@@ -86,6 +86,14 @@ class NestedLatticeEnsemble:
         sizes = {kc for kc, _ in self.levels} | {kf for _, kf in self.levels}
         return sorted(s for s in sizes if s > 0)
 
+    def user_levels(self, user) -> tuple[int, int]:
+        """(k_C,l, k_F,l) of user l (1-indexed), read by _exact's integer
+        rule; ValueError unless l is one of the users 1..L."""
+        user = _exact._as_int(user, "user indices")
+        if not 1 <= user <= self.num_users:
+            raise ValueError(f"user index {user} out of range")
+        return self.levels[user - 1]
+
     def prefix_len(self, which) -> int:
         """Prefix size of the chain lattice named by `which`.
 
@@ -97,9 +105,7 @@ class NestedLatticeEnsemble:
         if which == "F":
             return self.k_F
         kind, user = which
-        if not 1 <= user <= self.num_users:
-            raise ValueError(f"user index {user} out of range")
-        kc, kf = self.levels[user - 1]
+        kc, kf = self.user_levels(user)
         if kind == "C":
             return kc
         if kind == "F":
@@ -347,7 +353,7 @@ def coset_contains(ens: NestedLatticeEnsemble, user: int, candidate, message) ->
     Leading k_C,l - k_C symbols are free ("don't care"), the middle block
     must equal the message, and the trailing k_F - k_F,l symbols must be 0.
     """
-    kc, kf = ens.levels[user - 1]
+    kc, kf = ens.user_levels(user)
     candidate = _exact.int_matrix(candidate).ravel() % ens.p
     message = _exact.int_matrix(message).ravel() % ens.p
     if message.shape[0] != kf - kc:
@@ -362,7 +368,7 @@ def coset_contains(ens: NestedLatticeEnsemble, user: int, candidate, message) ->
 
 def zero_padded_label(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
     """Message embedded at user `user`'s signal levels (zeros elsewhere)."""
-    kc, kf = ens.levels[user - 1]
+    kc, kf = ens.user_levels(user)
     message = _exact.int_matrix(message).ravel() % ens.p
     if message.shape[0] != kf - kc:
         raise ValueError(f"message for user {user} must have length {kf - kc}")

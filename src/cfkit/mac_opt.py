@@ -5,12 +5,21 @@ parallel, cancel algebraically, and assign users to rows via a permutation --
 lands within (L/2) log2 L bits of sum capacity; (b) chain successively with a
 unimodular coefficient matrix -- hits sum capacity exactly whenever the
 per-user noise conditions hold.
+
+Every successive candidate, a (matrix, mapping, pi) triple, is scored by one
+function, _score, on a stack of K of them as arrays: chained variances
+(K x M), mapping supports (K x M x L) and decoding steps (K x L) in, accept
+flags, rates and sum rates out.  successive_mac_assignments scores all its
+candidates in one call, and successive_mac_assignment its one candidate as a
+stack of one, wording the first check that declines it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +129,9 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     Requires unimodular A with numerically independent rows and an
     admissible mapping allowing permutation pi (else ValueError).  Declines
     (with the reason) when some user's worst mapped noise is not the one pi
-    assigns it, or when its power cannot cover that noise.
+    assigns it, or when its power cannot cover that noise.  The candidate
+    is scored by _score as a stack of one, and the reason names its first
+    failed check.
     """
     A = _exact.int_matrix(A)
     if not intsearch.is_unimodular(A):
@@ -129,8 +140,19 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     mapping = regions._coerce_mapping(A, mapping)
     # as in successive_sum_identity, A[:-1] passing covers every prefix
     require_full_row_rank(A[:-1])
-    return _successive_outcome(ch, A, mapping, _decoding_steps(pi, ch.num_users),
-                               chained_variances(ch, A).tolist(), sum_capacity(ch))
+    pi = _decoding_steps(pi, ch.num_users)
+    variances = chained_variances(ch, A)
+    cap = sum_capacity(ch)
+    support = np.zeros((1, *A.shape), dtype=bool)
+    _mark_pairs(support, 0, [mapping])
+    scores = _score(ch.P, variances[None], support, np.array([pi]))
+    if not scores.ok[0]:
+        return SuccessiveOutcome(None, _declined_reason(ch, mapping, pi, scores))
+    total = float(scores.sums[0])
+    _require_capacity(total, cap)
+    return SuccessiveOutcome(MacAssignment(
+        A=A, mapping=mapping, pi=pi, rates=tuple(scores.rates[0].tolist()),
+        sum_rate=total, gap_to_capacity=cap - total))
 
 
 def _decoding_steps(pi, L: int) -> tuple[int, ...]:
@@ -142,50 +164,120 @@ def _decoding_steps(pi, L: int) -> tuple[int, ...]:
     return pi
 
 
-def _successive_outcome(ch, A, mapping, pi, variances, cap) -> SuccessiveOutcome:
-    """successive_mac_assignment after its checks on A, the mapping, pi and
-    the powers: mapping is an AdmissibleMapping whose pairs are admissible
-    for A, pi is a permutation of 1..L (a tuple of ints), variances are A's
-    chained row variances and cap is sum_capacity(ch).
+class _Scores(NamedTuple):
+    """_score's answer for a stack of K candidates with L users.
 
-    The rates of an accepted assignment sum to cap in exact arithmetic.  A
+    ok[k] accepts candidate k.  rates (K x L) and sums (K) are filled for
+    every row, declined ones too.  The rest is kept to word a decline:
+    last (K x L) is the last row mapped to each user (0 for none), worst
+    the largest noise of those rows (-inf for none), assigned the noise of
+    the user's own step, and worse and weak mark the users whose worst
+    mapped noise, or whose power, fails that step's noise.
+    """
+
+    ok: np.ndarray
+    rates: np.ndarray
+    sums: np.ndarray
+    last: np.ndarray
+    worst: np.ndarray
+    assigned: np.ndarray
+    worse: np.ndarray
+    weak: np.ndarray
+
+
+def _score(P, variances, support, steps) -> _Scores:
+    """Score K successive candidates in one pass of array operations.
+
+    variances (K x M) are each candidate's chained row variances, support
+    (K x M x L, bool) its mapping, pair (m, l) as entry [k, m - 1, l - 1],
+    and steps (K x L) its pi, user l's decoding step in 1..M.  The
+    mappings must be admissible for their matrices and each pi a
+    permutation; M = L.
+
+    A candidate is accepted when the last row mapped to each user is its
+    own step (no pair sits below the step, and the step is mapped), no
+    user's worst mapped noise exceeds its step's by more than a relative
+    1e-9 plus 1e-12, and each power covers its step's noise to within
+    1e-12.  User l's rate is 0.5 log2(P_l / assigned_l), and a sum adds
+    the rates in user order from 0: the float operations of a
+    per-candidate loop, so no bit depends on how many candidates are
+    scored together.  The reductions are the ufuncs' own (maximum.reduce
+    rather than max), which skip numpy's Python-level wrapper.
+    """
+    K, M, _L = support.shape
+    last = np.maximum.reduce(np.where(support, np.arange(1, M + 1)[:, None], 0), axis=1)
+    worst = np.maximum.reduce(np.where(support, variances[:, :, None], -np.inf), axis=1)
+    assigned = variances[np.arange(K)[:, None], steps - 1]
+    worse = worst > assigned * (1 + 1e-9) + 1e-12
+    weak = P < assigned - 1e-12
+    ok = ~np.logical_or.reduce((last != steps) | worse | weak, axis=1)
+    rates = 0.5 * np.log2(P / assigned)
+    sums = np.zeros(K)
+    for column in rates.T:
+        sums += column
+    return _Scores(ok, rates, sums, last, worst, assigned, worse, weak)
+
+
+def _mark_pairs(support, first: int, mappings) -> None:
+    """Mark each mapping's pairs in rows first, first + 1, ... of a K x M x L
+    support, in one write; pairs naming no user 1..L are left out."""
+    _K, M, L = support.shape
+    support.reshape(-1)[[((k * M) + m - 1) * L + l - 1
+                         for k, mapping in enumerate(mappings, first)
+                         for m, l in mapping.pairs if 1 <= l <= L]] = True
+
+
+def _declined_reason(ch, mapping, pi, scores: _Scores) -> str:
+    """Word the first check that declined the one candidate of scores: a
+    pair below its user's pivot step (the first such pair of
+    mapping.pairs), else the first user, in order, whose step is unmapped,
+    whose worst mapped noise exceeds it, or whose power is too low."""
+    last, steps = scores.last[0], np.array(pi)
+    if (last > steps).any():
+        m, l = next((m, l) for m, l in mapping.pairs
+                    if 1 <= l <= ch.num_users and m > pi[l - 1])
+        return (f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
+                f"{pi[l - 1]}; pi is not allowed by this mapping")
+    l = int(np.argmax((last != steps) | scores.worse[0] | scores.weak[0]))
+    if last[l] != steps[l]:
+        return f"user {l + 1} is not mapped to its assigned step {pi[l]}"
+    assigned = scores.assigned[0, l]
+    if scores.worse[0, l]:
+        return (f"user {l + 1}: worst mapped noise {scores.worst[0, l]:.6g} exceeds "
+                f"assigned step {pi[l]} noise {assigned:.6g}")
+    return (f"user {l + 1}: power {ch.P[l]:.6g} below required noise "
+            f"tolerance {assigned:.6g}")
+
+
+def _require_capacity(total: float, cap: float) -> None:
+    """An accepted candidate's rates sum to cap in exact arithmetic.  A
     float sum that misses cap by more than 1e-8 raises ArithmeticError: on
     an ill-conditioned channel the variances are not accurate enough for
-    the assignment to be reported.
-    """
-    L = ch.num_users
-    for (m, l) in mapping.pairs:
-        if 1 <= l <= L and m > pi[l - 1]:  # pairs naming no user are ignored
-            return SuccessiveOutcome(
-                None,
-                f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
-                f"{pi[l - 1]}; pi is not allowed by this mapping")
-    worst = mapping.worst_variances(variances, L)
-    rates = []
-    for l in range(L):
-        if (pi[l], l + 1) not in mapping.pairs:
-            return SuccessiveOutcome(None, f"user {l + 1} is not mapped to its assigned step {pi[l]}")
-        worst_l = worst[l]
-        assigned = variances[pi[l] - 1]
-        if worst_l > assigned * (1 + 1e-9) + 1e-12:
-            return SuccessiveOutcome(
-                None,
-                f"user {l + 1}: worst mapped noise {worst_l:.6g} exceeds assigned "
-                f"step {pi[l]} noise {assigned:.6g}")
-        if ch.P[l] < assigned - 1e-12:
-            return SuccessiveOutcome(
-                None,
-                f"user {l + 1}: power {ch.P[l]:.6g} below required noise "
-                f"tolerance {assigned:.6g}")
-        rates.append(0.5 * np.log2(ch.P[l] / assigned))
-    total = float(sum(rates))
+    the assignment to be reported."""
     if abs(total - cap) > 1e-8:
         raise ArithmeticError(
             f"successive sum rate misses the sum capacity by {abs(total - cap):.2e} "
             f"(tolerance 1e-8); the channel is too ill-conditioned")
-    asg = MacAssignment(A=A, mapping=mapping, pi=pi, rates=tuple(float(r) for r in rates),
-                        sum_rate=total, gap_to_capacity=cap - total)
-    return SuccessiveOutcome(asg)
+
+
+@functools.cache
+def _permutation_candidates(L: int) -> tuple:
+    """(stack, support, steps, mappings) of the L! user permutation
+    matrices, in ``itertools.permutations`` order, as read-only arrays and
+    a tuple of AdmissibleMappings.  A permutation matrix's one
+    lu_mappings_all result needs no elimination: step m pivots on the
+    column of row m's one, with pivot 1, and clears nothing, so the
+    mapping is the matrix's support and user l is decoded at the step
+    whose row holds its one (steps = argsort(perm) + 1)."""
+    perms = np.array(list(itertools.permutations(range(L))), dtype=int)
+    stack = np.eye(L, dtype=int)[perms]
+    support = stack.astype(bool)
+    steps = np.argsort(perms, axis=1) + 1
+    for a in (stack, support, steps):
+        a.setflags(write=False)
+    mappings = tuple(AdmissibleMapping(frozenset(zip(range(1, L + 1), (perm + 1).tolist())))
+                     for perm in perms)
+    return stack, support, steps, mappings
 
 
 def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
@@ -193,35 +285,49 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     permutation matrices plus the dominant solution (when unimodular), one
     per distinct rate tuple, in candidate then pivot-order order.
 
-    A permutation matrix's one mapping is read off its permutation
-    (regions.permutation_mapping); the dominant solution's are the
-    channel's shared lu_mappings_all.  Both are admissible by construction
-    and are used as they are.  The sum capacity is computed once per
-    call, and the chained variances of every candidate in one
-    chained_variances call on their stack.  The candidates are unimodular
-    by construction (the dominant solution is checked before it joins
-    them), so none is checked again.
+    A permutation matrix's one mapping is its support
+    (_permutation_candidates); the dominant solution's are the channel's
+    shared lu_mappings_all.  Both are admissible by construction and are
+    used as they are.  The candidates are unimodular by construction (the
+    dominant solution is checked before it joins them), so none is checked
+    again.  Their chained variances are one chained_variances call on
+    their stack, every (matrix, mapping) pair is a row of one _score call,
+    and only the rows kept become MacAssignments.
     """
-    L = ch.num_users
-    perms = list(itertools.permutations(range(L)))
-    candidates = [np.eye(L, dtype=int)[list(perm)] for perm in perms]
-    mappings = [[regions.permutation_mapping(perm)] for perm in perms]
+    # the search refuses more than MAX_EXACT_USERS users before L! candidates
+    # are built
     dom = ch._dominant_solution
-    if intsearch.is_unimodular(dom.A_star):
-        candidates.append(dom.A_star)
-        mappings.append(ch._dominant_mappings)
+    dominant = ch._dominant_mappings if intsearch.is_unimodular(dom.A_star) else ()
+    L = ch.num_users
+    stack, perm_support, perm_steps, perm_mappings = _permutation_candidates(L)
+    n = len(stack)
+    K = n + len(dominant)
     cap = sum_capacity(ch)
-    variances = chained_variances(ch, np.stack(candidates)).tolist()
+    support = np.zeros((K, L, L), dtype=bool)
+    steps = np.empty((K, L), dtype=int)
+    support[:n], steps[:n] = perm_support, perm_steps
+    if dominant:
+        chained = chained_variances(ch, np.concatenate([stack, dom.A_star[None]]))
+        # each pivot order of the dominant solution is a row of its own
+        variances = np.concatenate([chained[:n], np.repeat(chained[n:], len(dominant), axis=0)])
+        steps[n:] = [pi for _mapping, pi in dominant]
+        _mark_pairs(support, n, [mapping for mapping, _pi in dominant])
+    else:
+        variances = chained_variances(ch, stack)
+    scores = _score(ch.P, variances, support, steps)
+    rates, sums, pis = scores.rates.tolist(), scores.sums.tolist(), steps.tolist()
     out = []
     seen = set()
-    for A, row_variances, results in zip(candidates, variances, mappings):
-        for mapping, pi in results:
-            outcome = _successive_outcome(ch, A, mapping, pi, row_variances, cap)
-            if outcome:
-                key = tuple(round(r, 10) for r in outcome.assignment.rates)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(outcome.assignment)
+    for k in np.flatnonzero(scores.ok).tolist():
+        _require_capacity(sums[k], cap)
+        key = tuple([round(r, 10) for r in rates[k]])
+        if key not in seen:
+            seen.add(key)
+            A, mapping = ((stack[k], perm_mappings[k]) if k < n
+                          else (dom.A_star, dominant[k - n][0]))
+            out.append(MacAssignment(A=A, mapping=mapping, pi=tuple(pis[k]),
+                                     rates=tuple(rates[k]), sum_rate=sums[k],
+                                     gap_to_capacity=cap - sums[k]))
     return out
 
 

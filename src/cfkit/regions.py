@@ -126,7 +126,8 @@ def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
 
 def _lu_walk(A, pivot_order=None):
     """Yield (mapping, pi) for every pivot order that needs no row swap, in
-    ``itertools.permutations`` order, or only for pivot_order when given.
+    ``itertools.permutations`` order, or only for pivot_order when given
+    (ValueError unless it is a permutation of the columns 0..L-1).
 
     Walks the pivot prefixes depth first, trying columns in increasing order,
     so each prefix is eliminated once (one fraction-free step,
@@ -141,6 +142,9 @@ def _lu_walk(A, pivot_order=None):
     pi = [0] * L
     if pivot_order is not None:
         pivot_order = [_exact._as_int(c, "pivot order entries") for c in pivot_order]
+        if sorted(pivot_order) != list(range(L)):
+            raise ValueError(f"pivot order {pivot_order} is not a permutation "
+                             f"of the columns 0..{L - 1}")
 
     def walk(rows, step, d):
         if step == L:
@@ -181,17 +185,6 @@ def lu_mappings_all(A) -> list[tuple[AdmissibleMapping, tuple[int, ...]]]:
     ``itertools.permutations`` order; each result equals
     ``lu_mapping(A, order)``."""
     return list(_lu_walk(A))
-
-
-def permutation_mapping(perm) -> tuple[AdmissibleMapping, tuple[int, ...]]:
-    """lu_mappings_all's one result for the permutation matrix with rows
-    e_perm[0], e_perm[1], ..., read off perm without elimination: step m
-    pivots on column perm[m] with pivot 1 and clears nothing, so the pairs
-    are the matrix's support and user l is decoded at step
-    perm.index(l - 1) + 1."""
-    L = len(perm)
-    return (AdmissibleMapping(frozenset((m + 1, perm[m] + 1) for m in range(L))),
-            tuple(perm.index(l) + 1 for l in range(L)))
 
 
 def row_variances(ch: ChannelInstance, Atilde, chained: bool) -> list[float]:

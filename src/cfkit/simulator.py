@@ -562,7 +562,7 @@ def _first(blocks) -> list | None:
 
 
 def _message_row(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
-    kc, kf = ens.levels[user - 1]
+    kc, kf = ens.user_levels(user)
     message = _exact.int_matrix(message).reshape(1, -1) % ens.p
     if message.shape[1] != kf - kc:
         raise ValueError(f"message for user {user} must have length {kf - kc}")

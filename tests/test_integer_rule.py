@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfkit import _exact, intsearch, lattice, mac_opt, regions, simulator
+from cfkit import _exact, _zp, intsearch, lattice, mac_opt, regions, simulator
 from cfkit.core import ChannelInstance
 from cfkit.lattice import NestedLatticeEnsemble
 
@@ -98,6 +98,10 @@ CASES = [
      lambda x: NestedLatticeEnsemble.from_json(
          '{"n": 3, "p": 3, "gamma": 3.0, "levels": [[0, 1], [1, 2]], "G": %s}'
          % json.dumps(x)).G, sum(G, []), "int64"),
+    ("zp.reduce_mod", lambda x: _zp.reduce_mod(x, 3), A, "exact"),
+    ("zp.solve_mod_p-A", lambda x: _zp.solve_mod_p(x, [1, 2], 3), A, "exact"),
+    ("zp.solve_mod_p-b", lambda x: _zp.solve_mod_p(A, x, 3), [1, 2], "exact"),
+    ("zp.in_rowspan_mod_p", lambda x: _zp.in_rowspan_mod_p(A, x, 3), [[2, 3]], "exact"),
     ("exact.int_det-1d", _exact.int_det, [5], "exact"),
     ("exact.int_rank-1d", _exact.int_rank, [3, 4], "exact"),
 ]
@@ -175,7 +179,8 @@ def test_int64_array_passes_through():
 
 _CASTS = [re.compile(r"asarray\(.*dtype=(int|np\.int64)\b"),
           re.compile(r"map\(int,"),
-          re.compile(r"\(int\(m\), int\(l\)\)")]
+          re.compile(r"\(int\(m\), int\(l\)\)"),
+          re.compile(r"int\(v\) % p")]
 
 
 def test_integer_casts_only_in_exact():

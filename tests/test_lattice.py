@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cfkit import _kernels, _zp, lattice
+from cfkit import _kernels, _zp, lattice, simulator
 from cfkit.lattice import (NestedLatticeEnsemble, ball_volume, build_ensemble,
                            coset_contains, label_inverse, largest_prime_for,
                            linear_label, linear_labels, mod_lattice,
@@ -128,6 +128,28 @@ class TestBuildEnsemble:
             want = (2.5 / p) * ((V @ ens.G[:k]) % p).astype(np.float64)
             assert ens.codeword_shifts(k).tobytes() == want.tobytes()
             assert ens.code_table(k).shifts is ens.codeword_shifts(k)
+
+
+class TestUserIndex:
+    ENS = build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda ens, user: lattice.zero_padded_label(ens, user, [1]),
+        lambda ens, user: coset_contains(ens, user, [0, 1], [1]),
+        lambda ens, user: simulator.encode(ens, user, [1], np.zeros(3)),
+        lambda ens, user: ens.prefix_len(("C", user)),
+    ], ids=["zero_padded_label", "coset_contains", "simulator.encode", "prefix_len"])
+    @pytest.mark.parametrize("user", [0, -1, 3])
+    def test_out_of_range_user_refused(self, call, user):
+        # user 0 and -1 once read the last user's levels
+        with pytest.raises(ValueError, match=f"user index {user} out of range"):
+            call(self.ENS, user)
+
+    def test_in_range_user_reads_its_levels(self):
+        assert self.ENS.user_levels(1) == (0, 1) and self.ENS.user_levels(2.0) == (1, 2)
+        assert lattice.zero_padded_label(self.ENS, 1, [1]).tolist() == [1, 0]
+        with pytest.raises(ValueError, match="user indices must be integers"):
+            self.ENS.user_levels(1.5)
 
 
 class TestPrefixEchelons:

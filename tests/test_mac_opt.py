@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ class TestMacMapping:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="full rank"):
             mac_mapping(np.array([[1, 1], [2, 2]]))
+
+    @pytest.mark.parametrize("order", [[-1, 0], [5, 0], [0, 0], [0], [0, 1, 2]],
+                             ids=["negative", "past-last", "repeated", "short", "long"])
+    def test_forced_order_must_be_a_column_permutation(self, order):
+        # [-1, 0] once pivoted on the last column, [5, 0] raised IndexError
+        # and [0, 0] said "requires a row swap"
+        message = re.escape(f"pivot order {order} is not a permutation of the columns 0..1")
+        with pytest.raises(ValueError, match=message):
+            mac_mapping([[1, 1], [1, 2]], pivot_order=order)
+        with pytest.raises(ValueError, match=message):
+            regions.lu_mapping([[1, 1], [1, 2]], order)
 
 
 class TestParallelAssignments:
@@ -382,6 +394,123 @@ class TestAgainstOracle:
         path.write_text(json.dumps({"H": [[1.0, -0.4, 2.2]], "P": [3.0, 1.0, 5.0]}))
         assert main(["mac", "--input", str(path), "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+
+# An ill-conditioned 3-user channel (tests/test_cli.py's): the float chained
+# rates of A = I, pi = (1, 2, 3) sum to 1.26e-8 off the sum capacity.
+ILL_CONDITIONED = ChannelInstance(
+    H=[[0.18741764658239202, 3240.7824325742536, 347.20363251559723],
+       [-3947.6845546120926, -203.38369279157774, -0.3125176278023317],
+       [2.6173547520922833, 0.049296135617367245, -0.00856342679795989]],
+    P=[0.3495355968249849, 7737.990263562073, 479.81084557660967])
+
+
+def _scorer_rows(ch, rng):
+    """(A, mapping, pi) candidates for one _score stack: the successive
+    table's own (every user permutation matrix, and the dominant solution's
+    pivot orders when it is unimodular), then every pivot order of two
+    random unimodular matrices under every pi, the lu mapping and a
+    superset of it with one more pair, so that each declining check fires."""
+    L = ch.num_users
+    rows = [(np.eye(L, dtype=int)[list(perm)], None, None)
+            for perm in itertools.permutations(range(L))]
+    rows = [(A, *regions.lu_mapping(A)) for A, _m, _p in rows]
+    dom = ch._dominant_solution.A_star
+    if intsearch.is_unimodular(dom):
+        rows += [(dom, mapping, pi) for mapping, pi in regions.lu_mappings_all(dom)]
+    for _ in range(2):
+        A = random_unimodular(L, rng, entry_cap=4)
+        for mapping, _pi in regions.lu_mappings_all(A):
+            extra = AdmissibleMapping(mapping.pairs | {(int(rng.integers(1, L + 1)),
+                                                       int(rng.integers(1, L + 1)))})
+            rows += [(A, m, tuple(pi)) for m in (mapping, extra)
+                     for pi in itertools.permutations(range(1, L + 1))]
+    return rows
+
+
+def _scorer_inputs(ch, rows):
+    """_score's arrays for (A, mapping, pi) rows, the variances from one
+    chained_variances call on the stack of their matrices."""
+    L = ch.num_users
+    variances = mac_opt.chained_variances(ch, np.stack([A for A, _m, _p in rows]))
+    support = np.zeros((len(rows), L, L), dtype=bool)
+    for k, (_A, mapping, _pi) in enumerate(rows):
+        for m, l in mapping.pairs:
+            support[k, m - 1, l - 1] = True
+    return variances, support, np.array([pi for _A, _m, pi in rows])
+
+
+class TestScorer:
+    def test_agrees_with_scalar_oracle_on_every_candidate(self):
+        # the kept per-candidate loop decides every row, and an accepted
+        # row's rates and sum are its bits
+        rng = np.random.default_rng(47)
+        fired = set()
+        for i, ch in enumerate(oracle_channels(rng, 60)):
+            rows = _scorer_rows(ch, rng)
+            scores = mac_opt._score(ch.P, *_scorer_inputs(ch, rows))
+            for k, (A, mapping, pi) in enumerate(rows):
+                want = _oracle_successive_step(ch, A, mapping, pi)
+                fired.add(want.declined_reason)
+                assert bool(scores.ok[k]) == bool(want), (i, k)
+                if want:
+                    assert tuple(scores.rates[k].tolist()) == want.assignment.rates, (i, k)
+                    assert scores.sums[k].tobytes() == \
+                        np.float64(want.assignment.sum_rate).tobytes(), (i, k)
+        # "not mapped" needs a mapping no full-rank matrix admits; see below
+        assert fired == {None, "pair below pivot", "worst mapped noise", "power"}
+
+    def test_unmapped_user_declines(self):
+        # both users on row 1 and none on row 2: no pair sits below a step,
+        # but user 2's step 2 is unmapped.  For an admissible mapping of a
+        # full-rank matrix this cannot happen once no pair sits below, since
+        # the rows from step m on would lie in fewer columns than they are
+        mapping = AdmissibleMapping(frozenset({(1, 1), (1, 2)}))
+        support = np.array([[[True, True], [False, False]]])
+        scores = mac_opt._score(FIG7.P, np.array([[0.5, 1.0]]), support, np.array([[1, 2]]))
+        assert not scores.ok[0]
+        assert mac_opt._declined_reason(FIG7, mapping, (1, 2), scores) == \
+            "user 2 is not mapped to its assigned step 2"
+
+    @pytest.mark.parametrize("ch, A, mapping, pi, reason", [
+        (FIG7, [[1, 1], [1, 2]], {(1, 1), (1, 2), (2, 2)}, (2, 1),
+         "mapping pair (2,2) sits below user 2's pivot step 1; pi is not allowed by "
+         "this mapping"),
+        (FIG7, [[1, 0], [0, 1]], {(1, 1), (1, 2), (2, 2)}, (1, 2),
+         "user 2: worst mapped noise 4.11765 exceeds assigned step 2 noise 0.4"),
+        (ChannelInstance(H=[[1.0, 1.5]], P=[0.1, 4.0]), [[1, 1], [1, 2]],
+         {(1, 1), (1, 2), (2, 2)}, (1, 2),
+         "user 1: power 0.1 below required noise tolerance 0.415842"),
+    ], ids=["below-pivot", "worst-noise", "power"])
+    def test_public_decline_reasons(self, ch, A, mapping, pi, reason):
+        assert successive_mac_assignment(ch, A, mapping, pi).declined_reason == reason
+
+    def test_ill_conditioned_sum_keeps_its_error(self):
+        message = ("successive sum rate misses the sum capacity by 1.26e-08 "
+                   "(tolerance 1e-8); the channel is too ill-conditioned")
+        with pytest.raises(ArithmeticError) as table:
+            successive_mac_assignments(ILL_CONDITIONED)
+        with pytest.raises(ArithmeticError) as one:
+            successive_mac_assignment(ILL_CONDITIONED, np.eye(3, dtype=int),
+                                      {(1, 1), (2, 2), (3, 3)}, (1, 2, 3))
+        assert str(table.value) == str(one.value) == message
+
+    def test_one_scorer_call_per_table(self, monkeypatch):
+        calls = []
+        score = mac_opt._score
+
+        def spy(P, variances, support, steps):
+            calls.append(len(steps))
+            return score(P, variances, support, steps)
+
+        monkeypatch.setattr(mac_opt, "_score", spy)
+        rng = np.random.default_rng(48)
+        for ch in oracle_channels(rng, 30):
+            calls.clear()
+            successive_mac_assignments(ch)
+            dom = ch._dominant_solution.A_star
+            extra = len(ch._dominant_mappings) if intsearch.is_unimodular(dom) else 0
+            assert calls == [math.factorial(ch.num_users) + extra]
 
 
 class TestSumIdentity:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfkit import _exact, regions
+from cfkit import _exact, mac_opt, regions
 from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
                         effective_matrix, require_full_row_rank,
                         sigma_para_opt, sigma_succ_opt, sum_capacity)
@@ -268,11 +268,18 @@ class TestLuMappingsAll:
         assert len(calls) == 3 + 6 + 6  # one elimination per pivot prefix
 
     def test_permutation_mapping_is_the_one_elimination_result(self):
+        # the successive table reads each permutation matrix's mapping off
+        # its support and its pi off argsort, without elimination
         for L in range(1, 7):
-            for perm in itertools.permutations(range(L)):
+            stack, support, steps, mappings = mac_opt._permutation_candidates(L)
+            perms = list(itertools.permutations(range(L)))
+            assert len(stack) == len(perms)
+            for k, perm in enumerate(perms):
                 A = np.eye(L, dtype=int)[list(perm)]
-                assert _pairs_pi([regions.permutation_mapping(perm)]) == \
-                    _pairs_pi(lu_mappings_all(A)), perm
+                assert np.array_equal(stack[k], A) and np.array_equal(support[k], A != 0)
+                pairs = {(m + 1, l + 1) for m, l in zip(*np.nonzero(support[k]))}
+                assert _pairs_pi([(mappings[k], tuple(steps[k].tolist()))]) == \
+                    _pairs_pi(lu_mappings_all(A)) == [(pairs, tuple(steps[k].tolist()))], perm
 
 
 class TestSuccRegion:

@@ -37,10 +37,10 @@ by indices into its m distinct values:
      coordinates' offsets; its bound adds each remaining coordinate's
      smallest offset.  Children whose bound exceeds the query's threshold
      are dropped; the leaves below the last branching level are costed.
-     The threshold starts at the root's bound plus (gamma/m)^2; a query
-     whose leaves do not show that it covered the shortlist margin is
-     searched again with a larger one.  Neither the K x n table nor a tree
-     is built;
+     The threshold starts at the root's bound plus (gamma/m)^2 + 4 tol; a
+     query whose leaves do not show that it covered the shortlist margin
+     is searched again with a larger one.  Neither the K x n table nor a
+     tree is built;
 3. a query with one shortlisted codeword takes its coordinates from stage
    1; one with several reruns the scan's arithmetic (row-wise einsum
    distance, tol, lexicographic pass) on them.
@@ -302,7 +302,11 @@ def _tree_shortlist(table: CodeTable, sq: np.ndarray, gamma: float, tol: float):
     floors = np.zeros((n + 1, B))
     floors[:n] = np.cumsum(sq.min(axis=1)[table.order[::-1]], axis=0)[::-1]
     sq = np.ascontiguousarray(sq.transpose(2, 0, 1))
-    margin = np.full(B, (gamma / m) ** 2)
+    # the shortlist's own 2 tol margin is in from the first pass: below
+    # gamma = 1, tol is 1e-12 whatever gamma, and a margin of (gamma/m)^2
+    # alone would take up to about 500 passes to grow past it (forever
+    # once it underflows to 0)
+    margin = np.full(B, (gamma / m) ** 2 + 4 * tol)
     limit = floors[0] + margin
     upper = np.full(B, np.inf)
     # a query with a non-finite coordinate has NaN offsets, shortlists

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import intsearch, lattice, mac_opt, regions, simulator
 from .core import (UNBOUNDED, ChannelInstance, chained_variances, effective_matrix,
-                   lattice_gram, sigma_para_opt, sum_capacity)
+                   lattice_gram, rounded, sigma_para_opt, sum_capacity)
 
 
 class InputError(Exception):
@@ -154,25 +154,28 @@ _LEAF = "\x00"  # a skeleton's placeholder leaf, which json writes as "\u0000"
 _encode_leaves = json.JSONEncoder(separators=("\n", ":")).encode
 
 
-def _template(skeleton) -> str:
-    """json.dumps(skeleton, sort_keys=True, indent=2) as a %-template with
-    one %s per _LEAF."""
-    text = json.dumps(skeleton, sort_keys=True, indent=2).replace("%", "%%")
-    return text.replace(json.dumps(_LEAF), "%s")
+def _template(skeleton) -> list:
+    """json.dumps(skeleton, sort_keys=True, indent=2) + "\n" cut at each
+    _LEAF: the text between the leaves, one piece more than leaves."""
+    return (json.dumps(skeleton, sort_keys=True, indent=2) + "\n").split(json.dumps(_LEAF))
 
 
-def _render(template: str, leaves: list) -> str:
-    """The template filled with each leaf as json.dumps writes it; the
-    leaves come in the skeleton's sorted-key order."""
-    return template % tuple(_encode_leaves(leaves)[1:-1].split("\n"))
+def _render(pieces: list, leaves: list) -> str:
+    """The pieces with the leaves between them, each as json.dumps writes
+    it; the leaves come in the pieces' order."""
+    text = [None] * (2 * len(pieces) - 1)
+    text[::2] = pieces
+    text[1::2] = _encode_leaves(leaves)[1:-1].split("\n")
+    return "".join(text)
 
 
 @functools.cache
-def _search_template(M: int, L: int) -> str:
+def _search_template(M: int, L: int) -> list:
+    """search.json's pieces; the leaves come in sorted-key order."""
     row = {"row": [_LEAF] * L, "sigma2_parallel": _LEAF, "sigma2_successive": _LEAF}
     return _template({"A_star": [[_LEAF] * L] * M, "entry_bound": _LEAF,
                       "max_abs_entry": _LEAF, "norms_squared": [_LEAF] * M,
-                      "rows": [row] * M}) + "\n"
+                      "rows": [row] * M})
 
 
 def _search_json(payload: dict) -> str:
@@ -186,30 +189,38 @@ def _search_json(payload: dict) -> str:
 
 
 @functools.cache
-def _mac_template(L: int) -> tuple[str, str, str]:
-    """(head, block, tail) of an L-user mac_assignments.json template.  The
-    file of n assignments is head + ",".join([block] * n) + tail, and
-    head + tail.lstrip() for none, as json.dumps lays out a list of n items
-    ("[]" when empty)."""
+def _mac_template(L: int) -> tuple[list, list, str]:
+    """(none, one, between) for an L-user mac_assignments.json: the pieces
+    of the file with no assignment and with one, and the text from one
+    assignment's last leaf to the next one's first.  With W = len(one) - 2
+    leaves per assignment, the file of K >= 1 assignments has the pieces
+    one[:W] + ([between] + one[1:W]) * (K - 1) + one[W:]."""
     entry = {"A": [[_LEAF] * L] * L, "gap": _LEAF, "pi": [_LEAF] * L,
              "rates": [_LEAF] * L, "strategy": _LEAF, "sum_rate": _LEAF}
-    text = _template({"assignments": [entry], "sum_capacity": _LEAF}) + "\n"
-    start, end = text.index("[") + 1, text.rindex("\n  ]")
-    return text[:start], text[start:end], text[end:]
+    none, one, two = (_template({"assignments": [entry] * K, "sum_capacity": _LEAF})
+                      for K in range(3))
+    return none, one, two[len(one) - 2]
 
 
 def _mac_json(payload: dict) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) + "\n" for
-    mac_assignments.json; every assignment has as many users as the first."""
-    entries = payload["assignments"]
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n" for
+    mac_assignments.json, where doc = {"assignments": [...], "sum_capacity":
+    payload["sum_capacity"]} and assignment k has the k-th entry of each of
+    the payload's columns "strategy", "A", "pi", "rates", "sum_rate" and
+    "gap" (lists: K strings, K L x L matrices, K and K rows of L, K and K
+    numbers).  One encoder call writes the leaves."""
+    K = len(payload["strategy"])
+    none, one, between = _mac_template(len(payload["pi"][0]) if K else 0)
+    W = len(one) - 2
     leaves = []
-    for e in entries:
-        leaves += [v for row in e["A"] for v in row]
-        leaves += [e["gap"], *e["pi"], *e["rates"], e["strategy"], e["sum_rate"]]
+    for A, gap, pi, rates, strategy, total in zip(
+            payload["A"], payload["gap"], payload["pi"], payload["rates"],
+            payload["strategy"], payload["sum_rate"]):
+        leaves += itertools.chain.from_iterable(A)
+        leaves += (gap, *pi, *rates, strategy, total)
     leaves.append(payload["sum_capacity"])
-    head, block, tail = _mac_template(len(entries[0]["pi"]) if entries else 0)
-    template = head + ",".join([block] * len(entries)) + (tail if entries else tail.lstrip())
-    return _render(template, leaves)
+    pieces = one[:W] + ([between] + one[1:W]) * (K - 1) + one[W:] if K else none
+    return _render(pieces, leaves)
 
 
 def _sic_spec(ch: ChannelInstance) -> regions.RateRegionSpec:
@@ -344,16 +355,23 @@ def cmd_search(args) -> int:
 
 
 def _mac_payload(ch: ChannelInstance) -> dict:
-    """The content of `cfkit mac`'s mac_assignments.json for the channel."""
+    """The content of `cfkit mac`'s mac_assignments.json for the channel, as
+    _mac_json's columns: the parallel then the successive table's rows,
+    each field a list from one tolist().  Every printed value, the rates,
+    sums, gaps and sum capacity, is round(v, 6), taken in one core.rounded
+    call."""
     cap = sum_capacity(ch)
-    tables = (("parallel", mac_opt.parallel_mac_assignments(ch)),
-              ("successive", mac_opt.successive_mac_assignments(ch)))
-    entries = [{"strategy": strategy, "A": asg.A.tolist(), "pi": list(asg.pi),
-                "rates": [round(r, 6) for r in asg.rates],
-                "sum_rate": round(asg.sum_rate, 6),
-                "gap": round(asg.gap_to_capacity, 6)}
-               for strategy, table in tables for asg in table]
-    return {"sum_capacity": round(cap, 6), "assignments": entries}
+    parallel, successive = mac_opt._parallel_table(ch), mac_opt._successive_table(ch)
+    sums = np.concatenate([parallel.sums, successive.sums])
+    K, L = len(sums), ch.num_users
+    values = rounded(np.concatenate([parallel.rates.ravel(), successive.rates.ravel(), sums,
+                                     cap - sums, [cap]]), 6)
+    totals = values[K * L:].tolist()
+    return {"strategy": ["parallel"] * len(parallel.sums) + ["successive"] * len(successive.sums),
+            "A": np.array(parallel.matrices + successive.matrices).tolist(),
+            "pi": [*parallel.steps.tolist(), *successive.steps.tolist()],
+            "rates": values[:K * L].reshape(K, L).tolist(),
+            "sum_rate": totals[:K], "gap": totals[K:-1], "sum_capacity": totals[-1]}
 
 
 def cmd_mac(args) -> int:
@@ -362,12 +380,14 @@ def cmd_mac(args) -> int:
     out = _outdir(args)
     payload = _mac_payload(ch)
     _write(out / "mac_assignments.json", _mac_json(payload))
-    lines = [f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}"]
-    for e in payload["assignments"]:
-        rates = " ".join(_fmt(r) for r in e["rates"])
-        lines.append(f"{e['strategy']:<11} {rates:<30} {_fmt(e['sum_rate']):>9} "
-                     f"{_fmt(e['gap']):>9}")
-    print("\n".join(lines))
+    # each value as _fmt writes it: "%.6f" % x == f"{x:.6f}"
+    strategy = payload["strategy"]
+    rate_fmt = " ".join(["%.6f"] * ch.num_users)
+    rate_text = ("\n".join([rate_fmt] * len(strategy))
+                 % tuple(itertools.chain.from_iterable(payload["rates"]))).split("\n")
+    rows = "\n%-11s %-30s %9.6f %9.6f" * len(strategy) % tuple(itertools.chain.from_iterable(
+        zip(strategy, rate_text, payload["sum_rate"], payload["gap"])))
+    print(f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}" + rows)
     return 0
 
 

@@ -205,10 +205,10 @@ def _chained_rows(F: np.ndarray, S: np.ndarray, m: int) -> np.ndarray:
     """
     Fa = np.matmul(F, S[..., m, :, None])
     if m == 0:
-        return np.sum(Fa[..., 0] ** 2, axis=-1)
-    Q = np.linalg.qr(F @ np.swapaxes(S[..., :m, :], -1, -2))[0]
-    resid = Fa - np.matmul(Q, np.matmul(np.swapaxes(Q, -1, -2), Fa))
-    return np.matmul(np.swapaxes(resid, -1, -2), resid)[..., 0, 0]
+        return np.add.reduce(Fa[..., 0] ** 2, axis=-1)
+    Q = np.linalg.qr(F @ S[..., :m, :].swapaxes(-1, -2))[0]
+    resid = Fa - np.matmul(Q, np.matmul(Q.swapaxes(-1, -2), Fa))
+    return np.matmul(resid.swapaxes(-1, -2), resid)[..., 0, 0]
 
 
 def chained_variances(ch: ChannelInstance, A) -> np.ndarray:
@@ -322,6 +322,41 @@ def sum_capacity(ch: ChannelInstance) -> float:
     anew on every call.
     """
     return ch._sum_capacity
+
+
+def rounded(values, ndigits: int) -> np.ndarray:
+    """round(v, ndigits) of every entry of values, bit for bit, as a float
+    array of the same shape; 0 <= ndigits <= 22, so 10**ndigits is exact.
+
+    Python's round takes the integer N nearest to the exact v 10^n (half
+    to even) and returns the float nearest to N / 10^n.  Below 2^51 every
+    half-integer is a float, and rounding to a float never changes the
+    order of two numbers, so the float product y = v * 10^n lies on the
+    same side of every half-integer as the exact product, or on one.
+    Where it is not on one, rint(y) is N, and N / 10^n is one correctly
+    rounded division.  The entries whose y is a half-integer, at or above
+    2^51, or not finite take Python's round.
+    """
+    v = np.asarray(values, dtype=float)
+    scale = 10.0 ** ndigits
+    size = np.abs(v)
+    # the common case, checked on the largest entry: every entry finite
+    # and below 2^51 / 10^n, and no y a half-integer (a NaN fails every
+    # comparison)
+    if float(np.maximum.reduce(size, axis=None, initial=0.0)) * scale < 2.0 ** 51:
+        y = v * scale
+        r = np.rint(y)
+        # y - r is exact, and 0.5 in size only where y is a half-integer
+        if np.maximum.reduce(np.abs(y - r), axis=None, initial=0.0) < 0.5:
+            return r / scale
+    # else entry by entry, the large and not finite ones masked to 0
+    big = ~(size < 2.0 ** 51 / scale)
+    y = np.where(big, 0.0, v) * scale
+    r = np.rint(y)
+    out = r / scale
+    slow = big | (np.abs(y - r) >= 0.5)
+    out[slow] = [round(x, ndigits) for x in v[slow].tolist()]
+    return out
 
 
 def log2_plus(x: float) -> float:

@@ -30,6 +30,14 @@ MAX_KF = 6
 MAX_CODEWORDS = 20000
 MAX_TRIE_NODES = 2 ** 20
 MIN_SLICE = 4
+# gamma lies in [p 2^-1022, 2^500].  At the low end gamma/p, the step of
+# every lattice point's grid, is a normal float.  At the high end
+# (gamma/2)^2 <= 2^998, so a sum of up to 2^24 squares of size gamma/2
+# stays below 2^1022: a point of the cube [-gamma/2, gamma/2]^n has squared
+# norm at most n (gamma/2)^2, the quantizer's search thresholds stay within
+# a few times that, and a campaign's power total adds at most
+# simulator.MAX_TRIALS (10^6) trial powers of at most (gamma/2)^2.
+GAMMA_MAX = 2.0 ** 500
 
 
 @dataclass
@@ -49,8 +57,10 @@ class NestedLatticeEnsemble:
         _zp.require_prime(self.p)
         G = _exact.int_matrix(self.G) % self.p
         self.G = G
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be finite and positive")
+        low = self.p * 2.0 ** -1022
+        if not low <= self.gamma <= GAMMA_MAX:  # False for NaN
+            raise ValueError(f"gamma must be finite and positive, in [p 2^-1022, 2^500] = "
+                             f"[{low:.6g}, {GAMMA_MAX:.6g}] for p = {self.p}")
         kf = self.k_F
         if self.p ** kf > MAX_CODEWORDS:
             raise ValueError(f"p^k_F = {self.p ** kf} exceeds {MAX_CODEWORDS}")

@@ -9,9 +9,18 @@ per-user noise conditions hold.
 Every successive candidate, a (matrix, mapping, pi) triple, is scored by one
 function, _score, on a stack of K of them as arrays: chained variances
 (K x M), mapping supports (K x M x L) and decoding steps (K x L) in, accept
-flags, rates and sum rates out.  successive_mac_assignments scores all its
+flags, rates and sum rates out.  The successive table scores all its
 candidates in one call, and successive_mac_assignment its one candidate as a
-stack of one, wording the first check that declines it.
+stack of one, wording the first check that declines it.  The parallel table
+scores and checks all pivot orders of the dominant solution in one pass
+too.
+
+Both tables stay arrays to the file: _parallel_table and _successive_table
+return a _Table of their kept rows, duplicates dropped on array keys
+(_first_rows: the rates through core.rounded, Python's round bit for bit),
+and cli._mac_payload takes its columns from them, one tolist() per field.
+parallel_mac_assignments and successive_mac_assignments make
+MacAssignments of the same rows.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 
 from . import _exact, intsearch, regions
 from .core import (ChannelInstance, achievable_rate, chained_variances, log2_plus,
-                   require_full_row_rank, sum_capacity)
+                   require_full_row_rank, rounded, sum_capacity)
 from .regions import AdmissibleMapping
 
 
@@ -80,47 +89,108 @@ def parallel_mac_assignment(ch: ChannelInstance) -> MacAssignment:
 
 def parallel_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     """One assignment per distinct rate tuple over the elimination
-    permutations of the channel's dominant solution, in pivot-order order.
+    permutations of the channel's dominant solution, in pivot-order order
+    (the rows of _parallel_table)."""
+    return _assignments(_parallel_table(ch), sum_capacity(ch))
 
-    The dominant solution and its mappings are computed once per
-    ChannelInstance and shared with the successive strategy.  Its unchained
-    row variances (one regions.row_variances call) and the sum
-    capacity are computed once per call; each permutation's rates are then
-    checked against its own cancellation box (the asc_region box of its
-    mapping) and against the (L/2) log2 L gap bound.
+
+class _Table(NamedTuple):
+    """A mac table's kept rows, in table order: row k is the coefficient
+    matrix matrices[k] (a read-only L x L array, shared by the rows of one
+    candidate) under mappings[k], with decoding steps steps[k] (its pi,
+    K x L), rates rates[k] (K x L) and sum rate sums[k]."""
+
+    matrices: tuple
+    mappings: tuple
+    steps: np.ndarray
+    rates: np.ndarray
+    sums: np.ndarray
+
+
+def _assignments(table: _Table, cap: float) -> list[MacAssignment]:
+    """The table's rows as MacAssignments, with gaps to the sum capacity cap."""
+    return [MacAssignment(A=A, mapping=mapping, pi=tuple(pi), rates=tuple(rates),
+                          sum_rate=total, gap_to_capacity=cap - total)
+            for A, mapping, pi, rates, total in zip(
+                table.matrices, table.mappings, table.steps.tolist(),
+                table.rates.tolist(), table.sums.tolist())]
+
+
+def _parallel_table(ch: ChannelInstance) -> _Table:
+    """The parallel table in one array pass over the pivot orders of the
+    dominant solution a* (its shared mappings).
+
+    User l's rate under pi is R_l = 1/2 log+ (P_l / ||a*_pi(l)||^2), read
+    from a table of achievable_rate over users and steps.  Every pivot
+    order is checked at once against its own cancellation box (the
+    asc_region box of its mapping, from the unchained row variances) and
+    against the (L/2) log2 L gap bound; a failure raises AssertionError for
+    the first order that fails.  Rows whose rates round (12 digits) to those
+    of an earlier row are dropped.
     """
     ch.require_positive_powers()
     dom = ch._dominant_solution
-    bounds = _parallel_bounds(ch, dom)
-    out = []
-    seen = set()
-    for mapping, pi in ch._dominant_mappings:
-        asg = _assemble_parallel(ch, dom, mapping, pi, *bounds)
-        key = tuple(round(r, 12) for r in asg.rates)
-        if key not in seen:
-            seen.add(key)
-            out.append(asg)
-    return out
+    row_variances = regions.row_variances(ch, dom.A_star, chained=False)
+    cap = sum_capacity(ch)
+    dominant = ch._dominant_mappings
+    L, K = ch.num_users, len(dominant)
+    mappings = tuple(mapping for mapping, _pi in dominant)
+    steps = np.array([pi for _mapping, pi in dominant])
+    # entry 2 L l + m: user l's rate at step m + 1, then (m >= L) its box
+    # cap from row m - L + 1 alone, with the box's tolerance.  A box caps
+    # the user at the rate of the worst (largest) variance of the rows
+    # mapped to it, the least of their rates: achievable_rate never
+    # increases with the variance.  So a rate is outside its box when it
+    # exceeds the cap of some mapped row.
+    rate_at = np.array([[achievable_rate(power, n ** 2) for n in dom.norms.tolist()]
+                        + [achievable_rate(power, v) + 1e-9 for v in row_variances]
+                        for power in ch.P.tolist()]).ravel()
+    rates = rate_at[[2 * L * l + step - 1 for _mapping, pi in dominant
+                     for l, step in enumerate(pi)]].reshape(K, L)
+    sums = _sum_rows(rates)
+    # (rate, cap) for each pair (m, l) of each mapping, in mapping order
+    capped = rate_at[np.array([(2 * L * (l - 1) + pi[l - 1] - 1, 2 * L * (l - 1) + L + m - 1)
+                               for mapping, pi in dominant for m, l in mapping.pairs
+                               if 1 <= l <= L])]
+    above = capped[:, 0] > capped[:, 1]
+    bound = 0.5 * L * log2_plus(L) + 1e-9
+    # cap - s never grows with s, so the least sum has the largest gap
+    if np.logical_or.reduce(above) or cap - np.fmin.reduce(sums) > bound:
+        orders = np.array([k for k, mapping in enumerate(mappings)
+                           for _m, l in mapping.pairs if 1 <= l <= L])
+        outside = np.isin(np.arange(K), orders[above])
+        first = (outside | (cap - sums > bound)).argmax()
+        raise AssertionError("assignment fell outside its own cancellation region"
+                             if outside[first]
+                             else "sum-rate gap exceeded the (L/2) log2 L bound")
+    keep = _first_rows(rates, 12)
+    if len(keep) < K:
+        mappings = tuple(mappings[k] for k in keep)
+        steps, rates, sums = steps[keep], rates[keep], sums[keep]
+    return _Table((dom.A_star,) * len(keep), mappings, steps, rates, sums)
 
 
-def _parallel_bounds(ch, dom) -> tuple[list[float], float]:
-    """Unchained row variances of dom.A_star, and the sum capacity."""
-    return regions.row_variances(ch, dom.A_star, chained=False), sum_capacity(ch)
+def _sum_rows(rates: np.ndarray) -> np.ndarray:
+    """Each row's sum, adding its entries in order from 0, as a loop over
+    the row does, whatever the number of rows."""
+    sums = np.zeros(len(rates))
+    for column in rates.T:
+        sums += column
+    return sums
 
 
-def _assemble_parallel(ch, dom, mapping, pi, row_variances, cap) -> MacAssignment:
-    variances = [float(n) ** 2 for n in dom.norms]
-    rates = tuple(achievable_rate(ch.P[l], variances[pi[l] - 1])
-                  for l in range(ch.num_users))
-    total = float(sum(rates))
-    asg = MacAssignment(A=dom.A_star, mapping=mapping, pi=pi, rates=rates,
-                        sum_rate=total, gap_to_capacity=cap - total)
-    if not regions._box(ch, row_variances, mapping).contains(rates, tol=1e-9):
-        raise AssertionError("assignment fell outside its own cancellation region")
-    L = ch.num_users
-    if asg.gap_to_capacity > 0.5 * L * log2_plus(L) + 1e-9:
-        raise AssertionError("sum-rate gap exceeded the (L/2) log2 L bound")
-    return asg
+def _first_rows(values: np.ndarray, ndigits: int) -> list:
+    """The indices, ascending, of the rows of values (K x L) whose key,
+    the row rounded to ndigits, equals no earlier row's: the rows a
+    seen-set of tuple(round(v, ndigits) for v in row) keeps (-0.0 equals
+    0.0, NaN equals nothing).  The keys are one core.rounded call, and a
+    dict filled from the last row to the first keeps each key's earliest
+    index."""
+    K = len(values)
+    if K < 2:
+        return list(range(K))
+    keys = map(tuple, reversed(rounded(values, ndigits).tolist()))
+    return sorted(dict(zip(keys, range(K - 1, -1, -1))).values())
 
 
 def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> SuccessiveOutcome:
@@ -148,8 +218,8 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     scores = _score(ch.P, variances[None], support, np.array([pi]))
     if not scores.ok[0]:
         return SuccessiveOutcome(None, _declined_reason(ch, mapping, pi, scores))
+    _require_capacity(scores.sums, cap, scores.ok)
     total = float(scores.sums[0])
-    _require_capacity(total, cap)
     return SuccessiveOutcome(MacAssignment(
         A=A, mapping=mapping, pi=pi, rates=tuple(scores.rates[0].tolist()),
         sum_rate=total, gap_to_capacity=cap - total))
@@ -212,10 +282,7 @@ def _score(P, variances, support, steps) -> _Scores:
     weak = P < assigned - 1e-12
     ok = ~np.logical_or.reduce((last != steps) | worse | weak, axis=1)
     rates = 0.5 * np.log2(P / assigned)
-    sums = np.zeros(K)
-    for column in rates.T:
-        sums += column
-    return _Scores(ok, rates, sums, last, worst, assigned, worse, weak)
+    return _Scores(ok, rates, _sum_rows(rates), last, worst, assigned, worse, weak)
 
 
 def _mark_pairs(support, first: int, mappings) -> None:
@@ -249,14 +316,20 @@ def _declined_reason(ch, mapping, pi, scores: _Scores) -> str:
             f"tolerance {assigned:.6g}")
 
 
-def _require_capacity(total: float, cap: float) -> None:
-    """An accepted candidate's rates sum to cap in exact arithmetic.  A
-    float sum that misses cap by more than 1e-8 raises ArithmeticError: on
-    an ill-conditioned channel the variances are not accurate enough for
-    the assignment to be reported."""
-    if abs(total - cap) > 1e-8:
+def _require_capacity(sums: np.ndarray, cap: float, ok: np.ndarray) -> None:
+    """Accepted candidates' rates sum to cap in exact arithmetic.  When the
+    float sum of an accepted row (ok[k]) misses cap by more than 1e-8,
+    ArithmeticError names the miss of the first such row: on an
+    ill-conditioned channel the variances are not accurate enough for the
+    assignment to be reported.  s - cap never falls as s grows, and cap - s
+    never grows, so the largest and least accepted sums (NaN skipped, as a
+    NaN miss fails the test) have the largest misses."""
+    if (np.fmax.reduce(sums, initial=cap, where=ok) - cap > 1e-8
+            or cap - np.fmin.reduce(sums, initial=cap, where=ok) > 1e-8):
+        miss = np.abs(sums - cap)
         raise ArithmeticError(
-            f"successive sum rate misses the sum capacity by {abs(total - cap):.2e} "
+            f"successive sum rate misses the sum capacity by "
+            f"{miss[(ok & (miss > 1e-8)).argmax()]:.2e} "
             f"(tolerance 1e-8); the channel is too ill-conditioned")
 
 
@@ -283,7 +356,13 @@ def _permutation_candidates(L: int) -> tuple:
 def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     """Valid successive assignments over the natural candidates: all user
     permutation matrices plus the dominant solution (when unimodular), one
-    per distinct rate tuple, in candidate then pivot-order order.
+    per distinct rate tuple, in candidate then pivot-order order (the rows
+    of _successive_table)."""
+    return _assignments(_successive_table(ch), sum_capacity(ch))
+
+
+def _successive_table(ch: ChannelInstance) -> _Table:
+    """The successive table in one array pass over its candidates.
 
     A permutation matrix's one mapping is its support
     (_permutation_candidates); the dominant solution's are the channel's
@@ -291,8 +370,10 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     used as they are.  The candidates are unimodular by construction (the
     dominant solution is checked before it joins them), so none is checked
     again.  Their chained variances are one chained_variances call on
-    their stack, every (matrix, mapping) pair is a row of one _score call,
-    and only the rows kept become MacAssignments.
+    their stack, and every (matrix, mapping) pair is a row of one _score
+    call.  Every accepted row must reach the sum capacity
+    (_require_capacity), and rows whose rates round (10 digits) to those of
+    an earlier accepted row are dropped.
     """
     # the search refuses more than MAX_EXACT_USERS users before L! candidates
     # are built
@@ -306,29 +387,24 @@ def successive_mac_assignments(ch: ChannelInstance) -> list[MacAssignment]:
     support = np.zeros((K, L, L), dtype=bool)
     steps = np.empty((K, L), dtype=int)
     support[:n], steps[:n] = perm_support, perm_steps
+    mappings = perm_mappings
     if dominant:
         chained = chained_variances(ch, np.concatenate([stack, dom.A_star[None]]))
         # each pivot order of the dominant solution is a row of its own
         variances = np.concatenate([chained[:n], np.repeat(chained[n:], len(dominant), axis=0)])
         steps[n:] = [pi for _mapping, pi in dominant]
-        _mark_pairs(support, n, [mapping for mapping, _pi in dominant])
+        mappings += tuple(mapping for mapping, _pi in dominant)
+        _mark_pairs(support, n, mappings[n:])
     else:
         variances = chained_variances(ch, stack)
     scores = _score(ch.P, variances, support, steps)
-    rates, sums, pis = scores.rates.tolist(), scores.sums.tolist(), steps.tolist()
-    out = []
-    seen = set()
-    for k in np.flatnonzero(scores.ok).tolist():
-        _require_capacity(sums[k], cap)
-        key = tuple([round(r, 10) for r in rates[k]])
-        if key not in seen:
-            seen.add(key)
-            A, mapping = ((stack[k], perm_mappings[k]) if k < n
-                          else (dom.A_star, dominant[k - n][0]))
-            out.append(MacAssignment(A=A, mapping=mapping, pi=tuple(pis[k]),
-                                     rates=tuple(rates[k]), sum_rate=sums[k],
-                                     gap_to_capacity=cap - sums[k]))
-    return out
+    _require_capacity(scores.sums, cap, scores.ok)
+    accepted = scores.ok.nonzero()[0]
+    keep = accepted[_first_rows(scores.rates[accepted], 10)]
+    rows = keep.tolist()
+    return _Table(tuple(stack[k] if k < n else dom.A_star for k in rows),
+                  tuple(mappings[k] for k in rows), steps[keep], scores.rates[keep],
+                  scores.sums[keep])
 
 
 def successive_sum_identity(ch: ChannelInstance, A, pi) -> tuple[float, float]:

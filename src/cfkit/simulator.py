@@ -81,6 +81,9 @@ class TrialConfig:
         levels = [self.noise_std] if one else list(self.noise_std)
         if not levels:
             raise ValueError("noise_std needs at least one level")
+        if len(levels) > MAX_NOISE_LEVELS:
+            raise ValueError(f"noise_std has {len(levels)} levels; desk scale caps a "
+                             f"campaign at {MAX_NOISE_LEVELS}")
         if not all(math.isfinite(s) and s >= 0 for s in levels):
             raise ValueError("noise_std must be finite and nonnegative")
         self.noise_std = float(levels[0]) if one else tuple(map(float, levels))
@@ -218,6 +221,13 @@ def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[floa
 # temporaries are bounded separately by lattice.nearest_points, which
 # slices them.  A campaign holds one block's draws and encoding at a time.
 BLOCK_TRIALS = 128
+# Desk-scale caps on a campaign.  Its power record is L x trials floats, and
+# a block's decode stacks every noise level's rows (C x B x n floats per
+# array), so the two caps bound them at 8 L MB and about 1 MB per array.
+# lattice.GAMMA_MAX counts on the trial cap: the mean power adds at most
+# MAX_TRIALS powers.
+MAX_TRIALS = 10 ** 6
+MAX_NOISE_LEVELS = 100
 
 
 @dataclass
@@ -677,6 +687,8 @@ def run_campaign(config: TrialConfig, trials: int, ci_level: float = 0.95) -> li
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError("trials must be an integer >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials = {trials}; desk scale caps a campaign at {MAX_TRIALS}")
     plan = TrialPlan.build(config)
     ens, ch, A, levels = config.ensemble, config.ch, config.A, config.levels
     errors = np.zeros((len(levels), A.shape[0]), dtype=np.int64)

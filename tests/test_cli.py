@@ -459,8 +459,11 @@ class TestSimulate:
                        "G": [1.5, 0, 0, 1]}}, "field 'G'"),
         *[({"ensemble": {"n": 2, "p": 3, "gamma": gamma, "levels": [[0, 1], [0, 2]],
                          "seed": 21}}, "gamma must be finite and positive")
-          for gamma in (float("inf"), float("nan"))],
+          for gamma in (float("inf"), float("nan"), 1e160, 5e-324)],
         ({"P": None}, "missing field 'P'"),
+        ({"trials": 10 ** 12}, "trials = 1000000000000; desk scale caps a campaign at 1000000"),
+        ({"noise_std": [0.5] * 101},
+         "noise_std has 101 levels; desk scale caps a campaign at 100"),
     ], ids=["mapping", "mapping-fraction", "mapping-bool", "mapping-string",
             "noise_std", "master_seed", "master_seed-fraction",
             "master_seed-bool", "master_seed-string", "master_seed-past-2**64",
@@ -471,7 +474,8 @@ class TestSimulate:
             "A-bool", "P-bool", "H-bool", "ensemble-seed-bool",
             "equalizers-bool", "equalizers-string", "ensemble-levels-fraction",
             "ensemble-seed-fraction", "ensemble-G-fraction", "gamma-infinite", "gamma-nan",
-            "P-null"])
+            "gamma-past-2**500", "gamma-subnormal", "P-null", "trials-past-cap",
+            "noise_std-past-cap"])
     def test_malformed_fields_named(self, tmp_path, capsys, overrides, message):
         cfg = self.config(tmp_path, **overrides)
         assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),

@@ -110,6 +110,19 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             build_ensemble(2, 3, gamma, [(0, 1), (0, 2)], seed=21)
 
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_gamma_range(self, p):
+        # gamma/p a normal float, (gamma/2)^2 <= 2^998
+        low = p * 2.0 ** -1022
+        assert lattice.GAMMA_MAX == 2.0 ** 500
+        for gamma in (low, lattice.GAMMA_MAX):
+            assert build_ensemble(2, p, gamma, [(0, 1)], seed=0).gamma == gamma
+        message = (r"gamma must be finite and positive, in \[p 2\^-1022, 2\^500\] = "
+                   rf"\[{low:.6g}, 3.27339e\+150\] for p = {p}$")
+        for gamma in (math.nextafter(low, 0.0), 5e-324, math.nextafter(lattice.GAMMA_MAX, 1e308)):
+            with pytest.raises(ValueError, match=message):
+                build_ensemble(2, p, gamma, [(0, 1)], seed=0)
+
     def test_serialization_roundtrip(self):
         ens = build_ensemble(3, 5, 2.5, [(0, 1), (1, 2)], seed=3)
         back = NestedLatticeEnsemble.from_json(ens.to_json())

@@ -1,11 +1,18 @@
+import contextlib
+import functools
+import io
 import itertools
+import json
 import math
+import operator
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfkit import intsearch, mac_opt, regions
+from cfkit import cli, intsearch, mac_opt, regions
 from cfkit.core import (ChannelInstance, achievable_rate, effective_matrix,
                         log2_plus, noise_variance, sigma_para_opt,
                         sigma_succ_opt, sum_capacity)
@@ -75,6 +82,40 @@ class TestParallelAssignments:
         asg = parallel_mac_assignment(FIG7)
         box = asc_region(FIG7, asg.A, asg.mapping).boxes[0]
         assert box.contains(asg.rates)
+
+    @pytest.mark.parametrize("scale, extra", [(1.0001, 0.0), (50.0, 0.0), (1.0, 1.0),
+                                              (0.5, 2.0), (1.0001, 2.0)])
+    def test_failed_checks_raise_as_the_oracle(self, monkeypatch, scale, extra):
+        # widened row variances shrink every box, and a raised sum capacity
+        # widens every gap, until some pivot order fails a check: the table
+        # raises the oracle's error, that of the first order that fails
+        row_variances = regions.row_variances
+        monkeypatch.setattr(regions, "row_variances", lambda ch, A, chained: [
+            v * scale for v in row_variances(ch, A, chained)])
+        raised = 0
+        for ch in oracle_channels(np.random.default_rng(5), 60):
+            vars(ch)["_sum_capacity"] = sum_capacity(ch) + extra
+            try:
+                want = parallel_oracle(ch, ch._dominant_solution)
+            except AssertionError as exc:
+                with pytest.raises(AssertionError, match=re.escape(str(exc))):
+                    parallel_mac_assignments(ch)
+                raised += 1
+            else:
+                assert _bitwise(parallel_mac_assignments(ch)) == _bitwise(want)
+        assert raised
+
+    def test_first_failing_order_names_its_check(self):
+        ch = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
+        (kept, pi1), (other, pi2) = ch._dominant_mappings
+        # pi2 decodes user 2 first, at the better row, but row 2 would cap it
+        boxed = AdmissibleMapping(other.pairs | {(2, 2)})
+        vars(ch)["_sum_capacity"] = sum_capacity(ch) + 1.0  # past the 1-bit bound
+        for dominant, message in ((((kept, pi1), (boxed, pi2)), "gap exceeded"),
+                                  (((boxed, pi2), (kept, pi1)), "cancellation region")):
+            vars(ch)["_dominant_mappings"] = dominant
+            with pytest.raises(AssertionError, match=message):
+                parallel_mac_assignments(ch)
 
 
 class TestSuccessiveAssignments:
@@ -166,7 +207,9 @@ def _oracle_assemble_parallel(ch, dom, mapping, pi) -> MacAssignment:
     variances = [float(n) ** 2 for n in dom.norms]
     rates = tuple(achievable_rate(ch.P[l], variances[pi[l] - 1])
                   for l in range(ch.num_users))
-    total = float(sum(rates))
+    # in user order from 0: from Python 3.12 the built-in sum of floats is
+    # compensated, so it would no longer match an in-order loop bit for bit
+    total = functools.reduce(operator.add, rates, 0.0)
     cap = sum_capacity(ch)
     asg = MacAssignment(A=dom.A_star, mapping=mapping, pi=pi, rates=rates,
                         sum_rate=total, gap_to_capacity=cap - total)
@@ -206,13 +249,26 @@ def _oracle_successive_step(ch, A, mapping, pi) -> SuccessiveOutcome:
         if ch.P[l] < assigned - 1e-12:
             return SuccessiveOutcome(None, "power")
         rates.append(0.5 * np.log2(ch.P[l] / assigned))
-    total = float(sum(rates))
+    total = float(functools.reduce(operator.add, rates, 0.0))  # in order, as above
     cap = sum_capacity(ch)
     if abs(total - cap) > 1e-8:
         raise AssertionError("sum rate failed to match the sum capacity identity")
     asg = MacAssignment(A=A, mapping=mapping, pi=pi, rates=tuple(float(r) for r in rates),
                         sum_rate=total, gap_to_capacity=cap - total)
     return SuccessiveOutcome(asg)
+
+
+def parallel_oracle(ch, dom):
+    """mac_oracle's parallel table for the dominant solution dom."""
+    parallel = []
+    seen = set()
+    for mapping, pi in regions.lu_mappings_all(dom.A_star):
+        asg = _oracle_assemble_parallel(ch, dom, mapping, pi)
+        key = tuple(round(r, 12) for r in asg.rates)
+        if key not in seen:
+            seen.add(key)
+            parallel.append(asg)
+    return parallel
 
 
 def mac_oracle(ch):
@@ -222,14 +278,7 @@ def mac_oracle(ch):
     search (a search is deterministic, and it is the slow part here)."""
     ch.require_positive_powers()
     dom = intsearch.dominant_solution(effective_matrix(ch))
-    parallel = []
-    seen = set()
-    for mapping, pi in regions.lu_mappings_all(dom.A_star):
-        asg = _oracle_assemble_parallel(ch, dom, mapping, pi)
-        key = tuple(round(r, 12) for r in asg.rates)
-        if key not in seen:
-            seen.add(key)
-            parallel.append(asg)
+    parallel = parallel_oracle(ch, dom)
 
     L = ch.num_users
     candidates: list[np.ndarray] = []
@@ -441,6 +490,17 @@ def _scorer_inputs(ch, rows):
 
 
 class TestScorer:
+    def test_capacity_checked_on_accepted_rows_only(self):
+        # the first accepted row that misses is named; declined rows and a
+        # NaN sum are not checked, as in a loop over the accepted rows
+        cap = 2.0
+        sums = np.array([cap + 1.0, cap + 2e-8, cap, math.nan])
+        mac_opt._require_capacity(sums, cap, np.array([False, False, True, True]))
+        with pytest.raises(ArithmeticError, match=re.escape("by 2.00e-08")):
+            mac_opt._require_capacity(sums, cap, np.array([False, True, True, True]))
+        with pytest.raises(ArithmeticError, match=re.escape("by 1.00e+00")):
+            mac_opt._require_capacity(sums, cap, np.ones(4, dtype=bool))
+
     def test_agrees_with_scalar_oracle_on_every_candidate(self):
         # the kept per-candidate loop decides every row, and an accepted
         # row's rates and sum are its bits
@@ -511,6 +571,81 @@ class TestScorer:
             dom = ch._dominant_solution.A_star
             extra = len(ch._dominant_mappings) if intsearch.is_unimodular(dom) else 0
             assert calls == [math.factorial(ch.num_users) + extra]
+
+
+def mac_payload_oracle(ch) -> dict:
+    """cli._mac_payload before the tables became arrays, on mac_oracle's
+    tables: one dict per assignment, every printed value through Python's
+    round."""
+    cap = sum_capacity(ch)
+    parallel, successive = mac_oracle(ch)
+    entries = [{"strategy": strategy, "A": asg.A.tolist(), "pi": list(asg.pi),
+                "rates": [round(r, 6) for r in asg.rates],
+                "sum_rate": round(asg.sum_rate, 6),
+                "gap": round(asg.gap_to_capacity, 6)}
+               for strategy, table in (("parallel", parallel), ("successive", successive))
+               for asg in table]
+    return {"sum_capacity": round(cap, 6), "assignments": entries}
+
+
+def mac_table_oracle(payload: dict) -> str:
+    """cmd_mac's printed table before it was formatted by columns."""
+    def fmt(x):
+        return f"{x:.6f}"
+
+    lines = [f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}"]
+    for e in payload["assignments"]:
+        rates = " ".join(fmt(r) for r in e["rates"])
+        lines.append(f"{e['strategy']:<11} {rates:<30} {fmt(e['sum_rate']):>9} "
+                     f"{fmt(e['gap']):>9}")
+    return "\n".join(lines) + "\n"
+
+
+def pool_channels():
+    """The analysis-sweep pool (perfbench/workloads.py) in four equivalent
+    forms each."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import channel_pool, equivalent_channel
+
+    for seed in range(4):
+        for i, (H, P) in enumerate(channel_pool()):
+            H, P = equivalent_channel(H, P, np.random.default_rng([seed, 0, i]))
+            yield ChannelInstance(H=H, P=P)
+
+
+class TestPayloadOracle:
+    def test_mac_files_and_tables_equal_the_oracle_on_the_pool(self, tmp_path):
+        answered = 0
+        for i, ch in enumerate(pool_channels()):
+            try:
+                want = mac_payload_oracle(ch)
+            except RuntimeError as exc:  # the search gives up: so does the command
+                with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                    cli._mac_payload(ch)
+                continue
+            path = tmp_path / "channel.json"
+            path.write_text(json.dumps({"H": ch.H.tolist(), "P": ch.P.tolist()}))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["mac", "--input", str(path), "--out", str(tmp_path)]) == 0
+            written = (tmp_path / "mac_assignments.json").read_text()
+            assert written == json.dumps(want, sort_keys=True, indent=2) + "\n", i
+            wrote = f"wrote {tmp_path / 'mac_assignments.json'}\n"
+            assert out.getvalue() == wrote + mac_table_oracle(want), i
+            answered += 1
+        assert answered >= 100
+
+    def test_public_tables_are_the_payload_rows(self):
+        # parallel_mac_assignments and successive_mac_assignments read the
+        # arrays the payload is made from
+        for ch in itertools.islice(pool_channels(), 30):
+            payload = cli._mac_payload(ch)
+            rows = parallel_mac_assignments(ch) + successive_mac_assignments(ch)
+            assert payload["strategy"] == ["parallel"] * len(parallel_mac_assignments(ch)) + \
+                ["successive"] * len(successive_mac_assignments(ch))
+            assert payload["A"] == [a.A.tolist() for a in rows]
+            assert payload["pi"] == [list(a.pi) for a in rows]
+            assert payload["sum_rate"] == [round(a.sum_rate, 6) for a in rows]
 
 
 class TestSumIdentity:

@@ -2,11 +2,13 @@
 with a report, or in exit 2 with one ``error:`` line on stderr, and never in
 a traceback.  In the ensemble's integer fields and in the equalizers, an
 integral float reads as its integer, and a fraction (in an integer field)
-or a string exits 2 naming the field."""
+or a string exits 2 naming the field.  A gamma anywhere in the float range
+gives a report whose powers are finite, or exit 2 naming gamma's range."""
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cfkit.cli import main  # noqa: E402
+from cfkit.lattice import GAMMA_MAX  # noqa: E402
 
 # Small fields and blocklengths keep most tables to a few rows; (7, 4) and
 # (5, 5) give tables of 2401 and 3125 rows, which the quantizer searches as
@@ -132,3 +135,51 @@ def test_integer_fields_follow_the_number_rule(case):
     else:
         assert code == 2 and err.count("\n") == 1 and f"field {target!r}" in err, err
         assert report is None
+
+
+# log-uniform over the whole float range and past its ends (2.0 ** -1100 is 0)
+_GAMMAS = st.floats(-1100.0, 1023.9).map(lambda e: 2.0 ** e)
+_RANGE = "gamma must be finite and positive, in [p 2^-1022, 2^500]"
+
+
+def _assert_finite_powers_or_range_error(code, err, report):
+    if code == 0:
+        assert err == "", err
+        for result in json.loads(report)["results"]:
+            assert all(math.isfinite(v) for v in result["mean_power_per_user"]), result
+    else:
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+        assert report is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(doc=campaign_docs(), gamma=_GAMMAS)
+def test_any_gamma_gives_finite_powers_or_one_error_line(doc, gamma):
+    doc["ensemble"]["gamma"] = gamma
+    _assert_finite_powers_or_range_error(*_simulate(doc))
+
+
+def _readme_campaign(gamma, n=2, p=3, levels=((0, 1), (0, 2))):
+    return {"ensemble": {"n": n, "p": p, "gamma": gamma, "levels": [list(v) for v in levels],
+                         "seed": 21},
+            "H": [[1, 1], [1, 2]], "P": [1.0, 1.0], "A": [[1, 1], [1, 2]],
+            "mode": "successive", "mapping": [[1, 1], [1, 2], [2, 2]],
+            "noise_std": [0.5, 0.05], "trials": 50, "master_seed": 0}
+
+
+# the README campaign, and a 2401-row table that the quantizer searches as
+# an implicit tree
+@pytest.mark.parametrize("shape", [{}, {"n": 6, "p": 7, "levels": ((0, 3), (1, 4))}],
+                         ids=["readme", "tree"])
+def test_gamma_range_ends(shape):
+    p = shape.get("p", 3)
+    low = p * 2.0 ** -1022
+    for gamma in (low, GAMMA_MAX):
+        code, err, report = _simulate(_readme_campaign(gamma, **shape))
+        assert code == 0, err
+        _assert_finite_powers_or_range_error(code, err, report)
+    for gamma in (math.nextafter(low, 0.0), 5e-324, math.nextafter(GAMMA_MAX, math.inf),
+                  1e160, 1e200, 1e300):
+        code, err, report = _simulate(_readme_campaign(gamma, **shape))
+        assert code == 2 and _RANGE in err and f"for p = {p}" in err, (gamma, err)
+        assert err.count("\n") == 1 and report is None

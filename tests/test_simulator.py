@@ -969,6 +969,21 @@ class TestRunCampaign:
             with pytest.raises(ValueError, match=r"trials must be an integer >= 1"):
                 call(cfg, trials)
 
+    def test_desk_scale_caps(self, monkeypatch):
+        # refused before anything is sized by them: the plan is never built
+        monkeypatch.setattr(simulator.TrialPlan, "build", None)
+        for call in (run_campaign, run_trials):
+            with pytest.raises(ValueError, match="trials = 1000001; desk scale caps a "
+                                                 "campaign at 1000000"):
+                call(campaign(0.5), simulator.MAX_TRIALS + 1)
+        with pytest.raises(ValueError, match="noise_std has 101 levels; desk scale caps a "
+                                             "campaign at 100"):
+            campaign([0.5] * (simulator.MAX_NOISE_LEVELS + 1))
+        # the mean power adds at most MAX_TRIALS powers of at most
+        # (gamma/2)^2 <= 2^998 (lattice.GAMMA_MAX)
+        assert simulator.MAX_TRIALS <= 2 ** 24
+        assert len(campaign([0.5] * simulator.MAX_NOISE_LEVELS).levels) == 100
+
     def test_one_cancellation_matrix_and_no_channel_per_campaign(self, monkeypatch):
         # a 3-level successive campaign builds its Z_p cancellation matrix
         # once, with the config, and equalizes every level on the config's channel

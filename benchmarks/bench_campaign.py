@@ -21,18 +21,33 @@ call, and how many `lattice.nearest_points` (quantizer) and
 `lattice.linear_labels` (labeling) calls the stage makes per block, counted
 in one untimed pass; the counts do not depend on the seed or the host.
 
+Last, it splits one `cfkit simulate` call on each workload config (a new
+master seed per repeat, the file in a temporary directory) into the pieces
+that `cli.cmd_simulate` runs once per call, and prints each piece's median
+ms: the config read and ensemble (`cli._load_json` and
+`cli._campaign_from`), `TrialConfig`, `TrialPlan.build`, the block stages
+(`run_campaign` on the prebuilt plan), the report and CSV text
+(`cli._report_files`) and the two file writes, each output unlinked before
+the timed write, as perfbench/run.py does before every call.  It prints
+the median of the whole `cli.main` call beside them.
+
 Usage: python3 benchmarks/bench_campaign.py [--repeats N]
 """
 
 import argparse
+import contextlib
+import io
+import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from cfkit import lattice, simulator
+from cfkit import cli, lattice, simulator
 from cfkit.core import ChannelInstance
 from cfkit.lattice import build_ensemble
 
@@ -132,6 +147,58 @@ def time_stages(doc: dict, repeats: int) -> dict:
     return {stage: (statistics.median(times[stage]) * 1e3, *calls[stage]) for stage in STAGES}
 
 
+CALL_PIECES = ("config read and ensemble", "TrialConfig", "TrialPlan.build", "block stages",
+               "report and CSV text", "two file writes")
+
+
+def timed(times: list, fn, *args):
+    """fn(*args), its seconds appended to times."""
+    start = time.perf_counter()
+    result = fn(*args)
+    times.append(time.perf_counter() - start)
+    return result
+
+
+def call_pieces(path: Path, out: Path) -> list:
+    """Seconds of each of CALL_PIECES in one simulate call on the config
+    at path, writing into out."""
+    times = []
+    fields, trials = timed(times, lambda: cli._campaign_from(cli._load_json(str(path))))
+    config = timed(times, lambda: simulator.TrialConfig(**fields))
+    plan = timed(times, simulator.TrialPlan.build, config)
+    with mock.patch.object(simulator.TrialPlan, "build", lambda config: plan):
+        results = timed(times, simulator.run_campaign, config, trials)
+    files = timed(times, cli._report_files, config, trials, results)
+    for name in files:
+        (out / name).unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        timed(times, lambda: [cli._write(out / name, text) for name, text in files.items()])
+    return times
+
+
+def time_call(doc: dict, repeats: int) -> tuple[list, float]:
+    """Median ms of each of CALL_PIECES and of the whole cli.main call,
+    over the repeats, on a new master seed each."""
+    pieces, calls = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "campaign.json"
+        for seed in range(repeats + 1):  # the first call warms up
+            path.write_text(json.dumps(dict(doc, master_seed=seed)))
+            split = call_pieces(path, tmp)
+            for name in ("report.json", "report.csv"):
+                (tmp / name).unlink()
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                assert cli.main(["simulate", "--config", str(path), "--out", str(tmp)]) == 0
+                whole = time.perf_counter() - start
+            if seed:
+                pieces.append(split)
+                calls.append(whole)
+    return ([statistics.median(t) * 1e3 for t in zip(*pieces)],
+            statistics.median(calls) * 1e3)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=100)
@@ -149,6 +216,15 @@ def main():
     for name, doc, _ in SHAPES:
         for stage, (ms, quantizer, labels) in time_stages(doc, args.repeats).items():
             print(f"{name:>15} {stage:>14} {ms:9.3f} {quantizer:>10} {labels:>7}")
+    print()
+    print(f"{'campaign':>15} {'piece of a simulate call':>26} {'ms/call':>9}"
+          f"   (the workload config, a new master seed per call)")
+    for name, doc, _ in SHAPES:
+        pieces, whole = time_call(doc, args.repeats)
+        for piece, ms in zip(CALL_PIECES, pieces):
+            print(f"{name:>15} {piece:>26} {ms:9.3f}")
+        print(f"{name:>15} {'sum of the pieces':>26} {sum(pieces):9.3f}")
+        print(f"{name:>15} {'cli.main call':>26} {whole:9.3f}")
 
 
 if __name__ == "__main__":

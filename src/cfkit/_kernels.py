@@ -16,7 +16,8 @@ runs in three stages over a CodeTable, the table with its entries replaced
 by indices into its m distinct values:
 
 1. per coordinate and value, the rounded coordinate and its squared offset,
-   an n x m x B grid for B queries (a one-row table stops here);
+   an n x m x B grid for B queries.  A one-row table rounds each query
+   coordinate against its row's entry instead, B x n, and stops there;
 2. per query, a shortlist of codewords whose summed offsets lie within a
    relative 1e-9 plus 2 tol of the smallest such sum.  A sum of n
    nonnegative terms moves by about n eps relative when summed in another
@@ -205,12 +206,13 @@ class CodeTable:
         return self._shifts
 
 
-def _round(values: np.ndarray, X: np.ndarray, gamma: float, tol: float):
-    """Stage 1, n x m x B: s + gamma * ceil((x - s) / gamma - 0.5) per
-    coordinate and value, in the scan's float operations, and its offset
-    from the query coordinate."""
-    x = X.T[:, None, :]
-    values = values[:, None]
+def _round(values: np.ndarray, x: np.ndarray, gamma: float, tol: float):
+    """s + gamma * ceil((x - s) / gamma - 0.5) for the values s and query
+    coordinates x, broadcast against each other, in the scan's float
+    operations, and its offset from the query coordinate.  Each entry
+    depends only on its s and x.  Stage 1 passes the m values as m x 1 and
+    the B x n queries as n x 1 x B, for its n x m x B grid; a one-coset
+    table passes its row, n, against the queries as they lie."""
     steps = np.subtract(x, values)
     steps /= gamma
     steps -= 0.5
@@ -220,9 +222,11 @@ def _round(values: np.ndarray, X: np.ndarray, gamma: float, tol: float):
     diffs = cands - x
     # ceil can land one step above a midpoint; step down where the lower
     # neighbour is as near within tol, (d - gamma)^2 <= d^2 + tol for the
-    # offset d, so the smaller coordinate wins
+    # offset d, so the smaller coordinate wins.  The test skips the NaN
+    # offsets of non-finite queries, which step nowhere, so that they do
+    # not hide the other queries' steps
     midpoint = gamma / 2 - tol / (2 * gamma)
-    if diffs.max() >= midpoint:
+    if np.fmax.reduce(diffs, axis=None, initial=-np.inf) >= midpoint:
         steps -= diffs >= midpoint
         cands = steps * gamma
         cands += values
@@ -248,7 +252,9 @@ def _pair_shortlist(table: CodeTable, sq: np.ndarray, tol: float):
     bound += 2 * tol
     shortlist = approx <= bound[:, None]
     several = ()
-    if np.count_nonzero(shortlist) > B:
+    # every query shortlists a row but those with a NaN bound (a non-finite
+    # coordinate), which shortlist none
+    if np.count_nonzero(shortlist) > np.count_nonzero(bound == bound):
         several = [(b, table.cells[shortlist[b]])
                    for b in np.flatnonzero(shortlist.sum(axis=1) > 1)]
     return table.cells[shortlist.argmax(axis=1)], several
@@ -360,11 +366,10 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     B, n = X.shape
     tol = TIE_REL * max(1.0, gamma * gamma)
-    cands, diffs = _round(table.values, X, gamma, tol)
     if table.shape[0] == 1:
-        # one coset, so stage 1 holds the point
-        return np.ascontiguousarray(cands.reshape(-1, B)[table.cells[0]].T)
-
+        # one coset: each coordinate rounds against its entry of the row
+        return _round(table.shifts[0], X, gamma, tol)[0]
+    cands, diffs = _round(table.values[:, None], X.T[:, None, :], gamma, tol)
     sq = diffs * diffs
     if table.generator is None or table.shape[0] < TRIE_MIN_ROWS:
         first, several = _pair_shortlist(table, sq, tol)

@@ -149,9 +149,10 @@ def _fmt(x: float) -> str:
 
 _LEAF = "\x00"  # a skeleton's placeholder leaf, which json writes as "\u0000"
 
-# json.dumps(leaves) for a list, with "\n" between the items: no indent, so
-# the C encoder runs, and an encoded leaf never holds a raw newline
-_encode_leaves = json.JSONEncoder(separators=("\n", ":")).encode
+# json.dumps(leaves, default=float) for a list, with "\n" between the items:
+# no indent, so the C encoder runs, and an encoded leaf never holds a raw
+# newline
+_encode_leaves = json.JSONEncoder(separators=("\n", ":"), default=float).encode
 
 
 def _template(skeleton) -> list:
@@ -221,6 +222,44 @@ def _mac_json(payload: dict) -> str:
     leaves.append(payload["sum_capacity"])
     pieces = one[:W] + ([between] + one[1:W]) * (K - 1) + one[W:] if K else none
     return _render(pieces, leaves)
+
+
+_COMBINATION = {"ci_high": _LEAF, "ci_low": _LEAF, "combination_index": _LEAF, "errors": _LEAF,
+                "rate_estimate": _LEAF, "trials": _LEAF}
+
+
+@functools.cache
+def _report_template(mode: str, M: int, L: int, C: int) -> list:
+    """report.json's pieces for a campaign of an M x L matrix A at C noise
+    levels; the leaves come in sorted-key order."""
+    combination = dict(_COMBINATION, **({"real_errors": _LEAF} if mode == "successive" else {}))
+    result = {"combinations": [combination] * M, "mean_power_per_user": [_LEAF] * L,
+              "noise_std": _LEAF, "trials": _LEAF}
+    return _template({"config": {"A": [[_LEAF] * L] * M, "master_seed": _LEAF, "mode": _LEAF,
+                                 "noise_std": [_LEAF] * C, "trials": _LEAF},
+                      "results": [result] * C})
+
+
+def _report_json(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
+    for report.json: payload["config"] holds the campaign's mode, trials,
+    master_seed, noise_std (C levels) and A (M rows of L), and
+    payload["results"] its C reports (simulator.run_campaign), each of M
+    combinations, with real_errors in successive mode, and L powers."""
+    config, results = payload["config"], payload["results"]
+    A, mode = config["A"], config["mode"]
+    real = mode == "successive"
+    leaves = [v for row in A for v in row]
+    leaves += [config["master_seed"], mode, *config["noise_std"], config["trials"]]
+    for result in results:
+        for c in result["combinations"]:
+            leaves += (c["ci_high"], c["ci_low"], c["combination_index"], c["errors"],
+                       c["rate_estimate"])
+            if real:
+                leaves.append(c["real_errors"])
+            leaves.append(c["trials"])
+        leaves += (*result["mean_power_per_user"], result["noise_std"], result["trials"])
+    return _render(_report_template(mode, len(A), len(A[0]), len(results)), leaves)
 
 
 def _sic_spec(ch: ChannelInstance) -> regions.RateRegionSpec:
@@ -439,9 +478,8 @@ def _equalizers_from(doc: dict, ch: ChannelInstance, A, mode: str):
     return out
 
 
-def cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
-    out = _outdir(args)
+def _campaign_from(doc: dict) -> tuple[dict, int]:
+    """A simulate config's simulator.TrialConfig fields and trial count."""
     ens = _ensemble_from(doc)
     ch = _channel_from(doc)
     A = _field(doc, "A", _COEFFS, (None, None), integer=True)
@@ -457,23 +495,36 @@ def cmd_simulate(args) -> int:
     trials = _field(doc, "trials", "an integer >= 1", integer=True, lo=1, name="trials")
     master_seed = _field(doc, "master_seed", "an integer in [0, 2**64)", integer=True,
                          lo=0, hi=2 ** 64)
-    config = simulator.TrialConfig(ensemble=ens, ch=ch, A=A, mode=mode, mapping=mapping,
-                                   noise_std=noise_list, equalizers=equalizers,
-                                   master_seed=master_seed)
-    results = simulator.run_campaign(config, trials)
+    return dict(ensemble=ens, ch=ch, A=A, mode=mode, mapping=mapping, noise_std=noise_list,
+                equalizers=equalizers, master_seed=master_seed), trials
+
+
+def _report_files(config: simulator.TrialConfig, trials: int, results: list) -> dict:
+    """File name -> text of a campaign's outputs, report.json then
+    report.csv, from its run_campaign reports."""
+    levels = list(config.levels)
     csv_lines = ["noise_std,combination_index,errors,trials,rate_estimate,ci_low,ci_high"]
-    for ns, rep in zip(noise_list, results):
+    for ns, rep in zip(levels, results):
         for combo in rep["combinations"]:
             csv_lines.append(
                 f"{_fmt(ns)},{combo['combination_index']},{combo['errors']},"
                 f"{combo['trials']},{_fmt(combo['rate_estimate'])},"
                 f"{_fmt(combo['ci_low'])},{_fmt(combo['ci_high'])}")
-    payload = {"config": {"mode": mode, "trials": trials, "master_seed": master_seed,
-                          "noise_std": noise_list, "A": A.tolist()},
+    payload = {"config": {"mode": config.mode, "trials": trials,
+                          "master_seed": config.master_seed, "noise_std": levels,
+                          "A": config.A.tolist()},
                "results": results}
-    _write(out / "report.json", json.dumps(payload, sort_keys=True, indent=2,
-                                           default=float) + "\n")
-    _write(out / "report.csv", "\n".join(csv_lines) + "\n")
+    return {"report.json": _report_json(payload), "report.csv": "\n".join(csv_lines) + "\n"}
+
+
+def cmd_simulate(args) -> int:
+    doc = _load_json(args.config)
+    out = _outdir(args)
+    fields, trials = _campaign_from(doc)
+    config = simulator.TrialConfig(**fields)
+    results = simulator.run_campaign(config, trials)
+    for name, text in _report_files(config, trials, results).items():
+        _write(out / name, text)
     total_errors = sum(c["errors"] for r in results for c in r["combinations"])
     print(f"total errors: {total_errors}")
     return 0

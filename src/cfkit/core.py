@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _exact
+
 UNBOUNDED = math.inf
 
 _RANK_RTOL = 1e-10  # singular values below this fraction of the max count as zero
@@ -114,6 +116,13 @@ class ChannelInstance:
 
         return tuple(regions.lu_mappings_all(self._dominant_solution.A_star))
 
+    @cached_property
+    def _dominant_unimodular(self) -> bool:
+        # _exact.is_unimodular of the dominant solution, kept like
+        # _dominant_mappings: the successive table's test of whether the
+        # solution joins its candidates, an answer of the channel alone
+        return _exact.is_unimodular(self._dominant_solution.A_star)
+
 
 @dataclass
 class NoiseReport:
@@ -165,23 +174,34 @@ def sigma_para_eval(ch: ChannelInstance, a, b) -> float:
     return sigma_succ_eval(ch, a, (), b, ())
 
 
-def mmse_solve(ch: ChannelInstance, a, prev, noise_std: float) -> tuple[np.ndarray, np.ndarray]:
+def mmse_solve(ch: ChannelInstance, a, prev, noise_levels) -> list[tuple[np.ndarray, np.ndarray]]:
     """The MMSE (b, c) of row a given the real combinations of the rows of
-    prev, at noise deviation s: the (minimum-norm) least-squares solution of
+    prev, at each noise deviation s of noise_levels, in their order: the
+    (minimum-norm) least-squares solution of
     [P^1/2 H^T, P^1/2 prev^T; s I, 0] [b; c] ~ [P^1/2 a; 0] on the unscaled
     channel, so (s^2 I + H P H^T) b = H P (a - prev^T c).  Its squared
     residual is the effective-noise variance of (s b, c) on the channel
     H / s, which sigma_succ_opt minimizes; s = 0 gives zero forcing.  This
     is the one equalizer solve: sigma_para_opt and sigma_succ_opt take
-    theirs from it at s = 1, and the simulator's equalizers at each level."""
-    antennas = ch.num_antennas
-    root = np.sqrt(ch.P)
-    D = np.vstack([np.hstack([ch.H.T, prev.T]) * root[:, None],
-                   np.hstack([noise_std * np.eye(antennas),
-                              np.zeros((antennas, prev.shape[0]))])])
-    target = np.concatenate([a * root, np.zeros(antennas)])
-    z = np.linalg.lstsq(D, target, rcond=None)[0]
-    return z[:antennas], z[antennas:]
+    theirs from it at s = 1, and the simulator's equalizers at every level.
+    The top block and the target do not depend on s and are built once; a
+    level writes only the s I block before its lstsq, so each matrix has
+    the bits of the level's own."""
+    antennas, users = ch.H.shape
+    root = np.sqrt(ch.P)[:, None]
+    D = np.zeros((users + antennas, antennas + prev.shape[0]))
+    np.multiply(ch.H.T, root, out=D[:users, :antennas])
+    np.multiply(prev.T, root, out=D[:users, antennas:])
+    target = np.zeros(users + antennas)
+    np.multiply(a, root[:, 0], out=target[:users])
+    diagonal = (np.arange(users, users + antennas), np.arange(antennas))
+    out = []
+    for s in noise_levels:
+        # the s I block, as s * np.eye gives it for s >= 0
+        D[diagonal] = s
+        z = np.linalg.lstsq(D, target, rcond=None)[0]
+        out.append((z[:antennas], z[antennas:]))
+    return out
 
 
 def sigma_para_opt(ch: ChannelInstance, a) -> NoiseReport:
@@ -191,7 +211,7 @@ def sigma_para_opt(ch: ChannelInstance, a) -> NoiseReport:
     if a.shape[0] != ch.num_users:
         raise ValueError("coefficient vector length must match user count")
     variance = noise_variance(ch, a)
-    b_opt = mmse_solve(ch, a, np.zeros((0, ch.num_users)), 1.0)[0]
+    b_opt = mmse_solve(ch, a, np.zeros((0, ch.num_users)), (1.0,))[0][0]
     return NoiseReport(variance=variance, b_opt=b_opt)
 
 
@@ -304,7 +324,7 @@ def sigma_succ_opt(ch: ChannelInstance, a_m, A_prev) -> NoiseReport:
     require_full_row_rank(A_prev)
     variance = noise_variance(ch, a_m, A_prev)
     Q = np.linalg.qr(effective_matrix(ch) @ A_prev.T)[0]
-    b_opt, c_opt = mmse_solve(ch, a_m, A_prev, 1.0)
+    [(b_opt, c_opt)] = mmse_solve(ch, a_m, A_prev, (1.0,))
     return NoiseReport(variance=variance, b_opt=b_opt, c_opt=c_opt,
                        projector=np.eye(ch.num_users) - Q @ Q.T)
 

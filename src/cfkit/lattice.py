@@ -281,13 +281,15 @@ def nearest_points(ens: NestedLatticeEnsemble, which, X) -> np.ndarray:
     """nearest_point for each row of a B x n block, bitwise equal per row.
 
     Queries go to the kernel in slices of slice_length(K) rows for a K-row
-    table.
+    table; a block of one slice is one kernel call, whose array is returned.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != ens.n:
         raise ValueError(f"points must be rows of dimension {ens.n}")
     table = ens.code_table(ens.prefix_len(which))
     step = slice_length(table.shape[0])
+    if X.shape[0] <= step:
+        return nearest_codeword_points(table, X, float(ens.gamma))
     out = np.empty_like(X)
     for i in range(0, X.shape[0], step):
         out[i:i + step] = nearest_codeword_points(table, X[i:i + step], float(ens.gamma))

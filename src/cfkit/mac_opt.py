@@ -368,8 +368,9 @@ def _successive_table(ch: ChannelInstance) -> _Table:
     (_permutation_candidates); the dominant solution's are the channel's
     shared lu_mappings_all.  Both are admissible by construction and are
     used as they are.  The candidates are unimodular by construction (the
-    dominant solution is checked before it joins them), so none is checked
-    again.  Their chained variances are one chained_variances call on
+    dominant solution is checked once per channel,
+    ChannelInstance._dominant_unimodular, before it joins them), so none is
+    checked again.  Their chained variances are one chained_variances call on
     their stack, and every (matrix, mapping) pair is a row of one _score
     call.  Every accepted row must reach the sum capacity
     (_require_capacity), and rows whose rates round (10 digits) to those of
@@ -378,7 +379,7 @@ def _successive_table(ch: ChannelInstance) -> _Table:
     # the search refuses more than MAX_EXACT_USERS users before L! candidates
     # are built
     dom = ch._dominant_solution
-    dominant = ch._dominant_mappings if intsearch.is_unimodular(dom.A_star) else ()
+    dominant = ch._dominant_mappings if ch._dominant_unimodular else ()
     L = ch.num_users
     stack, perm_support, perm_steps, perm_mappings = _permutation_candidates(L)
     n = len(stack)

@@ -141,27 +141,29 @@ def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
     return max(users, key=lambda l: (ens.levels[l - 1][1], -l))
 
 
-def parallel_equalizers(ch: ChannelInstance, A, noise_std: float) -> list[np.ndarray]:
-    """Per-row MMSE equalizers b for channel noise of the given deviation."""
+def parallel_equalizers(ch: ChannelInstance, A, noise_levels) -> list[list[np.ndarray]]:
+    """Per-row MMSE equalizers b for channel noise of each deviation of
+    noise_levels: one list of rows per level, in their order."""
     A = _exact.int_matrix(A)
-    return [mmse_solve(ch, a, A[:0], noise_std)[0] for a in A]
+    solves = [mmse_solve(ch, a, A[:0], noise_levels) for a in A]
+    return [[row[c][0] for row in solves] for c in range(len(noise_levels))]
 
 
-def successive_equalizers(ch: ChannelInstance, A, noise_std: float, *,
-                          kept: list | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+def successive_equalizers(ch: ChannelInstance, A,
+                          noise_levels) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Per-row MMSE (b, c) pairs, c weighting the real combinations of the
-    earlier rows; c entries for dropped (dependent) rows are zero.  `kept`,
-    when given, is _exact.kept_rows of A, which depends on A alone."""
+    earlier rows, for each deviation of noise_levels: one list of rows per
+    level, in their order.  c entries for dropped (dependent) rows are
+    zero."""
     A = _exact.int_matrix(A)
-    if kept is None:
-        kept = _exact.kept_rows(A.tolist())
-    out = []
+    kept = _exact.kept_rows(A.tolist())
+    out = [[] for _ in noise_levels]
     for m in range(A.shape[0]):
         keep = [i for i in range(m) if kept[i]]
-        b, c = mmse_solve(ch, A[m], A[keep], noise_std)
-        c_full = np.zeros(m)
-        c_full[keep] = c
-        out.append((b, c_full))
+        for level, (b, c) in zip(out, mmse_solve(ch, A[m], A[keep], noise_levels)):
+            c_full = np.zeros(m)
+            c_full[keep] = c
+            level.append((b, c_full))
     return out
 
 
@@ -214,12 +216,14 @@ def wilson_interval(errors: int, trials: int, level: float = 0.95) -> tuple[floa
 # and encoded once, decoded twice) costs 44 us per trial at 16 trials per
 # block, 10.5 us at 128 and 6.7 us at 512 (52, 16.5 and 12 us with three
 # Generator calls per trial's draw).  The per-trial draw, a state reset, one
-# random_raw and one standard_normal call, takes about 5 us of that at any
-# block size (benchmarks/bench_campaign.py).  Block arrays are
-# B x L x n floats, 10 kB per user at n = 10.  A campaign of C noise levels
-# decodes them in one pass, so each quantizer call holds C x B rows; its
-# temporaries are bounded separately by lattice.nearest_points, which
-# slices them.  A campaign holds one block's draws and encoding at a time.
+# random_raw and one standard_normal call, takes about 4 us of that at any
+# block size (benchmarks/bench_campaign.py); the reset from _list_state's
+# lists takes about 0.45 us, against 1.1 us from the arrays numpy's state
+# holds.  Block arrays are B x L x n floats, 10 kB per user at n = 10.  A
+# campaign of C noise levels decodes them in one pass, so each quantizer
+# call holds C x B rows; its temporaries are bounded separately by
+# lattice.nearest_points, which slices them.  A campaign holds one block's
+# draws and encoding at a time.
 BLOCK_TRIALS = 128
 # Desk-scale caps on a campaign.  Its power record is L x trials floats, and
 # a block's decode stacks every noise level's rows (C x B x n floats per
@@ -259,14 +263,14 @@ class TrialPlan:
         rows = range(A.shape[0])
         if config.mode == "parallel":
             targets = [_theta_user(ens, A[m], ens.p) for m in rows]
-            levels = [parallel_equalizers(ch, A, s) if optimal else eq for s in config.levels]
+            levels = (parallel_equalizers(ch, A, config.levels) if optimal
+                      else [eq] * len(config.levels))
             return cls(equalizers=[[None if targets[m] is None
                                     else np.asarray(level[m], dtype=float) for m in rows]
                                    for level in levels],
                        targets=targets)
-        kept = _exact.kept_rows(A.tolist()) if optimal else None
-        levels = [successive_equalizers(ch, A, s, kept=kept) if optimal else eq
-                  for s in config.levels]
+        levels = (successive_equalizers(ch, A, config.levels) if optimal
+                  else [eq] * len(config.levels))
         pairs = regions.mapping_pairs(config.mapping)
         Lbar, Lbar_inv = config.cancellation
         return cls(equalizers=[[(np.asarray(level[m][0], dtype=float),
@@ -325,6 +329,18 @@ def _lemire_symbols(words: np.ndarray, p: int, width: int) -> tuple[np.ndarray, 
     return (scaled >> 32).astype(np.int64), refused
 
 
+def _list_state(bitgen: np.random.Philox) -> dict:
+    """bitgen.state with its counter, key and buffer as lists of Python
+    ints.  The state setter reads them entry by entry, and reads a list's
+    entry in about half the time of an array's; the state it sets is the
+    same."""
+    state = bitgen.state
+    inner = state["state"]
+    inner["counter"], inner["key"] = inner["counter"].tolist(), inner["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    return state
+
+
 def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
                 start: int, stop: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The random draws of trials start .. stop - 1, trial i's from its own
@@ -335,7 +351,8 @@ def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
     dither cubes (B x L x n uniforms on [0, 1)) and the unit noise
     (B x antennas x n standard normals).  One Philox serves the block: each
     trial sets its state to that of a fresh Philox keyed by
-    (master_seed, i), counter 0, empty buffer, no buffered 32-bit half.
+    (master_seed, i), counter 0, empty buffer, no buffered 32-bit half,
+    from one state dict of lists (_list_state) whose key it rewrites.
     integers takes the W message symbols from 32-bit halves of the stream's
     64-bit words, low half first, so ceil(W / 2) words hold them unless a
     half is refused; random takes one whole word per cube entry,
@@ -352,7 +369,7 @@ def _draw_block(ens: NestedLatticeEnsemble, antennas: int, master_seed: int,
     half = (width + 1) // 2
     bitgen = np.random.Philox(key=np.array(
         [master_seed & 0xFFFFFFFFFFFFFFFF, start], dtype=np.uint64))
-    state = bitgen.state
+    state = _list_state(bitgen)
     key = state["state"]["key"]
     rng = np.random.Generator(bitgen)
     words = np.empty((B, half + users * n), dtype=np.uint64)

@@ -60,7 +60,7 @@ def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
     A = np.atleast_2d(np.asarray(A, dtype=int))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if equalizers == "optimal":
-        equalizers = parallel_equalizers(ch, A, noise_std)
+        equalizers = parallel_equalizers(ch, A, (noise_std,))[0]
     labels = []
     live = []
     for m in range(A.shape[0]):
@@ -107,7 +107,7 @@ def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
     pairs = mapping_pairs(mapping)
     Lbar, Lbar_inv = zp_asc_matrix(A, pairs, ens.p)
     if equalizers == "optimal":
-        equalizers = successive_equalizers(ch, A, noise_std)
+        equalizers = successive_equalizers(ch, A, (noise_std,))[0]
     labels, reals, nus, mus, live = [], [], [], [], []
     for m in range(L):
         b, c = equalizers[m]

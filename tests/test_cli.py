@@ -350,6 +350,22 @@ class TestSimulate:
         assert all(c["errors"] == 0 and c["real_errors"] == 0
                    for r in results for c in r["combinations"])
 
+    def test_one_row_campaign_writes_a_report(self, tmp_path):
+        # a coefficient matrix with fewer rows than users: one combination
+        # per level in both files
+        cfg = self.config(tmp_path, A=[[1, 2]], noise_std=[0.5, 0.0], trials=140)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["A"] == [[1, 2]] and doc["config"]["noise_std"] == [0.5, 0.0]
+        results = doc["results"]
+        assert [len(r["combinations"]) for r in results] == [1, 1]
+        assert [len(r["mean_power_per_user"]) for r in results] == [2, 2]
+        assert results[1]["combinations"][0]["errors"] == 0
+        assert all(r["trials"] == 140 for r in results)
+        lines = (tmp_path / "report.csv").read_text().strip().split("\n")
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0.500000", "1"],
+                                                                ["0.000000", "1"]]
+
     def test_malformed_config(self, tmp_path):
         cfg = self.config(tmp_path)
         doc = json.loads(cfg.read_text())

@@ -64,9 +64,9 @@ CASES = [
     ("regions.sic_rates", lambda x: regions.sic_rates(CH, x), [2, 1], "index"),
     ("simulator.TrialConfig", lambda x: _config(x).cancellation, U, "int64"),
     ("simulator.parallel_equalizers",
-     lambda x: simulator.parallel_equalizers(CH, x, 0.5), A, "int64"),
+     lambda x: simulator.parallel_equalizers(CH, x, (0.5,)), A, "int64"),
     ("simulator.successive_equalizers",
-     lambda x: simulator.successive_equalizers(CH, x, 0.5), A, "int64"),
+     lambda x: simulator.successive_equalizers(CH, x, (0.5,)), A, "int64"),
     ("simulator.zp_asc_matrix", lambda x: simulator.zp_asc_matrix(x, PAIRS, 3), U, "int64"),
     ("simulator.true_combinations",
      lambda x: simulator.true_combinations(ENS, x, POINTS), A, "int64"),

@@ -392,3 +392,62 @@ def test_generator_table_checks_its_echelon():
     with pytest.raises(ValueError, match="full row rank"):
         CodeTable.from_generator(np.array([[1, 2, 0], [2, 1, 0]]), 3, 3.0,
                                  _zp.rref_mod_p([[1, 2, 0], [2, 1, 0]], 3))
+
+
+def one_coset_queries(rng, row, gamma, count=40):
+    """Queries on a one-row table: normal ones, each coordinate at its
+    entry's +-gamma/2 midpoints and within tol of them, and NaN and +-inf
+    coordinates, all in one block."""
+    n = row.shape[0]
+    tol = TIE_REL * max(1.0, gamma * gamma)
+    half = np.array([-gamma / 2, gamma / 2])
+    nudge = np.array([-tol, -tol / 3, 0.0, tol / 3, tol, 4 * tol])
+    mids = row + rng.choice(half, size=(count, n)) + rng.integers(-3, 4, size=(count, n)) * gamma
+    mids += rng.choice(nudge, size=(count, n)) * rng.integers(0, 2, size=(count, n))
+    odd = rng.normal(size=(12, n)) * 3
+    odd[np.arange(12), rng.integers(0, n, size=12)] = [np.nan, np.inf, -np.inf] * 4
+    return np.vstack([rng.normal(size=(count, n)) * 3, mids, odd])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_coset_tables_bitwise_equal_to_scan_oracle(seed):
+    # a one-row table rounds the block against its row as the block lies:
+    # a generator table of k = 0 (the zero row) and from_shifts rows whose
+    # columns hold different values, against the full scan
+    rng = np.random.default_rng(500 + seed)
+    for n in (1, 2, 5, 8):
+        gamma = float(rng.choice([1.0, 3.0, 7.0, 0.25]))
+        p = int(rng.choice([2, 3, 7]))
+        zero = CodeTable.from_generator(np.zeros((0, n), dtype=np.int64), p, gamma, ([], []))
+        row = rng.integers(0, p, size=n) * gamma / p
+        row[0], row[-1] = 0.0, (p - 1) * gamma / p  # at least two values when n > 1
+        for table in (zero, CodeTable.from_shifts(row[None]), row[None]):
+            shifts = table.shifts if isinstance(table, CodeTable) else table
+            X = one_coset_queries(rng, shifts[0], gamma)
+            with np.errstate(invalid="ignore"):
+                got = nearest_codeword_points(table, X, gamma)
+                want = scan_oracle(shifts, X, gamma)
+                # each row alone gives its bits in the block
+                single = np.vstack([nearest_codeword_point(table, x, gamma) for x in X])
+            assert got.flags.c_contiguous and got.shape == X.shape
+            assert got.tobytes() == want.tobytes(), (n, gamma)
+            assert single.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_non_finite_queries_hide_no_midpoint_step(campaign_ensemble, seed):
+    # a query with a NaN or infinite coordinate has NaN offsets and
+    # shortlists nothing; the other queries of its block still step down
+    # from the midpoints they pass and still break their ties
+    # lexicographically, as in the scan and as when each is quantized alone
+    rng = np.random.default_rng(600 + seed)
+    tables = [small_code(rng) for _ in range(6)]
+    tables.append((campaign_ensemble.code_table(4), 7.0))
+    for table, gamma in tables:
+        shifts = table.shifts
+        X = one_coset_queries(rng, shifts[int(rng.integers(len(shifts)))], gamma, count=10)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = nearest_codeword_points(table, X, gamma)
+            want = scan_oracle(shifts, X, gamma)
+            single = np.vstack([nearest_codeword_point(table, x, gamma) for x in X])
+        assert got.tobytes() == want.tobytes() == single.tobytes(), table.shape

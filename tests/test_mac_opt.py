@@ -444,6 +444,30 @@ class TestAgainstOracle:
         assert main(["mac", "--input", str(path), "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_one_unimodular_check_per_channel(self, monkeypatch):
+        # the successive table asks whether the dominant solution is
+        # unimodular once per channel: a second table on one channel makes
+        # no call, and another channel asks again
+        from cfkit import _exact
+
+        calls = []
+        honest = _exact.is_unimodular
+
+        def spy(A):
+            calls.append(A)
+            return honest(A)
+
+        monkeypatch.setattr(_exact, "is_unimodular", spy)
+        monkeypatch.setattr(intsearch, "is_unimodular", spy)
+        ch = ChannelInstance(H=[[1.0, -0.4, 2.2]], P=[3.0, 1.0, 5.0])
+        first = mac_opt._successive_table(ch)
+        assert len(calls) == 1 and calls[0] is ch._dominant_solution.A_star
+        second = mac_opt._successive_table(ch)
+        assert len(calls) == 1
+        assert first.rates.tobytes() == second.rates.tobytes()
+        mac_opt._successive_table(ChannelInstance(H=ch.H, P=ch.P))
+        assert len(calls) == 2
+
 
 # An ill-conditioned 3-user channel (tests/test_cli.py's): the float chained
 # rates of A = I, pi = (1, 2, 3) sum to 1.26e-8 off the sum capacity.

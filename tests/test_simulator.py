@@ -320,7 +320,7 @@ class TestDecodeSuccessive:
         ens = small_ensemble()
         ch = integer_channel(A22)
         rng = np.random.default_rng(12)
-        b_eq = simulator.parallel_equalizers(ch, A22, 0.3)
+        b_eq = simulator.parallel_equalizers(ch, A22, (0.3,))[0]
         succ_eq = [(b_eq[m], np.zeros(m)) for m in range(2)]
         for _ in range(40):
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
@@ -471,9 +471,9 @@ class TestEqualizersExact:
     def test_equalizers_match_the_exact_mmse_solution(self, seed):
         checked = 0
         for ch, A, keep in self.instances(15, seed):
-            for s in self.LEVELS:
-                para = simulator.parallel_equalizers(ch, A, s)
-                succ = simulator.successive_equalizers(ch, A, s)
+            paras = simulator.parallel_equalizers(ch, A, self.LEVELS)
+            succs = simulator.successive_equalizers(ch, A, self.LEVELS)
+            for s, para, succ in zip(self.LEVELS, paras, succs, strict=True):
                 for m, a in enumerate(A):
                     b, c = succ[m]
                     assert not np.delete(c, keep[m]).any()
@@ -498,25 +498,48 @@ class TestEqualizersExact:
         calls = []
         solve = core.mmse_solve
 
-        def spy(ch, a, prev, noise_std):
-            out = solve(ch, a, prev, noise_std)
-            calls.append((len(prev), noise_std, out))
+        def spy(ch, a, prev, noise_levels):
+            out = solve(ch, a, prev, noise_levels)
+            calls.append((len(prev), tuple(noise_levels), out))
             return out
 
         for module in (core, simulator):
             monkeypatch.setattr(module, "mmse_solve", spy)
         ch = ChannelInstance(H=[[1.0, 1.5], [0.5, -1.0]], P=[2.0, 3.0])
         A = np.array([[1, 1], [2, 2], [1, 2]])  # row 2 depends on row 1
+        levels = (0.3, 0.0, 1.5)
         b = sigma_para_opt(ch, A[0]).b_opt
         rep = sigma_succ_opt(ch, A[2], A[:1])
-        para = simulator.parallel_equalizers(ch, A, 0.3)
-        succ = simulator.successive_equalizers(ch, A, 0.3)
-        assert [call[:2] for call in calls] == [(0, 1.0), (1, 1.0), *[(0, 0.3)] * 4,
-                                                (1, 0.3), (1, 0.3)]
+        para = simulator.parallel_equalizers(ch, A, levels)
+        succ = simulator.successive_equalizers(ch, A, levels)
+        # one solve per row, over every level
+        assert [call[:2] for call in calls] == [(0, (1.0,)), (1, (1.0,)), *[(0, levels)] * 4,
+                                                (1, levels), (1, levels)]
         outs = [call[2] for call in calls]
-        assert outs[0][0] is b and outs[1][0] is rep.b_opt and outs[1][1] is rep.c_opt
-        assert all(eq is out[0] for eq, out in zip(para, outs[2:5]))
-        assert all(eq[0] is out[0] for eq, out in zip(succ, outs[5:]))
+        assert outs[0][0][0] is b
+        assert outs[1][0][0] is rep.b_opt and outs[1][0][1] is rep.c_opt
+        for c in range(len(levels)):
+            assert all(eq is out[c][0] for eq, out in zip(para[c], outs[2:5], strict=True))
+            assert all(eq[0] is out[c][0] for eq, out in zip(succ[c], outs[5:], strict=True))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_each_level_solves_its_own_system_bitwise(self, seed):
+        # mmse_solve builds the top block once per row and writes only the
+        # s I block per level: every level's (b, c) has the bits of an
+        # lstsq on that level's system built from scratch, whatever the
+        # levels before it
+        for ch, A, keep in self.instances(15, seed):
+            root = np.sqrt(ch.P)
+            for m, a in enumerate(A):
+                prev = A[keep[m]]
+                levels = self.LEVELS[::-1] + self.LEVELS
+                for s, (b, c) in zip(levels, core.mmse_solve(ch, a, prev, levels), strict=True):
+                    D = np.vstack([np.hstack([ch.H.T, prev.T]) * root[:, None],
+                                   np.hstack([s * np.eye(ch.num_antennas),
+                                              np.zeros((ch.num_antennas, len(prev)))])])
+                    target = np.concatenate([a * root, np.zeros(ch.num_antennas)])
+                    z = np.linalg.lstsq(D, target, rcond=None)[0]
+                    assert np.concatenate([b, c]).tobytes() == z.tobytes(), (s, m)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_variance_is_the_analysis_layers(self, seed):
@@ -536,7 +559,7 @@ class TestEqualizersExact:
                 scaled = ChannelInstance(H=ch.H / s, P=ch.P)
                 gram = np.diag(1.0 / ch.P) + scaled.H.T @ scaled.H
                 rel = max(1e-9, 10 * np.finfo(float).eps * np.linalg.cond(gram))
-                for m, (b, c) in enumerate(simulator.successive_equalizers(ch, A, s)):
+                for m, (b, c) in enumerate(simulator.successive_equalizers(ch, A, (s,))[0]):
                     a, prev = A[m], A[keep[m]]
                     floor = 1e-20 * float(a @ (ch.P * a))
                     z = exact_mmse(ch.H, ch.P, a, prev, s)
@@ -837,6 +860,31 @@ class TestDrawBlock:
                 assert got[2].tobytes() == want[2].tobytes(), (seed, start)
                 keys += stop - start
         assert keys * len(self.SHAPES) >= 10 ** 4
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5, 2 ** 64 - 1])
+    def test_reset_state_is_a_fresh_philox(self, seed):
+        # the list state _draw_block resets to, its key rewritten per
+        # trial, is field by field the state of a fresh Philox keyed by
+        # (master_seed, i), whatever the bit generator drew before
+        bitgen = np.random.Philox(key=np.array([seed, 3], dtype=np.uint64))
+        state = simulator._list_state(bitgen)
+        assert [type(v) for v in (*state["state"]["counter"], *state["state"]["key"],
+                                  *state["buffer"])] == [int] * 10
+        rng = np.random.Generator(bitgen)
+        for i in (3, 0, 1, 2 ** 32 + 9, 2 ** 64 - 1):
+            rng.integers(0, 5, size=3)  # leaves a buffered half behind
+            rng.standard_normal(5)
+            state["state"]["key"][1] = i
+            bitgen.state = state
+            got = bitgen.state
+            want = np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).state
+            assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+            for name in ("counter", "key"):
+                assert got["state"][name].dtype == want["state"][name].dtype
+                assert np.array_equal(got["state"][name], want["state"][name]), (i, name)
+            assert np.array_equal(got["buffer"], want["buffer"]), i
+            for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+                assert got[name] == want[name], (i, name)
 
     @pytest.mark.parametrize("shape", [0, 1, 3])
     def test_refused_trials_are_drawn_again(self, shape, monkeypatch):

@@ -74,6 +74,11 @@ def int_matrix(mat) -> np.ndarray:
         raise ValueError("matrix entries must be integers in [-2^63, 2^63)") from None
 
 
+def int_row(mat) -> np.ndarray:
+    """int_matrix's matrix with its entries in one row (1 x N)."""
+    return int_matrix(mat).reshape(1, -1)
+
+
 def _step(f: int, r: list, g: int, row: list, d: int = 1) -> list:
     """(f r - g row) / d, the division exact when d is the previous pivot."""
     return [(f * x - g * y) // d for x, y in zip(r, row)]

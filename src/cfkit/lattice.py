@@ -12,8 +12,6 @@ keeps everything exact.
 from __future__ import annotations
 
 import functools
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,15 +78,16 @@ class NestedLatticeEnsemble:
     def num_users(self) -> int:
         return len(self.levels)
 
-    @property
+    # the level sizes are read once: every block of labels reads them again
+    @functools.cached_property
     def k_C(self) -> int:
         return min(kc for kc, _ in self.levels)
 
-    @property
+    @functools.cached_property
     def k_F(self) -> int:
         return max(kf for _, kf in self.levels)
 
-    @property
+    @functools.cached_property
     def k(self) -> int:
         return self.k_F - self.k_C
 
@@ -155,18 +154,6 @@ class NestedLatticeEnsemble:
         R.setflags(write=False)
         return R
 
-    def to_json(self) -> str:
-        payload = {"n": self.n, "p": self.p, "gamma": self.gamma,
-                   "levels": [list(lv) for lv in self.levels],
-                   "G": self.G.ravel().tolist()}
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NestedLatticeEnsemble":
-        d = json.loads(text)
-        return cls(n=d["n"], p=d["p"], gamma=d["gamma"], levels=d["levels"],
-                   G=_exact.int_matrix(d["G"]).reshape(-1, d["n"]))
-
 
 def _desk_levels(n: int, p: int, levels) -> tuple[tuple[int, int], ...]:
     """levels as (k_C, k_F) int pairs, read by _exact's integer rule, once
@@ -177,57 +164,6 @@ def _desk_levels(n: int, p: int, levels) -> tuple[tuple[int, int], ...]:
         raise ValueError(
             f"desk scale caps: n <= {MAX_N}, p <= {MAX_P}, k_F <= {MAX_KF}")
     return tuple(map(tuple, rows))
-
-
-def ball_volume(n: int) -> float:
-    """Volume of the unit n-ball."""
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-
-
-def largest_prime_for(n: int) -> int:
-    """Largest prime in [n^(3/2)/2, n^(3/2)], the asymptotic field-size rule."""
-    hi = int(math.floor(n ** 1.5))
-    lo = max(2, int(math.ceil(n ** 1.5 / 2)))
-    for q in range(hi, lo - 1, -1):
-        if _zp.is_prime(q):
-            return q
-    raise ValueError(f"no prime between {lo} and {hi}")
-
-
-def nominal_levels(powers, noise_tolerances, n: int, alpha: float,
-                   p: int | None = None) -> dict:
-    """Real-valued prefix sizes from the asymptotic parameter formulas.
-
-    Returns the per-user (k_C, k_F) reals, rounded integer suggestions, the
-    nominal rates (k_F - k_C)/n * log2 p, and the suggested scale
-    gamma = 2 sqrt(n P_max 2^alpha).  Reference only: desk-scale builds pick
-    their own small p and gamma.
-    """
-    powers = np.asarray(powers, dtype=float).ravel()
-    tols = np.asarray(noise_tolerances, dtype=float).ravel()
-    if powers.shape != tols.shape:
-        raise ValueError("powers and noise tolerances must align")
-    if np.any(tols <= 0) or np.any(tols >= powers):
-        raise ValueError("need 0 < noise tolerance < power for every user")
-    if p is None:
-        p = largest_prime_for(n)
-    _zp.require_prime(p)
-    p_max = float(np.max(powers))
-    vn = ball_volume(n)
-    common = math.log2(4.0 / vn ** (2.0 / n)) + alpha
-    scale = n / (2.0 * math.log2(p))
-    k_c = scale * (np.log2(p_max / powers) + common)
-    k_f = scale * (np.log2(p_max / tols) + common)
-    rates = (k_f - k_c) / n * math.log2(p)
-    return {
-        "p": p,
-        "gamma": 2.0 * math.sqrt(n * p_max * 2.0 ** alpha),
-        "k_C": k_c.tolist(),
-        "k_F": k_f.tolist(),
-        "k_C_rounded": [int(round(v)) for v in k_c],
-        "k_F_rounded": [int(round(v)) for v in k_f],
-        "rates": rates.tolist(),
-    }
 
 
 def build_ensemble(n: int, p: int, gamma: float, levels, seed: int,
@@ -340,74 +276,94 @@ def linear_labels(ens: NestedLatticeEnsemble, lams) -> np.ndarray:
     return v[:, ens.k_C:]
 
 
-def label_inverse(ens: NestedLatticeEnsemble, w) -> np.ndarray:
-    """Lattice point with the given label: lift of G^T [0_{k_C}; w]."""
-    w = _exact.int_matrix(w).ravel() % ens.p
-    if w.shape[0] != ens.k:
+
+
+# Signal levels in a label.  User l's message fills the symbols between its
+# coarse level k_C,l and fine level k_F,l of a label in Z_p^k (which starts
+# at k_C); the symbols below are free, and those past k_F,l are zero exactly
+# on the user's fine lattice.  The block functions below take B rows in and
+# give B rows out; zero_padded_label, label_inverse, coset_contains and
+# label_add are their one-row views.
+
+def _label_rows(ens: NestedLatticeEnsemble, labels) -> np.ndarray:
+    labels = _exact.int_matrix(labels) % ens.p
+    if labels.shape[1] != ens.k:
         raise ValueError(f"label must have length {ens.k}")
-    v = np.concatenate([np.zeros(ens.k_C, dtype=np.int64), w])
-    c = (v @ ens.G) % ens.p
-    return (ens.gamma / ens.p) * c.astype(np.float64)
+    return labels
 
 
-def label_add(ens: NestedLatticeEnsemble, labels, coeffs) -> np.ndarray:
-    """Mod-p combination sum_l coeffs[l] * labels[l]."""
-    acc = np.zeros(ens.k, dtype=np.int64)
-    for lab, a in zip(labels, coeffs):
-        a = _exact._as_int(a, "coefficients") % ens.p
-        acc = (acc + a * _exact.int_matrix(lab).ravel()) % ens.p
-    return acc
-
-
-def coset_contains(ens: NestedLatticeEnsemble, user: int, candidate, message) -> bool:
-    """Does the candidate label sit in user `user`'s coset of the message?
-
-    Leading k_C,l - k_C symbols are free ("don't care"), the middle block
-    must equal the message, and the trailing k_F - k_F,l symbols must be 0.
-    """
+def _message_rows(ens: NestedLatticeEnsemble, user, messages) -> tuple[np.ndarray, slice]:
+    """User `user`'s B messages and the symbols of a label that hold them."""
     kc, kf = ens.user_levels(user)
-    candidate = _exact.int_matrix(candidate).ravel() % ens.p
-    message = _exact.int_matrix(message).ravel() % ens.p
-    if message.shape[0] != kf - kc:
+    messages = _exact.int_matrix(messages) % ens.p
+    if messages.shape[1] != kf - kc:
         raise ValueError(f"message for user {user} must have length {kf - kc}")
-    if candidate.shape[0] != ens.k:
-        raise ValueError(f"label must have length {ens.k}")
-    lead = kc - ens.k_C
-    mid = candidate[lead:lead + (kf - kc)]
-    tail = candidate[ens.k - (ens.k_F - kf):] if ens.k_F > kf else candidate[:0]
-    return bool(np.array_equal(mid, message) and not np.any(tail))
+    return messages, slice(kc - ens.k_C, kf - ens.k_C)
 
 
-def zero_padded_label(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
-    """Message embedded at user `user`'s signal levels (zeros elsewhere)."""
-    kc, kf = ens.user_levels(user)
-    message = _exact.int_matrix(message).ravel() % ens.p
-    if message.shape[0] != kf - kc:
-        raise ValueError(f"message for user {user} must have length {kf - kc}")
-    lead = kc - ens.k_C
-    out = np.zeros(ens.k, dtype=np.int64)
-    out[lead:lead + message.shape[0]] = message
+def zero_padded_labels(ens: NestedLatticeEnsemble, user, messages) -> np.ndarray:
+    """Each row of a B x (k_F,l - k_C,l) block of messages laid at user
+    `user`'s signal levels, zeros elsewhere (B x k)."""
+    messages, at = _message_rows(ens, user, messages)
+    out = np.zeros((messages.shape[0], ens.k), dtype=np.int64)
+    out[:, at] = messages
     return out
 
 
-def sample_voronoi(ens: NestedLatticeEnsemble, which, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the Voronoi region of a coarse-chain lattice.
-
-    A uniform draw from the cube [0, gamma)^n is uniform over a fundamental
-    domain of gamma Z^n, which is a sublattice of every chain lattice, so its
-    mod-lattice image is exactly uniform over the Voronoi region.
-    """
-    cube = rng.random(ens.n) * ens.gamma
-    return mod_lattice(ens, which, cube)
+def label_inverses(ens: NestedLatticeEnsemble, labels) -> np.ndarray:
+    """The lattice point of each row w of a B x k block of labels (B x n):
+    the lift (gamma/p) ([0_{k_C}, w] G mod p)."""
+    c = (_label_rows(ens, labels) @ ens.G[ens.k_C:]) % ens.p
+    return (ens.gamma / ens.p) * c.astype(np.float64)
 
 
-def second_moment(ens: NestedLatticeEnsemble, which, samples: int,
-                  seed: int) -> tuple[float, float]:
-    """Monte-Carlo (estimate, standard error) of the per-dimension second
-    moment of the named lattice's Voronoi region."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    vals = np.empty(samples)
-    for i in range(samples):
-        v = sample_voronoi(ens, which, rng)
-        vals[i] = float(v @ v) / ens.n
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
+def in_fine_lattice(ens: NestedLatticeEnsemble, user, labels) -> np.ndarray:
+    """Per row of a B x k block of labels: are its symbols past user
+    `user`'s k_F,l zero, so that its points lie in the user's fine lattice?"""
+    return ~_label_rows(ens, labels)[:, ens.user_levels(user)[1] - ens.k_C:].any(axis=1)
+
+
+def cosets_contain(ens: NestedLatticeEnsemble, user, candidates, messages) -> np.ndarray:
+    """Per row: does the candidate label (B x k) sit in user `user`'s coset of
+    its message?  The leading k_C,l - k_C symbols are free ("don't care"),
+    the next must equal the message, and the trailing k_F - k_F,l must be 0."""
+    messages, at = _message_rows(ens, user, messages)
+    candidates = _label_rows(ens, candidates)
+    want = candidates.copy()  # its free symbols kept
+    want[:, at] = messages
+    want[:, at.stop:] = 0
+    return (candidates == want).all(axis=1)
+
+
+def label_combinations(ens: NestedLatticeEnsemble, A, labels) -> np.ndarray:
+    """The labels of the rows of A (M x L) mod p, over blocks of L labels:
+    B x L x k in, B x M x k out."""
+    A = _exact.int_matrix(A)
+    labels = np.asarray(labels)
+    if labels.ndim != 3 or labels.shape[1:] != (A.shape[1], ens.k):
+        raise ValueError(f"labels must be blocks of L = {A.shape[1]} labels of length k = {ens.k}")
+    if labels.dtype != np.int64:  # int_matrix passes int64 as it is
+        B, L, k = labels.shape
+        labels = _exact.int_matrix(labels.reshape(B * L, k)).reshape(B, L, k)
+    return np.matmul(A % ens.p, labels) % ens.p
+
+
+def zero_padded_label(ens: NestedLatticeEnsemble, user, message) -> np.ndarray:
+    """Message embedded at user `user`'s signal levels (zeros elsewhere)."""
+    return zero_padded_labels(ens, user, _exact.int_row(message))[0]
+
+
+def label_inverse(ens: NestedLatticeEnsemble, w) -> np.ndarray:
+    """Lattice point with the given label: lift of G^T [0_{k_C}; w]."""
+    return label_inverses(ens, _exact.int_row(w))[0]
+
+
+def coset_contains(ens: NestedLatticeEnsemble, user, candidate, message) -> bool:
+    """Does the candidate label sit in user `user`'s coset of the message?"""
+    return bool(cosets_contain(ens, user, _exact.int_row(candidate),
+                               _exact.int_row(message))[0])
+
+
+def label_add(ens: NestedLatticeEnsemble, labels, coeffs) -> np.ndarray:
+    """Mod-p combination sum_l coeffs[l] * labels[l] of L labels (L x k)."""
+    return label_combinations(ens, _exact.int_row(coeffs), _exact.int_matrix(labels)[None])[0, 0]

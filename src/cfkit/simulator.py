@@ -404,35 +404,24 @@ def _dither_step(ens: NestedLatticeEnsemble, coarse, lam, dither):
 def _encode_users(ens: NestedLatticeEnsemble, users: list, messages: list, dithers):
     """The encoders of users (0-based) that share one coarse lattice, on
     their B x (k_F,l - k_C,l) message blocks and U x B x n dithers.  One
-    quantizer call reduces the dithers and the codewords (the messages at
-    each user's signal levels) mod that lattice, and one more makes the
-    channel inputs and the shifted points (_dither_step).  Returns the
-    reduced dithers, the codewords, the inputs and the shifted points,
-    U x B x n each."""
+    quantizer call reduces the dithers and the codewords (the messages laid
+    at each user's signal levels, lifted in one lattice.label_inverses
+    call) mod that lattice, and one more makes the channel inputs and the
+    shifted points (_dither_step).  Returns the reduced dithers, the
+    codewords, the inputs and the shifted points, U x B x n each."""
     coarse = ("C", users[0] + 1)
-    points = np.empty_like(dithers)
-    for i, u in enumerate(users):
-        kc, kf = ens.levels[u]
-        V = np.zeros((dithers.shape[1], ens.k_F), dtype=np.int64)
-        V[:, kc:kf] = messages[i]
-        points[i] = (ens.gamma / ens.p) * ((V @ ens.G) % ens.p).astype(np.float64)
+    labels = [lattice.zero_padded_labels(ens, u + 1, m) for u, m in zip(users, messages)]
+    points = lattice.label_inverses(ens, np.concatenate(labels)).reshape(dithers.shape)
     dithers, lam = _mod_rows(ens, coarse, np.stack([dithers, points]))
     return (dithers, lam, *_dither_step(ens, coarse, lam, dithers))
 
 
-def _check_coset(ens: NestedLatticeEnsemble, u: int, labels, messages) -> None:
-    """User u + 1's shifted-point labels (B x k) hold its messages at its
-    signal levels and zeros past them."""
-    kc, kf = ens.levels[u]
-    if not (np.array_equal(labels[:, kc - ens.k_C:kf - ens.k_C], messages)
-            and not labels[:, kf - ens.k_C:].any()):
-        raise AssertionError(f"user {u + 1}'s shifted point left its message coset")
-
-
-def _combine(ens: NestedLatticeEnsemble, A: np.ndarray, labels) -> np.ndarray:
-    """The labels of the rows of A over a block of user labels: B x L x k
-    in, B x M x k out."""
-    return np.matmul(A % ens.p, labels) % ens.p
+def _check_cosets(ens: NestedLatticeEnsemble, labels, messages) -> None:
+    """Each user's shifted-point labels (B x k per user) hold its messages at
+    its signal levels and zeros past them."""
+    for u, (lab, msg) in enumerate(zip(labels, messages)):
+        if not lattice.cosets_contain(ens, u + 1, lab, msg).all():
+            raise AssertionError(f"user {u + 1}'s shifted point left its message coset")
 
 
 def _encode_block(ens: NestedLatticeEnsemble, A: np.ndarray, messages: list,
@@ -455,9 +444,9 @@ def _encode_block(ens: NestedLatticeEnsemble, A: np.ndarray, messages: list,
         dithers[group], codewords[group], shifted[group] = dither, lam, point
         X[:, group] = x.swapaxes(0, 1)
     labels = _labels(ens, shifted)
-    for u in range(users):
-        _check_coset(ens, u, labels[u], messages[u])
-    return X, list(dithers), list(codewords), list(shifted), _combine(ens, A, labels.swapaxes(0, 1))
+    _check_cosets(ens, labels, messages)
+    return (X, list(dithers), list(codewords), list(shifted),
+            lattice.label_combinations(ens, A, labels.swapaxes(0, 1)))
 
 
 def _recover_real(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:
@@ -588,21 +577,12 @@ def _first(blocks) -> list | None:
     return None if blocks is None else [block[0] for block in blocks]
 
 
-def _message_row(ens: NestedLatticeEnsemble, user: int, message) -> np.ndarray:
-    kc, kf = ens.user_levels(user)
-    message = _exact.int_matrix(message).reshape(1, -1) % ens.p
-    if message.shape[1] != kf - kc:
-        raise ValueError(f"message for user {user} must have length {kf - kc}")
-    return message
-
-
 def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
     """Map a message to its lattice codeword and dithered channel input."""
-    message = _message_row(ens, user, message)
     dither = _rows(dither)[None]
     # a dither that passes the check is its own reduction, bit for bit: a
     # nonzero coarse point would move it by far more than the tolerance
-    reduced, lam, x, _ = _encode_users(ens, [user - 1], [message], dither)
+    reduced, lam, x, _ = _encode_users(ens, [user - 1], [_exact.int_row(message)], dither)
     if not np.allclose(reduced, dither, atol=1e-9):
         raise ValueError("dither must lie in the user's coarse Voronoi region")
     return lam[0, 0], x[0, 0]
@@ -617,12 +597,10 @@ def shifted_point(ens: NestedLatticeEnsemble, user: int, lam, dither) -> np.ndar
 def true_combinations(ens: NestedLatticeEnsemble, A, shifted_points,
                       messages=None) -> list[np.ndarray]:
     """Ground-truth labels u_m of the integer combinations of shifted points."""
-    A = _exact.int_matrix(A)
     labels = lattice.linear_labels(ens, _rows(shifted_points))
     if messages is not None:
-        for u, msg in enumerate(messages):
-            _check_coset(ens, u, labels[u:u + 1], _message_row(ens, u + 1, msg))
-    return list(_combine(ens, A, labels))
+        _check_cosets(ens, labels[:, None], map(_exact.int_row, messages))
+    return list(lattice.label_combinations(ens, A, labels[None])[0])
 
 
 def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np.ndarray:

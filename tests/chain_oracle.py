@@ -2,12 +2,20 @@
 
 These are the bodies the simulator's per-point functions had before they
 became one-row calls of its block stages: each trial drawn from its own
-Philox stream, one point at a time through the lattice's scalar functions
-(nearest_point, mod_lattice, linear_label, label_add).  The block engine is
+Philox stream, one point at a time through the lattice's quantizer and
+labeling (nearest_point, mod_lattice, linear_label).  Where a user's
+symbols sit in a label, the lift of a label to its lattice point, the coset
+test and the mod-p combination are written out here symbol by symbol, apart
+from lattice's block rule, which the simulator shares.  The block engine is
 checked against them trial by trial, decision by decision.
+
+sample_voronoi is the tests' dither source, and second_moment their
+Monte-Carlo estimate of a Voronoi region's second moment.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,14 +28,31 @@ from cfkit.simulator import (TrialConfig, TrialRecord, _theta_user,
                              zp_asc_matrix)
 
 
+def _codeword(ens: NestedLatticeEnsemble, user: int, message) -> list[int]:
+    """v G mod p for the message vector v of k_F symbols that holds the
+    message at user `user`'s levels k_C,l .. k_F,l and zeros elsewhere."""
+    kc, kf = ens.levels[user - 1]
+    v = [0] * kc + [int(s) % ens.p for s in message] + [0] * (ens.k_F - kf)
+    return [sum(v[i] * int(ens.G[i, j]) for i in range(ens.k_F)) % ens.p
+            for j in range(ens.n)]
+
+
+def _in_coset(ens: NestedLatticeEnsemble, user: int, label, message) -> bool:
+    """The label's symbols k_C,l - k_C .. k_F,l - k_C are the message, and
+    every symbol past them is zero."""
+    kc, kf = ens.levels[user - 1]
+    label = [int(s) for s in label]
+    return (label[kc - ens.k_C:kf - ens.k_C] == [int(s) % ens.p for s in message]
+            and not any(label[kf - ens.k_C:]))
+
+
 def encode(ens: NestedLatticeEnsemble, user: int, message, dither) -> tuple[np.ndarray, np.ndarray]:
     """Map a message to its lattice codeword and dithered channel input."""
     dither = np.asarray(dither, dtype=float).ravel()
     back = lattice.mod_lattice(ens, ("C", user), dither)
     if not np.allclose(back, dither, atol=1e-9):
         raise ValueError("dither must lie in the user's coarse Voronoi region")
-    padded = lattice.zero_padded_label(ens, user, message)
-    point = lattice.label_inverse(ens, padded)
+    point = (ens.gamma / ens.p) * np.array(_codeword(ens, user, message), dtype=np.float64)
     lam = lattice.mod_lattice(ens, ("C", user), point)
     x = lattice.mod_lattice(ens, ("C", user), lam + dither)
     return lam, x
@@ -48,9 +73,10 @@ def true_combinations(ens: NestedLatticeEnsemble, A, shifted_points,
     labels = [lattice.linear_label(ens, pt) for pt in shifted_points]
     if messages is not None:
         for user, (lab, msg) in enumerate(zip(labels, messages), start=1):
-            if not lattice.coset_contains(ens, user, lab, msg):
+            if not _in_coset(ens, user, lab, msg):
                 raise AssertionError(f"user {user}'s shifted point left its message coset")
-    return [lattice.label_add(ens, labels, A[m]) for m in range(A.shape[0])]
+    return [np.array([sum(int(A[m, l]) * int(labels[l][i]) for l in range(len(labels))) % ens.p
+                      for i in range(ens.k)], dtype=np.int64) for m in range(A.shape[0])]
 
 
 def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
@@ -145,6 +171,29 @@ def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
     return labels, reals, live
 
 
+def sample_voronoi(ens: NestedLatticeEnsemble, which, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw from the Voronoi region of a coarse-chain lattice.
+
+    A uniform draw from the cube [0, gamma)^n is uniform over a fundamental
+    domain of gamma Z^n, which is a sublattice of every chain lattice, so its
+    mod-lattice image is exactly uniform over the Voronoi region.
+    """
+    cube = rng.random(ens.n) * ens.gamma
+    return lattice.mod_lattice(ens, which, cube)
+
+
+def second_moment(ens: NestedLatticeEnsemble, which, samples: int,
+                  seed: int) -> tuple[float, float]:
+    """Monte-Carlo (estimate, standard error) of the per-dimension second
+    moment of the named lattice's Voronoi region, from sample_voronoi."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    vals = np.empty(samples)
+    for i in range(samples):
+        v = sample_voronoi(ens, which, rng)
+        vals[i] = float(v @ v) / ens.n
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
+
+
 def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Trial `index`'s own stream: Philox keyed by (master_seed, index)."""
     return np.random.Generator(np.random.Philox(key=np.array(
@@ -159,7 +208,7 @@ def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialR
         kc, kf = ens.levels[user - 1]
         messages.append(rng.integers(0, ens.p, size=kf - kc, dtype=np.int64))
     for user in range(1, ens.num_users + 1):
-        dithers.append(lattice.sample_voronoi(ens, ("C", user), rng))
+        dithers.append(sample_voronoi(ens, ("C", user), rng))
     for user in range(1, ens.num_users + 1):
         lam, x = encode(ens, user, messages[user - 1], dithers[user - 1])
         codewords.append(lam)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import chain_oracle
 from cfkit import lattice, mac_opt, regions, simulator
 from cfkit.cli import main as cli_main
 from cfkit.core import (ChannelInstance, lattice_gram, sigma_para_opt,
@@ -234,7 +235,7 @@ class TestCriterion08EndToEndExactness:
         for msgs in tuples:
             m = [np.array([msgs[0]]), np.array(msgs[1:])]
             for _ in range(8):
-                dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng)
+                dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng)
                            for u in range(2)]
                 dither_draws += 1
                 lams, xs = zip(*(simulator.encode(ens, u + 1, m[u], dithers[u])

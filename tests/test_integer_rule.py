@@ -5,7 +5,6 @@ its int, and a tensor or an entry past int64 is refused where int64 is kept.
 """
 
 import dataclasses
-import json
 import re
 from pathlib import Path
 
@@ -79,7 +78,7 @@ CASES = [
     ("lattice.label_add-labels", lambda x: lattice.label_add(ENS, x, [1, 2]),
      [[1, 2], [0, 1]], "int64"),
     ("lattice.label_add-coeffs", lambda x: lattice.label_add(ENS, [[1, 2], [0, 1]], x),
-     [1, 2], "index"),
+     [1, 2], "int64"),
     ("lattice.coset_contains-candidate",
      lambda x: lattice.coset_contains(ENS, 2, x, [2]), [0, 2], "int64"),
     ("lattice.coset_contains-message",
@@ -94,10 +93,6 @@ CASES = [
      lambda x: lattice.build_ensemble(3, 3, 3.0, ENS.levels, seed=0, G=x).G, G, "int64"),
     ("lattice.build_ensemble-levels",
      lambda x: lattice.build_ensemble(3, 3, 3.0, x, seed=0).G, [[0, 1], [1, 2]], "exact"),
-    ("lattice.from_json-G",
-     lambda x: NestedLatticeEnsemble.from_json(
-         '{"n": 3, "p": 3, "gamma": 3.0, "levels": [[0, 1], [1, 2]], "G": %s}'
-         % json.dumps(x)).G, sum(G, []), "int64"),
     ("zp.reduce_mod", lambda x: _zp.reduce_mod(x, 3), A, "exact"),
     ("zp.solve_mod_p-A", lambda x: _zp.solve_mod_p(x, [1, 2], 3), A, "exact"),
     ("zp.solve_mod_p-b", lambda x: _zp.solve_mod_p(A, x, 3), [1, 2], "exact"),

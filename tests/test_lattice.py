@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import chain_oracle
 from cfkit import _kernels, _zp, lattice, simulator
-from cfkit.lattice import (NestedLatticeEnsemble, ball_volume, build_ensemble,
-                           coset_contains, label_inverse, largest_prime_for,
-                           linear_label, linear_labels, mod_lattice,
-                           nearest_point, nearest_points, nominal_levels,
-                           second_moment)
+from cfkit.lattice import (NestedLatticeEnsemble, build_ensemble, coset_contains,
+                           label_inverse, linear_label, linear_labels, mod_lattice,
+                           nearest_point, nearest_points)
+from chain_oracle import second_moment
 
 
 def _raises(fn, *args) -> bool:
@@ -24,40 +24,6 @@ def cubic_ensemble(n=2, p=3, gamma=3.0):
     """k_C = 0 for both users: the coarsest lattice is gamma Z^n."""
     return build_ensemble(n, p, gamma, [(0, 1), (0, 2)], seed=1,
                           G=np.eye(2, n, dtype=int))
-
-
-class TestNominalLevels:
-    def test_equal_powers_give_equal_coarse_levels(self):
-        out = nominal_levels([5.0, 5.0, 5.0], [1.0, 2.0, 0.5], n=4, alpha=1.0, p=5)
-        assert len(set(round(v, 12) for v in out["k_C"])) == 1
-
-    def test_difference_is_alpha_and_volume_free(self):
-        for alpha in (0.5, 1.0, 2.0):
-            out = nominal_levels([4.0, 1.0], [1.0, 0.25], n=4, alpha=alpha, p=5)
-            diffs = [f - c for c, f in zip(out["k_C"], out["k_F"])]
-            expected = (4 / (2 * math.log2(5))) * math.log2(4.0)
-            assert diffs[0] == pytest.approx(expected, abs=1e-12)
-            assert diffs[1] == pytest.approx(expected, abs=1e-12)
-            assert expected == pytest.approx(1.722706, abs=5e-7)
-
-    def test_rates_match_power_noise_ratio(self):
-        out = nominal_levels([4.0, 1.0], [1.0, 0.25], n=4, alpha=1.0, p=5)
-        assert out["rates"][0] == pytest.approx(0.5 * math.log2(4.0), abs=1e-12)
-        assert out["rates"][1] == pytest.approx(0.5 * math.log2(4.0), abs=1e-12)
-
-    def test_default_prime_rule(self):
-        assert largest_prime_for(4) == 7  # largest prime in [4, 8]
-        out = nominal_levels([2.0], [1.0], n=4, alpha=1.0)
-        assert out["p"] == 7
-        assert out["gamma"] == pytest.approx(2 * math.sqrt(4 * 2 * 2), abs=1e-12)
-
-    def test_ball_volume(self):
-        assert ball_volume(2) == pytest.approx(math.pi, abs=1e-12)
-        assert ball_volume(3) == pytest.approx(4 * math.pi / 3, abs=1e-12)
-
-    def test_tolerance_must_be_below_power(self):
-        with pytest.raises(ValueError):
-            nominal_levels([1.0], [1.0], n=4, alpha=1.0, p=5)
 
 
 class TestBuildEnsemble:
@@ -122,13 +88,6 @@ class TestBuildEnsemble:
         for gamma in (math.nextafter(low, 0.0), 5e-324, math.nextafter(lattice.GAMMA_MAX, 1e308)):
             with pytest.raises(ValueError, match=message):
                 build_ensemble(2, p, gamma, [(0, 1)], seed=0)
-
-    def test_serialization_roundtrip(self):
-        ens = build_ensemble(3, 5, 2.5, [(0, 1), (1, 2)], seed=3)
-        back = NestedLatticeEnsemble.from_json(ens.to_json())
-        assert back.n == ens.n and back.p == ens.p and back.gamma == ens.gamma
-        assert back.levels == ens.levels
-        assert np.array_equal(back.G, ens.G)
 
     @pytest.mark.parametrize("n, p, levels", [(2, 3, [(0, 2)]), (8, 7, [(0, 4), (1, 5)]),
                                               (6, 13, [(0, 3)]), (3, 2, [(1, 3)])])
@@ -495,6 +454,117 @@ class TestCosets:
             coset_contains(ens, 1, [0, 0], [0, 0])
 
 
+def _reference_layout(ens, user, messages):
+    """Reference by direct slicing: the messages at columns k_C,l .. k_F,l
+    of k_F-symbol message vectors V, and the points (gamma/p) (V G mod p)."""
+    kc, kf = ens.levels[user - 1]
+    V = np.zeros((len(messages), ens.k_F), dtype=np.int64)
+    V[:, kc:kf] = messages
+    return V, (ens.gamma / ens.p) * ((V @ ens.G) % ens.p).astype(np.float64)
+
+
+def _label_ensembles():
+    """Pinned ensembles (p = 2, users with k_C,l > 0, zero-width users,
+    k_F,l < k_F, k_C > 0) and random ones with n 2-8, p in {2, 3, 5, 7}."""
+    out = [build_ensemble(8, 7, 2.5, [(0, 4), (1, 5)], seed=1),
+           build_ensemble(4, 2, 2.0, [(0, 3), (2, 2), (1, 4)], seed=2),
+           build_ensemble(5, 3, 3.0, [(1, 3), (2, 2), (1, 2)], seed=3),
+           build_ensemble(3, 5, 5.0, [(2, 2)], seed=4)]
+    rng = np.random.default_rng(32)
+    while len(out) < 40:
+        n, p = int(rng.integers(2, 9)), int(rng.choice([2, 3, 5, 7]))
+        top = min(n, lattice.MAX_KF, int(math.log(lattice.MAX_CODEWORDS, p)))
+        kf = int(rng.integers(1, top + 1))
+        levels = [sorted(rng.integers(0, kf + 1, size=2).tolist())
+                  for _ in range(int(rng.integers(1, 4)))]
+        levels[0][1] = kf
+        out.append(build_ensemble(n, p, float(p), levels, seed=len(out)))
+    return out
+
+
+LABEL_ENSEMBLES = _label_ensembles()
+LABEL_IDS = [f"{e.n}-{e.p}-{e.levels}" for e in LABEL_ENSEMBLES]
+
+
+class TestLabelBlocks:
+    """lattice's block rule for signal levels against direct slicing and
+    products, bit for bit, and each one-row view against its block."""
+
+    @pytest.mark.parametrize("ens", LABEL_ENSEMBLES, ids=LABEL_IDS)
+    def test_blocks_match_inline_reference(self, ens):
+        rng = np.random.default_rng(ens.n * 100 + ens.p)
+        B, p = 9, ens.p
+        for user, (kc, kf) in enumerate(ens.levels, 1):
+            msgs = rng.integers(0, p, size=(B, kf - kc))
+            V, points = _reference_layout(ens, user, msgs)
+            labels = lattice.zero_padded_labels(ens, user, msgs)
+            assert labels.dtype == np.int64 and np.array_equal(labels, V[:, ens.k_C:])
+            lifted = lattice.label_inverses(ens, labels)
+            assert lifted.shape == (B, ens.n) and lifted.tobytes() == points.tobytes()
+            # candidates: free leading symbols drawn, some rows perturbed anywhere
+            cand = labels.copy()
+            cand[:, :kc - ens.k_C] = rng.integers(0, p, size=(B, kc - ens.k_C))
+            if ens.k:
+                rows = rng.random(B) < 0.5
+                cols = rng.integers(0, ens.k, size=B)
+                cand[rows, cols[rows]] = (cand[rows, cols[rows]] + 1) % p
+            want = (np.all(cand[:, kc - ens.k_C:kf - ens.k_C] == msgs, axis=1)
+                    & ~cand[:, kf - ens.k_C:].any(axis=1))
+            assert np.array_equal(lattice.cosets_contain(ens, user, cand, msgs), want)
+            assert np.array_equal(lattice.in_fine_lattice(ens, user, cand),
+                                  ~cand[:, kf - ens.k_C:].any(axis=1))
+            for i in range(B):
+                assert np.array_equal(lattice.zero_padded_label(ens, user, msgs[i]), labels[i])
+                assert lattice.label_inverse(ens, labels[i]).tobytes() == lifted[i].tobytes()
+                assert lattice.coset_contains(ens, user, cand[i], msgs[i]) is bool(want[i])
+        L = ens.num_users
+        A = rng.integers(-4, 5, size=(3, L))
+        block = rng.integers(0, p, size=(B, L, ens.k))
+        combined = lattice.label_combinations(ens, A, block)
+        assert np.array_equal(combined, np.matmul(A % p, block) % p)
+        for b in range(B):
+            for m in range(3):
+                assert np.array_equal(lattice.label_add(ens, block[b], A[m]), combined[b, m])
+
+    @pytest.mark.parametrize("ens", LABEL_ENSEMBLES[:12], ids=LABEL_IDS[:12])
+    def test_encode_block_matches_inline_reference(self, ens):
+        # codewords: the reference points mod the user's coarse lattice;
+        # true labels: the shifted points' labels combined by np.matmul
+        messages, cubes, _ = simulator._draw_block(ens, 1, 7, 0, 11)
+        A = np.random.default_rng(ens.p).integers(-3, 4, size=(2, ens.num_users))
+        _, _, codewords, shifted, truth = simulator._encode_block(ens, A, messages, cubes)
+        labels = []
+        for user, (kc, kf) in enumerate(ens.levels, 1):
+            _, points = _reference_layout(ens, user, messages[user - 1])
+            want = points - nearest_points(ens, ("C", user), points)
+            assert codewords[user - 1].tobytes() == want.tobytes()
+            lab = linear_labels(ens, shifted[user - 1])
+            assert np.array_equal(lab[:, kc - ens.k_C:kf - ens.k_C], messages[user - 1])
+            assert not lab[:, kf - ens.k_C:].any()
+            labels.append(lab)
+        want = np.matmul(A % ens.p, np.stack(labels, axis=1)) % ens.p
+        assert truth.dtype == np.int64 and np.array_equal(truth, want)
+
+    def test_label_add_refuses_bad_shapes(self):
+        ens = build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=8)  # k = 2
+        # a label of length 1 was broadcast to [1, 1]
+        with pytest.raises(ValueError, match="blocks of L = 1 labels of length k = 2"):
+            lattice.label_add(ens, [[1]], [1])
+        # two labels and one coefficient: the second label was dropped
+        with pytest.raises(ValueError, match="blocks of L = 1 labels of length k = 2"):
+            lattice.label_add(ens, [[1, 2], [2, 2]], [1])
+        assert lattice.label_add(ens, [[1, 2], [2, 2]], [1, 1]).tolist() == [0, 1]
+
+    def test_block_shapes_refused(self):
+        ens = build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=8)
+        with pytest.raises(ValueError, match="label must have length 2"):
+            lattice.label_inverses(ens, [[1, 2, 0]])
+        with pytest.raises(ValueError, match="message for user 2 must have length 1"):
+            lattice.zero_padded_labels(ens, 2, [[1, 2]])
+        with pytest.raises(ValueError, match="labels must be blocks"):
+            lattice.label_combinations(ens, [[1, 1]], [[1, 2], [0, 1]])
+
+
 class TestSecondMoment:
     def test_cubic_lattice(self):
         ens = cubic_ensemble(gamma=3.0)
@@ -533,7 +603,7 @@ class TestCryptoLemma:
         for x in [np.zeros(2), np.array([0.7, -1.3]), np.array([5.2, 0.4])]:
             counts = np.zeros((bins, bins))
             for _ in range(n_samples):
-                d = lattice.sample_voronoi(ens, "C", rng)
+                d = chain_oracle.sample_voronoi(ens, "C", rng)
                 v = mod_lattice(ens, "C", x + d)
                 cell = np.floor((v + ens.gamma / 2) / ens.gamma * bins).astype(int)
                 cell = np.clip(cell, 0, bins - 1)

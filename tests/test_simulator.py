@@ -42,9 +42,10 @@ class TestEncode:
             user = int(rng.integers(1, 3))
             kc, kf = ens.levels[user - 1]
             msg = rng.integers(0, 3, size=kf - kc)
-            d = lattice.sample_voronoi(ens, ("C", user), rng)
+            d = chain_oracle.sample_voronoi(ens, ("C", user), rng)
             lam, _ = encode(ens, user, msg, d)
-            assert lattice.coset_contains(ens, user, linear_label(ens, lam), msg)
+            label = linear_label(ens, lam)  # k_C = 0: the message, then zeros
+            assert label[kc:kf].tolist() == msg.tolist() and not label[kf:].any()
 
     def test_input_power_bounded_by_voronoi(self):
         ens = small_ensemble()
@@ -53,11 +54,11 @@ class TestEncode:
         cap = ens.n * (ens.gamma / 2) ** 2 / ens.n
         powers = []
         for _ in range(300):
-            d = lattice.sample_voronoi(ens, ("C", 1), rng)
+            d = chain_oracle.sample_voronoi(ens, ("C", 1), rng)
             _, x = encode(ens, 1, [int(rng.integers(0, 3))], d)
             powers.append(float(x @ x) / ens.n)
             assert powers[-1] <= 2 * cap + 1e-9
-        est, se = lattice.second_moment(ens, ("C", 1), samples=2000, seed=3)
+        est, se = chain_oracle.second_moment(ens, ("C", 1), samples=2000, seed=3)
         assert abs(np.mean(powers) - est) <= 5 * (se + np.std(powers) / 17)
 
     def test_dither_outside_voronoi_rejected(self):
@@ -98,8 +99,8 @@ class TestTrueCombinations:
         lams = [encode(ens, u + 1, msgs[u], np.zeros(2))[0] for u in range(2)]
         shifted = [shifted_point(ens, u + 1, lams[u], np.zeros(2)) for u in range(2)]
         out = true_combinations(ens, np.eye(2, dtype=int), shifted, msgs)
-        assert np.array_equal(out[0], lattice.zero_padded_label(ens, 1, msgs[0]))
-        assert np.array_equal(out[1], lattice.zero_padded_label(ens, 2, msgs[1]))
+        # k_C = 0 for both users: each label is its message, zero-padded to k = 2
+        assert out[0].tolist() == [2, 0] and out[1].tolist() == [1, 0]
 
     def test_matches_field_matrix_oracle(self):
         ens = small_ensemble()
@@ -125,7 +126,7 @@ class TestDecodeParallel:
             for msg2a in range(3):
                 for msg2b in range(3):
                     msgs = [np.array([msg1]), np.array([msg2a, msg2b])]
-                    dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng)
+                    dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng)
                                for u in range(2)]
                     lams, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u])
                                      for u in range(2)))
@@ -159,7 +160,7 @@ class TestDecodeParallel:
         eq = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         for _ in range(50):
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             lams, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             X = np.vstack(xs)
             v = rng.normal(size=(2, 2))
@@ -244,7 +245,7 @@ class TestRecoverRealCombo:
         for _ in range(40):
             a = rng.integers(-3, 4, size=2)
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             lams, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             X = np.vstack(xs)
             ytilde = a @ X
@@ -267,7 +268,7 @@ class TestRecoverRealCombo:
         for _ in range(100):
             a = rng.integers(-2, 3, size=2)
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             lams, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             X = np.vstack(xs)
             z = rng.normal(size=2)
@@ -286,7 +287,7 @@ class TestDecodeSuccessive:
         mapping = {(1, 1), (1, 2), (2, 2)}
         for _ in range(30):
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             _, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             Y = A22 @ np.vstack(xs) + rng.normal(size=(2, 2)) * 0.05
             para, _ = decode_parallel(ens, Y, ch, A22, dithers, noise_std=0.05)
@@ -301,7 +302,7 @@ class TestDecodeSuccessive:
         rng = np.random.default_rng(11)
         for msgs in itertools.product(range(3), range(3), range(3)):
             m = [np.array([msgs[0]]), np.array(msgs[1:])]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             lams, xs = zip(*(encode(ens, u + 1, m[u], dithers[u]) for u in range(2)))
             X = np.vstack(xs)
             Y = A22 @ X
@@ -324,7 +325,7 @@ class TestDecodeSuccessive:
         succ_eq = [(b_eq[m], np.zeros(m)) for m in range(2)]
         for _ in range(40):
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             _, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             Y = A22 @ np.vstack(xs) + rng.normal(size=(2, 2)) * 0.3
             para, _ = decode_parallel(ens, Y, ch, A22, dithers, b_eq)
@@ -343,7 +344,7 @@ class TestDecodeSuccessive:
         checked = 0
         for trial in range(400):
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             lams, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             X = np.vstack(xs)
             Y = A22 @ X + rng.normal(size=(2, 2)) * 0.4
@@ -373,7 +374,7 @@ class TestDecodeSuccessive:
         msgs = [np.array([2]), np.array([1, 2])]
         outputs = set()
         for _ in range(40):
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             _, xs = zip(*(encode(ens, u + 1, msgs[u], dithers[u]) for u in range(2)))
             Y = A22 @ np.vstack(xs)
             labels, _, _ = decode_successive(ens, Y, ch, A22, mapping, dithers,
@@ -782,7 +783,7 @@ class TestPointCallsMatchOracle:
         rng = np.random.default_rng(15)
         for _ in range(40):
             msgs = [rng.integers(0, 3, size=1), rng.integers(0, 3, size=2)]
-            dithers = [lattice.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
+            dithers = [chain_oracle.sample_voronoi(ens, ("C", u + 1), rng) for u in range(2)]
             lams, xs = [], []
             for u in range(2):
                 got = encode(ens, u + 1, msgs[u], dithers[u])

@@ -1,5 +1,5 @@
-"""Byte differential of `cfkit simulate` and `cfkit verify`: a local commit
-against the working tree.
+"""Byte differential of `cfkit simulate`, `verify`, `search`, `mac` and
+`region`: a local commit against the working tree.
 
 The commit REV is unpacked by `git archive` into a temporary directory
 (`__pycache__` removed); nothing is downloaded.  Each tree's
@@ -13,13 +13,22 @@ The commit REV is unpacked by `git archive` into a temporary directory
   successive config maps each row to the users it combines, at times with
   one pair of a later row left out, so that some configs need a Z_p
   cancellation and some exit 2;
-- `verify --suite all` at seeds 0-3.
+- `verify --suite all` at seeds 0-3;
+- COUNT seeded random channels, each run through `search`, `mac` and
+  `region --mode para|succ|asc|mac|sic`: 1-4 users, 1-3 antennas, and
+  normal, small-integer or six-decade (10^-3 .. 10^3) gains and powers.
+  Each channel carries an integer A of 1-L rows for the three A modes,
+  and no mapping (every pair), its nonzero support, or that support less
+  one pair of a later row, so that some are not admissible; some `search`
+  runs take an integer `--bound`.  `region --mode compound` is left out:
+  its files print floats in full, whose last bits depend on the host's
+  BLAS kernel.
 
 Every job runs from the same relative paths in both trees, so the two runs
-can be compared byte for byte: each written file (report.json,
-report.csv), stdout, stderr and the exit code.  A traceback counts as an
-outcome; its file paths are shown relative to the tree.  The script prints
-each difference and exits 1 if there is any, 0 otherwise.
+can be compared byte for byte: each file it writes, stdout, stderr and the
+exit code.  A traceback counts as an outcome; its file paths are shown
+relative to the tree.  The script prints each difference and exits 1 if
+there is any, 0 otherwise.
 
 Usage: python3 benchmarks/ab_bytes.py REV [COUNT]   (COUNT defaults to 200)
 """
@@ -41,6 +50,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 MAX_CODEWORDS = 20000
 TRIALS = (1, 2, 50, 127, 128, 129, 200, 255, 256, 257, 300)
+REGION_MODES = ("para", "succ", "asc", "mac", "sic")
 
 # Runs in each tree's subprocess: argv lists from one JSON file in, one
 # [exit code, stdout, stderr] per job out.
@@ -110,8 +120,33 @@ def campaign(rng) -> dict:
     return doc
 
 
+def channel(rng) -> dict:
+    """One random channel input for search, mac and region."""
+    L, antennas = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    family = int(rng.integers(0, 3))
+    if family == 0:  # normal gains
+        H = rng.normal(size=(antennas, L)) * rng.uniform(0.3, 3.0)
+        P = rng.uniform(0.3, 10.0, size=L)
+    elif family == 1:  # small integers: exact ties in the searches
+        H = rng.integers(-3, 4, size=(antennas, L))
+        P = rng.integers(1, 10, size=L)
+    else:  # six decades
+        H = rng.normal(size=(antennas, L)) * 10.0 ** rng.uniform(-3, 3, size=(antennas, L))
+        P = 10.0 ** rng.uniform(-3, 3, size=L)
+    A = rng.integers(-2, 3, size=(int(rng.integers(1, L + 1)), L))
+    doc = {"H": H.tolist(), "P": P.tolist(), "A": A.tolist()}
+    kind = int(rng.integers(0, 3))
+    if kind:
+        pairs = [[m + 1, l + 1] for m in range(A.shape[0]) for l in range(L) if A[m, l]]
+        later = [i for i, (m, _) in enumerate(pairs) if m > 1]
+        if kind == 2 and later:
+            pairs.pop(int(rng.choice(later)))
+        doc["mapping"] = pairs
+    return doc
+
+
 def jobs(count: int) -> tuple[dict, list]:
-    """Config file name -> text, and the argv of every job."""
+    """Input file name -> text, and the argv of every job."""
     rng = np.random.default_rng(20260)
     files, argvs = {}, []
     for i in range(count):
@@ -119,6 +154,15 @@ def jobs(count: int) -> tuple[dict, list]:
         files[name] = json.dumps(campaign(rng))
         argvs.append(["simulate", "--config", name, "--out", f"out/{i:04d}"])
     argvs += [["verify", "--suite", "all", "--seed", str(seed)] for seed in range(4)]
+    rng = np.random.default_rng(20261)
+    for i in range(count):
+        name = f"channels/{i:04d}.json"
+        files[name] = json.dumps(channel(rng))
+        bound = ["--bound", str(int(rng.integers(1, 6)))] if rng.random() < 0.2 else []
+        argvs.append(["search", "--input", name, *bound, "--out", f"search/{i:04d}"])
+        argvs.append(["mac", "--input", name, "--out", f"mac/{i:04d}"])
+        argvs += [["region", "--input", name, "--mode", mode, "--out", f"region-{mode}/{i:04d}"]
+                  for mode in REGION_MODES]
     return files, argvs
 
 
@@ -147,8 +191,8 @@ def start(tree: Path, work: Path, files: dict, argvs: list) -> subprocess.Popen:
 
 
 def outputs(work: Path, argv: list) -> dict:
-    """File name -> bytes of what a simulate job wrote."""
-    if argv[0] != "simulate" or not (work / argv[-1]).is_dir():
+    """File name -> bytes of what a job wrote into its --out directory."""
+    if "--out" not in argv or not (work / argv[-1]).is_dir():
         return {}
     return {f.name: f.read_bytes() for f in sorted((work / argv[-1]).iterdir())}
 
@@ -170,8 +214,11 @@ def main(argv: list) -> int:
         results = [json.loads((work / "results.json").read_text()) for work in works]
         differences, codes = 0, {}
         for i, (job, left, right) in enumerate(zip(argvs, *results)):
-            what = f"job {i} ({' '.join(job[:3])})"
-            codes[str(left[0])] = codes.get(str(left[0]), 0) + 1
+            what = f"job {i} ({' '.join(job[:-2] if '--out' in job else job)})"
+            command = " ".join(job[:1] + job[job.index("--mode"):][:2] if "--mode" in job
+                               else job[:1])
+            tally = codes.setdefault(command, {})
+            tally[str(left[0])] = tally.get(str(left[0]), 0) + 1
             for label, a, b in zip(("exit code", "stdout", "stderr"), left, right):
                 if a != b:
                     differences += 1
@@ -181,8 +228,8 @@ def main(argv: list) -> int:
                 if files_a.get(name) != files_b.get(name):
                     differences += 1
                     print(f"{what}: {name} differs")
-    print(f"{count} simulate configs and {len(argvs) - count} verify runs against {argv[0]}; "
-          f"exit codes at {argv[0]}: {dict(sorted(codes.items()))}; "
+    print(f"{len(argvs)} jobs against {argv[0]}, its exit codes per command: "
+          f"{ {c: dict(sorted(t.items())) for c, t in sorted(codes.items())} }; "
           f"{differences} difference(s)")
     return 1 if differences else 0
 

@@ -15,18 +15,20 @@ so that a drift in the host's speed moves them alike; a count's time is the
 median over the repeats.
 
 It then splits one block of each workload campaign, at the workload's own
-two levels, into the stages run_campaign runs: `_draw_block`,
-`_encode_block` and `_decode_block`.  It prints each stage's median ms per
-call, and how many `lattice.nearest_points` (quantizer) and
-`lattice.linear_labels` (labeling) calls the stage makes per block, counted
-in one untimed pass; the counts do not depend on the seed or the host.
+two levels, into the stages run_campaign runs: one real
+`simulator._block_pass` with `_draw_block`, `_encode_block` and
+`_decode_block` wrapped.  It prints each stage's median ms per call, and
+how many `lattice.nearest_points` (quantizer) and `lattice.linear_labels`
+(labeling) calls the stage makes per block, counted in one untimed pass;
+the counts do not depend on the seed or the host.
 
 Last, it splits one `cfkit simulate` call on each workload config (a new
 master seed per repeat, the file in a temporary directory) into the pieces
 that `cli.cmd_simulate` runs once per call, and prints each piece's median
 ms: the config read and ensemble (`cli._load_json` and
-`cli._campaign_from`), `TrialConfig`, `TrialPlan.build`, the block stages
-(`run_campaign` on the prebuilt plan), the report and CSV text
+`cli._campaign_from`), `TrialConfig`, the first equalizer build (the
+config's `level_equalizers`), the block stages (`run_campaign` with the
+equalizers built), the report and CSV text
 (`cli._report_files`) and the two file writes, each output unlinked before
 the timed write, as perfbench/run.py does before every call.  It prints
 the median of the whole `cli.main` call beside them.
@@ -87,34 +89,28 @@ def time_counts(doc: dict, levels: list, repeats: int) -> list:
 STAGES = ("_draw_block", "_encode_block", "_decode_block")
 
 
-def stage_deltas(config: simulator.TrialConfig, plan: simulator.TrialPlan, trials: int,
-                 read) -> dict:
-    """The first block of the config's campaign, stage by stage as
-    run_campaign runs it: per stage, how much read() grows across it."""
-    ens, ch, A = config.ensemble, config.ch, config.A
+def stage_deltas(config: simulator.TrialConfig, trials: int, read) -> dict:
+    """The first block of the config's campaign, one _block_pass with each
+    stage wrapped: per stage, how much read() grows across its call."""
     out = {}
-    before = read()
 
-    def done(stage):
-        nonlocal before
-        now = read()
-        if stage is not None:
-            out[stage] = now - before
-        before = now
+    def wrapped(stage, fn):
+        def call(*args):
+            before = read()
+            result = fn(*args)
+            out[stage] = read() - before
+            return result
+        return call
 
-    messages, cubes, noise = simulator._draw_block(
-        ens, ch.num_antennas, config.master_seed, 0, min(trials, simulator.BLOCK_TRIALS))
-    done("_draw_block")
-    X, dithers, *_ = simulator._encode_block(ens, A, messages, cubes)
-    done("_encode_block")
-    Y = [np.matmul(ch.H, X) + noise * s for s in config.levels]
-    done(None)
-    simulator._decode_block(ens, A, plan, dithers, Y)
-    done("_decode_block")
+    with contextlib.ExitStack() as stack:
+        for stage in STAGES:
+            stack.enter_context(mock.patch.object(
+                simulator, stage, wrapped(stage, getattr(simulator, stage))))
+        simulator._block_pass(config, 0, min(trials, simulator.BLOCK_TRIALS))
     return out
 
 
-def stage_calls(config: simulator.TrialConfig, plan: simulator.TrialPlan, trials: int) -> dict:
+def stage_calls(config: simulator.TrialConfig, trials: int) -> dict:
     """Per stage: its quantizer and labeling calls in one block."""
     counts = np.zeros(2, dtype=int)
     originals = (lattice.nearest_points, lattice.linear_labels)
@@ -127,7 +123,7 @@ def stage_calls(config: simulator.TrialConfig, plan: simulator.TrialPlan, trials
 
     lattice.nearest_points, lattice.linear_labels = counted(0), counted(1)
     try:
-        return stage_deltas(config, plan, trials, counts.copy)
+        return stage_deltas(config, trials, counts.copy)
     finally:
         lattice.nearest_points, lattice.linear_labels = originals
 
@@ -136,19 +132,17 @@ def time_stages(doc: dict, repeats: int) -> dict:
     """Per stage: median ms per call over the repeats, on one master seed
     each, and its quantizer and labeling calls per block."""
     ens = build_ensemble(**doc["ensemble"])
-    config = campaign(doc, ens, doc["noise_std"], repeats)
-    plan = simulator.TrialPlan.build(config)
-    calls = stage_calls(config, plan, doc["trials"])
+    calls = stage_calls(campaign(doc, ens, doc["noise_std"], repeats), doc["trials"])
     times = {stage: [] for stage in STAGES}
     for seed in range(repeats):
         config = campaign(doc, ens, doc["noise_std"], seed)
-        for stage, t in stage_deltas(config, plan, doc["trials"], time.perf_counter).items():
+        for stage, t in stage_deltas(config, doc["trials"], time.perf_counter).items():
             times[stage].append(t)
     return {stage: (statistics.median(times[stage]) * 1e3, *calls[stage]) for stage in STAGES}
 
 
-CALL_PIECES = ("config read and ensemble", "TrialConfig", "TrialPlan.build", "block stages",
-               "report and CSV text", "two file writes")
+CALL_PIECES = ("config read and ensemble", "TrialConfig", "first equalizer build",
+               "block stages", "report and CSV text", "two file writes")
 
 
 def timed(times: list, fn, *args):
@@ -165,9 +159,8 @@ def call_pieces(path: Path, out: Path) -> list:
     times = []
     fields, trials = timed(times, lambda: cli._campaign_from(cli._load_json(str(path))))
     config = timed(times, lambda: simulator.TrialConfig(**fields))
-    plan = timed(times, simulator.TrialPlan.build, config)
-    with mock.patch.object(simulator.TrialPlan, "build", lambda config: plan):
-        results = timed(times, simulator.run_campaign, config, trials)
+    timed(times, lambda: config.level_equalizers)
+    results = timed(times, simulator.run_campaign, config, trials)
     files = timed(times, cli._report_files, config, trials, results)
     for name in files:
         (out / name).unlink(missing_ok=True)

@@ -144,11 +144,3 @@ def echelon_right_inverse(pivots, T, n: int) -> list[list[int]]:
     for i, c in enumerate(pivots):
         R[c] = list(T[i])
     return R
-
-
-def matmul_mod_p(A, B, p: int) -> list[list[int]]:
-    A = reduce_mod(A, p)
-    B = reduce_mod(B, p)
-    n = len(B)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) % p for j in range(len(B[0]))]
-            for i in range(len(A))]

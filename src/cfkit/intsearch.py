@@ -115,9 +115,9 @@ def _ellipsoid_points(T: np.ndarray, bound: float, radius: int,
     return coords[1:]
 
 
-def dominant_solution(F: np.ndarray, L: int | None = None,
-                      max_radius: int = _MAX_RADIUS) -> DominantSolution:
-    """Greedily pick L integer vectors minimizing ||F a|| subject to independence.
+def dominant_solution(F: np.ndarray, max_radius: int = _MAX_RADIUS) -> DominantSolution:
+    """Greedily pick one integer vector per column of F, each minimizing
+    ||F a|| subject to independence from the picks before it.
 
     The greedy order is (||F a||^2, then lexicographic on a) over integer
     vectors up to sign (first nonzero entry positive), so ties break
@@ -139,14 +139,10 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
     """
     F = np.asarray(F, dtype=float)
     dim = F.shape[1]
-    if L is None:
-        L = dim
     if dim > MAX_EXACT_USERS:
         raise ValueError(f"exact enumeration capped at {MAX_EXACT_USERS} users (got {dim})")
-    if not 1 <= L <= dim:
-        raise ValueError(f"need 1 <= L <= {dim} vectors (got {L})")
     sv = np.linalg.svd(F, compute_uv=False)
-    smin = float(sv[-1]) if F.shape[0] >= dim else 0.0
+    smin = float(sv[-1]) if 0 < dim <= F.shape[0] else 0.0
     if smin <= 0:
         raise ValueError("F must have full rank")
     exhausted = RuntimeError(f"enumeration exhausted at radius {max_radius}")
@@ -182,9 +178,9 @@ def dominant_solution(F: np.ndarray, L: int | None = None,
     for idx in order.tolist():
         if basis.add(grid[idx].tolist()):
             picks.append(idx)
-            if len(picks) == L:
+            if len(picks) == dim:
                 break
-    if len(picks) < L or not cap > math.sqrt(norms2[picks[-1]]):
+    if len(picks) < dim or not cap > math.sqrt(norms2[picks[-1]]):
         raise exhausted
     return DominantSolution(A_star=grid[picks],
                             norms=np.sqrt(norms2[picks]))

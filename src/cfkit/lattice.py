@@ -22,6 +22,8 @@ from ._kernels import CodeTable, nearest_codeword_point, nearest_codeword_points
 MAX_N = 10
 MAX_P = 13
 MAX_KF = 6
+# build_ensemble's draws of G before it gives up on a full-rank one
+GENERATOR_DRAWS = 200
 # Rows of the largest quantizer table, p^k_F.  nearest_points also sizes its
 # slices by it, and by MAX_TRIE_NODES on tables the kernel searches as an
 # implicit tree, to at least MIN_SLICE queries (see slice_length).
@@ -167,7 +169,7 @@ def _desk_levels(n: int, p: int, levels) -> tuple[tuple[int, int], ...]:
 
 
 def build_ensemble(n: int, p: int, gamma: float, levels, seed: int,
-                   G=None, max_retries: int = 200) -> NestedLatticeEnsemble:
+                   G=None) -> NestedLatticeEnsemble:
     """Draw G uniformly (seeded) until every needed prefix is full rank.
 
     An explicit G skips sampling but is still validated.
@@ -177,14 +179,14 @@ def build_ensemble(n: int, p: int, gamma: float, levels, seed: int,
     if G is not None:
         return NestedLatticeEnsemble(n=n, p=p, gamma=gamma, levels=levels, G=G)
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(max_retries):
+    for _ in range(GENERATOR_DRAWS):
         cand = rng.integers(0, p, size=(kf, n), dtype=np.int64)
         try:
             return NestedLatticeEnsemble(n=n, p=p, gamma=gamma, levels=levels, G=cand)
         except ValueError as err:
             if "rank deficient" not in str(err):
                 raise
-    raise RuntimeError(f"no full-rank generator found in {max_retries} draws")
+    raise RuntimeError(f"no full-rank generator found in {GENERATOR_DRAWS} draws")
 
 
 def nearest_point(ens: NestedLatticeEnsemble, which, x) -> np.ndarray:

@@ -15,24 +15,25 @@ together (_encode_users: the dithers and codewords in one quantizer call,
 the channel inputs and shifted points in one more) and labels every
 user's shifted points in one call: the channel inputs and the true labels
 of the rows of A.  _decode_block equalizes, quantizes and, in successive
-mode, cancels over Z_p and recovers the real combinations, with a
-TrialPlan built once per campaign (the equalizers of each noise level,
-each from one core.mmse_solve on the unscaled channel; the Z_p
-cancellation matrix and the quantizing user per row).  A parallel pass
-makes one quantizer call per distinct fine table, over every row that
-targets it, then one mod-coarse and one labeling call over all live rows;
-a successive pass goes row by row, each row needing the rows before it.
-The kernel answers each row of a call on its own, so stacking moves no
-output bit.
+mode, cancels over Z_p and recovers the real combinations, with what the
+TrialConfig holds for every trial: the quantizing user of each row and the
+Z_p cancellation matrix, found when the config is built, and the
+equalizers of each noise level, each row's from one core.mmse_solve on the
+unscaled channel, built on first use.  A parallel pass makes one quantizer
+call per distinct fine table, over every row that targets it, then one
+mod-coarse and one labeling call over all live rows; a successive pass
+goes row by row, each row needing the rows before it.  The kernel answers
+each row of a call on its own, so stacking moves no output bit.
 
 A TrialConfig is a campaign: its noise_std holds one noise level or a
 sequence of them, and run_campaign gives one report per level.  Draws and
 encoding do not depend on the noise level, so each block is drawn and
 encoded once.  It is then decoded at every level in one pass: each level
 is equalized on its own, and each quantizer and labeling call takes all
-levels' rows as one stacked block.  Only counts and powers are kept.
-run_trials is the campaign of one level.  run_block runs one level's
-block and keeps every intermediate in a TrialBlock.  The per-point
+levels' rows as one stacked block.  _block_pass runs the three stages on
+one block, with H X plus each level's noise between them: run_campaign
+keeps only its counts and powers, and run_block every intermediate of a
+one-level block.  run_trials is the campaign of one level.  The per-point
 functions (encode, shifted_point, true_combinations, decode_parallel,
 decode_successive, recover_real_combo and run_single_trial, whose
 TrialRecord is row 0 of a TrialBlock) are one-row calls of the same
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -52,12 +54,20 @@ from .core import ChannelInstance, mmse_solve
 from .lattice import NestedLatticeEnsemble
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialConfig:
     """A campaign: one channel, coefficient matrix, mode, mapping and
     equalizers, run at each level of noise_std, a number (kept as a float)
-    or a non-empty sequence (kept as a tuple of floats).  The levels are
-    checked, and the Z_p cancellation matrix is built, once here."""
+    or a non-empty sequence (kept as a tuple of floats), and everything its
+    trials share.  The levels are checked, and the rest that does not depend
+    on the level is found once here: `targets[m]`, the user whose fine
+    lattice quantizes row m (_finest_user; None when the row has none), and
+    in successive mode `cancellation`, the mapping's Z_p cancellation matrix
+    and its inverse (zp_asc_matrix, which checks the mapping against A and
+    p).  Each level's equalizers are built on first use
+    (level_equalizers).  The config is frozen and holds a read-only copy of
+    A, so none of these can go stale: a changed campaign is a new config
+    (dataclasses.replace)."""
 
     ensemble: NestedLatticeEnsemble
     ch: ChannelInstance
@@ -67,12 +77,16 @@ class TrialConfig:
     noise_std: float | tuple = 1.0
     equalizers: str | dict = "optimal"
     master_seed: int = 0
-    # successive mode: zp_asc_matrix of the mapping, built (and so checked
-    # against A and p) once here
+    targets: tuple = field(default=(), init=False, repr=False)
     cancellation: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.A = _exact.int_matrix(self.A)
+        def store(name, value):  # a frozen field, set once here
+            object.__setattr__(self, name, value)
+
+        A = _exact.int_matrix(self.A).copy()  # its own, so the caller's A may change
+        A.setflags(write=False)
+        store("A", A)
         if self.mode not in ("parallel", "successive"):
             raise ValueError("mode must be 'parallel' or 'successive'")
         if self.mode == "successive" and self.mapping is None:
@@ -86,21 +100,46 @@ class TrialConfig:
                              f"campaign at {MAX_NOISE_LEVELS}")
         if not all(math.isfinite(s) and s >= 0 for s in levels):
             raise ValueError("noise_std must be finite and nonnegative")
-        self.noise_std = float(levels[0]) if one else tuple(map(float, levels))
+        store("noise_std", float(levels[0]) if one else tuple(map(float, levels)))
         if self.A.shape[1] != self.ch.num_users:
             raise ValueError("coefficient matrix width must match user count")
         if self.ensemble.num_users != self.ch.num_users:
             raise ValueError("ensemble and channel disagree on user count")
-        if self.mode == "successive":
-            M, L = self.A.shape
+        ens, (M, L) = self.ensemble, self.A.shape
+        if self.mode == "parallel":
+            users = [(np.flatnonzero(a % ens.p) + 1).tolist() for a in self.A]
+        else:
             pairs = regions.mapping_pairs(self.mapping)
             if not all(1 <= m <= M and 1 <= l <= L for m, l in pairs):
                 raise ValueError(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
-            self.cancellation = zp_asc_matrix(self.A, self.mapping, self.ensemble.p)
+            store("cancellation", zp_asc_matrix(self.A, pairs, ens.p))
+            users = [[l for row, l in pairs if row == m] for m in range(1, M + 1)]
+        store("targets", tuple(_finest_user(ens, row) for row in users))
 
     @property
     def levels(self) -> tuple:
         return self.noise_std if isinstance(self.noise_std, tuple) else (self.noise_std,)
+
+    @cached_property
+    def level_equalizers(self) -> list:
+        """`level_equalizers[c][m]`: level c's equalizer of row m, in the
+        order of the levels, built on the first read: b (parallel; None for
+        a row with no target) or (b, c) (successive).  Optimal equalizers at
+        a positive level need every user's power positive."""
+        ch, A, eq, rows = self.ch, self.A, self.equalizers, range(self.A.shape[0])
+        optimal = eq == "optimal"
+        if optimal and max(self.levels) > 0:
+            ch.require_positive_powers()
+        if self.mode == "parallel":
+            levels = (parallel_equalizers(ch, A, self.levels) if optimal
+                      else [eq] * len(self.levels))
+            return [[None if self.targets[m] is None else np.asarray(level[m], dtype=float)
+                     for m in rows] for level in levels]
+        levels = (successive_equalizers(ch, A, self.levels) if optimal
+                  else [eq] * len(self.levels))
+        return [[(np.asarray(level[m][0], dtype=float),
+                  np.asarray(level[m][1], dtype=float).ravel()) for m in rows]
+                for level in levels]
 
 
 def _one_level(config: TrialConfig) -> float:
@@ -123,22 +162,12 @@ class TrialRecord:
     real_success: list[bool] | None
 
 
-def _theta_user(ens: NestedLatticeEnsemble, coeffs, p: int) -> int | None:
-    """User with the finest lattice among mod-p participants (1-indexed)."""
-    best = None
-    for user in range(1, ens.num_users + 1):
-        if int(coeffs[user - 1]) % p != 0:
-            kf = ens.levels[user - 1][1]
-            if best is None or kf > ens.levels[best - 1][1]:
-                best = user
-    return best
-
-
-def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
-    users = [l for (row, l) in mapping if row == m]
-    if not users:
-        return None
-    return max(users, key=lambda l: (ens.levels[l - 1][1], -l))
+def _finest_user(ens: NestedLatticeEnsemble, users) -> int | None:
+    """The user (1-indexed) of users with the finest fine lattice, the
+    largest k_F,l, and the lowest index among ties; None when users is
+    empty.  A row's users are those whose coefficient is nonzero mod p
+    (parallel) or those the mapping maps to it (successive)."""
+    return max(sorted(users), key=lambda l: ens.levels[l - 1][1], default=None)
 
 
 def parallel_equalizers(ch: ChannelInstance, A, noise_levels) -> list[list[np.ndarray]]:
@@ -174,11 +203,16 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     regions.is_admissible), and each coefficient n/d, in lowest terms, is
     taken to n d^-1 mod p.  Raises "not admissible" at the first row with
     no solution, and only when every row has one, "p too small" at the
-    first denominator that vanishes mod p.
+    first denominator that vanishes mod p.  The mapping is checked against
+    Lbar A mod p in int64, so p needs L (p - 1)^2 < 2^63 (far past
+    lattice.MAX_P); a larger p raises "p too large".
     """
     _zp.require_prime(p)
     A = _exact.int_matrix(A)
     L, users = A.shape
+    if L * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"p = {p} too large for {L} rows: L (p - 1)^2 must stay "
+                         f"below 2^63")
     pairs = regions.mapping_pairs(mapping)
     sols = list(regions.cancellation_solves(A.tolist(), pairs))
     for m, sol in sols:
@@ -193,10 +227,12 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(f"p = {p} too small: cancellation coefficient "
                                  f"{num}/{den} has no mod-p image")
             Lbar[m, i] = num * pow(den, -1, p) % p
-    reduced = np.array(_zp.matmul_mod_p(Lbar.tolist(), A.tolist(), p), dtype=np.int64)
-    for (m, l) in ((m, l) for m in range(1, L + 1) for l in range(1, users + 1)):
-        if (m, l) not in pairs and reduced[m - 1, l - 1] % p != 0:
-            raise AssertionError("mod-p cancellation failed to match the mapping")
+    # entries of Lbar and of A % p are below p, so each entry of the product
+    # is at most L (p - 1)^2
+    outside = np.array([[(m, l) not in pairs for l in range(1, users + 1)]
+                        for m in range(1, L + 1)], dtype=bool).reshape(L, users)
+    if np.any(Lbar @ (A % p) % p * outside):
+        raise AssertionError("mod-p cancellation failed to match the mapping")
     Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)
     return Lbar, Lbar_inv
 
@@ -235,55 +271,11 @@ MAX_NOISE_LEVELS = 100
 
 
 @dataclass
-class TrialPlan:
-    """Everything the trials of a campaign share, built once per campaign.
-
-    `equalizers[c][m]` is level c's equalizer of coefficient row m, in the
-    config's order of levels: b (parallel) or (b, c) (successive), None for
-    a parallel row that vanishes mod p.  The rest does not depend on the
-    level and is found once: `targets[m]` is the user whose fine lattice
-    quantizes the row (theta for parallel, vartheta for successive), None
-    when the row has none; successive plans also hold the config's Z_p
-    cancellation matrix and its inverse.
-    """
-
-    equalizers: list
-    targets: list
-    Lbar: np.ndarray | None = None
-    Lbar_inv: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, config: TrialConfig) -> "TrialPlan":
-        """The plan of a config, over all of its levels.  Optimal equalizers
-        at a positive level need every user's power positive."""
-        ens, ch, A, eq = config.ensemble, config.ch, config.A, config.equalizers
-        optimal = eq == "optimal"
-        if optimal and max(config.levels) > 0:
-            ch.require_positive_powers()
-        rows = range(A.shape[0])
-        if config.mode == "parallel":
-            targets = [_theta_user(ens, A[m], ens.p) for m in rows]
-            levels = (parallel_equalizers(ch, A, config.levels) if optimal
-                      else [eq] * len(config.levels))
-            return cls(equalizers=[[None if targets[m] is None
-                                    else np.asarray(level[m], dtype=float) for m in rows]
-                                   for level in levels],
-                       targets=targets)
-        levels = (successive_equalizers(ch, A, config.levels) if optimal
-                  else [eq] * len(config.levels))
-        pairs = regions.mapping_pairs(config.mapping)
-        Lbar, Lbar_inv = config.cancellation
-        return cls(equalizers=[[(np.asarray(level[m][0], dtype=float),
-                                 np.asarray(level[m][1], dtype=float).ravel()) for m in rows]
-                               for level in levels],
-                   targets=[_vartheta_user(ens, pairs, m + 1) for m in rows],
-                   Lbar=Lbar, Lbar_inv=Lbar_inv)
-
-
-@dataclass
 class TrialBlock:
     """A block of B consecutive trials, one leading entry each: what a
-    TrialRecord holds for one trial."""
+    TrialRecord holds for one trial.  In _block_pass's block, decoded,
+    decoded_real's entries, success and real_success lead with one more
+    axis, the config's C noise levels; run_block keeps level 0's."""
 
     messages: list                   # per user, B x (k_F,l - k_C,l) symbols
     dithers: list                    # per user, B x n
@@ -464,44 +456,46 @@ def _labels(ens: NestedLatticeEnsemble, points) -> np.ndarray:
         *points.shape[:-1], ens.k)
 
 
-def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
-                  dithers: list, Y: list) -> tuple:
-    """Decode a block of trials at each of a plan's C noise levels.
+def _decode_block(config: TrialConfig, dithers: list, Y: list) -> tuple:
+    """Decode a block of trials at each of a config's C noise levels.
 
-    Y holds one received block (B x antennas x n) per level, in the plan's
+    Y holds one received block (B x antennas x n) per level, in the config's
     order.  Each level is equalized on its own; the quantizing, mod-coarse,
     labeling and real-recovery steps then take the C levels' rows as one
-    stacked (C B) x n block.  A parallel plan also stacks its rows: one
+    stacked (C B) x n block.  A parallel config also stacks its rows: one
     quantizer call per distinct fine table over the rows that target it,
     one mod-coarse call and one labeling call over all live rows.  The
     kernel answers each row on its own, so every level's outputs are
-    bitwise those of a one-level, one-row plan.
+    bitwise those of a one-level, one-row config.
 
-    Returns the decoded labels (C x B x M x k) and, for a successive plan,
+    Returns the decoded labels (C x B x M x k) and, for a successive config,
     per row of A: the recovered real combinations, the quantized reduced
     combinations nu and the combinations mu they give back after the Z_p
-    cancellation is inverted (C x B x n each).  A parallel plan returns None
-    for the three lists.
+    cancellation is inverted (C x B x n each).  A parallel config returns
+    None for the three lists.
     """
+    ens, A, targets, equalizers = (config.ensemble, config.A, config.targets,
+                                   config.level_equalizers)
     C, (B, _, n), M = len(Y), Y[0].shape, A.shape[0]
     decoded = np.zeros((C, B, M, ens.k), dtype=np.int64)
-    if plan.Lbar is None:  # parallel
-        live = [m for m, target in enumerate(plan.targets) if target is not None]
+    if config.mode == "parallel":
+        live = [m for m, target in enumerate(targets) if target is not None]
         t = np.empty((len(live), C, B, n))
         tables = {}
         for i, m in enumerate(live):
             dither = _dither_sum(A[m], dithers)
-            for c, (level, Yc) in enumerate(zip(plan.equalizers, Y)):
+            for c, (level, Yc) in enumerate(zip(equalizers, Y)):
                 t[i, c] = np.matmul(level[m], Yc) - dither
-            tables.setdefault(ens.prefix_len(("F", plan.targets[m])), []).append(i)
+            tables.setdefault(ens.prefix_len(("F", targets[m])), []).append(i)
         for rows in tables.values():
-            t[rows] = _nearest(ens, ("F", plan.targets[live[rows[0]]]), t[rows])
+            t[rows] = _nearest(ens, ("F", targets[live[rows[0]]]), t[rows])
         decoded[:, :, live] = np.moveaxis(_labels(ens, _mod_rows(ens, "C", t)), 0, 2)
         return decoded, None, None, None
+    Lbar, Lbar_inv = config.cancellation
     reals, nus, mus = [], [], []
-    for m, target in enumerate(plan.targets):
+    for m, target in enumerate(targets):
         ytilde = np.empty((C, B, n))
-        for c, (level, Yc) in enumerate(zip(plan.equalizers, Y)):
+        for c, (level, Yc) in enumerate(zip(equalizers, Y)):
             b, coeffs = level[m]
             y = np.matmul(b, Yc)
             for i in range(min(m, coeffs.size)):
@@ -510,8 +504,8 @@ def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
             ytilde[c] = y
         t = ytilde
         for i in range(m):
-            if plan.Lbar[m, i]:
-                t = t + int(plan.Lbar[m, i]) * mus[i]
+            if Lbar[m, i]:
+                t = t + int(Lbar[m, i]) * mus[i]
         t = t - _dither_sum(A[m], dithers)
         if target is None:
             nu = np.zeros((C, B, n))
@@ -520,8 +514,8 @@ def _decode_block(ens: NestedLatticeEnsemble, A: np.ndarray, plan: TrialPlan,
         nus.append(nu)
         acc = nu
         for i in range(m):
-            if plan.Lbar_inv[m, i]:
-                acc = acc + int(plan.Lbar_inv[m, i]) * nus[i]
+            if Lbar_inv[m, i]:
+                acc = acc + int(Lbar_inv[m, i]) * nus[i]
         mu = _mod_rows(ens, "C", acc)
         mus.append(mu)
         decoded[:, :, m] = _labels(ens, mu)
@@ -548,21 +542,34 @@ def _powers(X: np.ndarray) -> np.ndarray:
     return np.matmul(X[:, :, None, :], X[:, :, :, None])[:, :, 0, 0] / X.shape[2]
 
 
-def run_block(config: TrialConfig, plan: TrialPlan, start: int, stop: int) -> TrialBlock:
-    """Trials start .. stop - 1 of a one-level config, every intermediate
-    kept; the plan is the config's own."""
+def _block_pass(config: TrialConfig, start: int, stop: int) -> TrialBlock:
+    """Trials start .. stop - 1 of the config at each of its C noise levels:
+    drawn, encoded, received as H X plus each level's noise and decoded, in
+    one pass.  The equalizers are built (or a zero-power user refused)
+    before anything is drawn."""
     ens, ch, A = config.ensemble, config.ch, config.A
+    config.level_equalizers  # read for its refusal, before the draws
     messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
                                          start, stop)
     X, dithers, codewords, shifted, truth = _encode_block(ens, A, messages, cubes)
-    decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
-                                         [np.matmul(ch.H, X) + noise * _one_level(config)])
-    decoded = decoded[0]
+    HX = np.matmul(ch.H, X)
+    decoded, reals, _, _ = _decode_block(config, dithers,
+                                         [HX + noise * s for s in config.levels])
     return TrialBlock(messages=messages, dithers=dithers, codewords=codewords,
                       shifted_points=shifted, inputs=X, powers=_powers(X),
-                      true_labels=truth, decoded=decoded, decoded_real=_first(reals),
-                      success=np.all(decoded == truth, axis=2),
-                      real_success=None if reals is None else _real_success(ens, A, reals, X)[0])
+                      true_labels=truth, decoded=decoded, decoded_real=reals,
+                      success=np.all(decoded == truth, axis=3),
+                      real_success=None if reals is None else _real_success(ens, A, reals, X))
+
+
+def run_block(config: TrialConfig, start: int, stop: int) -> TrialBlock:
+    """Trials start .. stop - 1 of a one-level config, every intermediate
+    kept."""
+    _one_level(config)
+    block = _block_pass(config, start, stop)
+    return replace(block, decoded=block.decoded[0], decoded_real=_first(block.decoded_real),
+                   success=block.success[0],
+                   real_success=None if block.real_success is None else block.real_success[0])
 
 
 # The per-point functions: one-row (B = 1) calls of the block stages.
@@ -616,23 +623,22 @@ def recover_real_combo(ens: NestedLatticeEnsemble, ytilde, mu, dithers, a) -> np
 
 def _decode_point(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A, dithers,
                   **fields):
-    """One received Y (antennas x n) through _decode_block: the plan of the
-    config the arguments make, and the stage's outputs at its one level."""
+    """One received Y (antennas x n) through _decode_block: the config the
+    arguments make, and the stage's outputs at its one level."""
     config = TrialConfig(ensemble=ens, ch=ch, A=A, **fields)
     _one_level(config)
-    plan = TrialPlan.build(config)
-    decoded, reals, nus, mus = _decode_block(ens, config.A, plan, [_rows(d) for d in dithers],
+    decoded, reals, nus, mus = _decode_block(config, [_rows(d) for d in dithers],
                                              [_rows(Y)[None]])
-    return plan, (decoded[0], _first(reals), _first(nus), _first(mus))
+    return config, (decoded[0], _first(reals), _first(nus), _first(mus))
 
 
 def decode_parallel(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
                     dithers, equalizers="optimal", noise_std: float = 1.0):
     """Independent per-row decoding; returns (labels, flags) where a False
     flag marks a row whose coefficients all vanish mod p."""
-    plan, (decoded, *_) = _decode_point(ens, Y, ch, A, dithers, mode="parallel",
-                                        equalizers=equalizers, noise_std=noise_std)
-    return list(decoded[0]), [target is not None for target in plan.targets]
+    config, (decoded, *_) = _decode_point(ens, Y, ch, A, dithers, mode="parallel",
+                                          equalizers=equalizers, noise_std=noise_std)
+    return list(decoded[0]), [target is not None for target in config.targets]
 
 
 def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
@@ -644,22 +650,19 @@ def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
     Returns (labels, real_combos, live_flags); with_internals adds a dict of
     intermediate quantities (reduced combinations, cancellation matrices).
     """
-    plan, (decoded, reals, nus, mus) = _decode_point(
+    config, (decoded, reals, nus, mus) = _decode_point(
         ens, Y, ch, A, dithers, mode="successive", mapping=mapping,
         equalizers=equalizers, noise_std=noise_std)
-    out = (list(decoded[0]), _first(reals), [target is not None for target in plan.targets])
+    out = (list(decoded[0]), _first(reals), [target is not None for target in config.targets])
     if with_internals:
-        return (*out, {"nu": _first(nus), "mu": _first(mus),
-                       "Lbar": plan.Lbar, "Lbar_inv": plan.Lbar_inv})
+        Lbar, Lbar_inv = config.cancellation
+        return (*out, {"nu": _first(nus), "mu": _first(mus), "Lbar": Lbar, "Lbar_inv": Lbar_inv})
     return out
 
 
-def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialRecord:
-    """Trial `index` of the config, every intermediate kept; `equalizers`,
-    when given, replaces the config's."""
-    if equalizers is not None:
-        config = replace(config, equalizers=equalizers)
-    block = run_block(config, TrialPlan.build(config), index, index + 1)
+def run_single_trial(config: TrialConfig, index: int) -> TrialRecord:
+    """Trial `index` of the config, every intermediate kept."""
+    block = run_block(config, index, index + 1)
     return TrialRecord(
         messages=_first(block.messages), dithers=_first(block.dithers),
         codewords=_first(block.codewords), inputs=block.inputs[0],
@@ -675,32 +678,25 @@ def run_campaign(config: TrialConfig, trials: int, ci_level: float = 0.95) -> li
 
     Trial i's draws depend only on (master_seed, i), and its dithers,
     channel inputs and true labels only on those draws, so each block of
-    BLOCK_TRIALS trials is drawn and encoded once.  One TrialPlan holds
-    every level's equalizers, and one _decode_block call decodes the block
-    at all levels.  Each report equals the one run_trials gives for a
+    BLOCK_TRIALS trials is drawn and encoded once and decoded at all levels,
+    in one _block_pass.  Each report equals the one run_trials gives for a
     config of its level alone.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError("trials must be an integer >= 1")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials = {trials}; desk scale caps a campaign at {MAX_TRIALS}")
-    plan = TrialPlan.build(config)
-    ens, ch, A, levels = config.ensemble, config.ch, config.A, config.levels
-    errors = np.zeros((len(levels), A.shape[0]), dtype=np.int64)
+    ens, levels = config.ensemble, config.levels
+    errors = np.zeros((len(levels), config.A.shape[0]), dtype=np.int64)
     real_errors = np.zeros_like(errors)
     powers = np.empty((ens.num_users, trials))
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(trials, start + BLOCK_TRIALS)
-        messages, cubes, noise = _draw_block(ens, ch.num_antennas, config.master_seed,
-                                             start, stop)
-        X, dithers, _, _, truth = _encode_block(ens, A, messages, cubes)
-        powers[:, start:stop] = _powers(X).T
-        HX = np.matmul(ch.H, X)
-        decoded, reals, _, _ = _decode_block(ens, A, plan, dithers,
-                                             [HX + noise * s for s in levels])
-        errors += np.count_nonzero(~np.all(decoded == truth, axis=3), axis=1)
-        if reals is not None:
-            real_errors += np.count_nonzero(~_real_success(ens, A, reals, X), axis=1)
+        block = _block_pass(config, start, stop)
+        powers[:, start:stop] = block.powers.T
+        errors += np.count_nonzero(~block.success, axis=1)
+        if block.real_success is not None:
+            real_errors += np.count_nonzero(~block.real_success, axis=1)
     power = [float(np.mean(powers[u])) for u in range(ens.num_users)]
     return [_report(config.mode, s, trials, errors[c], real_errors[c], power, ci_level)
             for c, s in enumerate(levels)]

@@ -6,8 +6,11 @@ Philox stream, one point at a time through the lattice's quantizer and
 labeling (nearest_point, mod_lattice, linear_label).  Where a user's
 symbols sit in a label, the lift of a label to its lattice point, the coset
 test and the mod-p combination are written out here symbol by symbol, apart
-from lattice's block rule, which the simulator shares.  The block engine is
-checked against them trial by trial, decision by decision.
+from lattice's block rule, which the simulator shares.  Each row's
+quantizing user comes from this file's own two rules, _theta_user
+(parallel) and _vartheta_user (successive), not from the simulator's one.
+The block engine is checked against them trial by trial, decision by
+decision.
 
 sample_voronoi is the tests' dither source, and second_moment their
 Monte-Carlo estimate of a Voronoi region's second moment.
@@ -23,9 +26,28 @@ from cfkit import lattice
 from cfkit.core import ChannelInstance
 from cfkit.lattice import NestedLatticeEnsemble
 from cfkit.regions import mapping_pairs
-from cfkit.simulator import (TrialConfig, TrialRecord, _theta_user,
-                             _vartheta_user, parallel_equalizers, successive_equalizers,
-                             zp_asc_matrix)
+from cfkit.simulator import (TrialConfig, TrialRecord, parallel_equalizers,
+                             successive_equalizers, zp_asc_matrix)
+
+
+def _theta_user(ens: NestedLatticeEnsemble, coeffs, p: int) -> int | None:
+    """User with the finest lattice among mod-p participants (1-indexed)."""
+    best = None
+    for user in range(1, ens.num_users + 1):
+        if int(coeffs[user - 1]) % p != 0:
+            kf = ens.levels[user - 1][1]
+            if best is None or kf > ens.levels[best - 1][1]:
+                best = user
+    return best
+
+
+def _vartheta_user(ens: NestedLatticeEnsemble, mapping, m: int) -> int | None:
+    """User with the finest lattice among those the mapping maps to row m
+    (1-indexed), the lowest index among ties."""
+    users = [l for (row, l) in mapping if row == m]
+    if not users:
+        return None
+    return max(users, key=lambda l: (ens.levels[l - 1][1], -l))
 
 
 def _codeword(ens: NestedLatticeEnsemble, user: int, message) -> list[int]:
@@ -200,7 +222,7 @@ def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
         [master_seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
 
 
-def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialRecord:
+def run_single_trial(config: TrialConfig, index: int) -> TrialRecord:
     ens, ch, A = config.ensemble, config.ch, config.A
     rng = _trial_rng(config.master_seed, index)
     messages, dithers, codewords, inputs = [], [], [], []
@@ -219,7 +241,7 @@ def run_single_trial(config: TrialConfig, index: int, equalizers=None) -> TrialR
     shifted = [shifted_point(ens, u + 1, codewords[u], dithers[u])
                for u in range(ens.num_users)]
     truth = true_combinations(ens, A, shifted, messages)
-    eq = equalizers if equalizers is not None else config.equalizers
+    eq = config.equalizers
     if config.mode == "parallel":
         decoded, _live = decode_parallel(ens, Y, ch, A, dithers, eq, config.noise_std)
         reals = None

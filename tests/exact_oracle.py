@@ -170,9 +170,10 @@ def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(
                     f"p = {p} too small: cancellation coefficient {frac} has no mod-p image")
             Lbar[m - 1, i] = (frac.numerator * pow(frac.denominator, -1, p)) % p
-    reduced = np.array(_zp.matmul_mod_p(Lbar.tolist(), A.tolist(), p), dtype=np.int64)
+    rows = A.tolist()
     for (m, l) in ((m, l) for m in range(1, L + 1) for l in range(1, users + 1)):
-        if (m, l) not in pairs and reduced[m - 1, l - 1] % p != 0:
+        entry = sum(int(Lbar[m - 1, k]) * rows[k][l - 1] for k in range(L))
+        if (m, l) not in pairs and entry % p != 0:
             raise AssertionError("mod-p cancellation failed to match the mapping")
     Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)
     return Lbar, Lbar_inv

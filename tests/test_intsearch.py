@@ -65,14 +65,12 @@ def brute_force_minima(F, bound):
     return np.array(chosen)
 
 
-def box_oracle(F, L=None, max_users=4, max_radius=64):
+def box_oracle(F, max_users=4, max_radius=64):
     """Reference search: sign-normalize the full box, np.unique it, and sort
     every row on (||F a||^2, entries) at each radius.  dominant_solution must
     give bitwise the same picks, norms and errors."""
     F = np.asarray(F, dtype=float)
     dim = F.shape[1]
-    if L is None:
-        L = dim
     if dim > max_users:
         raise ValueError(f"exact enumeration capped at {max_users} users (got {dim})")
     smin = float(np.linalg.svd(F, compute_uv=False)[-1])
@@ -92,13 +90,13 @@ def box_oracle(F, L=None, max_users=4, max_radius=64):
         chosen = []
         norms = []
         for idx in order:
-            if len(chosen) == L:
+            if len(chosen) == dim:
                 break
             vec = tuple(int(v) for v in grid[idx])
             if _exact.rows_independent(chosen, vec):
                 chosen.append(vec)
                 norms.append(float(np.sqrt(norms2[idx])))
-        if len(chosen) == L and smin * (radius + 1) > norms[-1]:
+        if len(chosen) == dim and smin * (radius + 1) > norms[-1]:
             return DominantSolution(A_star=np.array(chosen, dtype=int),
                                     norms=np.array(norms))
         radius += 1
@@ -162,11 +160,6 @@ class TestDominantSolution:
         with pytest.raises(ValueError, match="capped"):
             dominant_solution(np.eye(5))
 
-    @pytest.mark.parametrize("L", [0, -1, 4])
-    def test_vector_count_checked(self, L):
-        with pytest.raises(ValueError, match=r"1 <= L <= 3"):
-            dominant_solution(np.eye(3), L=L)
-
 
 class TestBoxOracle:
     """dominant_solution against box_oracle, bitwise, errors included."""
@@ -184,11 +177,8 @@ class TestBoxOracle:
                 ch = ChannelInstance(H=rng.normal(size=(nr, L)) * rng.uniform(0.3, 3),
                                      P=rng.uniform(0.3, 10, size=L))
             F = effective_matrix(ch)
-            kwargs = {"max_radius": 4}
-            if i % 5 == 4:
-                kwargs["L"] = int(rng.integers(1, L + 1))
-            want = search_outcome(box_oracle, F, **kwargs)
-            assert search_outcome(dominant_solution, F, **kwargs) == want, i
+            want = search_outcome(box_oracle, F, max_radius=4)
+            assert search_outcome(dominant_solution, F, max_radius=4) == want, i
             exhausted += want[0] == "RuntimeError"
         assert 10 <= exhausted <= 100
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from exact_oracle import solve_rational
 from cfkit import _exact, core, lattice, simulator
 from cfkit.core import ChannelInstance, sigma_para_opt, sigma_succ_eval, sigma_succ_opt
 from cfkit.lattice import build_ensemble, linear_label, mod_lattice
-from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, TrialPlan, _draw_block,
+from cfkit.simulator import (BLOCK_TRIALS, TrialConfig, _draw_block,
                              decode_parallel, decode_successive, encode,
                              recover_real_combo, run_block, run_campaign,
                              run_single_trial, run_trials, shifted_point,
@@ -236,6 +237,19 @@ class TestZpAsc:
             zp_asc_matrix(A, mapping, 2)
         Lbar, _ = zp_asc_matrix(A, mapping, 3)
         assert Lbar[1].tolist() == [1, 1]  # -1/2 = 1 mod 3
+
+    def test_int64_products_bound_p(self):
+        # the mapping is checked on Lbar A mod p in int64: L (p - 1)^2 must
+        # stay below 2^63, which 2^31 - 1 does for two rows and not for three
+        from exact_oracle import zp_asc_matrix_oracle
+
+        p = 2 ** 31 - 1
+        A, mapping = [[2, 1], [1, 3]], {(1, 1), (1, 2), (2, 2)}
+        got, want = zp_asc_matrix(A, mapping, p), zp_asc_matrix_oracle(A, mapping, p)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert got[0][1, 0] == (-pow(2, -1, p)) % p
+        with pytest.raises(ValueError, match="p = 2147483647 too large for 3 rows"):
+            zp_asc_matrix(A + [[0, 1]], mapping, p)
 
 
 class TestRecoverRealCombo:
@@ -624,7 +638,7 @@ SUCC_MAP = frozenset({(1, 1), (1, 2), (2, 2)})
 def block_outcomes_vs_oracle(cfg, trials):
     """run_block against the oracle's run_single_trial, trial by trial;
     returns the success flags so callers can check which outcomes occurred."""
-    block = run_block(cfg, TrialPlan.build(cfg), 0, trials)
+    block = run_block(cfg, 0, trials)
     for i in range(trials):
         rec = chain_oracle.run_single_trial(cfg, i)
         assert np.array_equal(block.decoded[i], np.array(rec.decoded_labels)), i
@@ -691,7 +705,7 @@ class TestBlockEngine:
         A = np.array([[1, 1], [3, 3]])
         cfg = TrialConfig(ensemble=ens, ch=integer_channel(A22), A=A,
                           mode="parallel", noise_std=0.3, master_seed=2)
-        assert TrialPlan.build(cfg).targets[1] is None
+        assert cfg.targets[1] is None
         block_outcomes_vs_oracle(cfg, 20)
 
     def test_parallel_rows_on_two_fine_tables(self):
@@ -706,7 +720,7 @@ class TestBlockEngine:
         for noise in (0.05, 0.3, 0.8):
             cfg = TrialConfig(ensemble=ens, ch=ch, A=A, mode="parallel",
                               noise_std=noise, master_seed=12)
-            targets = TrialPlan.build(cfg).targets
+            targets = cfg.targets
             assert [None if t is None else ens.levels[t - 1][1] for t in targets] == \
                 [2, 3, None, 3]
             outcomes.update(block_outcomes_vs_oracle(cfg, 30).ravel().tolist())
@@ -721,7 +735,7 @@ class TestBlockEngine:
         for noise in (1e-3, 0.4):
             cfg = TrialConfig(ensemble=ens, ch=ch, A=A, mode="successive",
                               mapping=mapping, noise_std=noise, master_seed=909)
-            assert TrialPlan.build(cfg).targets[2] is None
+            assert cfg.targets[2] is None
             block_outcomes_vs_oracle(cfg, 30)
 
     def test_custom_equalizer_dict(self):
@@ -1019,8 +1033,9 @@ class TestRunCampaign:
                 call(cfg, trials)
 
     def test_desk_scale_caps(self, monkeypatch):
-        # refused before anything is sized by them: the plan is never built
-        monkeypatch.setattr(simulator.TrialPlan, "build", None)
+        # refused before anything is sized by them: no block pass runs, so no
+        # equalizer is built and nothing is drawn
+        monkeypatch.setattr(simulator, "_block_pass", None)
         for call in (run_campaign, run_trials):
             with pytest.raises(ValueError, match="trials = 1000001; desk scale caps a "
                                                  "campaign at 1000000"):
@@ -1032,6 +1047,22 @@ class TestRunCampaign:
         # (gamma/2)^2 <= 2^998 (lattice.GAMMA_MAX)
         assert simulator.MAX_TRIALS <= 2 ** 24
         assert len(campaign([0.5] * simulator.MAX_NOISE_LEVELS).levels) == 100
+
+    def test_a_config_is_frozen(self):
+        # its targets, cancellation matrix and equalizers cannot go stale: a
+        # changed campaign is a new config
+        A = A22.copy()
+        cfg = campaign(0.5, A=A)
+        first = run_campaign(cfg, 20)
+        for name, value in (("noise_std", [0.5, 0.1]), ("equalizers", {}), ("A", A22 * 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.A[1, 0] = 2
+        A[1, 0] = 2  # the caller's array is not the config's
+        assert run_campaign(cfg, 20) == first
+        assert run_campaign(dataclasses.replace(cfg, noise_std=[0.5, 0.1]), 20) == \
+            first + run_campaign(campaign(0.1), 20)
 
     def test_one_cancellation_matrix_and_no_channel_per_campaign(self, monkeypatch):
         # a 3-level successive campaign builds its Z_p cancellation matrix
@@ -1084,6 +1115,74 @@ class TestRunCampaign:
         assert rows[1] > rows[0]
 
 
+@pytest.mark.parametrize("entry", ["campaign-1", "campaign-3", "run_block",
+                                   "run_single_trial"])
+def test_every_entry_point_runs_the_one_block_pass(entry, monkeypatch):
+    # each block is drawn, encoded and decoded once, inside _block_pass
+    calls, depth = [], [0]
+
+    def spy(name, fn):
+        def call(*args):
+            calls.append((name, depth[0]))
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for name in ("_block_pass", "_draw_block", "_encode_block", "_decode_block"):
+        monkeypatch.setattr(simulator, name, spy(name, getattr(simulator, name)))
+    if entry.startswith("campaign"):
+        levels = [0.5] if entry == "campaign-1" else [1.5, 0.5, 0.0]
+        reports = run_campaign(campaign(levels), 2 * BLOCK_TRIALS + 5)
+        assert len(reports) == len(levels)
+        blocks = 3
+    elif entry == "run_block":
+        assert run_block(campaign(0.5), 3, 3 + BLOCK_TRIALS + 7).success.shape == \
+            (BLOCK_TRIALS + 7, 2)
+        blocks = 1
+    else:
+        assert len(run_single_trial(campaign(0.5), 5).success) == 2
+        blocks = 1
+    assert calls == [("_block_pass", 0), ("_draw_block", 1), ("_encode_block", 1),
+                     ("_decode_block", 1)] * blocks
+
+
+def test_finest_user_equals_the_two_row_rules():
+    # the one target rule against the oracle's parallel and successive rules,
+    # directly and through the configs' targets, on random ensembles, rows
+    # and mappings
+    rng = np.random.default_rng(33)
+    seen = set()
+    for _ in range(40):
+        L, M, p = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.choice([2, 3, 5]))
+        tops = rng.integers(1, 4, size=L)
+        ens = build_ensemble(3, p, float(p), [(int(rng.integers(0, k + 1)), int(k))
+                                              for k in tops], seed=int(rng.integers(1000)))
+        A = rng.integers(-2, 3, size=(M, L)) * rng.choice([1, p], size=(M, L))
+        mapping = frozenset((m + 1, l + 1) for m in range(M) for l in range(L)
+                            if A[m, l] or rng.random() < 0.2)
+        ch = ChannelInstance(H=rng.normal(size=(2, L)), P=np.ones(L))
+        para = TrialConfig(ensemble=ens, ch=ch, A=A, mode="parallel")
+        succ = TrialConfig(ensemble=ens, ch=ch, A=A, mode="successive", mapping=mapping)
+        for m in range(M):
+            live = [l + 1 for l in range(L) if A[m, l] % p]
+            mapped = sorted(l for row, l in mapping if row == m + 1)
+            want = (chain_oracle._theta_user(ens, A[m], p),
+                    chain_oracle._vartheta_user(ens, mapping, m + 1))
+            assert (simulator._finest_user(ens, live),
+                    simulator._finest_user(ens, mapped[::-1])) == want
+            assert (para.targets[m], succ.targets[m]) == want
+            for users in (live, mapped):
+                tops_of = [ens.levels[l - 1][1] for l in users]
+                if tops_of.count(max(tops_of, default=0)) > 1:
+                    seen.add("tie")
+            seen.update({"vanishes mod p"} if not live else set())
+            seen.update({"unmapped"} if not mapped else set())
+    assert seen == {"tie", "vanishes mod p", "unmapped"}
+
+
 def test_parallel_decode_one_call_per_fine_table(monkeypatch):
     # one quantizer call per distinct fine table over the rows that target
     # it, at every level, then one mod-C call and one labeling call over
@@ -1093,7 +1192,6 @@ def test_parallel_decode_one_call_per_fine_table(monkeypatch):
     ch = ChannelInstance(H=np.eye(3) + 0.2, P=[1.0, 1.0, 1.0])
     config = TrialConfig(ensemble=ens, ch=ch, A=A, mode="parallel",
                          noise_std=[0.5, 0.1], master_seed=3)
-    plan = TrialPlan.build(config)
     messages, cubes, noise = _draw_block(ens, 3, 3, 0, 9)
     X, dithers, *_ = simulator._encode_block(ens, A, messages, cubes)
     Y = [np.matmul(ch.H, X) + noise * s for s in config.levels]
@@ -1103,7 +1201,7 @@ def test_parallel_decode_one_call_per_fine_table(monkeypatch):
                         lambda *args: calls.append((args[1], len(args[2]))) or quantize(*args))
     monkeypatch.setattr(lattice, "linear_labels",
                         lambda *args: calls.append(("labels", len(args[1]))) or label(*args))
-    simulator._decode_block(ens, A, plan, dithers, Y)
+    simulator._decode_block(config, dithers, Y)
     rows = 2 * 9  # levels x trials per live row
     assert calls == [(("F", 1), rows), (("F", 2), 2 * rows), ("C", 3 * rows),
                      ("labels", 3 * rows)]

@@ -12,15 +12,19 @@ The commit REV is unpacked by `git archive` into a temporary directory
   levels, and trial counts on both sides of the 128-trial block edge.  A
   successive config maps each row to the users it combines, at times with
   one pair of a later row left out, so that some configs need a Z_p
-  cancellation and some exit 2;
+  cancellation and some exit 2.  About one config in ten (one successive
+  config in five) adds a pair that names no row or no user of A, which
+  keeps the refusal of such a pair in the differential;
 - `verify --suite all` at seeds 0-3;
 - COUNT seeded random channels, each run through `search`, `mac` and
   `region --mode para|succ|asc|mac|sic`: 1-4 users, 1-3 antennas, and
   normal, small-integer or six-decade (10^-3 .. 10^3) gains and powers.
   Each channel carries an integer A of 1-L rows for the three A modes,
   and no mapping (every pair), its nonzero support, or that support less
-  one pair of a later row, so that some are not admissible; some `search`
-  runs take an integer `--bound`.  `region --mode compound` is left out:
+  one pair of a later row, so that some are not admissible.  About one
+  channel in ten (one with a mapping in seven) adds a pair outside A, which
+  `region --mode succ|asc` must refuse.  Some `search` runs take an
+  integer `--bound`.  `region --mode compound` is left out:
   its files print floats in full, whose last bits depend on the host's
   BLAS kernel.
 
@@ -86,6 +90,13 @@ def _levels(rng, kf: int) -> list:
     return users
 
 
+def _outside_pair(rng, M: int, L: int) -> list:
+    """A mapping pair [m, l] that names no row or no user of an M x L A:
+    a row or a user of 0, or one past the last."""
+    m, l = int(rng.integers(1, M + 1)), int(rng.integers(1, L + 1))
+    return [[0, l], [m, 0], [M + 1, l], [m, L + 1]][int(rng.integers(0, 4))]
+
+
 def campaign(rng) -> dict:
     """One random simulate config."""
     p = int(rng.choice([2, 3, 5, 7]))
@@ -116,6 +127,8 @@ def campaign(rng) -> dict:
         later = [i for i, (m, _) in enumerate(pairs) if m > 1]
         if later and rng.random() < 0.5:
             pairs.pop(int(rng.choice(later)))
+        if rng.random() < 0.2:
+            pairs.append(_outside_pair(rng, M, L))
         doc["mapping"] = pairs
     return doc
 
@@ -141,6 +154,8 @@ def channel(rng) -> dict:
         later = [i for i, (m, _) in enumerate(pairs) if m > 1]
         if kind == 2 and later:
             pairs.pop(int(rng.choice(later)))
+        if rng.random() < 0.15:
+            pairs.append(_outside_pair(rng, *A.shape))
         doc["mapping"] = pairs
     return doc
 

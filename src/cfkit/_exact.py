@@ -11,7 +11,8 @@ reads a caller's coefficient matrix (a list of rows or an array; a 1-D
 input is one row) exactly, refusing a non-integral entry, and int_matrix is
 its int64 numpy view, which the other modules take their A, ensemble
 generator and symbol vectors through.  _as_int reads one index, such as a
-mapping pair's or a decoding order's entry, by the same rule.
+mapping pair's entry, by the same rule, and int_permutation reads a
+decoding or pivot order with it.
 
 The elimination is integer preserving (Bareiss, Math. Comp. 1968): a step
 takes row r to (f r - g row) / d, with f the pivot, g the entry of r under
@@ -35,6 +36,16 @@ def _as_int(value, what: str = "matrix entries") -> int:
         out = None
     if out is None or out != value:
         raise ValueError(f"{what} must be integers")
+    return out
+
+
+def int_permutation(values, first: int, count: int, what: str) -> tuple[int, ...]:
+    """values read by _as_int, as a tuple; ValueError unless they are a
+    permutation of first..first + count - 1."""
+    out = tuple(_as_int(v, f"{what} entries") for v in values)
+    if sorted(out) != list(range(first, first + count)):
+        raise ValueError(f"{what} {list(out)} is not a permutation of "
+                         f"{first}..{first + count - 1}")
     return out
 
 

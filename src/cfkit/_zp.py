@@ -1,9 +1,9 @@
 """Linear algebra over the prime field Z_p with exact python-int arithmetic.
 
 One elimination step, _insert, adds a row to a reduced row echelon basis:
-rref_mod_p (and the solve and inverse built on it) and
-prefix_echelons insert a matrix's rows in order, and in_rowspan_mod_p tries
-further rows against the basis of rref_mod_p.
+rref_mod_p (and the solve built on it) and prefix_echelons insert a
+matrix's rows in order, and in_rowspan_mod_p tries further rows against the
+basis of rref_mod_p.
 """
 
 from __future__ import annotations
@@ -99,17 +99,6 @@ def solve_mod_p(A, b, p: int) -> list[int] | None:
             return None  # pivot in the augmented column: inconsistent
         x[c] = rref[r][n]
     return x
-
-
-def inv_mod_p(mat, p: int) -> list[list[int]]:
-    """Exact inverse of a square matrix over Z_p."""
-    a = reduce_mod(mat, p)
-    n = len(a)
-    aug = [a[i] + [int(i == j) for j in range(n)] for i in range(n)]
-    rref, pivots = rref_mod_p(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return [row[n:] for row in rref[:n]]
 
 
 def prefix_echelons(mat, p: int) -> list[tuple[list[list[int]], list[int], list[list[int]]]]:

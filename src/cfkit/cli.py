@@ -536,9 +536,13 @@ def cmd_simulate(args) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _random_channel(rng, L=None, max_antennas=2):
+VERIFY_REPS = 100  # random instances per identity check (some take a share)
+VERIFY_MAX_ANTENNAS = 2  # receive antennas of a verify channel: 1 or 2
+
+
+def _random_channel(rng, L=None):
     L = L or int(rng.integers(2, 4))
-    nr = int(rng.integers(1, max_antennas + 1))
+    nr = int(rng.integers(1, VERIFY_MAX_ANTENNAS + 1))
     H = rng.normal(size=(nr, L)) * 2.0
     P = rng.uniform(0.5, 8.0, size=L)
     return ChannelInstance(H=H, P=P)
@@ -557,11 +561,11 @@ def _run_checks(checks) -> list:
     return out
 
 
-def _verify_identities(seed: int, reps: int = 100):
+def _verify_identities(seed: int):
     rng = np.random.default_rng(seed)
 
     def woodbury():
-        for _ in range(reps):
+        for _ in range(VERIFY_REPS):
             ch = _random_channel(rng)
             gram = lattice_gram(ch)
             P = ch.P_matrix()
@@ -571,7 +575,7 @@ def _verify_identities(seed: int, reps: int = 100):
                 "matrix-inversion identity violated beyond 1e-10"
 
     def factor_invariance():
-        for _ in range(reps // 4):
+        for _ in range(VERIFY_REPS // 4):
             ch = _random_channel(rng)
             gram = lattice_gram(ch)
             w, V = np.linalg.eigh(gram)
@@ -583,7 +587,7 @@ def _verify_identities(seed: int, reps: int = 100):
                 "variance depends on the factor choice"
 
     def unimodular_sum():
-        for _ in range(reps):
+        for _ in range(VERIFY_REPS):
             L = int(rng.integers(2, 5))
             ch = _random_channel(rng, L=L)
             A = mac_opt.random_unimodular(L, rng)
@@ -592,7 +596,7 @@ def _verify_identities(seed: int, reps: int = 100):
             assert abs(lhs - rhs) <= 1e-8, f"identity off by {abs(lhs - rhs):.2e}"
 
     def containment():
-        for _ in range(reps // 4):
+        for _ in range(VERIFY_REPS // 4):
             ch = _random_channel(rng)
             L = ch.num_users
             A = mac_opt.random_unimodular(L, rng)
@@ -603,14 +607,14 @@ def _verify_identities(seed: int, reps: int = 100):
                 "parallel box exceeded the successive box"
 
     def sic_sum():
-        for _ in range(reps // 4):
+        for _ in range(VERIFY_REPS // 4):
             ch = _random_channel(rng)
             order = tuple(rng.permutation(ch.num_users) + 1)
             total = sum(regions.sic_rates(ch, order))
             assert abs(total - sum_capacity(ch)) <= 1e-9, "SIC sum missed capacity"
 
     def parallel_gap():
-        for _ in range(reps // 2):
+        for _ in range(VERIFY_REPS // 2):
             L = int(rng.integers(2, 4))
             ch = _random_channel(rng, L=L)
             asg = mac_opt.parallel_mac_assignment(ch)

@@ -150,14 +150,12 @@ def _parallel_table(ch: ChannelInstance) -> _Table:
     sums = _sum_rows(rates)
     # (rate, cap) for each pair (m, l) of each mapping, in mapping order
     capped = rate_at[np.array([(2 * L * (l - 1) + pi[l - 1] - 1, 2 * L * (l - 1) + L + m - 1)
-                               for mapping, pi in dominant for m, l in mapping.pairs
-                               if 1 <= l <= L])]
+                               for mapping, pi in dominant for m, l in mapping.pairs])]
     above = capped[:, 0] > capped[:, 1]
     bound = 0.5 * L * log2_plus(L) + 1e-9
     # cap - s never grows with s, so the least sum has the largest gap
     if np.logical_or.reduce(above) or cap - np.fmin.reduce(sums) > bound:
-        orders = np.array([k for k, mapping in enumerate(mappings)
-                           for _m, l in mapping.pairs if 1 <= l <= L])
+        orders = np.array([k for k, mapping in enumerate(mappings) for _pair in mapping.pairs])
         outside = np.isin(np.arange(K), orders[above])
         first = (outside | (cap - sums > bound)).argmax()
         raise AssertionError("assignment fell outside its own cancellation region"
@@ -210,7 +208,7 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     mapping = regions._coerce_mapping(A, mapping)
     # as in successive_sum_identity, A[:-1] passing covers every prefix
     require_full_row_rank(A[:-1])
-    pi = _decoding_steps(pi, ch.num_users)
+    pi = _exact.int_permutation(pi, 1, ch.num_users, "pi")
     variances = chained_variances(ch, A)
     cap = sum_capacity(ch)
     support = np.zeros((1, *A.shape), dtype=bool)
@@ -223,15 +221,6 @@ def successive_mac_assignment(ch: ChannelInstance, A, mapping, pi) -> Successive
     return SuccessiveOutcome(MacAssignment(
         A=A, mapping=mapping, pi=pi, rates=tuple(scores.rates[0].tolist()),
         sum_rate=total, gap_to_capacity=cap - total))
-
-
-def _decoding_steps(pi, L: int) -> tuple[int, ...]:
-    """pi read by _exact's integer rule; ValueError unless it is a
-    permutation of the decoding steps 1..L."""
-    pi = tuple(_exact._as_int(v, "pi entries") for v in pi)
-    if sorted(pi) != list(range(1, L + 1)):
-        raise ValueError("pi must be a permutation of decoding steps 1..L")
-    return pi
 
 
 class _Scores(NamedTuple):
@@ -287,11 +276,11 @@ def _score(P, variances, support, steps) -> _Scores:
 
 def _mark_pairs(support, first: int, mappings) -> None:
     """Mark each mapping's pairs in rows first, first + 1, ... of a K x M x L
-    support, in one write; pairs naming no user 1..L are left out."""
+    support, in one write."""
     _K, M, L = support.shape
     support.reshape(-1)[[((k * M) + m - 1) * L + l - 1
                          for k, mapping in enumerate(mappings, first)
-                         for m, l in mapping.pairs if 1 <= l <= L]] = True
+                         for m, l in mapping.pairs]] = True
 
 
 def _declined_reason(ch, mapping, pi, scores: _Scores) -> str:
@@ -301,8 +290,7 @@ def _declined_reason(ch, mapping, pi, scores: _Scores) -> str:
     whose worst mapped noise exceeds it, or whose power is too low."""
     last, steps = scores.last[0], np.array(pi)
     if (last > steps).any():
-        m, l = next((m, l) for m, l in mapping.pairs
-                    if 1 <= l <= ch.num_users and m > pi[l - 1])
+        m, l = next((m, l) for m, l in mapping.pairs if m > pi[l - 1])
         return (f"mapping pair ({m},{l}) sits below user {l}'s pivot step "
                 f"{pi[l - 1]}; pi is not allowed by this mapping")
     l = int(np.argmax((last != steps) | scores.worse[0] | scores.weak[0]))
@@ -418,7 +406,7 @@ def successive_sum_identity(ch: ChannelInstance, A, pi) -> tuple[float, float]:
     L = ch.num_users
     if A.shape[1] != L:
         raise ValueError("coefficient vector length must match user count")
-    pi = _decoding_steps(pi, L)
+    pi = _exact.int_permutation(pi, 1, L, "pi")
     # dropping rows cannot shrink the smallest singular value or grow the
     # largest, so when A[:-1] passes the check every shorter prefix does
     require_full_row_rank(A[:-1])

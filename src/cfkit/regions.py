@@ -4,7 +4,9 @@ membership search, and exact 2D region geometry (intersections and hulls).
 
 Index pairs in mappings are 1-indexed, matching the (combination, user)
 naming used throughout: (m, l) means user l must tolerate the noise of
-decoding step m.
+decoding step m.  mapping_pairs is the one reader of a mapping: it refuses
+a pair that names no row or no user of the coefficient matrix, so every
+consumer takes a mapping's pairs as given.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (UNBOUNDED, ChannelInstance, achievable_rate, chained_variance
                    noise_variance, require_full_row_rank, sum_capacity)
 
 _TOL = 1e-9
+MAX_CANDIDATES = 500_000  # membership's cap on the integer matrices it scans
 
 
 @dataclass(frozen=True)
@@ -33,16 +36,6 @@ class AdmissibleMapping:
     """
 
     pairs: frozenset[tuple[int, int]]
-
-    def worst_variances(self, variances, L: int) -> list:
-        """For each user 1..L, the largest of variances[m - 1] over the
-        rows m mapped to it, or None when no row is.  Pairs naming no user
-        are ignored."""
-        worst = [None] * L
-        for (m, l) in self.pairs:
-            if 1 <= l <= L and (worst[l - 1] is None or variances[m - 1] > worst[l - 1]):
-                worst[l - 1] = variances[m - 1]
-        return worst
 
 
 @dataclass
@@ -73,14 +66,19 @@ class RateRegionSpec:
         return False
 
 
-def mapping_pairs(mapping) -> frozenset:
+def mapping_pairs(mapping, M: int, L: int) -> frozenset:
     """The (m, l) pairs of an AdmissibleMapping, or of any iterable of
-    pairs, as a frozenset of int pairs; an entry that is not an integer
+    pairs, as a frozenset of int pairs, each entry read by _exact's integer
+    rule.  A pair names a row m and a user l of an M x L coefficient
+    matrix; an entry that is not an integer, or a pair outside the matrix,
     raises ValueError."""
     if isinstance(mapping, AdmissibleMapping):
-        return mapping.pairs
-    return frozenset((_exact._as_int(m, "mapping pairs"), _exact._as_int(l, "mapping pairs"))
-                     for (m, l) in mapping)
+        mapping = mapping.pairs
+    pairs = frozenset((_exact._as_int(m, "mapping pairs"), _exact._as_int(l, "mapping pairs"))
+                      for (m, l) in mapping)
+    if not all(1 <= m <= M and 1 <= l <= L for m, l in pairs):
+        raise ValueError(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
+    return pairs
 
 
 def all_pairs_mapping(L: int) -> AdmissibleMapping:
@@ -114,11 +112,11 @@ def is_admissible(Atilde, pairs) -> AdmissibleMapping | None:
 
     Decided exactly by cancellation_solves, the same solve as
     simulator.zp_asc_matrix.  Atilde must be an integer matrix (else
-    ValueError) and may have any number of rows; pairs naming no row or no
-    column of it are ignored.
+    ValueError) and may have any number of rows; mapping_pairs refuses a
+    pair naming no row or no column of it.
     """
     rows = _exact.int_rows(Atilde)
-    pairs = mapping_pairs(pairs)
+    pairs = mapping_pairs(pairs, len(rows), len(rows[0]) if rows else 0)
     if any(sol is None for _m, sol in cancellation_solves(rows, pairs)):
         return None
     return AdmissibleMapping(pairs)
@@ -141,10 +139,7 @@ def _lu_walk(A, pivot_order=None):
     L = A.shape[0]
     pi = [0] * L
     if pivot_order is not None:
-        pivot_order = [_exact._as_int(c, "pivot order entries") for c in pivot_order]
-        if sorted(pivot_order) != list(range(L)):
-            raise ValueError(f"pivot order {pivot_order} is not a permutation "
-                             f"of the columns 0..{L - 1}")
+        pivot_order = _exact.int_permutation(pivot_order, 0, L, "pivot order")
 
     def walk(rows, step, d):
         if step == L:
@@ -218,8 +213,12 @@ def _box(ch: ChannelInstance, variances, mapping: AdmissibleMapping,
     """The box of a mapping: user l is capped by the worst of the rows
     mapped to it, and unbounded when none is.  achievable_rate never
     increases with the variance, so this is the least of the rows' rates."""
+    worst = [None] * ch.num_users
+    for m, l in mapping.pairs:
+        if worst[l - 1] is None or variances[m - 1] > worst[l - 1]:
+            worst[l - 1] = variances[m - 1]
     caps = tuple(UNBOUNDED if v is None else achievable_rate(ch.P[l], v)
-                 for l, v in enumerate(mapping.worst_variances(variances, ch.num_users)))
+                 for l, v in enumerate(worst))
     return Box(caps=caps, provenance=provenance)
 
 
@@ -251,18 +250,10 @@ def asc_region(ch: ChannelInstance, Atilde, mapping) -> RateRegionSpec:
 
 
 def _coerce_mapping(A: np.ndarray, mapping) -> AdmissibleMapping:
-    """The mapping's pairs, an AdmissibleMapping or a raw pair set, as
-    is_admissible's answer for A, or ValueError when they are not
-    admissible for A exactly.  A pair naming a user of A but no row of it
-    is an error.
-    """
-    pairs = mapping_pairs(mapping)
-    M, L = A.shape
-    for m, l in pairs:
-        if 1 <= l <= L and not 1 <= m <= M:
-            raise ValueError(f"mapping pair ({m},{l}) names row {m} of a "
-                             f"coefficient matrix with {M} rows")
-    admissible = is_admissible(A, pairs)
+    """is_admissible's answer for A and the mapping (an AdmissibleMapping
+    or a raw pair set), or ValueError when it is not admissible for A
+    exactly."""
+    admissible = is_admissible(A, mapping)
     if admissible is None:
         raise ValueError("mapping is not admissible for this coefficient matrix")
     return admissible
@@ -282,9 +273,7 @@ def mac_region(ch: ChannelInstance) -> RateRegionSpec:
 def sic_rates(ch: ChannelInstance, order) -> tuple[float, ...]:
     """Rate tuple of successive interference cancellation in the given
     decoding order (1-indexed users, first decoded first)."""
-    order = [_exact._as_int(u, "order entries") for u in order]
-    if sorted(order) != list(range(1, ch.num_users + 1)):
-        raise ValueError("order must be a permutation of the users")
+    order = _exact.int_permutation(order, 1, ch.num_users, "order")
     H, P = ch.H, ch.P
     rates = [0.0] * ch.num_users
     for pos, user in enumerate(order):
@@ -310,8 +299,7 @@ class MembershipResult:
 
 
 def membership(ch: ChannelInstance, A, rates, mode: str = "parallel",
-               search_bound: int | None = None,
-               max_candidates: int = 500_000) -> MembershipResult:
+               search_bound: int | None = None) -> MembershipResult:
     """Search bounded integer matrices whose rowspan contains rowspan(A) for a
     box covering the rate tuple.
 
@@ -332,9 +320,8 @@ def membership(ch: ChannelInstance, A, rates, mode: str = "parallel",
     if search_bound is None:
         search_bound = int(math.ceil(math.sqrt(intsearch.entry_bound(ch))))
     count = (2 * search_bound + 1) ** (L * L)
-    if count > max_candidates:
-        raise ValueError(
-            f"{count} candidate matrices exceed max_candidates={max_candidates}")
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"{count} candidate matrices exceed MAX_CANDIDATES={MAX_CANDIDATES}")
     entries = range(-search_bound, search_bound + 1)
     nonzero_users = [l for l in range(L) if rates[l] > _TOL]
     for flat in itertools.product(entries, repeat=L * L):

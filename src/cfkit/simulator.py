@@ -75,7 +75,7 @@ class TrialConfig:
     mode: str  # "parallel" or "successive"
     mapping: frozenset | None = None
     noise_std: float | tuple = 1.0
-    equalizers: str | dict = "optimal"
+    equalizers: str | list = "optimal"  # "optimal", or one entry per row of A
     master_seed: int = 0
     targets: tuple = field(default=(), init=False, repr=False)
     cancellation: tuple | None = field(default=None, init=False, repr=False)
@@ -109,9 +109,7 @@ class TrialConfig:
         if self.mode == "parallel":
             users = [(np.flatnonzero(a % ens.p) + 1).tolist() for a in self.A]
         else:
-            pairs = regions.mapping_pairs(self.mapping)
-            if not all(1 <= m <= M and 1 <= l <= L for m, l in pairs):
-                raise ValueError(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
+            pairs = regions.mapping_pairs(self.mapping, M, L)
             store("cancellation", zp_asc_matrix(self.A, pairs, ens.p))
             users = [[l for row, l in pairs if row == m] for m in range(1, M + 1)]
         store("targets", tuple(_finest_user(ens, row) for row in users))
@@ -203,8 +201,10 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     regions.is_admissible), and each coefficient n/d, in lowest terms, is
     taken to n d^-1 mod p.  Raises "not admissible" at the first row with
     no solution, and only when every row has one, "p too small" at the
-    first denominator that vanishes mod p.  The mapping is checked against
-    Lbar A mod p in int64, so p needs L (p - 1)^2 < 2^63 (far past
+    first denominator that vanishes mod p.  The mapping is read by
+    regions.mapping_pairs, which refuses a pair outside A.  It is checked
+    against Lbar A mod p in int64, and the inverse is found by forward
+    substitution in int64, so p needs L (p - 1)^2 < 2^63 (far past
     lattice.MAX_P); a larger p raises "p too large".
     """
     _zp.require_prime(p)
@@ -213,7 +213,7 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     if L * (p - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"p = {p} too large for {L} rows: L (p - 1)^2 must stay "
                          f"below 2^63")
-    pairs = regions.mapping_pairs(mapping)
+    pairs = regions.mapping_pairs(mapping, L, users)
     sols = list(regions.cancellation_solves(A.tolist(), pairs))
     for m, sol in sols:
         if sol is None:
@@ -233,7 +233,11 @@ def zp_asc_matrix(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
                         for m in range(1, L + 1)], dtype=bool).reshape(L, users)
     if np.any(Lbar @ (A % p) % p * outside):
         raise AssertionError("mod-p cancellation failed to match the mapping")
-    Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)
+    # Lbar is unit lower-triangular, and so is its inverse: row m is e_m
+    # less Lbar[m, :m] times the rows above it, whose entries are below p
+    Lbar_inv = np.eye(L, dtype=np.int64)
+    for m in range(1, L):
+        Lbar_inv[m] = (Lbar_inv[m] - Lbar[m, :m] @ Lbar_inv[:m]) % p
     return Lbar, Lbar_inv
 
 

@@ -152,7 +152,7 @@ def decode_successive(ens: NestedLatticeEnsemble, Y, ch: ChannelInstance, A,
     A = np.atleast_2d(np.asarray(A, dtype=int))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     L = A.shape[0]
-    pairs = mapping_pairs(mapping)
+    pairs = mapping_pairs(mapping, *A.shape)
     Lbar, Lbar_inv = zp_asc_matrix(A, pairs, ens.p)
     if equalizers == "optimal":
         equalizers = successive_equalizers(ch, A, (noise_std,))[0]

@@ -14,7 +14,8 @@ column Hermite form; the square column_hnf_lower they call takes the same
 steps as then), and admissible_witness_oracle with witness_holds_oracle
 are the float witness that is_admissible built and the check that
 regions._coerce_mapping ran on it (before a mapping became its pair set),
-all verbatim.  primitivity_minors_oracle is an independent check: the gcd
+all verbatim but for zp_asc_matrix_oracle's inverse of Lbar, which is now
+the exact integer inverse reduced mod p.  primitivity_minors_oracle is an independent check: the gcd
 of the maximal minors.
 """
 
@@ -147,7 +148,7 @@ def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
     _zp.require_prime(p)
     A = np.atleast_2d(np.asarray(A, dtype=int))
     L, users = A.shape
-    pairs = regions.mapping_pairs(mapping)
+    pairs = regions.mapping_pairs(mapping, L, users)
     rows = [[Fraction(int(v)) for v in row] for row in A.tolist()]
     sols = []
     for m in range(1, L + 1):
@@ -175,8 +176,12 @@ def zp_asc_matrix_oracle(A, mapping, p: int) -> tuple[np.ndarray, np.ndarray]:
         entry = sum(int(Lbar[m - 1, k]) * rows[k][l - 1] for k in range(L))
         if (m, l) not in pairs and entry % p != 0:
             raise AssertionError("mod-p cancellation failed to match the mapping")
-    Lbar_inv = np.array(_zp.inv_mod_p(Lbar.tolist(), p), dtype=np.int64)
-    return Lbar, Lbar_inv
+    # the exact integer inverse of the unitriangular Lbar, reduced mod p
+    inv = [[v % p for v in row] for row in _exact.int_inverse_unimodular(Lbar.tolist())]
+    product = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*inv)]
+               for row in Lbar.tolist()]
+    assert product == np.eye(L, dtype=int).tolist(), "Lbar_inv is not Lbar's inverse mod p"
+    return Lbar, np.array(inv, dtype=np.int64).reshape(L, L)
 
 
 def para_variance_oracle(F: np.ndarray, a: np.ndarray) -> float:

@@ -51,7 +51,7 @@ CASES = [
      lambda x: mac_opt.successive_sum_identity(CH, x, (1, 2)), U, "int64"),
     ("mac_opt.successive_sum_identity-pi",
      lambda x: mac_opt.successive_sum_identity(CH, U, x), (1, 2), "index"),
-    ("regions.mapping_pairs", regions.mapping_pairs, PAIRS, "index"),
+    ("regions.mapping_pairs", lambda x: regions.mapping_pairs(x, 2, 2), PAIRS, "index"),
     ("regions.participation_mapping", regions.participation_mapping, A, "int64"),
     ("regions.is_admissible", lambda x: regions.is_admissible(x, PAIRS), U, "exact"),
     ("regions.lu_mappings_all", regions.lu_mappings_all, A, "int64"),

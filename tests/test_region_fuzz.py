@@ -2,7 +2,8 @@
 a silent stderr, or in exit 2 with one ``error:`` line on stderr and no file
 written, and never in a traceback.  The coefficient matrices may be ragged,
 non-square, of the wrong width or not integral, and the mappings may name
-rows and users the matrix does not have.  Compound runs draw receivers whose
+rows and users the matrix does not have: a file written for such a mapping
+names only pairs inside the matrix.  Compound runs draw receivers whose
 gains may span six decades.  A file whose H, P or compound receiver breaks
 the shape rule exits 2 naming the field."""
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cfkit.cli import main  # noqa: E402
 from test_cli_fuzz import misshapen  # noqa: E402
@@ -24,6 +25,9 @@ _GAINS = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
                    st.floats(-4.0, 4.0, allow_nan=False))
 _BAD_ENTRIES = st.sampled_from([0.5, 2 ** 70, float("inf"), "1", None, [1]])
 _SHAPES = ["square", "short", "tall", "ragged", "wide", "entry"]
+# an admissible mapping plus pairs naming no row or no user of A
+_JUNK_PAIRS = {"H": [[1, 0.7], [0.2, 1.3]], "P": [2, 3], "A": [[1, 1], [0, 1]],
+               "mapping": [[1, 1], [1, 2], [2, 2], [1, 5], [0, 0], [-3, 9]]}
 
 
 @st.composite
@@ -87,30 +91,37 @@ def misshapen_docs(draw):
     return mode, key, doc
 
 
-def _run_region(mode: str, doc: dict) -> tuple[int, list, str]:
-    """Run ``cfkit region`` on doc; return the exit code, the written file
-    names and stderr, after checking that the run ended in exit 0 with a silent
-    stderr or in exit 2 with one ``error:`` line and no file written."""
+def _run_region(mode: str, doc: dict) -> tuple[int, dict, str]:
+    """Run ``cfkit region`` on doc; return the exit code, the written files
+    (name -> text) and stderr, after checking that the run ended in exit 0
+    with a silent stderr or in exit 2 with one ``error:`` line and no file
+    written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "region.json"
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["region", "--mode", mode, "--input", str(path), "--out", tmp])
-        written = sorted(p.name for p in Path(tmp).iterdir() if p != path)
+        written = {p.name: p.read_text() for p in sorted(Path(tmp).iterdir()) if p != path}
     err = err.getvalue()
     if code == 0:
         assert err == "", err
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
-        assert written == [], written
+        assert not written, sorted(written)
     return code, written, err
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(mode=st.sampled_from(["para", "succ", "asc", "mac", "sic"]), doc=region_docs())
+@example(mode="succ", doc=_JUNK_PAIRS)
+@example(mode="asc", doc=_JUNK_PAIRS)
 def test_region_files_end_in_exit_0_or_one_error_line(mode, doc):
-    _run_region(mode, doc)
+    _, written, _ = _run_region(mode, doc)
+    if mode in ("succ", "asc") and written:
+        box = json.loads(written[f"region_{mode}.json"])["boxes"][0]["provenance"]
+        M, L = len(box["Atilde"]), len(box["Atilde"][0])
+        assert all(1 <= m <= M and 1 <= l <= L for m, l in box["mapping"]), box["mapping"]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,14 +1,16 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cfkit import _exact, mac_opt, regions
+from cfkit import _exact, mac_opt, regions, simulator
 from cfkit.core import (UNBOUNDED, ChannelInstance, achievable_rate,
                         effective_matrix, require_full_row_rank,
                         sigma_para_opt, sigma_succ_opt, sum_capacity)
+from cfkit.lattice import build_ensemble
 from cfkit.regions import (AdmissibleMapping, Box, RateRegionSpec, asc_region,
                            all_pairs_mapping, boundary_to_csv, is_admissible,
                            lu_mapping, lu_mappings_all, mac_region, membership,
@@ -21,6 +23,21 @@ from exact_oracle import (admissible_witness_oracle, chained_variance_oracle,
 FIG7 = ChannelInstance(H=[[1.0, 1.5]], P=[7.0, 4.0])
 COMPSUCC = ChannelInstance(H=[[2.0, 1.0, 1.0]], P=[1.0, 1.0, 1.0])
 COMPSUCC_A = np.array([[1, 1, 1], [1, -1, -1], [0, 0, 0]])
+
+# every library entry point that takes a mapping, as (A, call(A, mapping))
+_CH2 = ChannelInstance(H=[[1.0, 0.7], [0.2, 1.3]], P=[2.0, 3.0])
+_TALL = [[1, 0], [1, 1], [0, 1]]  # M = 3 rows, L = 2 users
+_ENS2 = build_ensemble(3, 3, 3.0, [(0, 1), (1, 2)], seed=0)
+MAPPING_ENTRY_POINTS = {
+    "is_admissible": (_TALL, is_admissible),
+    "succ_region": (_TALL, lambda A, mapping: succ_region(_CH2, A, mapping)),
+    "asc_region": (_TALL, lambda A, mapping: asc_region(_CH2, A, mapping)),
+    "successive_mac_assignment": ([[1, 0], [1, 1]], lambda A, mapping:
+                                  mac_opt.successive_mac_assignment(_CH2, A, mapping, (1, 2))),
+    "zp_asc_matrix": (_TALL, lambda A, mapping: simulator.zp_asc_matrix(A, mapping, 3)),
+    "TrialConfig": (_TALL, lambda A, mapping: simulator.TrialConfig(
+        ensemble=_ENS2, ch=_CH2, A=A, mode="successive", mapping=mapping)),
+}
 
 
 class TestParaRegion:
@@ -132,7 +149,7 @@ class TestAdmissibility:
 
 class TestCarriedWitness:
     """_coerce_mapping answers with is_admissible for the mapping's pairs,
-    and refuses pairs that are not admissible or name a missing row."""
+    and refuses pairs that are not admissible or lie outside A."""
 
     def test_near_witness_of_inadmissible_pairs_raises(self):
         # a float witness cleared column 1 of row 2 to 1e-12 relative, but
@@ -148,14 +165,21 @@ class TestCarriedWitness:
         with pytest.raises(ValueError, match="not admissible"):
             _coerce_mapping(np.array([[1, 1], [1, 2]]), frozenset({(1, 1), (2, 2)}))
 
-    def test_pair_naming_a_missing_row_raises(self):
-        A = np.array([[1, 0]])
-        for pairs in ({(1, 1), (2, 1)}, {(0, 2)}):
-            with pytest.raises(ValueError, match="names row"):
-                _coerce_mapping(A, pairs)
-        # a pair naming no user is ignored, as is_admissible ignores it
-        assert _coerce_mapping(A, {(1, 1), (1, 2), (5, 3)}).pairs == \
-            frozenset({(1, 1), (1, 2), (5, 3)})
+    @pytest.mark.parametrize("wrap", [frozenset, AdmissibleMapping])
+    @pytest.mark.parametrize("entry", list(MAPPING_ENTRY_POINTS))
+    @pytest.mark.parametrize("junk", ["row-0", "user-0", "row-past", "user-past"])
+    def test_pair_outside_A_is_refused(self, junk, entry, wrap):
+        # regions.mapping_pairs reads every mapping, raw or an
+        # AdmissibleMapping, and refuses a pair naming no row or no user
+        A, call = MAPPING_ENTRY_POINTS[entry]
+        M, L = len(A), len(A[0])
+        pair = {"row-0": (0, 1), "user-0": (1, 0), "row-past": (M + 1, 1),
+                "user-past": (1, L + 1)}[junk]
+        every = frozenset(itertools.product(range(1, M + 1), range(1, L + 1)))
+        call(A, wrap(every))
+        message = re.escape(f"mapping pairs [m, l] need 1 <= m <= {M} and 1 <= l <= {L}")
+        with pytest.raises(ValueError, match=message):
+            call(A, wrap(every | {pair}))
 
     def test_non_square_matrices(self):
         wide = np.array([[1, 2, 0]])

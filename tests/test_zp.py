@@ -43,21 +43,6 @@ def test_solve_inconsistent():
     assert _zp.solve_mod_p([[1, 1], [1, 1]], [1, 2], 3) is None
 
 
-def test_inverse():
-    rng = np.random.default_rng(1)
-    for p in (3, 5, 7):
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            while True:
-                A = rng.integers(0, p, size=(n, n))
-                if _rank(A.tolist(), p) == n:
-                    break
-            inv = np.array(_zp.inv_mod_p(A.tolist(), p))
-            assert np.array_equal((A @ inv) % p, np.eye(n, dtype=int))
-    with pytest.raises(ValueError):
-        _zp.inv_mod_p([[1, 1], [1, 1]], 3)
-
-
 def _random_matrix(rng, p):
     """A matrix with 0-6 rows and 1-8 columns, entries past [0, p), and
     often a row that is a combination of two others mod p."""

@@ -23,7 +23,7 @@ The commit REV is unpacked by `git archive` into a temporary directory
   and no mapping (every pair), its nonzero support, or that support less
   one pair of a later row, so that some are not admissible.  About one
   channel in ten (one with a mapping in seven) adds a pair outside A, which
-  `region --mode succ|asc` must refuse.  Some `search` runs take an
+  `region --mode para|succ|asc` must refuse.  Some `search` runs take an
   integer `--bound`.  `region --mode compound` is left out:
   its files print floats in full, whose last bits depend on the host's
   BLAS kernel.

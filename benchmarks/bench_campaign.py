@@ -24,14 +24,15 @@ the counts do not depend on the seed or the host.
 
 Last, it splits one `cfkit simulate` call on each workload config (a new
 master seed per repeat, the file in a temporary directory) into the pieces
-that `cli.cmd_simulate` runs once per call, and prints each piece's median
+that `cli.main` runs once per simulate call, and prints each piece's median
 ms: the config read and ensemble (`cli._load_json` and
 `cli._campaign_from`), `TrialConfig`, the first equalizer build (the
 config's `level_equalizers`), the block stages (`run_campaign` with the
 equalizers built), the report and CSV text
-(`cli._report_files`) and the two file writes, each output unlinked before
-the timed write, as perfbench/run.py does before every call.  It prints
-the median of the whole `cli.main` call beside them.
+(`cli._report_files`) and the two file writes (`Path.write_text`, as
+`cli.main` makes them), each output unlinked before the timed write, as
+perfbench/run.py does before every call.  It prints the median of the
+whole `cli.main` call beside them.
 
 Usage: python3 benchmarks/bench_campaign.py [--repeats N]
 """
@@ -164,8 +165,7 @@ def call_pieces(path: Path, out: Path) -> list:
     files = timed(times, cli._report_files, config, trials, results)
     for name in files:
         (out / name).unlink(missing_ok=True)
-    with contextlib.redirect_stdout(io.StringIO()):
-        timed(times, lambda: [cli._write(out / name, text) for name, text in files.items()])
+    timed(times, lambda: [(out / name).write_text(text) for name, text in files.items()])
     return times
 
 

@@ -59,7 +59,8 @@ def tree_nodes(table, queries, gamma, step=64):
     tol = _kernels.TIE_REL * max(1.0, gamma * gamma)
     nodes = 0
     for i in range(0, len(queries), step):
-        _, diffs = _kernels._round(table.values, queries[i:i + step], gamma, tol)
+        _, diffs = _kernels._round(table.values[:, None], queries[i:i + step].T[:, None, :],
+                                   gamma, tol)
         nodes += _kernels._tree_shortlist(table, diffs * diffs, gamma, tol)[2]
     return nodes
 

@@ -8,14 +8,23 @@ Exit codes: 0 success, 1 verification failure, 2 input error.  Computed
 values print with six decimal places, except report.json's rate_estimate,
 ci_low, ci_high and mean_power_per_user and compound_points.json's numbers,
 which print floats in full; runs with identical inputs and seeds produce
-byte-identical files.  CFKIT_OUTDIR sets the default output directory.
+byte-identical files.
 
-main is the one place that turns an exception into exit 2 with a single
-"error: <message>" line on stderr.  It catches InputError (raised here with
-a message of its own), ValueError (numpy's LinAlgError and undecodable input
-among them), ArithmeticError, RuntimeError (searches that exhaust their box
-or node budget) and OSError (unreadable input, unwritable --out).  Any other
-exception is a fault of the program and ends in a traceback.
+main is the one place that touches the file system.  It reads the command's
+JSON document (--input, or simulate's --config) and calls the command with
+it; a command returns its exit code, its files (name -> text, in writing
+order) and the text it prints.  Only then does main create --out (default
+CFKIT_OUTDIR, else the working directory), write each file, print "wrote
+<path>" for it and print the command's text.  So a run that fails leaves
+no output directory behind.
+
+main is also the one place that turns an exception into exit 2 with a
+single "error: <message>" line on stderr.  It catches InputError (raised
+here with a message of its own), ValueError (numpy's LinAlgError and
+undecodable input among them), ArithmeticError, RuntimeError (searches that
+exhaust their box or node budget) and OSError (unreadable input, unwritable
+--out).  Any other exception is a fault of the program and ends in a
+traceback.
 
 Every JSON field is read by _array, through _field where the field may be
 missing: one shape-and-number rule turns a value into a nonempty array with
@@ -131,18 +140,6 @@ def _mapping_from(doc: dict):
         return None
     pairs = _field(doc, "mapping", "a list of [m, l] pairs", (None, 2), integer=True)
     return frozenset(map(tuple, pairs.tolist()))
-
-
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("CFKIT_OUTDIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write(path: Path, text: str):
-    path.write_text(text)
-    print(f"wrote {path}")
 
 
 def _fmt(x: float) -> str:
@@ -282,12 +279,10 @@ def _succ_mac_spec(ch: ChannelInstance, sic: regions.RateRegionSpec) -> regions.
     return regions.RateRegionSpec(L=ch.num_users, boxes=boxes)
 
 
-def cmd_region(args) -> int:
-    doc = _load_json(args.input)
-    out = _outdir(args)
+def cmd_region(args, doc: dict) -> tuple[int, dict, str]:
     mode = args.mode
     if mode == "compound":
-        return _cmd_region_compound(doc, out)
+        return _cmd_region_compound(doc)
     ch = _channel_from(doc)
     if mode in ("para", "succ", "asc"):
         key = "A" if doc.get("Atilde") is None else "Atilde"
@@ -295,10 +290,12 @@ def cmd_region(args) -> int:
         if A.shape[1] != ch.num_users:
             raise InputError(f"coefficient matrix has {A.shape[1]} columns "
                              f"for {ch.num_users} users")
+        mapping = _mapping_from(doc)
     if mode == "para":
+        if mapping is not None:  # checked, though the parallel box uses none
+            regions.mapping_pairs(mapping, *A.shape)
         spec = regions.para_region(ch, A)
     elif mode in ("succ", "asc"):
-        mapping = _mapping_from(doc)
         if mapping is None:  # every row serves every user
             mapping = frozenset(itertools.product(range(1, A.shape[0] + 1),
                                                   range(1, ch.num_users + 1)))
@@ -312,26 +309,18 @@ def cmd_region(args) -> int:
     if ch.num_users == 2 and not any(UNBOUNDED in b.caps for b in spec.boxes):
         verts = regions.region_2d([spec], "intersect")
         files[f"region_{mode}_boundary.csv"] = regions.boundary_to_csv(verts)
-    for name, text in files.items():
-        _write(out / name, text)
-    return 0
+    return 0, files, ""
 
 
-def _cmd_region_compound(doc: dict, out: Path) -> int:
-    P = _field(doc, "P", "a list of numbers", (None,))
+def _cmd_region_compound(doc: dict) -> tuple[int, dict, str]:
+    """cmd_region's compound mode: every output file, in writing order."""
+    P =_field(doc, "P", "a list of numbers", (None,))
     receivers, what = doc.get("H"), "a list of matrices, one per receiver"
     if type(receivers) is not list or not receivers:
         raise InputError("missing field 'H'" if receivers is None else f"field 'H' must be {what}")
     channels = [_channel(_array(H, "H", what, (None, None)), P) for H in receivers]
     if any(ch.num_users != 2 for ch in channels):
         raise InputError("compound mode supports exactly two users")
-    for name, text in _compound_files(channels).items():
-        _write(out / name, text)
-    return 0
-
-
-def _compound_files(channels) -> dict:
-    """File name -> text of every compound-mode output, in writing order."""
     panels = {}
     points = {}
     macs, sics, succs = [], [], []
@@ -361,13 +350,11 @@ def _compound_files(channels) -> dict:
         files[f"compound_{name}.csv"] = regions.boundary_to_csv(verts)
     files["compound_points.json"] = json.dumps(points, sort_keys=True, indent=2,
                                                default=float) + "\n"
-    return files
+    return 0, files, ""
 
 
-def cmd_search(args) -> int:
-    doc = _load_json(args.input)
+def cmd_search(args, doc: dict) -> tuple[int, dict, str]:
     ch = _channel_from(doc)
-    out = _outdir(args)
     box = {}  # dominant_solution's own max_radius under --bound auto
     if args.bound != "auto":
         try:
@@ -390,9 +377,7 @@ def cmd_search(args) -> int:
                "A_star": dom.A_star.tolist(),
                "norms_squared": [round(float(v) ** 2, 6) for v in dom.norms],
                "rows": rows}
-    _write(out / "search.json", _search_json(payload))
-    print(f"dominant solution: {dom.A_star.tolist()}")
-    return 0
+    return 0, {"search.json": _search_json(payload)}, f"dominant solution: {dom.A_star.tolist()}"
 
 
 def _mac_payload(ch: ChannelInstance) -> dict:
@@ -415,12 +400,9 @@ def _mac_payload(ch: ChannelInstance) -> dict:
             "sum_rate": totals[:K], "gap": totals[K:-1], "sum_capacity": totals[-1]}
 
 
-def cmd_mac(args) -> int:
-    doc = _load_json(args.input)
+def cmd_mac(args, doc: dict) -> tuple[int, dict, str]:
     ch = _channel_from(doc)
-    out = _outdir(args)
     payload = _mac_payload(ch)
-    _write(out / "mac_assignments.json", _mac_json(payload))
     # each value as _fmt writes it: "%.6f" % x == f"{x:.6f}"
     strategy = payload["strategy"]
     rate_fmt = " ".join(["%.6f"] * ch.num_users)
@@ -428,8 +410,8 @@ def cmd_mac(args) -> int:
                  % tuple(itertools.chain.from_iterable(payload["rates"]))).split("\n")
     rows = "\n%-11s %-30s %9.6f %9.6f" * len(strategy) % tuple(itertools.chain.from_iterable(
         zip(strategy, rate_text, payload["sum_rate"], payload["gap"])))
-    print(f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}" + rows)
-    return 0
+    return (0, {"mac_assignments.json": _mac_json(payload)},
+            f"{'strategy':<11} {'rates':<30} {'sum':>9} {'gap':>9}" + rows)
 
 
 def _ensemble_from(doc: dict) -> lattice.NestedLatticeEnsemble:
@@ -519,17 +501,12 @@ def _report_files(config: simulator.TrialConfig, trials: int, results: list) -> 
     return {"report.json": _report_json(payload), "report.csv": "\n".join(csv_lines) + "\n"}
 
 
-def cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
-    out = _outdir(args)
+def cmd_simulate(args, doc: dict) -> tuple[int, dict, str]:
     fields, trials = _campaign_from(doc)
     config = simulator.TrialConfig(**fields)
     results = simulator.run_campaign(config, trials)
-    for name, text in _report_files(config, trials, results).items():
-        _write(out / name, text)
     total_errors = sum(c["errors"] for r in results for c in r["combinations"])
-    print(f"total errors: {total_errors}")
-    return 0
+    return 0, _report_files(config, trials, results), f"total errors: {total_errors}"
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +595,7 @@ def _verify_identities(seed: int):
             L = int(rng.integers(2, 4))
             ch = _random_channel(rng, L=L)
             asg = mac_opt.parallel_mac_assignment(ch)
-            bound = 0.5 * L * np.log2(L)
+            bound = mac_opt.parallel_gap_bound(L)
             assert asg.gap_to_capacity <= bound + 1e-9, \
                 f"gap {asg.gap_to_capacity:.4f} above {bound:.4f}"
 
@@ -704,7 +681,7 @@ def _verify_lattice(seed: int):
         ("codebook cardinality p^(kF-kC)", codebook_size)])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, doc=None) -> tuple[int, dict, str]:
     if args.seed < 0:
         raise InputError(f"--seed must be an integer >= 0, got {args.seed}")
     checks = []
@@ -712,15 +689,10 @@ def cmd_verify(args) -> int:
         checks += _verify_identities(args.seed)
     if args.suite in ("lattice", "all"):
         checks += _verify_lattice(args.seed)
-    failures = 0
-    for name, err in checks:
-        if err is None:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {err}")
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 1 if failures else 0
+    lines = [f"PASS {name}" if err is None else f"FAIL {name}: {err}" for name, err in checks]
+    failures = sum(err is not None for _name, err in checks)
+    lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
+    return 1 if failures else 0, {}, "\n".join(lines)
 
 
 @functools.cache
@@ -748,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mac)
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo campaign")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, dest="input", metavar="CONFIG")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 
@@ -762,7 +734,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        doc = _load_json(args.input) if "input" in args else None
+        code, files, text = args.fn(args, doc)
+        if files:
+            out = Path(args.out or os.environ.get("CFKIT_OUTDIR") or ".")
+            out.mkdir(parents=True, exist_ok=True)
+            for name, body in files.items():
+                (out / name).write_text(body)
+                print(f"wrote {out / name}")
+        if text:
+            print(text)
+        return code
     except (InputError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,6 +116,12 @@ def _assignments(table: _Table, cap: float) -> list[MacAssignment]:
                 table.rates.tolist(), table.sums.tolist())]
 
 
+def parallel_gap_bound(L: int) -> float:
+    """(L/2) log2 L: how far below the sum capacity an L-user parallel
+    assignment's sum rate may lie."""
+    return 0.5 * L * log2_plus(L)
+
+
 def _parallel_table(ch: ChannelInstance) -> _Table:
     """The parallel table in one array pass over the pivot orders of the
     dominant solution a* (its shared mappings).
@@ -152,7 +158,7 @@ def _parallel_table(ch: ChannelInstance) -> _Table:
     capped = rate_at[np.array([(2 * L * (l - 1) + pi[l - 1] - 1, 2 * L * (l - 1) + L + m - 1)
                                for mapping, pi in dominant for m, l in mapping.pairs])]
     above = capped[:, 0] > capped[:, 1]
-    bound = 0.5 * L * log2_plus(L) + 1e-9
+    bound = parallel_gap_bound(L) + 1e-9
     # cap - s never grows with s, so the least sum has the largest gap
     if np.logical_or.reduce(above) or cap - np.fmin.reduce(sums) > bound:
         orders = np.array([k for k, mapping in enumerate(mappings) for _pair in mapping.pairs])

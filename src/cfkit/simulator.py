@@ -59,15 +59,16 @@ class TrialConfig:
     """A campaign: one channel, coefficient matrix, mode, mapping and
     equalizers, run at each level of noise_std, a number (kept as a float)
     or a non-empty sequence (kept as a tuple of floats), and everything its
-    trials share.  The levels are checked, and the rest that does not depend
-    on the level is found once here: `targets[m]`, the user whose fine
-    lattice quantizes row m (_finest_user; None when the row has none), and
-    in successive mode `cancellation`, the mapping's Z_p cancellation matrix
-    and its inverse (zp_asc_matrix, which checks the mapping against A and
-    p).  Each level's equalizers are built on first use
-    (level_equalizers).  The config is frozen and holds a read-only copy of
-    A, so none of these can go stale: a changed campaign is a new config
-    (dataclasses.replace)."""
+    trials share.  The levels are checked, a given mapping is read by
+    regions.mapping_pairs in either mode (parallel mode uses none), and the
+    rest that does not depend on the level is found once here:
+    `targets[m]`, the user whose fine lattice quantizes row m (_finest_user;
+    None when the row has none), and in successive mode `cancellation`, the
+    mapping's Z_p cancellation matrix and its inverse (zp_asc_matrix, which
+    checks the mapping against A and p).  Each level's equalizers are built
+    on first use (level_equalizers).  The config is frozen and holds a
+    read-only copy of A, so none of these can go stale: a changed campaign
+    is a new config (dataclasses.replace)."""
 
     ensemble: NestedLatticeEnsemble
     ch: ChannelInstance
@@ -106,10 +107,10 @@ class TrialConfig:
         if self.ensemble.num_users != self.ch.num_users:
             raise ValueError("ensemble and channel disagree on user count")
         ens, (M, L) = self.ensemble, self.A.shape
+        pairs = None if self.mapping is None else regions.mapping_pairs(self.mapping, M, L)
         if self.mode == "parallel":
             users = [(np.flatnonzero(a % ens.p) + 1).tolist() for a in self.A]
         else:
-            pairs = regions.mapping_pairs(self.mapping, M, L)
             store("cancellation", zp_asc_matrix(self.A, pairs, ens.p))
             users = [[l for row, l in pairs if row == m] for m in range(1, M + 1)]
         store("targets", tuple(_finest_user(ens, row) for row in users))

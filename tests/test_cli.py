@@ -100,6 +100,25 @@ class TestRegion:
             reports.append((tmp_path / "region_succ.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_para_mode_checks_a_given_mapping(self, tmp_path, capsys):
+        # README campaign's channel: a pair outside A is refused as in
+        # succ/asc mode, and an in-range mapping is read and not used
+        doc = {"H": [[1, 1], [1, 2]], "P": [1.0, 1.0], "A": [[1, 1], [1, 2]]}
+        reports = []
+        for mapping in (None, [[1, 1]], [[9, 9], [0, 0]]):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(dict(doc, mapping=mapping)))
+            out = tmp_path / f"out{len(reports)}"
+            code = run(["region", "--input", path, "--mode", "para", "--out", out])
+            if mapping == [[9, 9], [0, 0]]:
+                assert_input_error(code, capsys,
+                                   "mapping pairs [m, l] need 1 <= m <= 2 and 1 <= l <= 2")
+                assert not out.exists()
+            else:
+                assert code == 0
+                reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert reports[0] == reports[1] and "region_para.json" in reports[0]
+
     def test_missing_A_for_para_is_input_error(self, fig7_input, tmp_path):
         assert run(["region", "--input", fig7_input, "--mode", "para",
                     "--out", tmp_path]) == 2
@@ -175,17 +194,9 @@ class TestMac:
         assert succ and all(e["sum_rate"] == out["sum_capacity"] for e in succ)
 
 
-# Commands run on channels whose exact work overflows or is ill-conditioned,
-# with the report each would write.
-_OVERFLOW_RUNS = [
-    (["mac"], "mac_assignments.json"),
-    (["search"], "search.json"),
-    (["region", "--mode", "para"], "region_para.json"),
-    (["region", "--mode", "succ"], "region_succ.json"),
-    (["region", "--mode", "asc"], "region_asc.json"),
-    (["region", "--mode", "mac"], "region_mac.json"),
-    (["region", "--mode", "sic"], "region_sic.json"),
-]
+# Commands run on channels whose exact work overflows or is ill-conditioned.
+_OVERFLOW_RUNS = [["mac"], ["search"], *(["region", "--mode", mode]
+                                         for mode in ("para", "succ", "asc", "mac", "sic"))]
 
 # Three users a million times stronger than the fourth: the search would
 # visit a ball of about 575,000 points on their plane, and more than a
@@ -219,58 +230,60 @@ _WIDE_GAINS = [0.0025322789496672257, 404.172447150663]
 _WIDE_POWERS = [0.11459278121198337, 0.41364925345864595]
 
 
-@pytest.mark.parametrize("argv,doc,message,report", [
-    (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power",
-     "mac_assignments.json"),
+@pytest.mark.parametrize("argv,doc,message", [
+    (["mac"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power"),
     (["mac"], {"H": [[1, 1.5, 2, 0.5, 1.2]], "P": [1] * 5},
-     "exact enumeration capped at 4 users", "mac_assignments.json"),
-    (["mac"], {"H": [[1e12, 1]], "P": [1, 1]}, "enumeration exhausted at radius 64",
-     "mac_assignments.json"),
+     "exact enumeration capped at 4 users"),
+    *[([command], {"H": [[1e12, 1]], "P": [1, 1]}, "enumeration exhausted at radius 64")
+      for command in ("mac", "search")],
     (["mac"], {"H": [[1e12, 1, 1, 1]], "P": [1, 1, 1, 1]},
-     "enumeration exhausted at radius 64", "mac_assignments.json"),
-    *[([command], _NEAR_SINGULAR, "enumeration stopped at 1000000 nodes", report)
-      for command, report in (("search", "search.json"), ("mac", "mac_assignments.json"))],
-    (["search"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power", "search.json"),
+     "enumeration exhausted at radius 64"),
+    *[([command], _NEAR_SINGULAR, "enumeration stopped at 1000000 nodes")
+      for command in ("search", "mac")],
+    (["search"], {"H": [[1, 1.5]], "P": [1, 0]}, "user 2 has zero power"),
     (["region", "--mode", "para"], {"H": [[1, 1.5]], "P": [1, 0], "A": [[1, 1], [1, 2]]},
-     "user 2 has zero power", "region_para.json"),
+     "user 2 has zero power"),
     *[(argv, {"H": [[1e200, 1]], "P": [1, 1], "A": [[1, 0], [0, 1]]},
-       "channel overflows", report) for argv, report in _OVERFLOW_RUNS],
+       "channel overflows") for argv in _OVERFLOW_RUNS],
     *[(argv, {"H": [[1e15, 1e15]], "P": [1, 1], "A": [[1, 1], [1, 2]]},
-       "inconsistent Gram matrix", report) for argv, report in _OVERFLOW_RUNS[:5]],
+       "inconsistent Gram matrix") for argv in _OVERFLOW_RUNS[:5]],
     (["region", "--mode", "compound"], {"H": [[[1e15, 1e15]], [[1, 2]]], "P": [1, 1]},
-     "inconsistent Gram matrix", "compound_rx1_mac.csv"),
+     "inconsistent Gram matrix"),
     (["region", "--mode", "compound"], {"H": [[[1, 2]], [_WIDE_GAINS]], "P": _WIDE_POWERS},
-     "enumeration exhausted at radius 64", "compound_rx1_mac.csv"),
+     "enumeration exhausted at radius 64"),
     (["region", "--mode", "succ"], {"H": [[1, 1]], "P": [1, 1],
                                      "A": [[10 ** 12, 1], [10 ** 12 + 1, 1]],
                                      "mapping": [[1, 1], [1, 2]]},
-     "mapping is not admissible", "region_succ.json"),
+     "mapping is not admissible"),
+    (["region", "--mode", "succ"], {"H": [[1, 0.7], [0.2, 1.3]], "P": [2, 3],
+                                     "A": [[1, 1], [0, 1]], "mapping": [[1, 1], [1, 5]]},
+     "mapping pairs [m, l] need 1 <= m <= 2 and 1 <= l <= 2"),
     (["mac"], _ILL_CONDITIONED_3_USERS,
-     "successive sum rate misses the sum capacity by 1.26e-08", "mac_assignments.json"),
+     "successive sum rate misses the sum capacity by 1.26e-08"),
     # rows 1 and 2 are exactly independent but numerically parallel
     (["region", "--mode", "succ"], {"H": [[1, 2, 0.5]], "P": [1, 1, 1],
                                      "A": [[10 ** 12, 1, 0], [10 ** 12 + 1, 1, 0], [0, 0, 1]]},
-     "A_prev must have full row rank", "region_succ.json"),
-    *[(["mac"], doc, message, "mac_assignments.json") for doc, message in _MISSHAPEN],
-    (_COMPOUND, {"H": [[[1, 2]]]}, "missing field 'P'", "compound_rx1_mac.csv"),
-    (_COMPOUND, {"H": [[[1, 2]], 5], "P": [1, 1]}, "field 'H' must be a list of matrices",
-     "compound_rx1_mac.csv"),
-], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "mac-4-users-box-cap",
-        "search-node-budget", "mac-node-budget",
+     "A_prev must have full row rank"),
+    *[(["mac"], doc, message) for doc, message in _MISSHAPEN],
+    (_COMPOUND, {"H": [[[1, 2]]]}, "missing field 'P'"),
+    (_COMPOUND, {"H": [[[1, 2]], 5], "P": [1, 1]}, "field 'H' must be a list of matrices"),
+], ids=["mac-zero-power", "mac-5-users", "mac-exhausted", "search-exhausted",
+        "mac-4-users-box-cap", "search-node-budget", "mac-node-budget",
         "search-zero-power", "region-para-zero-power",
-        *[f"{'-'.join(a[::2])}-overflow" for a, _ in _OVERFLOW_RUNS],
-        *[f"{'-'.join(a[::2])}-ill-conditioned" for a, _ in _OVERFLOW_RUNS[:5]],
+        *[f"{'-'.join(a[::2])}-overflow" for a in _OVERFLOW_RUNS],
+        *[f"{'-'.join(a[::2])}-ill-conditioned" for a in _OVERFLOW_RUNS[:5]],
         "region-compound-ill-conditioned", "region-compound-exhausted",
-        "region-succ-borderline-mapping",
+        "region-succ-borderline-mapping", "region-succ-pair-outside-A",
         "mac-sum-identity-miss", "region-succ-rank-refusal",
         "mac-H-scalar", "mac-H-string", "mac-strings", "mac-H-vector", "mac-P-matrix",
         "mac-P-null", "region-compound-no-P", "region-compound-scalar-receiver"])
-def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message, report):
+def test_library_errors_are_input_errors(tmp_path, capsys, argv, doc, message):
+    # --out does not exist yet, and a run that fails must not create it
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))
-    code = run(argv + ["--input", path, "--out", tmp_path])
+    code = run(argv + ["--input", path, "--out", tmp_path / "out"])
     assert_input_error(code, capsys, message)
-    assert not (tmp_path / report).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["channel.json"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -292,6 +305,19 @@ def test_unusable_arguments_are_input_errors(tmp_path, capsys, argv, message):
     code = run([a.format(tmp=tmp_path) for a in argv])
     assert_input_error(code, capsys, message)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_cfkit_outdir_is_the_default_and_out_takes_precedence(fig7_input, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("CFKIT_OUTDIR", str(tmp_path / "env"))
+    assert run(["search", "--input", fig7_input]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {tmp_path / 'env' / 'search.json'}"
+    assert sorted(p.name for p in (tmp_path / "env").iterdir()) == ["search.json"]
+    (tmp_path / "env" / "search.json").unlink()
+    assert run(["search", "--input", fig7_input, "--out", tmp_path / "flag"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {tmp_path / 'flag' / 'search.json'}"
+    assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == ["search.json"]
+    assert not any((tmp_path / "env").iterdir())
 
 
 class TestSimulate:
@@ -415,6 +441,23 @@ class TestSimulate:
         assert_input_error(run(["simulate", "--config", cfg, "--out", tmp_path]),
                            capsys, message)
         assert not (tmp_path / "report.json").exists()
+
+    def test_parallel_mode_checks_a_given_mapping(self, tmp_path, capsys):
+        # a pair outside A is refused as in successive mode, and an
+        # in-range mapping is read and not used
+        reports = []
+        for mapping in (None, [[1, 1]], [[9, 9], [0, 0]]):
+            cfg = self.config(tmp_path, noise_std=[0.5], mapping=mapping)
+            out = tmp_path / f"out{len(reports)}"
+            code = run(["simulate", "--config", cfg, "--out", out])
+            if mapping == [[9, 9], [0, 0]]:
+                assert_input_error(code, capsys,
+                                   "mapping pairs [m, l] need 1 <= m <= 2 and 1 <= l <= 2")
+                assert not out.exists()
+            else:
+                assert code == 0
+                reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert reports[0] == reports[1] and sorted(reports[0]) == ["report.csv", "report.json"]
 
     @pytest.mark.parametrize("mode,equalizers", [
         ("parallel", {"0": [1, 0], "1": [0, 1]}),

@@ -1,6 +1,7 @@
 """Random channel files through ``cfkit mac`` and ``cfkit search``: every run
-ends in exit 0 with a silent stderr, or in exit 2 with one ``error:`` line on
-stderr, and never in a traceback.  A file whose H or P breaks the shape rule
+ends in exit 0 with a silent stderr and the command's file in --out, or in
+exit 2 with one ``error:`` line on stderr and no --out directory, and never
+in a traceback.  A file whose H or P breaks the shape rule
 (H a list of rows of numbers, P a list of numbers) exits 2 naming it."""
 
 import contextlib
@@ -60,16 +61,26 @@ def misshapen_docs(draw):
     return key, doc
 
 
+_FILES = {"mac": ["mac_assignments.json"], "search": ["search.json"]}
+
+
 def _run(command: str, doc: dict) -> tuple[int, str]:
+    """Exit code and stderr of the command on doc, run with an --out that
+    does not exist yet, after checking that --out holds exactly the
+    command's file after exit 0 and is absent after exit 2."""
     # A small node budget keeps each run short.  Searches past it end in the
     # node-budget input error, a one-line exit 2.
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(intsearch, "MAX_SEARCH_NODES", 20_000):
-        path = Path(tmp) / "channel.json"
+        path, out = Path(tmp) / "channel.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--input", str(path), "--out", tmp])
+            code = main([command, "--input", str(path), "--out", str(out)])
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == _FILES[command]
+        else:
+            assert not out.exists(), sorted(p.name for p in out.iterdir())
     return code, err.getvalue()
 
 

@@ -1,11 +1,13 @@
 """Random input files through ``cfkit region``: every run ends in exit 0 with
-a silent stderr, or in exit 2 with one ``error:`` line on stderr and no file
-written, and never in a traceback.  The coefficient matrices may be ragged,
-non-square, of the wrong width or not integral, and the mappings may name
-rows and users the matrix does not have: a file written for such a mapping
-names only pairs inside the matrix.  Compound runs draw receivers whose
-gains may span six decades.  A file whose H, P or compound receiver breaks
-the shape rule exits 2 naming the field."""
+a silent stderr and exactly the files it reports in --out, or in exit 2 with
+one ``error:`` line on stderr and no --out directory, and never in a
+traceback.  The coefficient matrices may be ragged, non-square, of the
+wrong width or not integral, and the mappings may name rows and users the
+matrix does not have: such a mapping exits 2 in every mode that reads A,
+and a file written for a mapping names only pairs inside the matrix.
+Compound runs draw receivers whose gains may span six decades.  A file
+whose H, P or compound receiver breaks the shape rule exits 2 naming the
+field."""
 
 import contextlib
 import io
@@ -92,24 +94,29 @@ def misshapen_docs(draw):
 
 
 def _run_region(mode: str, doc: dict) -> tuple[int, dict, str]:
-    """Run ``cfkit region`` on doc; return the exit code, the written files
-    (name -> text) and stderr, after checking that the run ended in exit 0
-    with a silent stderr or in exit 2 with one ``error:`` line and no file
-    written."""
+    """Run ``cfkit region`` on doc with an --out that does not exist yet;
+    return the exit code, the written files (name -> text) and stderr,
+    after checking that the run ended in exit 0 with a silent stderr and
+    --out holding exactly the files it reported writing, its main file
+    among them, or in exit 2 with one ``error:`` line and no --out."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "region.json"
+        path, out = Path(tmp) / "region.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["region", "--mode", mode, "--input", str(path), "--out", tmp])
-        written = {p.name: p.read_text() for p in sorted(Path(tmp).iterdir()) if p != path}
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            code = main(["region", "--mode", mode, "--input", str(path), "--out", str(out)])
+        written = {p.name: p.read_text() for p in out.iterdir()} if out.exists() else None
     err = err.getvalue()
     if code == 0:
         assert err == "", err
+        reported = [line.removeprefix(f"wrote {out}/") for line in stdout.getvalue().splitlines()]
+        assert sorted(reported) == sorted(written), (reported, sorted(written))
+        main_file = "compound_points.json" if mode == "compound" else f"region_{mode}.json"
+        assert main_file in written, sorted(written)
     else:
         assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), err
-        assert not written, sorted(written)
-    return code, written, err
+        assert written is None, sorted(written)
+    return code, written or {}, err
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -117,7 +124,11 @@ def _run_region(mode: str, doc: dict) -> tuple[int, dict, str]:
 @example(mode="succ", doc=_JUNK_PAIRS)
 @example(mode="asc", doc=_JUNK_PAIRS)
 def test_region_files_end_in_exit_0_or_one_error_line(mode, doc):
-    _, written, _ = _run_region(mode, doc)
+    code, written, _ = _run_region(mode, doc)
+    rows, users = len(doc["A"]), len(doc["A"][0])
+    if mode in ("para", "succ", "asc") and any(
+            not (1 <= m <= rows and 1 <= l <= users) for m, l in doc.get("mapping", [])):
+        assert code == 2, "a mapping pair outside A ran"
     if mode in ("succ", "asc") and written:
         box = json.loads(written[f"region_{mode}.json"])["boxes"][0]["provenance"]
         M, L = len(box["Atilde"]), len(box["Atilde"][0])

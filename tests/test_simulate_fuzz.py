@@ -1,6 +1,7 @@
 """Random campaign files through ``cfkit simulate``: every run ends in exit 0
-with a report, or in exit 2 with one ``error:`` line on stderr, and never in
-a traceback.  In the ensemble's integer fields and in the equalizers, an
+with a report, or in exit 2 with one ``error:`` line on stderr and no --out
+directory, and never in a traceback.  A mapping pair outside A exits 2 in
+either mode.  In the ensemble's integer fields and in the equalizers, an
 integral float reads as its integer, and a fraction (in an integer field)
 or a string exits 2 naming the field.  A gamma anywhere in the float range
 gives a report whose powers are finite, or exit 2 naming gamma's range."""
@@ -55,28 +56,37 @@ def campaign_docs(draw):
         "trials": draw(st.integers(1, 12)),
         "master_seed": draw(st.integers(0, 2 ** 64 - 1)),
     }
-    if doc["mode"] == "successive" and draw(st.booleans()):
+    if draw(st.booleans()):
         doc["mapping"] = [[m + 1, l + 1] for m in range(rows + 1) for l in range(users)
                           if draw(st.booleans()) and (m < rows or draw(st.booleans()))]
     return doc
 
 
 def _simulate(doc: dict) -> tuple[int, str, bytes | None]:
-    """Exit code, stderr and report.json of ``cfkit simulate`` on doc."""
+    """Exit code, stderr and report.json of ``cfkit simulate`` on doc, run
+    with an --out that does not exist yet, after checking that --out holds
+    exactly report.json and report.csv after exit 0 and is absent after
+    exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "campaign.json"
+        path, out = Path(tmp) / "campaign.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["simulate", "--config", str(path), "--out", tmp])
-        report = Path(tmp) / "report.json"
-        return code, err.getvalue(), report.read_bytes() if report.exists() else None
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json"]
+            return code, err.getvalue(), (out / "report.json").read_bytes()
+        assert not out.exists(), sorted(p.name for p in out.iterdir())
+        return code, err.getvalue(), None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(doc=campaign_docs())
 def test_campaign_files_end_in_exit_0_or_one_error_line(doc):
     code, err, report = _simulate(doc)
+    rows, users = len(doc["A"]), len(doc["A"][0])
+    if any(not (1 <= m <= rows and 1 <= l <= users) for m, l in doc.get("mapping", [])):
+        assert code == 2, "a mapping pair outside A ran"  # in either mode
     if code == 0:
         assert err == "", err
         results = json.loads(report)["results"]

@@ -14,7 +14,11 @@ The commit REV is unpacked by `git archive` into a temporary directory
   one pair of a later row left out, so that some configs need a Z_p
   cancellation and some exit 2.  About one config in ten (one successive
   config in five) adds a pair that names no row or no user of A, which
-  keeps the refusal of such a pair in the differential;
+  keeps the refusal of such a pair in the differential.  About one
+  parallel config in three carries a mapping too, A's nonzero support,
+  with a pair outside A in one of those in four: parallel decoding uses
+  no mapping but must refuse such a pair.  These mappings come from a
+  generator of their own, so that the other configs keep their draws;
 - `verify --suite all` at seeds 0-3;
 - COUNT seeded random channels, each run through `search`, `mac` and
   `region --mode para|succ|asc|mac|sic`: 1-4 users, 1-3 antennas, and
@@ -97,8 +101,9 @@ def _outside_pair(rng, M: int, L: int) -> list:
     return [[0, l], [m, 0], [M + 1, l], [m, L + 1]][int(rng.integers(0, 4))]
 
 
-def campaign(rng) -> dict:
-    """One random simulate config."""
+def campaign(rng, maps) -> dict:
+    """One random simulate config; `maps` draws the mapping of a parallel
+    config."""
     p = int(rng.choice([2, 3, 5, 7]))
     n = int(rng.integers(2, 9))
     cap = MAX_CODEWORDS if rng.random() < 0.1 else 3000
@@ -129,6 +134,11 @@ def campaign(rng) -> dict:
             pairs.pop(int(rng.choice(later)))
         if rng.random() < 0.2:
             pairs.append(_outside_pair(rng, M, L))
+        doc["mapping"] = pairs
+    elif maps.random() < 1 / 3:
+        pairs = [[m + 1, l + 1] for m in range(M) for l in range(L) if A[m, l]]
+        if maps.random() < 0.25:
+            pairs.append(_outside_pair(maps, M, L))
         doc["mapping"] = pairs
     return doc
 
@@ -162,11 +172,11 @@ def channel(rng) -> dict:
 
 def jobs(count: int) -> tuple[dict, list]:
     """Input file name -> text, and the argv of every job."""
-    rng = np.random.default_rng(20260)
+    rng, maps = np.random.default_rng(20260), np.random.default_rng(20262)
     files, argvs = {}, []
     for i in range(count):
         name = f"configs/{i:04d}.json"
-        files[name] = json.dumps(campaign(rng))
+        files[name] = json.dumps(campaign(rng, maps))
         argvs.append(["simulate", "--config", name, "--out", f"out/{i:04d}"])
     argvs += [["verify", "--suite", "all", "--seed", str(seed)] for seed in range(4)]
     rng = np.random.default_rng(20261)

@@ -7,10 +7,11 @@ times, in microseconds per query:
 
 - "one row": one kernel call per query on the prepared table, as the
   per-point helpers (`lattice.nearest_point`) make;
-- "pairs" and "tree": all queries through `lattice.nearest_points`, which
+- "gathers" and "tree": all queries through `lattice.nearest_points`, which
   slices them as the block trial engine does, with stage 2 forced onto the
-  pair lookups and onto the implicit-tree search (`_kernels.TRIE_MIN_ROWS`
-  set to the table's row count plus one, or to 0, for the run).
+  direct gathers and onto the implicit-tree search
+  (`_kernels.TRIE_MIN_ROWS` set to the table's row count plus one, or to 0,
+  for the run).
 
 "nodes" is the tree nodes the search keeps per query over all its passes,
 and "path" the one the kernel takes on that table.  Two query kinds:
@@ -70,16 +71,13 @@ def main():
     ap.add_argument("--samples", type=int, default=2000)
     args = ap.parse_args()
     rng = np.random.default_rng(0)
-    print(f"{'table':>14} {'n':>3} {'queries':>8} {'one row':>9} {'pairs':>9} {'tree':>9} "
-          f"{'nodes':>8} {'path':>6}   (us/query)")
+    print(f"{'table':>14} {'n':>3} {'queries':>8} {'one row':>9} {'gathers':>9} {'tree':>9} "
+          f"{'nodes':>8} {'path':>7}   (us/query)")
     for n, p, gamma, levels, seed in ENSEMBLES:
         ens = lattice.build_ensemble(n, p, gamma, levels, seed=seed)
         k = ens.k_F
         table = ens.code_table(k)
         rows = table.shape[0]
-        # the pair lookups' index, built outside the timed calls; the tree
-        # search reads none of it
-        _ = table.pairs
         points = table.shifts[rng.integers(0, rows, args.samples)]
         points = points + gamma * rng.integers(-2, 3, size=points.shape)
         kinds = {"decode": points + rng.normal(size=points.shape) * 0.2 * gamma / p,
@@ -87,15 +85,15 @@ def main():
         for kind, queries in kinds.items():
             out_row, t_row = timed(lambda: np.array(
                 [nearest_codeword_point(table, q, gamma) for q in queries]))
-            out_pairs, t_pairs = blocks(ens, queries, rows + 1)
+            out_gathers, t_gathers = blocks(ens, queries, rows + 1)
             out_tree, t_tree = blocks(ens, queries, 0)
-            assert out_pairs.tobytes() == out_row.tobytes(), "one-row and pair points differ"
-            assert out_tree.tobytes() == out_row.tobytes(), "pair and tree points differ"
+            assert out_gathers.tobytes() == out_row.tobytes(), "one-row and gather points differ"
+            assert out_tree.tobytes() == out_row.tobytes(), "gather and tree points differ"
             nodes = tree_nodes(table, queries, gamma) / args.samples
-            path = "tree" if rows >= _kernels.TRIE_MIN_ROWS else "pairs"
-            us = [t / args.samples * 1e6 for t in (t_row, t_pairs, t_tree)]
+            path = "tree" if rows >= _kernels.TRIE_MIN_ROWS else "gathers"
+            us = [t / args.samples * 1e6 for t in (t_row, t_gathers, t_tree)]
             print(f"{p}^{k} = {rows:>6} {n:>3} {kind:>8} {us[0]:9.1f} {us[1]:9.1f} {us[2]:9.1f} "
-                  f"{nodes:8.1f} {path:>6}")
+                  f"{nodes:8.1f} {path:>7}")
 
 
 if __name__ == "__main__":

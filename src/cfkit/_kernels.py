@@ -12,8 +12,9 @@ lexicographically (tol = TIE_REL max(1, gamma^2)).
 Every entry of a Construction-A table is one of p values (gamma/p) r, and
 the rounding of a coordinate depends only on the query coordinate and that
 value (Conway and Sloane's coordinatewise quantizer).  The kernel therefore
-runs in three stages over a CodeTable, the table with its entries replaced
-by indices into its m distinct values:
+runs in three stages over a CodeTable, the code of a generator G over Z_p,
+which names entry (k, j) by its cell j m + c: its column j and its index c
+among the m distinct values:
 
 1. per coordinate and value, the rounded coordinate and its squared offset,
    an n x m x B grid for B queries.  A one-row table rounds each query
@@ -23,18 +24,17 @@ by indices into its m distinct values:
    nonnegative terms moves by about n eps relative when summed in another
    order, so every row that the exact scan counts as best or tied is on it.
    The sums come one of two ways:
-   - on tables of fewer than TRIE_MIN_ROWS rows, and on float tables at any
-     size, pair lookups: per pair of coordinates, the m^2 sums of two
-     offsets, looked up through one K-row index per pair, n/2 gathers per
-     query instead of a K x n scan;
-   - on the code of a generator G from TRIE_MIN_ROWS rows on, an exact
-     branch-and-bound (Agrell, Eriksson, Vardy and Zeger, "Closest point
-     search in lattices", IEEE Trans. IT 2002) over an implicit tree, level
-     by level over the whole block.  The tree's first k levels are the
-     pivot columns of G's reduced row echelon form, an information set:
-     every node there has p children, one per symbol.  Below them each node
-     has one leaf, whose other columns are its pivot symbols times the RREF
-     columns outside the pivots, mod p.  A node's cost is the sum of its
+   - on tables of fewer than TRIE_MIN_ROWS rows, direct gathers: each
+     row's sum adds the n offsets that its cells name in the grid, n
+     gathers of K x B per block instead of a B x K x n scan;
+   - from TRIE_MIN_ROWS rows on, an exact branch-and-bound (Agrell,
+     Eriksson, Vardy and Zeger, "Closest point search in lattices", IEEE
+     Trans. IT 2002) over an implicit tree, level by level over the whole
+     block.  The tree's first k levels are the pivot columns of G's reduced
+     row echelon form, an information set: every node there has p
+     children, one per symbol.  Below them each node has one leaf, whose
+     other columns are its pivot symbols times the RREF columns outside the
+     pivots, mod p.  A node's cost is the sum of its
      coordinates' offsets; its bound adds each remaining coordinate's
      smallest offset.  Children whose bound exceeds the query's threshold
      are dropped; the leaves below the last branching level are costed.
@@ -57,12 +57,14 @@ import numpy as np
 TIE_REL = 1e-12
 
 # Code tables of at least this many rows take stage 2's tree search, smaller
-# ones the pair lookups.  In blocks on a 2-core Xeon (benchmarks/bench_quantizer.py)
-# the tree search is 4 to 11 times faster on decode-like queries from 2197
-# rows up, and on queries uniform over the cube from about 3 times slower
-# (14641 rows, n = 10) to about 2.7 times faster (16807 rows).  Below that
-# the pair lookups cost at most about 14 us per query, and the tree search
-# loses up to about 5 times on uniform queries (1331 rows).
+# ones the direct gathers.  In blocks on a 2-core Xeon (two runs of
+# benchmarks/bench_quantizer.py --samples 1000) the tree search is 6 to 20
+# times faster on decode-like queries from 2197 rows up, and on queries
+# uniform over the cube from about 1.5 times slower (14641 rows, n = 10) to
+# about 4 times faster (16807 rows).  Below that the direct gathers cost at
+# most about 14 us per query.  The tree search is faster on decode-like
+# queries from 729 rows up (about 3.5 times at 1331 rows), but up to about
+# 4 times slower on uniform ones (1331 rows).
 TRIE_MIN_ROWS = 2000
 
 # Relative slack of the tree search's threshold over the shortlist margin:
@@ -79,48 +81,34 @@ def backend_name() -> str:
 
 
 class CodeTable:
-    """A K x n shift table prepared for the kernel.
+    """The codewords of a k x n `generator` of rank k over Z_p, scaled by
+    gamma/p, prepared for the kernel.
 
-    Entry (k, j) is value `values[c]`; `cells[k, j]` = j m + c is its cell in
-    stage 1's n x m grid of rounded coordinates.  `pairs[g]` is each row's
-    cell in the G x m x m grid of summed squared offsets of coordinates 2g
-    and 2g + 1 (an odd last coordinate pairs with a zero-cost pad), in the
-    smallest unsigned type that holds it.
-
-    A table made by from_generator holds the p^k codewords of a k x n
-    `generator` of rank k over Z_p, with values (gamma/p) r for the symbols
-    r (so m = p when k > 0), its rows in message order: row v is
-    (v generator mod p) for the message vectors v in lexicographic order,
-    the last symbol fastest.  It also keeps `order`, the pivot columns of
-    the generator's reduced row echelon form R followed by the other
-    columns, and `lift`, k x p x n: lift[t, s] is s R[t] mod p.  The
-    codeword with symbols u in the pivot columns is u R mod p, the sum of
-    lift[t, u[t]] over t, mod p.  Stage 2's tree search reads only these.
-    `cells`, `pairs` and the float table `shifts` are built on first
-    access.  Every array is read-only.
+    Its m values are (gamma/p) r for the symbols r (so m = p when k > 0,
+    and the one value 0 when k = 0), and its K = p^k rows are in message
+    order: row v is (v generator mod p) for the message vectors v in
+    lexicographic order, the last symbol fastest.  Entry (k, j) is value
+    `values[c]`; `cells[k, j]` = j m + c is its cell in stage 1's n x m
+    grid of rounded coordinates, in the smallest unsigned type that holds
+    it.  The table also keeps `order`, the pivot columns of the generator's
+    reduced row echelon form R followed by the other columns, and `lift`,
+    k x p x n: lift[t, s] is s R[t] mod p.  The codeword with symbols u in
+    the pivot columns is u R mod p, the sum of lift[t, u[t]] over t, mod p.
+    Stage 2's tree search reads only these.  `cells` and the float table
+    `shifts` are built on first access.  Every array is read-only.
     """
 
-    __slots__ = ("shape", "values", "generator", "order", "lift",
-                 "_cells", "_pairs", "_shifts")
+    __slots__ = ("shape", "values", "generator", "order", "lift", "_cells", "_shifts")
 
-    def __init__(self, codes, values, generator=None, echelon=None):
-        """A table of `codes`, K x n indices into `values`; or, with codes
-        None, of the codewords of `generator`, one value per symbol, whose
-        reduced row echelon form `echelon` gives as the (rref, pivots) of
+    def __init__(self, generator, p: int, gamma: float, echelon):
+        """The table of `generator` over Z_p at gamma, whose reduced row
+        echelon form `echelon` gives as the (rref, pivots) of
         _zp.rref_mod_p.  The echelon must span the generator's rows and hold
         the identity in its k pivot columns."""
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self.values.setflags(write=False)
-        self.generator = self.order = self.lift = None
-        self._cells = self._pairs = self._shifts = None
-        if generator is None:
-            codes = np.asarray(codes)
-            self.shape = codes.shape
-            self._cells = self._cells_of(codes)
-            return
-        p = self.values.shape[0]
         G = np.array(generator, dtype=np.int64) % p
         k, n = G.shape
+        m = p if k else 1
+        self.values = (gamma / p) * np.arange(m, dtype=np.float64)
         rref, pivots = echelon
         if len(pivots) != k:
             raise ValueError("generator does not have full row rank mod p")
@@ -136,30 +124,9 @@ class CodeTable:
         # a sum of k entries of lift stays in its type
         lift = np.arange(p)[:, None] * R.reshape(k, 1, n) % p
         self.lift = lift.astype(np.min_scalar_type(k * (p - 1)))
-        for a in (self.generator, self.order, self.lift):
+        for a in (self.values, self.generator, self.order, self.lift):
             a.setflags(write=False)
-
-    @classmethod
-    def from_shifts(cls, shifts) -> "CodeTable":
-        """Prepare any float table; values are told apart by their bits."""
-        shifts = np.ascontiguousarray(shifts, dtype=np.float64)
-        bits, codes = np.unique(shifts.view(np.int64), return_inverse=True)
-        return cls(codes.reshape(shifts.shape), bits.view(np.float64))
-
-    @classmethod
-    def from_generator(cls, generator, p: int, gamma: float, echelon) -> "CodeTable":
-        """The table of the codewords of a k x n generator over Z_p, scaled
-        by gamma/p; `echelon` is its (rref, pivots), as for the constructor."""
-        m = p if len(generator) else 1
-        return cls(None, (gamma / p) * np.arange(m, dtype=np.float64), generator, echelon)
-
-    def _cells_of(self, codes) -> np.ndarray:
-        n = self.shape[1]
-        m = self.values.shape[0]
-        cells = codes.astype(np.min_scalar_type(n * m - 1))
-        cells += (m * np.arange(n)).astype(cells.dtype)
-        cells.setflags(write=False)
-        return cells
+        self._cells = self._shifts = None
 
     @property
     def cells(self) -> np.ndarray:
@@ -174,34 +141,18 @@ class CodeTable:
                 steps = ((np.arange(p)[:, None] * g) % p).astype(np.uint8)
                 C = (C[:, None, :] + steps).reshape(-1, n)
                 C -= (C >= p) * np.uint8(p)
-            self._cells = self._cells_of(C)
+            cells = C.astype(np.min_scalar_type(n * p - 1))
+            cells += (p * np.arange(n)).astype(cells.dtype)
+            cells.setflags(write=False)
+            self._cells = cells
         return self._cells
-
-    def _codes(self) -> np.ndarray:
-        m = self.values.shape[0]
-        return self.cells - (m * np.arange(self.shape[1])).astype(self.cells.dtype)
-
-    @property
-    def pairs(self) -> np.ndarray:
-        if self._pairs is None:
-            K, n = self.shape
-            m = self.values.shape[0]
-            groups = (n + 1) // 2
-            index = np.min_scalar_type(groups * m * m - 1)
-            padded = np.zeros((2 * groups, K), dtype=index)
-            padded[:n] = self._codes().T
-            pairs = padded[0::2] * m
-            pairs += padded[1::2]
-            pairs += (m * m * np.arange(groups, dtype=index))[:, None]
-            pairs.setflags(write=False)
-            self._pairs = pairs
-        return self._pairs
 
     @property
     def shifts(self) -> np.ndarray:
         """The K x n float table, entry (k, j) = values[cells[k, j] - j m]."""
         if self._shifts is None:
-            self._shifts = self.values[self._codes()]
+            m = self.values.shape[0]
+            self._shifts = self.values[self.cells - m * np.arange(self.shape[1])]
             self._shifts.setflags(write=False)
         return self._shifts
 
@@ -234,18 +185,16 @@ def _round(values: np.ndarray, x: np.ndarray, gamma: float, tol: float):
     return cands, diffs
 
 
-def _pair_shortlist(table: CodeTable, sq: np.ndarray, tol: float):
-    """Stage 2 by pair lookups: the cells of each query's first shortlisted
-    row, and a (query, cells) pair for each query with several."""
+def _gather_shortlist(table: CodeTable, sq: np.ndarray, tol: float):
+    """Stage 2 by direct gathers: the cells of each query's first
+    shortlisted row, and a (query, cells) pair for each query with several."""
     n, m, B = sq.shape
-    pairs = table.pairs
-    if n % 2:
-        sq = np.concatenate([sq, np.zeros((1, m, B))])
-    # the lookups gather rows of B floats, the reductions run along rows of K
-    pair_sq = (sq[0::2, :, None] + sq[1::2, None, :]).reshape(len(pairs) * m * m, B)
-    approx = np.take(pair_sq, pairs[0], axis=0)
-    for index in pairs[1:]:
-        approx += np.take(pair_sq, index, axis=0)
+    cells = table.cells
+    # the gathers read rows of B floats, the reductions run along rows of K
+    sq = sq.reshape(n * m, B)
+    approx = np.take(sq, cells[:, 0], axis=0)
+    for j in range(1, n):
+        approx += np.take(sq, cells[:, j], axis=0)
     approx = np.ascontiguousarray(approx.T)
     bound = np.minimum.reduce(approx, axis=1)
     bound *= 1 + 1e-9
@@ -255,9 +204,9 @@ def _pair_shortlist(table: CodeTable, sq: np.ndarray, tol: float):
     # every query shortlists a row but those with a NaN bound (a non-finite
     # coordinate), which shortlist none
     if np.count_nonzero(shortlist) > np.count_nonzero(bound == bound):
-        several = [(b, table.cells[shortlist[b]])
+        several = [(b, cells[shortlist[b]])
                    for b in np.flatnonzero(shortlist.sum(axis=1) > 1)]
-    return table.cells[shortlist.argmax(axis=1)], several
+    return cells[shortlist.argmax(axis=1)], several
 
 
 def _walk(table: CodeTable, sq: np.ndarray, floors: np.ndarray, limit: np.ndarray,
@@ -301,7 +250,7 @@ def _walk(table: CodeTable, sq: np.ndarray, floors: np.ndarray, limit: np.ndarra
 
 
 def _tree_shortlist(table: CodeTable, sq: np.ndarray, gamma: float, tol: float):
-    """Stage 2 by the tree search: as _pair_shortlist, plus the number of
+    """Stage 2 by the tree search: as _gather_shortlist, plus the number of
     tree nodes the search kept over all its passes."""
     n, m, B = sq.shape
     # floors[t]: the least cost of the columns order[t:]
@@ -353,16 +302,14 @@ def _tree_shortlist(table: CodeTable, sq: np.ndarray, gamma: float, tol: float):
     return cells[np.where(counts > 0, starts, -1)], several, kept
 
 
-def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
+def nearest_codeword_points(table: CodeTable, X: np.ndarray, gamma: float) -> np.ndarray:
     """Nearest lattice point to each row of the B x n query block X.
 
-    `shifts` is a CodeTable or a K x n float table (prepared on each call).
     Each row's point depends only on that row, so a block gives the same
-    bits as one call per row.  The pair lookups' largest temporaries are
+    bits as one call per row.  The direct gathers' largest temporaries are
     K x B; the tree search's are its surviving nodes, at most K per query
     and level.  lattice.nearest_points bounds their size.
     """
-    table = shifts if isinstance(shifts, CodeTable) else CodeTable.from_shifts(shifts)
     X = np.ascontiguousarray(X, dtype=np.float64)
     B, n = X.shape
     tol = TIE_REL * max(1.0, gamma * gamma)
@@ -371,8 +318,8 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
         return _round(table.shifts[0], X, gamma, tol)[0]
     cands, diffs = _round(table.values[:, None], X.T[:, None, :], gamma, tol)
     sq = diffs * diffs
-    if table.generator is None or table.shape[0] < TRIE_MIN_ROWS:
-        first, several = _pair_shortlist(table, sq, tol)
+    if table.shape[0] < TRIE_MIN_ROWS:
+        first, several = _gather_shortlist(table, sq, tol)
     else:
         first, several, _ = _tree_shortlist(table, sq, gamma, tol)
 
@@ -389,7 +336,7 @@ def nearest_codeword_points(shifts, X: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def nearest_codeword_point(shifts, x: np.ndarray, gamma: float) -> np.ndarray:
+def nearest_codeword_point(table: CodeTable, x: np.ndarray, gamma: float) -> np.ndarray:
     """Nearest lattice point to the length-n query x."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return nearest_codeword_points(shifts, x[None], gamma)[0]
+    return nearest_codeword_points(table, x[None], gamma)[0]

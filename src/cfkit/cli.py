@@ -16,7 +16,8 @@ it; a command returns its exit code, its files (name -> text, in writing
 order) and the text it prints.  Only then does main create --out (default
 CFKIT_OUTDIR, else the working directory), write each file, print "wrote
 <path>" for it and print the command's text.  So a run that fails leaves
-no output directory behind.
+no output directory behind.  An --out that names an existing file is
+refused first, before the input is read or any work is done.
 
 main is also the one place that turns an exception into exit 2 with a
 single "error: <message>" line on stderr.  It catches InputError (raised
@@ -36,6 +37,7 @@ ends in one InputError line that names the field.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -734,10 +736,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = Path(getattr(args, "out", None) or os.environ.get("CFKIT_OUTDIR") or ".")
+        if "out" in args and out.exists() and not out.is_dir():
+            # refused before any work, in mkdir's own words
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
         doc = _load_json(args.input) if "input" in args else None
         code, files, text = args.fn(args, doc)
         if files:
-            out = Path(args.out or os.environ.get("CFKIT_OUTDIR") or ".")
             out.mkdir(parents=True, exist_ok=True)
             for name, body in files.items():
                 (out / name).write_text(body)

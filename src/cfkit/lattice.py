@@ -129,7 +129,7 @@ class NestedLatticeEnsemble:
         Row v runs over the message vectors in lexicographic order (the last
         symbol fastest) and holds (gamma/p) (v G[:prefix] mod p).  It is the
         float table of code_table(prefix), enumerated on first access; the
-        quantizer reads it on no table.
+        quantizer reads it only on a one-row table.
         """
         return self.code_table(prefix).shifts
 
@@ -138,10 +138,10 @@ class NestedLatticeEnsemble:
         first call per prefix.  It holds the reduced row echelon form and
         pivot columns of G[:prefix] mod p, over which the kernel searches
         tables of _kernels.TRIE_MIN_ROWS rows or more as an implicit tree;
-        its rows in message order are enumerated only when read, for the
-        pair lookups on smaller tables or for codeword_shifts."""
+        its rows in message order are enumerated only when read: as cells
+        by the direct gathers on smaller tables, or by codeword_shifts."""
         if prefix not in self._tables:
-            self._tables[prefix] = CodeTable.from_generator(
+            self._tables[prefix] = CodeTable(
                 self.G[:prefix], self.p, self.gamma, self._echelons[prefix][:2])
         return self._tables[prefix]
 
@@ -201,8 +201,9 @@ def nearest_point(ens: NestedLatticeEnsemble, which, x) -> np.ndarray:
 def slice_length(rows: int) -> int:
     """Queries per kernel call of nearest_points for a table of `rows` rows.
 
-    Below _kernels.TRIE_MIN_ROWS rows the kernel's largest buffers are
-    rows x queries floats, so a slice holds MAX_CODEWORDS // rows queries.
+    Below _kernels.TRIE_MIN_ROWS rows the direct gathers' largest buffers
+    are rows x queries floats, so a slice holds MAX_CODEWORDS // rows
+    queries.
     From there on the tree search keeps at most `rows` nodes per query and
     level, each a few 8-byte array entries and its forced symbols, so a
     slice holds

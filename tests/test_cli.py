@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfkit import cli
 from cfkit.cli import main
 
 
@@ -305,6 +306,23 @@ def test_unusable_arguments_are_input_errors(tmp_path, capsys, argv, message):
     code = run([a.format(tmp=tmp_path) for a in argv])
     assert_input_error(code, capsys, message)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("argv", [["region", "--mode", "para", "--input"], ["search", "--input"],
+                                  ["mac", "--input"], ["simulate", "--config"]],
+                         ids=lambda argv: argv[0])
+def test_out_naming_a_file_is_refused_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    # the command never reads its channel: main refuses --out first
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"H": [[1, 1.5]], "P": [7, 4]}))
+    (tmp_path / "taken").write_bytes(b"")
+    calls = []
+    monkeypatch.setattr(cli, "_channel_from", lambda doc: calls.append(doc))
+    code = run(argv + [path, "--out", tmp_path / "taken"])
+    assert_input_error(code, capsys, f"File exists: '{tmp_path / 'taken'}'")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json", "taken"]
+    assert (tmp_path / "taken").read_bytes() == b""
 
 
 def test_cfkit_outdir_is_the_default_and_out_takes_precedence(fig7_input, tmp_path, capsys,

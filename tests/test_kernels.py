@@ -9,13 +9,20 @@ from cfkit._kernels import (TIE_REL, CodeTable, backend_name,
 from cfkit.lattice import build_ensemble
 
 
+def random_code(rng, p, n, k, gamma):
+    """The table of a random k x n generator of rank k over Z_p at gamma."""
+    return build_ensemble(n, p, gamma, [(0, k)], seed=int(rng.integers(2 ** 32))).code_table(k)
+
+
 def random_case(rng):
-    K = int(rng.integers(1, 40))
+    """A small code table, its gamma and a query: p in {2, 3, 5, 7}, n in
+    1..5 and k from 0 (the zero row alone) up to p^k <= 49 rows."""
+    p = int(rng.choice([2, 3, 5, 7]))
     n = int(rng.integers(1, 6))
+    k = int(rng.integers(0, max(j for j in range(n + 1) if p ** j <= 49) + 1))
     gamma = float(rng.uniform(0.5, 4.0))
-    shifts = rng.integers(0, 5, size=(K, n)).astype(float) * gamma / 5
     x = rng.normal(size=n) * 3
-    return shifts, x, gamma
+    return random_code(rng, p, n, k, gamma), x, gamma
 
 
 def brute_force(shifts, x, gamma, reach=1):
@@ -62,37 +69,46 @@ def scan_oracle(shifts, X, gamma):
     return out
 
 
-def grid_queries(rng, shifts, gamma, normal=4, midpoints=12):
+def grid_queries(rng, table, gamma, normal=4, midpoints=12):
     """Normal queries, then points of the gamma/10 grid, where ties abound."""
-    n = shifts.shape[1]
+    n = table.shape[1]
     return np.vstack([rng.normal(size=(normal, n)) * 3,
                       rng.integers(-10, 10, size=(midpoints, n)) * gamma / 10])
 
 
-def assert_matches_oracle(shifts, X, gamma):
-    got = nearest_codeword_points(shifts, X, gamma)
-    assert got.tobytes() == scan_oracle(shifts, X, gamma).tobytes()
+def assert_matches_oracle(table, X, gamma):
+    got = nearest_codeword_points(table, X, gamma)
+    assert got.tobytes() == scan_oracle(table.shifts, X, gamma).tobytes()
+
+
+def generator_table(G, p, gamma, n=None):
+    """The table of the generator G, a list of rows, over Z_p at gamma; the
+    zero table of length n when G has no rows."""
+    G = np.array(G, dtype=np.int64).reshape(len(G), n or len(G[0]))
+    return CodeTable(G, p, gamma, _zp.rref_mod_p(G.tolist(), p))
 
 
 def test_matches_brute_force():
     rng = np.random.default_rng(41)
     for _ in range(60):
-        shifts, x, gamma = random_case(rng)
-        got = nearest_codeword_point(shifts, x, gamma)
-        want = brute_force(shifts, x, gamma)
+        table, x, gamma = random_case(rng)
+        got = nearest_codeword_point(table, x, gamma)
+        want = brute_force(table.shifts, x, gamma)
         assert np.allclose(got, want, atol=1e-9), (got, want)
 
 
 def test_tie_break_prefers_lexicographically_smaller():
-    shifts = np.zeros((1, 2))
-    # exact facet midpoint between (0,0) and (1,0): smaller coordinate wins
-    out = nearest_codeword_point(shifts, np.array([0.5, 0.0]), 1.0)
+    # exact facet midpoint between (0,0) and (1,0) of the zero table:
+    # smaller coordinate wins
+    zero = generator_table([], 2, 1.0, n=2)
+    out = nearest_codeword_point(zero, np.array([0.5, 0.0]), 1.0)
     assert np.array_equal(out, [0.0, 0.0])
-    out = nearest_codeword_point(shifts, np.array([-0.5, 0.5]), 1.0)
+    out = nearest_codeword_point(zero, np.array([-0.5, 0.5]), 1.0)
     assert np.array_equal(out, [-1.0, 0.0])
-    # tie across cosets
-    shifts = np.array([[0.0, 0.0], [0.5, 0.0]])
-    out = nearest_codeword_point(shifts, np.array([0.25, 0.0]), 1.0)
+    # tie across cosets, on the code of [1 0] over Z_2: (0, 0) and (0.5, 0)
+    table = generator_table([[1, 0]], 2, 1.0)
+    assert table.shifts.tolist() == [[0.0, 0.0], [0.5, 0.0]]
+    out = nearest_codeword_point(table, np.array([0.25, 0.0]), 1.0)
     assert np.array_equal(out, [0.0, 0.0])
 
 
@@ -102,11 +118,11 @@ def test_ties_match_brute_force():
     # the kernel itself
     rng = np.random.default_rng(44)
     for _ in range(200):
-        shifts, _, gamma = random_case(rng)
-        X = rng.integers(-10, 10, size=(12, shifts.shape[1])) * gamma / 10
-        got = nearest_codeword_points(shifts, X, gamma)
+        table, _, gamma = random_case(rng)
+        X = rng.integers(-10, 10, size=(12, table.shape[1])) * gamma / 10
+        got = nearest_codeword_points(table, X, gamma)
         for x, point in zip(X, got):
-            want = brute_force(shifts, x, gamma)
+            want = brute_force(table.shifts, x, gamma)
             assert np.allclose(point, want, atol=1e-9), (x, point, want)
 
 
@@ -115,39 +131,39 @@ def test_midpoint_ties_match_brute_force():
     # smaller even when (x - s) / gamma - 0.5 rounds one ulp above an integer
     rng = np.random.default_rng(123)
     for _ in range(300):
-        shifts, x, gamma = random_case(rng)
-        X = np.vstack([x, grid_queries(rng, shifts, gamma, normal=3)])
-        got = nearest_codeword_points(shifts, X, gamma)
+        table, x, gamma = random_case(rng)
+        X = np.vstack([x, grid_queries(rng, table, gamma, normal=3)])
+        got = nearest_codeword_points(table, X, gamma)
         for q, point in zip(X, got):
-            want = brute_force(shifts, q, gamma)
+            want = brute_force(table.shifts, q, gamma)
             assert np.allclose(point, want, atol=1e-9), (q, point, want)
 
 
-def test_bitwise_equal_to_scan_oracle():
+def test_bitwise_equal_to_scan_oracle(monkeypatch):
+    # by the direct gathers, and by the tree search with TRIE_MIN_ROWS at 2
     rng = np.random.default_rng(45)
     for _ in range(400):
-        shifts, _, gamma = random_case(rng)
-        assert_matches_oracle(shifts, grid_queries(rng, shifts, gamma), gamma)
-    # prepared tables and tables with signed zeros go the same way
-    shifts, _, gamma = random_case(rng)
-    X = grid_queries(rng, shifts, gamma)
-    got = nearest_codeword_points(CodeTable.from_shifts(shifts), X, gamma)
-    assert got.tobytes() == scan_oracle(shifts, X, gamma).tobytes()
-    signed = np.where(rng.random(shifts.shape) < 0.5, -shifts, shifts)
-    assert_matches_oracle(signed, X, gamma)
+        table, _, gamma = random_case(rng)
+        X = grid_queries(rng, table, gamma)
+        for rows in (_kernels.TRIE_MIN_ROWS, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "TRIE_MIN_ROWS", rows)
+                assert_matches_oracle(table, X, gamma)
 
 
-def test_campaign_table_bitwise_equal_to_scan_oracle():
-    # the 7^5 = 16807-row table of the parallel benchmark campaign
+def test_campaign_table_bitwise_equal_to_scan_oracle(monkeypatch):
+    # the 7^5 = 16807-row table of the parallel benchmark campaign, by the
+    # tree search and, with TRIE_MIN_ROWS above its size, by the direct gathers
     ens = build_ensemble(8, 7, 7.0, [[0, 4], [1, 5]], seed=21)
     table = ens.code_table(5)
     rng = np.random.default_rng(46)
     X = np.vstack([rng.normal(size=(24, 8)) * 7,
                    rng.integers(-14, 14, size=(24, 8)) * 7.0 / 14])
-    got = nearest_codeword_points(table, X, 7.0)
-    for i in range(0, X.shape[0], 4):
-        want = scan_oracle(table.shifts, X[i:i + 4], 7.0)
-        assert got[i:i + 4].tobytes() == want.tobytes()
+    want = np.vstack([scan_oracle(table.shifts, X[i:i + 4], 7.0)
+                      for i in range(0, X.shape[0], 4)])
+    for rows in (_kernels.TRIE_MIN_ROWS, table.shape[0] + 1):
+        monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", rows)
+        assert nearest_codeword_points(table, X, 7.0).tobytes() == want.tobytes(), rows
 
 
 def assert_sliced_matches_oracle(table, X, gamma, step=4):
@@ -192,7 +208,7 @@ def test_trie_branches_over_an_information_set(campaign_ensemble):
     rng = np.random.default_rng(49)
     X = rng.integers(0, 7, (24, 5)) @ table.generator % 7 + rng.normal(size=(24, 8)) * 0.3
     nearest_codeword_points(table, X, 7.0)
-    assert table._cells is None and table._pairs is None and table._shifts is None
+    assert table._cells is None and table._shifts is None
     pivots = _zp.rref_mod_p(campaign_ensemble.G.tolist(), 7)[1]
     assert list(table.order[:5]) == pivots and sorted(table.order) == list(range(8))
     _, codes, _, kept = _kernels._walk(table, np.zeros((1, 8, 7)), np.zeros((9, 1)),
@@ -233,18 +249,6 @@ def test_trie_search_without_leading_information_set():
         assert_sliced_matches_oracle(table, X, 7.0)
 
 
-def test_float_tables_take_pair_lookups_at_any_size(campaign_ensemble, monkeypatch):
-    # a float table, here with duplicate rows, has no generator to walk
-    shifts = campaign_ensemble.codeword_shifts(4)
-    rng = np.random.default_rng(52)
-    shifts = np.vstack([shifts, shifts[rng.integers(0, len(shifts), 600)]])
-    table = CodeTable.from_shifts(shifts)
-    assert table.shape[0] >= _kernels.TRIE_MIN_ROWS and table.generator is None
-    monkeypatch.setattr(_kernels, "_tree_shortlist", None)
-    for X in trie_queries(rng, table, 7.0).values():
-        assert_sliced_matches_oracle(table, X, 7.0)
-
-
 def test_trie_search_non_finite_queries(campaign_ensemble):
     # NaN offsets shortlist nothing and take row 0; offsets that overflow
     # tie every row; both as in the scan, also in blocks of NaN rows only
@@ -266,8 +270,7 @@ def small_code(rng):
     n = int(rng.integers(1, 7))
     k = int(rng.integers(1, min(3, n) + 1))
     gamma = float(rng.uniform(0.5, 4.0))
-    ens = build_ensemble(n, p, gamma, [(0, k)], seed=int(rng.integers(2 ** 32)))
-    return ens.code_table(k), gamma
+    return random_code(rng, p, n, k, gamma), gamma
 
 
 @pytest.mark.parametrize("seed", [45, 123])
@@ -290,34 +293,18 @@ def test_trie_search_on_small_tables(monkeypatch, seed):
         assert got.tobytes() == scan_oracle(table.shifts, X, gamma).tobytes()
 
 
-@pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
-def test_shortlist_boundary(scale):
+def assert_shortlist_boundary(scale):
     # two cosets whose exact squared distances differ by scale * tol, with
     # the nearer one lexicographically larger: below tol they tie and the
     # smaller point wins, above it the nearer one does.  The distances are
     # below 1e-5, so only the 2 tol margin of the shortlist keeps both rows.
-    gamma = 1.0
+    # They are the codewords (0, 0) and (0, h) of the codes of [0 1],
+    # [[0 1], [1 0]] (two more codewords a step of h off) and
+    # [[0 1 0], [1 0 1]] over Z_2 with gamma = 2h
     tol = TIE_REL
     for h in (1e-3, 3e-3):
-        for extra in (0, 2):
-            shifts = np.array([[0.0, 0.0], [0.0, h]] + [[0.5, 0.5]] * extra)
-            x = np.array([[0.0, h / 2 + scale * tol / (2 * h)]])
-            got = nearest_codeword_points(shifts, x, gamma)
-            assert got.tobytes() == scan_oracle(shifts, x, gamma).tobytes()
-            want = [0.0, h] if scale > 1 else [0.0, 0.0]
-            assert np.array_equal(got[0], want), (h, scale, got)
-
-
-@pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
-def test_trie_shortlist_boundary(monkeypatch, scale):
-    # the same near ties on the codes of [0 1] and [[0 1 0], [1 0 1]] over
-    # Z_2 with gamma = 2h, whose codewords (0, 0) and (0, h) are the two
-    # nearest cosets, searched as implicit trees
-    monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", 2)
-    tol = TIE_REL
-    for h in (1e-3, 3e-3):
-        for G in ([[0, 1]], [[0, 1, 0], [1, 0, 1]]):
-            table = CodeTable.from_generator(np.array(G), 2, 2 * h, _zp.rref_mod_p(G, 2))
+        for G in ([[0, 1]], [[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 1]]):
+            table = generator_table(G, 2, 2 * h)
             x = np.zeros((1, len(G[0])))
             x[0, 1] = h / 2 + scale * tol / (2 * h)
             got = nearest_codeword_points(table, x, 2 * h)
@@ -326,9 +313,22 @@ def test_trie_shortlist_boundary(monkeypatch, scale):
             assert np.array_equal(got[0], [0.0, want, 0.0][:len(G[0])]), (h, scale, got)
 
 
-def assert_batched_bitwise(shifts, X, gamma):
-    got = nearest_codeword_points(shifts, X, gamma)
-    want = np.array([nearest_codeword_point(shifts, x, gamma) for x in X])
+@pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
+def test_shortlist_boundary(scale):
+    # the near ties, shortlisted by the direct gathers
+    assert_shortlist_boundary(scale)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 - 1e-3])
+def test_trie_shortlist_boundary(monkeypatch, scale):
+    # the same near ties, searched as implicit trees with TRIE_MIN_ROWS at 2
+    monkeypatch.setattr(_kernels, "TRIE_MIN_ROWS", 2)
+    assert_shortlist_boundary(scale)
+
+
+def assert_batched_bitwise(table, X, gamma):
+    got = nearest_codeword_points(table, X, gamma)
+    want = np.array([nearest_codeword_point(table, x, gamma) for x in X])
     assert got.shape == X.shape
     assert got.tobytes() == want.reshape(X.shape).tobytes()
 
@@ -336,26 +336,25 @@ def assert_batched_bitwise(shifts, X, gamma):
 def test_batched_bitwise_equal_to_single_queries():
     rng = np.random.default_rng(43)
     for _ in range(100):
-        shifts, _, gamma = random_case(rng)
-        X = rng.normal(size=(int(rng.integers(1, 30)), shifts.shape[1])) * 3
-        assert_batched_bitwise(shifts, X, gamma)
+        table, _, gamma = random_case(rng)
+        X = rng.normal(size=(int(rng.integers(1, 30)), table.shape[1])) * 3
+        assert_batched_bitwise(table, X, gamma)
 
 
 def test_batched_ties_bitwise_equal_to_single_queries():
     rng = np.random.default_rng(44)
-    # facet midpoints of gamma Z^2 (one coset), mixed with untied queries
-    shifts = np.zeros((1, 2))
+    # facet midpoints of gamma Z^2 (the zero table), mixed with untied queries
     X = np.array([[0.5, 0.0], [-0.5, 0.5], [0.3, -0.2], [1.5, -1.5], [0.5, 0.5]])
-    assert_batched_bitwise(shifts, X, 1.0)
-    # ties across cosets: points equidistant from two or more cosets
-    shifts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+    assert_batched_bitwise(generator_table([], 2, 1.0, n=2), X, 1.0)
+    # ties across cosets: points equidistant from two or more of the
+    # cosets (0, 0), (0, 0.5), (0.5, 0) and (0.5, 0.5) of the code of I_2
     X = np.array([[0.25, 0.0], [0.25, 0.25], [0.1, 0.3], [0.75, 0.25], [0.0, 0.25]])
-    assert_batched_bitwise(shifts, X, 1.0)
-    # random grid tables queried at grid midpoints, where ties abound
+    assert_batched_bitwise(generator_table([[1, 0], [0, 1]], 2, 1.0), X, 1.0)
+    # random code tables queried at grid midpoints, where ties abound
     for _ in range(40):
-        shifts, _, gamma = random_case(rng)
-        X = rng.integers(-10, 10, size=(12, shifts.shape[1])) * gamma / 10
-        assert_batched_bitwise(shifts, X, gamma)
+        table, _, gamma = random_case(rng)
+        X = rng.integers(-10, 10, size=(12, table.shape[1])) * gamma / 10
+        assert_batched_bitwise(table, X, gamma)
 
 
 def test_backend_reported():
@@ -364,14 +363,18 @@ def test_backend_reported():
 
 
 def test_code_table_builds_shifts_on_first_access():
+    # the direct gathers read the cells alone; the float table holds the
+    # codewords v G mod p, scaled by gamma/p, in message order
     rng = np.random.default_rng(47)
-    shifts = rng.integers(0, 5, size=(30, 5)).astype(float) * 0.4
-    table = CodeTable.from_shifts(shifts)
+    G = np.array([[1, 2, 0, 1, 1], [0, 1, 1, 2, 0], [2, 2, 1, 0, 1]])
+    table = generator_table(G.tolist(), 3, 2.0)
     nearest_codeword_points(table, rng.normal(size=(6, 5)), 2.0)
-    assert table.shape == (30, 5) and table._shifts is None
+    assert table.shape == (27, 5) and table._shifts is None
     built = table.shifts
-    assert built.tobytes() == shifts.tobytes() and table.shifts is built
-    for a in (table.values, table.cells, table.pairs, built):
+    messages = np.array(list(itertools.product(range(3), repeat=3)))
+    assert built.tobytes() == (messages @ G % 3 * (2.0 / 3)).tobytes()
+    assert table.shifts is built
+    for a in (table.values, table.cells, built):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -381,16 +384,16 @@ def test_generator_table_checks_its_echelon():
     # full rank, the identity in the pivot columns, and the same row space
     G = np.array([[1, 2, 0], [0, 1, 1]])
     rref, pivots = _zp.rref_mod_p(G.tolist(), 3)
-    table = CodeTable.from_generator(G, 3, 3.0, (rref, pivots))
+    table = CodeTable(G, 3, 3.0, (rref, pivots))
     assert table.shape == (9, 3) and list(table.order[:2]) == pivots
     bad = [(rref[:1], pivots[:1]),                       # too few pivots
            ([rref[0], [1, 1, 1]], pivots),               # no identity at pivots
            (_zp.rref_mod_p([[1, 0, 0], [0, 1, 0]], 3))]  # another row space
     for echelon in bad:
         with pytest.raises(ValueError, match="full row rank|echelon"):
-            CodeTable.from_generator(G, 3, 3.0, echelon)
+            CodeTable(G, 3, 3.0, echelon)
     with pytest.raises(ValueError, match="full row rank"):
-        CodeTable.from_generator(np.array([[1, 2, 0], [2, 1, 0]]), 3, 3.0,
+        CodeTable(np.array([[1, 2, 0], [2, 1, 0]]), 3, 3.0,
                                  _zp.rref_mod_p([[1, 2, 0], [2, 1, 0]], 3))
 
 
@@ -411,27 +414,22 @@ def one_coset_queries(rng, row, gamma, count=40):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_one_coset_tables_bitwise_equal_to_scan_oracle(seed):
-    # a one-row table rounds the block against its row as the block lies:
-    # a generator table of k = 0 (the zero row) and from_shifts rows whose
-    # columns hold different values, against the full scan
+    # a one-row table, the zero row of a generator of k = 0, rounds the
+    # block against its row as the block lies, against the full scan
     rng = np.random.default_rng(500 + seed)
     for n in (1, 2, 5, 8):
         gamma = float(rng.choice([1.0, 3.0, 7.0, 0.25]))
         p = int(rng.choice([2, 3, 7]))
-        zero = CodeTable.from_generator(np.zeros((0, n), dtype=np.int64), p, gamma, ([], []))
-        row = rng.integers(0, p, size=n) * gamma / p
-        row[0], row[-1] = 0.0, (p - 1) * gamma / p  # at least two values when n > 1
-        for table in (zero, CodeTable.from_shifts(row[None]), row[None]):
-            shifts = table.shifts if isinstance(table, CodeTable) else table
-            X = one_coset_queries(rng, shifts[0], gamma)
-            with np.errstate(invalid="ignore"):
-                got = nearest_codeword_points(table, X, gamma)
-                want = scan_oracle(shifts, X, gamma)
-                # each row alone gives its bits in the block
-                single = np.vstack([nearest_codeword_point(table, x, gamma) for x in X])
-            assert got.flags.c_contiguous and got.shape == X.shape
-            assert got.tobytes() == want.tobytes(), (n, gamma)
-            assert single.tobytes() == got.tobytes()
+        table = generator_table([], p, gamma, n=n)
+        X = one_coset_queries(rng, table.shifts[0], gamma)
+        with np.errstate(invalid="ignore"):
+            got = nearest_codeword_points(table, X, gamma)
+            want = scan_oracle(table.shifts, X, gamma)
+            # each row alone gives its bits in the block
+            single = np.vstack([nearest_codeword_point(table, x, gamma) for x in X])
+        assert got.flags.c_contiguous and got.shape == X.shape
+        assert got.tobytes() == want.tobytes(), (n, gamma, p)
+        assert single.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))

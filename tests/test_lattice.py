@@ -226,7 +226,7 @@ class TestStackedBlocks:
     """nearest_points and linear_labels on blocks stacked into one give each
     block's rows bitwise: a campaign decodes all its noise levels this way."""
 
-    @pytest.mark.parametrize("path", ["tree", "pairs"])
+    @pytest.mark.parametrize("path", ["tree", "gathers"])
     @pytest.mark.parametrize("kind", ["decode", "uniform"])
     def test_stacked_equals_separate_calls(self, path, kind):
         if path == "tree":  # the 16807-row table of the parallel benchmark campaign

@@ -1215,4 +1215,4 @@ def test_large_campaign_enumerates_no_large_table():
     run_campaign(TrialConfig(ensemble=ens, ch=ch, A=A22, mode="parallel",
                              noise_std=[0.3, 0.1], master_seed=7), 15)
     table = ens._tables[5]
-    assert table._cells is None and table._pairs is None and table._shifts is None
+    assert table._cells is None and table._shifts is None
